@@ -25,13 +25,28 @@
 //! keep the flat per-neuron CSR ([`CsrSynapses`]); [`SynapseTable`]
 //! unifies the two behind one row-oriented API.
 //!
+//! A conv stage's membranes are **channel-last**: cell `(oy·ow + ox)·OC +
+//! oc` instead of the neuron index `(oc·oh + oy)·ow + ox`. One kernel tap
+//! then covers `OC` adjacent cells, and at stride 1 the surviving x-taps
+//! of a kernel row hit adjacent output columns, so the compiler merges
+//! them into **one run per kernel row** of `countx·OC` contiguous cells,
+//! with the weights repacked `[ci][ki][k−1−kj][oc]` to ascend in the same
+//! direction (other strides keep one run per tap in the same table). The
+//! integration loop is `cells[..n] += w[..n] · psp` over two slices. Only
+//! a cell's *address* moves: every edge of an input row still hits a
+//! distinct cell, so reordering edges inside a row swaps no two additions
+//! to one cell, and [`ConvPatterns::edges_of`] still yields the reference
+//! `(neuron, weight)` sequence.
+//!
 //! Pooling and flatten layers stay event-domain operations (max pooling is
-//! not linear, so it cannot be folded into synapse weights); they reuse the
-//! exact `snn_sim::phase` primitives so the fast path cannot diverge from
-//! the reference semantics.
+//! not linear, so it cannot be folded into synapse weights); the engine
+//! runs them wheel to wheel with the semantics of the `snn_sim::phase`
+//! primitives, which remain the oracle the equivalence tests compare with.
 
 use snn_tensor::Tensor;
 use ttfs_core::{ConvertError, SnnLayer, SnnModel};
+
+use crate::engine::FireTable;
 
 /// Per-input-neuron adjacency of one weighted layer, in compressed sparse
 /// row form (used for dense layers, where every row is genuinely unique).
@@ -147,45 +162,49 @@ impl<W: Copy> CsrSynapses<W> {
 /// repacked copy of the layer's weights and a per-pixel `(pattern_id,
 /// target_base, weight_base)` map.
 ///
-/// A pattern is a list of **runs**, one per surviving kernel tap
-/// `(ki, kj)`: run `r` covers all `OC` output channels at once, with
-/// targets `t_start[r] + oc·oh·ow` (absolute target additionally offset by
-/// the row's `t_base`) and weights read contiguously at
-/// `w_start[r] + oc` from the channel's slice of the repacked
-/// `[ci][ki][kj][oc]` weight array (`row_wbase = ci·k²·OC`). Nothing in a
+/// A pattern is a list of **runs** of contiguous channel-last cells: at
+/// stride 1 one run per surviving kernel row (`countx·OC` cells, x-taps
+/// descending as cells ascend), otherwise one per surviving tap (`OC`
+/// cells). Run `r` adds `weight[row_wbase + w_start[r] + i]` to cell
+/// `row_tbase + t_start[r] + i` for `i < run_len[r]`, the weights being
+/// repacked `[ci][ki][k−1−kj][oc]` (`row_wbase = ci·k²·OC`). Nothing in a
 /// run depends on the pixel or the channel, so a layer needs only ≈
 /// (per-axis border classes)² patterns of ≤ `k²` runs each, and the
 /// weights are stored exactly once — while the integration loop walks
 /// each run without loading any per-edge index.
 ///
-/// Expanded edge order (run-major, output channel inner) equals the flat
-/// per-pixel compiler's and the reference integration loop's (ascending
-/// kernel row, kernel column, then output channel). Structurally zero
-/// weights are **kept** (as in the dense compiler): channels share one
-/// tap pattern, a `+= 0·psp` is bit-neutral on the accumulator, and the
-/// reference backend charges synaptic ops for every surviving tap
-/// regardless of weight value — so retaining them keeps `RunStats`
-/// identical to `EventSnn` even for models with exact-zero weights.
+/// [`edges_of`](Self::edges_of) expands runs in the flat per-pixel
+/// compiler's and the reference integration loop's order (ascending
+/// kernel row, kernel column, then output channel) with neuron-index
+/// targets. Structurally zero weights are **kept** (as in the dense
+/// compiler): channels share one tap pattern, a `+= 0·psp` is
+/// bit-neutral on the accumulator, and the reference backend charges
+/// synaptic ops for every surviving tap regardless of weight value — so
+/// retaining them keeps `RunStats` identical to `EventSnn` even for
+/// models with exact-zero weights.
 #[derive(Debug, Clone)]
 pub struct ConvPatterns<W = f32> {
     /// `pat_ptr[p]..pat_ptr[p + 1]` indexes the runs of pattern `p`.
     pat_ptr: Vec<u32>,
-    /// Relative first target of each run: `dy·ow + dx`.
+    /// Relative first cell of each run: `(dy·ow + dx)·OC`.
     t_start: Vec<u32>,
-    /// First weight index of each run: `(ki·k + kj)·OC`.
+    /// First weight index of each run: `(ki·k + k−1−kj)·OC`.
     w_start: Vec<u32>,
-    /// Edges per run (`OC` — kept explicit so degree stays a table walk).
+    /// Cells per run (`taps·OC`).
     run_len: Vec<u32>,
-    /// Target stride between a run's consecutive edges: `oh·ow`.
-    oc_stride: u32,
-    /// Repacked weights (or packed codes) `[ci][ki][kj][oc]` — one copy
-    /// per layer, read contiguously run by run within each channel slice.
+    /// Output channels `OC` (cells per tap).
+    oc: u32,
+    /// Output plane `oh·ow` (neuron-index stride between channels).
+    plane: u32,
+    /// Repacked weights (or packed codes) `[ci][ki][k−1−kj][oc]` — one
+    /// copy per layer, read contiguously run by run within each channel
+    /// slice.
     weight: Vec<W>,
     /// Weights per channel slice (`k²·OC`).
     ch_stride: usize,
     /// Pattern id of each input pixel row.
     row_pattern: Vec<u32>,
-    /// Base target (`oy₀·ow + ox₀`) of each input pixel row.
+    /// Base cell (`(oy₀·ow + ox₀)·OC`) of each input pixel row.
     row_tbase: Vec<u32>,
     /// Base weight index (`ci·k²·OC`) of each input pixel row.
     row_wbase: Vec<u32>,
@@ -219,8 +238,8 @@ impl<W: Copy> ConvPatterns<W> {
     }
 
     /// The `(target, weight)` edge list of input neuron `j` (absolute
-    /// targets; identical to the flat CSR row, with structural zeros
-    /// retained).
+    /// neuron-index targets; identical to the flat CSR row, with
+    /// structural zeros retained).
     #[inline]
     pub fn edges_of(&self, j: u32) -> EdgeIter<'_, W> {
         EdgeIter::Runs {
@@ -241,7 +260,8 @@ impl<W: Copy> ConvPatterns<W> {
             t_start: &self.t_start[lo..hi],
             w_start: &self.w_start[lo..hi],
             run_len: &self.run_len[lo..hi],
-            oc_stride: self.oc_stride,
+            oc: self.oc,
+            plane: self.plane,
             t_base: self.row_tbase[j as usize],
             channel_weights: &self.weight[wbase..wbase + self.ch_stride],
             degree: self.pat_degree[p] as usize,
@@ -252,6 +272,12 @@ impl<W: Copy> ConvPatterns<W> {
     #[inline]
     pub fn degree(&self, j: u32) -> usize {
         self.pat_degree[self.row_pattern[j as usize] as usize] as usize
+    }
+
+    /// `(OC, oh·ow)`: output neuron `oc·oh·ow + pos` lives in membrane
+    /// cell `pos·OC + oc`.
+    pub fn layout(&self) -> (usize, usize) {
+        (self.oc as usize, self.plane as usize)
     }
 
     /// Bytes of backing storage (pattern table, repacked weights, per-pixel
@@ -287,7 +313,8 @@ impl<W: Copy> ConvPatterns<W> {
             t_start: self.t_start.clone(),
             w_start: self.w_start.clone(),
             run_len: self.run_len.clone(),
-            oc_stride: self.oc_stride,
+            oc: self.oc,
+            plane: self.plane,
             weight: self.weight.iter().copied().map(f).collect(),
             ch_stride: self.ch_stride,
             row_pattern: self.row_pattern.clone(),
@@ -299,19 +326,21 @@ impl<W: Copy> ConvPatterns<W> {
     }
 }
 
-/// One input pixel's view into a [`ConvPatterns`] table: the shared tap
-/// runs plus the pixel's target base and channel weight slice.
+/// One input pixel's view into a [`ConvPatterns`] table: the shared runs
+/// plus the pixel's cell base and channel weight slice.
 #[derive(Debug, Clone, Copy)]
 pub struct PatternRow<'a, W = f32> {
-    /// Relative first target per run.
+    /// Relative first channel-last cell per run.
     pub t_start: &'a [u32],
     /// First weight index per run, into `channel_weights`.
     pub w_start: &'a [u32],
-    /// Edges per run.
+    /// Cells per run.
     pub run_len: &'a [u32],
-    /// Target stride between a run's consecutive edges.
-    pub oc_stride: u32,
-    /// Added to every relative target.
+    /// Output channels (cells per tap).
+    pub oc: u32,
+    /// Output plane `oh·ow`.
+    pub plane: u32,
+    /// Added to every relative cell.
     pub t_base: u32,
     /// The row's channel slice of the repacked weight array.
     pub channel_weights: &'a [W],
@@ -330,13 +359,14 @@ pub enum EdgeIter<'a, W = f32> {
         /// Remaining weights.
         weight: std::slice::Iter<'a, W>,
     },
-    /// Pattern row: expand the runs on the fly.
+    /// Pattern row: expand the runs on the fly, taps of a merged run
+    /// from the last (lowest kernel column) to the first.
     Runs {
         /// The run view being expanded.
         row: PatternRow<'a, W>,
         /// Current run index.
         run: usize,
-        /// Position within the current run.
+        /// Edges of the current run already yielded.
         i: u32,
     },
 }
@@ -352,9 +382,12 @@ impl<W: Copy> Iterator for EdgeIter<'_, W> {
                 if *run >= row.run_len.len() {
                     return None;
                 }
-                if *i < row.run_len[*run] {
-                    let t = row.t_start[*run] + *i * row.oc_stride + row.t_base;
-                    let w = row.channel_weights[(row.w_start[*run] + *i) as usize];
+                let len = row.run_len[*run];
+                if *i < len {
+                    let at = len - row.oc - *i / row.oc * row.oc + *i % row.oc;
+                    let cell = row.t_start[*run] + row.t_base + at;
+                    let t = cell % row.oc * row.plane + cell / row.oc;
+                    let w = row.channel_weights[(row.w_start[*run] + at) as usize];
                     *i += 1;
                     return Some((t, w));
                 }
@@ -571,6 +604,9 @@ pub struct CsrModel {
     /// Total traversed synapses across weighted stages (flat-equivalent
     /// edge count; the physically stored count is in [`CsrModel::footprint`]).
     pub total_edges: usize,
+    /// The model kernel's fire thresholds and decode values over its
+    /// window, tabulated once here so no inference derives them.
+    pub(crate) fire: FireTable,
 }
 
 fn compile_dense(weight: &Tensor) -> CsrSynapses {
@@ -597,7 +633,13 @@ fn compile_dense(weight: &Tensor) -> CsrSynapses {
 /// — tap indices are `k_min, k_min + stride, …` (ascending, which walks
 /// output coordinates `out_min + count - 1` **down** to `out_min`, the same
 /// direction the flat compiler walks them).
-fn axis_class(i: usize, k: usize, stride: usize, padding: usize, out: usize) -> (u32, u32, u32) {
+pub(crate) fn axis_class(
+    i: usize,
+    k: usize,
+    stride: usize,
+    padding: usize,
+    out: usize,
+) -> (u32, u32, u32) {
     let a = i + padding;
     let lo = if a + 1 > k {
         (a + 1 - k).div_ceil(stride)
@@ -630,16 +672,17 @@ fn compile_conv(
         .map(|ix| axis_class(ix, k, s, spec.padding, ow))
         .collect();
 
-    // Repack weights `[oc][ci][ki][kj]` -> `[ci][ki][kj][oc]` so a
-    // pattern's channel-independent weight offsets read each channel's
-    // slice contiguously in edge order.
+    // Repack weights `[oc][ci][ki][kj]` -> `[ci][ki][k-1-kj][oc]`: kernel
+    // columns reversed because ascending kj walks output columns (and so
+    // channel-last cells) downward — a run's weights then ascend with its
+    // cells.
     let ch_stride = k * k * oc_n;
     let mut rw = vec![0.0f32; spec.in_channels * ch_stride];
     for oc in 0..oc_n {
         for ci in 0..spec.in_channels {
             for ki in 0..k {
                 for kj in 0..k {
-                    rw[(ci * k * k + ki * k + kj) * oc_n + oc] =
+                    rw[(ci * k * k + ki * k + (k - 1 - kj)) * oc_n + oc] =
                         wd[((oc * spec.in_channels + ci) * k + ki) * k + kj];
                 }
             }
@@ -671,27 +714,29 @@ fn compile_conv(
         for &(kx_min, countx, ox_lo) in &x_class {
             let key = (ky_min, county, kx_min, countx);
             let pid = *ids.entry(key).or_insert_with(|| {
-                // Materialize the canonical pattern: one run per
-                // surviving tap, in the flat compiler's (and the
-                // reference loop's) traversal order — ascending kernel
-                // row, kernel column, then output channel within the run.
+                // Materialize the canonical pattern, kernel rows
+                // ascending. A row's taps hit adjacent output columns;
+                // at stride 1 their weights are adjacent too, so the row
+                // is one run, else one run per tap (kernel columns
+                // ascending). A run starts at its highest kernel column.
+                let countx = countx as usize;
+                let taps = if s == 1 { countx.max(1) } else { 1 };
                 for ai in 0..county as usize {
                     let ki = ky_min as usize + ai * s;
                     let dy = county as usize - 1 - ai;
-                    for bi in 0..countx as usize {
-                        let kj = kx_min as usize + bi * s;
-                        let dx = countx as usize - 1 - bi;
-                        t_start.push((dy * ow + dx) as u32);
-                        w_start.push(((ki * k + kj) * oc_n) as u32);
-                        run_len.push(oc_n as u32);
+                    for end in (taps..=countx).step_by(taps) {
+                        let kj = kx_min as usize + (end - 1) * s;
+                        t_start.push(((dy * ow + countx - end) * oc_n) as u32);
+                        w_start.push(((ki * k + k - 1 - kj) * oc_n) as u32);
+                        run_len.push((taps * oc_n) as u32);
                     }
                 }
                 pat_ptr.push(t_start.len() as u32);
-                pat_degree.push(county * countx * oc_n as u32);
+                pat_degree.push(county * (countx * oc_n) as u32);
                 (pat_ptr.len() - 2) as u32
             });
             grid_pattern.push(pid);
-            grid_tbase.push(oy_lo * ow as u32 + ox_lo);
+            grid_tbase.push((oy_lo * ow as u32 + ox_lo) * oc_n as u32);
         }
     }
     for ci in 0..spec.in_channels {
@@ -709,7 +754,8 @@ fn compile_conv(
         t_start,
         w_start,
         run_len,
-        oc_stride: (oh * ow) as u32,
+        oc: oc_n as u32,
+        plane: (oh * ow) as u32,
         weight: rw,
         ch_stride,
         row_pattern,
@@ -852,6 +898,7 @@ impl CsrModel {
             stages,
             input_dims: input_dims.to_vec(),
             total_edges,
+            fire: FireTable::new(model.kernel(), model.window()),
         })
     }
 

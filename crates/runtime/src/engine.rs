@@ -8,34 +8,50 @@
 //! [`BatchWheel`], walks time slots in ascending order, groups equal
 //! neurons across lanes within a slot, and streams each synapse row **once
 //! per group** while scattering into a `[lanes, out_neurons]` f64 membrane
-//! matrix (each lane owns a contiguous membrane slice, keeping accumulator
-//! locality). Weight traffic is amortized across the whole chunk — the
-//! software analogue of the paper's weight-buffered PE clusters.
+//! matrix (each lane owns a contiguous membrane slice). Weight traffic is
+//! amortized across the whole chunk — the software analogue of the paper's
+//! weight-buffered PE clusters.
+//!
+//! Every inner loop is a contiguous sweep. A conv stage's lane slice is
+//! **channel-last** (`[oy·ow + ox][oc]`, see [`crate::csr`]), so a row is a
+//! handful of runs `cells[..n] += w[..n] · psp` over two slices — one run
+//! per kernel row at stride 1 — which rustc vectorises at the SSE2
+//! baseline. Packed log codes skip the multiply as the paper's PE does:
+//! `prod[code] = lut[code] · psp` is tabulated once per distinct `psp`
+//! (once per time slot unless pooling scales differ) and an edge is one
+//! byte load, one table load, one add. The fire phase replaces
+//! `encode`'s per-membrane `log2` with a search of the [`FireTable`]
+//! thresholds derived from `encode` itself at compile time, and pooling
+//! stages go wheel to wheel.
 //!
 //! Bit-exactness is preserved by construction. Per accumulator cell
 //! `(lane, target)`, additions land in exactly the reference backend's
 //! order: the outer loop is ascending `(t, neuron)` — the canonical order
 //! every spike source emits (and [`BatchWheel::seal`]'s stable sort keeps
-//! per-lane duplicates in emission order) — and within one CSR row every
-//! edge hits a distinct target, so edge-major reordering never swaps two
-//! additions to the same cell. Logits therefore match [`snn_sim::EventSnn`]
-//! bit-for-bit for every chunk size, and the shared event statistics are
-//! identical.
+//! per-lane duplicates in emission order) — and within one row every edge
+//! hits a distinct cell, so neither the edge-major interchange nor the
+//! channel-last layout (which moves a cell's *address*, and reorders edges
+//! only inside a row) ever swaps two additions to the same cell; each
+//! table entry is the very f64 product the per-edge code computed. The
+//! fire phase and the readout walk neurons in ascending index order
+//! through the `[pos][oc]` map. Logits therefore match
+//! [`snn_sim::EventSnn`] bit-for-bit for every chunk size, and the shared
+//! event statistics are identical.
 //!
 //! The engine holds the converted [`SnnModel`] and compiled [`CsrModel`]
 //! behind [`Arc`], so clones (one per worker, per shard, per server) share
 //! one read-only copy of the weights. Per-run scratch (membrane matrix,
-//! wheels, group buffers) lives in an internal pool and is reused across
-//! stages and calls instead of reallocated per layer.
+//! wheels, product table, pooling grid) lives in an internal pool and is
+//! reused across stages and calls instead of reallocated per layer.
 
 use std::sync::{Arc, Mutex};
 
 use snn_sim::{phase, RunStats};
 use snn_tensor::Tensor;
-use ttfs_core::{ConvertError, SnnModel, TtfsKernel};
+use ttfs_core::{Base2Kernel, ConvertError, SnnModel, TtfsKernel};
 
-use crate::csr::{CsrModel, CsrStage, SynapseTable};
-use crate::wheel::BatchWheel;
+use crate::csr::{axis_class, CsrModel, CsrStage, SynapseTable};
+use crate::wheel::{BatchWheel, LaneSpike};
 use crate::InferenceBackend;
 
 /// Upper bound on the default number of sample lanes integrated together
@@ -45,10 +61,13 @@ pub const DEFAULT_MAX_LANES: usize = 32;
 /// Cache budget for the `[lanes, out_neurons]` f64 membrane matrix used to
 /// pick the default lane count: enough lanes to amortize row fetches
 /// across the chunk, but never so many that the accumulator spills out of
-/// L2 and every scatter becomes a cache miss (the time-major walk revisits
-/// the whole matrix once per time slot, so its footprint — not the synapse
-/// table, which deduplication keeps cache-resident — is what bounds
-/// throughput; measured cliff on the VGG-16 bench geometry around 2 MB).
+/// L2 (the time-major walk revisits the whole matrix once per time slot,
+/// while deduplication keeps the synapse table cache-resident). What the
+/// lanes buy is small: with the channel-last layout the benchmark's
+/// `engine.f32.lane_speedup` (8 lanes vs 1, VGG-16/w16) reads 1.06 (three
+/// `--trace 1` runs: 1.33, 1.06, 1.06; it read 0.87–0.96 with the strided
+/// layout this budget was tuned for). The budget itself has not been
+/// re-tuned; ROADMAP item 2(b) decides whether the lane heuristics stay.
 pub const ACC_BYTES_BUDGET: usize = 256 * 1024;
 
 /// Default chunk width for a compiled stage list: the most lanes whose
@@ -67,31 +86,133 @@ pub(crate) fn default_lanes<W>(stages: &[CsrStage<W>]) -> usize {
     (ACC_BYTES_BUDGET / (widest * std::mem::size_of::<f64>())).clamp(1, DEFAULT_MAX_LANES)
 }
 
-/// Resolves one stored edge payload to its f32 synaptic weight inside the
-/// integration loop. `f32` resolves to itself (the full-precision path);
-/// the quantized path stores packed log codes (`u8`) and resolves them
-/// through a per-layer decode LUT carried as the decode context — one
-/// indexed load per edge, no multiplier, exactly the paper's PE shape.
+/// One stored edge payload inside the integration loop. `f32` multiplies
+/// (the full-precision path); packed log codes (`u8`) look their product
+/// up in the [`ProdTable`] built from the layer's decode LUT, carried as
+/// the decode context — no multiplier per edge, the paper's PE shape.
 pub(crate) trait EdgeWeight: Copy + Send + Sync + 'static {
     /// Per-weighted-stage decode context (e.g. the layer's code LUT).
     type Ctx<'a>: Copy;
 
-    /// The f32 synaptic weight this stored payload represents.
-    fn resolve(self, ctx: Self::Ctx<'_>) -> f32;
+    /// Readies `table` for a spike of post-synaptic potential `psp`.
+    fn prepare(ctx: Self::Ctx<'_>, psp: f32, table: &mut ProdTable);
+
+    /// This edge's addend `weight · psp` (`table` prepared for `psp`).
+    fn term(self, psp: f64, table: &ProdTable) -> f64;
 }
 
 impl EdgeWeight for f32 {
     type Ctx<'a> = ();
 
     #[inline(always)]
-    fn resolve(self, _ctx: ()) -> f32 {
-        self
+    fn prepare(_ctx: (), _psp: f32, _table: &mut ProdTable) {}
+
+    #[inline(always)]
+    fn term(self, psp: f64, _table: &ProdTable) -> f64 {
+        self as f64 * psp
     }
 }
 
+/// The spike-time × log-code product table: `prod[code] = lut[code] · psp`
+/// for the `psp` whose bits are `key`. 256 entries, so a `u8` code indexes
+/// it unchecked.
+#[derive(Debug)]
+pub(crate) struct ProdTable {
+    pub(crate) key: Option<u32>,
+    pub(crate) prod: [f64; 256],
+}
+
+impl Default for ProdTable {
+    fn default() -> Self {
+        Self {
+            key: None,
+            prod: [0.0; 256],
+        }
+    }
+}
+
+/// [`Base2Kernel::encode`] and `decode` as tables, built once per compiled
+/// model. `encode` is monotone in `u`, so it is fully described by the
+/// `window + 1` thresholds `th[k] = min{u : encode(u) ≤ k}`, found by
+/// bisection on f32 bit patterns through `encode` itself — the search
+/// returns exactly what `encode` does, for every f32.
+#[derive(Debug, Clone)]
+pub(crate) struct FireTable {
+    th: Vec<f32>,
+    psp: Vec<f32>,
+}
+
+impl FireTable {
+    pub(crate) fn new(kernel: &Base2Kernel, window: u32) -> Self {
+        let fires_by = |bits: u32, k: u32| {
+            kernel
+                .encode(f32::from_bits(bits), window)
+                .is_some_and(|t| t <= k)
+        };
+        let th = (0..=window)
+            .map(|k| {
+                // Positive f32s order like their bit patterns; +0.0 never
+                // fires, +inf fires at step 0.
+                let (mut lo, mut hi) = (0u32, f32::INFINITY.to_bits());
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if fires_by(mid, k) {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                f32::from_bits(hi)
+            })
+            .collect();
+        Self {
+            th,
+            psp: (0..=window).map(|t| kernel.decode(t)).collect(),
+        }
+    }
+
+    /// The fire window `T`.
+    fn window(&self) -> u32 {
+        (self.psp.len() - 1) as u32
+    }
+
+    /// `kernel.encode(u, window)`: the first step whose threshold `u`
+    /// reaches (NaN and non-positive `u` reach none).
+    #[inline]
+    pub(crate) fn encode(&self, u: f32) -> Option<u32> {
+        if u >= self.th[self.th.len() - 1] {
+            Some(self.th.partition_point(|&th| th > u) as u32)
+        } else {
+            None
+        }
+    }
+
+    /// `kernel.decode(t)`.
+    #[inline]
+    fn decode(&self, t: u32) -> f32 {
+        self.psp[t as usize]
+    }
+}
+
+/// A max-pool input as seen by the output walk: the decoded value of the
+/// last spike of one `(neuron, lane)`, or `-inf` when it never fired.
+#[derive(Debug, Clone, Copy)]
+struct PoolCell {
+    val: f32,
+    t: u32,
+    scale: f32,
+}
+
+const NO_SPIKE: PoolCell = PoolCell {
+    val: f32::NEG_INFINITY,
+    t: 0,
+    scale: 0.0,
+};
+
 /// Reusable per-run buffers: the membrane matrix, the per-lane fire-phase
-/// trackers, and the two ping-pong batch wheels. Pooled on the engine so
-/// repeat calls skip every per-layer allocation.
+/// trackers, the product table, the max-pool grid and the two ping-pong
+/// batch wheels. Pooled on the engine so repeat calls skip every per-layer
+/// allocation.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// `[lanes, out_neurons]` f64 membrane accumulator.
@@ -100,6 +221,10 @@ pub(crate) struct Scratch {
     latest: Vec<u32>,
     /// Per-lane "every membrane fired" flag of the current fire phase.
     all_fired: Vec<bool>,
+    /// Code products for the current `psp` (quantized stages only).
+    prod: ProdTable,
+    /// `[in_neurons, lanes]` grid of the current max-pool stage.
+    pool: Vec<PoolCell>,
     /// Spikes entering the current stage.
     wheel_in: BatchWheel,
     /// Spikes produced by the current stage's fire phase / pooling.
@@ -291,18 +416,17 @@ impl CsrEngine {
         lanes: usize,
         sample_len: usize,
         stats: &mut RunStats,
-        rows: &mut Vec<Vec<f32>>,
+        rows: &mut Vec<f32>,
     ) -> Result<(), ConvertError> {
         let (mut scratch, reused) = self.scratch.take();
         let mut span = snn_trace::ctx_span("csr.chunk");
         span.attr("lanes", lanes);
         span.attr("scratch", if reused { "reused" } else { "fresh" });
-        // The f32 path resolves weights in place: unit decode contexts.
-        let ctxs = vec![(); self.model.weighted_layers()];
         let result = run_chunk_stages(
             &self.model,
             &self.compiled.stages,
-            &ctxs,
+            &self.compiled.fire,
+            |_| (), // the f32 path multiplies in place: unit decode contexts
             &mut scratch,
             data,
             lanes,
@@ -315,32 +439,45 @@ impl CsrEngine {
     }
 }
 
+/// `[C, H, W]` of a pooling stage's input grid.
+fn chw(in_dims: &[usize]) -> Result<(usize, usize, usize), ConvertError> {
+    match *in_dims {
+        [c, h, w] => Ok((c, h, w)),
+        _ => Err(ConvertError::Structure(format!(
+            "pooling expects [C, H, W] spikes, got {in_dims:?}"
+        ))),
+    }
+}
+
 /// Integrates one chunk of `lanes` samples edge-major over a compiled
 /// stage list — the shared inner loop of [`CsrEngine`] and
-/// [`crate::QuantEngine`]. `ctxs` holds one [`EdgeWeight`] decode context
-/// per weighted stage (unit for f32 weights, the layer's code LUT for
-/// packed log codes); everything else — encode, slot grouping, fire
-/// phases, pooling bridges, statistics — is identical between the two
-/// serving modes, which is what keeps them bit-comparable.
+/// [`crate::QuantEngine`]. `ctx_of(i)` is the [`EdgeWeight`] decode
+/// context of weighted stage `i` (unit for f32 weights, the layer's code
+/// LUT for packed log codes); everything else — encode, slot grouping,
+/// fire phases, pooling, statistics — is identical between the two
+/// serving modes, which is what keeps them bit-comparable. Appends one
+/// logits row per lane to `rows`.
 #[allow(clippy::too_many_arguments)] // one call site per engine, flat by design
 pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
     model: &SnnModel,
     stages: &'a [CsrStage<W>],
-    ctxs: &[W::Ctx<'a>],
+    fire: &FireTable,
+    ctx_of: impl Fn(usize) -> W::Ctx<'a>,
     scratch: &mut Scratch,
     data: &[f32],
     lanes: usize,
     sample_len: usize,
     stats: &mut RunStats,
-    rows: &mut Vec<Vec<f32>>,
+    rows: &mut Vec<f32>,
 ) -> Result<(), ConvertError> {
-    let kernel = *model.kernel();
-    let window = model.window();
+    let window = fire.window();
     let weighted = model.weighted_layers();
     let Scratch {
         acc,
         latest,
         all_fired,
+        prod,
+        pool,
         wheel_in,
         wheel_out,
     } = scratch;
@@ -353,8 +490,7 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
         wheel_in.reset(window, lanes);
         for i in 0..sample_len {
             for lane in 0..lanes {
-                let v = data[lane * sample_len + i];
-                if let Some(t) = kernel.encode(v, window) {
+                if let Some(t) = fire.encode(data[lane * sample_len + i]) {
                     wheel_in.push(t, lane as u32, i as u32, 1.0);
                 }
             }
@@ -382,7 +518,8 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
         match stage {
             CsrStage::Weighted { syn, bias } => {
                 let out_len = bias.len();
-                let ctx = ctxs[seen];
+                let ctx = ctx_of(seen);
+                prod.key = None; // a new stage's LUT: no product carries over
                 acc.clear();
                 acc.resize(out_len * lanes, 0.0);
                 let mut ops = 0usize;
@@ -394,10 +531,7 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                 // same f32 membranes.
                 for t in 0..=window {
                     let slot = wheel_in.slot(t);
-                    if slot.is_empty() {
-                        continue;
-                    }
-                    let psp_t = kernel.decode(t);
+                    let psp_t = fire.decode(t);
                     let mut i = 0usize;
                     while i < slot.len() {
                         let neuron = slot[i].neuron;
@@ -405,38 +539,40 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                         while end < slot.len() && slot[end].neuron == neuron {
                             end += 1;
                         }
+                        let group = &slot[i..end];
                         let degree = match syn {
                             SynapseTable::Flat(cs) => {
                                 let (cols, weights) = cs.row_slices(neuron);
-                                if cs.full_rows() {
-                                    scatter_full_row(
-                                        weights,
-                                        ctx,
-                                        out_len,
-                                        psp_t,
-                                        &slot[i..end],
-                                        acc,
-                                    );
-                                } else {
-                                    scatter_flat_row(
-                                        cols,
-                                        weights,
-                                        ctx,
-                                        out_len,
-                                        psp_t,
-                                        &slot[i..end],
-                                        acc,
-                                    );
+                                for s in group {
+                                    let (psp, cells) =
+                                        lane_cells::<W>(s, psp_t, ctx, prod, acc, out_len);
+                                    if cs.full_rows() {
+                                        add_run(&mut cells[..weights.len()], weights, psp, prod);
+                                    } else {
+                                        for (c, w) in cols.iter().zip(weights) {
+                                            cells[*c as usize] += w.term(psp, prod);
+                                        }
+                                    }
                                 }
                                 cols.len()
                             }
                             SynapseTable::Patterned(p) => {
                                 let row = p.row_slices(neuron);
-                                scatter_pattern_row(&row, ctx, out_len, psp_t, &slot[i..end], acc);
+                                let runs = row.t_start.iter().zip(row.w_start).zip(row.run_len);
+                                for s in group {
+                                    let (psp, cells) =
+                                        lane_cells::<W>(s, psp_t, ctx, prod, acc, out_len);
+                                    let cells = &mut cells[row.t_base as usize..];
+                                    for ((&t0, &w0), &n) in runs.clone() {
+                                        let (t0, w0, n) = (t0 as usize, w0 as usize, n as usize);
+                                        let weights = &row.channel_weights[w0..w0 + n];
+                                        add_run(&mut cells[t0..t0 + n], weights, psp, prod);
+                                    }
+                                }
                                 row.degree
                             }
                         };
-                        ops += degree * (end - i);
+                        ops += degree * group.len();
                         i = end;
                     }
                 }
@@ -451,6 +587,12 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                     stage_span.attr("neurons", out_len * lanes);
                 }
 
+                // Neuron `c·plane + p` lives in cell `p·channels + c` of
+                // its lane's slice (the identity for dense stages).
+                let (channels, plane) = match syn {
+                    SynapseTable::Flat(_) => (out_len, 1),
+                    SynapseTable::Patterned(p) => p.layout(),
+                };
                 if seen < weighted {
                     // Fire phase straight out of the membrane matrix
                     // (identical semantics to `phase::fire_phase`,
@@ -462,16 +604,19 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                     latest.resize(lanes, 0);
                     all_fired.clear();
                     all_fired.resize(lanes, true);
-                    for o in 0..out_len {
-                        let b = bias[o];
-                        for lane in 0..lanes {
-                            let u = acc[lane * out_len + o] as f32 + b;
-                            match kernel.encode(u, window) {
-                                Some(t) => {
-                                    latest[lane] = latest[lane].max(t);
-                                    wheel_out.push(t, lane as u32, o as u32, 1.0);
+                    for c in 0..channels {
+                        for p in 0..plane {
+                            let o = c * plane + p;
+                            let b = bias[o];
+                            for lane in 0..lanes {
+                                let u = acc[lane * out_len + p * channels + c] as f32 + b;
+                                match fire.encode(u) {
+                                    Some(t) => {
+                                        latest[lane] = latest[lane].max(t);
+                                        wheel_out.push(t, lane as u32, o as u32, 1.0);
+                                    }
+                                    None => all_fired[lane] = false,
                                 }
-                                None => all_fired[lane] = false,
                             }
                         }
                     }
@@ -487,13 +632,11 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                     std::mem::swap(wheel_in, wheel_out);
                 } else {
                     // Readout: decode every lane's logits row.
-                    for lane in 0..lanes {
-                        let row: Vec<f32> = acc[lane * out_len..(lane + 1) * out_len]
-                            .iter()
-                            .zip(bias.iter())
-                            .map(|(&u, &b)| u as f32 + b)
-                            .collect();
-                        rows.push(row);
+                    for cells in acc.chunks_exact(out_len) {
+                        rows.extend(
+                            (0..out_len)
+                                .map(|o| cells[o % plane * channels + o / plane] as f32 + bias[o]),
+                        );
                     }
                     produced = true;
                 }
@@ -503,10 +646,41 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                 stride,
                 in_dims,
             } => {
+                // `phase::max_pool_spikes`, wheel to wheel: a neuron's
+                // last spike in canonical order stands for it (one pass
+                // over the slots), then outputs are walked neuron-major,
+                // lanes inner, the window in (ky, kx) order with the
+                // reference's strict `>` — ties keep the first.
+                let (c, h, w) = chw(in_dims)?;
+                let (oh, ow) = ((h - win) / stride + 1, (w - win) / stride + 1);
+                pool.clear();
+                pool.resize(c * h * w * lanes, NO_SPIKE);
+                for t in 0..=window {
+                    for s in wheel_in.slot(t) {
+                        pool[s.neuron as usize * lanes + s.lane as usize] = PoolCell {
+                            val: fire.decode(t) * s.scale,
+                            t,
+                            scale: s.scale,
+                        };
+                    }
+                }
                 wheel_out.reset(window, lanes);
-                for (lane, train) in wheel_in.lane_trains(in_dims).into_iter().enumerate() {
-                    let pooled = phase::max_pool_spikes(&kernel, &train, *win, *stride)?;
-                    wheel_out.push_train(lane as u32, &pooled);
+                for o in 0..c * oh * ow {
+                    let (ci, oy, ox) = (o / (oh * ow), o / ow % oh, o % ow);
+                    for lane in 0..lanes {
+                        let mut best = NO_SPIKE;
+                        for iy in oy * stride..oy * stride + win {
+                            for ix in ox * stride..ox * stride + win {
+                                let cell = pool[((ci * h + iy) * w + ix) * lanes + lane];
+                                if cell.val > best.val {
+                                    best = cell;
+                                }
+                            }
+                        }
+                        if best.val > NO_SPIKE.val {
+                            wheel_out.push(best.t, lane as u32, o as u32, best.scale);
+                        }
+                    }
                 }
                 wheel_out.seal();
                 std::mem::swap(wheel_in, wheel_out);
@@ -516,10 +690,29 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                 stride,
                 in_dims,
             } => {
+                // `phase::avg_pool_spikes`, wheel to wheel: every spike is
+                // re-emitted once per covering window with `scale / win²`;
+                // each lane's pushes keep its canonical input order, which
+                // seal()'s stable sort by neuron preserves.
+                let (_, h, w) = chw(in_dims)?;
+                let (oh, ow) = ((h - win) / stride + 1, (w - win) / stride + 1);
+                let norm = 1.0 / (win * win) as f32;
                 wheel_out.reset(window, lanes);
-                for (lane, train) in wheel_in.lane_trains(in_dims).into_iter().enumerate() {
-                    let pooled = phase::avg_pool_spikes(&train, *win, *stride)?;
-                    wheel_out.push_train(lane as u32, &pooled);
+                for t in 0..=window {
+                    for s in wheel_in.slot(t) {
+                        let n = s.neuron as usize;
+                        let (ci, iy, ix) = (n / (h * w), n / w % h, n % w);
+                        // The windows covering a pixel are its unpadded
+                        // border class along each axis.
+                        let (_, ny, oy0) = axis_class(iy, *win, *stride, 0, oh);
+                        let (_, nx, ox0) = axis_class(ix, *win, *stride, 0, ow);
+                        for oy in oy0 as usize..(oy0 + ny) as usize {
+                            for ox in ox0 as usize..(ox0 + nx) as usize {
+                                let o = (ci * oh + oy) * ow + ox;
+                                wheel_out.push(t, s.lane, o as u32, s.scale * norm);
+                            }
+                        }
+                    }
                 }
                 wheel_out.seal();
                 std::mem::swap(wheel_in, wheel_out);
@@ -534,90 +727,31 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
     }
 }
 
-/// Streams one synapse row and scatters it into the `[lanes, out]`
-/// membrane matrix for every `(lane, psp)` of the current spike group. The
-/// row (and its pattern metadata) is fetched once however many lanes share
-/// the group — this is where batch amortization of weight traffic happens
-/// — while each lane scatters into its own contiguous membrane slice, so
-/// accumulator locality matches the sample-at-a-time walk. Every edge
-/// targets a distinct output neuron and lanes own disjoint slices, so
-/// per-cell accumulation order equals the group's lane/duplicate order,
-/// matching the reference backend.
+/// One spike's view of the integration: its f64 post-synaptic potential
+/// (computed in f32 as `decode(t) · scale` then widened, like the
+/// reference) with `prod` readied for it, and its lane's membrane slice.
 #[inline]
-fn scatter_flat_row<W: EdgeWeight>(
-    cols: &[u32],
-    weights: &[W],
-    ctx: W::Ctx<'_>,
-    out_len: usize,
+fn lane_cells<'m, W: EdgeWeight>(
+    s: &LaneSpike,
     psp_t: f32,
-    group: &[crate::wheel::LaneSpike],
-    acc: &mut [f64],
-) {
-    for s in group {
-        // The reference computes psp = decode(t) * scale in f32, then
-        // widens to f64; replicate exactly.
-        let psp = (psp_t * s.scale) as f64;
-        let cell = &mut acc[s.lane as usize * out_len..][..out_len];
-        for (c, w) in cols.iter().zip(weights.iter()) {
-            cell[*c as usize] += w.resolve(ctx) as f64 * psp;
-        }
-    }
+    ctx: W::Ctx<'_>,
+    prod: &mut ProdTable,
+    acc: &'m mut [f64],
+    out_len: usize,
+) -> (f64, &'m mut [f64]) {
+    let psp = psp_t * s.scale;
+    W::prepare(ctx, psp, prod);
+    (psp as f64, &mut acc[s.lane as usize * out_len..][..out_len])
 }
 
-/// [`scatter_flat_row`] for a row whose targets are exactly `0..degree`
-/// (a dense layer with no structural zeros): the weight slice walks the
-/// lane's membrane slice directly — no per-edge target loads, no index
-/// arithmetic.
+/// `cells[i] += weights[i] · psp` over one contiguous run — the whole
+/// inner loop of integration. Lanes own disjoint slices and a row's edges
+/// hit distinct cells, so per-cell accumulation order equals the spike
+/// order, matching the reference backend.
 #[inline]
-fn scatter_full_row<W: EdgeWeight>(
-    weights: &[W],
-    ctx: W::Ctx<'_>,
-    out_len: usize,
-    psp_t: f32,
-    group: &[crate::wheel::LaneSpike],
-    acc: &mut [f64],
-) {
-    for s in group {
-        let psp = (psp_t * s.scale) as f64;
-        let cell = &mut acc[s.lane as usize * out_len..][..out_len];
-        for (c, w) in cell[..weights.len()].iter_mut().zip(weights.iter()) {
-            *c += w.resolve(ctx) as f64 * psp;
-        }
-    }
-}
-
-/// [`scatter_flat_row`] for a deduplicated conv row: one strided sweep
-/// per tap run, reading the run's weights contiguously from the row's
-/// channel slice of the repacked weight array — no per-edge metadata at
-/// all.
-#[inline]
-fn scatter_pattern_row<W: EdgeWeight>(
-    row: &crate::csr::PatternRow<'_, W>,
-    ctx: W::Ctx<'_>,
-    out_len: usize,
-    psp_t: f32,
-    group: &[crate::wheel::LaneSpike],
-    acc: &mut [f64],
-) {
-    let stride = row.oc_stride as usize;
-    let tbase = row.t_base as usize;
-    for s in group {
-        let psp = (psp_t * s.scale) as f64;
-        let cell = &mut acc[s.lane as usize * out_len..][..out_len];
-        for ((t0, w0), len) in row
-            .t_start
-            .iter()
-            .zip(row.w_start.iter())
-            .zip(row.run_len.iter())
-        {
-            let n = *len as usize;
-            let ws = &row.channel_weights[*w0 as usize..*w0 as usize + n];
-            let mut t = *t0 as usize + tbase;
-            for w in ws {
-                cell[t] += w.resolve(ctx) as f64 * psp;
-                t += stride;
-            }
-        }
+fn add_run<W: EdgeWeight>(cells: &mut [f64], weights: &[W], psp: f64, prod: &ProdTable) {
+    for (c, w) in cells.iter_mut().zip(weights) {
+        *c += w.term(psp, prod);
     }
 }
 
@@ -635,7 +769,7 @@ pub(crate) fn run_batch_chunked(
         usize,
         usize,
         &mut RunStats,
-        &mut Vec<Vec<f32>>,
+        &mut Vec<f32>,
     ) -> Result<(), ConvertError>,
 ) -> Result<(Tensor, RunStats), ConvertError> {
     let dims = images.dims();
@@ -655,7 +789,7 @@ pub(crate) fn run_batch_chunked(
     let n = dims[0];
     let sample_len: usize = input_dims.iter().product();
     let mut stats = phase::new_run_stats(model, n);
-    let mut rows = Vec::with_capacity(n);
+    let mut rows = Vec::new();
     let mut begin = 0usize;
     while begin < n {
         let lanes = max_lanes.min(n - begin);
@@ -663,7 +797,9 @@ pub(crate) fn run_batch_chunked(
         chunk(data, lanes, sample_len, &mut stats, &mut rows)?;
         begin += lanes;
     }
-    let logits = phase::logits_tensor(rows)?;
+    let classes = rows.len() / n.max(1);
+    let logits = Tensor::from_vec(rows, &[n, classes])
+        .map_err(|e| ConvertError::Structure(e.to_string()))?;
     Ok((logits, stats))
 }
 
@@ -697,7 +833,7 @@ impl InferenceBackend for CsrEngine {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use snn_nn::{
         ActivationLayer, AvgPool2dLayer, Conv2dLayer, DenseLayer, Flatten, Layer, MaxPool2dLayer,
         Relu, Sequential,
@@ -716,6 +852,58 @@ mod tests {
             Layer::Dense(DenseLayer::new(4 * 4 * 4, 5, &mut rng)),
         ]);
         convert(&net, Base2Kernel::paper_default(), 24).unwrap()
+    }
+
+    /// The threshold search must be `kernel.encode`, not an approximation
+    /// of it: every f32 around each of the `T + 1` boundaries, a million
+    /// seeded membranes in `(0, θ₀]`, a million seeded bit patterns and
+    /// the special values all agree.
+    #[test]
+    fn fire_table_equals_kernel_encode() {
+        for (kernel, window) in [
+            (Base2Kernel::paper_default(), 24u32),
+            (Base2Kernel::new(3.0, 0.8), 41),
+        ] {
+            let table = FireTable::new(&kernel, window);
+            assert_eq!(table.th.len(), window as usize + 1);
+            assert_eq!(table.window(), window);
+            let check = |u: f32| {
+                assert_eq!(
+                    table.encode(u),
+                    kernel.encode(u, window),
+                    "u = {u:e} ({:#010x}), {kernel:?}, T = {window}",
+                    u.to_bits()
+                );
+            };
+            for (k, th) in table.th.iter().enumerate() {
+                assert_eq!(table.decode(k as u32), kernel.decode(k as u32));
+                let centre = th.to_bits();
+                for bits in centre.saturating_sub(1 << 16)..=centre + (1 << 16) {
+                    check(f32::from_bits(bits));
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(0xF1DE);
+            for _ in 0..1_000_000 {
+                check(kernel.theta0() * (1.0 - rng.gen::<f32>()));
+                check(f32::from_bits(rng.gen::<u32>()));
+            }
+            let theta0 = kernel.theta0();
+            for u in [
+                0.0,
+                -0.0,
+                -1.0,
+                f32::MIN_POSITIVE,
+                f32::from_bits(1),
+                theta0,
+                f32::from_bits(theta0.to_bits() - 1),
+                f32::from_bits(theta0.to_bits() + 1),
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+            ] {
+                check(u);
+            }
+        }
     }
 
     #[test]

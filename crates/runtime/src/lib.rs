@@ -16,18 +16,22 @@
 //!   [`BatchWheel`] multi-lane O(1) spike queue. Integration is **batched
 //!   and edge-major**: a chunk of samples is walked together in ascending
 //!   `(t, neuron)` order and each synapse row is streamed once per spike
-//!   group, scattering into a `[lanes, out]` membrane matrix. Logits match
-//!   the reference backend bit-for-bit for every chunk width (same
-//!   per-cell float accumulation order) and `reference_forward` within
-//!   tolerance. Model and compiled tables sit behind `Arc`, so engine
+//!   group into a `[lanes, out]` membrane matrix whose conv slices are
+//!   channel-last, so a row is a few contiguous `cells += w · psp` runs
+//!   (one per kernel row at stride 1); fire times come from a threshold
+//!   table built at compile time, and pooling goes wheel to wheel. Logits
+//!   match the reference backend bit-for-bit for every chunk width (only
+//!   cell addresses move, never the per-cell float accumulation order)
+//!   and `reference_forward` within tolerance. Model and compiled tables sit behind `Arc`, so engine
 //!   clones and server workers share one read-only copy of the weights.
 //! * [`QuantCsrModel`] / [`QuantEngine`] — the quantized serving
 //!   subsystem: one [`snn_logquant::LogQuantizer`] calibrated per weighted
 //!   layer, packed 5-bit log codes stored in place of the repacked f32
 //!   weight copy (4× smaller stored weights), and the same edge-major
-//!   inner loop resolving each code through a per-layer decode LUT — or
-//!   the `LogPe`-style shift-add datapath with reported mantissa-error
-//!   bounds. In LUT mode, logits are **bit-identical** to the reference
+//!   inner loop adding `prod[code]` from a spike-time × code product table
+//!   scaled from the per-layer decode LUT — or from the `LogPe`-style
+//!   shift-add datapath with reported mantissa-error bounds — with no
+//!   multiply per edge. In LUT mode, logits are **bit-identical** to the reference
 //!   simulator over [`snn_logquant::LogQuantizer::quantize_tensor`]'d
 //!   weights.
 //! * [`InferenceServer`] / [`WorkerPool`] — batch requests fan out over a

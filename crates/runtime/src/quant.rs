@@ -18,8 +18,11 @@
 //!   per-edge payload shrinks, 4× for the stored weight array.
 //! * [`QuantEngine`] — an [`InferenceBackend`] whose integration loop is
 //!   the *same* batched edge-major walk as [`crate::CsrEngine`]'s
-//!   ([`run_chunk_stages`] is shared), with the per-edge weight resolved by
-//!   one indexed load from the layer's decode LUT. In
+//!   ([`run_chunk_stages`] is shared), with no multiply per edge: the
+//!   layer's decode LUT is scaled by the spike's `κ(t)·scale` into a
+//!   product table once per distinct value (once per time slot), and an
+//!   edge adds `prod[code]` — the f64 product a per-edge `lut[code] · psp`
+//!   would give, so bits are unchanged in both [`DecodeMode`]s. In
 //!   [`DecodeMode::Lut`] the LUT holds the quantizer's exact decoded
 //!   values, so the engine's logits (and event statistics) are
 //!   **bit-identical** to [`snn_sim::EventSnn`] run over a model whose
@@ -43,7 +46,10 @@ use snn_tensor::Tensor;
 use ttfs_core::{ConvertError, SnnLayer, SnnModel};
 
 use crate::csr::{footprint_of, CsrFootprint, CsrModel, CsrStage};
-use crate::engine::{default_lanes, run_batch_chunked, run_chunk_stages, EdgeWeight, ScratchPool};
+use crate::engine::{
+    default_lanes, run_batch_chunked, run_chunk_stages, EdgeWeight, FireTable, ProdTable,
+    ScratchPool,
+};
 use crate::InferenceBackend;
 
 #[cfg(doc)]
@@ -51,14 +57,27 @@ use crate::csr::SynapseTable;
 #[cfg(doc)]
 use crate::engine::CsrEngine;
 
-/// A packed log code resolves through the layer's decode LUT: one indexed
-/// load per edge — the software shape of the paper's multiplier-free PE.
+/// A packed log code adds its entry of the product table: one byte load,
+/// one table load, one add per edge — the software shape of the paper's
+/// multiplier-free PE. The table is rebuilt from the layer's decode LUT
+/// only when `psp` changes, and holds the same f64 products a per-edge
+/// multiply would compute.
 impl EdgeWeight for u8 {
     type Ctx<'a> = &'a [f32];
 
     #[inline(always)]
-    fn resolve(self, lut: &[f32]) -> f32 {
-        lut[self as usize]
+    fn prepare(lut: &[f32], psp: f32, table: &mut ProdTable) {
+        if table.key != Some(psp.to_bits()) {
+            table.key = Some(psp.to_bits());
+            for (p, &w) in table.prod.iter_mut().zip(lut) {
+                *p = w as f64 * psp as f64;
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn term(self, _psp: f64, table: &ProdTable) -> f64 {
+        table.prod[self as usize]
     }
 }
 
@@ -127,6 +146,19 @@ pub struct QuantLayer {
     pub shift_add_max_rel_error: f32,
 }
 
+impl QuantLayer {
+    /// The decode table `mode` resolves codes through.
+    fn table(&self, mode: DecodeMode) -> &[f32] {
+        match mode {
+            DecodeMode::Lut => &self.lut,
+            DecodeMode::ShiftAdd => self
+                .shift_add_lut
+                .as_deref()
+                .expect("mode validated at construction"),
+        }
+    }
+}
+
 /// The quantized twin of [`CsrModel`]: identical pattern-deduplicated
 /// structure, packed log codes as the per-edge payload, plus each layer's
 /// quantizer and decode tables.
@@ -137,6 +169,7 @@ pub struct QuantCsrModel {
     config: QuantConfig,
     input_dims: Vec<usize>,
     total_edges: usize,
+    fire: FireTable,
 }
 
 /// Maps a quantization failure into the runtime's error type.
@@ -280,6 +313,7 @@ impl QuantCsrModel {
             config,
             input_dims: input_dims.to_vec(),
             total_edges: csr.total_edges,
+            fire: csr.fire,
         })
     }
 
@@ -499,22 +533,6 @@ impl QuantEngine {
     pub fn total_edges(&self) -> usize {
         self.compiled.total_edges
     }
-
-    /// The decode tables the active mode resolves codes through, one per
-    /// weighted stage.
-    fn active_luts(&self) -> Vec<&[f32]> {
-        self.compiled
-            .layers
-            .iter()
-            .map(|l| match self.mode {
-                DecodeMode::Lut => l.lut.as_slice(),
-                DecodeMode::ShiftAdd => l
-                    .shift_add_lut
-                    .as_deref()
-                    .expect("mode validated at construction"),
-            })
-            .collect()
-    }
 }
 
 impl InferenceBackend for QuantEngine {
@@ -531,7 +549,6 @@ impl InferenceBackend for QuantEngine {
     }
 
     fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
-        let ctxs = self.active_luts();
         run_batch_chunked(
             &self.model,
             &self.compiled.input_dims,
@@ -545,7 +562,8 @@ impl InferenceBackend for QuantEngine {
                 let result = run_chunk_stages(
                     &self.model,
                     &self.compiled.stages,
-                    &ctxs,
+                    &self.compiled.fire,
+                    |i| self.compiled.layers[i].table(self.mode),
                     &mut scratch,
                     data,
                     lanes,

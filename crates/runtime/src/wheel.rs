@@ -198,20 +198,12 @@ impl BatchWheel {
         self.len += 1;
     }
 
-    /// Appends one lane's time-sorted [`SpikeTrain`] (bridge back from the
-    /// event-domain pooling primitives).
-    pub fn push_train(&mut self, lane: u32, train: &SpikeTrain) {
-        for s in train.spikes() {
-            self.push(s.t, lane, s.neuron as u32, s.scale);
-        }
-    }
-
     /// Stable-sorts every slot by neuron so equal neurons across lanes sit
     /// adjacent (one CSR row fetch serves the whole group) while each
     /// lane's duplicate order is preserved. Slots that are already
-    /// non-descending by neuron — the engine pushes encode/fire spikes
-    /// neuron-major, so its wheels arrive pre-grouped — are skipped in one
-    /// O(n) scan.
+    /// non-descending by neuron — the engine pushes encode, fire and
+    /// max-pool spikes neuron-major, so those wheels arrive pre-grouped —
+    /// are skipped in one O(n) scan.
     pub fn seal(&mut self) {
         for slot in &mut self.slots {
             if slot.windows(2).all(|w| w[0].neuron <= w[1].neuron) {
@@ -225,47 +217,6 @@ impl BatchWheel {
     #[inline]
     pub fn slot(&self, t: u32) -> &[LaneSpike] {
         &self.slots[t as usize]
-    }
-
-    /// Extracts one lane's spikes as a time-sorted [`SpikeTrain`] over a
-    /// neuron grid of `dims` (bridge to the event-domain pooling
-    /// primitives). On a sealed wheel this is the lane's canonical
-    /// `(t, neuron)`-ascending sequence.
-    pub fn lane_train(&self, lane: u32, dims: Vec<usize>) -> SpikeTrain {
-        let mut train = SpikeTrain::new(dims, self.window());
-        for (t, slot) in self.slots.iter().enumerate() {
-            for s in slot {
-                if s.lane == lane {
-                    train.push(Spike {
-                        neuron: s.neuron as usize,
-                        t: t as u32,
-                        scale: s.scale,
-                    });
-                }
-            }
-        }
-        train
-    }
-
-    /// Splits the wheel into every lane's [`SpikeTrain`] in **one pass**
-    /// over the slots (the per-stage pooling bridge; per-lane filtering
-    /// would rescan the whole wheel once per lane). Each train is the
-    /// lane's canonical `(t, neuron)`-ascending sequence on a sealed
-    /// wheel.
-    pub fn lane_trains(&self, dims: &[usize]) -> Vec<SpikeTrain> {
-        let mut trains: Vec<SpikeTrain> = (0..self.lanes)
-            .map(|_| SpikeTrain::new(dims.to_vec(), self.window()))
-            .collect();
-        for (t, slot) in self.slots.iter().enumerate() {
-            for s in slot {
-                trains[s.lane as usize].push(Spike {
-                    neuron: s.neuron as usize,
-                    t: t as u32,
-                    scale: s.scale,
-                });
-            }
-        }
-        trains
     }
 }
 
@@ -347,36 +298,6 @@ mod tests {
         );
         assert_eq!(w.len(), 6);
         assert_eq!(w.lanes(), 3);
-    }
-
-    #[test]
-    fn batch_lane_train_roundtrip_is_canonical() {
-        let mut train = SpikeTrain::new(vec![3, 3], 6);
-        train.push(Spike {
-            neuron: 8,
-            t: 2,
-            scale: 1.0,
-        });
-        train.push(Spike {
-            neuron: 1,
-            t: 2,
-            scale: 0.5,
-        });
-        train.push(Spike {
-            neuron: 4,
-            t: 0,
-            scale: 1.0,
-        });
-        train.sort_by_time();
-        let mut w = BatchWheel::new(6, 2);
-        w.push_train(0, &train);
-        // A second lane's spikes must not leak into lane 0's view.
-        w.push(2, 1, 5, 1.0);
-        w.seal();
-        let back = w.lane_train(0, vec![3, 3]);
-        assert_eq!(back.spikes(), train.spikes());
-        assert_eq!(back.window(), 6);
-        assert_eq!(w.lane_train(1, vec![3, 3]).len(), 1);
     }
 
     #[test]

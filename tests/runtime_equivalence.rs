@@ -19,12 +19,12 @@ use ttfs_snn::nn::{
     Sequential,
 };
 use ttfs_snn::runtime::{
-    quantize_model, CsrEngine, InferenceBackend, InferenceServer, QuantConfig, QuantEngine,
-    ServerConfig, StreamingConfig, StreamingServer, SubmitOptions, Ticket,
+    quantize_model, CsrEngine, DecodeMode, InferenceBackend, InferenceServer, QuantConfig,
+    QuantEngine, ServerConfig, StreamingConfig, StreamingServer, SubmitOptions, Ticket,
 };
 use ttfs_snn::sim::EventSnn;
 use ttfs_snn::tensor::{Conv2dSpec, Tensor};
-use ttfs_snn::ttfs::{convert, Base2Kernel, SnnModel};
+use ttfs_snn::ttfs::{convert, Base2Kernel, SnnLayer, SnnModel};
 
 /// Asserts `EventSnn == CsrEngine` bit-for-bit (logits AND event
 /// statistics) at the engine's default chunk width, at one lane (the
@@ -367,4 +367,158 @@ fn all_zero_input_equivalence() {
     );
     let report = server.run(&x).unwrap();
     assert_eq!(report.logits.as_slice(), csr_logits.as_slice());
+}
+
+fn conv(in_c: usize, out_c: usize, k: usize, stride: usize, pad: usize, rng: &mut StdRng) -> Layer {
+    Layer::Conv2d(Conv2dLayer::new(
+        Conv2dSpec::new(in_c, out_c, k, stride, pad),
+        rng,
+    ))
+}
+
+fn relu() -> Layer {
+    Layer::Activation(ActivationLayer::new(Box::new(Relu)))
+}
+
+/// `engine_at(lanes)` must equal `EventSnn` over `oracle` — logits and
+/// `RunStats` — at 1, 3 and 8 lanes, and spikes must reach the readout.
+fn assert_equals_event<B: InferenceBackend>(
+    what: &str,
+    oracle: &SnnModel,
+    x: &Tensor,
+    engine_at: impl Fn(usize) -> B,
+) {
+    let (want_logits, want_stats) = EventSnn::new(oracle).run(x).expect(what);
+    let reached = want_stats.layers.last().expect("weighted layers");
+    assert!(
+        reached.input_spikes > 0,
+        "{what}: no spike reached the readout"
+    );
+    for lanes in [1usize, 3, 8] {
+        let (logits, stats) = engine_at(lanes).run_batch(x).expect(what);
+        assert_eq!(
+            logits.as_slice(),
+            want_logits.as_slice(),
+            "{what} at {lanes} lanes"
+        );
+        assert_eq!(stats, want_stats, "{what} at {lanes} lanes");
+    }
+}
+
+/// The channel-last membrane layout, the merged kernel-row runs and the
+/// wheel-to-wheel pooling, exercised where VGG never goes: stride-2 conv,
+/// padding 0, k = 5, non-square inputs, odd `OC`, a conv **readout**
+/// (channel-last cells → neuron-order logits), `AvgPool → Conv`, and
+/// overlapping `AvgPool → MaxPool` (scaled, duplicated spikes entering the
+/// max-pool). At 1, 3 and 8 lanes, `CsrEngine` and `QuantEngine` in both
+/// decode modes must equal `EventSnn` over the same weights in logits
+/// **and** `RunStats`.
+#[test]
+fn layouts_and_pooling_chains_off_the_vgg_path_agree() {
+    let mut rng = StdRng::seed_from_u64(0xC1A5);
+    let r = &mut rng;
+    // (name, input dims, network, converted layers kept — `convert` only
+    // takes dense classifiers, so the conv readout drops its dense tail)
+    let cases: Vec<(&str, [usize; 3], Vec<Layer>, usize)> = vec![
+        (
+            "k5 stride-2 pad-0 conv, odd OC, non-square input",
+            [2, 11, 9],
+            vec![
+                conv(2, 3, 5, 2, 0, r),
+                relu(),
+                Layer::Flatten(Flatten::new()),
+                Layer::Dense(DenseLayer::new(3 * 4 * 3, 4, r)),
+            ],
+            usize::MAX,
+        ),
+        (
+            "conv readout",
+            [1, 6, 5],
+            vec![
+                conv(1, 3, 3, 1, 1, r),
+                relu(),
+                conv(3, 5, 3, 1, 0, r),
+                relu(),
+                Layer::Flatten(Flatten::new()),
+                Layer::Dense(DenseLayer::new(5 * 4 * 3, 2, r)),
+            ],
+            2,
+        ),
+        (
+            "avg-pool into conv",
+            [2, 8, 6],
+            vec![
+                conv(2, 3, 3, 1, 1, r),
+                relu(),
+                Layer::AvgPool2d(AvgPool2dLayer::new(2, 2)),
+                conv(3, 4, 3, 1, 1, r),
+                relu(),
+                Layer::Flatten(Flatten::new()),
+                Layer::Dense(DenseLayer::new(4 * 4 * 3, 3, r)),
+            ],
+            usize::MAX,
+        ),
+        (
+            "overlapping avg-pool into max-pool",
+            [1, 8, 8],
+            vec![
+                conv(1, 5, 3, 1, 1, r),
+                relu(),
+                Layer::AvgPool2d(AvgPool2dLayer::new(2, 1)),
+                Layer::MaxPool2d(MaxPool2dLayer::new(2, 2)),
+                Layer::Flatten(Flatten::new()),
+                Layer::Dense(DenseLayer::new(5 * 3 * 3, 4, r)),
+            ],
+            usize::MAX,
+        ),
+    ];
+    for (name, dims, layers, keep) in cases {
+        let kernel = Base2Kernel::paper_default();
+        let model = convert(&Sequential::new(layers), kernel, 24).expect(name);
+        let kept = model.layers().iter().take(keep).cloned().collect();
+        let model = SnnModel::from_parts(kept, kernel, 24);
+        let x = ttfs_snn::tensor::uniform(&[8, dims[0], dims[1], dims[2]], 0.0, 1.0, &mut rng);
+        let config = QuantConfig::default();
+        let shift_add = QuantEngine::compile(
+            &model,
+            &dims,
+            QuantConfig {
+                mode: DecodeMode::ShiftAdd,
+                ..config
+            },
+        )
+        .expect(name);
+        let lut = shift_add.clone().with_mode(DecodeMode::Lut).expect(name);
+        // The shift-add oracle: the reference simulator over every weight
+        // as that datapath reconstructs it.
+        let mut shift_add_model = model.clone();
+        let mut tables = shift_add.compiled().layers().iter();
+        for layer in shift_add_model.layers_mut() {
+            let (SnnLayer::Conv { weight, .. } | SnnLayer::Dense { weight, .. }) = layer else {
+                continue;
+            };
+            let table = tables.next().expect("one table per weighted layer");
+            let decoded = table
+                .shift_add_lut
+                .as_ref()
+                .expect("tau = 4 is co-designed");
+            for w in weight.as_mut_slice() {
+                *w = decoded[table.quantizer.encode_packed(*w) as usize];
+            }
+        }
+        let (lut_model, _) = quantize_model(&model, config.base, config.bits).expect(name);
+        let csr = CsrEngine::compile(&model, &dims).expect(name);
+        assert_equals_event(&format!("{name}: csr"), &model, &x, |lanes| {
+            csr.clone().with_max_lanes(lanes)
+        });
+        assert_equals_event(&format!("{name}: quant lut"), &lut_model, &x, |lanes| {
+            lut.clone().with_max_lanes(lanes)
+        });
+        assert_equals_event(
+            &format!("{name}: quant shift-add"),
+            &shift_add_model,
+            &x,
+            |lanes| shift_add.clone().with_max_lanes(lanes),
+        );
+    }
 }
