@@ -71,7 +71,7 @@ struct BackendResult {
 #[derive(Debug, Serialize)]
 struct BatchedResult {
     /// Samples integrated together as lanes of one edge-major traversal
-    /// (the engine's cache-budgeted default).
+    /// (the engine's default, `DEFAULT_MAX_LANES`).
     max_lanes: usize,
     images_per_sec: f64,
     wall_ms: f64,
@@ -509,7 +509,7 @@ fn main() {
     let event_wall = t0.elapsed();
 
     // CSR engine over the pattern-deduplicated synapse tables. `csr` keeps
-    // the engine's cache-budgeted default lane count (edge-major batched
+    // the engine's default lane count (edge-major batched
     // integration); the one-lane clone is the classic sample-at-a-time
     // walk for comparison. Both share the same Arc'd model + compiled CSR.
     let csr =

@@ -40,8 +40,10 @@
 //!
 //! Pooling and flatten layers stay event-domain operations (max pooling is
 //! not linear, so it cannot be folded into synapse weights); the engine
-//! runs them wheel to wheel with the semantics of the `snn_sim::phase`
-//! primitives, which remain the oracle the equivalence tests compare with.
+//! runs max pooling on the dense step planes its fire phases write and
+//! average pooling wheel to wheel, both with the semantics of the
+//! `snn_sim::phase` primitives, which remain the oracle the equivalence
+//! tests compare with.
 
 use snn_tensor::Tensor;
 use ttfs_core::{ConvertError, SnnLayer, SnnModel};
@@ -95,9 +97,22 @@ impl<W: Copy> CsrSynapses<W> {
     /// scatter loop.
     #[inline]
     pub fn row_slices(&self, j: u32) -> (&[u32], &[W]) {
+        self.row_slices_in(j, &self.weight)
+    }
+
+    /// [`row_slices`](Self::row_slices) with the weights taken from
+    /// `weights`, an index-for-index image of [`weights`](Self::weights)
+    /// (the decoded copy of a packed-code table).
+    #[inline]
+    pub(crate) fn row_slices_in<'a, V>(&'a self, j: u32, weights: &'a [V]) -> (&'a [u32], &'a [V]) {
         let lo = self.row_ptr[j as usize] as usize;
         let hi = self.row_ptr[j as usize + 1] as usize;
-        (&self.col[lo..hi], &self.weight[lo..hi])
+        (&self.col[lo..hi], &weights[lo..hi])
+    }
+
+    /// The whole per-edge weight (or packed code) array, row after row.
+    pub(crate) fn weights(&self) -> &[W] {
+        &self.weight
     }
 
     /// Edge count of input neuron `j`.
@@ -252,6 +267,19 @@ impl<W: Copy> ConvPatterns<W> {
     /// The raw run view of input neuron `j` for the batched scatter loop.
     #[inline]
     pub fn row_slices(&self, j: u32) -> PatternRow<'_, W> {
+        self.row_slices_in(j, &self.weight)
+    }
+
+    /// The whole repacked weight (or packed code) array.
+    pub(crate) fn weights(&self) -> &[W] {
+        &self.weight
+    }
+
+    /// [`row_slices`](Self::row_slices) with the channel slice taken from
+    /// `weights`, an index-for-index image of [`weights`](Self::weights)
+    /// (the decoded copy of a packed-code table).
+    #[inline]
+    pub(crate) fn row_slices_in<'a, V>(&'a self, j: u32, weights: &'a [V]) -> PatternRow<'a, V> {
         let p = self.row_pattern[j as usize] as usize;
         let lo = self.pat_ptr[p] as usize;
         let hi = self.pat_ptr[p + 1] as usize;
@@ -263,7 +291,7 @@ impl<W: Copy> ConvPatterns<W> {
             oc: self.oc,
             plane: self.plane,
             t_base: self.row_tbase[j as usize],
-            channel_weights: &self.weight[wbase..wbase + self.ch_stride],
+            channel_weights: &weights[wbase..wbase + self.ch_stride],
             degree: self.pat_degree[p] as usize,
         }
     }
@@ -448,6 +476,14 @@ impl<W: Copy> SynapseTable<W> {
         match self {
             Self::Flat(s) => s.weight_bytes(),
             Self::Patterned(p) => p.weight_bytes(),
+        }
+    }
+
+    /// The stored weight (or packed code) array the rows index into.
+    pub(crate) fn weights(&self) -> &[W] {
+        match self {
+            Self::Flat(s) => s.weights(),
+            Self::Patterned(p) => p.weights(),
         }
     }
 
@@ -837,6 +873,14 @@ impl CsrModel {
     pub fn compile(model: &SnnModel, input_dims: &[usize]) -> Result<Self, ConvertError> {
         // Validates geometry up front and gives the dims at each boundary.
         let trace = model.shape_trace(input_dims)?;
+        // The engine holds a fire step per neuron in a u16, `window + 1`
+        // standing for "never".
+        if model.window() >= u32::from(u16::MAX) {
+            return Err(ConvertError::Structure(format!(
+                "fire window {} does not fit the engine's u16 step planes",
+                model.window()
+            )));
+        }
         let mut stages = Vec::with_capacity(model.layers().len());
         let mut total_edges = 0usize;
         for (i, layer) in model.layers().iter().enumerate() {
@@ -1042,6 +1086,15 @@ mod tests {
         let m = model();
         assert!(CsrModel::compile(&m, &[3, 4, 4]).is_err());
         assert!(CsrModel::compile(&m, &[2, 9, 9]).is_err());
+    }
+
+    #[test]
+    fn compile_rejects_a_window_beyond_the_u16_step_planes() {
+        let m = model();
+        let wide = |window| SnnModel::from_parts(m.layers().to_vec(), *m.kernel(), window);
+        let err = CsrModel::compile(&wide(u32::from(u16::MAX)), &[2, 4, 4]).unwrap_err();
+        assert!(err.to_string().contains("window 65535"), "got: {err}");
+        assert!(CsrModel::compile(&wide(300), &[2, 4, 4]).is_ok());
     }
 
     /// Ground-truth check of the deduplicated compiler: every row of the

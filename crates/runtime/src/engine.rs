@@ -12,36 +12,46 @@
 //! amortized across the whole chunk — the software analogue of the paper's
 //! weight-buffered PE clusters.
 //!
+//! Under TTFS coding a neuron fires at most once, so a layer's whole
+//! output is one time step per neuron, and that is how the engine holds
+//! it: a fire phase (input coding is one, with no bias) is a single
+//! contiguous pass over the membrane matrix that writes a dense **step
+//! plane** — a `u16` per cell, `window + 1` meaning "never" — and a
+//! per-lane histogram of the steps. The step comes from the [`FireTable`]:
+//! the membrane's f32 bit pattern indexes a small table, then at most a
+//! step or two down a threshold list derived from `encode` itself at
+//! compile time. The layer statistics fall out of the histogram without
+//! touching a spike. Max-pooling runs on the plane (the earliest step of
+//! a window wins, an element-wise `min` over contiguous rows), and only
+//! what a weighted or average-pooling stage actually consumes is turned
+//! into a wheel, by one counting sort over the plane.
+//!
 //! Every inner loop is a contiguous sweep. A conv stage's lane slice is
 //! **channel-last** (`[oy·ow + ox][oc]`, see [`crate::csr`]), so a row is a
 //! handful of runs `cells[..n] += w[..n] · psp` over two slices — one run
 //! per kernel row at stride 1 — which rustc vectorises at the SSE2
-//! baseline. Packed log codes skip the multiply as the paper's PE does:
-//! `prod[code] = lut[code] · psp` is tabulated once per distinct `psp`
-//! (once per time slot unless pooling scales differ) and an edge is one
-//! byte load, one table load, one add. The fire phase replaces
-//! `encode`'s per-membrane `log2` with a search of the [`FireTable`]
-//! thresholds derived from `encode` itself at compile time, and pooling
-//! stages go wheel to wheel.
+//! baseline. A quantised stage stores packed log codes and decodes them
+//! through its layer's LUT once per chunk into a scratch f32 array, then
+//! integrates through the very same run loop.
 //!
 //! Bit-exactness is preserved by construction. Per accumulator cell
 //! `(lane, target)`, additions land in exactly the reference backend's
-//! order: the outer loop is ascending `(t, neuron)` — the canonical order
-//! every spike source emits (and [`BatchWheel::seal`]'s stable sort keeps
+//! order: the outer loop is ascending `(t, neuron)` — the order the
+//! counting sort emits per lane, because it walks neurons in ascending
+//! index and is stable (and [`BatchWheel::seal`]'s stable sort keeps
 //! per-lane duplicates in emission order) — and within one row every edge
 //! hits a distinct cell, so neither the edge-major interchange nor the
 //! channel-last layout (which moves a cell's *address*, and reorders edges
-//! only inside a row) ever swaps two additions to the same cell; each
-//! table entry is the very f64 product the per-edge code computed. The
-//! fire phase and the readout walk neurons in ascending index order
-//! through the `[pos][oc]` map. Logits therefore match
-//! [`snn_sim::EventSnn`] bit-for-bit for every chunk size, and the shared
-//! event statistics are identical.
+//! only inside a row) ever swaps two additions to the same cell; a decoded
+//! code is the f32 the reference multiplies by. The readout walks neurons
+//! in ascending index order through the `[pos][oc]` map. Logits therefore
+//! match [`snn_sim::EventSnn`] bit-for-bit for every chunk size, and the
+//! shared event statistics are identical.
 //!
 //! The engine holds the converted [`SnnModel`] and compiled [`CsrModel`]
 //! behind [`Arc`], so clones (one per worker, per shard, per server) share
 //! one read-only copy of the weights. Per-run scratch (membrane matrix,
-//! wheels, product table, pooling grid) lives in an internal pool and is
+//! step planes, wheels, decoded weights) lives in an internal pool and is
 //! reused across stages and calls instead of reallocated per layer.
 
 use std::sync::{Arc, Mutex};
@@ -54,120 +64,108 @@ use crate::csr::{axis_class, CsrModel, CsrStage, SynapseTable};
 use crate::wheel::{BatchWheel, LaneSpike};
 use crate::InferenceBackend;
 
-/// Upper bound on the default number of sample lanes integrated together
-/// per chunk (explicit [`CsrEngine::with_max_lanes`] may exceed it).
-pub const DEFAULT_MAX_LANES: usize = 32;
+/// Default number of sample lanes integrated together per chunk — the
+/// batcher's default `max_batch`, so a formed batch runs as one chunk (and
+/// a quantised stage is decoded once per batch). Lanes buy little beyond
+/// that: the benchmark's `engine.f32.lane_speedup` (8 lanes vs 1,
+/// VGG-16/w16) reads ≈ 1.0. Explicit [`CsrEngine::with_max_lanes`] may set
+/// any width; every width is bit-identical.
+pub const DEFAULT_MAX_LANES: usize = 8;
 
-/// Cache budget for the `[lanes, out_neurons]` f64 membrane matrix used to
-/// pick the default lane count: enough lanes to amortize row fetches
-/// across the chunk, but never so many that the accumulator spills out of
-/// L2 (the time-major walk revisits the whole matrix once per time slot,
-/// while deduplication keeps the synapse table cache-resident). What the
-/// lanes buy is small: with the channel-last layout the benchmark's
-/// `engine.f32.lane_speedup` (8 lanes vs 1, VGG-16/w16) reads 1.06 (three
-/// `--trace 1` runs: 1.33, 1.06, 1.06; it read 0.87–0.96 with the strided
-/// layout this budget was tuned for). The budget itself has not been
-/// re-tuned; ROADMAP item 2(b) decides whether the lane heuristics stay.
-pub const ACC_BYTES_BUDGET: usize = 256 * 1024;
-
-/// Default chunk width for a compiled stage list: the most lanes whose
-/// membrane matrix for the widest weighted layer stays within
-/// [`ACC_BYTES_BUDGET`], clamped to `1..=`[`DEFAULT_MAX_LANES`].
-pub(crate) fn default_lanes<W>(stages: &[CsrStage<W>]) -> usize {
-    let widest = stages
-        .iter()
-        .filter_map(|s| match s {
-            CsrStage::Weighted { bias, .. } => Some(bias.len()),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    (ACC_BYTES_BUDGET / (widest * std::mem::size_of::<f64>())).clamp(1, DEFAULT_MAX_LANES)
-}
-
-/// One stored edge payload inside the integration loop. `f32` multiplies
-/// (the full-precision path); packed log codes (`u8`) look their product
-/// up in the [`ProdTable`] built from the layer's decode LUT, carried as
-/// the decode context — no multiplier per edge, the paper's PE shape.
+/// One stored edge payload: `f32` weights are integrated as they are
+/// stored, packed log codes (`u8`) are decoded through the layer's LUT —
+/// the decode context — once per chunk.
 pub(crate) trait EdgeWeight: Copy + Send + Sync + 'static {
     /// Per-weighted-stage decode context (e.g. the layer's code LUT).
     type Ctx<'a>: Copy;
 
-    /// Readies `table` for a spike of post-synaptic potential `psp`.
-    fn prepare(ctx: Self::Ctx<'_>, psp: f32, table: &mut ProdTable);
-
-    /// This edge's addend `weight · psp` (`table` prepared for `psp`).
-    fn term(self, psp: f64, table: &ProdTable) -> f64;
+    /// A stage's stored payloads as the f32 weights the integration loop
+    /// multiplies by, index for index (`buf` is reusable backing storage).
+    fn resolve<'w>(stored: &'w [Self], ctx: Self::Ctx<'_>, buf: &'w mut Vec<f32>) -> &'w [f32];
 }
 
 impl EdgeWeight for f32 {
     type Ctx<'a> = ();
 
-    #[inline(always)]
-    fn prepare(_ctx: (), _psp: f32, _table: &mut ProdTable) {}
-
-    #[inline(always)]
-    fn term(self, psp: f64, _table: &ProdTable) -> f64 {
-        self as f64 * psp
+    #[inline]
+    fn resolve<'w>(stored: &'w [f32], _ctx: (), _buf: &'w mut Vec<f32>) -> &'w [f32] {
+        stored
     }
 }
 
-/// The spike-time × log-code product table: `prod[code] = lut[code] · psp`
-/// for the `psp` whose bits are `key`. 256 entries, so a `u8` code indexes
-/// it unchecked.
-#[derive(Debug)]
-pub(crate) struct ProdTable {
-    pub(crate) key: Option<u32>,
-    pub(crate) prod: [f64; 256],
-}
-
-impl Default for ProdTable {
-    fn default() -> Self {
-        Self {
-            key: None,
-            prod: [0.0; 256],
-        }
-    }
-}
+/// Mantissa bits that, with the exponent, pick a [`FireTable`] bucket: 32
+/// buckets per binade.
+const BUCKET_BITS: u32 = 5;
+const BUCKET_SHIFT: u32 = f32::MANTISSA_DIGITS - 1 - BUCKET_BITS;
 
 /// [`Base2Kernel::encode`] and `decode` as tables, built once per compiled
 /// model. `encode` is monotone in `u`, so it is fully described by the
-/// `window + 1` thresholds `th[k] = min{u : encode(u) ≤ k}`, found by
-/// bisection on f32 bit patterns through `encode` itself — the search
-/// returns exactly what `encode` does, for every f32.
+/// `window + 1` thresholds `min{u : encode(u) ≤ k}`, found by bisection on
+/// f32 bit patterns through `encode` itself. Positive f32s order like
+/// their bit patterns, so the top bits of a membrane — its bucket — bound
+/// its step from above by the step of the bucket's lower edge; a bucket is
+/// 1/32 of a binade and a step `1/τ` of one, so for the kernels in use at
+/// most one threshold falls inside a bucket and [`step`](Self::step) is a
+/// table load and one or two compares, with no branch on the membrane's
+/// sign (half of all membranes are negative, in no pattern). It returns
+/// exactly what `encode` does, for every f32.
 #[derive(Debug, Clone)]
 pub(crate) struct FireTable {
+    /// `th[k + 1] = min{u : encode(u) ≤ k}`; `th[0]` is NaN, which no
+    /// membrane reaches, so a walk down the thresholds stops by itself.
     th: Vec<f32>,
     psp: Vec<f32>,
+    /// Bucket of the last threshold, the first one `bucket` covers.
+    first_bucket: i32,
+    /// `bucket[i + 1]`: the step of the lower edge of the `i`-th bucket
+    /// from `first_bucket`, up to the bucket of the first threshold.
+    /// `bucket[0]` ("never") stands for everything below, the last entry
+    /// (step 0) for everything above.
+    bucket: Vec<u16>,
+    /// Whether a later step always decodes to a smaller value (false once
+    /// late values underflow to equal f32s).
+    strictly_decreasing: bool,
 }
 
 impl FireTable {
+    /// `window` must leave room for the "never" step in a `u16`
+    /// ([`CsrModel::compile`] checks).
     pub(crate) fn new(kernel: &Base2Kernel, window: u32) -> Self {
         let fires_by = |bits: u32, k: u32| {
             kernel
                 .encode(f32::from_bits(bits), window)
                 .is_some_and(|t| t <= k)
         };
-        let th = (0..=window)
-            .map(|k| {
-                // Positive f32s order like their bit patterns; +0.0 never
-                // fires, +inf fires at step 0.
-                let (mut lo, mut hi) = (0u32, f32::INFINITY.to_bits());
-                while hi - lo > 1 {
-                    let mid = lo + (hi - lo) / 2;
-                    if fires_by(mid, k) {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
+        let thresholds = (0..=window).map(|k| {
+            // Positive f32s order like their bit patterns; +0.0 never
+            // fires, +inf fires at step 0.
+            let (mut lo, mut hi) = (0u32, f32::INFINITY.to_bits());
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if fires_by(mid, k) {
+                    hi = mid;
+                } else {
+                    lo = mid;
                 }
-                f32::from_bits(hi)
-            })
-            .collect();
+            }
+            f32::from_bits(hi)
+        });
+        let th: Vec<f32> = std::iter::once(f32::NAN).chain(thresholds).collect();
+        let never = window as u16 + 1;
+        let bucket_of = |u: f32| (u.to_bits() >> BUCKET_SHIFT) as i32;
+        let first_bucket = bucket_of(th[never as usize]);
+        let edges = (first_bucket..=bucket_of(th[1])).map(|b| {
+            let edge = f32::from_bits((b as u32) << BUCKET_SHIFT);
+            th[1..].partition_point(|&th| th > edge) as u16
+        });
+        let bucket = std::iter::once(never).chain(edges).chain([0]).collect();
+        let psp: Vec<f32> = (0..=window).map(|t| kernel.decode(t)).collect();
         Self {
             th,
-            psp: (0..=window).map(|t| kernel.decode(t)).collect(),
+            first_bucket,
+            bucket,
+            strictly_decreasing: psp.windows(2).all(|w| w[0] > w[1]),
+            psp,
         }
     }
 
@@ -176,15 +174,37 @@ impl FireTable {
         (self.psp.len() - 1) as u32
     }
 
-    /// `kernel.encode(u, window)`: the first step whose threshold `u`
-    /// reaches (NaN and non-positive `u` reach none).
+    /// The step that stands for "never fires": `window + 1`.
+    fn never(&self) -> u16 {
+        self.psp.len() as u16
+    }
+
+    /// Distinct values a step takes, "never" included: the length of one
+    /// lane's histogram.
+    fn slots(&self) -> usize {
+        self.th.len()
+    }
+
+    /// `kernel.encode(u, window)`, with [`never`](Self::never) for `None`:
+    /// the first step whose threshold `u` reaches (NaN and non-positive
+    /// `u` reach none).
     #[inline]
-    pub(crate) fn encode(&self, u: f32) -> Option<u32> {
-        if u >= self.th[self.th.len() - 1] {
-            Some(self.th.partition_point(|&th| th > u) as u32)
+    pub(crate) fn step(&self, u: f32) -> u16 {
+        // As integers negative floats are negative, and NaNs lie above
+        // +inf: both belong below every bucket.
+        let bits = u.to_bits() as i32;
+        let bits = if bits > f32::INFINITY.to_bits() as i32 {
+            -1
         } else {
-            None
+            bits
+        };
+        let above = self.bucket.len() as i32 - 1;
+        let i = ((bits >> BUCKET_SHIFT) - self.first_bucket + 1).clamp(0, above);
+        let mut t = self.bucket[i as usize] as usize;
+        while u >= self.th[t] {
+            t -= 1;
         }
+        t as u16
     }
 
     /// `kernel.decode(t)`.
@@ -192,42 +212,121 @@ impl FireTable {
     fn decode(&self, t: u32) -> f32 {
         self.psp[t as usize]
     }
+
+    /// A fire phase over one contiguous run of membranes: each cell's step
+    /// into `steps`, counted in `hist`.
+    #[inline]
+    fn fire_row(&self, membranes: impl Iterator<Item = f32>, steps: &mut [u16], hist: &mut [u32]) {
+        for (step, u) in steps.iter_mut().zip(membranes) {
+            *step = self.step(u);
+            hist[*step as usize] += 1;
+        }
+    }
 }
 
-/// A max-pool input as seen by the output walk: the decoded value of the
-/// last spike of one `(neuron, lane)`, or `-inf` when it never fired.
-#[derive(Debug, Clone, Copy)]
-struct PoolCell {
-    val: f32,
-    t: u32,
-    scale: f32,
+/// One layer boundary's spikes held densely: a time step per cell.
+#[derive(Debug, Default)]
+struct StepPlane {
+    /// `[lanes, channels · plane]` fire steps, `window + 1` where the cell
+    /// never fired. Cell `p · channels + c` of a lane is neuron `c · plane
+    /// + p` (a dense layer, and the input, is `plane = 1`).
+    steps: Vec<u16>,
+    /// The cells' pooling scales, maintained only while `scaled` (fire
+    /// phases emit scale 1).
+    scales: Vec<f32>,
+    scaled: bool,
+    /// `[lanes, window + 2]`: how many of a lane's cells hold each step.
+    hist: Vec<u32>,
+    channels: usize,
+    plane: usize,
 }
 
-const NO_SPIKE: PoolCell = PoolCell {
-    val: f32::NEG_INFINITY,
-    t: 0,
-    scale: 0.0,
-};
+impl StepPlane {
+    /// Lays the plane out for `lanes × channels · plane` unscaled cells
+    /// that have not fired, with a zeroed histogram.
+    fn reset(&mut self, lanes: usize, channels: usize, plane: usize, fire: &FireTable) {
+        self.steps.clear();
+        self.steps.resize(lanes * channels * plane, fire.never());
+        self.hist.clear();
+        self.hist.resize(lanes * fire.slots(), 0);
+        self.scaled = false;
+        self.channels = channels;
+        self.plane = plane;
+    }
 
-/// Reusable per-run buffers: the membrane matrix, the per-lane fire-phase
-/// trackers, the product table, the max-pool grid and the two ping-pong
+    /// Cells that fired, all lanes together.
+    fn fired(&self, fire: &FireTable) -> usize {
+        let silent = self.hist.iter().skip(fire.never().into());
+        self.steps.len() - silent.step_by(fire.slots()).sum::<u32>() as usize
+    }
+
+    /// Counting-sorts the plane into `wheel`.
+    fn to_wheel(&self, wheel: &mut BatchWheel, lanes: usize, fire: &FireTable) {
+        wheel.fill_from_plane(
+            fire.window(),
+            lanes,
+            &self.steps,
+            self.scaled.then_some(&self.scales[..]),
+            &self.hist,
+            self.channels,
+            self.plane,
+        );
+    }
+
+    /// The opposite direction, for a `[c, h, w]` pooling input that
+    /// arrives as a wheel: a neuron's last spike in canonical order stands
+    /// for it (one pass over the slots), step and scale.
+    fn scatter_from(
+        &mut self,
+        wheel: &BatchWheel,
+        lanes: usize,
+        c: usize,
+        hw: usize,
+        fire: &FireTable,
+    ) {
+        self.reset(lanes, c, hw, fire);
+        self.scaled = true;
+        self.scales.clear();
+        self.scales.resize(self.steps.len(), 0.0);
+        for t in 0..=fire.window() {
+            for s in wheel.slot(t) {
+                let n = s.neuron as usize;
+                let cell = s.lane as usize * c * hw + n % hw * c + n / hw;
+                self.steps[cell] = t as u16;
+                self.scales[cell] = s.scale;
+            }
+        }
+    }
+}
+
+/// Where the spikes entering the next stage are.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Spikes {
+    /// Dense, in [`Scratch::plane_in`].
+    Plane,
+    /// Sealed in [`Scratch::wheel_in`].
+    Wheel,
+}
+
+/// Reusable per-run buffers: the membrane matrix, a quantised stage's
+/// decoded weights, the two ping-pong step planes and the two ping-pong
 /// batch wheels. Pooled on the engine so repeat calls skip every per-layer
 /// allocation.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// `[lanes, out_neurons]` f64 membrane accumulator.
     acc: Vec<f64>,
-    /// Per-lane latest spike time of the current fire phase.
-    latest: Vec<u32>,
-    /// Per-lane "every membrane fired" flag of the current fire phase.
-    all_fired: Vec<bool>,
-    /// Code products for the current `psp` (quantized stages only).
-    prod: ProdTable,
-    /// `[in_neurons, lanes]` grid of the current max-pool stage.
-    pool: Vec<PoolCell>,
-    /// Spikes entering the current stage.
+    /// The current stage's packed codes, decoded (quantized stages only).
+    weights: Vec<f32>,
+    /// The current stage's bias per output channel.
+    channel_bias: Vec<f32>,
+    /// Spikes entering the current stage, when dense.
+    plane_in: StepPlane,
+    /// Output of the current max-pool stage.
+    plane_out: StepPlane,
+    /// Spikes entering the current stage, when queued.
     wheel_in: BatchWheel,
-    /// Spikes produced by the current stage's fire phase / pooling.
+    /// Output of the current average-pool stage.
     wheel_out: BatchWheel,
 }
 
@@ -364,11 +463,10 @@ impl CsrEngine {
         input_dims: &[usize],
     ) -> Result<Self, ConvertError> {
         let compiled = Arc::new(CsrModel::compile(&model, input_dims)?);
-        let max_lanes = default_lanes(&compiled.stages);
         Ok(Self {
             model,
             compiled,
-            max_lanes,
+            max_lanes: DEFAULT_MAX_LANES,
             scratch: ScratchPool::default(),
         })
     }
@@ -474,30 +572,30 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
     let weighted = model.weighted_layers();
     let Scratch {
         acc,
-        latest,
-        all_fired,
-        prod,
-        pool,
+        weights,
+        channel_bias,
+        plane_in,
+        plane_out,
         wheel_in,
         wheel_out,
     } = scratch;
 
-    // Input coding, neuron-major with lanes inner: every slot comes out
-    // grouped by neuron with each lane's spikes in canonical ascending
-    // order, so seal() reduces to its O(n) already-sorted check.
+    // Input coding: a fire phase over the pixels themselves, neuron `i` in
+    // cell `i`.
     {
         let mut span = snn_trace::ctx_span("encode");
-        wheel_in.reset(window, lanes);
-        for i in 0..sample_len {
-            for lane in 0..lanes {
-                if let Some(t) = fire.encode(data[lane * sample_len + i]) {
-                    wheel_in.push(t, lane as u32, i as u32, 1.0);
-                }
-            }
+        plane_in.reset(lanes, sample_len, 1, fire);
+        let lane_steps = plane_in.steps.chunks_exact_mut(sample_len);
+        let lane_hist = plane_in.hist.chunks_exact_mut(fire.slots());
+        for ((pixels, steps), hist) in data.chunks_exact(sample_len).zip(lane_steps).zip(lane_hist)
+        {
+            fire.fire_row(pixels.iter().copied(), steps, hist);
         }
-        wheel_in.seal();
-        span.attr("spikes", wheel_in.len());
+        if span.is_recording() {
+            span.attr("spikes", plane_in.fired(fire));
+        }
     }
+    let mut spikes = Spikes::Plane;
 
     let mut seen = 0usize;
     let mut produced = false;
@@ -513,13 +611,21 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                     CsrStage::Flatten => "flatten",
                 },
             );
-            stage_span.attr("in_spikes", wheel_in.len());
+            stage_span.attr(
+                "in_spikes",
+                match spikes {
+                    Spikes::Plane => plane_in.fired(fire),
+                    Spikes::Wheel => wheel_in.len(),
+                },
+            );
         }
         match stage {
             CsrStage::Weighted { syn, bias } => {
+                if spikes == Spikes::Plane {
+                    plane_in.to_wheel(wheel_in, lanes, fire);
+                }
                 let out_len = bias.len();
-                let ctx = ctx_of(seen);
-                prod.key = None; // a new stage's LUT: no product carries over
+                let resolved = W::resolve(syn.weights(), ctx_of(seen), weights);
                 acc.clear();
                 acc.resize(out_len * lanes, 0.0);
                 let mut ops = 0usize;
@@ -542,31 +648,29 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                         let group = &slot[i..end];
                         let degree = match syn {
                             SynapseTable::Flat(cs) => {
-                                let (cols, weights) = cs.row_slices(neuron);
+                                let (cols, row) = cs.row_slices_in(neuron, resolved);
                                 for s in group {
-                                    let (psp, cells) =
-                                        lane_cells::<W>(s, psp_t, ctx, prod, acc, out_len);
+                                    let (psp, cells) = lane_cells(s, psp_t, acc, out_len);
                                     if cs.full_rows() {
-                                        add_run(&mut cells[..weights.len()], weights, psp, prod);
+                                        add_run(&mut cells[..row.len()], row, psp);
                                     } else {
-                                        for (c, w) in cols.iter().zip(weights) {
-                                            cells[*c as usize] += w.term(psp, prod);
+                                        for (c, w) in cols.iter().zip(row) {
+                                            cells[*c as usize] += *w as f64 * psp;
                                         }
                                     }
                                 }
                                 cols.len()
                             }
                             SynapseTable::Patterned(p) => {
-                                let row = p.row_slices(neuron);
+                                let row = p.row_slices_in(neuron, resolved);
                                 let runs = row.t_start.iter().zip(row.w_start).zip(row.run_len);
                                 for s in group {
-                                    let (psp, cells) =
-                                        lane_cells::<W>(s, psp_t, ctx, prod, acc, out_len);
+                                    let (psp, cells) = lane_cells(s, psp_t, acc, out_len);
                                     let cells = &mut cells[row.t_base as usize..];
                                     for ((&t0, &w0), &n) in runs.clone() {
                                         let (t0, w0, n) = (t0 as usize, w0 as usize, n as usize);
-                                        let weights = &row.channel_weights[w0..w0 + n];
-                                        add_run(&mut cells[t0..t0 + n], weights, psp, prod);
+                                        let run = &row.channel_weights[w0..w0 + n];
+                                        add_run(&mut cells[t0..t0 + n], run, psp);
                                     }
                                 }
                                 row.degree
@@ -595,41 +699,34 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                 };
                 if seen < weighted {
                     // Fire phase straight out of the membrane matrix
-                    // (identical semantics to `phase::fire_phase`,
-                    // minus the sort the wheel makes unnecessary).
-                    // Neuron-major with lanes inner, so the produced
-                    // slots are pre-grouped like the encode wheel's.
-                    wheel_out.reset(window, lanes);
-                    latest.clear();
-                    latest.resize(lanes, 0);
-                    all_fired.clear();
-                    all_fired.resize(lanes, true);
-                    for c in 0..channels {
-                        for p in 0..plane {
-                            let o = c * plane + p;
-                            let b = bias[o];
-                            for lane in 0..lanes {
-                                let u = acc[lane * out_len + p * channels + c] as f32 + b;
-                                match fire.encode(u) {
-                                    Some(t) => {
-                                        latest[lane] = latest[lane].max(t);
-                                        wheel_out.push(t, lane as u32, o as u32, 1.0);
-                                    }
-                                    None => all_fired[lane] = false,
-                                }
-                            }
-                        }
-                    }
-                    layer_stats.output_spikes += wheel_out.len();
-                    for lane in 0..lanes {
-                        layer_stats.encoder_iterations +=
-                            phase::encoder_iteration_count(window, latest[lane], all_fired[lane]);
+                    // (identical semantics to `phase::fire_phase`): one
+                    // pass in cell order. A conv stage's bias is one value
+                    // per channel, so in cell order it repeats every
+                    // `channels` cells.
+                    channel_bias.clear();
+                    channel_bias.extend(bias.iter().step_by(plane));
+                    plane_in.reset(lanes, channels, plane, fire);
+                    let lane_steps = plane_in.steps.chunks_exact_mut(out_len);
+                    let lane_hist = plane_in.hist.chunks_exact_mut(fire.slots());
+                    for ((cells, steps), hist) in
+                        acc.chunks_exact(out_len).zip(lane_steps).zip(lane_hist)
+                    {
+                        let bias = channel_bias.iter().cycle();
+                        let membranes = cells.iter().zip(bias).map(|(&u, &b)| u as f32 + b);
+                        fire.fire_row(membranes, steps, hist);
+                        let silent = hist[window as usize + 1] as usize;
+                        let latest = hist[..=window as usize].iter().rposition(|&n| n > 0);
+                        layer_stats.output_spikes += out_len - silent;
+                        layer_stats.encoder_iterations += phase::encoder_iteration_count(
+                            window,
+                            latest.unwrap_or(0) as u32,
+                            silent == 0,
+                        );
                     }
                     if stage_span.is_recording() {
-                        stage_span.attr("out_spikes", wheel_out.len());
+                        stage_span.attr("out_spikes", plane_in.fired(fire));
                     }
-                    wheel_out.seal();
-                    std::mem::swap(wheel_in, wheel_out);
+                    spikes = Spikes::Plane;
                 } else {
                     // Readout: decode every lane's logits row.
                     for cells in acc.chunks_exact(out_len) {
@@ -646,44 +743,22 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                 stride,
                 in_dims,
             } => {
-                // `phase::max_pool_spikes`, wheel to wheel: a neuron's
-                // last spike in canonical order stands for it (one pass
-                // over the slots), then outputs are walked neuron-major,
-                // lanes inner, the window in (ky, kx) order with the
-                // reference's strict `>` — ties keep the first.
+                // `phase::max_pool_spikes`, plane to plane. A fire phase
+                // left the channel-last plane this needs; anything else
+                // (average-pool output, the input itself) comes by way of
+                // the wheel.
                 let (c, h, w) = chw(in_dims)?;
-                let (oh, ow) = ((h - win) / stride + 1, (w - win) / stride + 1);
-                pool.clear();
-                pool.resize(c * h * w * lanes, NO_SPIKE);
-                for t in 0..=window {
-                    for s in wheel_in.slot(t) {
-                        pool[s.neuron as usize * lanes + s.lane as usize] = PoolCell {
-                            val: fire.decode(t) * s.scale,
-                            t,
-                            scale: s.scale,
-                        };
-                    }
+                let laid_out = (plane_in.channels, plane_in.plane) == (c, h * w);
+                if spikes == Spikes::Plane && !laid_out {
+                    plane_in.to_wheel(wheel_in, lanes, fire);
+                    spikes = Spikes::Wheel;
                 }
-                wheel_out.reset(window, lanes);
-                for o in 0..c * oh * ow {
-                    let (ci, oy, ox) = (o / (oh * ow), o / ow % oh, o % ow);
-                    for lane in 0..lanes {
-                        let mut best = NO_SPIKE;
-                        for iy in oy * stride..oy * stride + win {
-                            for ix in ox * stride..ox * stride + win {
-                                let cell = pool[((ci * h + iy) * w + ix) * lanes + lane];
-                                if cell.val > best.val {
-                                    best = cell;
-                                }
-                            }
-                        }
-                        if best.val > NO_SPIKE.val {
-                            wheel_out.push(best.t, lane as u32, o as u32, best.scale);
-                        }
-                    }
+                if spikes == Spikes::Wheel {
+                    plane_in.scatter_from(wheel_in, lanes, c, h * w, fire);
                 }
-                wheel_out.seal();
-                std::mem::swap(wheel_in, wheel_out);
+                max_pool(fire, plane_in, plane_out, lanes, (c, h, w), *win, *stride);
+                std::mem::swap(plane_in, plane_out);
+                spikes = Spikes::Plane;
             }
             CsrStage::AvgPool {
                 win,
@@ -693,7 +768,10 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                 // `phase::avg_pool_spikes`, wheel to wheel: every spike is
                 // re-emitted once per covering window with `scale / win²`;
                 // each lane's pushes keep its canonical input order, which
-                // seal()'s stable sort by neuron preserves.
+                // seal()'s stable sorts preserve.
+                if spikes == Spikes::Plane {
+                    plane_in.to_wheel(wheel_in, lanes, fire);
+                }
                 let (_, h, w) = chw(in_dims)?;
                 let (oh, ow) = ((h - win) / stride + 1, (w - win) / stride + 1);
                 let norm = 1.0 / (win * win) as f32;
@@ -716,6 +794,7 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                 }
                 wheel_out.seal();
                 std::mem::swap(wheel_in, wheel_out);
+                spikes = Spikes::Wheel;
             }
             CsrStage::Flatten => {} // flat indices already
         }
@@ -727,31 +806,95 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
     }
 }
 
+/// `phase::max_pool_spikes` over a channel-last `[h · w][c]` step plane:
+/// in each window the spike with the largest decoded value `decode(t) ·
+/// scale` wins, the window walked in `(ky, kx)` order with the reference's
+/// strict `>` — ties keep the first. Unscaled spikes (a fire phase's)
+/// under a strictly decreasing `decode` order by step alone, tied steps
+/// are the same spike for all that follows, and "never" is the largest
+/// step: the winner is then the element-wise `min` of the window's rows.
+fn max_pool(
+    fire: &FireTable,
+    src: &StepPlane,
+    dst: &mut StepPlane,
+    lanes: usize,
+    (c, h, w): (usize, usize, usize),
+    win: usize,
+    stride: usize,
+) {
+    let (oh, ow) = ((h - win) / stride + 1, (w - win) / stride + 1);
+    let by_step = !src.scaled && fire.strictly_decreasing;
+    dst.reset(lanes, c, oh * ow, fire);
+    if !by_step {
+        dst.scaled = true;
+        dst.scales.clear();
+        dst.scales.resize(dst.steps.len(), 0.0);
+    }
+    let (in_len, out_len) = (c * h * w, c * oh * ow);
+    for (lane, hist) in dst.hist.chunks_exact_mut(fire.slots()).enumerate() {
+        let src_at = lane * in_len;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let dst_at = lane * out_len + (oy * ow + ox) * c;
+                let out = &mut dst.steps[dst_at..dst_at + c];
+                let rows = (0..win).flat_map(|ky| {
+                    (0..win).map(move |kx| src_at + ((oy * stride + ky) * w + ox * stride + kx) * c)
+                });
+                if by_step {
+                    for at in rows {
+                        for (o, &t) in out.iter_mut().zip(&src.steps[at..at + c]) {
+                            *o = (*o).min(t);
+                        }
+                    }
+                } else {
+                    for (ch, o) in out.iter_mut().enumerate() {
+                        let mut best = f32::NEG_INFINITY;
+                        for at in rows.clone() {
+                            let t = src.steps[at + ch];
+                            if t == fire.never() {
+                                continue;
+                            }
+                            let scale = if src.scaled { src.scales[at + ch] } else { 1.0 };
+                            let val = fire.decode(t.into()) * scale;
+                            if val > best {
+                                best = val;
+                                *o = t;
+                                dst.scales[dst_at + ch] = scale;
+                            }
+                        }
+                    }
+                }
+                for &t in &*out {
+                    hist[t as usize] += 1;
+                }
+            }
+        }
+    }
+}
+
 /// One spike's view of the integration: its f64 post-synaptic potential
 /// (computed in f32 as `decode(t) · scale` then widened, like the
-/// reference) with `prod` readied for it, and its lane's membrane slice.
+/// reference) and its lane's membrane slice.
 #[inline]
-fn lane_cells<'m, W: EdgeWeight>(
+fn lane_cells<'m>(
     s: &LaneSpike,
     psp_t: f32,
-    ctx: W::Ctx<'_>,
-    prod: &mut ProdTable,
     acc: &'m mut [f64],
     out_len: usize,
 ) -> (f64, &'m mut [f64]) {
     let psp = psp_t * s.scale;
-    W::prepare(ctx, psp, prod);
     (psp as f64, &mut acc[s.lane as usize * out_len..][..out_len])
 }
 
 /// `cells[i] += weights[i] · psp` over one contiguous run — the whole
-/// inner loop of integration. Lanes own disjoint slices and a row's edges
-/// hit distinct cells, so per-cell accumulation order equals the spike
-/// order, matching the reference backend.
+/// inner loop of integration, for stored f32 weights and decoded codes
+/// alike. Lanes own disjoint slices and a row's edges hit distinct cells,
+/// so per-cell accumulation order equals the spike order, matching the
+/// reference backend.
 #[inline]
-fn add_run<W: EdgeWeight>(cells: &mut [f64], weights: &[W], psp: f64, prod: &ProdTable) {
-    for (c, w) in cells.iter_mut().zip(weights) {
-        *c += w.term(psp, prod);
+fn add_run(cells: &mut [f64], weights: &[f32], psp: f64) {
+    for (c, &w) in cells.iter_mut().zip(weights) {
+        *c += w as f64 * psp;
     }
 }
 
@@ -854,33 +997,45 @@ mod tests {
         convert(&net, Base2Kernel::paper_default(), 24).unwrap()
     }
 
-    /// The threshold search must be `kernel.encode`, not an approximation
-    /// of it: every f32 around each of the `T + 1` boundaries, a million
-    /// seeded membranes in `(0, θ₀]`, a million seeded bit patterns and
-    /// the special values all agree.
+    /// The table lookup must be `kernel.encode`, not an approximation of
+    /// it: every f32 within 2^16 ulps of each of the `T + 1` thresholds
+    /// and of each bucket edge (where a wrong table entry would show), a
+    /// million seeded membranes in `(0, θ₀]`, a million seeded bit patterns
+    /// and the special values all agree — for the paper's kernel, an
+    /// off-grid one, and one whose late steps underflow to equal
+    /// thresholds and equal decoded values.
     #[test]
     fn fire_table_equals_kernel_encode() {
-        for (kernel, window) in [
-            (Base2Kernel::paper_default(), 24u32),
-            (Base2Kernel::new(3.0, 0.8), 41),
+        for (kernel, window, strict) in [
+            (Base2Kernel::paper_default(), 24u32, true),
+            (Base2Kernel::new(3.0, 0.8), 41, true),
+            (Base2Kernel::new(1.0, 1.0), 160, false),
         ] {
             let table = FireTable::new(&kernel, window);
-            assert_eq!(table.th.len(), window as usize + 1);
+            assert_eq!(table.th.len(), window as usize + 2);
             assert_eq!(table.window(), window);
+            assert_eq!(u32::from(table.never()), window + 1);
+            assert_eq!(table.strictly_decreasing, strict, "{kernel:?}");
             let check = |u: f32| {
                 assert_eq!(
-                    table.encode(u),
-                    kernel.encode(u, window),
+                    u32::from(table.step(u)),
+                    kernel.encode(u, window).unwrap_or(window + 1),
                     "u = {u:e} ({:#010x}), {kernel:?}, T = {window}",
                     u.to_bits()
                 );
             };
-            for (k, th) in table.th.iter().enumerate() {
-                assert_eq!(table.decode(k as u32), kernel.decode(k as u32));
-                let centre = th.to_bits();
+            let around = |centre: u32| {
                 for bits in centre.saturating_sub(1 << 16)..=centre + (1 << 16) {
                     check(f32::from_bits(bits));
                 }
+            };
+            for (k, th) in table.th[1..].iter().enumerate() {
+                assert_eq!(table.decode(k as u32), kernel.decode(k as u32));
+                around(th.to_bits());
+            }
+            // The table's entries, and the hand-over to its two ends.
+            for i in 0..table.bucket.len() as i32 {
+                around(((table.first_bucket + i) as u32) << BUCKET_SHIFT);
             }
             let mut rng = StdRng::seed_from_u64(0xF1DE);
             for _ in 0..1_000_000 {
@@ -893,13 +1048,17 @@ mod tests {
                 -0.0,
                 -1.0,
                 f32::MIN_POSITIVE,
+                -f32::MIN_POSITIVE,
                 f32::from_bits(1),
+                f32::from_bits(0x007f_ffff),
                 theta0,
                 f32::from_bits(theta0.to_bits() - 1),
                 f32::from_bits(theta0.to_bits() + 1),
+                f32::MAX,
                 f32::INFINITY,
                 f32::NEG_INFINITY,
                 f32::NAN,
+                -f32::NAN,
             ] {
                 check(u);
             }
@@ -1030,6 +1189,35 @@ mod tests {
         let (a, _) = event.run_batch(&x).unwrap();
         let (b, _) = csr.run_batch(&x).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    /// A kernel whose late decoded values underflow to equal f32s takes
+    /// max-pooling off the `min`-of-steps shortcut; comparing decoded
+    /// values must still be the reference's pooling.
+    #[test]
+    fn max_pool_compares_values_when_decode_is_not_strictly_decreasing() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let net = Sequential::new(vec![
+            Layer::Conv2d(Conv2dLayer::new(Conv2dSpec::new(1, 4, 3, 1, 1), &mut rng)),
+            Layer::Activation(ActivationLayer::new(Box::new(Relu))),
+            Layer::MaxPool2d(MaxPool2dLayer::new(2, 2)),
+            Layer::Flatten(Flatten::new()),
+            Layer::Dense(DenseLayer::new(4 * 4 * 4, 5, &mut rng)),
+        ]);
+        let model = convert(&net, Base2Kernel::new(1.0, 1.0), 160).unwrap();
+        let x = snn_tensor::uniform(&[5, 1, 8, 8], 0.0, 1.0, &mut rng);
+        let (want, want_stats) = EventSnn::new(&model).run_batch(&x).unwrap();
+        assert!(
+            want_stats.layers[1].input_spikes > 0,
+            "spikes reach the readout"
+        );
+        let csr = CsrEngine::compile(&model, &[1, 8, 8]).unwrap();
+        assert!(!csr.compiled().fire.strictly_decreasing);
+        for lanes in [1usize, 3, 8] {
+            let (logits, stats) = csr.clone().with_max_lanes(lanes).run_batch(&x).unwrap();
+            assert_eq!(logits.as_slice(), want.as_slice(), "{lanes} lanes");
+            assert_eq!(stats, want_stats, "{lanes} lanes");
+        }
     }
 
     #[test]

@@ -13,27 +13,30 @@
 //!   converted [`ttfs_core::SnnModel`] into synapse tables (conv layers
 //!   pattern-deduplicated per `(channel, border-class)` — roughly
 //!   `H·W`-fold less edge storage; dense layers flat CSR) plus the
-//!   [`BatchWheel`] multi-lane O(1) spike queue. Integration is **batched
+//!   [`BatchWheel`] multi-lane spike queue. Integration is **batched
 //!   and edge-major**: a chunk of samples is walked together in ascending
 //!   `(t, neuron)` order and each synapse row is streamed once per spike
 //!   group into a `[lanes, out]` membrane matrix whose conv slices are
 //!   channel-last, so a row is a few contiguous `cells += w · psp` runs
-//!   (one per kernel row at stride 1); fire times come from a threshold
-//!   table built at compile time, and pooling goes wheel to wheel. Logits
-//!   match the reference backend bit-for-bit for every chunk width (only
-//!   cell addresses move, never the per-cell float accumulation order)
-//!   and `reference_forward` within tolerance. Model and compiled tables sit behind `Arc`, so engine
-//!   clones and server workers share one read-only copy of the weights.
+//!   (one per kernel row at stride 1). A neuron fires at most once, so a
+//!   fire phase writes one time step per cell — a dense step plane, each
+//!   step looked up in a table built at compile time — max-pooling is an
+//!   element-wise `min` over that plane, and the wheel a weighted stage
+//!   consumes is one counting sort of it. Logits match the reference
+//!   backend bit-for-bit for every chunk width (only cell addresses
+//!   move, never the per-cell float accumulation order) and
+//!   `reference_forward` within tolerance. Model and compiled tables sit
+//!   behind `Arc`, so engine clones and server workers share one
+//!   read-only copy of the weights.
 //! * [`QuantCsrModel`] / [`QuantEngine`] — the quantized serving
 //!   subsystem: one [`snn_logquant::LogQuantizer`] calibrated per weighted
 //!   layer, packed 5-bit log codes stored in place of the repacked f32
 //!   weight copy (4× smaller stored weights), and the same edge-major
-//!   inner loop adding `prod[code]` from a spike-time × code product table
-//!   scaled from the per-layer decode LUT — or from the `LogPe`-style
-//!   shift-add datapath with reported mantissa-error bounds — with no
-//!   multiply per edge. In LUT mode, logits are **bit-identical** to the reference
-//!   simulator over [`snn_logquant::LogQuantizer::quantize_tensor`]'d
-//!   weights.
+//!   inner loop over a stage's codes decoded once per chunk through the
+//!   per-layer decode LUT — or through the `LogPe`-style shift-add
+//!   datapath's table, with reported mantissa-error bounds. In LUT mode,
+//!   logits are **bit-identical** to the reference simulator over
+//!   [`snn_logquant::LogQuantizer::quantize_tensor`]'d weights.
 //! * [`InferenceServer`] / [`WorkerPool`] — batch requests fan out over a
 //!   `std::thread` pool with a submission queue; per-request latency is
 //!   recorded and summarized as p50/p99 + images/sec
@@ -89,6 +92,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod artifact;
 mod backend;

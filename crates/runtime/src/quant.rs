@@ -1,5 +1,6 @@
 //! The quantized serving subsystem: 5-bit log-code CSR storage with LUT
-//! (or shift-add) weight resolution in the batched edge-major inner loop.
+//! (or shift-add) weight resolution ahead of the batched edge-major inner
+//! loop.
 //!
 //! The paper's processor never multiplies: weights are stored as 5-bit
 //! logarithmic codes (sign + magnitude exponent, eq. 15) and each synaptic
@@ -18,11 +19,14 @@
 //!   per-edge payload shrinks, 4× for the stored weight array.
 //! * [`QuantEngine`] — an [`InferenceBackend`] whose integration loop is
 //!   the *same* batched edge-major walk as [`crate::CsrEngine`]'s
-//!   ([`run_chunk_stages`] is shared), with no multiply per edge: the
-//!   layer's decode LUT is scaled by the spike's `κ(t)·scale` into a
-//!   product table once per distinct value (once per time slot), and an
-//!   edge adds `prod[code]` — the f64 product a per-edge `lut[code] · psp`
-//!   would give, so bits are unchanged in both [`DecodeMode`]s. In
+//!   ([`run_chunk_stages`] is shared), down to the vectorised `cells +=
+//!   w · psp` run: a weighted stage's packed codes are decoded through the
+//!   layer's LUT **once per chunk** into a reused scratch f32 array (a
+//!   table load per stored code — ≈ 239 k for VGG-16 at 1/8 width —
+//!   instead of one per traversed edge, millions), and the loop multiplies
+//!   the decoded value by the spike's `κ(t) · scale` in f64, exactly the
+//!   product the reference computes. The codes stay the only resident
+//!   payload; the decoded array is scratch, sized by the largest layer. In
 //!   [`DecodeMode::Lut`] the LUT holds the quantizer's exact decoded
 //!   values, so the engine's logits (and event statistics) are
 //!   **bit-identical** to [`snn_sim::EventSnn`] run over a model whose
@@ -47,8 +51,7 @@ use ttfs_core::{ConvertError, SnnLayer, SnnModel};
 
 use crate::csr::{footprint_of, CsrFootprint, CsrModel, CsrStage};
 use crate::engine::{
-    default_lanes, run_batch_chunked, run_chunk_stages, EdgeWeight, FireTable, ProdTable,
-    ScratchPool,
+    run_batch_chunked, run_chunk_stages, EdgeWeight, FireTable, ScratchPool, DEFAULT_MAX_LANES,
 };
 use crate::InferenceBackend;
 
@@ -57,27 +60,20 @@ use crate::csr::SynapseTable;
 #[cfg(doc)]
 use crate::engine::CsrEngine;
 
-/// A packed log code adds its entry of the product table: one byte load,
-/// one table load, one add per edge — the software shape of the paper's
-/// multiplier-free PE. The table is rebuilt from the layer's decode LUT
-/// only when `psp` changes, and holds the same f64 products a per-edge
-/// multiply would compute.
+/// Packed log codes are decoded through the layer's LUT once per chunk;
+/// the integration loop then runs over the decoded f32s exactly as it does
+/// over stored f32 weights, and computes the f64 products a per-edge
+/// `lut[code] · psp` would.
 impl EdgeWeight for u8 {
     type Ctx<'a> = &'a [f32];
 
-    #[inline(always)]
-    fn prepare(lut: &[f32], psp: f32, table: &mut ProdTable) {
-        if table.key != Some(psp.to_bits()) {
-            table.key = Some(psp.to_bits());
-            for (p, &w) in table.prod.iter_mut().zip(lut) {
-                *p = w as f64 * psp as f64;
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn term(self, _psp: f64, table: &ProdTable) -> f64 {
-        table.prod[self as usize]
+    fn resolve<'w>(codes: &'w [u8], lut: &[f32], buf: &'w mut Vec<f32>) -> &'w [f32] {
+        // Padded to 256 entries so a `u8` indexes it unchecked.
+        let mut table = [0.0f32; 256];
+        table[..lut.len()].copy_from_slice(lut);
+        buf.clear();
+        buf.extend(codes.iter().map(|&code| table[code as usize]));
+        buf
     }
 }
 
@@ -367,8 +363,8 @@ impl QuantCsrModel {
 }
 
 /// Batched edge-major inference over packed log codes: the
-/// [`crate::CsrEngine`] walk with per-edge weights resolved through the
-/// layer's decode LUT.
+/// [`crate::CsrEngine`] walk with each stage's weights resolved through
+/// the layer's decode LUT once per chunk.
 ///
 /// # Example
 ///
@@ -461,12 +457,11 @@ impl QuantEngine {
         config: QuantConfig,
     ) -> Result<Self, ConvertError> {
         let compiled = Arc::new(QuantCsrModel::compile(&model, input_dims, config)?);
-        let max_lanes = default_lanes(&compiled.stages);
         let engine = Self {
             model,
             compiled,
             mode: DecodeMode::Lut,
-            max_lanes,
+            max_lanes: DEFAULT_MAX_LANES,
             scratch: ScratchPool::default(),
         };
         engine.with_mode(config.mode)

@@ -11,7 +11,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -63,15 +63,18 @@ fn dense_artifact(name: &str, version: &str, seed: u64) -> ModelArtifact {
     ModelArtifact::build(name, version, model, &DIMS, BackendHint::Csr).unwrap()
 }
 
-/// A deliberately heavyweight artifact whose `load` takes long enough
-/// that threads spawned a moment later reliably coalesce onto it.
+/// A deliberately heavyweight artifact (≈ 2 M weights, 8 MB on disk) whose
+/// `load` outlasts the scheduling jitter between threads released from
+/// one barrier, so they reliably coalesce onto a single flight.
 fn wide_artifact(name: &str, version: &str, seed: u64) -> ModelArtifact {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = Sequential::new(vec![
         Layer::Flatten(Flatten::new()),
-        Layer::Dense(DenseLayer::new(12, 4096, &mut rng)),
+        Layer::Dense(DenseLayer::new(12, 2048, &mut rng)),
         Layer::Activation(ActivationLayer::new(Box::new(Relu))),
-        Layer::Dense(DenseLayer::new(4096, 3, &mut rng)),
+        Layer::Dense(DenseLayer::new(2048, 1024, &mut rng)),
+        Layer::Activation(ActivationLayer::new(Box::new(Relu))),
+        Layer::Dense(DenseLayer::new(1024, 3, &mut rng)),
     ]);
     let model = convert(&net, Base2Kernel::paper_default(), 24).unwrap();
     ModelArtifact::build(name, version, model, &DIMS, BackendHint::Csr).unwrap()
@@ -219,22 +222,25 @@ fn single_flight_broadcasts_one_failure_to_every_coalesced_waiter() {
             ..FaultConfig::default()
         },
     );
-    // Leader enters the (slow, multi-megabyte) artifact load; waiters
-    // spawned a moment later must coalesce onto it and all receive its
-    // typed failure promptly — not one failure each, and no hangs.
-    let leader = {
-        let registry = Arc::clone(&registry);
-        std::thread::spawn(move || registry.get_or_load("alpha").map(|_| ()))
-    };
-    std::thread::sleep(Duration::from_millis(2));
+    // Nine threads leave one barrier together: whichever enters the
+    // (slow, multi-megabyte) artifact load first leads, the others must
+    // coalesce onto its flight and all receive its typed failure promptly
+    // — not one failure each, and no hangs.
     const WAITERS: usize = 8;
+    let gate = Arc::new(Barrier::new(WAITERS + 1));
     let start = Instant::now();
-    let waiters: Vec<_> = (0..WAITERS)
+    let mut threads: Vec<_> = (0..=WAITERS)
         .map(|_| {
             let registry = Arc::clone(&registry);
-            std::thread::spawn(move || registry.get_or_load("alpha").map(|_| ()))
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                gate.wait();
+                registry.get_or_load("alpha").map(|_| ())
+            })
         })
         .collect();
+    let leader = threads.remove(0);
+    let waiters = threads;
     let leader_result = leader.join().unwrap();
     assert!(
         matches!(leader_result, Err(RegistryError::Compile(_))),

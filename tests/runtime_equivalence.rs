@@ -405,21 +405,28 @@ fn assert_equals_event<B: InferenceBackend>(
     }
 }
 
-/// The channel-last membrane layout, the merged kernel-row runs and the
-/// wheel-to-wheel pooling, exercised where VGG never goes: stride-2 conv,
-/// padding 0, k = 5, non-square inputs, odd `OC`, a conv **readout**
-/// (channel-last cells → neuron-order logits), `AvgPool → Conv`, and
-/// overlapping `AvgPool → MaxPool` (scaled, duplicated spikes entering the
-/// max-pool). At 1, 3 and 8 lanes, `CsrEngine` and `QuantEngine` in both
-/// decode modes must equal `EventSnn` over the same weights in logits
-/// **and** `RunStats`.
+/// One network of [`layouts_and_pooling_chains_off_the_vgg_path_agree`]:
+/// name, input dims, layers, converted layers kept (`convert` only takes
+/// dense classifiers, so the conv readout drops its dense tail) and the
+/// fire window.
+type OffPathCase = (&'static str, [usize; 3], Vec<Layer>, usize, u32);
+
+/// The channel-last membrane layout, the merged kernel-row runs, the step
+/// planes and the pooling on them, exercised where VGG never goes:
+/// stride-2 conv, padding 0, k = 5, non-square inputs, odd `OC`, a conv
+/// **readout** (channel-last cells → neuron-order logits), `AvgPool →
+/// Conv`, overlapping `AvgPool → MaxPool` (scaled, duplicated spikes
+/// scattered into a step plane and a scale plane), conv into an
+/// overlapping `MaxPool(3, 2)`, `MaxPool → MaxPool` (plane to plane
+/// twice), `MaxPool` as the first stage (the input plane is not
+/// channel-last), and a window of 41 steps. At 1, 3 and 8 lanes,
+/// `CsrEngine` and `QuantEngine` in both decode modes must equal
+/// `EventSnn` over the same weights in logits **and** `RunStats`.
 #[test]
 fn layouts_and_pooling_chains_off_the_vgg_path_agree() {
     let mut rng = StdRng::seed_from_u64(0xC1A5);
     let r = &mut rng;
-    // (name, input dims, network, converted layers kept — `convert` only
-    // takes dense classifiers, so the conv readout drops its dense tail)
-    let cases: Vec<(&str, [usize; 3], Vec<Layer>, usize)> = vec![
+    let cases: Vec<OffPathCase> = vec![
         (
             "k5 stride-2 pad-0 conv, odd OC, non-square input",
             [2, 11, 9],
@@ -430,6 +437,7 @@ fn layouts_and_pooling_chains_off_the_vgg_path_agree() {
                 Layer::Dense(DenseLayer::new(3 * 4 * 3, 4, r)),
             ],
             usize::MAX,
+            24,
         ),
         (
             "conv readout",
@@ -443,6 +451,7 @@ fn layouts_and_pooling_chains_off_the_vgg_path_agree() {
                 Layer::Dense(DenseLayer::new(5 * 4 * 3, 2, r)),
             ],
             2,
+            24,
         ),
         (
             "avg-pool into conv",
@@ -457,6 +466,7 @@ fn layouts_and_pooling_chains_off_the_vgg_path_agree() {
                 Layer::Dense(DenseLayer::new(4 * 4 * 3, 3, r)),
             ],
             usize::MAX,
+            24,
         ),
         (
             "overlapping avg-pool into max-pool",
@@ -470,13 +480,67 @@ fn layouts_and_pooling_chains_off_the_vgg_path_agree() {
                 Layer::Dense(DenseLayer::new(5 * 3 * 3, 4, r)),
             ],
             usize::MAX,
+            24,
+        ),
+        (
+            "conv into overlapping max-pool",
+            [2, 9, 9],
+            vec![
+                conv(2, 4, 3, 1, 1, r),
+                relu(),
+                Layer::MaxPool2d(MaxPool2dLayer::new(3, 2)),
+                Layer::Flatten(Flatten::new()),
+                Layer::Dense(DenseLayer::new(4 * 4 * 4, 3, r)),
+            ],
+            usize::MAX,
+            24,
+        ),
+        (
+            "max-pool into max-pool",
+            [1, 12, 12],
+            vec![
+                conv(1, 3, 3, 1, 1, r),
+                relu(),
+                Layer::MaxPool2d(MaxPool2dLayer::new(2, 2)),
+                Layer::MaxPool2d(MaxPool2dLayer::new(3, 1)),
+                Layer::Flatten(Flatten::new()),
+                Layer::Dense(DenseLayer::new(3 * 4 * 4, 4, r)),
+            ],
+            usize::MAX,
+            24,
+        ),
+        (
+            "max-pool as the first stage",
+            [2, 8, 8],
+            vec![
+                Layer::MaxPool2d(MaxPool2dLayer::new(2, 2)),
+                conv(2, 3, 3, 1, 1, r),
+                relu(),
+                Layer::Flatten(Flatten::new()),
+                Layer::Dense(DenseLayer::new(3 * 4 * 4, 3, r)),
+            ],
+            usize::MAX,
+            24,
+        ),
+        (
+            "window of 41 steps",
+            [2, 6, 6],
+            vec![
+                conv(2, 4, 3, 1, 1, r),
+                relu(),
+                Layer::MaxPool2d(MaxPool2dLayer::new(2, 2)),
+                Layer::Flatten(Flatten::new()),
+                Layer::Dense(DenseLayer::new(4 * 3 * 3, 3, r)),
+            ],
+            usize::MAX,
+            41,
         ),
     ];
-    for (name, dims, layers, keep) in cases {
+    for (name, dims, layers, keep, window) in cases {
         let kernel = Base2Kernel::paper_default();
-        let model = convert(&Sequential::new(layers), kernel, 24).expect(name);
+        let model = convert(&Sequential::new(layers), kernel, window).expect(name);
         let kept = model.layers().iter().take(keep).cloned().collect();
-        let model = SnnModel::from_parts(kept, kernel, 24);
+        let model = SnnModel::from_parts(kept, kernel, window);
         let x = ttfs_snn::tensor::uniform(&[8, dims[0], dims[1], dims[2]], 0.0, 1.0, &mut rng);
         let config = QuantConfig::default();
         let shift_add = QuantEngine::compile(
