@@ -1670,7 +1670,10 @@ fn registry_smoke(clients: usize, passes: usize, seed: u64) -> RegistryResult {
     );
 
     // Swap under load: the closed loop accepts a 200 iff it bit-matches
-    // v2 (pre-swap) or v1 (post-swap); the swap fires mid-run.
+    // v2 (pre-swap) or v1 (post-swap); the swap fires mid-run — once a
+    // quarter of the run's requests (it is twice the baseline's length)
+    // have provably resolved the old version, one warm lookup each.
+    let swap_after_lookups = registry.metrics().warm_hits + alpha.requests / 2;
     let loader = {
         let (xa, e1, e2) = (xa.clone(), e1.clone(), e2.clone());
         let config = LoadGenConfig {
@@ -1682,7 +1685,9 @@ fn registry_smoke(clients: usize, passes: usize, seed: u64) -> RegistryResult {
         };
         std::thread::spawn(move || run_closed_loop_any(addr, &xa, &[&e2, &e1], &config))
     };
-    std::thread::sleep(Duration::from_millis(50));
+    while registry.metrics().warm_hits < swap_after_lookups {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let mut swap_client = HttpClient::connect(addr).expect("swap client");
     let swap_response = swap_client
         .post_json("/v1/models/alpha/swap", "{\"version\":\"1\"}")

@@ -4,8 +4,8 @@
 //! HTTP/1.1 server on `std::net::TcpListener` (no hyper/tokio — the build
 //! is fully offline) that fronts the runtime's
 //! [`StreamingServer`](snn_runtime::StreamingServer) and pushes each
-//! request's deadline from the wire all the way into the EDF
-//! [`DeadlineBatcher`](snn_runtime::DeadlineBatcher) flush policy.
+//! request's deadline from the wire all the way into the EDF order of the
+//! [`DeadlineBatcher`](snn_runtime::DeadlineBatcher)'s pending window.
 //!
 //! * [`http`] — panic-free incremental request parser (`Content-Length`
 //!   bodies, keep-alive, pipelining; `400`/`413` on malformed or oversized

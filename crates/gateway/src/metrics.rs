@@ -342,6 +342,7 @@ pub fn prometheus_text(
         ("edf_deadline", streaming.flushes_edf_deadline),
         ("max_batch", streaming.flushes_max_batch),
         ("drain", streaming.flushes_drain),
+        ("idle", streaming.flushes_idle),
     ] {
         out.push_str(&format!(
             "snn_streaming_flushes_total{{reason=\"{reason}\"}} {value}\n"
@@ -661,6 +662,7 @@ mod tests {
             "snn_streaming_flushes_total{reason=\"edf_deadline\"} 0",
             "snn_streaming_flushes_total{reason=\"max_batch\"} 0",
             "snn_streaming_flushes_total{reason=\"drain\"} 0",
+            "snn_streaming_flushes_total{reason=\"idle\"} 0",
             "snn_streaming_wait_timeouts_total 0",
             "snn_streaming_deadline_misses_total 0",
             "snn_streaming_e2e_seconds_count 0",
@@ -711,7 +713,7 @@ mod tests {
         sr.record_batch(
             1,
             Duration::from_micros(900),
-            snn_runtime::FlushReason::MaxBatch,
+            snn_runtime::FlushReason::Idle,
         );
         let text = prometheus_text(
             &gr.summarize(),
@@ -778,6 +780,25 @@ mod tests {
                 );
             }
         }
+        // One flush sample per reason, in a fixed order, summing to the one
+        // batch recorded.
+        let flushes: Vec<(&str, u64)> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("snn_streaming_flushes_total{reason=\""))
+            .map(|rest| {
+                let (reason, value) = rest.split_once("\"} ").unwrap();
+                (reason, value.parse().unwrap())
+            })
+            .collect();
+        assert_eq!(
+            flushes,
+            [
+                ("edf_deadline", 0),
+                ("max_batch", 0),
+                ("drain", 0),
+                ("idle", 1)
+            ]
+        );
         // Histogram invariants: buckets cumulative, closed by +Inf == count.
         for family in [
             "snn_streaming_e2e_seconds",

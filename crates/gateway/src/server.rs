@@ -16,7 +16,7 @@
 //!                    │  GET /metrics: Prometheus text (+ histograms)
 //!                    │  GET /v1/trace/<id>: span tree of a traced request
 //!                    ▼
-//!           StreamingServer (EDF DeadlineBatcher → engine)
+//!           StreamingServer (EDF pending window → worker → engine)
 //! ```
 //!
 //! When the wrapped server was built with a
@@ -27,8 +27,8 @@
 //! `x-snn-trace-id` header), records the gateway-side spans
 //! (`http.request` root, `http.parse`, `request.decode`, `infer.submit`,
 //! `ticket.wait`, `http.respond`), and threads the id through
-//! [`SubmitOptions`](snn_runtime::SubmitOptions) so the batcher, worker
-//! and engine spans land in the same tree. The response echoes the id,
+//! [`SubmitOptions`](snn_runtime::SubmitOptions) so the worker and engine
+//! spans land in the same tree. The response echoes the id,
 //! and `GET /v1/trace/<id>` serves the finished tree.
 //!
 //! Shutdown is a graceful drain: the acceptor stops, connection workers

@@ -38,7 +38,10 @@
 //!   "cumulative": {              // whole-process recorders, for agreement
 //!     "requests": 810, "images_per_sec": 804.2,
 //!     "e2e_p50_us": 1800.0, "e2e_p99_us": 4200.0,
-//!     "queue_wait_share": 0.42, "mean_batch_occupancy": 3.8},
+//!     "queue_wait_share": 0.42, "mean_batch_occupancy": 3.8,
+//!     "batches": 213,            // == the four flushes_* below, summed
+//!     "flushes_edf_deadline": 2, "flushes_max_batch": 40,
+//!     "flushes_drain": 0, "flushes_idle": 171},
 //!   "registry": {...} | null,    // snn_runtime::RegistryMetrics verbatim
 //!   "trace": {"ring_spans": 512, "ring_capacity": 4096,
 //!             "spans_recorded": 9000, "spans_dropped": 0} | null,
@@ -334,6 +337,23 @@ pub fn render_stats(
             "mean_batch_occupancy".to_string(),
             Content::F64(streaming.mean_batch_occupancy),
         ),
+        ("batches".to_string(), Content::U64(streaming.batches)),
+        (
+            "flushes_edf_deadline".to_string(),
+            Content::U64(streaming.flushes_edf_deadline),
+        ),
+        (
+            "flushes_max_batch".to_string(),
+            Content::U64(streaming.flushes_max_batch),
+        ),
+        (
+            "flushes_drain".to_string(),
+            Content::U64(streaming.flushes_drain),
+        ),
+        (
+            "flushes_idle".to_string(),
+            Content::U64(streaming.flushes_idle),
+        ),
     ]);
 
     let trace = trace
@@ -501,6 +521,16 @@ mod tests {
             .as_f64()
             .unwrap();
         assert!((per_inf - 400.0).abs() < 1e-9, "got {per_inf}");
+        let cumulative = field(map, "cumulative").unwrap().as_map().unwrap();
+        for key in [
+            "batches",
+            "flushes_edf_deadline",
+            "flushes_max_batch",
+            "flushes_drain",
+            "flushes_idle",
+        ] {
+            assert_eq!(field(cumulative, key).unwrap().as_u64(), Some(0), "{key}");
+        }
         let routes = field(map, "routes").unwrap().as_seq().unwrap();
         assert_eq!(routes.len(), 1);
         assert_eq!(

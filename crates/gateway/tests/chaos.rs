@@ -10,15 +10,23 @@
 //! this battery owns its test binary so the injector cannot leak into
 //! other processes' tests.
 
+#[path = "../../runtime/tests/common/mod.rs"]
+mod common;
+
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use common::GatedBackend;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{field, Content};
 use snn_gateway::{client::HttpClient, run_closed_loop, Gateway, GatewayConfig, LoadGenConfig};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, BrownoutConfig, FaultConfig, FaultInjector, StreamingConfig};
+use snn_runtime::{
+    BackendChoice, BrownoutConfig, CsrEngine, FaultConfig, FaultInjector, StreamingConfig,
+    StreamingServer,
+};
 use snn_sim::EventSnn;
 use snn_trace::{TraceCollector, TraceId};
 use ttfs_core::{convert, Base2Kernel, SnnModel};
@@ -204,25 +212,22 @@ fn seeded_chaos_storms_resolve_every_request_and_the_stack_survives() {
 /// parses it into the typed response.
 #[test]
 fn shed_429_carries_retry_after_and_the_client_parses_it() {
-    let model = Arc::new(dense_model(7));
-    // One admission slot and a long batching window: the first request
-    // parks in the batcher holding the slot, so a concurrent request
-    // must shed on the wire.
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 64,
-                    max_delay: Duration::from_millis(300),
-                    max_pending: 1,
-                    brownout: None,
-                },
-            )
-            .expect("streaming stack"),
-    );
+    // An injector armed by a concurrent storm would reset these
+    // connections too.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // One admission slot, held by a request parked in the backend's
+    // closed gate: a second request must shed on the wire.
+    let backend = GatedBackend::closed(CsrEngine::compile(&dense_model(7), &DIMS).unwrap());
+    let server = Arc::new(StreamingServer::new(
+        backend.clone(),
+        StreamingConfig {
+            threads: 1,
+            max_batch: 64,
+            max_delay: Duration::from_millis(2),
+            max_pending: 1,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -246,8 +251,8 @@ fn shed_429_carries_retry_after_and_the_client_parses_it() {
                 .expect("parker request")
         })
     };
-    // Let the parker occupy the slot, then collide with it.
-    std::thread::sleep(Duration::from_millis(50));
+    // The parker holds the slot from admission until the gate opens.
+    backend.wait_entered(1);
     let mut client = HttpClient::connect(addr).expect("shed connect");
     let shed = client.post_json("/v1/infer", &body).expect("shed request");
     assert_eq!(shed.status, 429, "expected a wire-visible shed");
@@ -257,6 +262,7 @@ fn shed_429_carries_retry_after_and_the_client_parses_it() {
         "429 must carry parseable retry advice"
     );
 
+    backend.open();
     let parked = parker.join().expect("parker thread");
     assert_eq!(parked.status, 200, "the slot holder is served");
     gateway.shutdown();

@@ -1,6 +1,6 @@
 //! End-to-end serving guarantees through the full network stack:
-//! HTTP/1.1 wire → JSON codec → `SubmitOptions` → EDF `DeadlineBatcher` →
-//! engine → JSON response.
+//! HTTP/1.1 wire → JSON codec → `SubmitOptions` → EDF pending window →
+//! worker → engine → JSON response.
 //!
 //! * **Equivalence property**: N concurrent HTTP clients with random
 //!   per-request deadlines and priorities receive logits **bit-identical**
@@ -10,9 +10,13 @@
 //!   gateway sheds with `429` while every `200` response stays correct —
 //!   shedding must never corrupt an in-flight response.
 
+#[path = "../../runtime/tests/common/mod.rs"]
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::GatedBackend;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,7 +24,7 @@ use snn_gateway::{
     client::HttpClient, run_closed_loop, Gateway, GatewayConfig, InferRequest, LoadGenConfig,
 };
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, StreamingConfig};
+use snn_runtime::{BackendChoice, CsrEngine, StreamingConfig, StreamingServer};
 use snn_sim::EventSnn;
 use ttfs_core::{convert, Base2Kernel, SnnModel};
 
@@ -124,23 +128,19 @@ fn forced_backpressure_yields_429_without_corrupting_responses() {
     let x = snn_tensor::uniform(&[n, 1, 2, 4], 0.0, 1.0, &mut rng);
     let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
 
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 64,
-                    // A wide window: one admitted request parks here while
-                    // concurrent submitters bounce off max_pending.
-                    max_delay: Duration::from_millis(15),
-                    max_pending: 1,
-                    brownout: None,
-                },
-            )
-            .expect("streaming stack"),
-    );
+    // One admission slot, and a backend that holds whoever gets it until
+    // the gate opens: every concurrent submitter bounces off max_pending.
+    let backend = GatedBackend::closed(CsrEngine::compile(&model, &DIMS).unwrap());
+    let server = Arc::new(StreamingServer::new(
+        backend.clone(),
+        StreamingConfig {
+            threads: 1,
+            max_batch: 64,
+            max_delay: Duration::from_millis(2),
+            max_pending: 1,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -151,30 +151,29 @@ fn forced_backpressure_yields_429_without_corrupting_responses() {
     )
     .expect("gateway start");
 
-    // Retry until sheds appear (they essentially always do on the first
-    // round; the loop hardens against a pathological scheduler).
-    let mut report = None;
-    for round in 0..3 {
-        let r = run_closed_loop(
-            gateway.local_addr(),
-            &x,
-            Some(&expected),
-            &LoadGenConfig {
-                clients: 4,
-                passes: 4,
-                deadline_ms: None,
-                max_priority: 0,
-                seed: 1234 + round,
-                ..LoadGenConfig::default()
-            },
-        );
-        let saw_sheds = r.shed_429 > 0;
-        report = Some(r);
-        if saw_sheds {
-            break;
-        }
-    }
-    let report = report.expect("at least one round ran");
+    let addr = gateway.local_addr();
+    let report = std::thread::scope(|scope| {
+        let load = scope.spawn(|| {
+            run_closed_loop(
+                addr,
+                &x,
+                Some(&expected),
+                &LoadGenConfig {
+                    clients: 4,
+                    passes: 4,
+                    deadline_ms: None,
+                    max_priority: 0,
+                    seed: 1234,
+                    ..LoadGenConfig::default()
+                },
+            )
+        });
+        // Sheds are certain while the gate is closed; once one is on the
+        // books the rest of the run may go either way.
+        common::wait_until(|| server.metrics().shed_requests > 0);
+        backend.open();
+        load.join().expect("load generator")
+    });
     let metrics = gateway.shutdown();
     let streaming = server.shutdown();
 
@@ -250,9 +249,9 @@ fn metrics_endpoint_reports_traffic_and_sheds() {
 }
 
 /// An absurd client-supplied deadline is clamped to the gateway's
-/// handler timeout: it must not park in the EDF window for a
-/// client-chosen duration (which would stall co-batched requests and,
-/// under tight `max_pending`, wedge admission into pure 429s).
+/// handler timeout, so no client can push its EDF key (or its
+/// deadline-miss line) out by a duration of its own choosing — and it is
+/// answered at once either way: a deadline is never a wait.
 #[test]
 fn huge_client_deadline_is_clamped_to_handler_timeout() {
     let model = Arc::new(dense_model(33));
@@ -263,7 +262,7 @@ fn huge_client_deadline_is_clamped_to_handler_timeout() {
                 &DIMS,
                 StreamingConfig {
                     threads: 1,
-                    max_batch: 64, // count flush unreachable
+                    max_batch: 64,
                     max_delay: Duration::from_secs(30),
                     max_pending: 0,
                     brownout: None,
@@ -287,9 +286,9 @@ fn huge_client_deadline_is_clamped_to_handler_timeout() {
     let started = std::time::Instant::now();
     let mut client = HttpClient::connect(gateway.local_addr()).unwrap();
     let response = client.post_json("/v1/infer", &body).unwrap();
-    // Clamped to half the 100 ms handler budget, the EDF deadline flushes
-    // the window at ~50 ms and the request completes 200 inside the
-    // handler timeout — nowhere near the requested hour.
+    // Clamped to half the 100 ms handler budget — and never a wait in any
+    // case — the request completes 200 inside the handler timeout,
+    // nowhere near the requested hour.
     assert_eq!(response.status, 200);
     assert!(
         started.elapsed() < Duration::from_secs(10),
@@ -299,69 +298,63 @@ fn huge_client_deadline_is_clamped_to_handler_timeout() {
     server.shutdown();
 }
 
-/// A request whose deadline has the whole window to itself still resolves
-/// promptly when a tighter-deadline request lands behind it (EDF pulls the
-/// flush forward) — observed end to end through HTTP.
+/// `deadline_ms` on the wire is the request's place in the EDF order:
+/// behind a busy worker, a tight-deadline request that arrived last leaves
+/// first, riding with the earliest-admitted relaxed one — observed end to
+/// end through HTTP as exact batch composition.
 #[test]
-fn tight_deadline_pulls_a_relaxed_window_forward() {
-    let model = Arc::new(dense_model(21));
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 64, // count flush unreachable
-                    max_delay: Duration::from_secs(30),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
-            .unwrap(),
-    );
+fn tight_deadline_jumps_a_relaxed_backlog() {
+    let backend = GatedBackend::closed(CsrEngine::compile(&dense_model(21), &DIMS).unwrap());
+    let server = Arc::new(StreamingServer::new(
+        backend.clone(),
+        StreamingConfig {
+            threads: 1,
+            max_batch: 2,
+            max_delay: Duration::from_secs(30),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
-            workers: 2,
-            handler_timeout: Duration::from_secs(10),
+            workers: 4,
+            handler_timeout: Duration::from_secs(30),
             ..GatewayConfig::for_dims(&DIMS)
         },
     )
     .unwrap();
-
-    // Without EDF, the relaxed request would park for 30 s (its own
-    // deadline AND the server default are both far away) and this test
-    // would time out. The tight request must flush the shared window.
-    let relaxed = {
-        let mut r = InferRequest::new(DIMS.to_vec(), vec![0.3; SAMPLE_LEN]);
-        r.deadline_ms = Some(25_000.0);
-        serde_json::to_string(&r).unwrap()
-    };
-    let tight = {
-        let mut r = InferRequest::new(DIMS.to_vec(), vec![0.6; SAMPLE_LEN]);
-        r.deadline_ms = Some(1.0);
-        r.priority = 3;
-        serde_json::to_string(&r).unwrap()
-    };
     let addr = gateway.local_addr();
-    let relaxed_thread = std::thread::spawn(move || {
-        let mut client = HttpClient::connect(addr).unwrap();
-        client.post_json("/v1/infer", &relaxed).unwrap()
-    });
-    // Let the relaxed request reach the pending window first.
-    std::thread::sleep(Duration::from_millis(50));
-    let mut client = HttpClient::connect(addr).unwrap();
-    let tight_response = client.post_json("/v1/infer", &tight).unwrap();
-    let relaxed_response = relaxed_thread.join().unwrap();
-    assert_eq!(tight_response.status, 200);
-    assert_eq!(relaxed_response.status, 200);
-    let streaming = server.metrics();
-    assert_eq!(streaming.requests, 2);
+
+    // One connection per request, each filled with its own pixel value so
+    // the backend's batch log names it. `pending()` counts a request from
+    // admission, so waiting on it fixes the arrival order.
+    let mut in_flight = Vec::new();
+    let mut post = |pixel: f32, deadline_ms: f64| {
+        let mut request = InferRequest::new(DIMS.to_vec(), vec![pixel; SAMPLE_LEN]);
+        request.deadline_ms = Some(deadline_ms);
+        let body = serde_json::to_string(&request).unwrap();
+        in_flight.push(std::thread::spawn(move || {
+            let mut client = HttpClient::connect(addr).unwrap();
+            client.post_json("/v1/infer", &body).unwrap()
+        }));
+        common::wait_until(|| server.pending() == in_flight.len());
+    };
+    post(0.1, 25_000.0);
+    backend.wait_entered(1); // the only worker is now busy
+    post(0.2, 25_000.0);
+    post(0.3, 25_000.0);
+    post(0.9, 1.0);
+    backend.open();
+    for response in in_flight {
+        assert_eq!(response.join().unwrap().status, 200);
+    }
     assert_eq!(
-        streaming.max_batch_occupancy, 2,
-        "both requests rode one EDF-flushed batch"
+        backend.batches(),
+        vec![vec![0.1], vec![0.9, 0.2], vec![0.3]],
+        "the tight request jumped both relaxed ones"
     );
+    assert_eq!(server.metrics().requests, 4);
     gateway.shutdown();
     server.shutdown();
 }

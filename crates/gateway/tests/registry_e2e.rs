@@ -5,6 +5,9 @@
 //! behavior), atomic hot swap under closed-loop load, and hostile
 //! routing (unknown models, wrong methods, malformed swap bodies).
 
+#[path = "../../runtime/tests/common/mod.rs"]
+mod common;
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -250,7 +253,7 @@ fn hot_swap_under_load_serves_exactly_old_or_new_logits() {
                 &[&e2, &e1], // index 0 = pre-swap (v2 is the default), 1 = post-swap
                 &LoadGenConfig {
                     clients: 4,
-                    passes: 60,
+                    passes: 150,
                     path: "/v1/models/alpha/infer".into(),
                     ..LoadGenConfig::default()
                 },
@@ -258,8 +261,10 @@ fn hot_swap_under_load_serves_exactly_old_or_new_logits() {
         })
     };
 
-    // Swap to v1 while the closed loop is running.
-    std::thread::sleep(Duration::from_millis(60));
+    // Swap to v1 once the closed loop has provably been served by v2 (one
+    // warm lookup per request); the 4 700 requests still to come dwarf the
+    // swap itself, so v1 is provably observed too.
+    common::wait_until(|| registry.metrics().warm_hits >= 100);
     let mut client = HttpClient::connect(addr).unwrap();
     let swapped = client
         .post_json("/v1/models/alpha/swap", r#"{"version":"1"}"#)

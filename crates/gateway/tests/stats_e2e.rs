@@ -47,7 +47,10 @@ fn start_gateway(seed: u64) -> (Gateway, Arc<snn_runtime::StreamingServer>) {
                 StreamingConfig {
                     threads: 1,
                     max_batch: 4,
-                    max_delay: Duration::from_micros(200),
+                    // A deadline nothing here can miss: these tests read
+                    // the SLO state of a healthy server, and on a busy box a
+                    // tight one turns a scheduler stall into a burn.
+                    max_delay: Duration::from_millis(100),
                     max_pending: 0,
                     brownout: None,
                 },

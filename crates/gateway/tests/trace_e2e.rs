@@ -139,7 +139,10 @@ fn assert_tree_complete(spans: &[WireSpan], trace_id: &str) {
     let flush = spans.iter().find(|s| s.name == "batch.flush").unwrap();
     let reason = flush.attr("reason").and_then(Content::as_str);
     assert!(
-        matches!(reason, Some("edf_deadline" | "max_batch" | "drain")),
+        matches!(
+            reason,
+            Some("edf_deadline" | "max_batch" | "drain" | "idle")
+        ),
         "flush reason must be attributed: {flush:?}"
     );
     let stage = spans.iter().find(|s| s.name == "stage.exec").unwrap();

@@ -1,24 +1,31 @@
-//! Adaptive deadline batching for the streaming front-end.
+//! Work-conserving EDF batching for the streaming front-end.
 //!
-//! Requests arrive one at a time; the TTFS engine amortizes per-spike work
-//! best over batches. [`DeadlineBatcher`] is the flush policy that mediates
-//! between the two: admit requests into a pending window and flush when
-//! either the window holds [`max_batch`](DeadlineBatcher::new) requests or
-//! the **earliest admitted deadline** expires — whichever comes first
-//! (EDF: earliest-deadline-first). Every request carries its own deadline
-//! ([`SubmitOptions::deadline`], defaulting to the batcher's `max_delay`
-//! past its arrival), so a latency-tolerant client can donate batching
-//! slack while an urgent one bounds the whole window. Count flushes keep
-//! throughput high under load; deadline flushes bound the latency any
-//! admitted request can be held hostage for. Flushed batches are assembled
-//! in EDF order: ascending deadline, ties broken by descending
-//! [`SubmitOptions::priority`], then admission order.
+//! Requests arrive one at a time and are never held for riders: a request
+//! that arrives while a worker is idle runs now, alone. Batches form only
+//! out of **backlog** — whatever was admitted while every worker was busy
+//! rides together when the next worker frees up, which is also when the
+//! engine's per-chunk work amortises. [`DeadlineBatcher`] is that policy
+//! as a state machine with two inputs: [`admit`](DeadlineBatcher::admit)
+//! (a request arrived) and [`take`](DeadlineBatcher::take) (a worker is
+//! idle). A take hands over up to `max_batch` pending requests in EDF
+//! order — ascending deadline, ties broken by descending
+//! [`SubmitOptions::priority`], then admission order — and leaves the rest
+//! pending in that order.
 //!
-//! The policy is a pure state machine over caller-supplied [`Instant`]s
-//! (no threads, no clocks of its own), so it is deterministic and unit
-//! testable. The thread that drives it — and the [`Ticket`] handed to each
-//! submitter — live with [`crate::StreamingServer`] in the server module.
+//! Every request carries a deadline ([`SubmitOptions::deadline`],
+//! defaulting to the server's `max_delay` past its arrival). The deadline
+//! is the request's place in the EDF order and the line its
+//! [`deadline_misses`](crate::StreamingMetrics::deadline_misses)
+//! accounting is drawn at; it is never a timer anything sleeps on.
+//!
+//! The policy never reads a clock and owns no thread, so its behaviour is
+//! a function of the (admit, take) sequence alone and is unit and property
+//! tested as such. The worker threads that drive it — and the [`Ticket`]
+//! handed to each submitter — live with [`crate::StreamingServer`] in the
+//! server module.
 
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -30,21 +37,28 @@ use ttfs_core::ConvertError;
 
 use crate::metrics::StreamingRecorder;
 
-/// Why the deadline batcher flushed a pending window. Recorded per batch
-/// in [`StreamingMetrics`](crate::StreamingMetrics) (the three
-/// `flushes_*` counters) and as the `reason` attribute of the
-/// `batch.flush` trace span — a deadline-pressured server (mostly
-/// [`EdfDeadline`](Self::EdfDeadline)) is operationally very different
-/// from a well-batched one (mostly [`MaxBatch`](Self::MaxBatch)) at the
-/// same throughput.
+/// What a worker found when it took a batch from the pending window.
+/// Recorded per batch in [`StreamingMetrics`](crate::StreamingMetrics)
+/// (the four `flushes_*` counters, which sum to `batches`) and as the
+/// `reason` attribute of the `batch.flush` trace span. At the same
+/// throughput a server taking mostly [`Idle`](Self::Idle) batches has
+/// spare workers, one taking mostly [`MaxBatch`](Self::MaxBatch) is
+/// saturated but keeping up, and one taking mostly
+/// [`EdfDeadline`](Self::EdfDeadline) is making requests wait past their
+/// deadlines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlushReason {
-    /// The window's earliest admitted deadline expired (EDF trigger).
+    /// The earliest pending deadline had already passed when the worker
+    /// freed up: backlog made the request wait (the latency-pressure
+    /// signal).
     EdfDeadline,
-    /// The window filled to `max_batch` requests.
+    /// The backlog filled the batch to `max_batch` requests.
     MaxBatch,
-    /// Shutdown drained the window regardless of count or deadline.
+    /// Shutdown drained the window.
     Drain,
+    /// A worker was free and took what was pending — fewer than
+    /// `max_batch` requests, none past its deadline.
+    Idle,
 }
 
 impl FlushReason {
@@ -54,6 +68,7 @@ impl FlushReason {
             Self::EdfDeadline => "edf_deadline",
             Self::MaxBatch => "max_batch",
             Self::Drain => "drain",
+            Self::Idle => "idle",
         }
     }
 }
@@ -67,17 +82,20 @@ impl std::fmt::Display for FlushReason {
 /// Configuration for the [`crate::StreamingServer`].
 #[derive(Debug, Clone)]
 pub struct StreamingConfig {
-    /// Worker threads executing formed batches (0 = one per core).
+    /// Worker threads, each taking batches from the pending window and
+    /// executing them (0 = one per core).
     pub threads: usize,
-    /// Flush a pending batch as soon as it holds this many requests
+    /// The most requests a worker takes from the backlog at once
     /// (0 = clamp to 1).
     pub max_batch: usize,
-    /// Flush when the oldest pending request has waited this long.
-    /// `Duration::ZERO` degenerates to one batch per wakeup — lowest
-    /// latency, least amortization.
+    /// The deadline a plain [`submit`](crate::StreamingServer::submit)
+    /// gets, counted from its arrival: its place in the EDF order and the
+    /// line its deadline-miss accounting is drawn at. Nothing waits for it
+    /// — a request runs as soon as a worker is free, however far off its
+    /// deadline is.
     pub max_delay: Duration,
     /// Backpressure: the most admitted-but-unresolved requests (pending
-    /// window + worker queue + in flight) the server holds before
+    /// window + executing) the server holds before
     /// [`submit`](crate::StreamingServer::submit) starts returning
     /// [`SubmitError::QueueFull`]. `0` = unbounded (accept everything and
     /// let the queue grow — the pre-backpressure behavior).
@@ -194,17 +212,16 @@ impl From<ConvertError> for SubmitError {
 /// priority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SubmitOptions {
-    /// The most time this request may sit in the batcher's pending window
-    /// before the window is flushed — its *batching deadline*, counted from
-    /// submission. `None` inherits the server's configured `max_delay`. A
-    /// relaxed deadline donates batching slack; `Duration::ZERO` forces the
-    /// window to flush at the next batcher wakeup. The window always
-    /// flushes when its **earliest** admitted deadline expires (EDF), so a
-    /// tight deadline bounds every request that shares the window.
+    /// This request's deadline, counted from submission. `None` inherits
+    /// the server's configured `max_delay`. Workers take the backlog in
+    /// earliest-deadline-first order, so under load a tight deadline jumps
+    /// ahead of relaxed requests admitted before it; a request that starts
+    /// executing after its deadline counts as a deadline miss. A deadline
+    /// never delays anything: with a worker free, an urgent and a relaxed
+    /// request both run at once.
     pub deadline: Option<Duration>,
-    /// Assembly priority: on equal deadlines, higher-priority requests sort
-    /// earlier in the formed batch. Priority never delays a flush and never
-    /// evicts an admitted request; it only breaks EDF ordering ties.
+    /// EDF tie-break: on equal deadlines, higher-priority requests are
+    /// taken first. Priority never evicts an admitted request.
     pub priority: u8,
     /// Where runtime-side spans for this request attach: the request's
     /// [`TraceId`](snn_trace::TraceId) plus the parent span id minted by
@@ -215,7 +232,7 @@ pub struct SubmitOptions {
 }
 
 impl SubmitOptions {
-    /// Options with an explicit batching deadline.
+    /// Options with an explicit deadline.
     pub fn with_deadline(deadline: Duration) -> Self {
         Self {
             deadline: Some(deadline),
@@ -237,40 +254,36 @@ impl SubmitOptions {
     }
 }
 
-/// One admitted entry: the item plus its EDF scheduling key.
-#[derive(Debug)]
-struct Entry<T> {
-    deadline: Instant,
-    priority: u8,
-    item: T,
-}
-
-/// The adaptive flush policy: batch by count or by earliest deadline,
-/// whichever trips first (EDF).
+/// The work-conserving EDF policy: requests are admitted into a pending
+/// set kept in EDF order, and an idle worker takes up to `max_batch` of
+/// them off the front.
 ///
 /// Generic over the queued item so the policy can be exercised without
-/// spinning up a server. All methods take `now` explicitly; the batcher
+/// spinning up a server. [`take`](Self::take) is told `now`; the batcher
 /// never reads the clock.
 #[derive(Debug)]
 pub struct DeadlineBatcher<T> {
-    pending: Vec<Entry<T>>,
+    /// Keyed `(deadline, Reverse(priority), admission seq)`: iteration
+    /// order is take order, and `seq` makes every key unique.
+    pending: BTreeMap<(Instant, Reverse<u8>, u64), T>,
+    next_seq: u64,
     max_batch: usize,
-    max_delay: Duration,
+    closed: bool,
 }
 
 impl<T> DeadlineBatcher<T> {
-    /// Creates an empty batcher (`max_batch` is clamped to at least 1).
-    /// `max_delay` is the default per-item deadline used by
-    /// [`push`](Self::push).
-    pub fn new(max_batch: usize, max_delay: Duration) -> Self {
+    /// Creates an empty, open batcher (`max_batch` is clamped to at least
+    /// 1).
+    pub fn new(max_batch: usize) -> Self {
         Self {
-            pending: Vec::new(),
+            pending: BTreeMap::new(),
+            next_seq: 0,
             max_batch: max_batch.max(1),
-            max_delay,
+            closed: false,
         }
     }
 
-    /// Pending (not yet flushed) requests.
+    /// Pending (admitted, not yet taken) requests.
     pub fn len(&self) -> usize {
         self.pending.len()
     }
@@ -280,66 +293,58 @@ impl<T> DeadlineBatcher<T> {
         self.pending.is_empty()
     }
 
-    /// Admits one item arriving at `now` with the default deadline (`now +
-    /// max_delay`) and lowest priority; returns the formed batch if this
-    /// arrival filled it to `max_batch`.
-    pub fn push(&mut self, now: Instant, item: T) -> Option<Vec<T>> {
-        let deadline = now + self.max_delay;
-        self.push_with(item, deadline, 0)
-    }
-
-    /// Admits one item with an explicit absolute deadline and priority;
-    /// returns the formed batch if this arrival filled it to `max_batch`.
+    /// Admits one item with its absolute deadline and priority.
     ///
-    /// A deadline already in the past does not flush from `push_with`
-    /// itself (only the count threshold does); the caller's next
-    /// [`poll_expired`](Self::poll_expired) flushes it immediately.
-    pub fn push_with(&mut self, item: T, deadline: Instant, priority: u8) -> Option<Vec<T>> {
-        self.pending.push(Entry {
-            deadline,
-            priority,
-            item,
-        });
-        if self.pending.len() >= self.max_batch {
-            Some(self.take_all())
+    /// # Errors
+    ///
+    /// Hands the item back if the batcher is [closed](Self::close).
+    pub fn admit(&mut self, item: T, deadline: Instant, priority: u8) -> Result<(), T> {
+        if self.closed {
+            return Err(item);
+        }
+        self.pending
+            .insert((deadline, Reverse(priority), self.next_seq), item);
+        self.next_seq += 1;
+        Ok(())
+    }
+
+    /// Stops admission. What is already pending stays takeable, and every
+    /// later take reports [`FlushReason::Drain`].
+    pub fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// Whether [`close`](Self::close) has been called.
+    pub fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// A worker is idle at `now`: takes up to `max_batch` pending items in
+    /// EDF order and says what it found — [`Drain`](FlushReason::Drain)
+    /// once closed, [`MaxBatch`](FlushReason::MaxBatch) if the batch is
+    /// full, [`EdfDeadline`](FlushReason::EdfDeadline) if the earliest
+    /// deadline is at or before `now`, [`Idle`](FlushReason::Idle)
+    /// otherwise. `None` when nothing is pending. Costs
+    /// O(`max_batch` · log pending), whatever the backlog.
+    pub fn take(&mut self, now: Instant) -> Option<(Vec<T>, FlushReason)> {
+        let earliest = self.pending.first_key_value()?.0 .0;
+        let mut batch = Vec::with_capacity(self.max_batch.min(self.pending.len()));
+        while batch.len() < self.max_batch {
+            let Some((_, item)) = self.pending.pop_first() else {
+                break;
+            };
+            batch.push(item);
+        }
+        let reason = if self.closed {
+            FlushReason::Drain
+        } else if batch.len() == self.max_batch {
+            FlushReason::MaxBatch
+        } else if earliest <= now {
+            FlushReason::EdfDeadline
         } else {
-            None
-        }
-    }
-
-    /// The instant the current pending window must flush — the **earliest**
-    /// admitted deadline; `None` when nothing is pending.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.pending.iter().map(|e| e.deadline).min()
-    }
-
-    /// Flushes the whole pending window if its earliest deadline is at or
-    /// before `now`; `None` if nothing is pending or every deadline is
-    /// still ahead.
-    pub fn poll_expired(&mut self, now: Instant) -> Option<Vec<T>> {
-        match self.deadline() {
-            Some(deadline) if now >= deadline => Some(self.take_all()),
-            _ => None,
-        }
-    }
-
-    /// Unconditionally drains everything pending in EDF order (the
-    /// shutdown path).
-    pub fn drain(&mut self) -> Vec<T> {
-        self.take_all()
-    }
-
-    /// Flushes the window in EDF order: ascending deadline, ties broken by
-    /// descending priority, then admission order (`pending` is in
-    /// admission order and `sort_by` is stable).
-    fn take_all(&mut self) -> Vec<T> {
-        let mut entries = std::mem::take(&mut self.pending);
-        entries.sort_by(|a, b| {
-            a.deadline
-                .cmp(&b.deadline)
-                .then(b.priority.cmp(&a.priority))
-        });
-        entries.into_iter().map(|e| e.item).collect()
+            FlushReason::Idle
+        };
+        Some((batch, reason))
     }
 }
 
@@ -351,7 +356,8 @@ pub struct StreamedResponse {
     /// Event statistics of the whole formed batch this request rode in
     /// (per-request attribution is not separable after integration).
     pub batch_stats: RunStats,
-    /// Time from `submit` until a worker began executing the batch.
+    /// Time from `submit` until a worker took the batch and began
+    /// executing it.
     pub queue_wait: Duration,
     /// Backend execution time of the formed batch.
     pub exec_time: Duration,
@@ -459,19 +465,16 @@ fn dropped_error() -> ConvertError {
     )
 }
 
-/// One queued streaming request as it travels batcher → worker.
+/// One queued streaming request as it travels submitter → window →
+/// worker.
 pub(crate) struct PendingRequest {
     /// Flat sample data (dims validated at submit).
     pub image: Vec<f32>,
-    /// Per-sample dims, identical across the server's lifetime.
-    pub sample_dims: Vec<usize>,
     /// Submission instant (starts the end-to-end latency clock).
     pub enqueued: Instant,
-    /// Absolute batching deadline (`enqueued` + the request's or the
-    /// server's delay bound); the EDF flush trigger.
+    /// Absolute deadline (`enqueued` + the request's or the server's
+    /// delay bound): the EDF key and the deadline-miss line.
     pub deadline: Instant,
-    /// EDF tie-break priority (higher sorts earlier on equal deadlines).
-    pub priority: u8,
     /// Trace attachment point for runtime-side spans, if the submitter
     /// asked for tracing ([`SubmitOptions::trace`]).
     pub trace: Option<TraceTarget>,
@@ -479,149 +482,176 @@ pub(crate) struct PendingRequest {
     pub reply: Sender<Result<StreamedResponse, ConvertError>>,
 }
 
-/// Control messages from submitters to the batcher thread.
-pub(crate) enum BatcherMsg {
-    /// A new request to admit into the pending window.
-    Request(PendingRequest),
-    /// Flush everything pending and exit (graceful shutdown).
-    Shutdown,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn at(base: Instant, ms: u64) -> Instant {
         base + Duration::from_millis(ms)
     }
 
     #[test]
-    fn count_flush_at_max_batch() {
+    fn empty_window_has_nothing_to_take() {
+        let mut b = DeadlineBatcher::<u32>::new(4);
+        assert_eq!(b.take(Instant::now()), None);
+        b.close();
+        assert_eq!(b.take(Instant::now()), None, "closed and empty: still None");
+    }
+
+    #[test]
+    fn idle_take_hands_over_a_lone_request_at_once() {
+        // The deadline is 100 ms off and the batch far from full: nothing
+        // holds the request back.
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(3, Duration::from_millis(100));
-        assert!(b.push(at(base, 0), "a").is_none());
-        assert!(b.push(at(base, 1), "b").is_none());
-        let batch = b.push(at(base, 2), "c").expect("third fill flushes");
-        assert_eq!(batch, vec!["a", "b", "c"]);
+        let mut b = DeadlineBatcher::new(8);
+        b.admit("only", at(base, 100), 0).unwrap();
+        assert_eq!(b.take(base), Some((vec!["only"], FlushReason::Idle)));
         assert!(b.is_empty());
-        assert_eq!(b.deadline(), None);
     }
 
     #[test]
-    fn deadline_tracks_oldest_pending_request() {
+    fn take_never_exceeds_max_batch_and_leftovers_keep_edf_order() {
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_millis(5));
-        assert_eq!(b.deadline(), None);
-        b.push(at(base, 0), 1u32);
-        b.push(at(base, 3), 2u32);
-        // Deadline anchors to the FIRST arrival, not the latest.
-        assert_eq!(b.deadline(), Some(at(base, 5)));
-        assert!(b.poll_expired(at(base, 4)).is_none(), "not yet expired");
-        let batch = b
-            .poll_expired(at(base, 5))
-            .expect("expired exactly at deadline");
-        assert_eq!(batch, vec![1, 2]);
-        // The next window re-anchors to its own first arrival.
-        b.push(at(base, 9), 3u32);
-        assert_eq!(b.deadline(), Some(at(base, 14)));
+        let mut b = DeadlineBatcher::new(3);
+        // Admitted in scrambled deadline order.
+        for ms in [50u64, 10, 70, 30, 60, 20, 40] {
+            b.admit(ms, at(base, ms), 0).unwrap();
+        }
+        assert_eq!(b.len(), 7);
+        assert_eq!(
+            b.take(base),
+            Some((vec![10, 20, 30], FlushReason::MaxBatch))
+        );
+        // A later arrival sorts into the leftovers, not behind them.
+        b.admit(45, at(base, 45), 0).unwrap();
+        assert_eq!(
+            b.take(base),
+            Some((vec![40, 45, 50], FlushReason::MaxBatch))
+        );
+        assert_eq!(b.take(base), Some((vec![60, 70], FlushReason::Idle)));
+        assert_eq!(b.take(base), None);
     }
 
     #[test]
-    fn zero_delay_expires_immediately() {
+    fn edf_deadline_means_the_head_of_the_backlog_is_already_late() {
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(8, Duration::ZERO);
-        b.push(base, "only");
-        assert_eq!(b.poll_expired(base), Some(vec!["only"]));
+        let mut b = DeadlineBatcher::new(8);
+        b.admit("relaxed", at(base, 100), 0).unwrap();
+        b.admit("urgent", at(base, 5), 0).unwrap();
+        // Taken at exactly the urgent deadline: late, and EDF-ordered.
+        assert_eq!(
+            b.take(at(base, 5)),
+            Some((vec!["urgent", "relaxed"], FlushReason::EdfDeadline))
+        );
+        // A full batch reports MaxBatch even when its head is late.
+        let mut b = DeadlineBatcher::new(2);
+        b.admit(1u8, base, 0).unwrap();
+        b.admit(2u8, base, 0).unwrap();
+        assert_eq!(
+            b.take(at(base, 1)),
+            Some((vec![1, 2], FlushReason::MaxBatch))
+        );
     }
 
     #[test]
-    fn count_flush_wins_even_with_expired_deadline() {
-        // max_batch reached with zero remaining deadline: the count flush
-        // fires from push itself; nothing is double-flushed afterwards.
+    fn priority_breaks_deadline_ties_then_admission_order() {
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(2, Duration::ZERO);
-        assert!(b.push(base, 1u8).is_none());
-        let batch = b.push(base, 2u8).expect("count flush");
-        assert_eq!(batch, vec![1, 2]);
-        assert!(b.poll_expired(base).is_none(), "window already flushed");
+        let mut b = DeadlineBatcher::new(10);
+        let d = at(base, 10);
+        b.admit("low-first", d, 0).unwrap();
+        b.admit("high", d, 7).unwrap();
+        b.admit("low-second", d, 0).unwrap();
+        b.admit("earlier", at(base, 3), 0).unwrap();
+        let (batch, _) = b.take(base).unwrap();
+        assert_eq!(batch, vec!["earlier", "high", "low-first", "low-second"]);
     }
 
     #[test]
     fn max_batch_zero_clamps_to_one() {
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(0, Duration::from_millis(1));
-        assert_eq!(b.push(base, "x"), Some(vec!["x"]));
+        let mut b = DeadlineBatcher::new(0);
+        b.admit("x", at(base, 1), 0).unwrap();
+        b.admit("y", at(base, 2), 0).unwrap();
+        assert_eq!(b.take(base), Some((vec!["x"], FlushReason::MaxBatch)));
     }
 
     #[test]
-    fn drain_empties_in_arrival_order() {
+    fn close_refuses_admission_and_drains_in_max_batch_chunks() {
         let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_secs(1));
-        b.push(at(base, 0), 1u32);
-        b.push(at(base, 1), 2u32);
-        b.push(at(base, 2), 3u32);
-        assert_eq!(b.drain(), vec![1, 2, 3]);
-        assert!(b.is_empty());
-        assert_eq!(b.drain(), Vec::<u32>::new());
+        let mut b = DeadlineBatcher::new(2);
+        for i in 0..3u32 {
+            b.admit(i, at(base, u64::from(i)), 0).unwrap();
+        }
+        assert!(!b.is_closed());
+        b.close();
+        assert!(b.is_closed());
+        assert_eq!(b.admit(9, base, 0), Err(9), "the item comes back");
+        assert_eq!(b.take(base), Some((vec![0, 1], FlushReason::Drain)));
+        assert_eq!(b.take(base), Some((vec![2], FlushReason::Drain)));
+        assert_eq!(b.take(base), None);
     }
 
-    #[test]
-    fn edf_earliest_deadline_wins_regardless_of_arrival_order() {
-        // A later arrival with a TIGHTER deadline pulls the whole window's
-        // flush instant forward — the EDF invariant.
-        let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_millis(100));
-        b.push_with("relaxed", at(base, 100), 0);
-        assert_eq!(b.deadline(), Some(at(base, 100)));
-        b.push_with("urgent", at(base, 5), 0);
-        assert_eq!(b.deadline(), Some(at(base, 5)), "earliest deadline rules");
-        assert!(b.poll_expired(at(base, 4)).is_none());
-        let batch = b.poll_expired(at(base, 5)).expect("urgent deadline trips");
-        // Batch assembly is EDF-ordered, not arrival-ordered.
-        assert_eq!(batch, vec!["urgent", "relaxed"]);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn edf_priority_breaks_deadline_ties_then_admission_order() {
-        let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_millis(1));
-        let d = at(base, 10);
-        b.push_with("low-first", d, 0);
-        b.push_with("high", d, 7);
-        b.push_with("low-second", d, 0);
-        b.push_with("earlier", at(base, 3), 0);
-        let batch = b.poll_expired(at(base, 10)).expect("expired");
-        assert_eq!(batch, vec!["earlier", "high", "low-first", "low-second"]);
-    }
-
-    #[test]
-    fn edf_relaxed_deadline_outlives_default_window() {
-        // A request that donates slack beyond max_delay must not flush at
-        // the default window; it flushes at its own deadline.
-        let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_millis(5));
-        b.push_with("patient", at(base, 50), 0);
-        assert!(b.poll_expired(at(base, 6)).is_none(), "outlives max_delay");
-        assert_eq!(b.poll_expired(at(base, 50)), Some(vec!["patient"]));
-    }
-
-    #[test]
-    fn edf_past_deadline_flushes_on_next_poll_not_on_push() {
-        let base = Instant::now();
-        let mut b = DeadlineBatcher::new(10, Duration::from_secs(1));
-        assert!(
-            b.push_with("late", base, 0).is_none(),
-            "push never EDF-flushes"
-        );
-        assert_eq!(b.poll_expired(base), Some(vec!["late"]));
-    }
-
-    #[test]
-    fn edf_count_flush_still_wins_at_max_batch() {
-        let base = Instant::now();
-        let mut b = DeadlineBatcher::new(2, Duration::from_secs(1));
-        assert!(b.push_with("a", at(base, 500), 0).is_none());
-        let batch = b.push_with("b", at(base, 900), 3).expect("count flush");
-        assert_eq!(batch, vec!["a", "b"], "EDF order inside the count flush");
+        /// Any interleaving of admits and takes, against the obvious
+        /// model (sort everything pending, cut at `max_batch`): each take
+        /// is exactly the model's prefix — so nothing leaves behind an
+        /// item with a later key, and back-to-back takes concatenate
+        /// EDF-sorted — and every admitted item comes out exactly once.
+        #[test]
+        fn takes_match_a_sorted_model_and_lose_nothing(
+            max_batch in 1usize..6,
+            ops in proptest::collection::vec((0u8..3, 0u64..12, 0u8..3, 0u64..12), 1..120),
+        ) {
+            let base = Instant::now();
+            let mut b = DeadlineBatcher::new(max_batch);
+            // (deadline_ms, Reverse(priority), id): ids ascend with
+            // admission, so the tuple order is the EDF key order.
+            let mut model: Vec<(u64, Reverse<u8>, usize)> = Vec::new();
+            let mut admitted = 0usize;
+            let mut taken: Vec<usize> = Vec::new();
+            let mut check_take = |b: &mut DeadlineBatcher<usize>,
+                                  model: &mut Vec<(u64, Reverse<u8>, usize)>,
+                                  now_ms: u64|
+             -> Result<(), TestCaseError> {
+                model.sort();
+                let cut = model.len().min(max_batch);
+                let expected: Vec<(u64, Reverse<u8>, usize)> = model.drain(..cut).collect();
+                match b.take(at(base, now_ms)) {
+                    None => prop_assert!(expected.is_empty()),
+                    Some((batch, reason)) => {
+                        let ids: Vec<usize> = expected.iter().map(|e| e.2).collect();
+                        prop_assert_eq!(&batch, &ids);
+                        let want = if batch.len() == max_batch {
+                            FlushReason::MaxBatch
+                        } else if expected[0].0 <= now_ms {
+                            FlushReason::EdfDeadline
+                        } else {
+                            FlushReason::Idle
+                        };
+                        prop_assert_eq!(reason, want);
+                        taken.extend(batch);
+                    }
+                }
+                prop_assert_eq!(b.len(), model.len());
+                Ok(())
+            };
+            for (kind, deadline_ms, priority, now_ms) in ops {
+                if kind < 2 {
+                    prop_assert!(b.admit(admitted, at(base, deadline_ms), priority).is_ok());
+                    model.push((deadline_ms, Reverse(priority), admitted));
+                    admitted += 1;
+                } else {
+                    check_take(&mut b, &mut model, now_ms)?;
+                }
+            }
+            while !b.is_empty() {
+                check_take(&mut b, &mut model, 0)?;
+            }
+            taken.sort_unstable();
+            prop_assert_eq!(taken, (0..admitted).collect::<Vec<_>>());
+        }
     }
 }

@@ -37,18 +37,23 @@
 //!   datapath's table, with reported mantissa-error bounds. In LUT mode,
 //!   logits are **bit-identical** to the reference simulator over
 //!   [`snn_logquant::LogQuantizer::quantize_tensor`]'d weights.
-//! * [`InferenceServer`] / [`WorkerPool`] — batch requests fan out over a
+//! * [`InferenceServer`] / [`WorkerPool`] — closed batches fan out over a
 //!   `std::thread` pool with a submission queue; per-request latency is
 //!   recorded and summarized as p50/p99 + images/sec
 //!   ([`ThroughputMetrics`]).
 //! * [`StreamingServer`] / [`DeadlineBatcher`] — the open-traffic path:
 //!   requests arrive one at a time (`submit(image) -> Ticket`, or
-//!   `submit_with` carrying per-request [`SubmitOptions`]), an EDF
-//!   batcher flushes the pending window at `max_batch` or when the
-//!   **earliest admitted deadline** expires (plain submissions inherit
-//!   `max_delay`), and [`StreamingMetrics`] splits queue-wait from
-//!   execution time, histograms batch occupancy and counts backpressure
-//!   sheds. Streamed logits are bit-identical to a closed
+//!   `submit_with` carrying per-request [`SubmitOptions`]) into a pending
+//!   window kept in EDF order, and the server's workers take batches
+//!   straight from it whenever they are free. Batching is
+//!   work-conserving: a request that finds a worker idle runs at once,
+//!   and only what piles up while every worker is busy rides together
+//!   (up to `max_batch`, earliest deadline first; plain submissions
+//!   inherit `max_delay` as their deadline, which orders and accounts
+//!   but never delays). [`StreamingMetrics`] splits queue-wait from
+//!   execution time, histograms batch occupancy, says why each batch was
+//!   the size it was ([`FlushReason`]) and counts backpressure sheds.
+//!   Streamed logits are bit-identical to a closed
 //!   [`InferenceServer::run`] over the same images regardless of arrival
 //!   interleaving, deadlines or priorities. The `snn-gateway` crate
 //!   fronts this server with a dependency-free HTTP/1.1 edge.

@@ -2,7 +2,7 @@
 //! the closed-batch [`crate::InferenceServer`] ([`ThroughputMetrics`]) and
 //! the streaming [`crate::StreamingServer`] ([`StreamingMetrics`], which
 //! additionally splits queue-wait from execution time and histograms the
-//! sizes of the batches the deadline batcher formed).
+//! sizes of the batches its workers took from the backlog).
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -317,8 +317,7 @@ pub struct OccupancyBucket {
 
 /// Serializable summary of a streaming-serving window: per-request
 /// end-to-end latency percentiles, the queue-wait versus execution-time
-/// split, and the batch-occupancy distribution the adaptive batcher
-/// produced.
+/// split, and the occupancy distribution of the batches the workers took.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamingMetrics {
     /// Streamed requests completed (one image each).
@@ -335,7 +334,7 @@ pub struct StreamingMetrics {
     /// below the shed threshold. Disjoint from
     /// [`shed_requests`](Self::shed_requests).
     pub brownout_shed_requests: u64,
-    /// Batches the deadline batcher formed and executed.
+    /// Batches the workers took from the pending window and executed.
     pub batches: u64,
     /// Wall-clock time from recorder creation to this summary, ms.
     pub wall_ms: f64,
@@ -368,14 +367,19 @@ pub struct StreamingMetrics {
     pub max_batch_occupancy: u64,
     /// Distribution of formed-batch sizes, ascending by size.
     pub occupancy_histogram: Vec<OccupancyBucket>,
-    /// Batches flushed because their earliest admitted deadline expired
-    /// ([`FlushReason::EdfDeadline`]) — the latency-pressure signal.
+    /// Batches whose earliest deadline had already passed when a worker
+    /// took them ([`FlushReason::EdfDeadline`]) — the latency-pressure
+    /// signal: backlog is making requests late.
     pub flushes_edf_deadline: u64,
-    /// Batches flushed by filling to `max_batch`
-    /// ([`FlushReason::MaxBatch`]) — the well-batched signal.
+    /// Batches the backlog filled to `max_batch`
+    /// ([`FlushReason::MaxBatch`]) — saturated, and amortising.
     pub flushes_max_batch: u64,
-    /// Batches flushed by shutdown drain ([`FlushReason::Drain`]).
+    /// Batches taken by shutdown drain ([`FlushReason::Drain`]).
     pub flushes_drain: u64,
+    /// Batches a free worker took short of `max_batch` with no deadline
+    /// passed ([`FlushReason::Idle`]) — spare capacity. With the three
+    /// counters above this sums to [`batches`](Self::batches).
+    pub flushes_idle: u64,
     /// [`Ticket::wait_timeout`](crate::Ticket::wait_timeout) expiries —
     /// callers that gave up waiting (the server-side view of gateway
     /// 504s). The request itself still executes and lands in the other
@@ -532,7 +536,8 @@ pub struct StreamingRecorder {
     batch_sizes: BTreeMap<u64, u64>,
     sheds: u64,
     brownout_sheds: u64,
-    flushes: [u64; 3],
+    /// Indexed by `FlushReason as usize`.
+    flushes: [u64; 4],
     wait_timeouts: u64,
     batch_retries: u64,
     quarantined: u64,
@@ -560,7 +565,7 @@ impl StreamingRecorder {
             batch_sizes: BTreeMap::new(),
             sheds: 0,
             brownout_sheds: 0,
-            flushes: [0; 3],
+            flushes: [0; 4],
             wait_timeouts: 0,
             batch_retries: 0,
             quarantined: 0,
@@ -581,7 +586,7 @@ impl StreamingRecorder {
         self.sink.is_some()
     }
 
-    /// Attaches a structured-logging sink; the batcher's flush and
+    /// Attaches a structured-logging sink; the workers' batch takes and
     /// failure-isolation decisions start emitting log events (and
     /// incident triggers, when the sink carries a recorder).
     pub fn set_log_sink(&mut self, sink: LogSink) {
@@ -594,16 +599,12 @@ impl StreamingRecorder {
     }
 
     /// Records one executed batch: its size, backend execution time and
-    /// why the batcher flushed it.
+    /// what the worker that took it found.
     pub fn record_batch(&mut self, size: usize, exec: Duration, reason: FlushReason) {
         *self.batch_sizes.entry(size as u64).or_insert(0) += 1;
         self.exec.record(exec);
         self.exec_hist.record(exec);
-        self.flushes[match reason {
-            FlushReason::EdfDeadline => 0,
-            FlushReason::MaxBatch => 1,
-            FlushReason::Drain => 2,
-        }] += 1;
+        self.flushes[reason as usize] += 1;
         if let Some(sink) = &self.sink {
             let now = sink.hub.now_s();
             sink.exec
@@ -806,9 +807,10 @@ impl StreamingRecorder {
                 .iter()
                 .map(|(&size, &batches)| OccupancyBucket { size, batches })
                 .collect(),
-            flushes_edf_deadline: self.flushes[0],
-            flushes_max_batch: self.flushes[1],
-            flushes_drain: self.flushes[2],
+            flushes_edf_deadline: self.flushes[FlushReason::EdfDeadline as usize],
+            flushes_max_batch: self.flushes[FlushReason::MaxBatch as usize],
+            flushes_drain: self.flushes[FlushReason::Drain as usize],
+            flushes_idle: self.flushes[FlushReason::Idle as usize],
             wait_timeouts: self.wait_timeouts,
             batch_retries: self.batch_retries,
             quarantined: self.quarantined,
@@ -957,14 +959,18 @@ mod tests {
         r.record_batch(2, Duration::from_millis(1), FlushReason::EdfDeadline);
         r.record_batch(2, Duration::from_millis(1), FlushReason::EdfDeadline);
         r.record_batch(1, Duration::from_millis(1), FlushReason::Drain);
+        for _ in 0..3 {
+            r.record_batch(1, Duration::from_millis(1), FlushReason::Idle);
+        }
         r.record_wait_timeout();
         assert_eq!(r.wait_timeouts(), 1);
         let m = r.summarize();
         assert_eq!(m.flushes_max_batch, 1);
         assert_eq!(m.flushes_edf_deadline, 2);
         assert_eq!(m.flushes_drain, 1);
+        assert_eq!(m.flushes_idle, 3);
         assert_eq!(
-            m.flushes_edf_deadline + m.flushes_max_batch + m.flushes_drain,
+            m.flushes_edf_deadline + m.flushes_max_batch + m.flushes_drain + m.flushes_idle,
             m.batches,
             "every batch has exactly one flush reason"
         );

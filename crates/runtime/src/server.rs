@@ -1,18 +1,21 @@
-//! The two serving front-ends over the [`WorkerPool`]:
+//! The two serving front-ends:
 //!
 //! * [`InferenceServer`] — closed batches: splits an incoming `[N, …]`
-//!   batch into chunk requests, fans them out over the submission queue,
-//!   and reassembles ordered logits, merged [`RunStats`] and per-request
-//!   latency metrics.
+//!   batch into chunk requests, fans them out over a [`WorkerPool`]'s
+//!   submission queue, and reassembles ordered logits, merged [`RunStats`]
+//!   and per-request latency metrics.
 //! * [`StreamingServer`] — open traffic: requests arrive one at a time via
-//!   [`StreamingServer::submit`], an adaptive [`DeadlineBatcher`] groups
-//!   them (flush at `max_batch` or when the oldest request's deadline
-//!   expires, whichever comes first), and results come back through
-//!   per-request [`Ticket`]s.
+//!   [`StreamingServer::submit`] into a pending window kept in EDF order
+//!   ([`DeadlineBatcher`]); the server's own worker threads take batches
+//!   straight from that window whenever they are free — one request if one
+//!   is pending, up to `max_batch` if a backlog built up while they were
+//!   busy — and results come back through per-request [`Ticket`]s. No
+//!   thread sits between submitter and worker, and nothing sleeps on a
+//!   timer.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::channel;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -23,8 +26,8 @@ use snn_trace::{push_context, TraceCollector, TraceTarget};
 use ttfs_core::{ConvertError, SnnModel};
 
 use crate::batcher::{
-    BatcherMsg, BrownoutConfig, DeadlineBatcher, FlushReason, PendingRequest, StreamingConfig,
-    SubmitError, SubmitOptions, Ticket,
+    BrownoutConfig, DeadlineBatcher, FlushReason, PendingRequest, StreamingConfig, SubmitError,
+    SubmitOptions, Ticket,
 };
 use crate::energy::EnergyPricer;
 use crate::faults::{FaultInjector, FaultPoint};
@@ -239,37 +242,57 @@ impl InferenceServer {
     }
 }
 
-/// Tolerance before a late execution start counts as an SLO deadline
-/// miss.
+/// How far past its deadline a request's batch may start executing before
+/// the request counts as a deadline miss.
 ///
-/// An EDF-deadline flush *fires at* the earliest admitted deadline, so in
-/// a healthy server `exec_start` trails the deadline by flush-timer wakeup
-/// plus pool-handoff jitter — microseconds to a few milliseconds. Genuine
-/// overload (workers saturated, batches queueing) lags by tens of
-/// milliseconds or more. Counting a miss only past this grace separates
-/// the two without a tunable per deployment.
-pub const DEADLINE_MISS_GRACE: Duration = Duration::from_millis(10);
+/// Nothing in the server waits for a deadline, so what separates a
+/// request's arrival from its `exec_start` is either one condvar hand-off
+/// to an idle worker or genuine backlog, and only the second is a miss.
+/// The hand-off was measured on the 2-vCPU box this repo is developed on,
+/// with a `max_delay: ZERO` server (every deadline is the arrival instant,
+/// so a grace below the hand-off would count every request), 50 000
+/// sequential requests per run: p50 1.5–21 µs, p99 12–105 µs, p99.9
+/// 25–270 µs, and on a quiet box a maximum of 0.94 ms and zero misses at
+/// 1 ms. 1 ms is the smallest round constant above that; in a noisy spell
+/// 14 of 50 000 hand-offs stalled past it (up to 46 ms) — time the request
+/// really did lose, which no constant should hide. Backlog behind a
+/// VGG-16 batch (≈ 1 ms per image) lands beyond the grace.
+/// `deadline_miss_counts_backlog_not_the_idle_hand_off` in
+/// `tests/streaming.rs` pins both sides.
+pub const DEADLINE_MISS_GRACE: Duration = Duration::from_millis(1);
 
-/// Streaming inference front-end: one-at-a-time submission, adaptive
-/// deadline batching, per-request [`Ticket`] delivery.
+/// Locks `mutex`, recovering the guard if a panic poisoned it. Every
+/// mutex in this module guards plain data (the pending window, recorders,
+/// handles) with no multi-step invariants, so a panic under one of them
+/// must not wedge serving, shutdown or `/metrics` — observability has to
+/// survive exactly the situations it exists for.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Streaming inference front-end: one-at-a-time submission,
+/// work-conserving EDF batching, per-request [`Ticket`] delivery.
 ///
 /// Requests admitted by [`submit`](Self::submit) enter the
-/// [`DeadlineBatcher`]'s pending window; a dedicated batcher thread flushes
-/// the window to the [`WorkerPool`] when it reaches
-/// [`max_batch`](StreamingConfig::max_batch) requests **or** the earliest
-/// admitted deadline expires (EDF; plain `submit` inherits
-/// [`max_delay`](StreamingConfig::max_delay) as its deadline, while
+/// [`DeadlineBatcher`]'s pending window and wake one worker. Each of the
+/// server's [`threads`](Self::threads) workers loops *take a batch,
+/// execute it*, sleeping only while the window is empty: a request that
+/// arrives while a worker is idle executes at once, and what arrives while
+/// all of them are busy is taken together — up to
+/// [`max_batch`](StreamingConfig::max_batch), earliest deadline first —
+/// by the first worker to free up. A request's deadline (plain `submit`
+/// inherits [`max_delay`](StreamingConfig::max_delay);
 /// [`submit_with`](Self::submit_with) carries a per-request
-/// [`SubmitOptions`]), whichever comes first. Because every backend
-/// processes batch samples
-/// independently, streamed logits are bit-identical to a closed
-/// [`InferenceServer::run`] over the same images, no matter how arrivals
-/// interleave into batches (enforced by property test in
+/// [`SubmitOptions`]) orders the backlog and draws the deadline-miss
+/// line; it never holds a request back. Because every backend processes
+/// batch samples independently, streamed logits are bit-identical to a
+/// closed [`InferenceServer::run`] over the same images, no matter how
+/// arrivals interleave into batches (enforced by property test in
 /// `tests/runtime_equivalence.rs`).
 ///
-/// [`shutdown`](Self::shutdown) (also run on drop) is graceful: it flushes
-/// the pending window, drains every batch already on the worker queue, and
-/// only then returns — no admitted ticket is left unresolved.
+/// [`shutdown`](Self::shutdown) (also run on drop) is graceful: it closes
+/// admission, lets the workers drain the window, and joins them — no
+/// admitted ticket is left unresolved.
 ///
 /// # Example
 ///
@@ -316,25 +339,10 @@ pub const DEADLINE_MISS_GRACE: Duration = Duration::from_millis(10);
 /// # }
 /// ```
 pub struct StreamingServer {
-    backend: Arc<dyn InferenceBackend>,
-    /// `None` once shut down; doubles as the closed flag so a submit can
-    /// never race a shutdown (both serialize on this lock, and `Shutdown`
-    /// is guaranteed to be the channel's last message).
-    submit_tx: Mutex<Option<Sender<BatcherMsg>>>,
-    batcher: Mutex<Option<JoinHandle<()>>>,
-    pool: Mutex<Option<Arc<WorkerPool>>>,
-    recorder: Arc<Mutex<StreamingRecorder>>,
-    /// Sample dims are fixed by the first submission; later submissions
-    /// must match so any pending window forms a rectangular batch.
-    sample_dims: Mutex<Option<Vec<usize>>>,
+    stream: Arc<Stream>,
+    /// Emptied (and joined) by the first [`shutdown`](Self::shutdown).
+    workers: Mutex<Vec<JoinHandle<()>>>,
     next_id: AtomicU64,
-    /// Admitted-but-unresolved requests (pending window + worker queue +
-    /// in flight); bounded by `max_pending` when nonzero.
-    in_flight: Arc<AtomicUsize>,
-    /// Span sink shared with the batcher thread and workers; `None` on an
-    /// untraced server ([`new`](Self::new)), where the runtime records
-    /// nothing regardless of [`SubmitOptions::trace`].
-    trace: Option<Arc<TraceCollector>>,
     threads: usize,
     max_batch: usize,
     max_delay: Duration,
@@ -345,20 +353,45 @@ pub struct StreamingServer {
     brownout_engaged: AtomicBool,
 }
 
+/// What submitters and workers share.
+struct Stream {
+    backend: Arc<dyn InferenceBackend>,
+    /// The pending window. Submitters admit under this lock, workers take
+    /// under it, and its closed flag is what makes a submit unable to race
+    /// a shutdown.
+    window: Mutex<DeadlineBatcher<PendingRequest>>,
+    /// Signalled once per admission and on close. Workers wait on it only
+    /// while the window is empty, so a wake-up is never lost: whoever
+    /// finds the window empty is holding the lock an admission needs.
+    work: Condvar,
+    recorder: Arc<Mutex<StreamingRecorder>>,
+    /// For backends without compiled dims: pinned by the first
+    /// submission; later submissions must match so any taken batch is
+    /// rectangular.
+    sample_dims: Mutex<Option<Vec<usize>>>,
+    /// Admitted-but-unresolved requests (pending + executing); bounded by
+    /// `max_pending` when nonzero.
+    in_flight: AtomicUsize,
+    /// Span sink the workers record into; `None` on an untraced server
+    /// ([`StreamingServer::new`]), where the runtime records nothing
+    /// regardless of [`SubmitOptions::trace`].
+    trace: Option<Arc<TraceCollector>>,
+}
+
 impl StreamingServer {
-    /// Builds a streaming server around `backend` and starts its batcher
-    /// thread and worker pool.
+    /// Builds a streaming server around `backend` and starts its worker
+    /// threads.
     pub fn new(backend: Arc<dyn InferenceBackend>, config: StreamingConfig) -> Self {
         Self::build(backend, config, None)
     }
 
-    /// Like [`new`](Self::new), but with a [`TraceCollector`] the batcher
-    /// thread and workers record runtime spans into (`queue.wait`,
-    /// `batch.flush` with its reason, `batch.exec` and the per-stage
-    /// engine spans underneath) for every submission carrying a
-    /// [`SubmitOptions::trace`] target. A disabled collector costs one
-    /// relaxed atomic load per recording site; logits are bit-identical
-    /// either way (tracing never touches the accumulation path).
+    /// Like [`new`](Self::new), but with a [`TraceCollector`] the workers
+    /// record runtime spans into (`queue.wait`, `batch.flush` with its
+    /// reason, `batch.exec` and the per-stage engine spans underneath) for
+    /// every submission carrying a [`SubmitOptions::trace`] target. A
+    /// disabled collector costs one relaxed atomic load per recording
+    /// site; logits are bit-identical either way (tracing never touches
+    /// the accumulation path).
     pub fn new_traced(
         backend: Arc<dyn InferenceBackend>,
         config: StreamingConfig,
@@ -378,36 +411,28 @@ impl StreamingServer {
         }
         .resolved_threads();
         let max_batch = config.max_batch.max(1);
-        let pool = Arc::new(WorkerPool::new(threads));
-        let recorder = Arc::new(Mutex::new(StreamingRecorder::new()));
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = channel::<BatcherMsg>();
-        let handle = {
-            let backend = Arc::clone(&backend);
-            let pool = Arc::clone(&pool);
-            let recorder = Arc::clone(&recorder);
-            let in_flight = Arc::clone(&in_flight);
-            let trace = trace.clone();
-            let max_delay = config.max_delay;
-            std::thread::Builder::new()
-                .name("snn-runtime-batcher".into())
-                .spawn(move || {
-                    batcher_loop(
-                        rx, backend, pool, recorder, in_flight, trace, max_batch, max_delay,
-                    )
-                })
-                .expect("failed to spawn batcher thread")
-        };
-        Self {
+        let stream = Arc::new(Stream {
             backend,
-            submit_tx: Mutex::new(Some(tx)),
-            batcher: Mutex::new(Some(handle)),
-            pool: Mutex::new(Some(pool)),
-            recorder,
+            window: Mutex::new(DeadlineBatcher::new(max_batch)),
+            work: Condvar::new(),
+            recorder: Arc::new(Mutex::new(StreamingRecorder::new())),
             sample_dims: Mutex::new(None),
-            next_id: AtomicU64::new(0),
-            in_flight,
+            in_flight: AtomicUsize::new(0),
             trace,
+        });
+        let workers = (0..threads)
+            .map(|i| {
+                let stream = Arc::clone(&stream);
+                std::thread::Builder::new()
+                    .name(format!("snn-runtime-worker-{i}"))
+                    .spawn(move || stream.work_until_closed())
+                    .expect("failed to spawn worker thread")
+            })
+            .collect();
+        Self {
+            stream,
+            workers: Mutex::new(workers),
+            next_id: AtomicU64::new(0),
             threads,
             max_batch,
             max_delay: config.max_delay,
@@ -420,33 +445,33 @@ impl StreamingServer {
     /// The span sink this server records runtime spans into, if it was
     /// built with [`new_traced`](Self::new_traced).
     pub fn trace_collector(&self) -> Option<&Arc<TraceCollector>> {
-        self.trace.as_ref()
+        self.stream.trace.as_ref()
     }
 
     /// The wrapped backend's identifier.
     pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
+        self.stream.backend.name()
     }
 
     /// The converted model the wrapped backend executes (a network
     /// front-end uses this to validate request geometry before admitting
     /// traffic into the stream).
     pub fn model(&self) -> &SnnModel {
-        self.backend.model()
+        self.stream.backend.model()
     }
 
     /// The per-sample dims this server's backend was compiled for, when
     /// fixed ([`InferenceBackend::input_dims`]).
     pub fn input_dims(&self) -> Option<&[usize]> {
-        self.backend.input_dims()
+        self.stream.backend.input_dims()
     }
 
-    /// Worker thread count (excluding the batcher thread).
+    /// Worker thread count — every thread the server owns.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The count-flush threshold.
+    /// The most requests one worker takes from the backlog at once.
     pub fn max_batch(&self) -> usize {
         self.max_batch
     }
@@ -456,10 +481,10 @@ impl StreamingServer {
         self.max_pending
     }
 
-    /// Admitted-but-unresolved requests right now (pending window + worker
-    /// queue + in flight).
+    /// Admitted-but-unresolved requests right now (pending window +
+    /// executing).
     pub fn pending(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
+        self.stream.in_flight.load(Ordering::Relaxed)
     }
 
     /// Whether [`shutdown`](Self::shutdown) has begun: submissions are
@@ -467,14 +492,7 @@ impl StreamingServer {
     /// [`SubmitError::Rejected`]. A front-end uses this to tell
     /// unavailability (503) apart from a malformed request (400).
     pub fn is_shut_down(&self) -> bool {
-        // All of this server's mutexes guard plain data (handles,
-        // counters, recorders) with no multi-step invariants, so a panic
-        // under any of them recovers the guard instead of wedging
-        // shutdown and `/metrics` forever.
-        self.submit_tx
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_none()
+        lock(&self.stream.window).is_closed()
     }
 
     /// Whether priority brownout is currently engaged (admitted count
@@ -496,8 +514,8 @@ impl StreamingServer {
     }
 
     /// Submits one image with explicit per-request scheduling options: a
-    /// batching deadline (EDF — the pending window flushes when its
-    /// earliest admitted deadline expires) and an assembly priority.
+    /// deadline (its place in the EDF order workers take the backlog in)
+    /// and a tie-break priority.
     ///
     /// # Errors
     ///
@@ -514,6 +532,7 @@ impl StreamingServer {
         image: &Tensor,
         options: SubmitOptions,
     ) -> Result<Ticket, SubmitError> {
+        let stream = &*self.stream;
         if image.dims().is_empty() || image.as_slice().is_empty() {
             return Err(SubmitError::Rejected(ConvertError::Structure(
                 "streamed sample must be a non-empty per-sample tensor".into(),
@@ -524,13 +543,13 @@ impl StreamingServer {
         // never jointly exceed it). Unbounded servers still count, so
         // `pending()` stays observable. This runs BEFORE the stream's
         // sample dims are pinned: a shed request must be side-effect free.
-        let admitted = self.in_flight.fetch_add(1, Ordering::AcqRel);
+        let admitted = stream.in_flight.fetch_add(1, Ordering::AcqRel);
+        let release_slot = || {
+            stream.in_flight.fetch_sub(1, Ordering::AcqRel);
+        };
         if self.max_pending > 0 && admitted >= self.max_pending {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            self.recorder
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record_shed(options.priority);
+            release_slot();
+            lock(&stream.recorder).record_shed(options.priority);
             return Err(SubmitError::QueueFull {
                 max_pending: self.max_pending,
             });
@@ -554,26 +573,20 @@ impl StreamingServer {
                 self.brownout_engaged.load(Ordering::Relaxed)
             };
             if engaged && options.priority < brownout.shed_below_priority {
-                self.in_flight.fetch_sub(1, Ordering::AcqRel);
-                self.recorder
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record_brownout_shed(options.priority);
+                release_slot();
+                lock(&stream.recorder).record_brownout_shed(options.priority);
                 return Err(SubmitError::Brownout {
                     priority: options.priority,
                     shed_below_priority: brownout.shed_below_priority,
                 });
             }
         }
-        let release_slot = || {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-        };
         // Validate geometry against the backend's compiled dims when it
         // has them — per entry, not per process, so two servers fronting
         // models of different dims coexist and a bad first submission
         // can't pin the stream to the wrong geometry. Shape-agnostic
         // backends fall back to first-submission pinning.
-        if let Some(expected) = self.backend.input_dims() {
+        if let Some(expected) = stream.backend.input_dims() {
             if expected != image.dims() {
                 release_slot();
                 return Err(SubmitError::Rejected(ConvertError::Structure(format!(
@@ -583,49 +596,45 @@ impl StreamingServer {
                 ))));
             }
         } else {
-            let mut dims = self.sample_dims.lock().unwrap_or_else(|e| e.into_inner());
-            match dims.as_ref() {
-                None => *dims = Some(image.dims().to_vec()),
-                Some(expected) if expected == image.dims() => {}
-                Some(expected) => {
-                    let expected = expected.clone();
-                    drop(dims);
-                    release_slot();
-                    return Err(SubmitError::Rejected(ConvertError::Structure(format!(
-                        "streamed sample dims {:?} do not match the stream's dims {:?}",
-                        image.dims(),
-                        expected
-                    ))));
-                }
+            let mut dims = lock(&stream.sample_dims);
+            let expected = dims.get_or_insert_with(|| image.dims().to_vec());
+            if expected != image.dims() {
+                release_slot();
+                return Err(SubmitError::Rejected(ConvertError::Structure(format!(
+                    "streamed sample dims {:?} do not match the stream's dims {:?}",
+                    image.dims(),
+                    expected
+                ))));
             }
         }
         let (reply, rx) = channel();
         let enqueued = Instant::now();
+        let deadline = enqueued + options.deadline.unwrap_or(self.max_delay);
         let request = PendingRequest {
             image: image.as_slice().to_vec(),
-            sample_dims: image.dims().to_vec(),
             enqueued,
-            deadline: enqueued + options.deadline.unwrap_or(self.max_delay),
-            priority: options.priority,
+            deadline,
             // A trace target without a collector records nothing.
-            trace: self.trace.as_ref().and(options.trace),
+            trace: stream.trace.as_ref().and(options.trace),
             reply,
         };
-        let guard = self.submit_tx.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(tx) = guard.as_ref() else {
+        if lock(&stream.window)
+            .admit(request, deadline, options.priority)
+            .is_err()
+        {
             release_slot();
             return Err(SubmitError::Rejected(ConvertError::Structure(
                 "streaming server is shut down; submissions are closed".into(),
             )));
-        };
-        tx.send(BatcherMsg::Request(request)).map_err(|_| {
-            release_slot();
-            SubmitError::Rejected(ConvertError::Structure("batcher thread is gone".into()))
-        })?;
+        }
+        // Outside the lock, so the woken worker does not immediately block
+        // on it. If every worker is busy nobody hears this — and nobody
+        // needs to: each looks at the window again before it sleeps.
+        stream.work.notify_one();
         Ok(Ticket::new(
             self.next_id.fetch_add(1, Ordering::Relaxed),
             rx,
-            Some(Arc::clone(&self.recorder)),
+            Some(Arc::clone(&stream.recorder)),
         ))
     }
 
@@ -642,29 +651,22 @@ impl StreamingServer {
     /// `energy.price` span. Telemetry only ever reads timings and event
     /// counters, so logits stay bit-identical with or without it.
     pub fn attach_telemetry(&self, hub: Arc<TelemetryHub>, labels: Labels) {
-        let pricer = self
-            .backend
+        let backend = &self.stream.backend;
+        let pricer = backend
             .input_dims()
-            .and_then(|dims| EnergyPricer::new(self.backend.model(), dims).ok());
-        let sink = TelemetrySink::new(hub, labels, pricer);
-        self.recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .set_sink(sink);
+            .and_then(|dims| EnergyPricer::new(backend.model(), dims).ok());
+        lock(&self.stream.recorder).set_sink(TelemetrySink::new(hub, labels, pricer));
     }
 
-    /// Attaches structured logging: the batcher's flush decisions,
-    /// failure isolation (batch retries, quarantines) and brownout
-    /// transitions start emitting flight-recorder events — and incident
-    /// snapshots, when the sink carries an
+    /// Attaches structured logging: the workers' batch takes, failure
+    /// isolation (batch retries, quarantines) and brownout transitions
+    /// start emitting flight-recorder events — and incident snapshots,
+    /// when the sink carries an
     /// [`IncidentRecorder`](snn_log::IncidentRecorder). Logging only
     /// ever reads timings and counters, so logits stay bit-identical
     /// with or without it.
     pub fn attach_logging(&self, sink: LogSink) {
-        self.recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .set_log_sink(sink);
+        lock(&self.stream.recorder).set_log_sink(sink);
     }
 
     /// Logs (and, on engage, snapshots) a brownout hysteresis
@@ -672,12 +674,7 @@ impl StreamingServer {
     /// engaged bit actually flips.
     #[cold]
     fn on_brownout_transition(&self, engaged: bool, depth: usize) {
-        let sink = self
-            .recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .log_sink()
-            .cloned();
+        let sink = lock(&self.stream.recorder).log_sink().cloned();
         let Some(sink) = sink else { return };
         if engaged {
             snn_log::warn!(
@@ -703,43 +700,21 @@ impl StreamingServer {
         }
     }
 
-    /// Snapshot of the streaming metrics accumulated so far. Keeps
-    /// working even after a thread panicked under the recorder lock —
-    /// observability must survive exactly the situations it exists for.
+    /// Snapshot of the streaming metrics accumulated so far.
     pub fn metrics(&self) -> StreamingMetrics {
-        self.recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .summarize()
+        lock(&self.stream.recorder).summarize()
     }
 
-    /// Gracefully shuts down: closes submissions, flushes the pending
-    /// window, waits for every dispatched batch to finish (resolving all
-    /// outstanding tickets), and returns the final metrics. Idempotent;
-    /// also invoked by [`Drop`].
+    /// Gracefully shuts down: closes submissions, wakes every worker to
+    /// drain the pending window in `max_batch`-sized EDF batches
+    /// (resolving all outstanding tickets), joins them, and returns the
+    /// final metrics. Idempotent; also invoked by [`Drop`].
     pub fn shutdown(&self) -> StreamingMetrics {
-        if let Some(tx) = self
-            .submit_tx
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            // The batcher may already be gone (panic); ignore send failure.
-            let _ = tx.send(BatcherMsg::Shutdown);
-        }
-        if let Some(handle) = self
-            .batcher
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            let _ = handle.join();
-        }
-        // The batcher thread has exited, so its pool Arc is dropped: taking
-        // ours makes this the last reference and drop joins the workers
-        // after the queued batches drain.
-        if let Some(pool) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            drop(pool);
+        lock(&self.stream.window).close();
+        self.stream.work.notify_all();
+        let workers = std::mem::take(&mut *lock(&self.workers));
+        for worker in workers {
+            let _ = worker.join();
         }
         self.metrics()
     }
@@ -751,151 +726,68 @@ impl Drop for StreamingServer {
     }
 }
 
-/// The batcher thread: admits requests into the [`DeadlineBatcher`],
-/// sleeps until the earliest of (next message, earliest admitted
-/// deadline), and dispatches formed batches to the worker pool. On
-/// shutdown or channel disconnect it flushes the remaining window in
-/// `max_batch`-sized chunks.
-#[allow(clippy::too_many_arguments)] // thread entry point, not an API
-fn batcher_loop(
-    rx: Receiver<BatcherMsg>,
-    backend: Arc<dyn InferenceBackend>,
-    pool: Arc<WorkerPool>,
-    recorder: Arc<Mutex<StreamingRecorder>>,
-    in_flight: Arc<AtomicUsize>,
-    trace: Option<Arc<TraceCollector>>,
-    max_batch: usize,
-    max_delay: Duration,
-) {
-    let mut batcher: DeadlineBatcher<PendingRequest> = DeadlineBatcher::new(max_batch, max_delay);
-    let dispatch = |batch: Vec<PendingRequest>, reason: FlushReason| {
-        dispatch_batch(
-            &backend, &pool, &recorder, &in_flight, &trace, batch, reason,
-        )
-    };
-    loop {
-        let msg = if batcher.is_empty() {
-            // Nothing pending: nothing can expire, block indefinitely.
-            match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            }
-        } else {
-            let deadline = batcher.deadline().expect("non-empty window has a deadline");
-            let now = Instant::now();
-            if let Some(batch) = batcher.poll_expired(now) {
-                dispatch(batch, FlushReason::EdfDeadline);
-                continue;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(batch) = batcher.poll_expired(Instant::now()) {
-                        dispatch(batch, FlushReason::EdfDeadline);
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        };
-        match msg {
-            BatcherMsg::Request(request) => {
-                let (deadline, priority) = (request.deadline, request.priority);
-                if let Some(batch) = batcher.push_with(request, deadline, priority) {
-                    dispatch(batch, FlushReason::MaxBatch);
-                }
-            }
-            BatcherMsg::Shutdown => break,
-        }
-    }
-    // Graceful drain: flush whatever is still pending, respecting
-    // max_batch so shutdown batches look like steady-state ones.
-    let mut rest = batcher.drain();
-    while !rest.is_empty() {
-        let tail = if rest.len() > max_batch {
-            rest.split_off(max_batch)
-        } else {
-            Vec::new()
-        };
-        dispatch(std::mem::replace(&mut rest, tail), FlushReason::Drain);
-    }
-}
-
-/// Concatenates a formed batch into one `[k, …sample_dims]` tensor, runs it
-/// on the pool, and fans the per-row logits back out to each request's
-/// ticket, recording queue-wait / execution / end-to-end splits.
 /// Releases a batch's backpressure slots on drop, so the release also
-/// happens when the worker closure unwinds (a panicking backend must not
-/// wedge a bounded server by leaking admissions) or when a closed pool
-/// drops the closure unexecuted.
-struct SlotRelease {
-    in_flight: Arc<AtomicUsize>,
+/// happens when executing the batch unwinds (a panic on the worker must
+/// not wedge a bounded server by leaking admissions).
+struct SlotRelease<'a> {
+    in_flight: &'a AtomicUsize,
     slots: usize,
 }
 
-impl Drop for SlotRelease {
+impl Drop for SlotRelease<'_> {
     fn drop(&mut self) {
         self.in_flight.fetch_sub(self.slots, Ordering::AcqRel);
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal dispatch helper, not an API
-fn dispatch_batch(
-    backend: &Arc<dyn InferenceBackend>,
-    pool: &Arc<WorkerPool>,
-    recorder: &Arc<Mutex<StreamingRecorder>>,
-    in_flight: &Arc<AtomicUsize>,
-    trace: &Option<Arc<TraceCollector>>,
-    batch: Vec<PendingRequest>,
-    reason: FlushReason,
-) {
-    debug_assert!(!batch.is_empty(), "never dispatch an empty batch");
-    let backend = Arc::clone(backend);
-    let recorder = Arc::clone(recorder);
-    // On the batcher thread, mark the flush decision itself — an
-    // instantaneous span per traced request carrying the flush reason.
-    let collector = trace.as_ref().filter(|c| c.is_enabled()).map(Arc::clone);
-    if let Some(collector) = &collector {
-        let now = Instant::now();
-        for request in batch.iter() {
-            if let Some(target) = request.trace {
-                collector.record_span(
-                    target.trace,
-                    target.parent,
-                    "batch.flush",
-                    now,
-                    now,
-                    vec![
-                        ("reason", reason.as_str().into()),
-                        ("batch_size", batch.len().into()),
-                    ],
-                );
-            }
+impl Stream {
+    /// One worker thread: take a batch, execute it, repeat; sleep only
+    /// while the window is empty; exit once it is closed and drained.
+    fn work_until_closed(&self) {
+        loop {
+            let mut window = lock(&self.window);
+            let (batch, reason) = loop {
+                match window.take(Instant::now()) {
+                    Some(taken) => break taken,
+                    None if window.is_closed() => return,
+                    None => window = self.work.wait(window).unwrap_or_else(|e| e.into_inner()),
+                }
+            };
+            drop(window);
+            // The backend call is guarded on its own (see
+            // `run_batch_guarded`); this catches a panic anywhere else in
+            // the batch — its tickets then see a dropped channel — so the
+            // worker outlives it and later submissions are not stranded.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.execute(batch, reason)
+            }));
         }
     }
-    // Moved into the closure: every path that resolves (or abandons) the
-    // batch — normal completion, backend error, backend panic, pool
-    // already closed — releases its slots exactly once.
-    let slot_release = SlotRelease {
-        in_flight: Arc::clone(in_flight),
-        slots: batch.len(),
-    };
-    let run = move || {
-        let _slot_release = slot_release;
-        let exec_start = Instant::now();
-        let k = batch.len();
-        let sample_dims = batch[0].sample_dims.clone();
-        let sample_len: usize = sample_dims.iter().product();
-        let mut data = Vec::with_capacity(k * sample_len);
-        for request in &batch {
-            data.extend_from_slice(&request.image);
+
+    /// `[k, …sample dims]` for a batch of `k`: the backend's compiled
+    /// dims, or the dims the first submission pinned.
+    fn batch_dims(&self, k: usize) -> Vec<usize> {
+        let mut dims = vec![k];
+        match self.backend.input_dims() {
+            Some(sample) => dims.extend_from_slice(sample),
+            None => dims.extend_from_slice(lock(&self.sample_dims).as_deref().unwrap_or_default()),
         }
-        let mut batch_dims = vec![k];
-        batch_dims.extend_from_slice(&sample_dims);
-        // Pre-allocate one `batch.exec` span per traced rider and hang an
-        // ambient context under them, so per-stage engine spans fan out
-        // into every traced request's tree.
-        let exec_spans: Vec<(TraceTarget, u64)> = match &collector {
+        dims
+    }
+
+    /// Runs one taken batch as a single `[k, …]` tensor and fans the
+    /// per-row logits back out to each rider's ticket, recording the
+    /// flush, queue-wait and execution spans and metrics.
+    fn execute(&self, mut batch: Vec<PendingRequest>, reason: FlushReason) {
+        let k = batch.len();
+        let _slot_release = SlotRelease {
+            in_flight: &self.in_flight,
+            slots: k,
+        };
+        let exec_start = Instant::now();
+        let collector = self.trace.as_ref().filter(|c| c.is_enabled());
+        // One pre-allocated `batch.exec` span id per traced rider.
+        let exec_spans: Vec<(TraceTarget, u64)> = match collector {
             Some(c) => batch
                 .iter()
                 .filter_map(|r| r.trace)
@@ -903,33 +795,66 @@ fn dispatch_batch(
                 .collect(),
             None => Vec::new(),
         };
-        let ctx = collector
-            .as_ref()
-            .filter(|_| !exec_spans.is_empty())
-            .map(|c| {
-                push_context(
-                    Arc::clone(c),
-                    exec_spans
-                        .iter()
-                        .map(|(t, exec_id)| TraceTarget {
-                            trace: t.trace,
-                            parent: *exec_id,
-                        })
-                        .collect(),
-                )
-            });
+        if let Some(c) = collector {
+            // Mark the take itself — an instantaneous span per traced
+            // rider carrying what the worker found.
+            for (target, _) in &exec_spans {
+                c.record_span(
+                    target.trace,
+                    target.parent,
+                    "batch.flush",
+                    exec_start,
+                    exec_start,
+                    vec![("reason", reason.as_str().into()), ("batch_size", k.into())],
+                );
+            }
+        }
+        // A lone rider's image becomes the batch tensor as is.
+        let data = if k == 1 {
+            std::mem::take(&mut batch[0].image)
+        } else {
+            let mut data = Vec::with_capacity(k * batch[0].image.len());
+            for request in &batch {
+                data.extend_from_slice(&request.image);
+            }
+            data
+        };
+        let batch_dims = self.batch_dims(k);
+        let images = match Tensor::from_vec(data, &batch_dims) {
+            Ok(images) => images,
+            Err(e) => {
+                // Submission validated every rider's dims, so the shapes
+                // agree; should they ever not, fail the riders, not the
+                // worker.
+                let e = ConvertError::Structure(e.to_string());
+                for request in batch {
+                    let _ = request.reply.send(Err(e.clone()));
+                }
+                return;
+            }
+        };
+        // Hang an ambient context under the riders' `batch.exec` spans, so
+        // per-stage engine spans fan out into every traced request's tree.
+        let ctx = collector.filter(|_| !exec_spans.is_empty()).map(|c| {
+            push_context(
+                Arc::clone(c),
+                exec_spans
+                    .iter()
+                    .map(|(t, exec_id)| TraceTarget {
+                        trace: t.trace,
+                        parent: *exec_id,
+                    })
+                    .collect(),
+            )
+        });
         let injector = FaultInjector::global();
         if injector.should(FaultPoint::BackendSlow) {
             std::thread::sleep(injector.slow_delay());
         }
-        let outcome = match Tensor::from_vec(data, &batch_dims) {
-            Err(e) => Ok(Err(ConvertError::Structure(e.to_string()))),
-            Ok(images) => run_batch_guarded(&backend, &images),
-        };
+        let outcome = run_batch_guarded(&self.backend, &images);
         drop(ctx);
         let exec_end = Instant::now();
-        let exec_time = exec_end.duration_since(exec_start);
-        if let Some(c) = &collector {
+        if let Some(c) = collector {
             for (target, exec_id) in &exec_spans {
                 c.record_span_with_id(
                     *exec_id,
@@ -940,7 +865,7 @@ fn dispatch_batch(
                     exec_end,
                     vec![
                         ("batch_size", k.into()),
-                        ("backend", backend.name().into()),
+                        ("backend", self.backend.name().into()),
                         ("ok", u64::from(matches!(outcome, Ok(Ok(_)))).into()),
                     ],
                 );
@@ -948,60 +873,7 @@ fn dispatch_batch(
         }
         match outcome {
             Ok(Ok((logits, stats))) => {
-                let classes = logits.dims()[1];
-                // One lock for the whole batch, not one per request.
-                let mut rec = recorder.lock().unwrap_or_else(|e| e.into_inner());
-                rec.record_batch(k, exec_time, reason);
-                // Priced once per executed batch (O(layers)), attributed
-                // per image; 0.0 when no telemetry/pricer is attached.
-                let energy_uj = rec.record_batch_energy(&stats, k);
-                for (i, request) in batch.into_iter().enumerate() {
-                    let row = Tensor::from_vec(
-                        logits.as_slice()[i * classes..(i + 1) * classes].to_vec(),
-                        &[classes],
-                    )
-                    .expect("row slice matches classes");
-                    let queue_wait = exec_start.saturating_duration_since(request.enqueued);
-                    // SLO deadline miss: the batch started executing more
-                    // than [`DEADLINE_MISS_GRACE`] after this request's
-                    // EDF deadline. The grace absorbs the flush path's own
-                    // latency — an EDF-deadline flush *fires at* the
-                    // deadline, so without it every deadline-flushed
-                    // request would count as late by timer jitter.
-                    let deadline_missed = exec_start > request.deadline + DEADLINE_MISS_GRACE;
-                    rec.record_request(request.enqueued.elapsed(), queue_wait, deadline_missed);
-                    // Record runtime spans BEFORE the reply lands: once
-                    // the submitter sees its response, its trace query
-                    // must already contain the whole runtime side.
-                    if let (Some(c), Some(target)) = (&collector, request.trace) {
-                        c.record_span(
-                            target.trace,
-                            target.parent,
-                            "queue.wait",
-                            request.enqueued,
-                            exec_start,
-                            Vec::new(),
-                        );
-                        if energy_uj > 0.0 {
-                            c.record_span(
-                                target.trace,
-                                target.parent,
-                                "energy.price",
-                                exec_end,
-                                exec_end,
-                                vec![("energy_uj", energy_uj.into())],
-                            );
-                        }
-                    }
-                    let _ = request.reply.send(Ok(StreamedResponse {
-                        logits: row,
-                        batch_stats: stats.clone(),
-                        queue_wait,
-                        exec_time,
-                        batch_size: k,
-                        energy_uj,
-                    }));
-                }
+                self.deliver(batch, &logits, &stats, exec_start, exec_end, reason)
             }
             Ok(Err(e)) => {
                 for request in batch {
@@ -1016,74 +888,120 @@ fn dispatch_batch(
                 // poison — quarantine it with a typed error instead of
                 // letting it take its batchmates (or the next batch it
                 // would be retried into) down.
-                recorder
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record_batch_retry();
-                for request in batch {
+                lock(&self.recorder).record_batch_retry();
+                let sample_len = images.len() / k;
+                let mut solo_dims = batch_dims;
+                solo_dims[0] = 1;
+                for (i, request) in batch.into_iter().enumerate() {
                     let solo_start = Instant::now();
-                    let mut solo_dims = vec![1usize];
-                    solo_dims.extend_from_slice(&request.sample_dims);
-                    let solo_outcome = match Tensor::from_vec(request.image.clone(), &solo_dims) {
+                    let row = images.as_slice()[i * sample_len..(i + 1) * sample_len].to_vec();
+                    let solo_outcome = match Tensor::from_vec(row, &solo_dims) {
                         Err(e) => Ok(Err(ConvertError::Structure(e.to_string()))),
-                        Ok(solo) => run_batch_guarded(&backend, &solo),
+                        Ok(solo) => run_batch_guarded(&self.backend, &solo),
                     };
                     match solo_outcome {
-                        Ok(Ok((logits, stats))) => {
-                            let classes = logits.dims()[1];
-                            let solo_exec = solo_start.elapsed();
-                            let queue_wait = solo_start.saturating_duration_since(request.enqueued);
-                            let row =
-                                Tensor::from_vec(logits.as_slice()[..classes].to_vec(), &[classes])
-                                    .expect("row slice matches classes");
-                            let mut rec = recorder.lock().unwrap_or_else(|e| e.into_inner());
-                            rec.record_batch(1, solo_exec, reason);
-                            let energy_uj = rec.record_batch_energy(&stats, 1);
-                            rec.record_request(
-                                request.enqueued.elapsed(),
-                                queue_wait,
-                                solo_start > request.deadline + DEADLINE_MISS_GRACE,
-                            );
-                            drop(rec);
-                            let _ = request.reply.send(Ok(StreamedResponse {
-                                logits: row,
-                                batch_stats: stats,
-                                queue_wait,
-                                exec_time: solo_exec,
-                                batch_size: 1,
-                                energy_uj,
-                            }));
-                        }
+                        Ok(Ok((logits, stats))) => self.deliver(
+                            vec![request],
+                            &logits,
+                            &stats,
+                            solo_start,
+                            Instant::now(),
+                            reason,
+                        ),
                         Ok(Err(e)) => {
                             let _ = request.reply.send(Err(e));
                         }
-                        Err(()) => {
-                            let log_sink = {
-                                let mut rec = recorder.lock().unwrap_or_else(|e| e.into_inner());
-                                rec.record_quarantined();
-                                rec.log_sink().cloned()
-                            };
-                            // Outside the recorder lock: the incident
-                            // snapshot provider reads live stats through
-                            // that same lock.
-                            if let Some(sink) = log_sink {
-                                sink.incident(
-                                    "quarantine",
-                                    "request quarantined after panicking solo on the isolation retry",
-                                    request.trace.map(|t| t.trace),
-                                );
-                            }
-                            let _ = request.reply.send(Err(quarantined_error()));
-                        }
+                        Err(()) => self.quarantine(request),
                     }
                 }
             }
         }
-    };
-    // A closed pool means shutdown already ran; fail the batch gracefully
-    // by dropping it — every reply sender drops (tickets see the error)
-    // and the dropped SlotRelease returns the batch's admissions.
-    let _ = pool.try_execute(run);
+    }
+
+    /// Books one successfully executed batch — its size, split of queue
+    /// wait and execution, energy, deadline misses — and sends each rider
+    /// its row of `logits`.
+    fn deliver(
+        &self,
+        batch: Vec<PendingRequest>,
+        logits: &Tensor,
+        stats: &RunStats,
+        exec_start: Instant,
+        exec_end: Instant,
+        reason: FlushReason,
+    ) {
+        let k = batch.len();
+        let classes = logits.dims()[1];
+        let exec_time = exec_end.duration_since(exec_start);
+        let collector = self.trace.as_ref().filter(|c| c.is_enabled());
+        // One lock for the whole batch, not one per request.
+        let mut rec = lock(&self.recorder);
+        rec.record_batch(k, exec_time, reason);
+        // Priced once per executed batch (O(layers)), attributed per
+        // image; 0.0 when no telemetry/pricer is attached.
+        let energy_uj = rec.record_batch_energy(stats, k);
+        for (i, request) in batch.into_iter().enumerate() {
+            let row = Tensor::from_vec(
+                logits.as_slice()[i * classes..(i + 1) * classes].to_vec(),
+                &[classes],
+            )
+            .expect("row slice matches classes");
+            let queue_wait = exec_start.saturating_duration_since(request.enqueued);
+            let deadline_missed = exec_start > request.deadline + DEADLINE_MISS_GRACE;
+            rec.record_request(request.enqueued.elapsed(), queue_wait, deadline_missed);
+            // Record runtime spans BEFORE the reply lands: once the
+            // submitter sees its response, its trace query must already
+            // contain the whole runtime side.
+            if let (Some(c), Some(target)) = (collector, request.trace) {
+                c.record_span(
+                    target.trace,
+                    target.parent,
+                    "queue.wait",
+                    request.enqueued,
+                    exec_start,
+                    Vec::new(),
+                );
+                if energy_uj > 0.0 {
+                    c.record_span(
+                        target.trace,
+                        target.parent,
+                        "energy.price",
+                        exec_end,
+                        exec_end,
+                        vec![("energy_uj", energy_uj.into())],
+                    );
+                }
+            }
+            let _ = request.reply.send(Ok(StreamedResponse {
+                logits: row,
+                batch_stats: stats.clone(),
+                queue_wait,
+                exec_time,
+                batch_size: k,
+                energy_uj,
+            }));
+        }
+    }
+
+    /// Fails the poison request — it panicked the backend again when run
+    /// solo — with the typed quarantine error.
+    fn quarantine(&self, request: PendingRequest) {
+        let log_sink = {
+            let mut rec = lock(&self.recorder);
+            rec.record_quarantined();
+            rec.log_sink().cloned()
+        };
+        // Outside the recorder lock: the incident snapshot provider reads
+        // live stats through that same lock.
+        if let Some(sink) = log_sink {
+            sink.incident(
+                "quarantine",
+                "request quarantined after panicking solo on the isolation retry",
+                request.trace.map(|t| t.trace),
+            );
+        }
+        let _ = request.reply.send(Err(quarantined_error()));
+    }
 }
 
 /// Runs the backend under `catch_unwind`, so one poison request cannot
@@ -1214,167 +1132,6 @@ mod tests {
         assert!(format!("{err2:?}").contains("dropped a request"));
     }
 
-    /// Panics only when the magic poison value rides in the batch;
-    /// otherwise defers to a real engine. The blast-radius tests use it to
-    /// co-batch one poison request with innocents.
-    struct PoisonValueBackend {
-        inner: CsrEngine,
-    }
-
-    const POISON: f32 = 99.0;
-
-    impl crate::InferenceBackend for PoisonValueBackend {
-        fn name(&self) -> &'static str {
-            "poison-value"
-        }
-        fn model(&self) -> &SnnModel {
-            self.inner.model()
-        }
-        fn input_dims(&self) -> Option<&[usize]> {
-            self.inner.input_dims()
-        }
-        fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
-            if images.as_slice().contains(&POISON) {
-                panic!("poison value in batch");
-            }
-            self.inner.run_batch(images)
-        }
-    }
-
-    #[test]
-    fn poison_request_is_quarantined_and_co_batched_innocents_survive() {
-        let model = dense_model();
-        let engine = CsrEngine::compile(&model, &[1, 3, 4]).unwrap();
-        let innocent = Tensor::full(&[1, 3, 4], 0.5);
-        let expected = {
-            let batched = Tensor::full(&[1, 1, 3, 4], 0.5);
-            let (logits, _) = engine.run_batch(&batched).unwrap();
-            logits.as_slice().to_vec()
-        };
-        let server = StreamingServer::new(
-            Arc::new(PoisonValueBackend { inner: engine }),
-            StreamingConfig {
-                threads: 1,
-                max_batch: 4,
-                max_delay: Duration::from_millis(200),
-                ..StreamingConfig::default()
-            },
-        );
-        // Three innocents and one poison request share one count-flushed
-        // batch of four.
-        let innocents: Vec<Ticket> = (0..3).map(|_| server.submit(&innocent).unwrap()).collect();
-        let poison_ticket = server.submit(&Tensor::full(&[1, 3, 4], POISON)).unwrap();
-        for ticket in innocents {
-            let response = ticket
-                .wait()
-                .expect("innocent must survive the poison batchmate");
-            assert_eq!(response.logits.as_slice(), &expected[..], "bit-exact");
-            assert_eq!(response.batch_size, 1, "isolation retries run solo");
-        }
-        let err = poison_ticket.wait().unwrap_err();
-        assert!(
-            err.to_string().contains("quarantined"),
-            "poison request gets the typed quarantine error, got: {err}"
-        );
-        // The server stays fully serviceable afterwards.
-        let after = server.submit(&innocent).unwrap().wait().unwrap();
-        assert_eq!(after.logits.as_slice(), &expected[..]);
-        let metrics = server.shutdown();
-        assert_eq!(metrics.batch_retries, 1, "one batch was re-run");
-        assert_eq!(metrics.quarantined, 1, "exactly the poison request");
-        assert_eq!(metrics.requests, 4, "3 innocents + 1 clean follow-up");
-    }
-
-    /// Holds every batch long enough for submissions to pile up, so the
-    /// brownout test can cross the high-water mark deterministically.
-    struct SlowBackend {
-        inner: CsrEngine,
-        delay: Duration,
-    }
-
-    impl crate::InferenceBackend for SlowBackend {
-        fn name(&self) -> &'static str {
-            "slow"
-        }
-        fn model(&self) -> &SnnModel {
-            self.inner.model()
-        }
-        fn input_dims(&self) -> Option<&[usize]> {
-            self.inner.input_dims()
-        }
-        fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
-            std::thread::sleep(self.delay);
-            self.inner.run_batch(images)
-        }
-    }
-
-    #[test]
-    fn brownout_sheds_low_priority_and_recovers_after_drain() {
-        let model = dense_model();
-        let engine = CsrEngine::compile(&model, &[1, 3, 4]).unwrap();
-        let server = StreamingServer::new(
-            Arc::new(SlowBackend {
-                inner: engine,
-                delay: Duration::from_millis(40),
-            }),
-            StreamingConfig {
-                threads: 1,
-                max_batch: 1,
-                max_delay: Duration::ZERO,
-                brownout: Some(BrownoutConfig {
-                    high_water: 2,
-                    low_water: 0,
-                    shed_below_priority: 1,
-                }),
-                ..StreamingConfig::default()
-            },
-        );
-        let image = Tensor::full(&[1, 3, 4], 0.5);
-        // Pile up 3 high-priority requests; the third submission sees 2
-        // admitted-but-unresolved and engages brownout — but rides on,
-        // because its priority clears the shed threshold.
-        let high: Vec<Ticket> = (0..3)
-            .map(|_| {
-                server
-                    .submit_with(&image, SubmitOptions::default().priority(1))
-                    .expect("high priority is never browned out")
-            })
-            .collect();
-        assert!(server.brownout_engaged(), "high-water mark crossed");
-        let err = server
-            .submit_with(&image, SubmitOptions::default().priority(0))
-            .expect_err("low priority must shed while engaged");
-        assert!(
-            matches!(
-                err,
-                SubmitError::Brownout {
-                    priority: 0,
-                    shed_below_priority: 1
-                }
-            ),
-            "typed brownout error, got {err:?}"
-        );
-        for ticket in high {
-            ticket.wait().expect("admitted requests still resolve");
-        }
-        // The reply lands slightly before the worker closure releases its
-        // admission slot; wait for the count to actually reach zero.
-        while server.pending() > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Everything drained: the next submission observes the low-water
-        // mark, disengages, and priority-0 traffic is admitted again.
-        let after = server
-            .submit_with(&image, SubmitOptions::default().priority(0))
-            .expect("brownout must disengage at the low-water mark");
-        after.wait().unwrap();
-        assert!(!server.brownout_engaged());
-        let metrics = server.shutdown();
-        assert_eq!(metrics.brownout_shed_requests, 1);
-        assert_eq!(metrics.shed_requests, 0, "brownout sheds are counted apart");
-        assert_eq!(metrics.requests, 4);
-    }
-
     #[test]
     fn metrics_and_shutdown_survive_a_poisoned_recorder_lock() {
         let model = dense_model();
@@ -1388,13 +1145,16 @@ mod tests {
         );
         // Poison the recorder lock the way production would: a thread
         // panics while holding it.
-        let recorder = Arc::clone(&server.recorder);
+        let recorder = Arc::clone(&server.stream.recorder);
         let _ = std::thread::spawn(move || {
             let _guard = recorder.lock().unwrap();
             panic!("deliberately poisoning the recorder lock");
         })
         .join();
-        assert!(server.recorder.is_poisoned(), "lock must be poisoned");
+        assert!(
+            server.stream.recorder.is_poisoned(),
+            "lock must be poisoned"
+        );
         // Metrics, serving and shutdown all keep working.
         let before = server.metrics();
         let ticket = server.submit(&Tensor::full(&[1, 3, 4], 0.5)).unwrap();

@@ -1,8 +1,10 @@
 //! Seeded fault-injection battery: torn artifact writes that must leave
 //! the previously committed version loadable, injected read and compile
 //! failures surfacing as typed errors, single-flight failure broadcast to
-//! every coalesced waiter, and the per-model circuit breaker opening
-//! under repeated failures and recovering through its half-open probe.
+//! every coalesced waiter, the per-model circuit breaker opening under
+//! repeated failures and recovering through its half-open probe, and LRU
+//! eviction sparing a model whose only request is stalled in a slow
+//! backend.
 //!
 //! Every test arms the process-global [`FaultInjector`], so they
 //! serialize on one mutex — this battery lives in its own integration
@@ -145,6 +147,83 @@ fn torn_write_leaves_the_previous_artifact_loadable() {
     );
     let reloaded = ModelArtifact::load(&path).unwrap();
     assert_eq!(probe_bits(&reloaded), probe_bits(&v1));
+}
+
+#[test]
+fn lru_never_evicts_a_model_with_in_flight_work() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = TempDir::new("lru");
+    let a = dense_artifact("alpha", "1", 1);
+    let b = dense_artifact("beta", "1", 2);
+    let c = dense_artifact("gamma", "1", 3);
+    a.save(dir.path().join("alpha@1.snna")).unwrap();
+    b.save(dir.path().join("beta@1.snna")).unwrap();
+    c.save(dir.path().join("gamma@1.snna")).unwrap();
+    let fa = a.compile().unwrap().1.stored_bytes;
+    let fb = b.compile().unwrap().1.stored_bytes;
+
+    // Budget admits one model comfortably but not two: the second load
+    // must try to evict the first.
+    let registry = ModelRegistry::open(
+        dir.path(),
+        RegistryConfig {
+            byte_budget: fa.max(fb) + 1,
+            ..registry_config(3, Duration::from_millis(50))
+        },
+    )
+    .unwrap();
+
+    // The server never parks a request, so a stalled backend does: the
+    // injected slowdown holds alpha's only batch — and its pending() > 0 —
+    // for far longer than loading beta takes.
+    FaultInjector::global().arm(
+        13,
+        FaultConfig {
+            backend_slow: 1.0,
+            slow_delay: Duration::from_millis(300),
+            ..FaultConfig::default()
+        },
+    );
+    let alpha = registry.get_or_load("alpha").unwrap();
+    let sample = Tensor::full(&DIMS, 0.5);
+    let ticket = alpha.server().submit(&sample).unwrap();
+    drop(alpha); // only the registry and the stalled ticket's server remain
+
+    // Loading beta pushes the registry over budget, but alpha has an
+    // in-flight request: it must NOT be evicted mid-ticket.
+    let _beta = registry.get_or_load("beta").unwrap();
+    let states: Vec<_> = registry
+        .list()
+        .into_iter()
+        .map(|r| (r.name, r.state))
+        .collect();
+    assert!(
+        states.iter().any(|(n, s)| n == "alpha" && s == "resident"),
+        "alpha must stay resident while its ticket is in flight: {states:?}"
+    );
+    assert_eq!(registry.metrics().evictions, 0);
+
+    // The stalled ticket completes normally — never dropped by eviction.
+    let response = ticket.wait().expect("in-flight ticket must complete");
+    FaultInjector::global().disarm();
+    assert_eq!(response.logits.dims(), &[3]);
+
+    // With alpha idle again — the reply lands just before the worker
+    // releases its admission slot — the next over-budget load evicts it.
+    while registry.list().iter().any(|r| r.pending > 0) {
+        std::thread::yield_now();
+    }
+    let _gamma = registry.get_or_load("gamma").unwrap();
+    let metrics = registry.metrics();
+    assert!(
+        metrics.evictions >= 1,
+        "idle LRU entry is evictable once its work drains: {metrics:?}"
+    );
+    assert!(!registry
+        .list()
+        .iter()
+        .any(|r| r.name == "alpha" && r.state == "resident"));
+    registry.shutdown();
 }
 
 #[test]

@@ -1,16 +1,22 @@
-//! Edge-case coverage for the streaming front-end: deadline-only flushes,
-//! count flushes with no deadline slack, graceful shutdown with work still
-//! queued, submissions after shutdown, and ticket polling.
+//! Edge-case coverage for the streaming front-end: the idle path, batches
+//! formed out of backlog (EDF order, flush reasons, deadline misses),
+//! graceful shutdown with work still queued, submissions after shutdown,
+//! ticket polling, and a submit/shutdown stress run. Tests that need a
+//! backlog park the workers on [`GatedBackend`] instead of sleeping.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
+
+use common::GatedBackend;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
-    CsrEngine, InferenceBackend, StreamingConfig, StreamingServer, SubmitError, SubmitOptions,
-    Ticket,
+    BrownoutConfig, CsrEngine, InferenceBackend, StreamingConfig, StreamingServer, SubmitError,
+    SubmitOptions, Ticket, DEADLINE_MISS_GRACE,
 };
 use snn_sim::RunStats;
 use snn_tensor::Tensor;
@@ -35,75 +41,123 @@ fn sample(value: f32) -> Tensor {
     Tensor::full(&[1, 3, 4], value)
 }
 
-/// A backend that sleeps before delegating, so shutdown reliably finds
-/// requests still queued behind a busy worker.
-struct SlowBackend {
-    inner: CsrEngine,
-    delay: Duration,
+/// A closed-gate backend over a fresh engine.
+fn gated(seed: u64) -> Arc<GatedBackend> {
+    GatedBackend::closed(CsrEngine::compile(&dense_model(seed), &[1, 3, 4]).unwrap())
 }
 
-impl InferenceBackend for SlowBackend {
-    fn name(&self) -> &'static str {
-        "slow"
+fn config(threads: usize, max_batch: usize, max_delay: Duration) -> StreamingConfig {
+    StreamingConfig {
+        threads,
+        max_batch,
+        max_delay,
+        max_pending: 0,
+        brownout: None,
     }
-    fn model(&self) -> &SnnModel {
-        InferenceBackend::model(&self.inner)
-    }
-    fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
-        std::thread::sleep(self.delay);
-        self.inner.run_batch(images)
-    }
+}
+
+/// Far enough off that no test run ever reaches it.
+const RELAXED: Duration = Duration::from_secs(30);
+
+/// Bounded wait on a ticket: a hang fails the test instead of wedging it.
+fn resolve(mut ticket: Ticket) -> snn_runtime::StreamedResponse {
+    ticket
+        .wait_timeout(Duration::from_secs(30))
+        .expect("request failed")
+        .expect("request never resolved")
 }
 
 #[test]
-fn single_request_flushes_on_deadline_alone() {
-    // max_batch is far from reached: only the deadline can flush.
-    let server = StreamingServer::new(
-        engine(1),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 64,
-            max_delay: Duration::from_millis(5),
-            max_pending: 0,
-            brownout: None,
-        },
-    );
-    let response = server.submit(&sample(0.5)).unwrap().wait().unwrap();
-    assert_eq!(response.batch_size, 1, "flushed alone, by deadline");
+fn lone_request_runs_at_once_on_an_idle_worker() {
+    // max_batch is far from reached and the deadline is 30 s off: nothing
+    // may hold the request back for either.
+    let server = StreamingServer::new(engine(1), config(1, 64, RELAXED));
+    let response = resolve(server.submit(&sample(0.5)).unwrap());
+    assert_eq!(response.batch_size, 1);
     assert_eq!(response.logits.dims(), &[3]);
-    // The request waited out (at least) its deadline before executing.
-    assert!(response.queue_wait >= Duration::from_millis(5));
     let metrics = server.shutdown();
     assert_eq!(metrics.requests, 1);
     assert_eq!(metrics.batches, 1);
-    assert_eq!(metrics.max_batch_occupancy, 1);
+    assert_eq!(
+        metrics.flushes_idle, 1,
+        "taken by a free worker, not flushed"
+    );
+    assert_eq!(metrics.deadline_misses, 0);
 }
 
 #[test]
-fn count_flush_fills_to_max_batch_before_deadline() {
-    // Deadline is far away: only the count flush can trigger, so every
-    // batch holds exactly max_batch requests.
-    let server = StreamingServer::new(
-        engine(2),
-        StreamingConfig {
-            threads: 2,
-            max_batch: 4,
-            max_delay: Duration::from_secs(30),
-            max_pending: 0,
-            brownout: None,
-        },
-    );
-    let tickets: Vec<Ticket> = (0..8)
-        .map(|i| server.submit(&sample(i as f32 / 8.0)).unwrap())
+fn backlog_behind_busy_workers_rides_in_max_batch_sized_edf_batches() {
+    let backend = gated(2);
+    let server = StreamingServer::new(backend.clone(), config(2, 4, RELAXED));
+    // Two requests, two idle workers: each runs alone and parks in the
+    // gate.
+    let parked: Vec<Ticket> = (0..2)
+        .map(|i| {
+            let ticket = server.submit(&sample(i as f32)).unwrap();
+            backend.wait_entered(i + 1);
+            ticket
+        })
         .collect();
-    for ticket in tickets {
-        let response = ticket.wait().unwrap();
-        assert_eq!(response.batch_size, 4, "count flush at max_batch");
+    // Eight more arrive while both workers are busy.
+    let backlog: Vec<Ticket> = (2..10)
+        .map(|i| server.submit(&sample(i as f32)).unwrap())
+        .collect();
+    backend.open();
+    for ticket in parked {
+        assert_eq!(resolve(ticket).batch_size, 1);
     }
+    for ticket in backlog {
+        assert_eq!(resolve(ticket).batch_size, 4, "the backlog fills batches");
+    }
+    // Which worker frees up first is a race; what each batch holds is not.
+    let mut batches = backend.batches();
+    batches.sort_by(|a, b| a[0].total_cmp(&b[0]));
+    assert_eq!(
+        batches,
+        vec![
+            vec![0.0],
+            vec![1.0],
+            vec![2.0, 3.0, 4.0, 5.0],
+            vec![6.0, 7.0, 8.0, 9.0]
+        ]
+    );
     let metrics = server.shutdown();
-    assert_eq!(metrics.requests, 8);
-    assert_eq!(metrics.batches, 2);
-    assert!((metrics.mean_batch_occupancy - 4.0).abs() < 1e-9);
+    assert_eq!(metrics.requests, 10);
+    assert_eq!(metrics.flushes_idle, 2);
+    assert_eq!(metrics.flushes_max_batch, 2);
+    assert!((metrics.mean_batch_occupancy - 2.5).abs() < 1e-9);
+}
+
+#[test]
+fn urgent_request_jumps_the_backlog() {
+    let backend = gated(16);
+    let server = StreamingServer::new(backend.clone(), config(1, 2, RELAXED));
+    let parked = server.submit(&sample(0.0)).unwrap();
+    backend.wait_entered(1);
+    // Two relaxed requests queue up behind the busy worker; an urgent one
+    // arrives last and must leave first.
+    let relaxed: Vec<Ticket> = [1.0, 2.0]
+        .iter()
+        .map(|&v| server.submit(&sample(v)).unwrap())
+        .collect();
+    let urgent = server
+        .submit_with(
+            &sample(3.0),
+            SubmitOptions::with_deadline(Duration::from_millis(1)),
+        )
+        .unwrap();
+    backend.open();
+    assert_eq!(resolve(urgent).batch_size, 2);
+    for ticket in relaxed {
+        resolve(ticket);
+    }
+    resolve(parked);
+    assert_eq!(
+        backend.batches(),
+        vec![vec![0.0], vec![3.0, 1.0], vec![2.0]],
+        "EDF order across the backlog, admission order among equals"
+    );
+    server.shutdown();
 }
 
 #[test]
@@ -140,29 +194,28 @@ fn max_batch_flush_with_zero_remaining_deadline() {
 
 #[test]
 fn shutdown_drains_queued_requests() {
-    // One slow worker, per-request batches: most submissions are still on
-    // the worker queue when shutdown starts. Every ticket must resolve.
-    let server = StreamingServer::new(
-        Arc::new(SlowBackend {
-            inner: CsrEngine::compile(&dense_model(4), &[1, 3, 4]).unwrap(),
-            delay: Duration::from_millis(20),
-        }),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 1,
-            max_delay: Duration::ZERO,
-            max_pending: 0,
-            brownout: None,
-        },
-    );
+    // One parked worker, per-request batches: four submissions are still
+    // pending when shutdown closes the window. Every ticket must resolve.
+    let backend = gated(4);
+    let server = StreamingServer::new(backend.clone(), config(1, 1, Duration::ZERO));
     let tickets: Vec<Ticket> = (0..5)
         .map(|i| server.submit(&sample(i as f32 / 5.0)).unwrap())
         .collect();
-    let metrics = server.shutdown();
+    backend.wait_entered(1);
+    let metrics = std::thread::scope(|scope| {
+        let shutdown = scope.spawn(|| server.shutdown());
+        // Shutdown is now waiting for the parked worker; let it go only
+        // once the window is closed, so the four pending requests are
+        // provably drained rather than taken in steady state.
+        common::wait_until(|| server.is_shut_down());
+        backend.open();
+        shutdown.join().unwrap()
+    });
     assert_eq!(metrics.requests, 5, "shutdown drained every request");
+    assert_eq!(metrics.flushes_drain, 4);
+    assert_eq!(server.pending(), 0);
     for ticket in tickets {
-        let response = ticket.wait().expect("drained, not dropped");
-        assert_eq!(response.batch_size, 1);
+        assert_eq!(resolve(ticket).batch_size, 1, "drained, not dropped");
     }
 }
 
@@ -191,52 +244,26 @@ fn submit_after_shutdown_returns_error() {
 
 #[test]
 fn try_wait_polls_until_the_result_lands() {
-    let server = StreamingServer::new(
-        Arc::new(SlowBackend {
-            inner: CsrEngine::compile(&dense_model(6), &[1, 3, 4]).unwrap(),
-            delay: Duration::from_millis(30),
-        }),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 1,
-            max_delay: Duration::ZERO,
-            max_pending: 0,
-            brownout: None,
-        },
-    );
+    let backend = gated(6);
+    let server = StreamingServer::new(backend.clone(), config(1, 1, Duration::ZERO));
     let mut ticket = server.submit(&sample(0.7)).unwrap();
-    // The backend sleeps 30 ms, so early polls come back `Ok(None)`; no
-    // assertion on the first poll, since a descheduled test thread could
-    // legitimately see the result already landed.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let response = loop {
-        if let Some(response) = ticket.try_wait().unwrap() {
-            break response;
-        }
-        assert!(std::time::Instant::now() < deadline, "result never landed");
-        std::thread::sleep(Duration::from_millis(2));
-    };
+    backend.wait_entered(1);
+    assert!(
+        ticket.try_wait().unwrap().is_none(),
+        "the batch is parked in the gate: nothing can have landed"
+    );
+    backend.open();
+    let response = resolve(ticket);
     assert_eq!(response.logits.dims(), &[3]);
 }
 
 #[test]
 fn wait_timeout_returns_none_then_the_result() {
-    let server = StreamingServer::new(
-        Arc::new(SlowBackend {
-            inner: CsrEngine::compile(&dense_model(12), &[1, 3, 4]).unwrap(),
-            delay: Duration::from_millis(100),
-        }),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 1,
-            max_delay: Duration::ZERO,
-            max_pending: 0,
-            brownout: None,
-        },
-    );
+    let backend = gated(12);
+    let server = StreamingServer::new(backend.clone(), config(1, 1, Duration::ZERO));
     let mut ticket = server.submit(&sample(0.4)).unwrap();
-    // The backend sleeps 100 ms: a 5 ms wait must time out cleanly and
-    // leave the ticket usable.
+    // The gate is closed: a bounded wait must time out cleanly and leave
+    // the ticket usable.
     assert!(
         ticket
             .wait_timeout(Duration::from_millis(5))
@@ -244,6 +271,7 @@ fn wait_timeout_returns_none_then_the_result() {
             .is_none(),
         "result cannot be ready yet"
     );
+    backend.open();
     let response = ticket
         .wait_timeout(Duration::from_secs(10))
         .unwrap()
@@ -251,7 +279,7 @@ fn wait_timeout_returns_none_then_the_result() {
     assert_eq!(response.logits.dims(), &[3]);
     // A consumed ticket's channel is empty but alive semantics are moot —
     // the server keeps serving.
-    server.submit(&sample(0.5)).unwrap().wait().unwrap();
+    resolve(server.submit(&sample(0.5)).unwrap());
     server.shutdown();
 }
 
@@ -288,17 +316,12 @@ fn wait_timeout_surfaces_backend_panic_as_error() {
 
 #[test]
 fn shed_requests_metric_counts_queue_full_rejections() {
+    let backend = gated(14);
     let server = StreamingServer::new(
-        Arc::new(SlowBackend {
-            inner: CsrEngine::compile(&dense_model(14), &[1, 3, 4]).unwrap(),
-            delay: Duration::from_millis(60),
-        }),
+        backend.clone(),
         StreamingConfig {
-            threads: 1,
-            max_batch: 1,
-            max_delay: Duration::ZERO,
             max_pending: 1,
-            brownout: None,
+            ..config(1, 1, Duration::ZERO)
         },
     );
     let admitted = server.submit(&sample(0.1)).expect("first admitted");
@@ -308,72 +331,57 @@ fn shed_requests_metric_counts_queue_full_rejections() {
             Err(SubmitError::QueueFull { .. })
         ));
     }
-    admitted.wait().unwrap();
+    backend.open();
+    resolve(admitted);
     let metrics = server.shutdown();
     assert_eq!(metrics.shed_requests, 3, "every QueueFull counted");
     assert_eq!(metrics.requests, 1, "sheds are not completions");
 }
 
 #[test]
-fn submit_with_zero_deadline_flushes_a_long_window() {
-    // max_delay is 30 s and max_batch unreachable: only the per-request
-    // EDF deadline can flush. If submit_with dropped the deadline, this
-    // would hang until the test harness killed it.
-    let server = StreamingServer::new(
-        engine(15),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 64,
-            max_delay: Duration::from_secs(30),
-            max_pending: 0,
-            brownout: None,
-        },
-    );
-    let mut ticket = server
-        .submit_with(&sample(0.5), SubmitOptions::with_deadline(Duration::ZERO))
-        .unwrap();
-    let response = ticket
-        .wait_timeout(Duration::from_secs(10))
-        .unwrap()
-        .expect("zero deadline flushes immediately");
-    assert_eq!(response.batch_size, 1);
-    server.shutdown();
-}
-
-#[test]
-fn tight_deadline_flushes_requests_that_arrived_relaxed() {
-    // A relaxed request parks in the window; an urgent one arriving later
-    // pulls the earliest deadline forward and both ride one batch.
-    let server = StreamingServer::new(
-        engine(16),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 64,
-            max_delay: Duration::from_secs(30),
-            max_pending: 0,
-            brownout: None,
-        },
-    );
-    let relaxed = server
-        .submit_with(
-            &sample(0.3),
-            SubmitOptions::with_deadline(Duration::from_secs(20)),
-        )
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(20));
-    let urgent = server
-        .submit_with(
-            &sample(0.7),
-            SubmitOptions::with_deadline(Duration::from_millis(1)).priority(5),
-        )
-        .unwrap();
-    let urgent_response = urgent.wait().unwrap();
-    let relaxed_response = relaxed.wait().unwrap();
-    assert_eq!(urgent_response.batch_size, 2, "one EDF-flushed batch");
-    assert_eq!(relaxed_response.batch_size, 2);
+fn deadline_miss_counts_backlog_not_the_idle_hand_off() {
+    // Every request's deadline is its arrival instant, so what trails it
+    // on the idle path is one hand-off to a waiting worker. Inside the
+    // grace that is not a miss, however many times it happens. (Other
+    // tests share this process's CPUs, so a hand-off can stall past the
+    // grace here; the server must then count exactly those.)
+    let backend = gated(15);
+    backend.open();
+    let server = StreamingServer::new(backend, config(1, 8, Duration::ZERO));
+    let stalled = (0..200)
+        .map(|i| resolve(server.submit(&sample(i as f32 / 200.0)).unwrap()))
+        .filter(|response| response.queue_wait > DEADLINE_MISS_GRACE)
+        .count();
+    assert!(stalled < 200, "some hand-off must fit the grace");
     let metrics = server.shutdown();
-    assert_eq!(metrics.batches, 1);
-    assert_eq!(metrics.shed_requests, 0);
+    assert_eq!(metrics.requests, 200);
+    assert_eq!(metrics.deadline_misses, stalled as u64);
+    assert_eq!(
+        metrics.flushes_edf_deadline, 200,
+        "taken at (not before) their deadline"
+    );
+
+    // Behind a busy worker for longer than the grace, it is a miss.
+    let backend = gated(15);
+    let server = StreamingServer::new(backend.clone(), config(1, 8, RELAXED));
+    let parked = server.submit(&sample(0.1)).unwrap();
+    backend.wait_entered(1);
+    let mut late = server
+        .submit_with(&sample(0.2), SubmitOptions::with_deadline(Duration::ZERO))
+        .unwrap();
+    assert!(
+        late.wait_timeout(DEADLINE_MISS_GRACE * 3)
+            .unwrap()
+            .is_none(),
+        "held behind the gate past its deadline and the grace"
+    );
+    backend.open();
+    resolve(parked);
+    resolve(late);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.deadline_misses, 1, "only the backlogged request");
+    assert_eq!(metrics.flushes_edf_deadline, 1);
+    assert_eq!(metrics.flushes_idle, 1);
 }
 
 #[test]
@@ -390,21 +398,16 @@ fn mismatched_sample_dims_are_rejected() {
 
 #[test]
 fn bounded_queue_rejects_with_queue_full_and_recovers() {
-    // One slow worker, per-request batches, a bound of 2: the first two
-    // submissions are admitted (one executing, one queued), the third must
+    // One parked worker, per-request batches, a bound of 2: the first two
+    // submissions are admitted (one executing, one pending), the third must
     // be shed with QueueFull instead of growing the queue. Once the
     // admitted work resolves, capacity frees and submission succeeds again.
+    let backend = gated(9);
     let server = StreamingServer::new(
-        Arc::new(SlowBackend {
-            inner: CsrEngine::compile(&dense_model(9), &[1, 3, 4]).unwrap(),
-            delay: Duration::from_millis(100),
-        }),
+        backend.clone(),
         StreamingConfig {
-            threads: 1,
-            max_batch: 1,
-            max_delay: Duration::ZERO,
             max_pending: 2,
-            brownout: None,
+            ..config(1, 1, Duration::ZERO)
         },
     );
     assert_eq!(server.max_pending(), 2);
@@ -416,12 +419,13 @@ fn bounded_queue_rejects_with_queue_full_and_recovers() {
     assert_eq!(server.pending(), 2);
 
     // Resolving the admitted requests releases their slots.
-    first.wait().expect("admitted request resolves");
-    second.wait().expect("admitted request resolves");
+    backend.open();
+    resolve(first);
+    resolve(second);
     let third = server
         .submit(&sample(0.3))
         .expect("capacity freed after completion");
-    third.wait().expect("recovered request resolves");
+    resolve(third);
     let metrics = server.shutdown();
     assert_eq!(metrics.requests, 3, "the shed request never counted");
 }
@@ -481,23 +485,11 @@ fn backend_panic_releases_backpressure_slots() {
     );
     for round in 0..3 {
         // The quarantine error reaches the ticket just before the worker's
-        // drop guard releases the slot, so admission may lag the error by
-        // one scheduling tick — retry briefly, but a leaked slot stays
-        // QueueFull forever and still fails here.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let ticket = loop {
-            match server.submit(&sample(0.5)) {
-                Ok(ticket) => break ticket,
-                Err(e) if std::time::Instant::now() < deadline => {
-                    assert!(
-                        matches!(e, SubmitError::QueueFull { .. }),
-                        "round {round}: {e}"
-                    );
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => panic!("round {round} must be admitted, got {e}"),
-            }
-        };
+        // drop guard releases the slot; a leaked slot never would be.
+        common::wait_until(|| server.pending() == 0);
+        let ticket = server
+            .submit(&sample(0.5))
+            .unwrap_or_else(|e| panic!("round {round} must be admitted, got {e}"));
         assert!(ticket.wait().is_err(), "backend always panics");
     }
     server.shutdown();
@@ -505,102 +497,293 @@ fn backend_panic_releases_backpressure_slots() {
 }
 
 #[test]
-fn flush_reason_counters_split_deadline_count_and_drain() {
-    // Count flushes: max_batch 4, deadline unreachable — 8 requests make
-    // exactly two max_batch flushes.
-    let server = StreamingServer::new(
-        engine(20),
-        StreamingConfig {
-            threads: 2,
-            max_batch: 4,
-            max_delay: Duration::from_secs(30),
-            max_pending: 0,
-            brownout: None,
-        },
+fn flush_reason_counters_split_idle_full_late_and_drain() {
+    let backend = gated(20);
+    let server = StreamingServer::new(backend.clone(), config(1, 3, RELAXED));
+    // Idle: a free worker takes a lone request whose deadline is far off.
+    let mut tickets = vec![server.submit(&sample(0.0)).unwrap()];
+    backend.wait_entered(1);
+    // Max-batch: four arrive behind the busy worker; three fill a batch.
+    // The one left over is taken alone, on time: idle again.
+    tickets.extend((1..5).map(|i| server.submit(&sample(i as f32)).unwrap()));
+    backend.open();
+    tickets.drain(..).for_each(|ticket| drop(resolve(ticket)));
+    // EDF deadline: short of a full batch, and already due when taken.
+    resolve(
+        server
+            .submit_with(&sample(5.0), SubmitOptions::with_deadline(Duration::ZERO))
+            .unwrap(),
     );
-    let tickets: Vec<Ticket> = (0..8)
-        .map(|i| server.submit(&sample(i as f32 / 8.0)).unwrap())
-        .collect();
-    for ticket in tickets {
-        ticket.wait().unwrap();
-    }
     let metrics = server.shutdown();
-    assert_eq!(metrics.flushes_max_batch, 2);
-    assert_eq!(metrics.flushes_edf_deadline, 0);
-    assert_eq!(metrics.flushes_drain, 0);
     assert_eq!(
-        metrics.flushes_max_batch + metrics.flushes_edf_deadline + metrics.flushes_drain,
-        metrics.batches,
-        "every batch is attributed to exactly one flush reason"
+        backend.batches(),
+        vec![vec![0.0], vec![1.0, 2.0, 3.0], vec![4.0], vec![5.0]]
     );
-
-    // Deadline flush: max_batch unreachable, only EDF expiry can fire.
-    let server = StreamingServer::new(
-        engine(21),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 64,
-            max_delay: Duration::from_millis(2),
-            max_pending: 0,
-            brownout: None,
-        },
-    );
-    server.submit(&sample(0.5)).unwrap().wait().unwrap();
-    let metrics = server.shutdown();
+    assert_eq!(metrics.flushes_idle, 2);
+    assert_eq!(metrics.flushes_max_batch, 1);
     assert_eq!(metrics.flushes_edf_deadline, 1);
-    assert_eq!(metrics.flushes_max_batch, 0);
+    assert_eq!(metrics.flushes_drain, 0);
+    assert_eq!(metrics.batches, 4, "one reason per batch");
 
-    // Drain flush: requests still parked in the window when shutdown runs.
-    let server = StreamingServer::new(
-        engine(22),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 64,
-            max_delay: Duration::from_secs(30),
-            max_pending: 0,
-            brownout: None,
-        },
-    );
-    let tickets: Vec<Ticket> = (0..3)
-        .map(|i| server.submit(&sample(i as f32 / 3.0)).unwrap())
-        .collect();
-    let metrics = server.shutdown();
-    assert_eq!(metrics.flushes_drain, 1, "shutdown drained the open window");
-    assert_eq!(metrics.requests, 3);
+    // Drain: requests still pending when shutdown closes the window.
+    let backend = gated(22);
+    let server = StreamingServer::new(backend.clone(), config(1, 64, RELAXED));
+    let mut tickets = vec![server.submit(&sample(0.0)).unwrap()];
+    backend.wait_entered(1);
+    tickets.extend((1..4).map(|i| server.submit(&sample(i as f32)).unwrap()));
+    let metrics = std::thread::scope(|scope| {
+        let shutdown = scope.spawn(|| server.shutdown());
+        common::wait_until(|| server.is_shut_down());
+        backend.open();
+        shutdown.join().unwrap()
+    });
+    assert_eq!(metrics.flushes_drain, 1, "shutdown drained the backlog");
+    assert_eq!(metrics.flushes_idle, 1);
+    assert_eq!(metrics.requests, 4);
+    assert_eq!(backend.batches(), vec![vec![0.0], vec![1.0, 2.0, 3.0]]);
     for ticket in tickets {
-        ticket.wait().unwrap();
+        resolve(ticket);
     }
 }
 
 #[test]
 fn wait_timeouts_metric_counts_ticket_expiries() {
-    let server = StreamingServer::new(
-        Arc::new(SlowBackend {
-            inner: CsrEngine::compile(&dense_model(23), &[1, 3, 4]).unwrap(),
-            delay: Duration::from_millis(80),
-        }),
-        StreamingConfig {
-            threads: 1,
-            max_batch: 1,
-            max_delay: Duration::ZERO,
-            max_pending: 0,
-            brownout: None,
-        },
-    );
+    let backend = gated(23);
+    let server = StreamingServer::new(backend.clone(), config(1, 1, Duration::ZERO));
     let mut ticket = server.submit(&sample(0.4)).unwrap();
-    // Two early polls expire against the 80 ms backend; both must count.
+    // Two early polls expire against the closed gate; both must count.
     for _ in 0..2 {
         assert!(ticket
             .wait_timeout(Duration::from_millis(5))
             .unwrap()
             .is_none());
     }
-    ticket
-        .wait_timeout(Duration::from_secs(10))
-        .unwrap()
-        .expect("result lands within the bound");
+    backend.open();
+    resolve(ticket);
     let metrics = server.shutdown();
     assert_eq!(metrics.wait_timeouts, 2, "only the expired polls count");
+}
+
+/// Answers each row with its own first pixel: as cheap as a backend
+/// gets, and a misrouted reply is visible in the logits.
+struct EchoBackend(SnnModel);
+
+impl InferenceBackend for EchoBackend {
+    fn name(&self) -> &'static str {
+        "echo"
+    }
+    fn model(&self) -> &SnnModel {
+        &self.0
+    }
+    fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
+        let k = images.dims()[0];
+        let sample_len = images.len() / k;
+        let firsts = (0..k).map(|i| images.as_slice()[i * sample_len]).collect();
+        Ok((
+            Tensor::from_vec(firsts, &[k, 1]).unwrap(),
+            RunStats::default(),
+        ))
+    }
+}
+
+#[test]
+fn concurrent_submitters_and_a_racing_shutdown_resolve_every_ticket() {
+    const SUBMITTERS: usize = 8;
+    const PER_SUBMITTER: usize = 10_000;
+    let server = StreamingServer::new(
+        Arc::new(EchoBackend(dense_model(30))),
+        config(4, 8, Duration::from_millis(2)),
+    );
+    let (answered, refused): (usize, usize) = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|s| {
+                let server = &server;
+                scope.spawn(move || {
+                    let (mut answered, mut refused) = (0usize, 0usize);
+                    let mut held: Vec<(f32, Ticket)> = Vec::new();
+                    let check = |id: f32, ticket: Ticket| {
+                        // A lost wake-up or a dropped ticket shows up
+                        // here as a timeout or an error, never a hang.
+                        let response = resolve(ticket);
+                        assert_eq!(response.logits.as_slice(), &[id], "misrouted reply");
+                    };
+                    for i in 0..PER_SUBMITTER {
+                        // Submitter 0 pulls the plug with a tenth of
+                        // everyone's work still to come.
+                        if s == 0 && i == PER_SUBMITTER * 9 / 10 {
+                            server.shutdown();
+                        }
+                        let id = (s * PER_SUBMITTER + i) as f32;
+                        match server.submit(&sample(id)) {
+                            // Alternate ping-pong (every request needs its
+                            // own wake-up) with bursts (backlog forms).
+                            Ok(ticket) if i % 2 == 0 => {
+                                check(id, ticket);
+                                answered += 1;
+                            }
+                            Ok(ticket) => held.push((id, ticket)),
+                            Err(e) => {
+                                assert!(e.to_string().contains("shut down"), "got: {e}");
+                                refused += 1;
+                            }
+                        }
+                        if held.len() == 16 {
+                            answered += held.len();
+                            held.drain(..).for_each(|(id, ticket)| check(id, ticket));
+                        }
+                    }
+                    answered += held.len();
+                    held.into_iter().for_each(|(id, ticket)| check(id, ticket));
+                    (answered, refused)
+                })
+            })
+            .collect();
+        submitters
+            .into_iter()
+            .map(|h| h.join().expect("submitter"))
+            .fold((0, 0), |acc, x| (acc.0 + x.0, acc.1 + x.1))
+    });
+    assert_eq!(answered + refused, SUBMITTERS * PER_SUBMITTER);
+    assert!(refused > 0, "shutdown raced live submitters");
+    let metrics = server.shutdown();
+    assert_eq!(
+        metrics.requests, answered as u64,
+        "every admission answered"
+    );
+    assert_eq!(server.pending(), 0);
+    assert_eq!(
+        metrics.flushes_idle
+            + metrics.flushes_max_batch
+            + metrics.flushes_edf_deadline
+            + metrics.flushes_drain,
+        metrics.batches
+    );
+}
+
+/// Panics only when the magic poison value rides in the batch; otherwise
+/// defers to a real engine, so one poison request can be co-batched with
+/// innocents.
+struct PoisonValueBackend(CsrEngine);
+
+const POISON: f32 = 99.0;
+
+impl InferenceBackend for PoisonValueBackend {
+    fn name(&self) -> &'static str {
+        "poison-value"
+    }
+    fn model(&self) -> &SnnModel {
+        InferenceBackend::model(&self.0)
+    }
+    fn input_dims(&self) -> Option<&[usize]> {
+        self.0.input_dims()
+    }
+    fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
+        if images.as_slice().contains(&POISON) {
+            panic!("poison value in batch");
+        }
+        self.0.run_batch(images)
+    }
+}
+
+#[test]
+fn poison_request_is_quarantined_and_co_batched_innocents_survive() {
+    let engine = CsrEngine::compile(&dense_model(31), &[1, 3, 4]).unwrap();
+    let expected = {
+        let (logits, _) = engine.run_batch(&Tensor::full(&[1, 1, 3, 4], 0.5)).unwrap();
+        logits.as_slice().to_vec()
+    };
+    let backend = GatedBackend::closed(PoisonValueBackend(engine));
+    let server = StreamingServer::new(backend.clone(), config(1, 4, RELAXED));
+    // Behind a parked worker, three innocents and one poison request pile
+    // up into one batch of four.
+    let parked = server.submit(&sample(0.5)).unwrap();
+    backend.wait_entered(1);
+    let innocents: Vec<Ticket> = (0..3)
+        .map(|_| server.submit(&sample(0.5)).unwrap())
+        .collect();
+    let poison_ticket = server.submit(&sample(POISON)).unwrap();
+    backend.open();
+    resolve(parked);
+    for ticket in innocents {
+        let response = resolve(ticket);
+        assert_eq!(response.logits.as_slice(), &expected[..], "bit-exact");
+        assert_eq!(response.batch_size, 1, "isolation retries run solo");
+    }
+    let err = poison_ticket.wait().unwrap_err();
+    assert!(
+        err.to_string().contains("quarantined"),
+        "poison request gets the typed quarantine error, got: {err}"
+    );
+    assert_eq!(
+        backend.batches()[1],
+        vec![0.5, 0.5, 0.5, POISON],
+        "the four did share a batch"
+    );
+    // The server stays fully serviceable afterwards.
+    let after = resolve(server.submit(&sample(0.5)).unwrap());
+    assert_eq!(after.logits.as_slice(), &expected[..]);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.batch_retries, 1, "one batch was re-run");
+    assert_eq!(metrics.quarantined, 1, "exactly the poison request");
+    assert_eq!(metrics.requests, 5, "parked + 3 innocents + 1 follow-up");
+}
+
+#[test]
+fn brownout_sheds_low_priority_and_recovers_after_drain() {
+    let backend = gated(32);
+    let server = StreamingServer::new(
+        backend.clone(),
+        StreamingConfig {
+            brownout: Some(BrownoutConfig {
+                high_water: 2,
+                low_water: 0,
+                shed_below_priority: 1,
+            }),
+            ..config(1, 1, Duration::ZERO)
+        },
+    );
+    // Pile up 3 high-priority requests behind the closed gate; the third
+    // submission sees 2 admitted-but-unresolved and engages brownout — but
+    // rides on, because its priority clears the shed threshold.
+    let high: Vec<Ticket> = (0..3)
+        .map(|_| {
+            server
+                .submit_with(&sample(0.5), SubmitOptions::default().priority(1))
+                .expect("high priority is never browned out")
+        })
+        .collect();
+    assert!(server.brownout_engaged(), "high-water mark crossed");
+    let err = server
+        .submit_with(&sample(0.5), SubmitOptions::default().priority(0))
+        .expect_err("low priority must shed while engaged");
+    assert!(
+        matches!(
+            err,
+            SubmitError::Brownout {
+                priority: 0,
+                shed_below_priority: 1
+            }
+        ),
+        "typed brownout error, got {err:?}"
+    );
+    backend.open();
+    for ticket in high {
+        resolve(ticket);
+    }
+    // The reply lands slightly before the worker releases its admission
+    // slot; wait for the count to actually reach zero.
+    common::wait_until(|| server.pending() == 0);
+    // Everything drained: the next submission observes the low-water
+    // mark, disengages, and priority-0 traffic is admitted again.
+    let after = server
+        .submit_with(&sample(0.5), SubmitOptions::default().priority(0))
+        .expect("brownout must disengage at the low-water mark");
+    resolve(after);
+    assert!(!server.brownout_engaged());
+    let metrics = server.shutdown();
+    assert_eq!(metrics.brownout_shed_requests, 1);
+    assert_eq!(metrics.shed_requests, 0, "brownout sheds are counted apart");
+    assert_eq!(metrics.requests, 4);
 }
 
 #[test]

@@ -45,7 +45,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Spans buffered per thread before an eager flush into the ring (a drain
@@ -422,6 +422,10 @@ impl TraceCollector {
     /// counting) the oldest on overflow.
     fn flush_to_ring(&self, records: Vec<SpanSnapshot>) {
         let mut ring = self.ring.lock().expect("trace ring poisoned");
+        self.push_to_ring(&mut ring, records);
+    }
+
+    fn push_to_ring(&self, ring: &mut VecDeque<SpanSnapshot>, records: Vec<SpanSnapshot>) {
         for record in records {
             if ring.len() >= self.capacity {
                 ring.pop_front();
@@ -431,9 +435,14 @@ impl TraceCollector {
         }
     }
 
-    /// Drains every thread's shard into the ring (queries call this so a
-    /// span recorded before the query is always visible).
-    fn drain_shards(&self) {
+    /// Drains every thread's shard into the ring and hands the ring back
+    /// still locked, so a span recorded before the query is always
+    /// visible to it. The ring lock is held across the whole drain: were
+    /// it taken per shard, a second query could find a shard already
+    /// emptied by the first while its spans were still on their way to
+    /// the ring, and miss them. (Recording never holds a shard and the
+    /// ring at once, so ring → shard is the only nesting.)
+    fn drain_shards(&self) -> MutexGuard<'_, VecDeque<SpanSnapshot>> {
         let shards: Vec<Arc<ThreadShard>> = self
             .shards
             .lock()
@@ -441,19 +450,18 @@ impl TraceCollector {
             .iter()
             .map(Arc::clone)
             .collect();
+        let mut ring = self.ring.lock().expect("trace ring poisoned");
         for shard in shards {
             let taken = std::mem::take(&mut *shard.buf.lock().expect("trace shard poisoned"));
-            if !taken.is_empty() {
-                self.flush_to_ring(taken);
-            }
+            self.push_to_ring(&mut ring, taken);
         }
+        ring
     }
 
     /// Every retained span of `trace`, sorted by start time then id;
     /// empty when the trace is unknown (or evicted).
     pub fn trace(&self, trace: TraceId) -> Vec<SpanSnapshot> {
-        self.drain_shards();
-        let ring = self.ring.lock().expect("trace ring poisoned");
+        let ring = self.drain_shards();
         let mut spans: Vec<SpanSnapshot> =
             ring.iter().filter(|s| s.trace == trace).cloned().collect();
         spans.sort_by_key(|s| (s.start_us, s.span_id));
@@ -462,8 +470,7 @@ impl TraceCollector {
 
     /// Every retained span, sorted by start time then id.
     pub fn snapshot(&self) -> Vec<SpanSnapshot> {
-        self.drain_shards();
-        let ring = self.ring.lock().expect("trace ring poisoned");
+        let ring = self.drain_shards();
         let mut spans: Vec<SpanSnapshot> = ring.iter().cloned().collect();
         spans.sort_by_key(|s| (s.start_us, s.span_id));
         spans
@@ -483,8 +490,7 @@ impl TraceCollector {
     /// [`capacity`](Self::capacity)). Drains the per-thread shards first
     /// so the figure reflects everything recorded so far.
     pub fn ring_len(&self) -> usize {
-        self.drain_shards();
-        self.ring.lock().expect("trace ring poisoned").len()
+        self.drain_shards().len()
     }
 
     /// Recording-thread tracks as `(track, thread name)` pairs, ascending
@@ -501,8 +507,7 @@ impl TraceCollector {
     /// Discards every retained span and resets the recorded/dropped
     /// counters (tracks persist — threads keep their shards).
     pub fn clear(&self) {
-        self.drain_shards();
-        self.ring.lock().expect("trace ring poisoned").clear();
+        self.drain_shards().clear();
         self.recorded.store(0, Ordering::Relaxed);
         self.dropped.store(0, Ordering::Relaxed);
     }
@@ -987,6 +992,30 @@ mod tests {
         let labels: Vec<&str> = tracks.iter().map(|(_, l)| l.as_str()).collect();
         for i in 0..4 {
             assert!(labels.contains(&format!("trace-test-{i}").as_str()));
+        }
+    }
+
+    #[test]
+    fn a_span_is_visible_to_its_own_thread_while_others_query() {
+        // Each thread records one span and reads its trace back at once,
+        // as a gateway worker does for `GET /v1/trace/<id>`. Another
+        // thread's concurrent query may be the one that drains this
+        // thread's shard; the span must not be missed in transit.
+        let c = Arc::new(TraceCollector::new(1 << 20));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    for _ in 0..5_000 {
+                        let t = c.mint_trace();
+                        drop(c.span(t, 0, "work"));
+                        assert_eq!(c.trace(t).len(), 1, "own span lost to a concurrent drain");
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
         }
     }
 

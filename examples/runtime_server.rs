@@ -1,6 +1,6 @@
 //! Batched inference runtime: convert a CAT-style network, compile it to
 //! the CSR fast path, serve a batch through the multi-threaded inference
-//! server, stream the same images through the adaptive deadline batcher,
+//! server, stream the same images through the streaming server,
 //! and price the measured event traffic on the paper's processor model.
 //!
 //! Run: `cargo run --release --example runtime_server`
@@ -45,7 +45,7 @@ fn serve_gateway(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     let net = vgg16_scaled(side, 10, 16, &mut rng);
     let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 24)?);
     // One shared weight copy behind the whole serving stack: CSR backend →
-    // streaming server (EDF deadline batcher) → HTTP gateway. The trace
+    // streaming server (EDF pending window) → HTTP gateway. The trace
     // collector makes every request queryable at GET /v1/trace/<id>.
     let collector = Arc::new(TraceCollector::new(0));
     let server = Arc::new(BackendChoice::Csr.serve_streaming_traced(
@@ -309,8 +309,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(report.logits.as_slice(), reference_logits.as_slice());
     println!("logits match the reference event simulator bit-for-bit");
 
-    // Streaming path: the same images arrive one at a time; the adaptive
-    // batcher groups them by deadline and each submit gets a ticket. The
+    // Streaming path: the same images arrive one at a time; free workers
+    // take them as they come (batching only what backs up, earliest
+    // deadline first) and each submit gets a ticket. The
     // second engine shares the same Arc'd model — no weight copy.
     let streaming = StreamingServer::new(
         Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &input_dims)?),
