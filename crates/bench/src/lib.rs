@@ -8,6 +8,8 @@
 //! controlled by the `SNN_BENCH_SCALE` environment variable (`quick`,
 //! `default` or `full`).
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snn_data::{DatasetSpec, SyntheticDataset};

@@ -31,6 +31,8 @@
 //! `φ_TTFS(x) = decode(encode(x))` exactly — which is the property the whole
 //! method rests on (Table 1, row I+II+III, conversion loss ≈ 0).
 
+#![forbid(unsafe_code)]
+
 mod activation;
 mod cat;
 mod convert;

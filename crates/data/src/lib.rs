@@ -22,6 +22,8 @@
 //! assert_eq!(data.test_labels().len(), 20);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod dataset;
 mod spec;
 

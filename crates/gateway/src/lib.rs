@@ -82,6 +82,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod http;

@@ -35,6 +35,8 @@
 //! assert!(report.fps > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod cost;
 mod datapath;

@@ -48,6 +48,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};

@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod base;
 mod error;
 mod pe;

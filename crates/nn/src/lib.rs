@@ -27,6 +27,8 @@
 //! assert_eq!(net.len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod activation;
 mod error;
 mod layer;

@@ -4,12 +4,13 @@
 //! and reports logits plus the shared [`RunStats`] event counters. Three
 //! implementations ship: `snn_sim`'s reference [`EventSnn`], the
 //! [`crate::CsrEngine`] f32 fast path, and the [`crate::QuantEngine`]
-//! packed-log-code path. All are driven identically by the
-//! [`crate::InferenceServer`] worker pool, and all feed the same event
-//! statistics into the `snn-hw` energy model. [`BackendChoice`] is the
-//! engine factory: it builds any of the three from one shared `Arc`'d
-//! model, so an f32 server and a quantized server can run side by side on
-//! a single read-only weight copy.
+//! packed-log-code path. A closed batch is one
+//! [`run_batch`](InferenceBackend::run_batch) call on any of them; the
+//! [`crate::StreamingServer`] drives them identically, and all feed the
+//! same event statistics into the `snn-hw` energy model. [`BackendChoice`]
+//! is the engine factory: it builds any of the three from one shared
+//! `Arc`'d model, so an f32 engine and a quantized engine can run side by
+//! side on a single read-only weight copy.
 
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use ttfs_core::{ConvertError, SnnModel};
 
 use crate::batcher::StreamingConfig;
 use crate::quant::{QuantConfig, QuantEngine};
-use crate::server::{InferenceServer, ServerConfig, StreamingServer};
+use crate::server::StreamingServer;
 use crate::CsrEngine;
 
 /// A batch-capable inference engine over a converted SNN.
@@ -63,10 +64,9 @@ impl InferenceBackend for EventSnn {
     }
 }
 
-/// Which engine a server should execute — the factory both
-/// [`crate::InferenceServer`] and [`crate::StreamingServer`] builds
-/// backends through, so f32 and quantized serving are a one-line switch
-/// over the same `Arc`'d model.
+/// Which engine to execute — the factory [`crate::StreamingServer`]
+/// backends are built through, so f32 and quantized serving are a
+/// one-line switch over the same `Arc`'d model.
 ///
 /// # Example
 ///
@@ -74,7 +74,7 @@ impl InferenceBackend for EventSnn {
 /// use std::sync::Arc;
 /// use rand::SeedableRng;
 /// use snn_nn::{DenseLayer, Flatten, Layer, Sequential};
-/// use snn_runtime::{BackendChoice, InferenceServer, QuantConfig, ServerConfig};
+/// use snn_runtime::{BackendChoice, QuantConfig};
 /// use snn_tensor::Tensor;
 /// use ttfs_core::{convert, Base2Kernel};
 ///
@@ -85,20 +85,15 @@ impl InferenceBackend for EventSnn {
 ///     Layer::Dense(DenseLayer::new(9, 2, &mut rng)),
 /// ]);
 /// let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 16)?);
-/// // One weight copy, two serving modes.
-/// let config = ServerConfig { threads: 2, chunk_size: 4 };
-/// let f32_server = InferenceServer::new(
-///     BackendChoice::Csr.build(Arc::clone(&model), &[1, 3, 3])?,
-///     config.clone(),
-/// );
-/// let quant_server = InferenceServer::new(
-///     BackendChoice::Quant(QuantConfig::default()).build(Arc::clone(&model), &[1, 3, 3])?,
-///     config,
-/// );
+/// // One weight copy, two engines.
+/// let f32_engine = BackendChoice::Csr.build(Arc::clone(&model), &[1, 3, 3])?;
+/// let quant_engine =
+///     BackendChoice::Quant(QuantConfig::default()).build(Arc::clone(&model), &[1, 3, 3])?;
 /// let x = Tensor::full(&[4, 1, 3, 3], 0.5);
-/// assert_eq!(f32_server.backend_name(), "csr");
-/// assert_eq!(quant_server.backend_name(), "quant");
-/// assert_eq!(quant_server.run(&x)?.logits.dims(), &[4, 2]);
+/// assert_eq!(f32_engine.name(), "csr");
+/// assert_eq!(quant_engine.name(), "quant");
+/// let (logits, _stats) = quant_engine.run_batch(&x)?;
+/// assert_eq!(logits.dims(), &[4, 2]);
 /// # Ok(())
 /// # }
 /// ```
@@ -139,21 +134,6 @@ impl BackendChoice {
                 Arc::new(QuantEngine::compile_shared(model, input_dims, *config)?)
             }
         })
-    }
-
-    /// Builds the chosen backend and wraps it in a closed-batch
-    /// [`InferenceServer`] in one call.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`](Self::build).
-    pub fn serve_batched(
-        &self,
-        model: Arc<SnnModel>,
-        input_dims: &[usize],
-        config: ServerConfig,
-    ) -> Result<InferenceServer, ConvertError> {
-        Ok(InferenceServer::new(self.build(model, input_dims)?, config))
     }
 
     /// Builds the chosen backend and wraps it in a [`StreamingServer`] in

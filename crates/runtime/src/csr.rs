@@ -1182,6 +1182,22 @@ mod tests {
         assert!(pat.stored_bytes() < pat.flat_bytes() / 4);
     }
 
+    /// The served geometry — VGG-16 at 1/16 width on 32 × 32 inputs —
+    /// stores at least 10× fewer conv edges than it walks.
+    #[test]
+    fn vgg16_w16_dedups_conv_edges_tenfold() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let net = snn_nn::models::vgg16_scaled(32, 10, 16, &mut rng);
+        let m = convert(&net, Base2Kernel::paper_default(), 24).unwrap();
+        let fp = CsrModel::compile(&m, &[3, 32, 32]).unwrap().footprint();
+        assert!(
+            fp.conv_dedup_ratio() >= 10.0,
+            "conv dedup {:.1}x < 10x",
+            fp.conv_dedup_ratio()
+        );
+        assert!(fp.stored_bytes < fp.flat_bytes);
+    }
+
     #[test]
     fn footprint_aggregates_stages() {
         let m = model();

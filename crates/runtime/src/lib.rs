@@ -37,10 +37,6 @@
 //!   datapath's table, with reported mantissa-error bounds. In LUT mode,
 //!   logits are **bit-identical** to the reference simulator over
 //!   [`snn_logquant::LogQuantizer::quantize_tensor`]'d weights.
-//! * [`InferenceServer`] / [`WorkerPool`] — closed batches fan out over a
-//!   `std::thread` pool with a submission queue; per-request latency is
-//!   recorded and summarized as p50/p99 + images/sec
-//!   ([`ThroughputMetrics`]).
 //! * [`StreamingServer`] / [`DeadlineBatcher`] — the open-traffic path:
 //!   requests arrive one at a time (`submit(image) -> Ticket`, or
 //!   `submit_with` carrying per-request [`SubmitOptions`]) into a pending
@@ -53,10 +49,11 @@
 //!   but never delays). [`StreamingMetrics`] splits queue-wait from
 //!   execution time, histograms batch occupancy, says why each batch was
 //!   the size it was ([`FlushReason`]) and counts backpressure sheds.
-//!   Streamed logits are bit-identical to a closed
-//!   [`InferenceServer::run`] over the same images regardless of arrival
-//!   interleaving, deadlines or priorities. The `snn-gateway` crate
-//!   fronts this server with a dependency-free HTTP/1.1 edge.
+//!   Streamed logits are bit-identical to one closed
+//!   [`InferenceBackend::run_batch`] over the same images regardless of
+//!   arrival interleaving, deadlines or priorities. It is the one serving
+//!   path; the `snn-gateway` crate fronts it with a dependency-free
+//!   HTTP/1.1 edge (whose connection jobs run on a [`WorkerPool`]).
 //! * [`ModelArtifact`] / [`ModelRegistry`] — the many-models layer: a
 //!   versioned on-disk artifact format (magic + format version + checksum,
 //!   bit-exact f32 round-trip of weights **and** per-layer quantizer
@@ -74,7 +71,7 @@
 //! use std::sync::Arc;
 //! use rand::SeedableRng;
 //! use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-//! use snn_runtime::{CsrEngine, InferenceServer, ServerConfig};
+//! use snn_runtime::{CsrEngine, InferenceBackend, StreamingConfig, StreamingServer};
 //! use snn_tensor::Tensor;
 //! use ttfs_core::{convert, Base2Kernel};
 //!
@@ -88,10 +85,16 @@
 //! ]);
 //! let model = convert(&net, Base2Kernel::paper_default(), 24)?;
 //! let engine = Arc::new(CsrEngine::compile(&model, &[1, 4, 4])?);
-//! let server = InferenceServer::new(engine, ServerConfig { threads: 2, chunk_size: 4 });
-//! let report = server.run(&Tensor::full(&[8, 1, 4, 4], 0.5))?;
-//! assert_eq!(report.logits.dims(), &[8, 2]);
-//! assert!(report.metrics.images_per_sec > 0.0);
+//!
+//! // A closed batch is one backend call.
+//! let (logits, _stats) = engine.run_batch(&Tensor::full(&[8, 1, 4, 4], 0.5))?;
+//! assert_eq!(logits.dims(), &[8, 2]);
+//!
+//! // Open traffic goes through the streaming server, one image per ticket,
+//! // and gets the same bits back.
+//! let server = StreamingServer::new(engine, StreamingConfig { threads: 2, ..Default::default() });
+//! let response = server.submit(&Tensor::full(&[1, 4, 4], 0.5))?.wait()?;
+//! assert_eq!(response.logits.as_slice(), &logits.as_slice()[..2]);
 //! # Ok(())
 //! # }
 //! ```
@@ -129,7 +132,7 @@ pub use engine::{CsrEngine, DEFAULT_MAX_LANES};
 pub use faults::{FaultConfig, FaultCounts, FaultInjector, FaultPoint};
 pub use metrics::{
     HistogramBucket, HistogramSnapshot, LatencyRecorder, LogHistogram, LogSink, OccupancyBucket,
-    StreamingMetrics, StreamingRecorder, ThroughputMetrics,
+    StreamingMetrics, StreamingRecorder,
 };
 pub use quant::{
     fit_layer_quantizers, quantize_model, DecodeMode, QuantConfig, QuantCsrModel, QuantEngine,
@@ -139,8 +142,6 @@ pub use registry::{
     ModelHandle, ModelRegistry, ModelStatus, RegistryConfig, RegistryError, RegistryMetrics,
     SwapReport,
 };
-pub use server::{
-    BatchReport, InferenceServer, ServerConfig, StreamingServer, DEADLINE_MISS_GRACE,
-};
+pub use server::{StreamingServer, DEADLINE_MISS_GRACE};
 pub use wheel::{BatchWheel, LaneSpike, TimeWheel, WheelSpike};
 pub use workers::{PoolClosed, WorkerPool};

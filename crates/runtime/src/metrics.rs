@@ -1,8 +1,6 @@
-//! Per-request latency and throughput accounting, for both serving paths:
-//! the closed-batch [`crate::InferenceServer`] ([`ThroughputMetrics`]) and
-//! the streaming [`crate::StreamingServer`] ([`StreamingMetrics`], which
-//! additionally splits queue-wait from execution time and histograms the
-//! sizes of the batches its workers took from the backlog).
+//! Per-request latency accounting for the [`crate::StreamingServer`]:
+//! [`StreamingMetrics`] splits queue-wait from execution time and
+//! histograms the sizes of the batches its workers took from the backlog.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -25,9 +23,8 @@ const RESERVOIR_CAPACITY: usize = 65_536;
 /// Collects per-request latencies and computes order statistics.
 ///
 /// Samples are kept unsorted while recording; the first quantile query
-/// after a record sorts **in place, once** — repeated queries (and
-/// [`summarize`](Self::summarize), which asks for several quantiles) reuse
-/// the sorted order instead of cloning and re-sorting per call.
+/// after a record sorts **in place, once** — repeated queries reuse the
+/// sorted order instead of cloning and re-sorting per call.
 ///
 /// Memory is bounded: the first 65,536 samples are kept exactly; beyond
 /// that, reservoir sampling (deterministic LCG, uniform over the whole
@@ -140,27 +137,6 @@ impl LatencyRecorder {
             return 0.0;
         }
         self.total_us / self.count as f64
-    }
-
-    /// Snapshots the recorder into a serializable summary.
-    ///
-    /// Sorts the samples at most once no matter how many quantiles the
-    /// summary contains.
-    pub fn summarize(&mut self, images: usize, wall: Duration) -> ThroughputMetrics {
-        let wall_s = wall.as_secs_f64();
-        ThroughputMetrics {
-            requests: self.len() as u64,
-            images: images as u64,
-            wall_ms: wall_s * 1e3,
-            images_per_sec: if wall_s > 0.0 {
-                images as f64 / wall_s
-            } else {
-                0.0
-            },
-            latency_mean_us: self.mean_us(),
-            latency_p50_us: self.quantile_us(0.50),
-            latency_p99_us: self.quantile_us(0.99),
-        }
     }
 }
 
@@ -284,25 +260,6 @@ fn quantile_from_sorted(sorted: &[f64], q: f64) -> f64 {
     }
     let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
-}
-
-/// Serializable throughput/latency summary of one batched run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputMetrics {
-    /// Requests (batch chunks) executed.
-    pub requests: u64,
-    /// Images inferred.
-    pub images: u64,
-    /// End-to-end wall-clock time, milliseconds.
-    pub wall_ms: f64,
-    /// Sustained throughput, images per second.
-    pub images_per_sec: f64,
-    /// Mean per-request latency, microseconds.
-    pub latency_mean_us: f64,
-    /// Median per-request latency, microseconds.
-    pub latency_p50_us: f64,
-    /// 99th-percentile per-request latency, microseconds.
-    pub latency_p99_us: f64,
 }
 
 /// One bucket of the batch-occupancy histogram: how many formed batches
@@ -872,8 +829,6 @@ mod tests {
         // All samples identical, so quantiles are exact regardless of
         // which ones the reservoir kept.
         assert!((r.quantile_us(0.99) - 5_000.0).abs() < 1e-6);
-        let m = r.summarize(n, Duration::from_secs(1));
-        assert_eq!(m.requests, n as u64);
     }
 
     #[test]
@@ -894,28 +849,8 @@ mod tests {
         let mut r = LatencyRecorder::new();
         assert_eq!(r.quantile_us(0.5), 0.0);
         assert_eq!(r.mean_us(), 0.0);
-        let m = r.summarize(0, Duration::ZERO);
-        assert_eq!(m.images_per_sec, 0.0);
-        assert_eq!(m.requests, 0);
-    }
-
-    #[test]
-    fn summary_computes_throughput() {
-        let mut r = LatencyRecorder::new();
-        r.record(Duration::from_millis(10));
-        let m = r.summarize(200, Duration::from_secs(2));
-        assert!((m.images_per_sec - 100.0).abs() < 1e-9);
-        assert!((m.wall_ms - 2000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn metrics_serialize_to_json() {
-        let mut r = LatencyRecorder::new();
-        r.record(Duration::from_micros(1500));
-        let m = r.summarize(4, Duration::from_millis(3));
-        let json = serde_json::to_string(&m).unwrap();
-        let back: ThroughputMetrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
+        assert_eq!(r.len(), 0);
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -1,17 +1,12 @@
-//! The two serving front-ends:
-//!
-//! * [`InferenceServer`] — closed batches: splits an incoming `[N, …]`
-//!   batch into chunk requests, fans them out over a [`WorkerPool`]'s
-//!   submission queue, and reassembles ordered logits, merged [`RunStats`]
-//!   and per-request latency metrics.
-//! * [`StreamingServer`] — open traffic: requests arrive one at a time via
-//!   [`StreamingServer::submit`] into a pending window kept in EDF order
-//!   ([`DeadlineBatcher`]); the server's own worker threads take batches
-//!   straight from that window whenever they are free — one request if one
-//!   is pending, up to `max_batch` if a backlog built up while they were
-//!   busy — and results come back through per-request [`Ticket`]s. No
-//!   thread sits between submitter and worker, and nothing sleeps on a
-//!   timer.
+//! The serving front-end, [`StreamingServer`]: requests arrive one at a
+//! time via [`StreamingServer::submit`] into a pending window kept in EDF
+//! order ([`DeadlineBatcher`]); the server's own worker threads take
+//! batches straight from that window whenever they are free — one request
+//! if one is pending, up to `max_batch` if a backlog built up while they
+//! were busy — and results come back through per-request [`Ticket`]s. No
+//! thread sits between submitter and worker, and nothing sleeps on a
+//! timer. A closed batch needs no server: it is one
+//! [`InferenceBackend::run_batch`] call.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
@@ -31,214 +26,18 @@ use crate::batcher::{
 };
 use crate::energy::EnergyPricer;
 use crate::faults::{FaultInjector, FaultPoint};
-use crate::metrics::{
-    LatencyRecorder, LogSink, StreamingMetrics, StreamingRecorder, TelemetrySink, ThroughputMetrics,
-};
-use crate::workers::WorkerPool;
+use crate::metrics::{LogSink, StreamingMetrics, StreamingRecorder, TelemetrySink};
 use crate::{InferenceBackend, StreamedResponse};
 
-/// Server configuration.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Worker threads (0 = one per available core).
-    pub threads: usize,
-    /// Images per request chunk (0 = clamp to 1).
-    pub chunk_size: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            chunk_size: 8,
-        }
-    }
-}
-
-impl ServerConfig {
-    fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        }
-    }
-}
-
-/// Result of one batched run through the server.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Decoded logits `[N, classes]`, in submission order.
-    pub logits: Tensor,
-    /// Event statistics merged over all chunks.
-    pub stats: RunStats,
-    /// Latency/throughput metrics over the chunk requests.
-    pub metrics: ThroughputMetrics,
-}
-
-/// Multi-threaded batched inference front-end over any
-/// [`InferenceBackend`].
-///
-/// The backend sits behind one `Arc` shared by every worker, and a
-/// [`CsrEngine`](crate::CsrEngine) itself holds its model and compiled
-/// synapse tables behind `Arc`s — however many servers, workers and engine
-/// clones are running, there is exactly one read-only copy of the weights
-/// in memory.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use rand::SeedableRng;
-/// use snn_nn::{DenseLayer, Flatten, Layer, Sequential};
-/// use snn_runtime::{CsrEngine, InferenceServer, ServerConfig};
-/// use snn_tensor::Tensor;
-/// use ttfs_core::{convert, Base2Kernel};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let net = Sequential::new(vec![
-///     Layer::Flatten(Flatten::new()),
-///     Layer::Dense(DenseLayer::new(9, 2, &mut rng)),
-/// ]);
-/// // One shared copy of the converted model for the engine + all workers.
-/// let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 16)?);
-/// let engine = Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &[1, 3, 3])?);
-/// let server = InferenceServer::new(engine, ServerConfig { threads: 2, chunk_size: 2 });
-/// let report = server.run(&Tensor::full(&[5, 1, 3, 3], 0.5))?;
-/// assert_eq!(report.logits.dims(), &[5, 2]);
-/// assert_eq!(report.metrics.requests, 3); // ceil(5 / chunk_size)
-/// # Ok(())
-/// # }
-/// ```
-pub struct InferenceServer {
-    backend: Arc<dyn InferenceBackend>,
-    pool: WorkerPool,
-    chunk_size: usize,
-}
-
-impl InferenceServer {
-    /// Builds a server around `backend`.
-    pub fn new(backend: Arc<dyn InferenceBackend>, config: ServerConfig) -> Self {
-        let threads = config.resolved_threads();
-        Self {
-            backend,
-            pool: WorkerPool::new(threads),
-            chunk_size: config.chunk_size.max(1),
-        }
-    }
-
-    /// The wrapped backend's identifier.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// The converted model the wrapped backend executes.
-    pub fn model(&self) -> &SnnModel {
-        self.backend.model()
-    }
-
-    /// Worker thread count.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Runs a `[N, C, H, W]` batch across the worker pool.
-    ///
-    /// The batch is split into `chunk_size` requests; each request is one
-    /// submission-queue job and one latency sample. Logits come back in
-    /// submission order regardless of completion order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first chunk error if any request fails (remaining
-    /// results are drained and discarded).
-    pub fn run(&self, images: &Tensor) -> Result<BatchReport, ConvertError> {
-        let dims = images.dims();
-        if dims.len() < 2 {
-            return Err(ConvertError::Structure(format!(
-                "expected batched input, got {:?}",
-                dims
-            )));
-        }
-        let n = dims[0];
-        let sample_dims = dims[1..].to_vec();
-        let sample_len: usize = sample_dims.iter().product();
-        let start_all = Instant::now();
-
-        // Split into chunk requests up front (cheap copies of input slices;
-        // inference dominates by orders of magnitude).
-        let mut chunks: Vec<Tensor> = Vec::new();
-        let mut begin = 0usize;
-        while begin < n {
-            let end = (begin + self.chunk_size).min(n);
-            let mut chunk_dims = vec![end - begin];
-            chunk_dims.extend_from_slice(&sample_dims);
-            let chunk = Tensor::from_vec(
-                images.as_slice()[begin * sample_len..end * sample_len].to_vec(),
-                &chunk_dims,
-            )
-            .map_err(|e| ConvertError::Structure(e.to_string()))?;
-            chunks.push(chunk);
-            begin = end;
-        }
-
-        let (tx, rx) = channel::<(usize, Duration, Result<(Tensor, RunStats), ConvertError>)>();
-        let requests = chunks.len();
-        for (idx, chunk) in chunks.into_iter().enumerate() {
-            let backend = Arc::clone(&self.backend);
-            let tx = tx.clone();
-            self.pool.execute(move || {
-                let start = Instant::now();
-                let result = backend.run_batch(&chunk);
-                // A closed channel means the caller gave up; nothing to do.
-                let _ = tx.send((idx, start.elapsed(), result));
-            });
-        }
-        drop(tx);
-
-        let mut slots: Vec<Option<(Tensor, RunStats)>> = (0..requests).map(|_| None).collect();
-        let mut recorder = LatencyRecorder::new();
-        let mut first_error: Option<ConvertError> = None;
-        for _ in 0..requests {
-            let Ok((idx, latency, result)) = rx.recv() else {
-                return Err(ConvertError::Structure(
-                    "worker pool dropped a request (worker panicked?)".into(),
-                ));
-            };
-            recorder.record(latency);
-            match result {
-                Ok(ok) => slots[idx] = Some(ok),
-                Err(e) => first_error = first_error.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-
-        // Reassemble in submission order.
-        let mut merged_stats: Option<RunStats> = None;
-        let mut logits_data: Vec<f32> = Vec::new();
-        let mut classes = 0usize;
-        for slot in slots {
-            let (logits, stats) = slot.expect("all request slots filled");
-            classes = logits.dims()[1];
-            logits_data.extend_from_slice(logits.as_slice());
-            match &mut merged_stats {
-                None => merged_stats = Some(stats),
-                Some(m) => m.absorb(&stats),
-            }
-        }
-        let logits = Tensor::from_vec(logits_data, &[n, classes])
-            .map_err(|e| ConvertError::Structure(e.to_string()))?;
-        let metrics = recorder.summarize(n, start_all.elapsed());
-        Ok(BatchReport {
-            logits,
-            stats: merged_stats.unwrap_or_default(),
-            metrics,
-        })
+/// `threads` resolved to a worker count: itself when nonzero, otherwise
+/// one per available core.
+fn resolve_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
     }
 }
 
@@ -285,10 +84,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// [`submit_with`](Self::submit_with) carries a per-request
 /// [`SubmitOptions`]) orders the backlog and draws the deadline-miss
 /// line; it never holds a request back. Because every backend processes
-/// batch samples independently, streamed logits are bit-identical to a
-/// closed [`InferenceServer::run`] over the same images, no matter how
-/// arrivals interleave into batches (enforced by property test in
-/// `tests/runtime_equivalence.rs`).
+/// batch samples independently, streamed logits are bit-identical to one
+/// closed [`run_batch`](InferenceBackend::run_batch) over the same images,
+/// no matter how arrivals interleave into batches (enforced by property
+/// test in `tests/runtime_equivalence.rs`).
 ///
 /// [`shutdown`](Self::shutdown) (also run on drop) is graceful: it closes
 /// admission, lets the workers drain the window, and joins them — no
@@ -405,11 +204,7 @@ impl StreamingServer {
         config: StreamingConfig,
         trace: Option<Arc<TraceCollector>>,
     ) -> Self {
-        let threads = ServerConfig {
-            threads: config.threads,
-            chunk_size: 1,
-        }
-        .resolved_threads();
+        let threads = resolve_threads(config.threads);
         let max_batch = config.max_batch.max(1);
         let stream = Arc::new(Stream {
             backend,
@@ -1039,7 +834,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-    use snn_sim::EventSnn;
     use ttfs_core::{convert, Base2Kernel, SnnModel};
 
     fn dense_model() -> SnnModel {
@@ -1051,85 +845,6 @@ mod tests {
             Layer::Dense(DenseLayer::new(8, 3, &mut rng)),
         ]);
         convert(&net, Base2Kernel::paper_default(), 24).unwrap()
-    }
-
-    #[test]
-    fn pooled_run_matches_single_thread_order() {
-        let model = dense_model();
-        let mut rng = StdRng::seed_from_u64(32);
-        let x = snn_tensor::uniform(&[13, 1, 3, 4], 0.0, 1.0, &mut rng);
-        let single = EventSnn::new(&model).run(&x).unwrap().0;
-
-        let backend = Arc::new(CsrEngine::compile(&model, &[1, 3, 4]).unwrap());
-        let server = InferenceServer::new(
-            backend,
-            ServerConfig {
-                threads: 4,
-                chunk_size: 3, // uneven last chunk on purpose
-            },
-        );
-        let report = server.run(&x).unwrap();
-        assert_eq!(report.logits.dims(), &[13, 3]);
-        assert_eq!(report.logits.as_slice(), single.as_slice());
-        assert_eq!(report.stats.batch, 13);
-        assert_eq!(report.metrics.requests, 5);
-        assert_eq!(report.metrics.images, 13);
-        assert!(report.metrics.images_per_sec > 0.0);
-        assert!(report.metrics.latency_p99_us >= report.metrics.latency_p50_us);
-    }
-
-    #[test]
-    fn stats_merge_across_chunks() {
-        let model = dense_model();
-        let mut rng = StdRng::seed_from_u64(33);
-        let x = snn_tensor::uniform(&[8, 1, 3, 4], 0.0, 1.0, &mut rng);
-        let reference_stats = EventSnn::new(&model).run(&x).unwrap().1;
-
-        let backend = Arc::new(EventSnn::new(&model));
-        let server = InferenceServer::new(
-            backend,
-            ServerConfig {
-                threads: 2,
-                chunk_size: 2,
-            },
-        );
-        let report = server.run(&x).unwrap();
-        assert_eq!(report.stats, reference_stats);
-    }
-
-    struct PanickingBackend(SnnModel);
-
-    impl crate::InferenceBackend for PanickingBackend {
-        fn name(&self) -> &'static str {
-            "panic"
-        }
-        fn model(&self) -> &SnnModel {
-            &self.0
-        }
-        fn run_batch(&self, _images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
-            panic!("backend exploded mid-request");
-        }
-    }
-
-    #[test]
-    fn backend_panic_surfaces_as_error_and_pool_survives() {
-        let model = dense_model();
-        let server = InferenceServer::new(
-            Arc::new(PanickingBackend(model.clone())),
-            ServerConfig {
-                threads: 2,
-                chunk_size: 2,
-            },
-        );
-        let x = Tensor::zeros(&[4, 1, 3, 4]);
-        let err = server.run(&x).unwrap_err();
-        assert!(
-            format!("{err:?}").contains("dropped a request"),
-            "structured error, got {err:?}"
-        );
-        // The pool must survive the panicking jobs for later requests.
-        let err2 = server.run(&x).unwrap_err();
-        assert!(format!("{err2:?}").contains("dropped a request"));
     }
 
     #[test]
@@ -1161,16 +876,5 @@ mod tests {
         ticket.wait().expect("serving survives the poisoned lock");
         let metrics = server.shutdown();
         assert_eq!(metrics.requests, before.requests + 1);
-    }
-
-    #[test]
-    fn geometry_error_propagates() {
-        let model = dense_model();
-        let backend = Arc::new(CsrEngine::compile(&model, &[1, 3, 4]).unwrap());
-        let server = InferenceServer::new(backend, ServerConfig::default());
-        let bad = Tensor::zeros(&[4, 1, 5, 5]);
-        assert!(server.run(&bad).is_err());
-        let scalarish = Tensor::zeros(&[4]);
-        assert!(server.run(&scalarish).is_err());
     }
 }

@@ -61,17 +61,6 @@ impl WorkerPool {
 
     /// Enqueues a job; some worker will run it.
     ///
-    /// # Panics
-    ///
-    /// Panics if the pool has already been shut down; use
-    /// [`try_execute`](Self::try_execute) where shutdown can race
-    /// submission.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.try_execute(job).expect("worker queue closed");
-    }
-
-    /// Enqueues a job, reporting a closed queue instead of panicking.
-    ///
     /// # Errors
     ///
     /// Returns [`PoolClosed`] if the pool has shut down; the job is
@@ -127,10 +116,11 @@ mod tests {
         for _ in 0..64 {
             let counter = Arc::clone(&counter);
             let tx = tx.clone();
-            pool.execute(move || {
+            pool.try_execute(move || {
                 counter.fetch_add(1, Ordering::SeqCst);
                 tx.send(()).unwrap();
-            });
+            })
+            .unwrap();
         }
         for _ in 0..64 {
             rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
@@ -145,9 +135,10 @@ mod tests {
             let pool = WorkerPool::new(2);
             for _ in 0..8 {
                 let counter = Arc::clone(&counter);
-                pool.execute(move || {
+                pool.try_execute(move || {
                     counter.fetch_add(1, Ordering::SeqCst);
-                });
+                })
+                .unwrap();
             }
             // Drop waits for queue drain + join.
         }
@@ -172,12 +163,13 @@ mod tests {
     #[test]
     fn panicking_job_does_not_kill_the_worker() {
         let pool = WorkerPool::new(1);
-        pool.execute(|| panic!("job blew up"));
+        pool.try_execute(|| panic!("job blew up")).unwrap();
         // The single worker must survive to run this job.
         let (tx, rx) = channel();
-        pool.execute(move || {
+        pool.try_execute(move || {
             tx.send(42u32).unwrap();
-        });
+        })
+        .unwrap();
         assert_eq!(
             rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap(),
             42

@@ -42,6 +42,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod network;
 pub mod phase;
 mod schedule;

@@ -20,6 +20,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod conv;
 mod error;
 mod init;

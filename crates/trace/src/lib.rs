@@ -12,8 +12,7 @@
 //! 1. **The hot path stays bit-identical and effectively free.** Tracing
 //!    never touches the float accumulation; when disabled, opening a span
 //!    is a single relaxed atomic load and an untaken branch.
-//! 2. **No new dependencies.** The crate is `std`-only; Chrome trace JSON
-//!    is rendered by hand (all span names are static identifiers).
+//! 2. **No new dependencies.** The crate is `std`-only.
 //! 3. **Bounded memory.** Spans finish into per-thread buffers (one
 //!    uncontended mutex each — the only other locker is a drain) and are
 //!    drained into a bounded ring; when the ring is full the *oldest*
@@ -35,11 +34,12 @@
 //!   read and a `None` branch.
 //!
 //! Export surfaces: per-trace span trees ([`TraceCollector::trace`]) and
-//! a whole-run Chrome `chrome://tracing` / Perfetto JSON
-//! ([`TraceCollector::chrome_trace_json`]) with one track per recording
-//! thread.
+//! whole-run [`snapshot`](TraceCollector::snapshot)s, each span carrying
+//! the track of the thread that recorded it
+//! ([`tracks`](TraceCollector::tracks) names them).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -511,73 +511,6 @@ impl TraceCollector {
         self.recorded.store(0, Ordering::Relaxed);
         self.dropped.store(0, Ordering::Relaxed);
     }
-
-    /// Renders every retained span as Chrome trace-event JSON (the
-    /// `{"traceEvents": [...]}` object form `chrome://tracing` and
-    /// Perfetto load): one complete (`"ph":"X"`) event per span, one
-    /// metadata track per recording thread, timestamps in µs since the
-    /// collector epoch.
-    pub fn chrome_trace_json(&self) -> String {
-        let spans = self.snapshot();
-        let tracks = self.tracks();
-        let mut out = String::with_capacity(128 + spans.len() * 160);
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        for (track, label) in &tracks {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{track},\"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(label)
-            ));
-        }
-        for span in &spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"snn\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"trace\":\"{}\",\"span\":{},\"parent\":{}",
-                json_escape(span.name),
-                span.start_us,
-                span.dur_us,
-                span.track,
-                span.trace,
-                span.span_id,
-                span.parent_id,
-            ));
-            for (key, value) in &span.attrs {
-                out.push_str(&format!(",\"{}\":", json_escape(key)));
-                match value {
-                    AttrValue::Str(s) => out.push_str(&format!("\"{}\"", json_escape(s))),
-                    AttrValue::U64(v) => out.push_str(&v.to_string()),
-                    AttrValue::F64(v) if v.is_finite() => out.push_str(&v.to_string()),
-                    AttrValue::F64(v) => out.push_str(&format!("\"{v}\"")),
-                }
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// span names and attr keys are static identifiers, but thread names are
-/// arbitrary.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A live span that records itself into its collector when dropped.
@@ -1017,47 +950,6 @@ mod tests {
         for handle in handles {
             handle.join().unwrap();
         }
-    }
-
-    #[test]
-    fn chrome_export_is_valid_trace_event_json() {
-        let c = Arc::new(TraceCollector::new(64));
-        let t = c.mint_trace();
-        let mut s = c.span(t, 0, "stage.exec");
-        s.attr("kind", "weighted");
-        s.attr("edges", 1234usize);
-        s.attr("share", 0.25f64);
-        drop(s);
-        let json = c.chrome_trace_json();
-        let value: serde::Content = serde_json::from_str(&json).expect("valid JSON");
-        let events = serde::field(value.as_map().expect("top-level object"), "traceEvents")
-            .ok()
-            .and_then(|e| e.as_seq())
-            .expect("traceEvents array");
-        // One thread_name metadata event + one complete event.
-        assert_eq!(events.len(), 2);
-        let get = |e: &serde::Content, key: &str| -> Option<serde::Content> {
-            e.as_map().and_then(|m| serde::field(m, key).ok()).cloned()
-        };
-        let complete = events
-            .iter()
-            .find(|e| get(e, "ph").and_then(|p| p.as_str().map(String::from)) == Some("X".into()))
-            .expect("one complete event");
-        assert_eq!(
-            get(complete, "name").and_then(|n| n.as_str().map(String::from)),
-            Some("stage.exec".into())
-        );
-        assert!(get(complete, "ts").is_some() && get(complete, "dur").is_some());
-        let args = get(complete, "args").expect("args object");
-        assert_eq!(
-            get(&args, "kind").and_then(|v| v.as_str().map(String::from)),
-            Some("weighted".into())
-        );
-        assert_eq!(get(&args, "edges").and_then(|v| v.as_u64()), Some(1234));
-        assert_eq!(
-            get(&args, "trace").and_then(|v| v.as_str().map(String::from)),
-            Some(t.to_string())
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Batched inference runtime: convert a CAT-style network, compile it to
-//! the CSR fast path, serve a batch through the multi-threaded inference
-//! server, stream the same images through the streaming server,
-//! and price the measured event traffic on the paper's processor model.
+//! the CSR fast path, run a closed batch through it, stream the same
+//! images through the streaming server, and price the measured event
+//! traffic on the paper's processor model.
 //!
 //! Run: `cargo run --release --example runtime_server`
 //!
@@ -19,7 +19,7 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,8 +28,8 @@ use ttfs_snn::hw::{Processor, ProcessorConfig};
 use ttfs_snn::nn::models::vgg16_scaled;
 use ttfs_snn::nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use ttfs_snn::runtime::{
-    energy, quantize_model, BackendChoice, BackendHint, CsrEngine, InferenceServer, ModelArtifact,
-    ModelRegistry, QuantConfig, RegistryConfig, ServerConfig, StreamingConfig, StreamingServer,
+    energy, quantize_model, BackendChoice, BackendHint, CsrEngine, InferenceBackend, ModelArtifact,
+    ModelRegistry, QuantConfig, RegistryConfig, StreamingConfig, StreamingServer,
 };
 use ttfs_snn::sim::EventSnn;
 use ttfs_snn::tensor::Tensor;
@@ -291,30 +291,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine.max_lanes(),
     );
 
-    // Serve a batch across the worker pool.
-    let server = InferenceServer::new(Arc::new(engine), ServerConfig::default());
+    // A closed batch is one backend call: the engine walks its lanes
+    // edge-major over the whole batch.
     let x = ttfs_snn::tensor::uniform(&[batch, 3, side, side], 0.0, 1.0, &mut rng);
-    let report = server.run(&x)?;
+    let start = Instant::now();
+    let (logits, stats) = engine.run_batch(&x)?;
     println!(
-        "served {} images on {} threads: {:.1} images/sec, p50 {:.0} µs, p99 {:.0} µs",
-        report.metrics.images,
-        server.threads(),
-        report.metrics.images_per_sec,
-        report.metrics.latency_p50_us,
-        report.metrics.latency_p99_us,
+        "closed batch: {batch} images in {:.1} ms",
+        start.elapsed().as_secs_f64() * 1e3
     );
 
     // The fast path matches the reference event simulator exactly.
     let (reference_logits, _) = EventSnn::new(&model).run(&x)?;
-    assert_eq!(report.logits.as_slice(), reference_logits.as_slice());
+    assert_eq!(logits.as_slice(), reference_logits.as_slice());
     println!("logits match the reference event simulator bit-for-bit");
 
     // Streaming path: the same images arrive one at a time; free workers
     // take them as they come (batching only what backs up, earliest
-    // deadline first) and each submit gets a ticket. The
-    // second engine shares the same Arc'd model — no weight copy.
+    // deadline first) and each submit gets a ticket. The engine, and the
+    // model behind it, are the same Arcs — no weight copy.
     let streaming = StreamingServer::new(
-        Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &input_dims)?),
+        Arc::new(engine),
         StreamingConfig {
             threads: 0,
             max_batch: 8,
@@ -340,7 +337,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let response = ticket.wait()?;
         assert_eq!(
             response.logits.as_slice(),
-            &report.logits.as_slice()[i * 10..(i + 1) * 10],
+            &logits.as_slice()[i * 10..(i + 1) * 10],
             "streamed logits are bit-identical to the closed batch"
         );
     }
@@ -361,12 +358,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // quantize_tensor'd weights.
     let qconfig = QuantConfig::default(); // 5-bit, aw = 2^-1/2, exact LUT
     let quant_backend = BackendChoice::Quant(qconfig).build(Arc::clone(&model), &input_dims)?;
-    let quant_server = InferenceServer::new(quant_backend, ServerConfig::default());
-    let quant_report = quant_server.run(&x)?;
+    let start = Instant::now();
+    let (quant_logits, quant_stats) = quant_backend.run_batch(&x)?;
+    let quant_ms = start.elapsed().as_secs_f64() * 1e3;
     let (qmodel, _) = quantize_model(&model, qconfig.base, qconfig.bits)?;
     let (quant_reference, _) = EventSnn::new(&qmodel).run(&x)?;
     assert_eq!(
-        quant_report.logits.as_slice(),
+        quant_logits.as_slice(),
         quant_reference.as_slice(),
         "quantized serving is bit-identical to the quantized reference"
     );
@@ -379,14 +377,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .max_by(|(_, a), (_, b)| a.total_cmp(b))
                     .map(|(c, _)| c)
             };
-            row(&quant_report.logits) == row(&report.logits)
+            row(&quant_logits) == row(&logits)
         })
         .count();
     println!(
-        "quantized ({}-bit {}): {:.1} images/sec, top-1 agreement {}/{} vs f32",
+        "quantized ({}-bit {}): closed batch in {quant_ms:.1} ms, top-1 agreement {}/{} vs f32",
         qconfig.bits,
         qconfig.base.label(),
-        quant_report.metrics.images_per_sec,
         agree,
         batch,
     );
@@ -394,8 +391,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Hardware energy report from the measured event counts — f32 path
     // and quantized path, priced on the same proposed (log-PE) processor.
     let processor = Processor::new(ProcessorConfig::proposed());
-    let hw = energy::energy_report(&processor, &model, &report.stats, &input_dims)?;
-    let quant_hw = energy::energy_report(&processor, &model, &quant_report.stats, &input_dims)?;
+    let hw = energy::energy_report(&processor, &model, &stats, &input_dims)?;
+    let quant_hw = energy::energy_report(&processor, &model, &quant_stats, &input_dims)?;
     println!(
         "hardware model: f32 {:.1} µJ/image, quantized {:.1} µJ/image, {:.0} fps at {} MHz",
         hw.energy_per_image_uj,

@@ -19,8 +19,8 @@ use ttfs_snn::nn::{
     Sequential,
 };
 use ttfs_snn::runtime::{
-    quantize_model, CsrEngine, DecodeMode, InferenceBackend, InferenceServer, QuantConfig,
-    QuantEngine, ServerConfig, StreamingConfig, StreamingServer, SubmitOptions, Ticket,
+    quantize_model, CsrEngine, DecodeMode, InferenceBackend, QuantConfig, QuantEngine,
+    StreamingConfig, StreamingServer, SubmitOptions, Ticket,
 };
 use ttfs_snn::sim::EventSnn;
 use ttfs_snn::tensor::{Conv2dSpec, Tensor};
@@ -194,49 +194,17 @@ proptest! {
             prop_assert_eq!(&stats, &event_stats, "stats at chunk {}", chunk);
         }
     }
-
-    /// The worker-pool server returns the same logits as any single-thread
-    /// backend run, for every thread/chunk configuration.
-    #[test]
-    fn server_is_order_preserving(
-        seed in 0u64..64,
-        threads in 1usize..5,
-        chunk in 1usize..6,
-        xs in proptest::collection::vec(0.0f32..1.0, 9 * 8),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = Sequential::new(vec![
-            Layer::Flatten(Flatten::new()),
-            Layer::Dense(DenseLayer::new(8, 6, &mut rng)),
-            Layer::Activation(ActivationLayer::new(Box::new(Relu))),
-            Layer::Dense(DenseLayer::new(6, 3, &mut rng)),
-        ]);
-        let model = convert(&net, Base2Kernel::paper_default(), 24).expect("conversion");
-        let x = Tensor::from_vec(xs, &[9, 1, 2, 4]).expect("sized");
-        let single = EventSnn::new(&model).run(&x).expect("single").0;
-        let server = InferenceServer::new(
-            Arc::new(CsrEngine::compile(&model, &[1, 2, 4]).expect("compile")),
-            ServerConfig { threads, chunk_size: chunk },
-        );
-        let report = server.run(&x).expect("pooled run");
-        prop_assert_eq!(report.logits.as_slice(), single.as_slice());
-        prop_assert_eq!(report.stats.batch, 9);
-        prop_assert_eq!(
-            report.metrics.requests as usize,
-            9usize.div_ceil(chunk)
-        );
-    }
 }
 
 proptest! {
     // Fewer cases: each one spins up real threads and sleeps between
-    // submissions to randomize how arrivals land in batching windows.
+    // submissions to randomize how arrivals group into batches.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Streamed logits are bit-identical to the closed-batch server's on
-    /// the same images, for every arrival order, inter-arrival gap, thread
-    /// count, batcher configuration AND per-request scheduling options —
-    /// EDF may flush windows early and reorder batch assembly by
+    /// Streamed logits are bit-identical to the reference event simulator
+    /// run once over the whole batch, for every arrival order,
+    /// inter-arrival gap, thread count, batcher configuration AND
+    /// per-request scheduling options — EDF may reorder batch assembly by
     /// (deadline, priority), but grouping and ordering must never change
     /// results.
     #[test]
@@ -263,14 +231,8 @@ proptest! {
         let n = 10usize;
         let x = Tensor::from_vec(xs, &[n, 1, 2, 4]).expect("sized");
 
-        // Closed-batch ground truth through the batched server.
-        let closed = InferenceServer::new(
-            Arc::new(CsrEngine::compile(&model, &[1, 2, 4]).expect("compile")),
-            ServerConfig { threads: 2, chunk_size: 4 },
-        )
-        .run(&x)
-        .expect("closed run")
-        .logits;
+        // Closed-batch ground truth: the oracle over the whole batch.
+        let closed = EventSnn::new(&model).run(&x).expect("event run").0;
 
         // Stream the same images one at a time, in a random order, with
         // random inter-arrival gaps.
@@ -322,7 +284,7 @@ proptest! {
             prop_assert_eq!(
                 row.as_slice(),
                 &closed.as_slice()[i * 3..(i + 1) * 3],
-                "streamed row {} must be bit-identical to the closed batch",
+                "streamed row {} must be bit-identical to the oracle's batch",
                 i
             );
         }
@@ -357,16 +319,21 @@ fn all_zero_input_equivalence() {
         "pure bias propagation"
     );
 
-    // And through the server.
-    let server = InferenceServer::new(
+    // And one image at a time through the streaming server.
+    let server = StreamingServer::new(
         Arc::new(csr),
-        ServerConfig {
+        StreamingConfig {
             threads: 2,
-            chunk_size: 1,
+            ..StreamingConfig::default()
         },
     );
-    let report = server.run(&x).unwrap();
-    assert_eq!(report.logits.as_slice(), csr_logits.as_slice());
+    let tickets: Vec<Ticket> = (0..3)
+        .map(|_| server.submit(&Tensor::zeros(&[1, 6, 6])).unwrap())
+        .collect();
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let row = ticket.wait().unwrap().logits;
+        assert_eq!(row.as_slice(), &event_logits.as_slice()[i * 4..(i + 1) * 4]);
+    }
 }
 
 fn conv(in_c: usize, out_c: usize, k: usize, stride: usize, pad: usize, rng: &mut StdRng) -> Layer {
