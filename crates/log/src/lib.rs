@@ -5,12 +5,12 @@
 //! leveled log events with typed attributes, correlated with the
 //! per-request trace ids the rest of the stack already mints.
 //!
-//! * [`LogCollector`] — the bounded in-memory **flight recorder**. Its
-//!   architecture mirrors the proven `TraceCollector` shape: each
-//!   recording thread buffers into its own shard behind an uncontended
-//!   mutex, shards drain into a bounded ring that evicts (and counts)
-//!   the oldest event on overflow, and the below-level/disabled path is
-//!   a single relaxed atomic load.
+//! * [`LogCollector`] — the bounded in-memory **flight recorder**, a
+//!   level gate over the same [`ShardedRing`] that holds `snn-trace`'s
+//!   spans: each recording thread buffers into its own shard behind an
+//!   uncontended mutex, shards drain into a bounded ring that evicts (and
+//!   counts) the oldest event on overflow, and the below-level/disabled
+//!   path is a single relaxed atomic load.
 //! * Trace correlation is free: when a `snn-trace` ambient context is
 //!   installed on the recording thread (a request being served), every
 //!   event records the context's [`TraceId`] without the call site
@@ -50,14 +50,14 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use snn_trace::ShardedRing;
 pub use snn_trace::TraceId;
 
 /// Ring capacity when [`LogCollector::new`] is passed 0.
@@ -115,13 +115,7 @@ impl Level {
     }
 
     fn from_u8(raw: u8) -> Option<Level> {
-        match raw {
-            0 => Some(Level::Debug),
-            1 => Some(Level::Info),
-            2 => Some(Level::Warn),
-            3 => Some(Level::Error),
-            _ => None,
-        }
+        Level::ALL.get(usize::from(raw)).copied()
     }
 }
 
@@ -230,41 +224,22 @@ fn unix_ms_now() -> u64 {
 // The flight-recorder collector
 // ---------------------------------------------------------------------------
 
-/// One recording thread's buffer: only its owner pushes, only a drain
-/// takes, so the mutex is uncontended on the hot path.
-#[derive(Debug)]
-struct ThreadShard {
-    buf: Mutex<Vec<LogEvent>>,
-}
-
-thread_local! {
-    /// This thread's shard per collector id (pruned when collectors die).
-    static SHARDS: RefCell<Vec<(u64, Arc<ThreadShard>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Process-wide collector id source (so thread-local shard entries can
-/// tell collectors apart).
-static NEXT_COLLECTOR_ID: AtomicU64 = AtomicU64::new(1);
-
 /// The bounded structured-log flight recorder shared by every layer of
 /// one serving stack.
 ///
 /// Below-level cost of every recording API is one relaxed atomic load;
-/// enabled events buffer on the recording thread's shard and drain into
-/// a bounded ring that evicts (and counts) the oldest on overflow, so a
-/// query always sees the newest window of what the process decided.
+/// enabled events buffer on the recording thread's shard of a
+/// [`ShardedRing`] and drain into its bounded ring, which evicts (and
+/// counts) the oldest on overflow, so a query always sees the newest
+/// window of what the process decided.
 #[derive(Debug)]
 pub struct LogCollector {
-    id: u64,
     /// The hot gate: events below this level are dropped after one
     /// relaxed load ([`LEVEL_OFF`] disables recording entirely).
     min_level: AtomicU8,
     epoch: Instant,
-    capacity: usize,
-    shards: Mutex<Vec<Arc<ThreadShard>>>,
-    ring: Mutex<VecDeque<LogEvent>>,
+    ring: ShardedRing<LogEvent>,
     recorded: [AtomicU64; 4],
-    dropped: AtomicU64,
     seq: AtomicU64,
     has_sink: AtomicBool,
     sink: Mutex<Option<Arc<JsonSink>>>,
@@ -275,24 +250,14 @@ impl LogCollector {
     /// (0 → [`DEFAULT_CAPACITY`]), recording at [`Level::Info`] and
     /// above.
     pub fn new(capacity: usize) -> Self {
+        let capacity = Some(capacity)
+            .filter(|&c| c > 0)
+            .unwrap_or(DEFAULT_CAPACITY);
         Self {
-            id: NEXT_COLLECTOR_ID.fetch_add(1, Ordering::Relaxed),
             min_level: AtomicU8::new(Level::Info as u8),
             epoch: Instant::now(),
-            capacity: if capacity == 0 {
-                DEFAULT_CAPACITY
-            } else {
-                capacity
-            },
-            shards: Mutex::new(Vec::new()),
-            ring: Mutex::new(VecDeque::new()),
-            recorded: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
-            dropped: AtomicU64::new(0),
+            ring: ShardedRing::new(capacity, SHARD_FLUSH_THRESHOLD),
+            recorded: Default::default(),
             seq: AtomicU64::new(0),
             has_sink: AtomicBool::new(false),
             sink: Mutex::new(None),
@@ -324,7 +289,7 @@ impl LogCollector {
 
     /// The retention bound of the flight-recorder ring.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Microseconds from the collector epoch to `at` (0 if `at`
@@ -376,90 +341,11 @@ impl LogCollector {
         };
         self.recorded[level as usize].fetch_add(1, Ordering::Relaxed);
         if self.has_sink.load(Ordering::Relaxed) {
-            let sink = self
-                .sink
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .as_ref()
-                .map(Arc::clone);
-            if let Some(sink) = sink {
+            if let Some(sink) = self.sink() {
                 sink.write(&event);
             }
         }
-        self.push_record(event);
-    }
-
-    /// Buffers one event on this thread's shard, flushing the shard
-    /// into the ring past the threshold.
-    fn push_record(&self, event: LogEvent) {
-        let shard = self.shard_for_current_thread();
-        let overflow = {
-            let mut buf = shard.buf.lock().unwrap_or_else(|e| e.into_inner());
-            buf.push(event);
-            if buf.len() >= SHARD_FLUSH_THRESHOLD {
-                std::mem::take(&mut *buf)
-            } else {
-                Vec::new()
-            }
-        };
-        if !overflow.is_empty() {
-            self.flush_to_ring(overflow);
-        }
-    }
-
-    /// This thread's shard for this collector, registering one on first
-    /// use.
-    fn shard_for_current_thread(&self) -> Arc<ThreadShard> {
-        SHARDS.with(|cell| {
-            let mut entries = cell.borrow_mut();
-            if let Some((_, shard)) = entries.iter().find(|(id, _)| *id == self.id) {
-                return Arc::clone(shard);
-            }
-            let shard = {
-                let mut shards = self.shards.lock().unwrap_or_else(|e| e.into_inner());
-                let shard = Arc::new(ThreadShard {
-                    buf: Mutex::new(Vec::new()),
-                });
-                shards.push(Arc::clone(&shard));
-                shard
-            };
-            // Entries whose collector died hold the only other Arc;
-            // prune them so long-lived threads stay bounded.
-            entries.retain(|(_, s)| Arc::strong_count(s) > 1);
-            entries.push((self.id, Arc::clone(&shard)));
-            shard
-        })
-    }
-
-    /// Moves events into the bounded ring, evicting (and counting) the
-    /// oldest on overflow.
-    fn flush_to_ring(&self, events: Vec<LogEvent>) {
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        for event in events {
-            if ring.len() >= self.capacity {
-                ring.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            ring.push_back(event);
-        }
-    }
-
-    /// Drains every thread's shard into the ring (queries call this so
-    /// an event recorded before the query is always visible).
-    fn drain_shards(&self) {
-        let shards: Vec<Arc<ThreadShard>> = self
-            .shards
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(Arc::clone)
-            .collect();
-        for shard in shards {
-            let taken = std::mem::take(&mut *shard.buf.lock().unwrap_or_else(|e| e.into_inner()));
-            if !taken.is_empty() {
-                self.flush_to_ring(taken);
-            }
-        }
+        self.ring.push(|_track| event);
     }
 
     /// Every retained event, ascending by sequence number (oldest
@@ -476,15 +362,13 @@ impl LogCollector {
         min_level: Option<Level>,
         target_prefix: Option<&str>,
     ) -> Vec<LogEvent> {
-        self.drain_shards();
-        let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        let mut events: Vec<LogEvent> = ring
-            .iter()
-            .filter(|e| min_level.is_none_or(|min| e.level >= min))
-            .filter(|e| target_prefix.is_none_or(|p| e.target.starts_with(p)))
-            .cloned()
-            .collect();
-        drop(ring);
+        let mut events: Vec<LogEvent> = self.ring.query(|ring| {
+            ring.iter()
+                .filter(|e| min_level.is_none_or(|min| e.level >= min))
+                .filter(|e| target_prefix.is_none_or(|p| e.target.starts_with(p)))
+                .cloned()
+                .collect()
+        });
         events.sort_by_key(|e| e.seq);
         events
     }
@@ -502,14 +386,13 @@ impl LogCollector {
 
     /// Events evicted from the full ring since construction.
     pub fn events_dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Events currently retained (drains the shards first so the figure
     /// reflects everything recorded so far).
     pub fn ring_len(&self) -> usize {
-        self.drain_shards();
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.ring.len()
     }
 
     /// Attaches a JSON-lines sink; every subsequently recorded event
@@ -529,12 +412,12 @@ impl LogCollector {
     /// Lines the attached sink suppressed by rate limiting (0 when no
     /// sink is attached).
     pub fn sink_suppressed(&self) -> u64 {
-        self.sink
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|s| s.suppressed())
-            .unwrap_or(0)
+        self.sink().map_or(0, |s| s.suppressed())
+    }
+
+    /// The attached sink, cloned out so a write never holds the slot.
+    fn sink(&self) -> Option<Arc<JsonSink>> {
+        self.sink.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 }
 
@@ -1185,21 +1068,10 @@ impl IncidentRecorder {
     /// zero-padded wall timestamp + sequence, so the lexicographic
     /// order is chronological).
     fn cleanup(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut ids: Vec<String> = entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|name| name.ends_with(".json"))
-            .collect();
-        if ids.len() <= self.config.max_incidents {
-            return;
-        }
-        ids.sort();
-        let excess = ids.len() - self.config.max_incidents;
-        for name in ids.into_iter().take(excess) {
-            let _ = std::fs::remove_file(self.dir.join(name));
+        let ids = self.list();
+        let excess = ids.len().saturating_sub(self.config.max_incidents);
+        for id in &ids[..excess] {
+            let _ = std::fs::remove_file(self.dir.join(format!("{id}.json")));
         }
     }
 
@@ -1296,6 +1168,82 @@ mod tests {
         let messages: Vec<&str> = events.iter().map(|e| e.message.as_str()).collect();
         let expected: Vec<String> = (12..20).map(|i| format!("event {i}")).collect();
         assert_eq!(messages, expected);
+    }
+
+    #[test]
+    fn recorded_events_are_retained_or_counted_dropped() {
+        // Conservation at the source: every recorded event is either in
+        // the ring or counted as evicted, and each thread's survivors are
+        // the newest contiguous run of what it recorded.
+        const TARGETS: [&str; 4] = ["thread.0", "thread.1", "thread.2", "thread.3"];
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for _ in 0..64 {
+            let log = Arc::new(LogCollector::new(1 + next(64) as usize));
+            let counts: Vec<u64> = (0..1 + next(4)).map(|_| next(300)).collect();
+            let handles: Vec<_> = counts
+                .iter()
+                .zip(TARGETS)
+                .map(|(&n, target)| {
+                    let log = Arc::clone(&log);
+                    std::thread::spawn(move || {
+                        for i in 0..n {
+                            log.record(Level::Info, target, String::new(), vec![("i", i.into())]);
+                        }
+                    })
+                })
+                .collect();
+            for handle in handles {
+                handle.join().unwrap();
+            }
+            let retained = log.ring_len() as u64;
+            assert_eq!(log.events_recorded_total(), counts.iter().sum::<u64>());
+            assert_eq!(log.events_recorded_total(), retained + log.events_dropped());
+            assert!(retained <= log.capacity() as u64);
+            for (n, target) in counts.into_iter().zip(TARGETS) {
+                let kept: Vec<Value> = log
+                    .recent_filtered(None, Some(target))
+                    .into_iter()
+                    .map(|e| e.attrs[0].1.clone())
+                    .collect();
+                let newest: Vec<Value> = (n - kept.len() as u64..n).map(Value::U64).collect();
+                assert_eq!(kept, newest, "survivors are a newest suffix");
+            }
+        }
+    }
+
+    #[test]
+    fn an_event_is_visible_to_its_own_thread_while_others_query() {
+        // Each thread records under its own target and reads that target
+        // back at once, as a gateway worker does for `GET /v1/logs`.
+        // Another thread's concurrent query may be the one that drains
+        // this thread's shard; the event must not be missed in transit.
+        const TARGETS: [&str; 4] = ["race.0", "race.1", "race.2", "race.3"];
+        let log = Arc::new(LogCollector::new(1 << 20));
+        let handles: Vec<_> = TARGETS
+            .into_iter()
+            .map(|target| {
+                let log = Arc::clone(&log);
+                std::thread::spawn(move || {
+                    for recorded in 1..=5_000 {
+                        log.record(Level::Info, target, String::new(), Vec::new());
+                        assert_eq!(
+                            log.recent_filtered(None, Some(target)).len(),
+                            recorded,
+                            "own event lost to a concurrent drain"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
+        }
     }
 
     #[test]

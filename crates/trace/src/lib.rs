@@ -13,11 +13,12 @@
 //!    never touches the float accumulation; when disabled, opening a span
 //!    is a single relaxed atomic load and an untaken branch.
 //! 2. **No new dependencies.** The crate is `std`-only.
-//! 3. **Bounded memory.** Spans finish into per-thread buffers (one
-//!    uncontended mutex each — the only other locker is a drain) and are
-//!    drained into a bounded ring; when the ring is full the *oldest*
-//!    spans are evicted and counted in
-//!    [`spans_dropped`](TraceCollector::spans_dropped).
+//! 3. **Bounded memory.** Spans finish into a [`ShardedRing`]: per-thread
+//!    buffers (one uncontended mutex each — the only other locker is a
+//!    drain) drained into a bounded ring; when the ring is full the
+//!    *oldest* spans are evicted and counted in
+//!    [`spans_dropped`](TraceCollector::spans_dropped). The same ring
+//!    holds `snn-log`'s flight-recorder events.
 //!
 //! Two recording APIs:
 //!
@@ -33,23 +34,24 @@
 //!   it rode in. With no context pushed, [`ctx_span`] is a thread-local
 //!   read and a `None` branch.
 //!
-//! Export surfaces: per-trace span trees ([`TraceCollector::trace`]) and
-//! whole-run [`snapshot`](TraceCollector::snapshot)s, each span carrying
-//! the track of the thread that recorded it
-//! ([`tracks`](TraceCollector::tracks) names them).
+//! Export surface: per-trace span trees ([`TraceCollector::trace`]), each
+//! span carrying the track of the thread that recorded it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod ring;
+
+pub use ring::ShardedRing;
+
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Spans buffered per thread before an eager flush into the ring (a drain
-/// or query flushes everything regardless).
+/// Spans buffered per thread before an eager flush into the ring (a query
+/// flushes everything regardless).
 const SHARD_FLUSH_THRESHOLD: usize = 128;
 
 /// Default bound on retained finished spans.
@@ -146,7 +148,7 @@ impl From<f64> for AttrValue {
 ///
 /// Timestamps are microseconds since the owning collector's epoch (its
 /// construction instant), so spans recorded on different threads share
-/// one monotonic axis and Chrome-trace `ts` values are direct.
+/// one monotonic axis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanSnapshot {
     /// The request tree this span belongs to.
@@ -161,7 +163,8 @@ pub struct SpanSnapshot {
     pub start_us: u64,
     /// Duration, µs (0 for instantaneous marks).
     pub dur_us: u64,
-    /// Recording-thread track index (see [`TraceCollector::tracks`]).
+    /// Recording-thread track index: one per thread that recorded into
+    /// the collector, numbered from 0 in first-use order.
     pub track: u32,
     /// Attributes, in recording order.
     pub attrs: Vec<(&'static str, AttrValue)>,
@@ -179,28 +182,10 @@ impl SpanSnapshot {
     }
 }
 
-/// One recording thread's buffer: only its owner pushes, only a drain
-/// takes, so the mutex is uncontended on the hot path.
-#[derive(Debug)]
-struct ThreadShard {
-    track: u32,
-    label: String,
-    buf: Mutex<Vec<SpanSnapshot>>,
-}
-
-thread_local! {
-    /// This thread's shard per collector id (pruned when collectors die).
-    static SHARDS: RefCell<Vec<(u64, Arc<ThreadShard>)>> = const { RefCell::new(Vec::new()) };
-}
-
 thread_local! {
     /// The ambient trace context (see [`push_context`]).
     static CONTEXT: RefCell<Option<ActiveContext>> = const { RefCell::new(None) };
 }
-
-/// Process-wide collector id source (so thread-local shard entries can
-/// tell collectors apart).
-static NEXT_COLLECTOR_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The bounded span sink shared by every layer of one serving stack.
 ///
@@ -228,14 +213,10 @@ static NEXT_COLLECTOR_ID: AtomicU64 = AtomicU64::new(1);
 /// ```
 #[derive(Debug)]
 pub struct TraceCollector {
-    id: u64,
     enabled: AtomicBool,
     epoch: Instant,
-    capacity: usize,
-    shards: Mutex<Vec<Arc<ThreadShard>>>,
-    ring: Mutex<VecDeque<SpanSnapshot>>,
+    ring: ShardedRing<SpanSnapshot>,
     recorded: AtomicU64,
-    dropped: AtomicU64,
     next_span: AtomicU64,
     next_trace: AtomicU64,
 }
@@ -245,19 +226,14 @@ impl TraceCollector {
     /// finished spans (0 → [`DEFAULT_CAPACITY`]); disable with
     /// [`set_enabled`](Self::set_enabled).
     pub fn new(capacity: usize) -> Self {
+        let capacity = Some(capacity)
+            .filter(|&c| c > 0)
+            .unwrap_or(DEFAULT_CAPACITY);
         Self {
-            id: NEXT_COLLECTOR_ID.fetch_add(1, Ordering::Relaxed),
             enabled: AtomicBool::new(true),
             epoch: Instant::now(),
-            capacity: if capacity == 0 {
-                DEFAULT_CAPACITY
-            } else {
-                capacity
-            },
-            shards: Mutex::new(Vec::new()),
-            ring: Mutex::new(VecDeque::new()),
+            ring: ShardedRing::new(capacity, SHARD_FLUSH_THRESHOLD),
             recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             next_span: AtomicU64::new(1),
             next_trace: AtomicU64::new(1),
         }
@@ -276,14 +252,14 @@ impl TraceCollector {
 
     /// The retention bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Mints a fresh nonzero [`TraceId`] (collector id in the high bits,
     /// so stacks running side by side never collide).
     pub fn mint_trace(&self) -> TraceId {
         let n = self.next_trace.fetch_add(1, Ordering::Relaxed);
-        TraceId((self.id << 40) | (n & 0xFF_FFFF_FFFF) | (1 << 39))
+        TraceId((self.ring.id() << 40) | (n & 0xFF_FFFF_FFFF) | (1 << 39))
     }
 
     /// Allocates a span id without recording anything — for pre-naming a
@@ -356,122 +332,25 @@ impl TraceCollector {
         }
         let start_us = self.us_since_epoch(start);
         let end_us = self.us_since_epoch(end);
-        self.push_record(SpanSnapshot {
+        self.recorded.fetch_add(1, Ordering::Relaxed);
+        self.ring.push(|track| SpanSnapshot {
             trace,
             span_id,
             parent_id,
             name,
             start_us,
             dur_us: end_us.saturating_sub(start_us),
-            track: 0, // stamped by the shard below
+            track,
             attrs,
         });
-    }
-
-    /// Buffers one finished span on this thread's shard, flushing the
-    /// shard into the ring past the threshold.
-    fn push_record(&self, mut record: SpanSnapshot) {
-        let shard = self.shard_for_current_thread();
-        record.track = shard.track;
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        let overflow = {
-            let mut buf = shard.buf.lock().expect("trace shard poisoned");
-            buf.push(record);
-            if buf.len() >= SHARD_FLUSH_THRESHOLD {
-                std::mem::take(&mut *buf)
-            } else {
-                Vec::new()
-            }
-        };
-        if !overflow.is_empty() {
-            self.flush_to_ring(overflow);
-        }
-    }
-
-    /// This thread's shard for this collector, registering one (and its
-    /// track) on first use.
-    fn shard_for_current_thread(&self) -> Arc<ThreadShard> {
-        SHARDS.with(|cell| {
-            let mut entries = cell.borrow_mut();
-            if let Some((_, shard)) = entries.iter().find(|(id, _)| *id == self.id) {
-                return Arc::clone(shard);
-            }
-            let label = std::thread::current()
-                .name()
-                .unwrap_or("unnamed")
-                .to_string();
-            let shard = {
-                let mut shards = self.shards.lock().expect("trace shards poisoned");
-                let shard = Arc::new(ThreadShard {
-                    track: shards.len() as u32,
-                    label,
-                    buf: Mutex::new(Vec::new()),
-                });
-                shards.push(Arc::clone(&shard));
-                shard
-            };
-            // Entries whose collector died hold the only other Arc; prune
-            // them so long-lived threads stay bounded across collectors.
-            entries.retain(|(_, s)| Arc::strong_count(s) > 1);
-            entries.push((self.id, Arc::clone(&shard)));
-            shard
-        })
-    }
-
-    /// Moves finished spans into the bounded ring, evicting (and
-    /// counting) the oldest on overflow.
-    fn flush_to_ring(&self, records: Vec<SpanSnapshot>) {
-        let mut ring = self.ring.lock().expect("trace ring poisoned");
-        self.push_to_ring(&mut ring, records);
-    }
-
-    fn push_to_ring(&self, ring: &mut VecDeque<SpanSnapshot>, records: Vec<SpanSnapshot>) {
-        for record in records {
-            if ring.len() >= self.capacity {
-                ring.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            ring.push_back(record);
-        }
-    }
-
-    /// Drains every thread's shard into the ring and hands the ring back
-    /// still locked, so a span recorded before the query is always
-    /// visible to it. The ring lock is held across the whole drain: were
-    /// it taken per shard, a second query could find a shard already
-    /// emptied by the first while its spans were still on their way to
-    /// the ring, and miss them. (Recording never holds a shard and the
-    /// ring at once, so ring → shard is the only nesting.)
-    fn drain_shards(&self) -> MutexGuard<'_, VecDeque<SpanSnapshot>> {
-        let shards: Vec<Arc<ThreadShard>> = self
-            .shards
-            .lock()
-            .expect("trace shards poisoned")
-            .iter()
-            .map(Arc::clone)
-            .collect();
-        let mut ring = self.ring.lock().expect("trace ring poisoned");
-        for shard in shards {
-            let taken = std::mem::take(&mut *shard.buf.lock().expect("trace shard poisoned"));
-            self.push_to_ring(&mut ring, taken);
-        }
-        ring
     }
 
     /// Every retained span of `trace`, sorted by start time then id;
     /// empty when the trace is unknown (or evicted).
     pub fn trace(&self, trace: TraceId) -> Vec<SpanSnapshot> {
-        let ring = self.drain_shards();
-        let mut spans: Vec<SpanSnapshot> =
-            ring.iter().filter(|s| s.trace == trace).cloned().collect();
-        spans.sort_by_key(|s| (s.start_us, s.span_id));
-        spans
-    }
-
-    /// Every retained span, sorted by start time then id.
-    pub fn snapshot(&self) -> Vec<SpanSnapshot> {
-        let ring = self.drain_shards();
-        let mut spans: Vec<SpanSnapshot> = ring.iter().cloned().collect();
+        let mut spans: Vec<SpanSnapshot> = self
+            .ring
+            .query(|ring| ring.iter().filter(|s| s.trace == trace).cloned().collect());
         spans.sort_by_key(|s| (s.start_us, s.span_id));
         spans
     }
@@ -483,33 +362,14 @@ impl TraceCollector {
 
     /// Spans evicted from the full ring since construction.
     pub fn spans_dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Spans currently retained in the ring (occupancy against
     /// [`capacity`](Self::capacity)). Drains the per-thread shards first
     /// so the figure reflects everything recorded so far.
     pub fn ring_len(&self) -> usize {
-        self.drain_shards().len()
-    }
-
-    /// Recording-thread tracks as `(track, thread name)` pairs, ascending
-    /// by track.
-    pub fn tracks(&self) -> Vec<(u32, String)> {
-        self.shards
-            .lock()
-            .expect("trace shards poisoned")
-            .iter()
-            .map(|s| (s.track, s.label.clone()))
-            .collect()
-    }
-
-    /// Discards every retained span and resets the recorded/dropped
-    /// counters (tracks persist — threads keep their shards).
-    pub fn clear(&self) {
-        self.drain_shards().clear();
-        self.recorded.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
+        self.ring.len()
     }
 }
 
@@ -899,33 +759,29 @@ mod tests {
     #[test]
     fn concurrent_threads_get_distinct_tracks() {
         let c = Arc::new(TraceCollector::new(4096));
-        let mut handles = Vec::new();
-        for i in 0..4 {
-            let c = Arc::clone(&c);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("trace-test-{i}"))
-                    .spawn(move || {
-                        let t = c.mint_trace();
-                        for _ in 0..50 {
-                            drop(c.span(t, 0, "work"));
-                        }
-                        t
-                    })
-                    .unwrap(),
-            );
-        }
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    let t = c.mint_trace();
+                    for _ in 0..50 {
+                        drop(c.span(t, 0, "work"));
+                    }
+                    t
+                })
+            })
+            .collect();
         let traces: Vec<TraceId> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(c.spans_recorded(), 200);
+        let mut tracks = Vec::new();
         for t in traces {
-            assert_eq!(c.trace(t).len(), 50, "no cross-thread interleaving");
+            let spans = c.trace(t);
+            assert_eq!(spans.len(), 50, "no cross-thread interleaving");
+            assert!(spans.iter().all(|s| s.track == spans[0].track));
+            tracks.push(spans[0].track);
         }
-        let tracks = c.tracks();
-        assert_eq!(tracks.len(), 4);
-        let labels: Vec<&str> = tracks.iter().map(|(_, l)| l.as_str()).collect();
-        for i in 0..4 {
-            assert!(labels.contains(&format!("trace-test-{i}").as_str()));
-        }
+        tracks.sort_unstable();
+        assert_eq!(tracks, [0, 1, 2, 3], "one track per recording thread");
     }
 
     #[test]
@@ -953,16 +809,52 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_retention_and_counters() {
-        let c = Arc::new(TraceCollector::new(8));
-        let t = c.mint_trace();
-        drop(c.span(t, 0, "a"));
-        assert_eq!(c.spans_recorded(), 1);
-        c.clear();
-        assert_eq!(c.spans_recorded(), 0);
-        assert_eq!(c.spans_dropped(), 0);
-        assert!(c.snapshot().is_empty());
-        drop(c.span(t, 0, "b"));
-        assert_eq!(c.trace(t).len(), 1);
+    fn recorded_spans_are_retained_or_counted_dropped() {
+        // Conservation at the source: every recorded span is either in the
+        // ring or counted as evicted, and each thread's survivors are the
+        // newest contiguous run of what it recorded.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for _ in 0..64 {
+            let c = Arc::new(TraceCollector::new(1 + next(64) as usize));
+            let counts: Vec<u64> = (0..1 + next(4)).map(|_| next(300)).collect();
+            let handles: Vec<_> = counts
+                .iter()
+                .map(|&n| {
+                    let c = Arc::clone(&c);
+                    std::thread::spawn(move || {
+                        let t = c.mint_trace();
+                        let at = Instant::now();
+                        for i in 0..n {
+                            c.record_span(t, 0, "s", at, at, vec![("i", AttrValue::U64(i))]);
+                        }
+                        t
+                    })
+                })
+                .collect();
+            let traces: Vec<TraceId> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            let retained = c.ring_len() as u64;
+            assert_eq!(c.spans_recorded(), counts.iter().sum::<u64>());
+            assert_eq!(c.spans_recorded(), retained + c.spans_dropped());
+            assert!(retained <= c.capacity() as u64);
+            for (t, n) in traces.into_iter().zip(counts) {
+                let mut kept: Vec<u64> = c
+                    .trace(t)
+                    .iter()
+                    .map(|s| match s.attr("i") {
+                        Some(AttrValue::U64(i)) => *i,
+                        other => panic!("span without its index: {other:?}"),
+                    })
+                    .collect();
+                kept.sort_unstable();
+                let newest: Vec<u64> = (n - kept.len() as u64..n).collect();
+                assert_eq!(kept, newest, "survivors are a newest suffix");
+            }
+        }
     }
 }
