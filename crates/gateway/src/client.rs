@@ -11,7 +11,7 @@
 //! logits bit-for-bit against an expected tensor.
 
 use serde::Serialize;
-use snn_runtime::LatencyRecorder;
+use snn_telemetry::Histogram;
 use snn_tensor::Tensor;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -270,11 +270,15 @@ pub struct LoadReport {
     pub wall_ms: f64,
     /// Completed requests (any status) per second of wall clock.
     pub requests_per_sec: f64,
-    /// Mean client-observed request latency, microseconds.
+    /// Mean client-observed request latency, microseconds (exact).
     pub latency_mean_us: f64,
-    /// Median client-observed request latency, microseconds.
+    /// Median client-observed request latency, microseconds: a
+    /// log-linear bin's upper edge clamped to the maximum
+    /// ([`Histogram::quantile_us`]), at most 25 % + 1 µs above the exact
+    /// value, never below it.
     pub latency_p50_us: f64,
-    /// 99th-percentile client-observed request latency, microseconds.
+    /// 99th-percentile client-observed request latency, microseconds
+    /// (bin edge, as [`latency_p50_us`](Self::latency_p50_us)).
     pub latency_p99_us: f64,
 }
 
@@ -324,8 +328,9 @@ pub fn run_closed_loop_any(
     let clients = config.clients.clamp(1, n.max(1));
     let started = Instant::now();
 
+    #[derive(Default)]
     struct ClientTally {
-        latencies: LatencyRecorder,
+        latencies: Histogram,
         requests: u64,
         ok_200: u64,
         shed_429: u64,
@@ -344,15 +349,8 @@ pub fn run_closed_loop_any(
                 scope.spawn(move || {
                     let mut rng = XorShift::new(config.seed ^ (c as u64).wrapping_mul(0x9E37));
                     let mut tally = ClientTally {
-                        latencies: LatencyRecorder::new(),
-                        requests: 0,
-                        ok_200: 0,
-                        shed_429: 0,
-                        unavailable_503: 0,
-                        other_status: 0,
-                        transport_errors: 0,
-                        mismatches: 0,
                         ok_per_expected: vec![0; expected_any.len()],
+                        ..ClientTally::default()
                     };
                     let mut client = HttpClient::connect(addr).ok();
                     for _ in 0..config.passes {
@@ -446,41 +444,20 @@ pub fn run_closed_loop_any(
                 })
             })
             .collect();
+        // A client thread that panicked contributes nothing.
         handles
             .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| ClientTally {
-                    latencies: LatencyRecorder::new(),
-                    requests: 0,
-                    ok_200: 0,
-                    shed_429: 0,
-                    unavailable_503: 0,
-                    other_status: 0,
-                    transport_errors: 0,
-                    mismatches: 0,
-                    ok_per_expected: vec![0; expected_any.len()],
-                })
-            })
+            .map(|h| h.join().unwrap_or_default())
             .collect()
     });
 
     let wall = started.elapsed();
-    let mut latencies = LatencyRecorder::new();
+    let mut latencies = Histogram::new();
     let mut report = LoadReport {
         clients,
-        requests: 0,
-        ok_200: 0,
-        shed_429: 0,
-        unavailable_503: 0,
-        other_status: 0,
-        transport_errors: 0,
-        mismatches: 0,
         ok_per_expected: vec![0; expected_any.len()],
         wall_ms: wall.as_secs_f64() * 1e3,
-        requests_per_sec: 0.0,
-        latency_mean_us: 0.0,
-        latency_p50_us: 0.0,
-        latency_p99_us: 0.0,
+        ..LoadReport::default()
     };
     for tally in tallies {
         report.requests += tally.requests;

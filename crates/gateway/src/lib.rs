@@ -18,7 +18,7 @@
 //! * [`Gateway`] — acceptor + connection worker pool with graceful drain;
 //!   routes `POST /v1/infer`, `GET /metrics` (Prometheus text: gateway
 //!   counters, [`StreamingMetrics`](snn_runtime::StreamingMetrics) and
-//!   log-bucket latency histograms), `GET /v1/trace/<id>` (a traced
+//!   power-of-two `le` latency histograms), `GET /v1/trace/<id>` (a traced
 //!   request's span tree — when the wrapped server carries a
 //!   [`TraceCollector`](snn_trace::TraceCollector), each `/v1/infer`
 //!   response echoes its `trace_id`, honoring a client-supplied

@@ -8,7 +8,8 @@
 //! the whole path from accepted socket to executed batch.
 
 use serde::{Deserialize, Serialize};
-use snn_runtime::{HistogramSnapshot, LatencyRecorder, RegistryMetrics, StreamingMetrics};
+use snn_runtime::{HistogramSnapshot, RegistryMetrics, StreamingMetrics};
+use snn_telemetry::Histogram;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -55,11 +56,14 @@ pub struct RouteMetrics {
     pub route: String,
     /// Requests that completed on this route (any status).
     pub requests: u64,
-    /// Mean handler latency, microseconds.
+    /// Mean handler latency, microseconds (exact).
     pub latency_mean_us: f64,
-    /// Median handler latency, microseconds.
+    /// Median handler latency, microseconds: a log-linear bin's upper
+    /// edge clamped to the maximum ([`Histogram::quantile_us`]), at most
+    /// 25 % + 1 µs above the exact value, never below it.
     pub latency_p50_us: f64,
-    /// 99th-percentile handler latency, microseconds.
+    /// 99th-percentile handler latency, microseconds (bin edge, as
+    /// [`latency_p50_us`](Self::latency_p50_us)).
     pub latency_p99_us: f64,
 }
 
@@ -104,7 +108,7 @@ pub struct GatewayRecorder {
     responses_2xx: u64,
     responses_4xx: u64,
     responses_5xx: u64,
-    routes: BTreeMap<String, LatencyRecorder>,
+    routes: BTreeMap<&'static str, Histogram>,
 }
 
 impl GatewayRecorder {
@@ -120,7 +124,7 @@ impl GatewayRecorder {
 
     /// Records one completed response: its route, status and handler
     /// latency.
-    pub fn record_response(&mut self, route: &str, status: u16, latency: Duration) {
+    pub fn record_response(&mut self, route: &'static str, status: u16, latency: Duration) {
         match status {
             200..=299 => self.responses_2xx += 1,
             400..=499 => self.responses_4xx += 1,
@@ -132,10 +136,7 @@ impl GatewayRecorder {
             504 => self.timeout_504 += 1,
             _ => {}
         }
-        self.routes
-            .entry(route.to_string())
-            .or_default()
-            .record(latency);
+        self.routes.entry(route).or_default().record(latency);
     }
 
     /// Records one request the parser rejected (already counted as a
@@ -146,16 +147,16 @@ impl GatewayRecorder {
     }
 
     /// Snapshots everything recorded so far.
-    pub fn summarize(&mut self) -> GatewayMetrics {
+    pub fn summarize(&self) -> GatewayMetrics {
         let routes: Vec<RouteMetrics> = self
             .routes
-            .iter_mut()
-            .map(|(route, rec)| RouteMetrics {
-                route: route.clone(),
-                requests: rec.len() as u64,
-                latency_mean_us: rec.mean_us(),
-                latency_p50_us: rec.quantile_us(0.50),
-                latency_p99_us: rec.quantile_us(0.99),
+            .iter()
+            .map(|(route, latency)| RouteMetrics {
+                route: route.to_string(),
+                requests: latency.count(),
+                latency_mean_us: latency.mean_us(),
+                latency_p50_us: latency.quantile_us(0.50),
+                latency_p99_us: latency.quantile_us(0.99),
             })
             .collect();
         GatewayMetrics {

@@ -731,17 +731,21 @@ fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received:
     let bytes =
         write_response_with_retry_after(status, content_type, &body, keep_alive, retry_after);
     let wrote = stream.write_all(&bytes).is_ok();
+    // One clock read, so the cumulative recorder, the windowed histogram
+    // and the access log agree about this request.
+    let latency = start.elapsed();
+    let latency_us = latency.as_micros() as u64;
     shared
         .recorder
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .record_response(route, status, start.elapsed());
+        .record_response(route, status, latency);
     if let Some(hub) = &shared.telemetry {
         let now = hub.now_s();
         let labels = Labels::new().with("route", route);
         hub.counter(families::HTTP_REQUESTS, &labels).add(now, 1.0);
         hub.histogram(families::HTTP_E2E_US, &labels)
-            .record_us(now, start.elapsed().as_micros() as u64);
+            .record_us(now, latency_us);
     }
     // Per-request access log: one event per answered request, error-level
     // for 5xx, warn for backpressure, stamped with the caller's trace id
@@ -765,7 +769,7 @@ fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received:
                 vec![
                     ("route", route.into()),
                     ("status", u64::from(status).into()),
-                    ("latency_us", (start.elapsed().as_micros() as u64).into()),
+                    ("latency_us", latency_us.into()),
                 ],
                 trace,
             );

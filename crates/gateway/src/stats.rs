@@ -35,7 +35,7 @@
 //!     "queue_sheds": 0, "batch_retries": 0, "quarantined": 0,
 //!     "gateway_shed_429": 0, "gateway_drained_503": 0,
 //!     "gateway_timeout_504": 0},
-//!   "cumulative": {              // whole-process recorders, for agreement
+//!   "cumulative": {              // whole-process histograms, for agreement
 //!     "requests": 810, "images_per_sec": 804.2,
 //!     "e2e_p50_us": 1800.0, "e2e_p99_us": 4200.0,
 //!     "queue_wait_share": 0.42, "mean_batch_occupancy": 3.8,
@@ -53,9 +53,11 @@
 //! }
 //! ```
 //!
-//! Quantiles are served from the telemetry crate's log-linear bins, which
-//! report a bin's **upper** edge: a windowed quantile may exceed the exact
-//! sample quantile by up to 25% + 1 µs, never undershoot it. Ratios whose
+//! Every quantile, windowed or `cumulative`, is served from the telemetry
+//! crate's log-linear bins, which report a bin's **upper** edge: it may
+//! exceed the exact sample quantile by up to 25% + 1 µs, never undershoot
+//! it. The cumulative ones are also clamped to the exact maximum. Counts,
+//! `queue_wait_share` and `registry` are exact. Ratios whose
 //! window saw no traffic are `0.0` (healthy-by-vacuity, never `NaN`).
 //! `models` includes at most [`snn_telemetry::MAX_SERIES_PER_FAMILY`]
 //! entries; past the cardinality cap new label sets collapse into one

@@ -224,6 +224,14 @@ impl FireTable {
     }
 }
 
+/// Sets `v` to `len` copies of `value`, growing capacity to exactly
+/// `len`: a plain `resize` doubles past it as batches grow lane by lane.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.reserve_exact(len);
+    v.resize(len, value);
+}
+
 /// One layer boundary's spikes held densely: a time step per cell.
 #[derive(Debug, Default)]
 struct StepPlane {
@@ -245,10 +253,8 @@ impl StepPlane {
     /// Lays the plane out for `lanes × channels · plane` unscaled cells
     /// that have not fired, with a zeroed histogram.
     fn reset(&mut self, lanes: usize, channels: usize, plane: usize, fire: &FireTable) {
-        self.steps.clear();
-        self.steps.resize(lanes * channels * plane, fire.never());
-        self.hist.clear();
-        self.hist.resize(lanes * fire.slots(), 0);
+        refill(&mut self.steps, lanes * channels * plane, fire.never());
+        refill(&mut self.hist, lanes * fire.slots(), 0);
         self.scaled = false;
         self.channels = channels;
         self.plane = plane;
@@ -286,8 +292,7 @@ impl StepPlane {
     ) {
         self.reset(lanes, c, hw, fire);
         self.scaled = true;
-        self.scales.clear();
-        self.scales.resize(self.steps.len(), 0.0);
+        refill(&mut self.scales, self.steps.len(), 0.0);
         for t in 0..=fire.window() {
             for s in wheel.slot(t) {
                 let n = s.neuron as usize;
@@ -626,8 +631,7 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                 }
                 let out_len = bias.len();
                 let resolved = W::resolve(syn.weights(), ctx_of(seen), weights);
-                acc.clear();
-                acc.resize(out_len * lanes, 0.0);
+                refill(acc, out_len * lanes, 0.0);
                 let mut ops = 0usize;
                 // Edge-major integration: ascending time slots, equal
                 // neurons grouped across lanes, one row fetch per
@@ -827,8 +831,7 @@ fn max_pool(
     dst.reset(lanes, c, oh * ow, fire);
     if !by_step {
         dst.scaled = true;
-        dst.scales.clear();
-        dst.scales.resize(dst.steps.len(), 0.0);
+        refill(&mut dst.scales, dst.steps.len(), 0.0);
     }
     let (in_len, out_len) = (c * h * w, c * oh * ow);
     for (lane, hist) in dst.hist.chunks_exact_mut(fire.slots()).enumerate() {

@@ -131,8 +131,8 @@ pub use csr::{
 pub use engine::{CsrEngine, DEFAULT_MAX_LANES};
 pub use faults::{FaultConfig, FaultCounts, FaultInjector, FaultPoint};
 pub use metrics::{
-    HistogramBucket, HistogramSnapshot, LatencyRecorder, LogHistogram, LogSink, OccupancyBucket,
-    StreamingMetrics, StreamingRecorder,
+    HistogramBucket, HistogramSnapshot, LogSink, OccupancyBucket, StreamingMetrics,
+    StreamingRecorder,
 };
 pub use quant::{
     fit_layer_quantizers, quantize_model, DecodeMode, QuantConfig, QuantCsrModel, QuantEngine,

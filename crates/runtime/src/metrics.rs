@@ -4,231 +4,15 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use snn_log::{IncidentRecorder, LogCollector, TraceId};
 use snn_sim::RunStats;
-use snn_telemetry::{families, Labels, TelemetryHub, WindowCounter, WindowHistogram};
+use snn_telemetry::{families, Histogram, Labels, TelemetryHub, WindowCounter, WindowHistogram};
 
 use crate::batcher::FlushReason;
 use crate::energy::EnergyPricer;
-
-/// Reservoir capacity of a [`LatencyRecorder`]: counts, totals and means
-/// stay exact forever, while quantile queries past this many samples are
-/// computed over a uniform reservoir — a recorder feeding a long-running
-/// metrics endpoint must stay bounded in memory and scrape-time sort cost.
-const RESERVOIR_CAPACITY: usize = 65_536;
-
-/// Collects per-request latencies and computes order statistics.
-///
-/// Samples are kept unsorted while recording; the first quantile query
-/// after a record sorts **in place, once** — repeated queries reuse the
-/// sorted order instead of cloning and re-sorting per call.
-///
-/// Memory is bounded: the first 65,536 samples are kept exactly; beyond
-/// that, reservoir sampling (deterministic LCG, uniform over the whole
-/// stream) keeps quantiles representative while
-/// [`len`](Self::len), [`total_us`](Self::total_us) and
-/// [`mean_us`](Self::mean_us) remain exact over every recorded sample.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples_us: Vec<f64>,
-    sorted: bool,
-    /// Total samples ever recorded (exact; ≥ `samples_us.len()`).
-    count: u64,
-    /// Exact running sum over every recorded sample, microseconds.
-    total_us: f64,
-    /// LCG state for reservoir replacement decisions.
-    rng: u64,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn next_rng(&mut self) -> u64 {
-        self.rng = self
-            .rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.rng
-    }
-
-    /// Records one request latency.
-    pub fn record(&mut self, latency: Duration) {
-        let us = latency.as_secs_f64() * 1e6;
-        self.count += 1;
-        self.total_us += us;
-        if self.samples_us.len() < RESERVOIR_CAPACITY {
-            self.samples_us.push(us);
-            self.sorted = false;
-        } else {
-            // Classic reservoir step: keep each of the `count` samples
-            // with equal probability capacity/count.
-            let slot = (self.next_rng() % self.count) as usize;
-            if slot < RESERVOIR_CAPACITY {
-                self.samples_us[slot] = us;
-                self.sorted = false;
-            }
-        }
-    }
-
-    /// Number of recorded requests (exact, even past the reservoir
-    /// capacity).
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Total recorded time in microseconds (exact running sum).
-    pub fn total_us(&self) -> f64 {
-        self.total_us
-    }
-
-    /// Absorbs every sample of `other` (e.g. merging per-thread recorders
-    /// into one summary). Counts and totals merge exactly; if the merged
-    /// samples exceed the reservoir capacity, the surplus re-enters
-    /// through the reservoir.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.count += other.count;
-        self.total_us += other.total_us;
-        for &us in &other.samples_us {
-            if self.samples_us.len() < RESERVOIR_CAPACITY {
-                self.samples_us.push(us);
-                self.sorted = false;
-            } else {
-                let slot = (self.next_rng() % self.count.max(1)) as usize;
-                if slot < RESERVOIR_CAPACITY {
-                    self.samples_us[slot] = us;
-                    self.sorted = false;
-                }
-            }
-        }
-    }
-
-    fn sorted_samples(&mut self) -> &[f64] {
-        if !self.sorted {
-            self.samples_us.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        &self.samples_us
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) in microseconds, by nearest-rank on the
-    /// sorted (reservoir) samples; 0 when empty.
-    pub fn quantile_us(&mut self, q: f64) -> f64 {
-        if self.samples_us.is_empty() {
-            return 0.0;
-        }
-        quantile_from_sorted(self.sorted_samples(), q)
-    }
-
-    /// Mean latency in microseconds; 0 when empty. Exact over every
-    /// recorded sample.
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.total_us / self.count as f64
-    }
-}
-
-/// Finite buckets of a [`LogHistogram`]: upper bounds 2^0 .. 2^25 µs
-/// (1 µs to ~33.5 s); anything slower lands in the implicit `+Inf`
-/// bucket. Power-of-2 bounds keep recording branch-free (a leading-zeros
-/// count) and give Prometheus `le` bounds that are exact in binary.
-const LOG_HISTOGRAM_BUCKETS: usize = 26;
-
-/// Bounded-memory log-bucket latency histogram (the Prometheus-histogram
-/// companion to [`LatencyRecorder`]'s quantiles): 26 power-of-2 µs
-/// buckets plus overflow, with exact count and sum. Recording is O(1)
-/// with no allocation, so it can sit on the streaming hot path.
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    /// Per-bucket (non-cumulative) counts; index i covers
-    /// `(2^(i-1), 2^i]` µs, index 0 covers `[0, 1]` µs, and the final
-    /// slot is the `+Inf` overflow.
-    counts: [u64; LOG_HISTOGRAM_BUCKETS + 1],
-    count: u64,
-    sum_us: f64,
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self {
-            counts: [0; LOG_HISTOGRAM_BUCKETS + 1],
-            count: 0,
-            sum_us: 0.0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, latency: Duration) {
-        let us = latency.as_micros() as u64;
-        // Smallest i with us <= 2^i, i.e. ceil(log2(us)).
-        let idx = if us <= 1 {
-            0
-        } else {
-            (u64::BITS - (us - 1).leading_zeros()) as usize
-        };
-        self.counts[idx.min(LOG_HISTOGRAM_BUCKETS)] += 1;
-        self.count += 1;
-        self.sum_us += latency.as_secs_f64() * 1e6;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations, microseconds.
-    pub fn sum_us(&self) -> f64 {
-        self.sum_us
-    }
-
-    /// Serializable snapshot with **cumulative** bucket counts
-    /// (Prometheus `le` semantics). Finite buckets are emitted up to the
-    /// highest non-empty one; observations above it are only in the
-    /// implicit `+Inf` bucket, whose cumulative count is
-    /// [`count`](HistogramSnapshot::count).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let last_nonzero = self.counts[..LOG_HISTOGRAM_BUCKETS]
-            .iter()
-            .rposition(|&c| c != 0);
-        let mut cumulative = 0;
-        let buckets = match last_nonzero {
-            None => Vec::new(),
-            Some(last) => (0..=last)
-                .map(|i| {
-                    cumulative += self.counts[i];
-                    HistogramBucket {
-                        le_us: 1u64 << i,
-                        count: cumulative,
-                    }
-                })
-                .collect(),
-        };
-        HistogramSnapshot {
-            buckets,
-            count: self.count,
-            sum_us: self.sum_us,
-        }
-    }
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// One cumulative bucket of a [`HistogramSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -239,8 +23,8 @@ pub struct HistogramBucket {
     pub count: u64,
 }
 
-/// Serializable log-bucket histogram snapshot (see
-/// [`LogHistogram::snapshot`]); renders directly as a Prometheus
+/// Serializable `le` view of a [`Histogram`] (see
+/// [`Histogram::le_buckets`]); renders directly as a Prometheus
 /// histogram: one `_bucket{le=...}` series per entry plus `+Inf`,
 /// `_sum`, `_count`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -253,13 +37,18 @@ pub struct HistogramSnapshot {
     pub sum_us: f64,
 }
 
-/// Nearest-rank quantile over an already-sorted slice; 0 when empty.
-fn quantile_from_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+impl From<&Histogram> for HistogramSnapshot {
+    fn from(h: &Histogram) -> Self {
+        Self {
+            buckets: h
+                .le_buckets()
+                .into_iter()
+                .map(|(le_us, count)| HistogramBucket { le_us, count })
+                .collect(),
+            count: h.count(),
+            sum_us: h.sum_us(),
+        }
     }
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// One bucket of the batch-occupancy histogram: how many formed batches
@@ -275,6 +64,12 @@ pub struct OccupancyBucket {
 /// Serializable summary of a streaming-serving window: per-request
 /// end-to-end latency percentiles, the queue-wait versus execution-time
 /// split, and the occupancy distribution of the batches the workers took.
+///
+/// Counts, means, `queue_wait_share` and the histograms' `count`/`sum_us`
+/// are exact. The `*_p50_us`/`*_p99_us` quantiles come from
+/// [`Histogram::quantile_us`]: a log-linear bin's upper edge, clamped to
+/// the exact maximum — never below the exact nearest-rank value (over
+/// whole µs), at most 25 % + 1 µs above it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamingMetrics {
     /// Streamed requests completed (one image each).
@@ -299,21 +94,22 @@ pub struct StreamingMetrics {
     pub images_per_sec: f64,
     /// Mean end-to-end (submit → result) latency, microseconds.
     pub e2e_mean_us: f64,
-    /// Median end-to-end latency, microseconds.
+    /// Median end-to-end latency, microseconds (bin edge, see the type
+    /// docs).
     pub e2e_p50_us: f64,
-    /// 99th-percentile end-to-end latency, microseconds.
+    /// 99th-percentile end-to-end latency, microseconds (bin edge).
     pub e2e_p99_us: f64,
     /// Mean time a request waited before its batch started executing, µs.
     pub queue_wait_mean_us: f64,
-    /// Median queue wait, microseconds.
+    /// Median queue wait, microseconds (bin edge).
     pub queue_wait_p50_us: f64,
-    /// 99th-percentile queue wait, microseconds.
+    /// 99th-percentile queue wait, microseconds (bin edge).
     pub queue_wait_p99_us: f64,
     /// Mean backend execution time of a formed batch, microseconds.
     pub exec_mean_us: f64,
-    /// Median batch execution time, microseconds.
+    /// Median batch execution time, microseconds (bin edge).
     pub exec_p50_us: f64,
-    /// 99th-percentile batch execution time, microseconds.
+    /// 99th-percentile batch execution time, microseconds (bin edge).
     pub exec_p99_us: f64,
     /// Fraction of total end-to-end time spent queue-waiting (0..=1);
     /// high values mean batching delay, not inference, dominates latency.
@@ -353,11 +149,11 @@ pub struct StreamingMetrics {
     /// deadline had already expired — the cumulative companion of the
     /// per-model windowed deadline-miss SLO ratio.
     pub deadline_misses: u64,
-    /// Log-bucket histogram of end-to-end (submit → result) latency.
+    /// `le` buckets of end-to-end (submit → result) latency.
     pub e2e_histogram: HistogramSnapshot,
-    /// Log-bucket histogram of queue wait (submit → batch exec start).
+    /// `le` buckets of queue wait (submit → batch exec start).
     pub queue_wait_histogram: HistogramSnapshot,
-    /// Log-bucket histogram of formed-batch backend execution time.
+    /// `le` buckets of formed-batch backend execution time.
     pub exec_histogram: HistogramSnapshot,
 }
 
@@ -372,7 +168,7 @@ pub struct StreamingMetrics {
 /// Attach one with
 /// [`StreamingServer::attach_telemetry`](crate::StreamingServer::attach_telemetry);
 /// recorders without a sink behave exactly as before (the cumulative
-/// recorders are always fed — telemetry is additive, never a
+/// histograms are always fed — telemetry is additive, never a
 /// replacement).
 #[derive(Clone)]
 pub struct TelemetrySink {
@@ -385,6 +181,10 @@ pub struct TelemetrySink {
     queue_wait: Arc<WindowHistogram>,
     exec: Arc<WindowHistogram>,
     wait_timeouts: Arc<WindowCounter>,
+    /// The `flushes` series per reason, indexed by `FlushReason as usize`
+    /// and resolved on first use, so the hub lists only reasons that
+    /// occurred.
+    flushes: [OnceLock<Arc<WindowCounter>>; 4],
     pricer: Option<EnergyPricer>,
 }
 
@@ -401,6 +201,7 @@ impl TelemetrySink {
             queue_wait: hub.histogram(families::QUEUE_WAIT_US, &labels),
             exec: hub.histogram(families::EXEC_US, &labels),
             wait_timeouts: hub.counter(families::WAIT_TIMEOUTS, &labels),
+            flushes: Default::default(),
             hub,
             labels,
             pricer,
@@ -484,12 +285,9 @@ impl LogSink {
 #[derive(Debug, Clone)]
 pub struct StreamingRecorder {
     started: Instant,
-    e2e: LatencyRecorder,
-    queue_wait: LatencyRecorder,
-    exec: LatencyRecorder,
-    e2e_hist: LogHistogram,
-    queue_wait_hist: LogHistogram,
-    exec_hist: LogHistogram,
+    e2e: Histogram,
+    queue_wait: Histogram,
+    exec: Histogram,
     batch_sizes: BTreeMap<u64, u64>,
     sheds: u64,
     brownout_sheds: u64,
@@ -513,12 +311,9 @@ impl StreamingRecorder {
     pub fn new() -> Self {
         Self {
             started: Instant::now(),
-            e2e: LatencyRecorder::new(),
-            queue_wait: LatencyRecorder::new(),
-            exec: LatencyRecorder::new(),
-            e2e_hist: LogHistogram::new(),
-            queue_wait_hist: LogHistogram::new(),
-            exec_hist: LogHistogram::new(),
+            e2e: Histogram::new(),
+            queue_wait: Histogram::new(),
+            exec: Histogram::new(),
             batch_sizes: BTreeMap::new(),
             sheds: 0,
             brownout_sheds: 0,
@@ -538,11 +333,6 @@ impl StreamingRecorder {
         self.sink = Some(sink);
     }
 
-    /// Whether a telemetry sink is attached.
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Attaches a structured-logging sink; the workers' batch takes and
     /// failure-isolation decisions start emitting log events (and
     /// incident triggers, when the sink carries a recorder).
@@ -560,17 +350,17 @@ impl StreamingRecorder {
     pub fn record_batch(&mut self, size: usize, exec: Duration, reason: FlushReason) {
         *self.batch_sizes.entry(size as u64).or_insert(0) += 1;
         self.exec.record(exec);
-        self.exec_hist.record(exec);
         self.flushes[reason as usize] += 1;
         if let Some(sink) = &self.sink {
             let now = sink.hub.now_s();
             sink.exec
                 .record_us(now, exec.as_micros().min(u64::MAX as u128) as u64);
-            sink.record_labeled(
-                families::FLUSHES,
-                "flush_reason",
-                reason.as_str().to_string(),
-            );
+            sink.flushes[reason as usize]
+                .get_or_init(|| {
+                    let labels = sink.labels.clone().with("flush_reason", reason.as_str());
+                    sink.hub.counter(families::FLUSHES, &labels)
+                })
+                .add(now, 1.0);
         }
         if let Some(log) = &self.log {
             snn_log::debug!(
@@ -619,11 +409,6 @@ impl StreamingRecorder {
         }
     }
 
-    /// Submissions shed so far.
-    pub fn sheds(&self) -> u64 {
-        self.sheds
-    }
-
     /// Records one submission shed by priority brownout, with the shed
     /// request's priority.
     pub fn record_brownout_shed(&mut self, priority: u8) {
@@ -635,11 +420,6 @@ impl StreamingRecorder {
                 TelemetrySink::priority_label(priority),
             );
         }
-    }
-
-    /// Brownout sheds so far.
-    pub fn brownout_sheds(&self) -> u64 {
-        self.brownout_sheds
     }
 
     /// Records one batch that panicked and was re-run request-by-request
@@ -671,11 +451,6 @@ impl StreamingRecorder {
         }
     }
 
-    /// Quarantined requests so far.
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined
-    }
-
     /// Records one [`Ticket::wait_timeout`](crate::Ticket::wait_timeout)
     /// expiry (the caller gave up before the batch completed).
     pub fn record_wait_timeout(&mut self) {
@@ -683,11 +458,6 @@ impl StreamingRecorder {
         if let Some(sink) = &self.sink {
             sink.wait_timeouts.add(sink.hub.now_s(), 1.0);
         }
-    }
-
-    /// Wait-timeout expiries so far.
-    pub fn wait_timeouts(&self) -> u64 {
-        self.wait_timeouts
     }
 
     /// Records one completed request: end-to-end latency, the share of
@@ -698,8 +468,6 @@ impl StreamingRecorder {
     pub fn record_request(&mut self, e2e: Duration, queue_wait: Duration, deadline_missed: bool) {
         self.e2e.record(e2e);
         self.queue_wait.record(queue_wait);
-        self.e2e_hist.record(e2e);
-        self.queue_wait_hist.record(queue_wait);
         if deadline_missed {
             self.deadline_misses += 1;
         }
@@ -716,18 +484,13 @@ impl StreamingRecorder {
         }
     }
 
-    /// Completed requests so far.
-    pub fn requests(&self) -> u64 {
-        self.e2e.len() as u64
-    }
-
     /// Snapshots everything recorded so far into a [`StreamingMetrics`].
-    pub fn summarize(&mut self) -> StreamingMetrics {
+    pub fn summarize(&self) -> StreamingMetrics {
         let wall_s = self.started.elapsed().as_secs_f64();
-        let requests = self.e2e.len() as u64;
+        let requests = self.e2e.count();
         let batches: u64 = self.batch_sizes.values().sum();
         let images: u64 = self.batch_sizes.iter().map(|(size, n)| size * n).sum();
-        let e2e_total = self.e2e.total_us();
+        let e2e_total = self.e2e.sum_us();
         StreamingMetrics {
             requests,
             shed_requests: self.sheds,
@@ -749,7 +512,7 @@ impl StreamingRecorder {
             exec_p50_us: self.exec.quantile_us(0.50),
             exec_p99_us: self.exec.quantile_us(0.99),
             queue_wait_share: if e2e_total > 0.0 {
-                self.queue_wait.total_us() / e2e_total
+                self.queue_wait.sum_us() / e2e_total
             } else {
                 0.0
             },
@@ -772,9 +535,9 @@ impl StreamingRecorder {
             batch_retries: self.batch_retries,
             quarantined: self.quarantined,
             deadline_misses: self.deadline_misses,
-            e2e_histogram: self.e2e_hist.snapshot(),
-            queue_wait_histogram: self.queue_wait_hist.snapshot(),
-            exec_histogram: self.exec_hist.snapshot(),
+            e2e_histogram: (&self.e2e).into(),
+            queue_wait_histogram: (&self.queue_wait).into(),
+            exec_histogram: (&self.exec).into(),
         }
     }
 }
@@ -790,77 +553,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_on_known_data() {
-        let mut r = LatencyRecorder::new();
-        for ms in 1..=100u64 {
-            r.record(Duration::from_millis(ms));
-        }
-        assert_eq!(r.len(), 100);
-        assert!((r.quantile_us(0.50) - 50_000.0).abs() < 1.0);
-        assert!((r.quantile_us(0.99) - 99_000.0).abs() < 1.0);
-        assert!((r.quantile_us(1.0) - 100_000.0).abs() < 1.0);
-        assert!((r.mean_us() - 50_500.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn quantiles_stay_correct_across_interleaved_records() {
-        // The sort-once cache must invalidate when new samples arrive.
-        let mut r = LatencyRecorder::new();
-        r.record(Duration::from_millis(30));
-        r.record(Duration::from_millis(10));
-        assert!((r.quantile_us(1.0) - 30_000.0).abs() < 1.0);
-        r.record(Duration::from_millis(50));
-        r.record(Duration::from_millis(20));
-        assert!((r.quantile_us(1.0) - 50_000.0).abs() < 1.0);
-        assert!((r.quantile_us(0.5) - 20_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn reservoir_bounds_memory_but_keeps_counts_exact() {
-        let mut r = LatencyRecorder::new();
-        let n = RESERVOIR_CAPACITY + 10_000;
-        for _ in 0..n {
-            r.record(Duration::from_millis(5));
-        }
-        assert_eq!(r.len(), n, "count stays exact past the reservoir");
-        assert!(r.samples_us.len() <= RESERVOIR_CAPACITY, "memory bounded");
-        assert!((r.mean_us() - 5_000.0).abs() < 1e-6, "mean stays exact");
-        assert!((r.total_us() - n as f64 * 5_000.0).abs() < 1.0);
-        // All samples identical, so quantiles are exact regardless of
-        // which ones the reservoir kept.
-        assert!((r.quantile_us(0.99) - 5_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn merge_combines_counts_totals_and_samples() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record(Duration::from_millis(10));
-        b.record(Duration::from_millis(20));
-        b.record(Duration::from_millis(30));
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert!((a.mean_us() - 20_000.0).abs() < 1e-6);
-        assert!((a.quantile_us(1.0) - 30_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn empty_recorder_is_zero() {
-        let mut r = LatencyRecorder::new();
-        assert_eq!(r.quantile_us(0.5), 0.0);
-        assert_eq!(r.mean_us(), 0.0);
-        assert_eq!(r.len(), 0);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn log_histogram_buckets_by_power_of_two() {
-        let mut h = LogHistogram::new();
+    fn le_view_buckets_by_power_of_two() {
+        let mut h = Histogram::new();
         h.record(Duration::from_micros(1)); // bucket le=1
         h.record(Duration::from_micros(2)); // bucket le=2
         h.record(Duration::from_micros(3)); // bucket le=4
         h.record(Duration::from_micros(900)); // bucket le=1024
-        let s = h.snapshot();
+        let s = HistogramSnapshot::from(&h);
         assert_eq!(s.count, 4);
         assert!((s.sum_us - 906.0).abs() < 1.0);
         let bucket = |le: u64| s.buckets.iter().find(|b| b.le_us == le).map(|b| b.count);
@@ -879,12 +578,46 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_overflow_lands_in_inf_only() {
-        let mut h = LogHistogram::new();
+    fn le_view_overflow_lands_in_inf_only() {
+        let mut h = Histogram::new();
         h.record(Duration::from_secs(60)); // past the largest finite bucket
-        let s = h.snapshot();
+        let s = HistogramSnapshot::from(&h);
         assert_eq!(s.count, 1);
         assert!(s.buckets.is_empty(), "no finite bucket holds it");
+    }
+
+    #[test]
+    fn flush_reasons_feed_one_cached_series_each() {
+        let hub = Arc::new(TelemetryHub::new());
+        let labels = Labels::new().with("model", "m");
+        let mut r = StreamingRecorder::new();
+        r.set_sink(TelemetrySink::new(Arc::clone(&hub), labels.clone(), None));
+        let counts = [
+            (FlushReason::EdfDeadline, 2),
+            (FlushReason::MaxBatch, 5),
+            (FlushReason::Idle, 3),
+        ];
+        for (reason, n) in counts {
+            for _ in 0..n {
+                r.record_batch(1, Duration::from_micros(50), reason);
+            }
+        }
+        let snap = hub.snapshot(hub.now_s());
+        let family = snap
+            .counters
+            .iter()
+            .find(|f| f.name == families::FLUSHES)
+            .expect("a flushes family");
+        assert_eq!(
+            family.series.len(),
+            counts.len(),
+            "a reason that never occurred has no series"
+        );
+        for (reason, n) in counts {
+            let series = labels.clone().with("flush_reason", reason.as_str());
+            let total = snap.counter(families::FLUSHES, &series).map(|c| c.total);
+            assert_eq!(total, Some(n as f64), "{}", reason.as_str());
+        }
     }
 
     #[test]
@@ -898,7 +631,6 @@ mod tests {
             r.record_batch(1, Duration::from_millis(1), FlushReason::Idle);
         }
         r.record_wait_timeout();
-        assert_eq!(r.wait_timeouts(), 1);
         let m = r.summarize();
         assert_eq!(m.flushes_max_batch, 1);
         assert_eq!(m.flushes_edf_deadline, 2);
@@ -942,9 +674,11 @@ mod tests {
         );
         // queue share = (3*4 + 1) / (3*10 + 3) = 13/33.
         assert!((m.queue_wait_share - 13.0 / 33.0).abs() < 1e-9);
-        assert!((m.e2e_p99_us - 10_000.0).abs() < 1.0);
-        assert!((m.exec_p50_us - 2_000.0).abs() < 1.0);
-        // The histograms see the same observations as the recorders.
+        // p99 lands in the bin holding the maximum, which reports it
+        // exactly; p50 reports its bin's upper edge, (1792, 2048] µs.
+        assert_eq!(m.e2e_p99_us, 10_000.0);
+        assert_eq!(m.exec_p50_us, 2_048.0);
+        // The `le` views see the same observations as the quantiles.
         assert_eq!(m.e2e_histogram.count, 4);
         assert_eq!(m.queue_wait_histogram.count, 4);
         assert_eq!(m.exec_histogram.count, 2);
@@ -958,7 +692,6 @@ mod tests {
         r.record_shed(9);
         r.record_batch(1, Duration::from_millis(1), FlushReason::EdfDeadline);
         r.record_request(Duration::from_millis(2), Duration::from_millis(1), false);
-        assert_eq!(r.sheds(), 2);
         let m = r.summarize();
         assert_eq!(m.shed_requests, 2);
         assert_eq!(m.requests, 1, "sheds never count as completed requests");
@@ -966,7 +699,7 @@ mod tests {
 
     #[test]
     fn empty_streaming_recorder_summarizes_to_zeros() {
-        let mut r = StreamingRecorder::new();
+        let r = StreamingRecorder::new();
         let m = r.summarize();
         assert_eq!(m.requests, 0);
         assert_eq!(m.shed_requests, 0);

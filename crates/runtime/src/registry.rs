@@ -45,14 +45,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use snn_telemetry::{Labels, TelemetryHub};
+use snn_telemetry::{Histogram, Labels, TelemetryHub};
 use snn_trace::{AttrValue, TraceCollector, TraceTarget};
 use ttfs_core::ConvertError;
 
 use crate::artifact::{ArtifactError, ArtifactInfo, ModelArtifact, ARTIFACT_EXTENSION};
 use crate::csr::CsrFootprint;
 use crate::faults::{FaultInjector, FaultPoint};
-use crate::metrics::{LatencyRecorder, LogSink};
+use crate::metrics::LogSink;
 use crate::{InferenceBackend, StreamingConfig, StreamingServer};
 
 /// Tuning knobs for a [`ModelRegistry`].
@@ -346,8 +346,8 @@ struct State {
     /// each waiter re-attempting the same doomed load.
     load_failures: BTreeMap<String, (u64, RegistryError)>,
     counters: Counters,
-    load_times: LatencyRecorder,
-    compile_times: LatencyRecorder,
+    load_times: Histogram,
+    compile_times: Histogram,
 }
 
 /// The multi-model registry. See the module docs for semantics.
@@ -403,8 +403,8 @@ impl ModelRegistry {
                 load_generations: BTreeMap::new(),
                 load_failures: BTreeMap::new(),
                 counters: Counters::default(),
-                load_times: LatencyRecorder::default(),
-                compile_times: LatencyRecorder::default(),
+                load_times: Histogram::new(),
+                compile_times: Histogram::new(),
             }),
             loading_cv: Condvar::new(),
         };
@@ -836,7 +836,7 @@ impl ModelRegistry {
 
     /// Aggregated counters and cold-start timings.
     pub fn metrics(&self) -> RegistryMetrics {
-        let mut state = self.state.lock().expect("registry state poisoned");
+        let state = self.state.lock().expect("registry state poisoned");
         let catalog_models = state.catalog.len();
         let resident_models = state.resident.len();
         let resident_bytes = state.resident_bytes;

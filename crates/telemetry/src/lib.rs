@@ -1,9 +1,10 @@
-//! Windowed time-series metrics for the serving stack.
+//! Latency histograms and windowed time-series metrics for the serving
+//! stack.
 //!
-//! The cumulative recorders in `snn-runtime` answer "what happened since
-//! boot"; this crate answers "what is happening *now*". Each series is a
-//! ring of fixed-width time slots — memory stays bounded no matter how
-//! long the process runs — and queries merge the slots covering the last
+//! [`Histogram`] answers "what happened since boot"; the windowed series
+//! answer "what is happening *now*". Each windowed series is a ring of
+//! fixed-width time slots — memory stays bounded no matter how long the
+//! process runs — and queries merge the slots covering the last
 //! 10 s / 1 m / 5 m into sliding-window rates and quantiles:
 //!
 //! - [`WindowCounter`] — 1-second slots, 300-slot ring (5 minutes of
@@ -11,11 +12,14 @@
 //!   and energy-µJ sums; exposes a cumulative total plus per-window sums
 //!   and rates.
 //! - [`WindowGauge`] — last-written value (resident bytes, queue depth).
-//! - [`WindowHistogram`] — 5-second slots, 60-slot ring, log-linear bins
-//!   (base-2 octaves split into 4 linear sub-bins, so every bin is at
-//!   most 25 % wide); window quantiles are nearest-rank over the merged
-//!   bins and return the bin's upper edge, overestimating the exact
-//!   sample quantile by at most one bin width (~25 %).
+//! - [`WindowHistogram`] — 5-second slots, 60-slot ring of log-linear
+//!   bins; window quantiles are nearest-rank over the merged bins and
+//!   return the bin's upper edge.
+//!
+//! Both histograms share one bin layout: base-2 octaves split into 4
+//! linear sub-bins, upper-inclusive, so every bin is at most 25 % wide
+//! and a quantile overestimates the exact nearest-rank value by at most
+//! 25 % + 1 µs, never underestimates it.
 //!
 //! Series are grouped into named families inside a [`TelemetryHub`] and
 //! addressed by [`Labels`] (`model`, `route`, `flush_reason`, …). Every
@@ -37,7 +41,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The sliding windows every snapshot reports, in seconds: 10 s, 1 m, 5 m.
 pub const WINDOWS_S: [u64; 3] = [10, 60, 300];
@@ -188,43 +192,186 @@ impl Default for WindowGauge {
 }
 
 // ---------------------------------------------------------------------------
-// WindowHistogram
+// Log-linear bins (shared by Histogram and WindowHistogram)
 // ---------------------------------------------------------------------------
 
-/// Number of base-2 octaves the bins cover: values 1 µs .. 2^26 µs
-/// (~67 s); anything slower lands in one overflow bin.
+/// Octaves the bins cover. Octave 0 is [0, 1] µs and octave k ≥ 1 is
+/// (2^(k−1), 2^k] µs, so the finite range ends at 2^25 µs (~33.5 s) and
+/// anything slower lands in one overflow bin.
 const HIST_OCTAVES: usize = 26;
 /// Linear sub-bins per octave; 4 keeps every bin ≤ 25 % wide.
 const HIST_SUBS: usize = 4;
 /// Finite bins plus one overflow bin.
 const HIST_BINS: usize = HIST_OCTAVES * HIST_SUBS + 1;
+/// The bin holding everything above 2^25 µs.
+const OVERFLOW_BIN: usize = HIST_BINS - 1;
 
-/// Bin index for a value in µs. Monotone non-decreasing in `us`, so
-/// nearest-rank over bins agrees with nearest-rank over samples up to
-/// bin width.
+/// Bin index for a value in whole µs: octave `ceil(log2 us)`, whose
+/// (b, 2b] splits into 4 upper-inclusive sub-bins (b + j·b/4,
+/// b + (j+1)·b/4]. Monotone in `us`, so nearest-rank over bins agrees
+/// with nearest-rank over samples up to bin width.
 fn hist_bin(us: u64) -> usize {
     if us <= 1 {
         return 0;
     }
-    let octave = (u64::BITS - 1 - us.leading_zeros()) as usize;
+    let octave = (u64::BITS - (us - 1).leading_zeros()) as usize;
     if octave >= HIST_OCTAVES {
-        return HIST_BINS - 1;
+        return OVERFLOW_BIN;
     }
-    let base = 1u64 << octave;
-    let sub = ((us - base) * HIST_SUBS as u64 / base) as usize;
-    octave * HIST_SUBS + sub.min(HIST_SUBS - 1)
+    let b = 1u64 << (octave - 1);
+    let sub = ((us - b) * HIST_SUBS as u64 - 1) / b;
+    octave * HIST_SUBS + sub as usize
 }
 
 /// Inclusive upper edge of a bin, µs. The overflow bin reports the top
 /// of the finite range.
 fn hist_bin_upper_us(bin: usize) -> f64 {
-    if bin >= HIST_BINS - 1 {
-        return (1u64 << HIST_OCTAVES) as f64;
+    let (octave, sub) = (bin / HIST_SUBS, bin % HIST_SUBS);
+    if bin >= OVERFLOW_BIN {
+        (1u64 << (HIST_OCTAVES - 1)) as f64
+    } else if octave == 0 {
+        1.0
+    } else {
+        (1u64 << (octave - 1)) as f64 * (1.0 + (sub + 1) as f64 / HIST_SUBS as f64)
     }
-    let octave = bin / HIST_SUBS;
-    let sub = bin % HIST_SUBS;
-    (1u64 << octave) as f64 * (1.0 + (sub + 1) as f64 / HIST_SUBS as f64)
 }
+
+/// The bin holding the nearest-rank `q`-quantile (0 ≤ q ≤ 1) of the
+/// `count` observations in `bins`; `None` when `count` is 0.
+fn rank_bin(bins: &[u64; HIST_BINS], count: u64, q: f64) -> Option<usize> {
+    if count == 0 {
+        return None;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
+    let mut cumulative = 0u64;
+    bins.iter().position(|&b| {
+        cumulative += b;
+        cumulative >= rank
+    })
+}
+
+/// Whole microseconds of `d`, truncated: the value a [`Histogram`] bins.
+fn whole_us(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// `d` in microseconds, fractional: exact for whole-µs durations.
+fn exact_us(d: Duration) -> f64 {
+    d.as_nanos() as f64 / 1e3
+}
+
+// ---------------------------------------------------------------------------
+// Histogram
+// ---------------------------------------------------------------------------
+
+/// Cumulative latency histogram: the log-linear bins of
+/// [`WindowHistogram`] with no time slots, plus an exact count, an
+/// exact sum and an exact maximum. About 1 KiB whatever the traffic.
+///
+/// Observations are binned by whole microseconds (truncated). A
+/// quantile is the upper edge of the bin holding its nearest rank,
+/// clamped to the maximum: the bin that holds the maximum reports the
+/// maximum itself. So a quantile never falls below the exact
+/// nearest-rank value (over whole µs), exceeds it by at most
+/// 25 % + 1 µs below 2^25 µs, and `q = 1` is the exact maximum.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Histogram {
+    bins: [u64; HIST_BINS],
+    count: u64,
+    sum_us: f64,
+    max: Duration,
+}
+
+impl Histogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self {
+            bins: [0; HIST_BINS],
+            count: 0,
+            sum_us: 0.0,
+            max: Duration::ZERO,
+        }
+    }
+
+    /// Records one observation.
+    pub fn record(&mut self, latency: Duration) {
+        self.bins[hist_bin(whole_us(latency))] += 1;
+        self.count += 1;
+        self.sum_us += exact_us(latency);
+        self.max = self.max.max(latency);
+    }
+
+    /// Absorbs every observation of `other` (e.g. per-thread histograms
+    /// into one summary).
+    pub fn merge(&mut self, other: &Histogram) {
+        for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum_us += other.sum_us;
+        self.max = self.max.max(other.max);
+    }
+
+    /// Observations recorded (exact).
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of all observations, µs (exact).
+    pub fn sum_us(&self) -> f64 {
+        self.sum_us
+    }
+
+    /// Mean observation, µs (exact); 0 when empty.
+    pub fn mean_us(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_us / self.count as f64
+        }
+    }
+
+    /// The `q`-quantile (0 ≤ q ≤ 1), µs; 0 when empty. See the type docs
+    /// for the tolerance.
+    pub fn quantile_us(&self, q: f64) -> f64 {
+        match rank_bin(&self.bins, self.count, q) {
+            None => 0.0,
+            Some(bin) if bin == hist_bin(whole_us(self.max)) => exact_us(self.max),
+            Some(bin) => hist_bin_upper_us(bin),
+        }
+    }
+
+    /// The Prometheus `le` view: `(le_us, cumulative count)` for le =
+    /// 2^0 … 2^25 µs, up to the highest non-empty one. Each bucket is an
+    /// octave sum; observations above 2^25 µs count only in the implicit
+    /// `+Inf` bucket, whose cumulative count is [`count`](Self::count).
+    pub fn le_buckets(&self) -> Vec<(u64, u64)> {
+        let octaves: Vec<u64> = self.bins[..OVERFLOW_BIN]
+            .chunks_exact(HIST_SUBS)
+            .map(|octave| octave.iter().sum())
+            .collect();
+        let end = octaves.iter().rposition(|&c| c != 0).map_or(0, |k| k + 1);
+        let mut cumulative = 0;
+        octaves[..end]
+            .iter()
+            .enumerate()
+            .map(|(k, &c)| {
+                cumulative += c;
+                (1u64 << k, cumulative)
+            })
+            .collect()
+    }
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// WindowHistogram
+// ---------------------------------------------------------------------------
 
 struct HistSlot {
     stamp: u64,
@@ -237,13 +384,13 @@ struct HistState {
     sum_us: f64,
 }
 
-/// Latency histogram over a ring of 5-second slots with log-linear
-/// bins (4 linear sub-bins per base-2 octave, 1 µs .. 2^26 µs).
+/// Latency histogram over a ring of 5-second slots with the log-linear
+/// bins of [`Histogram`] (4 linear sub-bins per base-2 octave, up to
+/// 2^25 µs).
 ///
 /// Window quantiles are nearest-rank over the merged window bins and
 /// return the containing bin's **upper edge**, so they overestimate the
-/// exact sample quantile by at most one bin width — ≤ 25 % relative
-/// error (plus rounding to whole µs for values under 4 µs).
+/// exact sample quantile by at most one bin width — ≤ 25 % + 1 µs.
 pub struct WindowHistogram {
     inner: Mutex<HistState>,
 }
@@ -323,18 +470,7 @@ impl WindowHistogram {
     /// tolerance this implies.
     pub fn window_quantile_us(&self, now_s: u64, window_s: u64, q: f64) -> f64 {
         let (bins, count) = self.window_bins(now_s, window_s);
-        if count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
-        let mut cumulative = 0u64;
-        for (i, &b) in bins.iter().enumerate() {
-            cumulative += b;
-            if cumulative >= rank {
-                return hist_bin_upper_us(i);
-            }
-        }
-        hist_bin_upper_us(HIST_BINS - 1)
+        rank_bin(&bins, count, q).map_or(0.0, hist_bin_upper_us)
     }
 }
 
@@ -783,6 +919,7 @@ pub mod slo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counter_window_sums_and_total() {
@@ -850,6 +987,99 @@ mod tests {
             }
         }
         assert_eq!(hist_bin(u64::MAX), HIST_BINS - 1);
+    }
+
+    /// The `le` bucket an observation of `us` whole µs lands in: the
+    /// smallest k with us ≤ 2^k (k = 0 for us ≤ 1), `None` (only `+Inf`)
+    /// past 2^25 µs — the power-of-two histogram's rule, computed
+    /// independently of `hist_bin`.
+    fn oracle_le(us: u64) -> Option<usize> {
+        (0..HIST_OCTAVES).find(|&k| us <= 1u64 << k)
+    }
+
+    fn check_bin_against_oracle(us: u64) {
+        let bin = hist_bin(us);
+        let le = (bin != OVERFLOW_BIN).then_some(bin / HIST_SUBS);
+        assert_eq!(le, oracle_le(us), "{us} µs in the wrong le bucket");
+        if bin != OVERFLOW_BIN {
+            let upper = hist_bin_upper_us(bin);
+            assert!(
+                (us as f64..=us as f64 * 1.25 + 1.0).contains(&upper),
+                "{us} µs has bin edge {upper}"
+            );
+        }
+    }
+
+    #[test]
+    fn bins_match_the_power_of_two_le_rule_and_stay_tight() {
+        for us in 0..=1u64 << 21 {
+            check_bin_against_oracle(us);
+        }
+        // Seeded xorshift over 0 .. 2^30 µs, past the finite range.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            check_bin_against_oracle(x >> 34);
+        }
+        for k in 0..32 {
+            check_bin_against_oracle(1 << k);
+            check_bin_against_oracle((1 << k) + 1);
+        }
+    }
+
+    fn exact_quantile(sorted: &[u64], q: f64) -> f64 {
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1] as f64
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Cumulative quantiles bracket the exact nearest-rank value
+        /// within one bin, `q = 1` is the exact maximum, counts and means
+        /// are exact, and merging two histograms equals recording both
+        /// streams into one.
+        #[test]
+        fn cumulative_quantiles_bracket_exact_and_merge_is_exact(
+            samples in proptest::collection::vec(0u64..=1 << 25, 1..200),
+            split in 0usize..200,
+        ) {
+            let (mut a, mut b, mut all) = (Histogram::new(), Histogram::new(), Histogram::new());
+            for (i, &us) in samples.iter().enumerate() {
+                let d = Duration::from_micros(us);
+                all.record(d);
+                if i < split { a.record(d) } else { b.record(d) }
+            }
+            a.merge(&b);
+            prop_assert_eq!(&a, &all);
+
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            for q in [0.50, 0.99] {
+                let exact = exact_quantile(&sorted, q);
+                let got = all.quantile_us(q);
+                prop_assert!(got >= exact, "q{q}: {got} below exact {exact}");
+                prop_assert!(got <= exact * 1.25 + 1.0, "q{q}: {got} beyond one bin of {exact}");
+            }
+            prop_assert_eq!(all.quantile_us(1.0), sorted[sorted.len() - 1] as f64);
+            prop_assert_eq!(all.count(), samples.len() as u64);
+            let sum: u64 = samples.iter().sum();
+            prop_assert_eq!(all.sum_us(), sum as f64);
+            prop_assert_eq!(all.mean_us(), sum as f64 / samples.len() as f64);
+        }
+    }
+
+    #[test]
+    fn cumulative_max_is_exact_below_a_microsecond() {
+        let mut h = Histogram::new();
+        h.record(Duration::from_nanos(5_000_700));
+        h.record(Duration::from_micros(1_024));
+        assert_eq!(h.quantile_us(1.0), 5_000.7);
+        assert_eq!(h.quantile_us(0.5), 1_024.0, "a power of two is a bin edge");
+        assert_eq!(Histogram::new().quantile_us(0.99), 0.0);
+        assert_eq!(Histogram::new().mean_us(), 0.0);
     }
 
     #[test]
