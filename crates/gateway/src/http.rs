@@ -52,12 +52,12 @@ pub struct Request {
 }
 
 impl Request {
-    /// First header value with the given (case-insensitive) name.
+    /// First header value with the given (case-insensitive) name. Stored
+    /// names are already lowercase, so the comparison allocates nothing.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let lower = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(n, _)| n == &lower)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 

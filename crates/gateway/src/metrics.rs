@@ -9,8 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 use snn_runtime::{HistogramSnapshot, RegistryMetrics, StreamingMetrics};
-use snn_telemetry::Histogram;
+use snn_telemetry::{families, Labels, TelemetryHub, WindowCounter, WindowHistogram};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Trace-collector health for the exposition: the cumulative
@@ -59,8 +60,9 @@ pub struct RouteMetrics {
     /// Mean handler latency, microseconds (exact).
     pub latency_mean_us: f64,
     /// Median handler latency, microseconds: a log-linear bin's upper
-    /// edge clamped to the maximum ([`Histogram::quantile_us`]), at most
-    /// 25 % + 1 µs above the exact value, never below it.
+    /// edge clamped to the maximum
+    /// ([`Histogram::quantile_us`](snn_telemetry::Histogram::quantile_us)),
+    /// at most 25 % + 1 µs above the exact value, never below it.
     pub latency_p50_us: f64,
     /// 99th-percentile handler latency, microseconds (bin edge, as
     /// [`latency_p50_us`](Self::latency_p50_us)).
@@ -96,9 +98,18 @@ pub struct GatewayMetrics {
     pub routes: Vec<RouteMetrics>,
 }
 
+/// One route's cells: responses answered and their handler latency.
+type RouteCells = (Arc<WindowCounter>, Arc<WindowHistogram>);
+
 /// Accumulates gateway measurements; one instance lives behind a mutex in
 /// the gateway and every connection worker records into it.
-#[derive(Debug, Default)]
+///
+/// Each route's requests and latency are recorded once, into cells this
+/// recorder owns; [`summarize`](Self::summarize) reads them back, and a
+/// recorder built [`with_telemetry`](Self::with_telemetry) lists the
+/// same cells in the gateway's hub, so `/metrics` and `/v1/stats` agree
+/// by construction.
+#[derive(Default)]
 pub struct GatewayRecorder {
     connections: u64,
     parse_errors: u64,
@@ -108,13 +119,27 @@ pub struct GatewayRecorder {
     responses_2xx: u64,
     responses_4xx: u64,
     responses_5xx: u64,
-    routes: BTreeMap<&'static str, Histogram>,
+    routes: BTreeMap<&'static str, RouteCells>,
+    /// The hub each route's cells are listed in as the route first
+    /// answers.
+    hub: Option<Arc<TelemetryHub>>,
 }
 
 impl GatewayRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty recorder that lists each route's cells in `hub` as the
+    /// route first answers (families
+    /// [`HTTP_REQUESTS`](families::HTTP_REQUESTS) and
+    /// [`HTTP_E2E_US`](families::HTTP_E2E_US), label `route`).
+    pub fn with_telemetry(hub: Arc<TelemetryHub>) -> Self {
+        Self {
+            hub: Some(hub),
+            ..Self::default()
+        }
     }
 
     /// Records one accepted TCP connection.
@@ -136,7 +161,19 @@ impl GatewayRecorder {
             504 => self.timeout_504 += 1,
             _ => {}
         }
-        self.routes.entry(route).or_default().record(latency);
+        let hub = &self.hub;
+        let (requests, histogram) = self.routes.entry(route).or_insert_with(|| {
+            let (requests, histogram) = RouteCells::default();
+            if let Some(hub) = hub {
+                let labels = Labels::new().with("route", route);
+                hub.publish_counter(families::HTTP_REQUESTS, &labels, Arc::clone(&requests));
+                hub.publish_histogram(families::HTTP_E2E_US, &labels, Arc::clone(&histogram));
+            }
+            (requests, histogram)
+        });
+        let now = snn_telemetry::now_s();
+        requests.add(now, 1.0);
+        histogram.record(now, latency);
     }
 
     /// Records one request the parser rejected (already counted as a
@@ -151,12 +188,15 @@ impl GatewayRecorder {
         let routes: Vec<RouteMetrics> = self
             .routes
             .iter()
-            .map(|(route, latency)| RouteMetrics {
-                route: route.to_string(),
-                requests: latency.count(),
-                latency_mean_us: latency.mean_us(),
-                latency_p50_us: latency.quantile_us(0.50),
-                latency_p99_us: latency.quantile_us(0.99),
+            .map(|(route, (requests, latency))| {
+                let latency = latency.cumulative();
+                RouteMetrics {
+                    route: route.to_string(),
+                    requests: requests.total() as u64,
+                    latency_mean_us: latency.mean_us(),
+                    latency_p50_us: latency.quantile_us(0.50),
+                    latency_p99_us: latency.quantile_us(0.99),
+                }
             })
             .collect();
         GatewayMetrics {

@@ -51,7 +51,7 @@ use snn_runtime::{
     FaultInjector, FaultPoint, LogSink, ModelRegistry, RegistryError, StreamingServer, SubmitError,
     WorkerPool,
 };
-use snn_telemetry::{families, Labels, TelemetryHub};
+use snn_telemetry::{Labels, TelemetryHub};
 use snn_tensor::Tensor;
 use snn_trace::{AttrValue, TraceCollector, TraceId, TraceTarget};
 
@@ -101,11 +101,12 @@ pub struct GatewayConfig {
     /// slow-loris senders who trickle a request forever.
     pub keep_alive_idle: Duration,
     /// Whether to stand up a windowed [`TelemetryHub`] for this gateway
-    /// (default `true`). When on, the wrapped server (and registry, if
-    /// any) record labeled sliding-window series alongside their
-    /// cumulative recorders, and `GET /v1/stats` + `GET /dashboard`
-    /// serve live snapshots. Turning it off leaves those routes answering
-    /// `404` and removes every per-request telemetry write.
+    /// (default `true`). When on, the wrapped server, the registry (if
+    /// any) and the gateway's route recorder list their cells in it
+    /// under labels, executed batches are priced for energy, and
+    /// `GET /v1/stats` + `GET /dashboard` serve live snapshots. Turning
+    /// it off leaves those routes answering `404`; the cells `/metrics`
+    /// reads are recorded either way.
     pub telemetry: bool,
     /// Whether to stand up the structured log flight recorder (default
     /// `true`). When on, every layer — access log, batcher, registry,
@@ -166,9 +167,8 @@ struct Shared {
     recorder: Mutex<GatewayRecorder>,
     /// The windowed time-series hub (when
     /// [`GatewayConfig::telemetry`] is on): the default server, every
-    /// registry entry, and the per-route HTTP recorder all write labeled
-    /// sliding-window series into it; `/v1/stats` and `/dashboard` read
-    /// them back.
+    /// registry entry, and the per-route HTTP recorder list their cells
+    /// in it; `/v1/stats` and `/dashboard` read them back.
     telemetry: Option<Arc<TelemetryHub>>,
     /// The structured-log sink (collector + optional incident recorder)
     /// every layer records into, when [`GatewayConfig::logging`] is on.
@@ -322,6 +322,9 @@ impl Gateway {
             FaultInjector::global().attach_log(Arc::clone(sink.collector()));
             sink
         });
+        let recorder = telemetry
+            .clone()
+            .map_or_else(GatewayRecorder::new, GatewayRecorder::with_telemetry);
         let shared = Arc::new(Shared {
             server,
             registry,
@@ -329,7 +332,7 @@ impl Gateway {
             telemetry,
             log,
             started: Instant::now(),
-            recorder: Mutex::new(GatewayRecorder::new()),
+            recorder: Mutex::new(recorder),
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
             limits: Limits {
@@ -731,22 +734,14 @@ fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received:
     let bytes =
         write_response_with_retry_after(status, content_type, &body, keep_alive, retry_after);
     let wrote = stream.write_all(&bytes).is_ok();
-    // One clock read, so the cumulative recorder, the windowed histogram
-    // and the access log agree about this request.
+    // One clock read, so the route's cells and the access log agree
+    // about this request.
     let latency = start.elapsed();
-    let latency_us = latency.as_micros() as u64;
     shared
         .recorder
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .record_response(route, status, latency);
-    if let Some(hub) = &shared.telemetry {
-        let now = hub.now_s();
-        let labels = Labels::new().with("route", route);
-        hub.counter(families::HTTP_REQUESTS, &labels).add(now, 1.0);
-        hub.histogram(families::HTTP_E2E_US, &labels)
-            .record_us(now, latency_us);
-    }
     // Per-request access log: one event per answered request, error-level
     // for 5xx, warn for backpressure, stamped with the caller's trace id
     // when the request carried one (inference failures additionally log
@@ -769,7 +764,7 @@ fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received:
                 vec![
                     ("route", route.into()),
                     ("status", u64::from(status).into()),
-                    ("latency_us", latency_us.into()),
+                    ("latency_us", (latency.as_micros() as u64).into()),
                 ],
                 trace,
             );
@@ -1699,13 +1694,7 @@ mod tests {
     use snn_runtime::BackendChoice;
     use ttfs_core::{convert, Base2Kernel};
 
-    /// Observability must survive exactly the situations it exists for: a
-    /// thread that panics while holding the gateway recorder lock poisons
-    /// it, and a later `GET /metrics` scrape over real TCP must still
-    /// answer `200` with the full exposition text — counters are plain
-    /// data, so the poison is recovered, not propagated.
-    #[test]
-    fn metrics_scrape_survives_a_poisoned_recorder_lock() {
+    fn small_gateway() -> (Gateway, Arc<StreamingServer>) {
         let mut rng = StdRng::seed_from_u64(3);
         let net = Sequential::new(vec![
             Layer::Flatten(Flatten::new()),
@@ -1730,7 +1719,7 @@ mod tests {
                 )
                 .unwrap(),
         );
-        let mut gateway = Gateway::start(
+        let gateway = Gateway::start(
             Arc::clone(&server),
             GatewayConfig {
                 workers: 2,
@@ -1738,6 +1727,17 @@ mod tests {
             },
         )
         .unwrap();
+        (gateway, server)
+    }
+
+    /// Observability must survive exactly the situations it exists for: a
+    /// thread that panics while holding the gateway recorder lock poisons
+    /// it, and a later `GET /metrics` scrape over real TCP must still
+    /// answer `200` with the full exposition text — counters are plain
+    /// data, so the poison is recovered, not propagated.
+    #[test]
+    fn metrics_scrape_survives_a_poisoned_recorder_lock() {
+        let (mut gateway, server) = small_gateway();
 
         // Poison the recorder mutex: panic while holding its guard.
         let shared = Arc::clone(&gateway.shared);
@@ -1771,5 +1771,45 @@ mod tests {
         let metrics = gateway.shutdown();
         server.shutdown();
         assert!(metrics.requests >= 1, "the scrape itself was recorded");
+    }
+
+    /// `/metrics` and `/v1/stats` read the same cells: after N inferences
+    /// the route counter and the default model's request counter agree
+    /// between the scrape and the stats body.
+    #[test]
+    fn metrics_and_stats_read_the_same_route_and_model_cells() {
+        let (mut gateway, server) = small_gateway();
+        let mut client = crate::client::HttpClient::connect(gateway.local_addr()).unwrap();
+        let n = 7;
+        let body = r#"{"dims":[1,2,4],"pixels":[0.1,0.9,0.4,0.3,0.7,0.2,0.6,0.5]}"#;
+        for _ in 0..n {
+            assert_eq!(client.post_json("/v1/infer", body).unwrap().status, 200);
+        }
+        let scrape = String::from_utf8(client.get("/metrics").unwrap().body).unwrap();
+        let sample = |name: &str| {
+            scrape
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<f64>().ok())
+        };
+        let stats = client.get("/v1/stats").unwrap().body;
+        let stats: serde::Content =
+            serde_json::from_str(std::str::from_utf8(&stats).unwrap()).unwrap();
+        let row = |section: &str, key: &str, value: &str| {
+            serde::field(stats.as_map()?, section)
+                .ok()?
+                .as_seq()?
+                .iter()
+                .filter_map(|r| r.as_map())
+                .find(|r| serde::field(r, key).ok().and_then(|v| v.as_str()) == Some(value))
+                .and_then(|r| serde::field(r, "requests_total").ok()?.as_f64())
+        };
+        let infer_route = sample("snn_gateway_route_requests_total{route=\"infer\"}");
+        assert_eq!(infer_route, Some(n as f64));
+        assert_eq!(row("routes", "route", "infer"), infer_route);
+        let streamed = sample("snn_streaming_requests_total");
+        assert_eq!(streamed, Some(n as f64));
+        assert_eq!(row("models", "model", "default"), streamed);
+        gateway.shutdown();
+        server.shutdown();
     }
 }

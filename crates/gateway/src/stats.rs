@@ -8,7 +8,7 @@
 //! ```json
 //! {
 //!   "schema_version": 1,
-//!   "now_s": 63,                  // hub clock, seconds since gateway start
+//!   "now_s": 63,                  // process clock, seconds since its first read
 //!   "uptime_s": 63.4,
 //!   "windows_s": [10, 60, 300],   // every windowed figure uses these
 //!   "slo": {"miss_objective": 0.01, "shed_objective": 0.05,
@@ -35,7 +35,7 @@
 //!     "queue_sheds": 0, "batch_retries": 0, "quarantined": 0,
 //!     "gateway_shed_429": 0, "gateway_drained_503": 0,
 //!     "gateway_timeout_504": 0},
-//!   "cumulative": {              // whole-process histograms, for agreement
+//!   "cumulative": {              // the default server's cells, read cumulatively
 //!     "requests": 810, "images_per_sec": 804.2,
 //!     "e2e_p50_us": 1800.0, "e2e_p99_us": 4200.0,
 //!     "queue_wait_share": 0.42, "mean_batch_occupancy": 3.8,
@@ -53,21 +53,46 @@
 //! }
 //! ```
 //!
+//! Windowed and cumulative figures read the same cells: each recorder
+//! publishes its own cells into the hub, and a window is the cell's
+//! running value minus its first mark inside the window, so a windowed
+//! count never exceeds the cumulative one. `now_s` is
+//! [`snn_telemetry::now_s`], the one process clock every cell is stamped
+//! with — not the gateway's start (`uptime_s` is that).
+//!
 //! Every quantile, windowed or `cumulative`, is served from the telemetry
 //! crate's log-linear bins, which report a bin's **upper** edge: it may
 //! exceed the exact sample quantile by up to 25% + 1 µs, never undershoot
 //! it. The cumulative ones are also clamped to the exact maximum. Counts,
-//! `queue_wait_share` and `registry` are exact. Ratios whose
-//! window saw no traffic are `0.0` (healthy-by-vacuity, never `NaN`).
-//! `models` includes at most [`snn_telemetry::MAX_SERIES_PER_FAMILY`]
-//! entries; past the cardinality cap new label sets collapse into one
-//! `overflow=true` series, which appears here with `"model": "overflow"`.
+//! `queue_wait_share` and `registry` are exact; windowed energy sums are
+//! differences of running `f64` totals. Ratios whose window saw no
+//! traffic are `0.0` (healthy-by-vacuity, never `NaN`).
+//!
+//! A `name@version` reloaded after eviction publishes fresh cells under
+//! the same labels, replacing the old ones: its series restart from zero,
+//! which a scraper reads as a counter reset. `models` includes at most
+//! [`snn_telemetry::MAX_SERIES_PER_FAMILY`] entries; a server whose labels
+//! arrive past that cap is not listed at all (its own `StreamingMetrics`
+//! stay exact). An `overflow=true` row — shown with `"model": "overflow"`
+//! — appears only when direct hub lookups overflow the cap; no recorder
+//! ever merges into it.
 
 use serde::{Content, Serialize};
 use snn_runtime::{RegistryMetrics, StreamingMetrics};
-use snn_telemetry::{families, slo, CounterSnapshot, HubSnapshot, TelemetryHub, WINDOWS_S};
+use snn_telemetry::{
+    families, slo, CounterSnapshot, HubSnapshot, TelemetryHub, WindowQuantiles, WINDOWS_S,
+};
 
 use crate::metrics::{GatewayMetrics, LogStats, TraceStats};
+
+/// A JSON object from `(key, value)` pairs, in order.
+fn obj<const N: usize>(pairs: [(&str, Content); N]) -> Content {
+    Content::Map(pairs.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+fn string(s: &str) -> Content {
+    Content::Str(s.to_string())
+}
 
 /// Sum a counter snapshot's `window_s` window (0 when absent).
 fn wsum(counter: Option<&CounterSnapshot>, window_s: u64) -> f64 {
@@ -78,17 +103,12 @@ fn wsum(counter: Option<&CounterSnapshot>, window_s: u64) -> f64 {
 }
 
 /// `{"10s": rate, "60s": rate, "300s": rate}` for one counter.
-fn rate_map(counter: Option<&CounterSnapshot>) -> Content {
+fn rate_map(counter: &CounterSnapshot) -> Content {
     Content::Map(
-        WINDOWS_S
+        counter
+            .windows
             .iter()
-            .map(|&w| {
-                let rate = counter
-                    .and_then(|c| c.windows.iter().find(|x| x.window_s == w))
-                    .map(|x| x.rate_per_s)
-                    .unwrap_or(0.0);
-                (format!("{w}s"), Content::F64(rate))
-            })
+            .map(|w| (format!("{}s", w.window_s), Content::F64(w.rate_per_s)))
             .collect(),
     )
 }
@@ -139,25 +159,14 @@ pub fn render_stats(
             let hist = snap.histogram(families::HTTP_E2E_US, &series.labels);
             let fast =
                 hist.and_then(|h| h.windows.iter().find(|w| w.window_s == slo::FAST_WINDOW_S));
-            Content::Map(vec![
-                ("route".to_string(), Content::Str(route.to_string())),
-                (
-                    "requests_total".to_string(),
-                    Content::F64(series.value.total),
-                ),
-                ("req_per_s".to_string(), rate_map(Some(&series.value))),
-                (
-                    "p50_us".to_string(),
-                    Content::F64(fast.map(|w| w.p50_us).unwrap_or(0.0)),
-                ),
-                (
-                    "p95_us".to_string(),
-                    Content::F64(fast.map(|w| w.p95_us).unwrap_or(0.0)),
-                ),
-                (
-                    "p99_us".to_string(),
-                    Content::F64(fast.map(|w| w.p99_us).unwrap_or(0.0)),
-                ),
+            let quantile = |q: fn(&WindowQuantiles) -> f64| Content::F64(fast.map_or(0.0, q));
+            obj([
+                ("route", string(route)),
+                ("requests_total", Content::F64(series.value.total)),
+                ("req_per_s", rate_map(&series.value)),
+                ("p50_us", quantile(|w| w.p50_us)),
+                ("p95_us", quantile(|w| w.p95_us)),
+                ("p99_us", quantile(|w| w.p99_us)),
             ])
         })
         .collect();
@@ -183,27 +192,17 @@ pub fn render_stats(
                     .iter()
                     .map(|&w| {
                         let q = e2e.and_then(|h| h.windows.iter().find(|x| x.window_s == w));
-                        (
-                            format!("{w}s"),
-                            Content::Map(vec![
-                                (
-                                    "count".to_string(),
-                                    Content::U64(q.map(|x| x.count).unwrap_or(0)),
-                                ),
-                                (
-                                    "p50".to_string(),
-                                    Content::F64(q.map(|x| x.p50_us).unwrap_or(0.0)),
-                                ),
-                                (
-                                    "p95".to_string(),
-                                    Content::F64(q.map(|x| x.p95_us).unwrap_or(0.0)),
-                                ),
-                                (
-                                    "p99".to_string(),
-                                    Content::F64(q.map(|x| x.p99_us).unwrap_or(0.0)),
-                                ),
-                            ]),
-                        )
+                        let quantile =
+                            |q: Option<&WindowQuantiles>, f: fn(&WindowQuantiles) -> f64| {
+                                Content::F64(q.map_or(0.0, f))
+                            };
+                        let window = obj([
+                            ("count", Content::U64(q.map_or(0, |x| x.count))),
+                            ("p50", quantile(q, |x| x.p50_us)),
+                            ("p95", quantile(q, |x| x.p95_us)),
+                            ("p99", quantile(q, |x| x.p99_us)),
+                        ]);
+                        (format!("{w}s"), window)
                     })
                     .collect(),
             );
@@ -238,226 +237,155 @@ pub fn render_stats(
             };
             let energy_rate = energy_fast / slo::FAST_WINDOW_S as f64;
 
-            Content::Map(vec![
-                ("model".to_string(), Content::Str(model.to_string())),
+            obj([
+                ("model", string(model)),
+                ("version", string(labels.get("version").unwrap_or(""))),
+                ("backend", string(labels.get("backend").unwrap_or(""))),
+                ("requests_total", Content::F64(requests.total)),
+                ("req_per_s", rate_map(requests)),
+                ("e2e_us", e2e_windows),
                 (
-                    "version".to_string(),
-                    Content::Str(labels.get("version").unwrap_or("").to_string()),
-                ),
-                (
-                    "backend".to_string(),
-                    Content::Str(labels.get("backend").unwrap_or("").to_string()),
-                ),
-                ("requests_total".to_string(), Content::F64(requests.total)),
-                ("req_per_s".to_string(), rate_map(Some(requests))),
-                ("e2e_us".to_string(), e2e_windows),
-                (
-                    "energy_uj_per_inference".to_string(),
+                    "energy_uj_per_inference",
                     Content::F64(energy_per_inference),
                 ),
-                ("energy_uj_per_s".to_string(), Content::F64(energy_rate)),
+                ("energy_uj_per_s", Content::F64(energy_rate)),
                 (
-                    "deadline_miss_ratio".to_string(),
-                    Content::Map(vec![
-                        ("fast".to_string(), Content::F64(miss_fast)),
-                        ("slow".to_string(), Content::F64(miss_slow)),
+                    "deadline_miss_ratio",
+                    obj([
+                        ("fast", Content::F64(miss_fast)),
+                        ("slow", Content::F64(miss_slow)),
                     ]),
                 ),
                 (
-                    "shed_ratio".to_string(),
-                    Content::Map(vec![
-                        ("fast".to_string(), Content::F64(shed_fast)),
-                        ("slow".to_string(), Content::F64(shed_slow)),
+                    "shed_ratio",
+                    obj([
+                        ("fast", Content::F64(shed_fast)),
+                        ("slow", Content::F64(shed_slow)),
                     ]),
                 ),
                 (
-                    "burn".to_string(),
-                    Content::Map(vec![
-                        ("miss_fast".to_string(), Content::F64(burn_miss_fast)),
-                        ("miss_slow".to_string(), Content::F64(burn_miss_slow)),
-                        ("shed_fast".to_string(), Content::F64(burn_shed_fast)),
-                        ("shed_slow".to_string(), Content::F64(burn_shed_slow)),
+                    "burn",
+                    obj([
+                        ("miss_fast", Content::F64(burn_miss_fast)),
+                        ("miss_slow", Content::F64(burn_miss_slow)),
+                        ("shed_fast", Content::F64(burn_shed_fast)),
+                        ("shed_slow", Content::F64(burn_shed_slow)),
                     ]),
                 ),
-                ("slo_state".to_string(), Content::Str(slo_state.to_string())),
+                ("slo_state", string(slo_state)),
             ])
         })
         .collect();
 
-    let degradation = Content::Map(vec![
+    let degradation = obj([
+        ("deadline_misses", Content::U64(streaming.deadline_misses)),
+        ("wait_timeouts", Content::U64(streaming.wait_timeouts)),
         (
-            "deadline_misses".to_string(),
-            Content::U64(streaming.deadline_misses),
-        ),
-        (
-            "wait_timeouts".to_string(),
-            Content::U64(streaming.wait_timeouts),
-        ),
-        (
-            "brownout_sheds".to_string(),
+            "brownout_sheds",
             Content::U64(streaming.brownout_shed_requests),
         ),
-        (
-            "queue_sheds".to_string(),
-            Content::U64(streaming.shed_requests),
-        ),
-        (
-            "batch_retries".to_string(),
-            Content::U64(streaming.batch_retries),
-        ),
-        (
-            "quarantined".to_string(),
-            Content::U64(streaming.quarantined),
-        ),
-        (
-            "gateway_shed_429".to_string(),
-            Content::U64(gateway.shed_429),
-        ),
-        (
-            "gateway_drained_503".to_string(),
-            Content::U64(gateway.drained_503),
-        ),
-        (
-            "gateway_timeout_504".to_string(),
-            Content::U64(gateway.timeout_504),
-        ),
+        ("queue_sheds", Content::U64(streaming.shed_requests)),
+        ("batch_retries", Content::U64(streaming.batch_retries)),
+        ("quarantined", Content::U64(streaming.quarantined)),
+        ("gateway_shed_429", Content::U64(gateway.shed_429)),
+        ("gateway_drained_503", Content::U64(gateway.drained_503)),
+        ("gateway_timeout_504", Content::U64(gateway.timeout_504)),
     ]);
 
-    let cumulative = Content::Map(vec![
-        ("requests".to_string(), Content::U64(streaming.requests)),
+    let cumulative = obj([
+        ("requests", Content::U64(streaming.requests)),
+        ("images_per_sec", Content::F64(streaming.images_per_sec)),
+        ("e2e_p50_us", Content::F64(streaming.e2e_p50_us)),
+        ("e2e_p99_us", Content::F64(streaming.e2e_p99_us)),
+        ("queue_wait_share", Content::F64(streaming.queue_wait_share)),
         (
-            "images_per_sec".to_string(),
-            Content::F64(streaming.images_per_sec),
-        ),
-        ("e2e_p50_us".to_string(), Content::F64(streaming.e2e_p50_us)),
-        ("e2e_p99_us".to_string(), Content::F64(streaming.e2e_p99_us)),
-        (
-            "queue_wait_share".to_string(),
-            Content::F64(streaming.queue_wait_share),
-        ),
-        (
-            "mean_batch_occupancy".to_string(),
+            "mean_batch_occupancy",
             Content::F64(streaming.mean_batch_occupancy),
         ),
-        ("batches".to_string(), Content::U64(streaming.batches)),
+        ("batches", Content::U64(streaming.batches)),
         (
-            "flushes_edf_deadline".to_string(),
+            "flushes_edf_deadline",
             Content::U64(streaming.flushes_edf_deadline),
         ),
         (
-            "flushes_max_batch".to_string(),
+            "flushes_max_batch",
             Content::U64(streaming.flushes_max_batch),
         ),
-        (
-            "flushes_drain".to_string(),
-            Content::U64(streaming.flushes_drain),
-        ),
-        (
-            "flushes_idle".to_string(),
-            Content::U64(streaming.flushes_idle),
-        ),
+        ("flushes_drain", Content::U64(streaming.flushes_drain)),
+        ("flushes_idle", Content::U64(streaming.flushes_idle)),
     ]);
 
-    let trace = trace
-        .map(|t| {
-            Content::Map(vec![
-                ("ring_spans".to_string(), Content::U64(t.ring_spans as u64)),
-                (
-                    "ring_capacity".to_string(),
-                    Content::U64(t.ring_capacity as u64),
-                ),
-                ("spans_recorded".to_string(), Content::U64(t.spans_recorded)),
-                ("spans_dropped".to_string(), Content::U64(t.spans_dropped)),
-            ])
-        })
-        .unwrap_or(Content::Null);
+    let trace = trace.map_or(Content::Null, |t| {
+        obj([
+            ("ring_spans", Content::U64(t.ring_spans as u64)),
+            ("ring_capacity", Content::U64(t.ring_capacity as u64)),
+            ("spans_recorded", Content::U64(t.spans_recorded)),
+            ("spans_dropped", Content::U64(t.spans_dropped)),
+        ])
+    });
 
-    let log_section = log
-        .map(|l| {
-            Content::Map(vec![
-                (
-                    "events".to_string(),
-                    Content::Map(
-                        ["debug", "info", "warn", "error"]
-                            .iter()
-                            .zip(l.events.iter())
-                            .map(|(name, &n)| (name.to_string(), Content::U64(n)))
-                            .collect(),
-                    ),
-                ),
-                ("dropped".to_string(), Content::U64(l.dropped)),
-                ("ring_events".to_string(), Content::U64(l.ring_len as u64)),
-                (
-                    "ring_capacity".to_string(),
-                    Content::U64(l.ring_capacity as u64),
-                ),
-                ("sink_suppressed".to_string(), Content::U64(l.suppressed)),
-            ])
-        })
-        .unwrap_or(Content::Null);
-
-    let build = Content::Map(vec![
-        (
-            "pkg_version".to_string(),
-            Content::Str(env!("CARGO_PKG_VERSION").to_string()),
-        ),
-        (
-            "profile".to_string(),
-            Content::Str(
-                if cfg!(debug_assertions) {
-                    "debug"
-                } else {
-                    "release"
-                }
-                .to_string(),
+    let log_section = log.map_or(Content::Null, |l| {
+        let [debug, info, warn, error] = l.events.map(Content::U64);
+        obj([
+            (
+                "events",
+                obj([
+                    ("debug", debug),
+                    ("info", info),
+                    ("warn", warn),
+                    ("error", error),
+                ]),
             ),
-        ),
-    ]);
+            ("dropped", Content::U64(l.dropped)),
+            ("ring_events", Content::U64(l.ring_len as u64)),
+            ("ring_capacity", Content::U64(l.ring_capacity as u64)),
+            ("sink_suppressed", Content::U64(l.suppressed)),
+        ])
+    });
 
-    let body = Content::Map(vec![
-        ("schema_version".to_string(), Content::U64(1)),
-        ("now_s".to_string(), Content::U64(now_s)),
-        ("uptime_s".to_string(), Content::F64(uptime_s)),
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let body = obj([
+        ("schema_version", Content::U64(1)),
+        ("now_s", Content::U64(now_s)),
+        ("uptime_s", Content::F64(uptime_s)),
         (
-            "windows_s".to_string(),
+            "windows_s",
             Content::Seq(WINDOWS_S.iter().map(|&w| Content::U64(w)).collect()),
         ),
         (
-            "slo".to_string(),
-            Content::Map(vec![
-                (
-                    "miss_objective".to_string(),
-                    Content::F64(slo::MISS_OBJECTIVE),
-                ),
-                (
-                    "shed_objective".to_string(),
-                    Content::F64(slo::SHED_OBJECTIVE),
-                ),
-                (
-                    "fast_window_s".to_string(),
-                    Content::U64(slo::FAST_WINDOW_S),
-                ),
-                (
-                    "slow_window_s".to_string(),
-                    Content::U64(slo::SLOW_WINDOW_S),
-                ),
+            "slo",
+            obj([
+                ("miss_objective", Content::F64(slo::MISS_OBJECTIVE)),
+                ("shed_objective", Content::F64(slo::SHED_OBJECTIVE)),
+                ("fast_window_s", Content::U64(slo::FAST_WINDOW_S)),
+                ("slow_window_s", Content::U64(slo::SLOW_WINDOW_S)),
             ]),
         ),
-        ("routes".to_string(), Content::Seq(routes)),
-        ("models".to_string(), Content::Seq(models)),
-        ("degradation".to_string(), degradation),
-        ("cumulative".to_string(), cumulative),
+        ("routes", Content::Seq(routes)),
+        ("models", Content::Seq(models)),
+        ("degradation", degradation),
+        ("cumulative", cumulative),
         (
-            "registry".to_string(),
-            registry.map(|r| r.to_content()).unwrap_or(Content::Null),
+            "registry",
+            registry.map_or(Content::Null, |r| r.to_content()),
         ),
-        ("trace".to_string(), trace),
-        ("log".to_string(), log_section),
+        ("trace", trace),
+        ("log", log_section),
         (
-            "incidents".to_string(),
+            "incidents",
             Content::U64(log.map_or(0, |l| l.incidents_written)),
         ),
-        ("build".to_string(), build),
+        (
+            "build",
+            obj([
+                ("pkg_version", string(env!("CARGO_PKG_VERSION"))),
+                ("profile", string(profile)),
+            ]),
+        ),
     ]);
     serde_json::to_string(&body)
         .unwrap_or_else(|_| "{\"error\":\"internal error\"}".to_string())

@@ -21,7 +21,9 @@ use common::GatedBackend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{field, Content};
-use snn_gateway::{client::HttpClient, run_closed_loop, Gateway, GatewayConfig, LoadGenConfig};
+use snn_gateway::{
+    client::HttpClient, run_closed_loop, Gateway, GatewayConfig, InferResponse, LoadGenConfig,
+};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
     BackendChoice, BrownoutConfig, CsrEngine, FaultConfig, FaultInjector, StreamingConfig,
@@ -269,39 +271,36 @@ fn shed_429_carries_retry_after_and_the_client_parses_it() {
     server.shutdown();
 }
 
-/// Brownout is wire-visible and typed: with watermarks the closed-loop
-/// load crosses, low-priority requests shed as `429`s whose body names
-/// the brownout (not a queue-full), while the storm of higher-priority
-/// requests rides on and the server drains back below low water.
+/// Brownout is wire-visible and typed: once the admitted backlog reaches
+/// high water, a low-priority request sheds as a `429` whose body names
+/// the brownout (not a queue-full) while a higher priority rides on, and
+/// once the backlog drains below low water everything is admitted again.
+/// The backlog is parked behind a closed gate, so no step depends on how
+/// the scheduler interleaves clients and the worker.
 #[test]
 fn brownout_sheds_low_priority_on_the_wire_and_recovers() {
-    let model = Arc::new(dense_model(21));
-    let mut rng = StdRng::seed_from_u64(0xB0);
-    let n = 8usize;
-    let x = snn_tensor::uniform(&[n, 1, 2, 4], 0.0, 1.0, &mut rng);
+    // An injector a sibling storm left armed would fire panics and
+    // resets into this test's stack.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let model = dense_model(21);
+    let pixels: Vec<f32> = (0..SAMPLE_LEN).map(|i| i as f32 / 8.0).collect();
+    let x = snn_tensor::Tensor::from_vec(pixels.clone(), &[1, 1, 2, 4]).unwrap();
     let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
-
-    // A slow single-thread backend with a wide window piles the pending
-    // queue past high water under 6 concurrent clients.
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 2,
-                    max_delay: Duration::from_millis(4),
-                    max_pending: 0,
-                    brownout: Some(BrownoutConfig {
-                        high_water: 3,
-                        low_water: 1,
-                        shed_below_priority: 2,
-                    }),
-                },
-            )
-            .expect("streaming stack"),
-    );
+    let backend = GatedBackend::closed(CsrEngine::compile(&model, &DIMS).unwrap());
+    let server = Arc::new(StreamingServer::new(
+        backend.clone(),
+        StreamingConfig {
+            threads: 1,
+            max_batch: 2,
+            max_delay: Duration::from_millis(4),
+            max_pending: 0,
+            brownout: Some(BrownoutConfig {
+                high_water: 3,
+                low_water: 1,
+                shed_below_priority: 2,
+            }),
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -310,46 +309,52 @@ fn brownout_sheds_low_priority_on_the_wire_and_recovers() {
         },
     )
     .expect("gateway start");
+    let addr = gateway.local_addr();
+    let infer = move |priority: u8| {
+        let body = format!("{{\"dims\":[1,2,4],\"pixels\":{pixels:?},\"priority\":{priority}}}");
+        let mut client = HttpClient::connect(addr).expect("connect");
+        client.post_json("/v1/infer", &body).expect("request")
+    };
+    let rider = |priority: u8| {
+        let infer = infer.clone();
+        std::thread::spawn(move || infer(priority))
+    };
 
-    let report = run_closed_loop(
-        gateway.local_addr(),
-        &x,
-        Some(&expected),
-        &LoadGenConfig {
-            clients: 6,
-            passes: 6,
-            max_priority: 3,
-            seed: 0xB0,
-            ..LoadGenConfig::default()
-        },
-    );
+    // Three high-priority requests fill the backlog to high water: the
+    // worker holds one or two of them in the closed gate.
+    let mut riders: Vec<_> = (0..3).map(|_| rider(3)).collect();
+    common::wait_until(|| server.pending() == 3);
+    let shed = infer(0);
+    assert_eq!(shed.status, 429, "priority 0 at high water must shed");
+    let body = String::from_utf8_lossy(&shed.body);
     assert!(
-        report.shed_429 > 0,
-        "sustained overload must cross high water and shed: {report:?}"
+        body.contains("brownout"),
+        "the 429 names the brownout: {body}"
     );
-    assert_eq!(report.mismatches, 0, "sheds must not corrupt 200s");
-    assert_eq!(report.transport_errors, 0);
+    riders.push(rider(3));
+    common::wait_until(|| server.pending() == 4);
 
-    // Drained: brownout disengages below low water and everything
-    // (including priority 0) is admitted again.
-    let after = run_closed_loop(
-        gateway.local_addr(),
-        &x,
-        Some(&expected),
-        &LoadGenConfig {
-            clients: 1,
-            passes: 1,
-            seed: 0xB1,
-            ..LoadGenConfig::default()
-        },
-    );
-    assert_eq!(after.ok_200, after.requests, "post-drain pass: {after:?}");
-    assert_eq!(after.mismatches, 0);
+    backend.open();
+    for rider in riders {
+        let response = rider.join().expect("rider thread");
+        assert_eq!(response.status, 200, "higher priorities ride on");
+        let wire: InferResponse =
+            serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        assert_eq!(
+            wire.logits,
+            expected.as_slice(),
+            "sheds must not corrupt 200s"
+        );
+    }
+    // Drained: brownout disengages below low water and priority 0 is
+    // admitted again.
+    common::wait_until(|| server.pending() == 0);
+    assert_eq!(infer(0).status, 200, "post-drain priority 0 is served");
 
     gateway.shutdown();
     let streaming = server.shutdown();
     assert_eq!(
-        streaming.brownout_shed_requests, report.shed_429,
+        streaming.brownout_shed_requests, 1,
         "wire sheds and the runtime counter must agree"
     );
 }

@@ -311,7 +311,7 @@ impl LogCollector {
         if !self.level_enabled(level) {
             return;
         }
-        let trace = snn_trace::current_trace_ids().first().copied();
+        let trace = snn_trace::current_trace_id();
         self.record_traced(level, target, message.into(), attrs, trace);
     }
 

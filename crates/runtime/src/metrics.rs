@@ -1,10 +1,12 @@
 //! Per-request latency accounting for the [`crate::StreamingServer`]:
 //! [`StreamingMetrics`] splits queue-wait from execution time and
 //! histograms the sizes of the batches its workers took from the backlog.
+//! The [`StreamingRecorder`] behind it records each fact once, into
+//! telemetry cells that a [`TelemetryHub`] can list as they are.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use snn_log::{IncidentRecorder, LogCollector, TraceId};
@@ -157,83 +159,6 @@ pub struct StreamingMetrics {
     pub exec_histogram: HistogramSnapshot,
 }
 
-/// Labeled windowed-telemetry fan-out for one [`StreamingRecorder`]:
-/// an [`Arc<TelemetryHub>`] plus this server's label set (`model`,
-/// `version`, `backend`) with the per-request series handles cached so
-/// the hot path never touches the hub's family map. Optionally carries
-/// an [`EnergyPricer`], in which case every executed batch is priced on
-/// the `snn-hw` processor model and the per-model `energy_uj` series
-/// fills in.
-///
-/// Attach one with
-/// [`StreamingServer::attach_telemetry`](crate::StreamingServer::attach_telemetry);
-/// recorders without a sink behave exactly as before (the cumulative
-/// histograms are always fed — telemetry is additive, never a
-/// replacement).
-#[derive(Clone)]
-pub struct TelemetrySink {
-    hub: Arc<TelemetryHub>,
-    labels: Labels,
-    requests: Arc<WindowCounter>,
-    deadline_misses: Arc<WindowCounter>,
-    energy: Arc<WindowCounter>,
-    e2e: Arc<WindowHistogram>,
-    queue_wait: Arc<WindowHistogram>,
-    exec: Arc<WindowHistogram>,
-    wait_timeouts: Arc<WindowCounter>,
-    /// The `flushes` series per reason, indexed by `FlushReason as usize`
-    /// and resolved on first use, so the hub lists only reasons that
-    /// occurred.
-    flushes: [OnceLock<Arc<WindowCounter>>; 4],
-    pricer: Option<EnergyPricer>,
-}
-
-impl TelemetrySink {
-    /// Builds a sink recording into `hub` under `labels`, pre-resolving
-    /// the per-request series. `pricer` enables per-batch energy
-    /// attribution (pass `None` for backends without fixed geometry).
-    pub fn new(hub: Arc<TelemetryHub>, labels: Labels, pricer: Option<EnergyPricer>) -> Self {
-        Self {
-            requests: hub.counter(families::REQUESTS, &labels),
-            deadline_misses: hub.counter(families::DEADLINE_MISSES, &labels),
-            energy: hub.counter(families::ENERGY_UJ, &labels),
-            e2e: hub.histogram(families::E2E_US, &labels),
-            queue_wait: hub.histogram(families::QUEUE_WAIT_US, &labels),
-            exec: hub.histogram(families::EXEC_US, &labels),
-            wait_timeouts: hub.counter(families::WAIT_TIMEOUTS, &labels),
-            flushes: Default::default(),
-            hub,
-            labels,
-            pricer,
-        }
-    }
-
-    /// The label value for a shed priority: `0`..`7` verbatim, anything
-    /// higher collapses into `8+` so the `priority` label stays
-    /// cardinality-bounded no matter what clients send.
-    fn priority_label(priority: u8) -> String {
-        if priority <= 7 {
-            priority.to_string()
-        } else {
-            "8+".to_string()
-        }
-    }
-
-    fn record_labeled(&self, family: &str, key: &'static str, value: String) {
-        let labels = self.labels.clone().with(key, value);
-        self.hub.counter(family, &labels).add(self.hub.now_s(), 1.0);
-    }
-}
-
-impl std::fmt::Debug for TelemetrySink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetrySink")
-            .field("labels", &self.labels)
-            .field("pricer", &self.pricer.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
 /// Structured-logging fan-out for one serving component: the shared
 /// flight-recorder [`LogCollector`] plus, optionally, the
 /// [`IncidentRecorder`] the failure sites trigger post-mortem snapshots
@@ -277,30 +202,114 @@ impl LogSink {
     }
 }
 
+/// Label values for a shed's priority: `0`..`7` verbatim, anything
+/// higher collapses into `8+`, so the `priority` label stays
+/// cardinality-bounded no matter what clients send.
+const PRIORITY_LABELS: [&str; 9] = ["0", "1", "2", "3", "4", "5", "6", "7", "8+"];
+
+/// Every flush reason, in `FlushReason as usize` order.
+const FLUSH_REASONS: [FlushReason; 4] = [
+    FlushReason::EdfDeadline,
+    FlushReason::MaxBatch,
+    FlushReason::Drain,
+    FlushReason::Idle,
+];
+
+/// Where a recorder's cells are listed: a hub, under the server's labels.
+struct Published {
+    hub: Arc<TelemetryHub>,
+    labels: Labels,
+}
+
+/// One family's counters that carry one extra label (a flush reason, a
+/// shed priority). Each is created on first use, so the hub lists only
+/// the values that occurred.
+struct LabeledCounters<const N: usize> {
+    family: &'static str,
+    key: &'static str,
+    values: [&'static str; N],
+    cells: [Option<Arc<WindowCounter>>; N],
+}
+
+impl<const N: usize> LabeledCounters<N> {
+    fn new(family: &'static str, key: &'static str, values: [&'static str; N]) -> Self {
+        Self {
+            family,
+            key,
+            values,
+            cells: std::array::from_fn(|_| None),
+        }
+    }
+
+    /// Counts one event for `values[i]`, creating (and publishing) its
+    /// cell on first use.
+    fn add(&mut self, i: usize, now_s: u64, published: Option<&Published>) {
+        self.cells[i]
+            .get_or_insert_with(|| {
+                let cell = Arc::new(WindowCounter::new());
+                if let Some(p) = published {
+                    let labels = p.labels.clone().with(self.key, self.values[i]);
+                    p.hub
+                        .publish_counter(self.family, &labels, Arc::clone(&cell));
+                }
+                cell
+            })
+            .add(now_s, 1.0);
+    }
+
+    fn publish(&self, p: &Published) {
+        for (cell, value) in self.cells.iter().zip(self.values) {
+            if let Some(cell) = cell {
+                let labels = p.labels.clone().with(self.key, value);
+                p.hub
+                    .publish_counter(self.family, &labels, Arc::clone(cell));
+            }
+        }
+    }
+
+    fn total(&self, i: usize) -> u64 {
+        self.cells[i].as_ref().map_or(0, |c| c.total() as u64)
+    }
+
+    fn sum(&self) -> u64 {
+        (0..N).map(|i| self.total(i)).sum()
+    }
+}
+
 /// Accumulates streaming measurements: one [`record_batch`] per formed
 /// batch plus one [`record_request`] per request that rode in it.
 ///
+/// Every fact the hub also shows — requests, e2e / queue-wait / exec
+/// latency, deadline misses, wait timeouts, energy, flushes per reason,
+/// sheds per priority — is recorded once, into a telemetry cell this
+/// recorder owns from construction. [`summarize`](Self::summarize) reads
+/// those cells back, and [`attach_telemetry`](Self::attach_telemetry)
+/// lists the same cells in a hub, so [`StreamingMetrics`], `/metrics`
+/// and `/v1/stats` agree by construction.
+///
 /// [`record_batch`]: Self::record_batch
 /// [`record_request`]: Self::record_request
-#[derive(Debug, Clone)]
 pub struct StreamingRecorder {
     started: Instant,
-    e2e: Histogram,
-    queue_wait: Histogram,
-    exec: Histogram,
+    requests: Arc<WindowCounter>,
+    e2e: Arc<WindowHistogram>,
+    queue_wait: Arc<WindowHistogram>,
+    exec: Arc<WindowHistogram>,
+    deadline_misses: Arc<WindowCounter>,
+    wait_timeouts: Arc<WindowCounter>,
+    energy: Arc<WindowCounter>,
+    flushes: LabeledCounters<4>,
+    sheds: LabeledCounters<9>,
+    brownout_sheds: LabeledCounters<9>,
     batch_sizes: BTreeMap<u64, u64>,
-    sheds: u64,
-    brownout_sheds: u64,
-    /// Indexed by `FlushReason as usize`.
-    flushes: [u64; 4],
-    wait_timeouts: u64,
     batch_retries: u64,
     quarantined: u64,
-    deadline_misses: u64,
-    /// Windowed-telemetry fan-out; `None` keeps the recorder purely
-    /// cumulative (the pre-telemetry behavior, and the disabled path the
-    /// bench noise-gates against).
-    sink: Option<TelemetrySink>,
+    /// The hub the cells are listed in; `None` until telemetry is
+    /// attached.
+    published: Option<Published>,
+    /// Prices executed batches on the `snn-hw` processor model; set
+    /// with telemetry, for backends with fixed geometry.
+    pricer: Option<EnergyPricer>,
     /// Structured-logging fan-out; `None` keeps the recorder silent (the
     /// pre-logging behavior the bench noise-gates against).
     log: Option<LogSink>,
@@ -311,26 +320,66 @@ impl StreamingRecorder {
     pub fn new() -> Self {
         Self {
             started: Instant::now(),
-            e2e: Histogram::new(),
-            queue_wait: Histogram::new(),
-            exec: Histogram::new(),
+            requests: Arc::default(),
+            e2e: Arc::default(),
+            queue_wait: Arc::default(),
+            exec: Arc::default(),
+            deadline_misses: Arc::default(),
+            wait_timeouts: Arc::default(),
+            energy: Arc::default(),
+            flushes: LabeledCounters::new(
+                families::FLUSHES,
+                "flush_reason",
+                FLUSH_REASONS.map(FlushReason::as_str),
+            ),
+            sheds: LabeledCounters::new(families::SHEDS, "priority", PRIORITY_LABELS),
+            brownout_sheds: LabeledCounters::new(
+                families::BROWNOUT_SHEDS,
+                "priority",
+                PRIORITY_LABELS,
+            ),
             batch_sizes: BTreeMap::new(),
-            sheds: 0,
-            brownout_sheds: 0,
-            flushes: [0; 4],
-            wait_timeouts: 0,
             batch_retries: 0,
             quarantined: 0,
-            deadline_misses: 0,
-            sink: None,
+            published: None,
+            pricer: None,
             log: None,
         }
     }
 
-    /// Attaches a windowed-telemetry sink; every subsequent recording
-    /// additionally feeds the hub's labeled series.
-    pub fn set_sink(&mut self, sink: TelemetrySink) {
-        self.sink = Some(sink);
+    /// Lists this recorder's cells in `hub` under `labels`
+    /// (conventionally `model`, `version`, `backend`), replacing any cell
+    /// listed there before; a flush reason or shed priority seen later is
+    /// listed when it first occurs. What was recorded before the attach
+    /// stays in the cells. `pricer` enables per-batch energy attribution
+    /// (pass `None` for backends without fixed geometry).
+    pub fn attach_telemetry(
+        &mut self,
+        hub: Arc<TelemetryHub>,
+        labels: Labels,
+        pricer: Option<EnergyPricer>,
+    ) {
+        let p = Published { hub, labels };
+        for (family, cell) in [
+            (families::REQUESTS, &self.requests),
+            (families::DEADLINE_MISSES, &self.deadline_misses),
+            (families::WAIT_TIMEOUTS, &self.wait_timeouts),
+            (families::ENERGY_UJ, &self.energy),
+        ] {
+            p.hub.publish_counter(family, &p.labels, Arc::clone(cell));
+        }
+        for (family, cell) in [
+            (families::E2E_US, &self.e2e),
+            (families::QUEUE_WAIT_US, &self.queue_wait),
+            (families::EXEC_US, &self.exec),
+        ] {
+            p.hub.publish_histogram(family, &p.labels, Arc::clone(cell));
+        }
+        self.flushes.publish(&p);
+        self.sheds.publish(&p);
+        self.brownout_sheds.publish(&p);
+        self.published = Some(p);
+        self.pricer = pricer;
     }
 
     /// Attaches a structured-logging sink; the workers' batch takes and
@@ -348,20 +397,11 @@ impl StreamingRecorder {
     /// Records one executed batch: its size, backend execution time and
     /// what the worker that took it found.
     pub fn record_batch(&mut self, size: usize, exec: Duration, reason: FlushReason) {
+        let now = snn_telemetry::now_s();
         *self.batch_sizes.entry(size as u64).or_insert(0) += 1;
-        self.exec.record(exec);
-        self.flushes[reason as usize] += 1;
-        if let Some(sink) = &self.sink {
-            let now = sink.hub.now_s();
-            sink.exec
-                .record_us(now, exec.as_micros().min(u64::MAX as u128) as u64);
-            sink.flushes[reason as usize]
-                .get_or_init(|| {
-                    let labels = sink.labels.clone().with("flush_reason", reason.as_str());
-                    sink.hub.counter(families::FLUSHES, &labels)
-                })
-                .add(now, 1.0);
-        }
+        self.exec.record(now, exec);
+        self.flushes
+            .add(reason as usize, now, self.published.as_ref());
         if let Some(log) = &self.log {
             snn_log::debug!(
                 log.collector(),
@@ -378,48 +418,38 @@ impl StreamingRecorder {
     }
 
     /// Prices one executed batch's measured event counters on the
-    /// attached sink's `snn-hw` [`EnergyPricer`], accumulating
-    /// `size × per-image µJ` into the per-model windowed `energy_uj`
-    /// series. Returns the **per-image** figure for response
-    /// attribution; `0.0` when no sink or no pricer is attached.
+    /// [`EnergyPricer`] telemetry attached, accumulating
+    /// `size × per-image µJ` into the per-model `energy_uj` cell.
+    /// Returns the **per-image** figure for response attribution; `0.0`
+    /// when no pricer is attached.
     pub fn record_batch_energy(&mut self, stats: &RunStats, size: usize) -> f64 {
-        let Some(sink) = &self.sink else {
-            return 0.0;
-        };
-        let Some(pricer) = &sink.pricer else {
+        let Some(pricer) = &self.pricer else {
             return 0.0;
         };
         let per_image_uj = pricer.price_per_image_uj(stats);
-        sink.energy
-            .add(sink.hub.now_s(), per_image_uj * size as f64);
+        self.energy
+            .add(snn_telemetry::now_s(), per_image_uj * size as f64);
         per_image_uj
     }
 
     /// Records one submission shed by backpressure (`QueueFull`), with
-    /// the shed request's priority (labels the windowed series; the
-    /// cumulative counter stays priority-blind).
+    /// the shed request's priority.
     pub fn record_shed(&mut self, priority: u8) {
-        self.sheds += 1;
-        if let Some(sink) = &self.sink {
-            sink.record_labeled(
-                families::SHEDS,
-                "priority",
-                TelemetrySink::priority_label(priority),
-            );
-        }
+        self.sheds.add(
+            usize::from(priority).min(PRIORITY_LABELS.len() - 1),
+            snn_telemetry::now_s(),
+            self.published.as_ref(),
+        );
     }
 
     /// Records one submission shed by priority brownout, with the shed
     /// request's priority.
     pub fn record_brownout_shed(&mut self, priority: u8) {
-        self.brownout_sheds += 1;
-        if let Some(sink) = &self.sink {
-            sink.record_labeled(
-                families::BROWNOUT_SHEDS,
-                "priority",
-                TelemetrySink::priority_label(priority),
-            );
-        }
+        self.brownout_sheds.add(
+            usize::from(priority).min(PRIORITY_LABELS.len() - 1),
+            snn_telemetry::now_s(),
+            self.published.as_ref(),
+        );
     }
 
     /// Records one batch that panicked and was re-run request-by-request
@@ -454,10 +484,7 @@ impl StreamingRecorder {
     /// Records one [`Ticket::wait_timeout`](crate::Ticket::wait_timeout)
     /// expiry (the caller gave up before the batch completed).
     pub fn record_wait_timeout(&mut self) {
-        self.wait_timeouts += 1;
-        if let Some(sink) = &self.sink {
-            sink.wait_timeouts.add(sink.hub.now_s(), 1.0);
-        }
+        self.wait_timeouts.add(snn_telemetry::now_s(), 1.0);
     }
 
     /// Records one completed request: end-to-end latency, the share of
@@ -466,35 +493,31 @@ impl StreamingRecorder {
     /// began executing after the EDF deadline expired — the SLO
     /// deadline-miss signal).
     pub fn record_request(&mut self, e2e: Duration, queue_wait: Duration, deadline_missed: bool) {
-        self.e2e.record(e2e);
-        self.queue_wait.record(queue_wait);
+        let now = snn_telemetry::now_s();
+        self.requests.add(now, 1.0);
+        self.e2e.record(now, e2e);
+        self.queue_wait.record(now, queue_wait);
         if deadline_missed {
-            self.deadline_misses += 1;
-        }
-        if let Some(sink) = &self.sink {
-            let now = sink.hub.now_s();
-            sink.requests.add(now, 1.0);
-            sink.e2e
-                .record_us(now, e2e.as_micros().min(u64::MAX as u128) as u64);
-            sink.queue_wait
-                .record_us(now, queue_wait.as_micros().min(u64::MAX as u128) as u64);
-            if deadline_missed {
-                sink.deadline_misses.add(now, 1.0);
-            }
+            self.deadline_misses.add(now, 1.0);
         }
     }
 
     /// Snapshots everything recorded so far into a [`StreamingMetrics`].
     pub fn summarize(&self) -> StreamingMetrics {
         let wall_s = self.started.elapsed().as_secs_f64();
-        let requests = self.e2e.count();
+        let (e2e, queue_wait, exec) = (
+            self.e2e.cumulative(),
+            self.queue_wait.cumulative(),
+            self.exec.cumulative(),
+        );
+        let requests = self.requests.total() as u64;
         let batches: u64 = self.batch_sizes.values().sum();
         let images: u64 = self.batch_sizes.iter().map(|(size, n)| size * n).sum();
-        let e2e_total = self.e2e.sum_us();
+        let e2e_total = e2e.sum_us();
         StreamingMetrics {
             requests,
-            shed_requests: self.sheds,
-            brownout_shed_requests: self.brownout_sheds,
+            shed_requests: self.sheds.sum(),
+            brownout_shed_requests: self.brownout_sheds.sum(),
             batches,
             wall_ms: wall_s * 1e3,
             images_per_sec: if wall_s > 0.0 {
@@ -502,17 +525,17 @@ impl StreamingRecorder {
             } else {
                 0.0
             },
-            e2e_mean_us: self.e2e.mean_us(),
-            e2e_p50_us: self.e2e.quantile_us(0.50),
-            e2e_p99_us: self.e2e.quantile_us(0.99),
-            queue_wait_mean_us: self.queue_wait.mean_us(),
-            queue_wait_p50_us: self.queue_wait.quantile_us(0.50),
-            queue_wait_p99_us: self.queue_wait.quantile_us(0.99),
-            exec_mean_us: self.exec.mean_us(),
-            exec_p50_us: self.exec.quantile_us(0.50),
-            exec_p99_us: self.exec.quantile_us(0.99),
+            e2e_mean_us: e2e.mean_us(),
+            e2e_p50_us: e2e.quantile_us(0.50),
+            e2e_p99_us: e2e.quantile_us(0.99),
+            queue_wait_mean_us: queue_wait.mean_us(),
+            queue_wait_p50_us: queue_wait.quantile_us(0.50),
+            queue_wait_p99_us: queue_wait.quantile_us(0.99),
+            exec_mean_us: exec.mean_us(),
+            exec_p50_us: exec.quantile_us(0.50),
+            exec_p99_us: exec.quantile_us(0.99),
             queue_wait_share: if e2e_total > 0.0 {
-                self.queue_wait.sum_us() / e2e_total
+                queue_wait.sum_us() / e2e_total
             } else {
                 0.0
             },
@@ -527,17 +550,17 @@ impl StreamingRecorder {
                 .iter()
                 .map(|(&size, &batches)| OccupancyBucket { size, batches })
                 .collect(),
-            flushes_edf_deadline: self.flushes[FlushReason::EdfDeadline as usize],
-            flushes_max_batch: self.flushes[FlushReason::MaxBatch as usize],
-            flushes_drain: self.flushes[FlushReason::Drain as usize],
-            flushes_idle: self.flushes[FlushReason::Idle as usize],
-            wait_timeouts: self.wait_timeouts,
+            flushes_edf_deadline: self.flushes.total(FlushReason::EdfDeadline as usize),
+            flushes_max_batch: self.flushes.total(FlushReason::MaxBatch as usize),
+            flushes_drain: self.flushes.total(FlushReason::Drain as usize),
+            flushes_idle: self.flushes.total(FlushReason::Idle as usize),
+            wait_timeouts: self.wait_timeouts.total() as u64,
             batch_retries: self.batch_retries,
             quarantined: self.quarantined,
-            deadline_misses: self.deadline_misses,
-            e2e_histogram: (&self.e2e).into(),
-            queue_wait_histogram: (&self.queue_wait).into(),
-            exec_histogram: (&self.exec).into(),
+            deadline_misses: self.deadline_misses.total() as u64,
+            e2e_histogram: (&e2e).into(),
+            queue_wait_histogram: (&queue_wait).into(),
+            exec_histogram: (&exec).into(),
         }
     }
 }
@@ -545,6 +568,15 @@ impl StreamingRecorder {
 impl Default for StreamingRecorder {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl std::fmt::Debug for StreamingRecorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StreamingRecorder")
+            .field("labels", &self.published.as_ref().map(|p| &p.labels))
+            .field("pricer", &self.pricer.is_some())
+            .finish_non_exhaustive()
     }
 }
 
@@ -591,7 +623,7 @@ mod tests {
         let hub = Arc::new(TelemetryHub::new());
         let labels = Labels::new().with("model", "m");
         let mut r = StreamingRecorder::new();
-        r.set_sink(TelemetrySink::new(Arc::clone(&hub), labels.clone(), None));
+        r.attach_telemetry(Arc::clone(&hub), labels.clone(), None);
         let counts = [
             (FlushReason::EdfDeadline, 2),
             (FlushReason::MaxBatch, 5),
@@ -618,6 +650,124 @@ mod tests {
             let total = snap.counter(families::FLUSHES, &series).map(|c| c.total);
             assert_eq!(total, Some(n as f64), "{}", reason.as_str());
         }
+    }
+
+    fn some_traffic(r: &mut StreamingRecorder) {
+        r.record_batch(2, Duration::from_micros(700), FlushReason::MaxBatch);
+        r.record_batch(1, Duration::from_micros(300), FlushReason::Idle);
+        for missed in [false, false, true] {
+            r.record_request(
+                Duration::from_micros(1_000),
+                Duration::from_micros(200),
+                missed,
+            );
+        }
+        r.record_shed(1);
+        r.record_shed(12);
+        r.record_brownout_shed(0);
+        r.record_wait_timeout();
+    }
+
+    /// One cell per fact: what a recorder saw before and after telemetry
+    /// was attached reads the same through `StreamingMetrics` and through
+    /// the hub's series.
+    #[test]
+    fn streaming_metrics_and_the_hub_read_the_same_cells() {
+        let hub = Arc::new(TelemetryHub::new());
+        let labels = Labels::new().with("model", "m").with("backend", "csr");
+        let mut r = StreamingRecorder::new();
+        some_traffic(&mut r);
+        r.attach_telemetry(Arc::clone(&hub), labels.clone(), None);
+        some_traffic(&mut r);
+        // A reason first seen after the attach is listed when it occurs.
+        r.record_batch(1, Duration::from_micros(90), FlushReason::Drain);
+        let m = r.summarize();
+        assert_eq!((m.requests, m.shed_requests, m.batches), (6, 4, 5));
+
+        let snap = hub.snapshot(hub.now_s());
+        let total = |family: &str| snap.counter(family, &labels).map(|c| c.total as u64);
+        let count = |family: &str| snap.histogram(family, &labels).map(|h| h.count);
+        let family_total = |family: &str| -> u64 {
+            snap.counters
+                .iter()
+                .filter(|f| f.name == family)
+                .flat_map(|f| &f.series)
+                .map(|s| s.value.total as u64)
+                .sum()
+        };
+        assert_eq!(total(families::REQUESTS), Some(m.requests));
+        assert_eq!(total(families::DEADLINE_MISSES), Some(m.deadline_misses));
+        assert_eq!(total(families::WAIT_TIMEOUTS), Some(m.wait_timeouts));
+        assert_eq!(count(families::E2E_US), Some(m.e2e_histogram.count));
+        assert_eq!(
+            count(families::QUEUE_WAIT_US),
+            Some(m.queue_wait_histogram.count)
+        );
+        assert_eq!(count(families::EXEC_US), Some(m.exec_histogram.count));
+        for (reason, n) in [
+            (FlushReason::EdfDeadline, m.flushes_edf_deadline),
+            (FlushReason::MaxBatch, m.flushes_max_batch),
+            (FlushReason::Drain, m.flushes_drain),
+            (FlushReason::Idle, m.flushes_idle),
+        ] {
+            let series = labels.clone().with("flush_reason", reason.as_str());
+            let listed = snap
+                .counter(families::FLUSHES, &series)
+                .map(|c| c.total as u64);
+            assert_eq!(listed.unwrap_or(0), n, "{}", reason.as_str());
+        }
+        assert_eq!(family_total(families::FLUSHES), m.batches);
+        assert_eq!(family_total(families::SHEDS), m.shed_requests);
+        assert_eq!(
+            family_total(families::BROWNOUT_SHEDS),
+            m.brownout_shed_requests
+        );
+    }
+
+    /// Republishing under the same labels replaces the first recorder's
+    /// cells; a recorder whose labels arrive past the cap is not listed
+    /// and keeps exact metrics of its own.
+    #[test]
+    fn republish_replaces_and_past_the_cap_a_recorder_stays_its_own() {
+        let hub = Arc::new(TelemetryHub::new());
+        let labels = Labels::new().with("model", "m");
+        let mut first = StreamingRecorder::new();
+        first.attach_telemetry(Arc::clone(&hub), labels.clone(), None);
+        some_traffic(&mut first);
+        let mut second = StreamingRecorder::new();
+        second.attach_telemetry(Arc::clone(&hub), labels.clone(), None);
+        second.record_request(Duration::from_micros(50), Duration::ZERO, false);
+        let requests = |hub: &TelemetryHub, labels: &Labels| {
+            hub.snapshot(hub.now_s())
+                .counter(families::REQUESTS, labels)
+                .map(|c| c.total)
+        };
+        assert_eq!(
+            requests(&hub, &labels),
+            Some(1.0),
+            "the second cell is listed"
+        );
+
+        for i in 1..snn_telemetry::MAX_SERIES_PER_FAMILY {
+            let filler = Labels::new().with("model", format!("filler{i}"));
+            hub.publish_counter(families::REQUESTS, &filler, Arc::default());
+        }
+        let late_labels = Labels::new().with("model", "late");
+        let mut late = StreamingRecorder::new();
+        late.attach_telemetry(Arc::clone(&hub), late_labels.clone(), None);
+        some_traffic(&mut late);
+        assert_eq!(late.summarize().requests, 3);
+        assert_eq!(late.summarize().shed_requests, 2);
+        assert_eq!(
+            requests(&hub, &late_labels),
+            None,
+            "past the cap: not listed"
+        );
+        assert_eq!(
+            requests(&hub, &snn_telemetry::overflow_labels()),
+            None,
+            "and not merged into overflow"
+        );
     }
 
     #[test]

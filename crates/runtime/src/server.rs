@@ -26,7 +26,7 @@ use crate::batcher::{
 };
 use crate::energy::EnergyPricer;
 use crate::faults::{FaultInjector, FaultPoint};
-use crate::metrics::{LogSink, StreamingMetrics, StreamingRecorder, TelemetrySink};
+use crate::metrics::{LogSink, StreamingMetrics, StreamingRecorder};
 use crate::{InferenceBackend, StreamedResponse};
 
 /// `threads` resolved to a worker count: itself when nonzero, otherwise
@@ -433,10 +433,11 @@ impl StreamingServer {
         ))
     }
 
-    /// Attaches windowed telemetry: every subsequent recording
-    /// additionally feeds labeled series in `hub` under `labels`
-    /// (conventionally `model`, `version`, `backend`), in addition to —
-    /// never instead of — the cumulative recorders. When the backend
+    /// Attaches windowed telemetry: lists the recorder's own cells in
+    /// `hub` under `labels` (conventionally `model`, `version`,
+    /// `backend`), so the hub's series and [`metrics`](Self::metrics)
+    /// read the same cells (see
+    /// [`StreamingRecorder::attach_telemetry`]). When the backend
     /// exposes fixed compiled geometry
     /// ([`InferenceBackend::input_dims`]), an [`EnergyPricer`] is built
     /// so every executed batch is priced on the `snn-hw` processor
@@ -450,7 +451,7 @@ impl StreamingServer {
         let pricer = backend
             .input_dims()
             .and_then(|dims| EnergyPricer::new(backend.model(), dims).ok());
-        lock(&self.stream.recorder).set_sink(TelemetrySink::new(hub, labels, pricer));
+        lock(&self.stream.recorder).attach_telemetry(hub, labels, pricer);
     }
 
     /// Attaches structured logging: the workers' batch takes, failure

@@ -1,191 +1,217 @@
 //! Latency histograms and windowed time-series metrics for the serving
 //! stack.
 //!
-//! [`Histogram`] answers "what happened since boot"; the windowed series
-//! answer "what is happening *now*". Each windowed series is a ring of
-//! fixed-width time slots — memory stays bounded no matter how long the
-//! process runs — and queries merge the slots covering the last
-//! 10 s / 1 m / 5 m into sliding-window rates and quantiles:
+//! Every series is one cumulative cell that answers both "what happened
+//! since the cell was created" and "what is happening *now*". A cell
+//! keeps its running value plus a bounded ring of marks — the value at
+//! the start of each recent time slot that saw a record — and a window
+//! is the running value minus the first mark inside it (0 when no mark
+//! falls inside it). Windowed figures are therefore never above the
+//! cumulative ones, and both come from the same cell:
 //!
-//! - [`WindowCounter`] — 1-second slots, 300-slot ring (5 minutes of
+//! - [`WindowCounter`] — 1-second slots, up to 300 marks (5 minutes of
 //!   history). Accumulates `f64` so the same type serves request counts
 //!   and energy-µJ sums; exposes a cumulative total plus per-window sums
 //!   and rates.
-//! - [`WindowGauge`] — last-written value (resident bytes, queue depth).
-//! - [`WindowHistogram`] — 5-second slots, 60-slot ring of log-linear
-//!   bins; window quantiles are nearest-rank over the merged bins and
-//!   return the bin's upper edge.
+//! - [`WindowHistogram`] — a cumulative [`Histogram`] with 5-second
+//!   slots, up to 60 marks of its bins; window quantiles are nearest-rank
+//!   over the bins the window adds and return the bin's upper edge.
 //!
 //! Both histograms share one bin layout: base-2 octaves split into 4
 //! linear sub-bins, upper-inclusive, so every bin is at most 25 % wide
 //! and a quantile overestimates the exact nearest-rank value by at most
 //! 25 % + 1 µs, never underestimates it.
 //!
-//! Series are grouped into named families inside a [`TelemetryHub`] and
-//! addressed by [`Labels`] (`model`, `route`, `flush_reason`, …). Every
-//! family is cardinality-capped: past [`MAX_SERIES_PER_FAMILY`] distinct
-//! label sets, further lookups collapse into one reserved overflow
-//! series instead of growing without bound. Lookups hold the hub lock
-//! briefly; recording holds only the per-series lock, and hot paths are
-//! expected to cache the `Arc` handles a lookup returns.
+//! Cells are listed in named families inside a [`TelemetryHub`] and
+//! addressed by [`Labels`] (`model`, `route`, `flush_reason`, …). A
+//! recorder that owns its cells publishes them
+//! ([`TelemetryHub::publish_counter`]); code without a recorder looks a
+//! cell up ([`TelemetryHub::counter`]). Every family is
+//! cardinality-capped at [`MAX_SERIES_PER_FAMILY`] label sets: past it a
+//! published cell is not listed, and lookups collapse into one reserved
+//! overflow series. Lookups and publishes hold the hub lock briefly;
+//! recording holds only the cell's own lock.
 //!
 //! Timestamps are explicit: every mutation and query takes `now_s`,
-//! seconds since the hub's epoch ([`TelemetryHub::now_s`] supplies it in
-//! production, tests pass synthetic values for deterministic rotation
-//! coverage). The [`slo`] module layers multi-window burn rates on top:
-//! a fast (1 m) and slow (5 m) error-budget burn per model, reduced to
-//! an `ok` / `warn` / `burning` state.
+//! seconds on the process clock [`now_s`] (tests pass synthetic values
+//! for deterministic rotation coverage). The [`slo`] module layers
+//! multi-window burn rates on top: a fast (1 m) and slow (5 m)
+//! error-budget burn per model, reduced to an `ok` / `warn` / `burning`
+//! state.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The sliding windows every snapshot reports, in seconds: 10 s, 1 m, 5 m.
 pub const WINDOWS_S: [u64; 3] = [10, 60, 300];
 
-/// Counter/gauge slot width, seconds.
+/// Counter slot width, seconds.
 const COUNTER_SLOT_S: u64 = 1;
-/// Counter ring length: 300 × 1 s = the longest window.
+/// Counter marks kept: 300 × 1 s = the longest window.
 const COUNTER_SLOTS: usize = 300;
 /// Histogram slot width, seconds. Coarser than counters because each
-/// slot carries a full bin array; 5 divides every window in
+/// mark carries a full bin array; 5 divides every window in
 /// [`WINDOWS_S`] so window edges align with slot edges.
 const HIST_SLOT_S: u64 = 5;
-/// Histogram ring length: 60 × 5 s = the longest window.
+/// Histogram marks kept: 60 × 5 s = the longest window.
 const HIST_SLOTS: usize = 60;
 
 /// Distinct label sets a family holds before further lookups collapse
 /// into the reserved overflow series (see [`overflow_labels`]).
 pub const MAX_SERIES_PER_FAMILY: usize = 64;
 
-/// Stamp value meaning "slot never written".
-const STAMP_EMPTY: u64 = u64::MAX;
-
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Seconds on the process clock, whose epoch is its first read: the
+/// `now_s` every cell is stamped and queried with. One clock for the
+/// whole process, because a recorder's cells exist before any hub does.
+pub fn now_s() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_secs()
+}
+
+// ---------------------------------------------------------------------------
+// Marks
+// ---------------------------------------------------------------------------
+
+/// The most recent `(slot, value at the slot's start)` marks of one
+/// cell, oldest first, one per slot that saw a record.
+struct Marks<M> {
+    slot_s: u64,
+    cap: usize,
+    ring: VecDeque<(u64, M)>,
+}
+
+impl<M> Marks<M> {
+    fn new(slot_s: u64, cap: usize) -> Self {
+        Self {
+            slot_s,
+            cap,
+            ring: VecDeque::new(),
+        }
+    }
+
+    /// Slots a `window_s` window spans, clamped to the ring.
+    fn span(&self, window_s: u64) -> u64 {
+        window_s.div_ceil(self.slot_s).clamp(1, self.cap as u64)
+    }
+
+    /// Marks the start of `now_s`'s slot with `value()` — the cell's
+    /// value before this record — unless that slot (or a later one, when
+    /// a racing recorder read the clock later) is already marked.
+    fn mark(&mut self, now_s: u64, value: impl FnOnce() -> M) {
+        let slot = now_s / self.slot_s;
+        if self.ring.back().is_some_and(|&(last, _)| last >= slot) {
+            return;
+        }
+        if self.ring.len() == self.cap {
+            self.ring.pop_front();
+        }
+        self.ring.push_back((slot, value()));
+    }
+
+    /// The value at the start of the first marked slot inside the
+    /// `window_s` seconds ending at `now_s`; `None` when no record fell
+    /// inside the window.
+    fn window_start(&self, now_s: u64, window_s: u64) -> Option<&M> {
+        let (now_slot, span) = (now_s / self.slot_s, self.span(window_s));
+        let first = self
+            .ring
+            .partition_point(|&(slot, _)| slot + span <= now_slot);
+        self.ring.get(first).map(|(_, value)| value)
+    }
+}
+
+/// A cell's running value and the marks its windows subtract.
+struct Series<T, M> {
+    value: T,
+    marks: Marks<M>,
 }
 
 // ---------------------------------------------------------------------------
 // WindowCounter
 // ---------------------------------------------------------------------------
 
-struct CounterState {
-    /// Per-slot accumulated value.
-    slots: [f64; COUNTER_SLOTS],
-    /// Absolute slot index (`now_s / slot width`) each slot was last
-    /// written at; a mismatch on touch means the ring wrapped and the
-    /// slot holds stale data to be discarded lazily.
-    stamps: [u64; COUNTER_SLOTS],
-    total: f64,
-}
-
-/// Monotone accumulating series over a ring of 1-second slots.
+/// Monotone accumulating series: a running total plus marks over
+/// 1-second slots.
 ///
 /// Accumulates `f64`, so it serves both event counts (`add(now, 1.0)`)
 /// and measured sums such as energy in µJ. The cumulative
 /// [`total`](Self::total) is exact forever; [`window_sum`](Self::window_sum)
-/// and [`rate_per_s`](Self::rate_per_s) cover at most the last
-/// 300 seconds.
+/// and the [`snapshot`](Self::snapshot) rates cover at most the last
+/// 300 seconds and are differences of running totals.
 pub struct WindowCounter {
-    inner: Mutex<CounterState>,
+    inner: Mutex<Series<f64, f64>>,
 }
 
 impl WindowCounter {
     /// Creates an empty counter.
     pub fn new() -> Self {
         Self {
-            inner: Mutex::new(CounterState {
-                slots: [0.0; COUNTER_SLOTS],
-                stamps: [STAMP_EMPTY; COUNTER_SLOTS],
-                total: 0.0,
+            inner: Mutex::new(Series {
+                value: 0.0,
+                marks: Marks::new(COUNTER_SLOT_S, COUNTER_SLOTS),
             }),
         }
     }
 
-    /// Adds `v` at `now_s` seconds since the hub epoch.
+    /// Adds `v` at `now_s`.
     pub fn add(&self, now_s: u64, v: f64) {
-        let idx = now_s / COUNTER_SLOT_S;
-        let slot = (idx % COUNTER_SLOTS as u64) as usize;
         let mut st = lock_recover(&self.inner);
-        if st.stamps[slot] != idx {
-            st.slots[slot] = 0.0;
-            st.stamps[slot] = idx;
-        }
-        st.slots[slot] += v;
-        st.total += v;
+        let Series { value, marks } = &mut *st;
+        marks.mark(now_s, || *value);
+        *value += v;
     }
 
     /// Cumulative sum of everything ever added.
     pub fn total(&self) -> f64 {
-        lock_recover(&self.inner).total
+        lock_recover(&self.inner).value
     }
 
     /// Sum over the last `window_s` seconds ending at `now_s`
     /// (inclusive of the current, still-filling slot). Windows longer
     /// than the ring are clamped to the ring span.
     pub fn window_sum(&self, now_s: u64, window_s: u64) -> f64 {
-        let now_idx = now_s / COUNTER_SLOT_S;
-        let span = (window_s / COUNTER_SLOT_S).clamp(1, COUNTER_SLOTS as u64);
-        let st = lock_recover(&self.inner);
-        let mut sum = 0.0;
-        for back in 0..span {
-            let Some(idx) = now_idx.checked_sub(back) else {
-                break;
-            };
-            let slot = (idx % COUNTER_SLOTS as u64) as usize;
-            if st.stamps[slot] == idx {
-                sum += st.slots[slot];
-            }
-        }
-        sum
+        lock_recover(&self.inner).window_sum(now_s, window_s)
     }
 
-    /// [`window_sum`](Self::window_sum) divided by the window width —
-    /// events (or units) per second.
-    pub fn rate_per_s(&self, now_s: u64, window_s: u64) -> f64 {
-        let span = (window_s / COUNTER_SLOT_S).clamp(1, COUNTER_SLOTS as u64) as f64;
-        self.window_sum(now_s, window_s) / (span * COUNTER_SLOT_S as f64)
+    /// The total and every [`WINDOWS_S`] window with its per-second
+    /// rate, read under one lock.
+    pub fn snapshot(&self, now_s: u64) -> CounterSnapshot {
+        let st = lock_recover(&self.inner);
+        CounterSnapshot {
+            total: st.value,
+            windows: WINDOWS_S
+                .iter()
+                .map(|&w| {
+                    let sum = st.window_sum(now_s, w);
+                    let width = st.marks.span(w) * COUNTER_SLOT_S;
+                    WindowSum {
+                        window_s: w,
+                        sum,
+                        rate_per_s: sum / width as f64,
+                    }
+                })
+                .collect(),
+        }
+    }
+}
+
+impl Series<f64, f64> {
+    fn window_sum(&self, now_s: u64, window_s: u64) -> f64 {
+        self.marks
+            .window_start(now_s, window_s)
+            .map_or(0.0, |start| self.value - start)
     }
 }
 
 impl Default for WindowCounter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WindowGauge
-// ---------------------------------------------------------------------------
-
-/// Last-value series (queue depth, resident bytes, ring occupancy).
-pub struct WindowGauge {
-    value: Mutex<f64>,
-}
-
-impl WindowGauge {
-    /// Creates a gauge holding 0.
-    pub fn new() -> Self {
-        Self {
-            value: Mutex::new(0.0),
-        }
-    }
-
-    /// Overwrites the gauge value.
-    pub fn set(&self, v: f64) {
-        *lock_recover(&self.value) = v;
-    }
-
-    /// Reads the last-set value (0 if never set).
-    pub fn get(&self) -> f64 {
-        *lock_recover(&self.value)
-    }
-}
-
-impl Default for WindowGauge {
     fn default() -> Self {
         Self::new()
     }
@@ -264,9 +290,9 @@ fn exact_us(d: Duration) -> f64 {
 // Histogram
 // ---------------------------------------------------------------------------
 
-/// Cumulative latency histogram: the log-linear bins of
-/// [`WindowHistogram`] with no time slots, plus an exact count, an
-/// exact sum and an exact maximum. About 1 KiB whatever the traffic.
+/// Cumulative latency histogram: log-linear bins plus an exact count,
+/// an exact sum and an exact maximum. About 1 KiB whatever the traffic;
+/// the cumulative half of every [`WindowHistogram`].
 ///
 /// Observations are binned by whole microseconds (truncated). A
 /// quantile is the upper edge of the bin holding its nearest rank,
@@ -373,95 +399,53 @@ impl Default for Histogram {
 // WindowHistogram
 // ---------------------------------------------------------------------------
 
-struct HistSlot {
-    stamp: u64,
-    bins: [u32; HIST_BINS],
-}
-
-struct HistState {
-    slots: Vec<HistSlot>,
-    count: u64,
-    sum_us: f64,
-}
-
-/// Latency histogram over a ring of 5-second slots with the log-linear
-/// bins of [`Histogram`] (4 linear sub-bins per base-2 octave, up to
-/// 2^25 µs).
+/// Latency series: a cumulative [`Histogram`] plus marks of its bins
+/// over 5-second slots.
 ///
-/// Window quantiles are nearest-rank over the merged window bins and
+/// Window quantiles are nearest-rank over the bins the window added and
 /// return the containing bin's **upper edge**, so they overestimate the
 /// exact sample quantile by at most one bin width — ≤ 25 % + 1 µs.
 pub struct WindowHistogram {
-    inner: Mutex<HistState>,
+    inner: Mutex<Series<Histogram, [u64; HIST_BINS]>>,
 }
 
 impl WindowHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Self {
-            inner: Mutex::new(HistState {
-                slots: (0..HIST_SLOTS)
-                    .map(|_| HistSlot {
-                        stamp: STAMP_EMPTY,
-                        bins: [0; HIST_BINS],
-                    })
-                    .collect(),
-                count: 0,
-                sum_us: 0.0,
+            inner: Mutex::new(Series {
+                value: Histogram::new(),
+                marks: Marks::new(HIST_SLOT_S, HIST_SLOTS),
             }),
         }
     }
 
+    /// Records one observation at `now_s`.
+    pub fn record(&self, now_s: u64, latency: Duration) {
+        let mut st = lock_recover(&self.inner);
+        let Series { value, marks } = &mut *st;
+        marks.mark(now_s, || value.bins);
+        value.record(latency);
+    }
+
     /// Records one observation of `us` microseconds at `now_s`.
     pub fn record_us(&self, now_s: u64, us: u64) {
-        let idx = now_s / HIST_SLOT_S;
-        let slot = (idx % HIST_SLOTS as u64) as usize;
-        let mut st = lock_recover(&self.inner);
-        let s = &mut st.slots[slot];
-        if s.stamp != idx {
-            s.bins = [0; HIST_BINS];
-            s.stamp = idx;
-        }
-        s.bins[hist_bin(us)] += 1;
-        st.count += 1;
-        st.sum_us += us as f64;
+        self.record(now_s, Duration::from_micros(us));
     }
 
     /// Total observations ever recorded (exact, not windowed).
     pub fn count(&self) -> u64 {
-        lock_recover(&self.inner).count
+        lock_recover(&self.inner).value.count
     }
 
-    /// Sum of all observations ever recorded, µs (exact, not windowed).
-    pub fn sum_us(&self) -> f64 {
-        lock_recover(&self.inner).sum_us
-    }
-
-    /// Merged bins over the last `window_s` seconds ending at `now_s`.
-    fn window_bins(&self, now_s: u64, window_s: u64) -> ([u64; HIST_BINS], u64) {
-        let now_idx = now_s / HIST_SLOT_S;
-        let span = (window_s.div_ceil(HIST_SLOT_S)).clamp(1, HIST_SLOTS as u64);
-        let st = lock_recover(&self.inner);
-        let mut merged = [0u64; HIST_BINS];
-        let mut count = 0u64;
-        for back in 0..span {
-            let Some(idx) = now_idx.checked_sub(back) else {
-                break;
-            };
-            let slot = &st.slots[(idx % HIST_SLOTS as u64) as usize];
-            if slot.stamp == idx {
-                for (m, &b) in merged.iter_mut().zip(slot.bins.iter()) {
-                    *m += b as u64;
-                    count += b as u64;
-                }
-            }
-        }
-        (merged, count)
+    /// A copy of the cumulative histogram.
+    pub fn cumulative(&self) -> Histogram {
+        lock_recover(&self.inner).value.clone()
     }
 
     /// Observations within the last `window_s` seconds ending at `now_s`.
     pub fn window_count(&self, now_s: u64, window_s: u64) -> u64 {
-        self.window_bins(now_s, window_s).1
+        lock_recover(&self.inner).window_bins(now_s, window_s).1
     }
 
     /// Nearest-rank `q`-quantile (0 ≤ q ≤ 1) over the last `window_s`
@@ -469,8 +453,45 @@ impl WindowHistogram {
     /// of the bin holding the rank — see the type docs for the
     /// tolerance this implies.
     pub fn window_quantile_us(&self, now_s: u64, window_s: u64, q: f64) -> f64 {
-        let (bins, count) = self.window_bins(now_s, window_s);
+        let (bins, count) = lock_recover(&self.inner).window_bins(now_s, window_s);
         rank_bin(&bins, count, q).map_or(0.0, hist_bin_upper_us)
+    }
+
+    /// The cumulative count and sum and every [`WINDOWS_S`] window, read
+    /// under one lock.
+    pub fn snapshot(&self, now_s: u64) -> HistogramWindows {
+        let st = lock_recover(&self.inner);
+        HistogramWindows {
+            count: st.value.count,
+            sum_us: st.value.sum_us,
+            windows: WINDOWS_S
+                .iter()
+                .map(|&w| {
+                    let (bins, count) = st.window_bins(now_s, w);
+                    let q = |q| rank_bin(&bins, count, q).map_or(0.0, hist_bin_upper_us);
+                    WindowQuantiles {
+                        window_s: w,
+                        count,
+                        p50_us: q(0.50),
+                        p95_us: q(0.95),
+                        p99_us: q(0.99),
+                    }
+                })
+                .collect(),
+        }
+    }
+}
+
+impl Series<Histogram, [u64; HIST_BINS]> {
+    /// The bins the window added since its first mark, and their count.
+    fn window_bins(&self, now_s: u64, window_s: u64) -> ([u64; HIST_BINS], u64) {
+        let mut bins = [0u64; HIST_BINS];
+        if let Some(start) = self.marks.window_start(now_s, window_s) {
+            for ((b, now), then) in bins.iter_mut().zip(&self.value.bins).zip(start) {
+                *b = now - then;
+            }
+        }
+        (bins, bins.iter().sum())
     }
 }
 
@@ -508,11 +529,6 @@ impl Labels {
             Err(i) => self.pairs.insert(i, (key, value)),
         }
         self
-    }
-
-    /// The sorted pairs.
-    pub fn pairs(&self) -> &[(&'static str, String)] {
-        &self.pairs
     }
 
     /// Value for `key`, if present.
@@ -608,35 +624,44 @@ impl<T> Family<T> {
                 .1,
         )
     }
+
+    /// Lists `cell` under `labels`, replacing a cell already listed
+    /// there; past the cap a new label set is not listed at all.
+    fn publish(&mut self, labels: &Labels, cell: Arc<T>) {
+        let key = labels.key();
+        if self.series.len() < MAX_SERIES_PER_FAMILY || self.series.contains_key(&key) {
+            self.series.insert(key, (labels.clone(), cell));
+        }
+    }
 }
 
-/// Registry of labeled windowed series, grouped into named families.
+/// The family named `name` in `map`, created empty on first use.
+fn family_mut<'a, T>(map: &'a mut BTreeMap<String, Family<T>>, name: &str) -> &'a mut Family<T> {
+    map.entry(name.to_string()).or_insert_with(Family::new)
+}
+
+/// Registry of labeled cells, grouped into named families.
 ///
 /// One hub serves the whole process: the streaming server, registry and
-/// gateway all record into it, and `/v1/stats` snapshots it. The hub
-/// owns the epoch every `now_s` timestamp is relative to.
+/// gateway publish their cells into it, and `/v1/stats` snapshots it.
 pub struct TelemetryHub {
-    epoch: Instant,
     counters: Mutex<BTreeMap<String, Family<WindowCounter>>>,
-    gauges: Mutex<BTreeMap<String, Family<WindowGauge>>>,
     histograms: Mutex<BTreeMap<String, Family<WindowHistogram>>>,
 }
 
 impl TelemetryHub {
-    /// Creates an empty hub; the epoch is now.
+    /// Creates an empty hub.
     pub fn new() -> Self {
         Self {
-            epoch: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Seconds since the hub epoch — the `now_s` to pass to series
+    /// The process clock ([`now_s`]) — the `now_s` to pass to cell
     /// mutations and window queries.
     pub fn now_s(&self) -> u64 {
-        self.epoch.elapsed().as_secs()
+        now_s()
     }
 
     /// The counter series for `labels` in `family`, created on first
@@ -644,107 +669,64 @@ impl TelemetryHub {
     /// family's reserved overflow series is returned instead. Cache the
     /// handle on hot paths.
     pub fn counter(&self, family: &str, labels: &Labels) -> Arc<WindowCounter> {
-        lock_recover(&self.counters)
-            .entry(family.to_string())
-            .or_insert_with(Family::new)
+        family_mut(&mut lock_recover(&self.counters), family)
             .get_or_insert(labels, WindowCounter::new)
-    }
-
-    /// The gauge series for `labels` in `family` (same caching and
-    /// overflow behavior as [`counter`](Self::counter)).
-    pub fn gauge(&self, family: &str, labels: &Labels) -> Arc<WindowGauge> {
-        lock_recover(&self.gauges)
-            .entry(family.to_string())
-            .or_insert_with(Family::new)
-            .get_or_insert(labels, WindowGauge::new)
     }
 
     /// The histogram series for `labels` in `family` (same caching and
     /// overflow behavior as [`counter`](Self::counter)).
     pub fn histogram(&self, family: &str, labels: &Labels) -> Arc<WindowHistogram> {
-        lock_recover(&self.histograms)
-            .entry(family.to_string())
-            .or_insert_with(Family::new)
+        family_mut(&mut lock_recover(&self.histograms), family)
             .get_or_insert(labels, WindowHistogram::new)
     }
 
+    /// Lists a recorder's own counter `cell` under `labels` in `family`,
+    /// replacing any cell listed there before (a republished series
+    /// restarts from the new cell's values: a counter reset). Past
+    /// [`MAX_SERIES_PER_FAMILY`] label sets a new one is not listed, and
+    /// the cell stays its recorder's alone — never merged into the
+    /// overflow series.
+    pub fn publish_counter(&self, family: &str, labels: &Labels, cell: Arc<WindowCounter>) {
+        family_mut(&mut lock_recover(&self.counters), family).publish(labels, cell);
+    }
+
+    /// Lists a recorder's own histogram `cell` (same rules as
+    /// [`publish_counter`](Self::publish_counter)).
+    pub fn publish_histogram(&self, family: &str, labels: &Labels, cell: Arc<WindowHistogram>) {
+        family_mut(&mut lock_recover(&self.histograms), family).publish(labels, cell);
+    }
+
     /// Snapshots every series at `now_s`: per-window sums/rates for
-    /// counters, values for gauges, per-window counts and p50/p95/p99
-    /// for histograms. Families and series come out sorted by name and
-    /// label key, so the output is deterministic.
+    /// counters, per-window counts and p50/p95/p99 for histograms.
+    /// Families and series come out sorted by name and label key, so
+    /// the output is deterministic.
     pub fn snapshot(&self, now_s: u64) -> HubSnapshot {
-        let counters = lock_recover(&self.counters)
-            .iter()
-            .map(|(name, fam)| FamilySnapshot {
-                name: name.clone(),
-                series: fam
-                    .series
-                    .values()
-                    .map(|(labels, c)| SeriesSnapshot {
-                        labels: labels.clone(),
-                        value: CounterSnapshot {
-                            total: c.total(),
-                            windows: WINDOWS_S
-                                .iter()
-                                .map(|&w| WindowSum {
-                                    window_s: w,
-                                    sum: c.window_sum(now_s, w),
-                                    rate_per_s: c.rate_per_s(now_s, w),
-                                })
-                                .collect(),
-                        },
-                    })
-                    .collect(),
-            })
-            .collect();
-        let gauges = lock_recover(&self.gauges)
-            .iter()
-            .map(|(name, fam)| FamilySnapshot {
-                name: name.clone(),
-                series: fam
-                    .series
-                    .values()
-                    .map(|(labels, g)| SeriesSnapshot {
-                        labels: labels.clone(),
-                        value: GaugeSnapshot { value: g.get() },
-                    })
-                    .collect(),
-            })
-            .collect();
-        let histograms = lock_recover(&self.histograms)
-            .iter()
-            .map(|(name, fam)| FamilySnapshot {
-                name: name.clone(),
-                series: fam
-                    .series
-                    .values()
-                    .map(|(labels, h)| SeriesSnapshot {
-                        labels: labels.clone(),
-                        value: HistogramWindows {
-                            count: h.count(),
-                            sum_us: h.sum_us(),
-                            windows: WINDOWS_S
-                                .iter()
-                                .map(|&w| WindowQuantiles {
-                                    window_s: w,
-                                    count: h.window_count(now_s, w),
-                                    p50_us: h.window_quantile_us(now_s, w, 0.50),
-                                    p95_us: h.window_quantile_us(now_s, w, 0.95),
-                                    p99_us: h.window_quantile_us(now_s, w, 0.99),
-                                })
-                                .collect(),
-                        },
-                    })
-                    .collect(),
-            })
-            .collect();
         HubSnapshot {
             now_s,
-            counters,
-            gauges,
-            histograms,
+            counters: snapshot_families(&lock_recover(&self.counters), |c| c.snapshot(now_s)),
+            histograms: snapshot_families(&lock_recover(&self.histograms), |h| h.snapshot(now_s)),
         }
     }
+}
+
+fn snapshot_families<T, S>(
+    families: &BTreeMap<String, Family<T>>,
+    snapshot: impl Fn(&T) -> S,
+) -> Vec<FamilySnapshot<S>> {
+    families
+        .iter()
+        .map(|(name, fam)| FamilySnapshot {
+            name: name.clone(),
+            series: fam
+                .series
+                .values()
+                .map(|(labels, cell)| SeriesSnapshot {
+                    labels: labels.clone(),
+                    value: snapshot(cell),
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 impl Default for TelemetryHub {
@@ -771,13 +753,6 @@ pub struct CounterSnapshot {
     pub total: f64,
     /// One entry per window in [`WINDOWS_S`].
     pub windows: Vec<WindowSum>,
-}
-
-/// Snapshot of one [`WindowGauge`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSnapshot {
-    /// Last-set value.
-    pub value: f64,
 }
 
 /// One histogram window in a [`HistogramWindows`].
@@ -831,8 +806,6 @@ pub struct HubSnapshot {
     pub now_s: u64,
     /// Counter families sorted by name.
     pub counters: Vec<FamilySnapshot<CounterSnapshot>>,
-    /// Gauge families sorted by name.
-    pub gauges: Vec<FamilySnapshot<GaugeSnapshot>>,
     /// Histogram families sorted by name.
     pub histograms: Vec<FamilySnapshot<HistogramWindows>>,
 }
@@ -840,25 +813,26 @@ pub struct HubSnapshot {
 impl HubSnapshot {
     /// Finds a counter series by family name and labels.
     pub fn counter(&self, family: &str, labels: &Labels) -> Option<&CounterSnapshot> {
-        self.counters
-            .iter()
-            .find(|f| f.name == family)?
-            .series
-            .iter()
-            .find(|s| &s.labels == labels)
-            .map(|s| &s.value)
+        find_series(&self.counters, family, labels)
     }
 
     /// Finds a histogram series by family name and labels.
     pub fn histogram(&self, family: &str, labels: &Labels) -> Option<&HistogramWindows> {
-        self.histograms
-            .iter()
-            .find(|f| f.name == family)?
-            .series
-            .iter()
-            .find(|s| &s.labels == labels)
-            .map(|s| &s.value)
+        find_series(&self.histograms, family, labels)
     }
+}
+
+fn find_series<'a, T>(
+    families: &'a [FamilySnapshot<T>],
+    family: &str,
+    labels: &Labels,
+) -> Option<&'a T> {
+    let family = families.iter().find(|f| f.name == family)?;
+    family
+        .series
+        .iter()
+        .find(|s| &s.labels == labels)
+        .map(|s| &s.value)
 }
 
 // ---------------------------------------------------------------------------
@@ -957,16 +931,7 @@ mod tests {
         for t in 0..10 {
             c.add(t, 3.0);
         }
-        assert!((c.rate_per_s(9, 10) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gauge_keeps_last_value() {
-        let g = WindowGauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(42.5);
-        g.set(7.0);
-        assert_eq!(g.get(), 7.0);
+        assert!((c.snapshot(9).windows[0].rate_per_s - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1134,6 +1099,113 @@ mod tests {
         assert_eq!(Labels::new().key(), "");
     }
 
+    /// A monotone stream of `(t, v)` records: times climb from a random
+    /// start by at most `max_step` seconds a record. Half the streams
+    /// step by 0 or 1 s, so every second of a long stream holds a record
+    /// and both mark rings run full and wrap.
+    fn monotone_stream() -> impl Strategy<Value = Vec<(u64, u64)>> {
+        (
+            0u64..10_000,
+            0u64..80,
+            proptest::collection::vec((0u64..1_000, 1u64..5_000), 1..1_000),
+        )
+            .prop_map(|(start, coin, steps)| {
+                let max_step = coin.saturating_sub(38).max(1);
+                let mut t = start;
+                steps
+                    .into_iter()
+                    .map(|(dt, v)| {
+                        t += dt % (max_step + 1);
+                        (t, v)
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Windows are differences of one cumulative cell: exact against
+        /// the records they cover, never above the cumulative value, all
+        /// of it once the 300 s window covers every record, and 0 when no
+        /// record falls inside the window however many older ones exist.
+        #[test]
+        fn windows_are_the_cumulative_cell_minus_a_mark(
+            stream in monotone_stream(),
+            gap in 0u64..400,
+        ) {
+            let (c, h) = (WindowCounter::new(), WindowHistogram::new());
+            for &(t, v) in &stream {
+                c.add(t, v as f64);
+                h.record_us(t, v);
+            }
+            let (first, last) = (stream[0].0, stream[stream.len() - 1].0);
+            let now = last + gap;
+            for w in WINDOWS_S {
+                let counter_covers = |t: u64| t + w > now;
+                let hist_covers = |t: u64| t / HIST_SLOT_S + w / HIST_SLOT_S > now / HIST_SLOT_S;
+                let sum: u64 = stream
+                    .iter()
+                    .filter(|&&(t, _)| counter_covers(t))
+                    .map(|&(_, v)| v)
+                    .sum();
+                let count = stream.iter().filter(|&&(t, _)| hist_covers(t)).count() as u64;
+                prop_assert_eq!(c.window_sum(now, w), sum as f64, "{}s sum", w);
+                prop_assert_eq!(h.window_count(now, w), count, "{}s count", w);
+                prop_assert!(c.window_sum(now, w) <= c.total());
+                prop_assert!(h.window_count(now, w) <= h.count());
+                if !counter_covers(last) {
+                    prop_assert_eq!(c.window_sum(now, w), 0.0);
+                }
+                if !hist_covers(last) {
+                    prop_assert_eq!(h.window_count(now, w), 0);
+                    prop_assert_eq!(h.window_quantile_us(now, w, 0.99), 0.0);
+                }
+            }
+            if in_longest_window(first, now, COUNTER_SLOT_S) {
+                prop_assert_eq!(c.window_sum(now, 300), c.total());
+            }
+            if in_longest_window(first, now, HIST_SLOT_S) {
+                prop_assert_eq!(h.window_count(now, 300), h.count());
+            }
+        }
+    }
+
+    /// Whether a record at `t` lies in the 300 s window ending at `now`,
+    /// on slots of `slot_s` seconds.
+    fn in_longest_window(t: u64, now: u64, slot_s: u64) -> bool {
+        t / slot_s + 300 / slot_s > now / slot_s
+    }
+
+    #[test]
+    fn published_cells_replace_and_stop_at_the_cap() {
+        let hub = TelemetryHub::new();
+        let l = Labels::new().with("model", "m");
+        let (old, new) = (
+            Arc::new(WindowCounter::new()),
+            Arc::new(WindowCounter::new()),
+        );
+        old.add(0, 5.0);
+        hub.publish_counter("requests", &l, Arc::clone(&old));
+        hub.publish_counter("requests", &l, Arc::clone(&new));
+        new.add(0, 1.0);
+        assert!(
+            Arc::ptr_eq(&hub.counter("requests", &l), &new),
+            "a republish replaces the listed cell"
+        );
+        for i in 0..MAX_SERIES_PER_FAMILY + 3 {
+            let labels = Labels::new().with("model", format!("p{i}"));
+            hub.publish_counter("requests", &labels, Arc::new(WindowCounter::new()));
+        }
+        let snap = hub.snapshot(0);
+        assert_eq!(snap.counters[0].series.len(), MAX_SERIES_PER_FAMILY);
+        assert!(
+            snap.counter("requests", &overflow_labels()).is_none(),
+            "a published cell past the cap is never merged into overflow"
+        );
+        assert_eq!(snap.counter("requests", &l).map(|c| c.total), Some(1.0));
+    }
+
     #[test]
     fn hub_returns_same_series_for_same_labels() {
         let hub = TelemetryHub::new();
@@ -1175,7 +1247,6 @@ mod tests {
         let l = Labels::new().with("model", "m");
         hub.counter(families::REQUESTS, &l).add(2, 5.0);
         hub.histogram(families::E2E_US, &l).record_us(2, 900);
-        hub.gauge("depth", &Labels::new()).set(3.0);
         let snap = hub.snapshot(2);
         let c = snap.counter(families::REQUESTS, &l).unwrap();
         assert_eq!(c.total, 5.0);
@@ -1186,7 +1257,6 @@ mod tests {
         assert_eq!(h.count, 1);
         assert_eq!(h.windows[2].count, 1);
         assert!(h.windows[2].p99_us >= 900.0);
-        assert_eq!(snap.gauges[0].series[0].value.value, 3.0);
     }
 
     #[test]

@@ -490,17 +490,17 @@ pub fn context_active() -> bool {
     CONTEXT.with(|cell| cell.borrow().is_some())
 }
 
-/// The trace ids the ambient context currently targets, in target order
-/// (empty when no context is installed). This is how non-span telemetry
-/// (structured log events) correlates with the request tree for free:
-/// anything recorded under a [`push_context`] window can stamp itself
-/// with the same trace id the spans carry.
-pub fn current_trace_ids() -> Vec<TraceId> {
+/// The trace id of the ambient context's first target (`None` when no
+/// context is installed). This is how non-span telemetry (structured log
+/// events) correlates with the request tree for free: anything recorded
+/// under a [`push_context`] window can stamp itself with the same trace
+/// id the spans carry.
+pub fn current_trace_id() -> Option<TraceId> {
     CONTEXT.with(|cell| {
         cell.borrow()
             .as_ref()
-            .map(|ctx| ctx.targets.iter().map(|t| t.trace).collect())
-            .unwrap_or_default()
+            .and_then(|ctx| ctx.targets.first())
+            .map(|t| t.trace)
     })
 }
 
