@@ -17,7 +17,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::http::find_head_end;
+use crate::http::{find_head_end, parse_content_length};
 use crate::json::{InferRequest, InferResponse};
 
 /// One parsed HTTP response as the client sees it.
@@ -153,7 +153,8 @@ impl HttpClient {
             let name = name.to_ascii_lowercase();
             let value = value.trim();
             if name == "content-length" {
-                content_length = value.parse().map_err(|_| bad("bad Content-Length"))?;
+                content_length =
+                    parse_content_length(value).ok_or_else(|| bad("bad Content-Length"))?;
             } else if name == "connection" {
                 keep_alive = !value.eq_ignore_ascii_case("close");
             } else if name == "retry-after" {

@@ -120,6 +120,19 @@ pub fn find_head_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
+/// A `Content-Length` value as RFC 9110 frames it: `1*DIGIT`, nothing
+/// else. `usize::from_str` also takes a leading `+`, and a front end that
+/// reads `+4` differently from the gateway would let one request smuggle
+/// another; `None` here (no digits, any other byte, or overflow) is a
+/// framing error. Shared by the request parser and the client's response
+/// parser.
+pub fn parse_content_length(value: &str) -> Option<usize> {
+    if !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    value.parse().ok() // rejects "" and overflow
+}
+
 /// Tries to parse one complete request from the front of `buf`.
 ///
 /// Returns `Ok(Some((request, consumed)))` when a full head **and** body
@@ -209,9 +222,9 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
     let mut saw_content_length = false;
     for (name, value) in &headers {
         if name == "content-length" {
-            let parsed: usize = value
-                .parse()
-                .map_err(|_| ParseError::BadRequest(format!("invalid Content-Length {value:?}")))?;
+            let parsed = parse_content_length(value).ok_or_else(|| {
+                ParseError::BadRequest(format!("invalid Content-Length {value:?}"))
+            })?;
             if saw_content_length && parsed != content_length {
                 return Err(ParseError::BadRequest(
                     "conflicting Content-Length headers".into(),
@@ -387,6 +400,7 @@ mod tests {
         for head in [
             "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
             "POST /x HTTP/1.1\r\nContent-Length: -3\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: +4\r\n\r\n",
             "POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\n",
         ] {
             let err = parse_request(head.as_bytes(), &limits()).unwrap_err();

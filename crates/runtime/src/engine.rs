@@ -29,10 +29,13 @@
 //! Every inner loop is a contiguous sweep. A conv stage's lane slice is
 //! **channel-last** (`[oy·ow + ox][oc]`, see [`crate::csr`]), so a row is a
 //! handful of runs `cells[..n] += w[..n] · psp` over two slices — one run
-//! per kernel row at stride 1 — which rustc vectorises at the SSE2
-//! baseline. A quantised stage stores packed log codes and decodes them
-//! through its layer's LUT once per chunk into a scratch f32 array, then
-//! integrates through the very same run loop.
+//! per kernel row at stride 1 — which rustc vectorises. The workspace
+//! builds for x86-64-v3 (`.cargo/config.toml`), so one AVX2 op widens,
+//! multiplies and adds four f64 cells; rustc never fuses the multiply and
+//! add into an FMA, so a baseline (SSE2, two cells per op) build computes
+//! the same bits. A quantised stage stores packed log codes and decodes
+//! them through its layer's LUT once per chunk into a scratch f32 array,
+//! then integrates through the very same run loop.
 //!
 //! Bit-exactness is preserved by construction. Per accumulator cell
 //! `(lane, target)`, additions land in exactly the reference backend's
@@ -68,7 +71,8 @@ use crate::InferenceBackend;
 /// batcher's default `max_batch`, so a formed batch runs as one chunk (and
 /// a quantised stage is decoded once per batch). Lanes buy little beyond
 /// that: the benchmark's `engine.f32.lane_speedup` (8 lanes vs 1,
-/// VGG-16/w16) reads ≈ 1.0. Explicit [`CsrEngine::with_max_lanes`] may set
+/// VGG-16/w16) reads ≈ 1.0 (0.99–1.03 at the x86-64-v3 build target, as
+/// at the SSE2 baseline). Explicit [`CsrEngine::with_max_lanes`] may set
 /// any width; every width is bit-identical.
 pub const DEFAULT_MAX_LANES: usize = 8;
 

@@ -20,10 +20,12 @@
 //! * [`QuantEngine`] — an [`InferenceBackend`] whose integration loop is
 //!   the *same* batched edge-major walk as [`crate::CsrEngine`]'s
 //!   ([`run_chunk_stages`] is shared), down to the vectorised `cells +=
-//!   w · psp` run: a weighted stage's packed codes are decoded through the
-//!   layer's LUT **once per chunk** into a reused scratch f32 array (a
-//!   table load per stored code — ≈ 239 k for VGG-16 at 1/8 width —
-//!   instead of one per traversed edge, millions), and the loop multiplies
+//!   w · psp` run (four f64 cells per AVX2 op at the workspace's
+//!   x86-64-v3 target, the same bits as a baseline build): a weighted
+//!   stage's packed codes are decoded through the layer's LUT **once per
+//!   chunk** into a reused scratch f32 array (a table load per stored
+//!   code — ≈ 239 k for VGG-16 at 1/8 width — instead of one per
+//!   traversed edge, millions), and the loop multiplies
 //!   the decoded value by the spike's `κ(t) · scale` in f64, exactly the
 //!   product the reference computes. The codes stay the only resident
 //!   payload; the decoded array is scratch, sized by the largest layer. In
