@@ -648,7 +648,7 @@ fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received:
         )
     } else {
         match (request.method.as_str(), request.path()) {
-            ("POST", "/v1/infer") => widen(handle_infer(request, shared, received)),
+            ("POST", "/v1/infer") => handle_infer(request, shared, received),
             ("GET", "/v1/models") => widen(handle_models_list(shared)),
             (method, path) if path.starts_with("/v1/models/") => {
                 handle_model_route(method, path, request, shared, received)
@@ -1133,24 +1133,47 @@ fn log_request_failure(
 /// `request.decode`, `infer.submit`, `ticket.wait` and `http.respond`
 /// spans under one `http.request` root, and rides the
 /// [`TraceTarget`] into the runtime so queue/flush/execution spans land in
-/// the same tree. The whole tree is recorded before the response body
-/// leaves this function, so a follow-up `GET /v1/trace/<id>` always sees
-/// it complete.
-fn handle_infer(
+/// the same tree (see [`with_request_root`]).
+fn handle_infer(request: &Request, shared: &Shared, received: Instant) -> Reply {
+    with_request_root(request, shared, received, |trace_ctx| {
+        widen(run_infer(
+            "infer",
+            &shared.server,
+            &shared.input_dims,
+            request,
+            shared,
+            received,
+            trace_ctx,
+        ))
+    })
+}
+
+/// Runs an inference handler under the request's trace context and then
+/// records its `http.request` root with the reply's status — for every
+/// outcome, not only a `200`. The root closes after every child span and
+/// before [`respond`] writes a byte, so a follow-up
+/// `GET /v1/trace/<id>` always sees a complete tree with one root and no
+/// orphans.
+fn with_request_root(
     request: &Request,
     shared: &Shared,
     received: Instant,
-) -> (&'static str, u16, &'static str, Vec<u8>) {
+    handler: impl FnOnce(Option<&TraceCtx>) -> Reply,
+) -> Reply {
     let trace_ctx = make_trace_ctx(request, shared);
-    run_infer(
-        "infer",
-        &shared.server,
-        &shared.input_dims,
-        request,
-        shared,
-        received,
-        trace_ctx,
-    )
+    let reply = handler(trace_ctx.as_ref());
+    if let Some((collector, trace, root)) = &trace_ctx {
+        collector.record_span_with_id(
+            *root,
+            *trace,
+            0,
+            "http.request",
+            received,
+            Instant::now(),
+            vec![("status", AttrValue::U64(u64::from(reply.1)))],
+        );
+    }
+    reply
 }
 
 /// `(collector, trace id, pre-allocated root span id)` for one request —
@@ -1186,12 +1209,12 @@ fn run_infer(
     request: &Request,
     shared: &Shared,
     received: Instant,
-    trace_ctx: Option<TraceCtx>,
+    trace_ctx: Option<&TraceCtx>,
 ) -> (&'static str, u16, &'static str, Vec<u8>) {
     let json = "application/json";
     let handler_start = Instant::now();
-    let trace_id = trace_ctx.as_ref().map(|&(_, trace, _)| trace);
-    if let Some((collector, trace, root)) = &trace_ctx {
+    let trace_id = trace_ctx.map(|&(_, trace, _)| trace);
+    if let Some((collector, trace, root)) = trace_ctx {
         collector.record_span(
             *trace,
             *root,
@@ -1243,7 +1266,7 @@ fn run_infer(
         Ok(image) => image,
         Err(e) => return (route, 400, json, ErrorBody::render(e.to_string())),
     };
-    if let Some((collector, trace, root)) = &trace_ctx {
+    if let Some((collector, trace, root)) = trace_ctx {
         collector.record_span(
             *trace,
             *root,
@@ -1311,7 +1334,7 @@ fn run_infer(
             return (route, status, json, ErrorBody::render(e.to_string()));
         }
     };
-    if let Some((collector, trace, root)) = &trace_ctx {
+    if let Some((collector, trace, root)) = trace_ctx {
         collector.record_span(
             *trace,
             *root,
@@ -1341,7 +1364,6 @@ fn run_infer(
                 e2e_us: submitted.elapsed().as_secs_f64() * 1e6,
                 energy_uj: response.energy_uj,
                 trace_id: trace_ctx
-                    .as_ref()
                     .map(|(_, trace, _)| trace.to_string())
                     .unwrap_or_default(),
             };
@@ -1363,7 +1385,7 @@ fn run_infer(
                     );
                 }
             };
-            if let Some((collector, trace, root)) = &trace_ctx {
+            if let Some((collector, trace, root)) = trace_ctx {
                 collector.record_span(
                     *trace,
                     *root,
@@ -1380,33 +1402,13 @@ fn run_infer(
                     Instant::now(),
                     vec![("body_bytes", body.len().into())],
                 );
-                // The root closes last, so a `GET /v1/trace/<id>` issued
-                // the moment the response arrives sees the full tree.
-                collector.record_span_with_id(
-                    *root,
-                    *trace,
-                    0,
-                    "http.request",
-                    received,
-                    Instant::now(),
-                    vec![("status", AttrValue::U64(200))],
-                );
             }
             (route, 200, json, body)
         }
         Ok(None) => {
-            if let Some((collector, trace, root)) = &trace_ctx {
+            if let Some((collector, trace, root)) = trace_ctx {
                 let now = Instant::now();
                 collector.record_span(*trace, *root, "ticket.wait", wait_start, now, vec![]);
-                collector.record_span_with_id(
-                    *root,
-                    *trace,
-                    0,
-                    "http.request",
-                    received,
-                    now,
-                    vec![("status", AttrValue::U64(504))],
-                );
             }
             log_request_failure(
                 shared,
@@ -1565,35 +1567,36 @@ fn handle_model_infer(spec: &str, request: &Request, shared: &Shared, received: 
             None,
         );
     };
-    let trace_ctx = make_trace_ctx(request, shared);
-    let parent = trace_ctx.as_ref().map(|(_, trace, root)| TraceTarget {
-        trace: *trace,
-        parent: *root,
-    });
-    match registry.get_or_load_traced(spec, parent) {
-        Ok(handle) => widen(run_infer(
-            ROUTE,
-            handle.server(),
-            handle.input_dims(),
-            request,
-            shared,
-            received,
-            trace_ctx,
-        )),
-        Err(e) => {
-            let reply = registry_error_response(ROUTE, &e);
-            if reply.1 >= 500 {
-                log_request_failure(
-                    shared,
-                    ROUTE,
-                    reply.1,
-                    &e.to_string(),
-                    parent.map(|t| t.trace),
-                );
+    with_request_root(request, shared, received, |trace_ctx| {
+        let parent = trace_ctx.map(|(_, trace, root)| TraceTarget {
+            trace: *trace,
+            parent: *root,
+        });
+        match registry.get_or_load_traced(spec, parent) {
+            Ok(handle) => widen(run_infer(
+                ROUTE,
+                handle.server(),
+                handle.input_dims(),
+                request,
+                shared,
+                received,
+                trace_ctx,
+            )),
+            Err(e) => {
+                let reply = registry_error_response(ROUTE, &e);
+                if reply.1 >= 500 {
+                    log_request_failure(
+                        shared,
+                        ROUTE,
+                        reply.1,
+                        &e.to_string(),
+                        parent.map(|t| t.trace),
+                    );
+                }
+                reply
             }
-            reply
         }
-    }
+    })
 }
 
 /// The `POST /v1/models/<name>/swap` handler: parses `{"version": ...}`

@@ -243,6 +243,57 @@ fn caller_supplied_trace_id_is_honored() {
     server.shutdown();
 }
 
+/// A traced request that fails still gets its root: a wrong-dims
+/// `POST /v1/infer` answers 400, and its tree holds exactly one root —
+/// `http.request` carrying that status — with no orphaned children.
+#[test]
+fn a_rejected_request_still_gets_its_root_span() {
+    let (server, _collector) = traced_stack(54, StreamingConfig::default());
+    let mut gateway = Gateway::start(
+        Arc::clone(&server),
+        GatewayConfig {
+            workers: 2,
+            ..GatewayConfig::for_dims(&DIMS)
+        },
+    )
+    .unwrap();
+    let body =
+        serde_json::to_string(&InferRequest::new(vec![1, 4, 2], vec![0.4; SAMPLE_LEN])).unwrap();
+    let chosen = "00000000bad0d135";
+    let mut client = HttpClient::connect(gateway.local_addr()).unwrap();
+    client
+        .send_raw(
+            format!(
+                "POST /v1/infer HTTP/1.1\r\nHost: gateway\r\n\
+                 x-snn-trace-id: {chosen}\r\n\
+                 Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    assert_eq!(client.read_response().unwrap().status, 400);
+
+    let spans = fetch_tree(&mut client, chosen);
+    let roots: Vec<&WireSpan> = spans.iter().filter(|s| s.parent_id == 0).collect();
+    assert_eq!(roots.len(), 1, "one root: {spans:#?}");
+    assert_eq!(roots[0].name, "http.request");
+    assert_eq!(
+        roots[0].attr("status").and_then(Content::as_u64),
+        Some(400),
+        "the root carries the status: {spans:#?}"
+    );
+    for span in &spans {
+        assert!(
+            span.parent_id == 0 || spans.iter().any(|p| p.span_id == span.parent_id),
+            "orphan span: {span:?}"
+        );
+    }
+    assert!(spans.iter().any(|s| s.name == "http.parse"));
+    gateway.shutdown();
+    server.shutdown();
+}
+
 /// Unknown and malformed trace ids answer 404/400 without disturbing the
 /// stack; an untraced gateway answers 404 for every id.
 #[test]

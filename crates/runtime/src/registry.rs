@@ -3,21 +3,25 @@
 //!
 //! A [`ModelRegistry`] watches a directory of `.snna` artifacts (see
 //! [`crate::ModelArtifact`]). Opening the registry only *peeks* each
-//! file's header — models stay cold until the first request. The entry
-//! lifecycle:
+//! file's header — models stay cold until the first request. Everything
+//! known about one key lives in one entry, whose slot moves through:
 //!
 //! ```text
-//! cold ──get_or_load──▶ loading ──▶ resident ──LRU eviction──▶ cold
-//!            │ (single-flight: concurrent callers wait on one compile)
-//!            ▼
-//!      unreadable (typed ArtifactError, retried on refresh)
+//!          get_or_load                  load ok
+//!   cold ───────────────▶ loading ───────────────▶ resident
+//!    ▲ ▲                     │                        │
+//!    │ └──── load fails ─────┘                        │
+//!    └─────────── LRU eviction / shutdown ────────────┘
 //! ```
 //!
+//! A cold lookup fails fast instead of loading while the key's breaker is
+//! open or its file is unreadable (re-peeked by [`ModelRegistry::refresh`]).
+//!
 //! * **Single-flight compilation** — N threads racing `get_or_load` on a
-//!   cold model trigger exactly one load + compile; the rest park on a
-//!   condvar and wake to the shared handle — or, when that single load
-//!   fails, to its typed error: the failure is broadcast to every parked
-//!   waiter, so N racers on a bad artifact cost one disk read, not N.
+//!   cold model trigger exactly one load + compile. The loader parks a
+//!   once-cell in the entry; the rest wait on that cell and receive the
+//!   load's own result — the shared handle, or its typed error — so N
+//!   racers on a bad artifact cost one disk read, not N.
 //! * **Circuit breaking** — [`RegistryConfig::breaker_threshold`]
 //!   consecutive load failures open a per-key breaker: further lookups
 //!   fail immediately with [`RegistryError::BreakerOpen`] (carrying the
@@ -41,7 +45,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
@@ -306,48 +310,121 @@ struct Counters {
     breaker_rejections: u64,
 }
 
-/// Per-key circuit-breaker bookkeeping
-/// (see [`RegistryConfig::breaker_threshold`]).
-#[derive(Debug, Clone)]
-struct BreakerState {
+/// One load's outcome, set exactly once by the loader; every lookup that
+/// found the load in flight waits on it.
+type LoadCell = OnceLock<Result<Arc<ModelHandle>, RegistryError>>;
+
+/// Where one key's compiled model is.
+enum Slot {
+    /// Never loaded, evicted, or the last load failed.
+    Cold,
+    /// A load is in flight (the single-flight marker).
+    Loading(Arc<LoadCell>),
+    /// Compiled and serving.
+    Resident(Arc<ModelHandle>),
+}
+
+impl Slot {
+    fn resident(&self) -> Option<&Arc<ModelHandle>> {
+        match self {
+            Self::Resident(handle) => Some(handle),
+            _ => None,
+        }
+    }
+
+    /// Takes a resident handle out, leaving the slot cold; a cold or
+    /// loading slot stays as it is.
+    fn take_resident(&mut self) -> Option<Arc<ModelHandle>> {
+        match std::mem::replace(self, Self::Cold) {
+            Self::Resident(handle) => Some(handle),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+}
+
+/// Everything the registry knows about one `name@version` key.
+struct Entry {
+    catalog: CatalogEntry,
+    slot: Slot,
+    breaker: Breaker,
+    /// LRU tick of the entry's last use; the smallest is evicted first.
+    last_used: u64,
+}
+
+/// Per-key circuit breaker (see [`RegistryConfig::breaker_threshold`]).
+#[derive(Debug, Default)]
+struct Breaker {
     /// Failed loads since the last success.
-    consecutive_failures: u32,
-    /// When set, lookups are rejected until this instant; once it passes,
-    /// exactly one caller is let through as the half-open probe.
+    failures: u32,
+    /// When set, lookups are rejected until this instant; after it, the
+    /// next load is the half-open probe.
     open_until: Option<Instant>,
-    /// Backoff applied at the next (re-)open; doubles per failed probe.
+    /// Window of the current open; each failed probe doubles it.
     backoff: Duration,
 }
 
+impl Breaker {
+    /// `Err(remaining)` while open. Once the window has passed the caller
+    /// is admitted as the half-open probe; the key's loading slot keeps
+    /// it the only one until its load reports back.
+    fn admit(&self, now: Instant) -> Result<(), Duration> {
+        match self.open_until {
+            Some(until) if now < until => Err(until - now),
+            _ => Ok(()),
+        }
+    }
+
+    /// Closes the breaker after a successful load; `true` when it was
+    /// open, i.e. a half-open probe came back healthy.
+    fn succeed(&mut self) -> bool {
+        std::mem::take(self).open_until.is_some()
+    }
+
+    /// Counts a failed load; `Some(window)` when it (re-)opens the
+    /// breaker: at `breaker_threshold` consecutive failures with the base
+    /// backoff, or on a failed probe with the window doubled up to
+    /// `breaker_backoff_max`. A threshold of 0 never opens.
+    fn fail(&mut self, now: Instant, config: &RegistryConfig) -> Option<Duration> {
+        self.failures = self.failures.saturating_add(1);
+        self.backoff = if self.open_until.is_some() {
+            self.backoff
+                .saturating_mul(2)
+                .min(config.breaker_backoff_max)
+        } else if config.breaker_threshold > 0 && self.failures >= config.breaker_threshold {
+            config.breaker_backoff
+        } else {
+            return None;
+        };
+        self.open_until = Some(now + self.backoff);
+        Some(self.backoff)
+    }
+}
+
+#[derive(Default)]
 struct State {
-    /// `name@version` → discovered artifact.
-    catalog: BTreeMap<String, CatalogEntry>,
-    /// `name@version` → resident handle.
-    resident: BTreeMap<String, Arc<ModelHandle>>,
-    /// Keys in least-recently-used-first order (front = eviction candidate).
-    lru: Vec<String>,
-    /// Keys with a load in flight (single-flight markers).
-    loading: BTreeSet<String>,
+    /// `name@version` → its catalog row, slot, breaker and LRU tick.
+    entries: BTreeMap<String, Entry>,
     /// Bare name → active version (the swap pointer).
     active: BTreeMap<String, String>,
     /// Names whose active pointer was set by an explicit swap; `refresh`
     /// never overrides these defaults.
     pinned: BTreeSet<String>,
-    /// Sum of resident `stored_bytes`.
-    resident_bytes: usize,
-    /// `name@version` → circuit-breaker state (absent = healthy).
-    breakers: BTreeMap<String, BreakerState>,
-    /// `name@version` → completed load attempts (success or failure).
-    /// Lets a condvar waiter detect that the load it parked behind
-    /// finished (and failed) even after the marker left `loading`.
-    load_generations: BTreeMap<String, u64>,
-    /// `name@version` → (generation that failed, its typed error). The
-    /// single-flight loser replays this to every parked waiter instead of
-    /// each waiter re-attempting the same doomed load.
-    load_failures: BTreeMap<String, (u64, RegistryError)>,
+    /// LRU clock, advanced on every use of a resident entry.
+    tick: u64,
     counters: Counters,
     load_times: Histogram,
     compile_times: Histogram,
+}
+
+impl State {
+    fn resident(&self) -> impl Iterator<Item = &Arc<ModelHandle>> {
+        self.entries
+            .values()
+            .filter_map(|entry| entry.slot.resident())
+    }
 }
 
 /// The multi-model registry. See the module docs for semantics.
@@ -358,7 +435,6 @@ pub struct ModelRegistry {
     telemetry: Mutex<Option<Arc<TelemetryHub>>>,
     log: Mutex<Option<LogSink>>,
     state: Mutex<State>,
-    loading_cv: Condvar,
 }
 
 impl ModelRegistry {
@@ -391,22 +467,7 @@ impl ModelRegistry {
             trace,
             telemetry: Mutex::new(None),
             log: Mutex::new(None),
-            state: Mutex::new(State {
-                catalog: BTreeMap::new(),
-                resident: BTreeMap::new(),
-                lru: Vec::new(),
-                loading: BTreeSet::new(),
-                active: BTreeMap::new(),
-                pinned: BTreeSet::new(),
-                resident_bytes: 0,
-                breakers: BTreeMap::new(),
-                load_generations: BTreeMap::new(),
-                load_failures: BTreeMap::new(),
-                counters: Counters::default(),
-                load_times: Histogram::new(),
-                compile_times: Histogram::new(),
-            }),
-            loading_cv: Condvar::new(),
+            state: Mutex::default(),
         };
         registry.refresh()?;
         Ok(registry)
@@ -452,14 +513,27 @@ impl ModelRegistry {
             }
         }
         let mut state = self.state.lock().expect("registry state poisoned");
-        for (key, entry) in discovered {
-            state.catalog.insert(key, entry);
+        for (key, catalog) in discovered {
+            match state.entries.get_mut(&key) {
+                Some(entry) => entry.catalog = catalog,
+                None => {
+                    state.entries.insert(
+                        key,
+                        Entry {
+                            catalog,
+                            slot: Slot::Cold,
+                            breaker: Breaker::default(),
+                            last_used: 0,
+                        },
+                    );
+                }
+            }
         }
         // Default each name's active pointer to its lexically greatest
         // readable version; explicit swap() pins survive rescans.
         let mut greatest: BTreeMap<String, String> = BTreeMap::new();
-        for entry in state.catalog.values() {
-            if let CatalogEntry::Readable { info, .. } = entry {
+        for entry in state.entries.values() {
+            if let CatalogEntry::Readable { info, .. } = &entry.catalog {
                 let slot = greatest.entry(info.name.clone()).or_default();
                 if info.version > *slot {
                     slot.clone_from(&info.version);
@@ -505,214 +579,152 @@ impl ModelRegistry {
         spec: &str,
         parent: Option<TraceTarget>,
     ) -> Result<Arc<ModelHandle>, RegistryError> {
-        let (key, path, info) = {
-            let mut state = self.state.lock().expect("registry state poisoned");
-            // Each lookup lands in exactly one bucket: a call that waits
-            // out another caller's load is `coalesced`, even if it then
-            // resolves via the resident map — and it counts once, not once
-            // per condvar wakeup (waits can wake spuriously and re-loop).
-            let mut coalesced = false;
-            // `(key, generation)` recorded before parking: if the load we
-            // parked behind completed with a failure, replay that failure
-            // instead of re-attempting the same doomed load.
-            let mut waited: Option<(String, u64)> = None;
-            loop {
-                let key = self.resolve_key(&state, spec)?;
-                if let Some(handle) = state.resident.get(&key).cloned() {
-                    Self::touch_lru(&mut state, &key);
-                    if coalesced {
-                        state.counters.coalesced_loads += 1;
-                    } else {
-                        state.counters.warm_hits += 1;
-                    }
-                    return Ok(handle);
-                }
-                if let Some((waited_key, start_gen)) = &waited {
-                    if *waited_key == key {
-                        let replay = state
-                            .load_failures
-                            .get(&key)
-                            .filter(|(fail_gen, _)| fail_gen > start_gen)
-                            .map(|(_, error)| error.clone());
-                        if let Some(error) = replay {
-                            state.counters.coalesced_loads += 1;
-                            return Err(error);
-                        }
-                    }
-                }
-                if state.loading.contains(&key) {
-                    coalesced = true;
-                    let gen = state.load_generations.get(&key).copied().unwrap_or(0);
-                    waited = Some((key, gen));
-                    state = self
-                        .loading_cv
-                        .wait(state)
-                        .expect("registry state poisoned");
-                    continue; // re-resolve: the load may have failed or the active pointer moved
-                }
-                if self.config.breaker_threshold > 0 {
-                    if let Some(until) = state.breakers.get(&key).and_then(|b| b.open_until) {
-                        let now = Instant::now();
-                        if now < until {
-                            state.counters.breaker_rejections += 1;
-                            if let Some(sink) = self.log_sink() {
-                                snn_log::warn!(
-                                    sink.collector(),
-                                    "registry.breaker",
-                                    { "key": key.as_str(), "retry_ms": (until - now).as_millis() as u64 },
-                                    "lookup rejected: breaker open for {key}"
-                                );
-                            }
-                            return Err(RegistryError::BreakerOpen {
-                                key,
-                                retry_after: until - now,
-                            });
-                        }
-                        // Backoff expired: fall through — this caller is
-                        // the half-open probe (single-flight guarantees
-                        // it is alone; racers park on the condvar).
-                    }
-                }
-                match state.catalog.get(&key) {
-                    None => return Err(RegistryError::UnknownModel(spec.to_string())),
-                    Some(CatalogEntry::Unreadable { error }) => {
-                        return Err(RegistryError::Artifact(error.clone()))
-                    }
-                    Some(CatalogEntry::Readable { path, info, .. }) => {
-                        let path = path.clone();
-                        let info = info.clone();
-                        state.loading.insert(key.clone());
-                        break (key, path, info);
-                    }
-                }
+        // Each lookup lands in exactly one counter bucket: a warm hit, a
+        // coalesced wait, a breaker rejection, or — for the one caller
+        // that runs the load — a cold load or a load error.
+        let mut guard = self.state.lock().expect("registry state poisoned");
+        let key = Self::resolve_key(&guard, spec)?;
+        let state = &mut *guard;
+        let Some(entry) = state.entries.get_mut(&key) else {
+            return Err(RegistryError::UnknownModel(spec.to_string()));
+        };
+        match &entry.slot {
+            Slot::Resident(handle) => {
+                state.tick += 1;
+                entry.last_used = state.tick;
+                state.counters.warm_hits += 1;
+                return Ok(Arc::clone(handle));
             }
+            Slot::Loading(cell) => {
+                let cell = Arc::clone(cell);
+                state.counters.coalesced_loads += 1;
+                drop(guard);
+                return cell.wait().clone();
+            }
+            Slot::Cold => {}
+        }
+        if let Err(retry_after) = entry.breaker.admit(Instant::now()) {
+            state.counters.breaker_rejections += 1;
+            drop(guard);
+            if let Some(sink) = self.log_sink() {
+                snn_log::warn!(
+                    sink.collector(),
+                    "registry.breaker",
+                    { "key": key.as_str(), "retry_ms": retry_after.as_millis() as u64 },
+                    "lookup rejected: breaker open for {key}"
+                );
+            }
+            return Err(RegistryError::BreakerOpen { key, retry_after });
+        }
+        let (path, info) = match &entry.catalog {
+            CatalogEntry::Unreadable { error } => {
+                return Err(RegistryError::Artifact(error.clone()))
+            }
+            CatalogEntry::Readable { path, info, .. } => (path.clone(), info.clone()),
         };
+        let cell = Arc::new(LoadCell::new());
+        entry.slot = Slot::Loading(Arc::clone(&cell));
+        drop(guard);
+
         // Load + compile outside the lock: other models stay serviceable
-        // and waiters for this key park on the condvar.
-        let result = self.load_and_compile(&key, &path, &info, parent);
-        let mut state = self.state.lock().expect("registry state poisoned");
-        state.loading.remove(&key);
-        let generation = {
-            let slot = state.load_generations.entry(key.clone()).or_insert(0);
-            *slot += 1;
-            *slot
-        };
-        match result {
+        // and lookups for this key wait on `cell`.
+        let result = self
+            .load_and_compile(&key, &path, &info, parent)
+            .map(Arc::new);
+        let mut guard = self.state.lock().expect("registry state poisoned");
+        let state = &mut *guard;
+        let entry = state
+            .entries
+            .get_mut(&key)
+            .expect("entries are never removed");
+        let (recovered, opened, evicted) = match &result {
             Ok(handle) => {
-                state.load_failures.remove(&key);
-                let mut breaker_recovered = false;
-                if let Some(breaker) = state.breakers.remove(&key) {
-                    if breaker.open_until.is_some() {
-                        // A half-open probe came back healthy.
-                        state.counters.breaker_recoveries += 1;
-                        breaker_recovered = true;
-                    }
-                }
-                let handle = Arc::new(handle);
-                state.resident_bytes += handle.footprint.stored_bytes;
-                state.resident.insert(key.clone(), Arc::clone(&handle));
-                Self::touch_lru(&mut state, &key);
+                let recovered = entry.breaker.succeed();
+                state.tick += 1;
+                entry.last_used = state.tick;
+                entry.slot = Slot::Resident(Arc::clone(handle));
                 state.counters.cold_loads += 1;
+                state.counters.breaker_recoveries += u64::from(recovered);
                 state
                     .load_times
                     .record(Duration::from_secs_f64(handle.load_ms / 1e3));
                 state
                     .compile_times
                     .record(Duration::from_secs_f64(handle.compile_ms / 1e3));
-                let evicted = Self::evict_over_budget(&mut state, self.config.byte_budget);
-                drop(state);
-                self.loading_cv.notify_all();
-                if let Some(sink) = self.log_sink() {
+                let evicted = Self::evict_over_budget(state, self.config.byte_budget);
+                (recovered, None, evicted)
+            }
+            Err(_) => {
+                entry.slot = Slot::Cold;
+                let opened = entry.breaker.fail(Instant::now(), &self.config);
+                state.counters.load_errors += 1;
+                state.counters.breaker_opens += u64::from(opened.is_some());
+                (false, opened, Vec::new())
+            }
+        };
+        drop(guard);
+        // The entry is published before the waiters wake.
+        let _ = cell.set(result.clone());
+        let Some(sink) = self.log_sink() else {
+            return result;
+        };
+        match &result {
+            Ok(handle) => {
+                snn_log::info!(
+                    sink.collector(),
+                    "registry",
+                    { "key": key.as_str(), "load_ms": handle.load_ms, "compile_ms": handle.compile_ms },
+                    "cold-loaded {key} ({:.1} ms load + {:.1} ms compile)",
+                    handle.load_ms,
+                    handle.compile_ms
+                );
+                if recovered {
                     snn_log::info!(
                         sink.collector(),
-                        "registry",
-                        { "key": key.as_str(), "load_ms": handle.load_ms, "compile_ms": handle.compile_ms },
-                        "cold-loaded {key} ({:.1} ms load + {:.1} ms compile)",
-                        handle.load_ms,
-                        handle.compile_ms
+                        "registry.breaker",
+                        { "key": key.as_str() },
+                        "circuit breaker closed for {key}: half-open probe succeeded"
                     );
-                    if breaker_recovered {
-                        snn_log::info!(
-                            sink.collector(),
-                            "registry.breaker",
-                            { "key": key.as_str() },
-                            "circuit breaker closed for {key}: half-open probe succeeded"
-                        );
-                    }
-                    for victim in &evicted {
-                        snn_log::info!(
-                            sink.collector(),
-                            "registry",
-                            { "key": victim.key.as_str(), "bytes": victim.footprint.stored_bytes as u64 },
-                            "evicted {} ({} resident bytes) under the LRU byte budget",
-                            victim.key,
-                            victim.footprint.stored_bytes
-                        );
-                    }
                 }
-                drop(evicted); // shut servers down outside the lock
-                Ok(handle)
             }
             Err(e) => {
-                state.counters.load_errors += 1;
-                state
-                    .load_failures
-                    .insert(key.clone(), (generation, e.clone()));
-                let mut breaker_opened = false;
-                let mut breaker_backoff = Duration::ZERO;
-                if self.config.breaker_threshold > 0 {
-                    let base = self.config.breaker_backoff;
-                    let breaker = state.breakers.entry(key.clone()).or_insert(BreakerState {
-                        consecutive_failures: 0,
-                        open_until: None,
-                        backoff: base,
-                    });
-                    breaker.consecutive_failures += 1;
-                    if breaker.open_until.is_some() {
-                        // A failed half-open probe re-opens with a longer
-                        // window (exponential backoff, capped).
-                        breaker.backoff =
-                            (breaker.backoff * 2).min(self.config.breaker_backoff_max);
-                        breaker.open_until = Some(Instant::now() + breaker.backoff);
-                        breaker_opened = true;
-                        breaker_backoff = breaker.backoff;
-                        state.counters.breaker_opens += 1;
-                    } else if breaker.consecutive_failures >= self.config.breaker_threshold {
-                        breaker.open_until = Some(Instant::now() + breaker.backoff);
-                        breaker_opened = true;
-                        breaker_backoff = breaker.backoff;
-                        state.counters.breaker_opens += 1;
-                    }
-                }
-                drop(state);
-                self.loading_cv.notify_all();
-                if let Some(sink) = self.log_sink() {
+                snn_log::error!(
+                    sink.collector(),
+                    "registry",
+                    { "key": key.as_str(), "error": e.to_string() },
+                    "load failed for {key}: {e}"
+                );
+                if let Some(backoff) = opened {
                     snn_log::error!(
                         sink.collector(),
-                        "registry",
-                        { "key": key.as_str(), "error": e.to_string() },
-                        "load failed for {key}: {e}"
+                        "registry.breaker",
+                        { "key": key.as_str(), "backoff_ms": backoff.as_millis() as u64 },
+                        "circuit breaker opened for {key}; rejecting lookups for {:.1}s",
+                        backoff.as_secs_f64()
                     );
-                    if breaker_opened {
-                        snn_log::error!(
-                            sink.collector(),
-                            "registry.breaker",
-                            { "key": key.as_str(), "backoff_ms": breaker_backoff.as_millis() as u64 },
-                            "circuit breaker opened for {key}; rejecting lookups for {:.1}s",
-                            breaker_backoff.as_secs_f64()
-                        );
-                        // The state lock is released: the incident snapshot
-                        // provider reads registry metrics through it.
-                        sink.incident(
-                            "breaker_open",
-                            &format!("circuit breaker opened for {key} after repeated load failures: {e}"),
-                            parent.map(|t| t.trace),
-                        );
-                    }
+                    // The state lock is released: the incident snapshot
+                    // provider reads registry metrics through it.
+                    sink.incident(
+                        "breaker_open",
+                        &format!(
+                            "circuit breaker opened for {key} after repeated load failures: {e}"
+                        ),
+                        parent.map(|t| t.trace),
+                    );
                 }
-                Err(e)
             }
         }
+        for victim in &evicted {
+            snn_log::info!(
+                sink.collector(),
+                "registry",
+                { "key": victim.key.as_str(), "bytes": victim.footprint.stored_bytes as u64 },
+                "evicted {} ({} resident bytes) under the LRU byte budget",
+                victim.key,
+                victim.footprint.stored_bytes
+            );
+        }
+        result // evicted servers shut down here, outside the lock
     }
 
     /// Atomically repoints `name`'s active version to `version`, loading
@@ -735,7 +747,10 @@ impl ModelRegistry {
         let key = format!("{name}@{version}");
         let was_resident = {
             let state = self.state.lock().expect("registry state poisoned");
-            state.resident.contains_key(&key)
+            state
+                .entries
+                .get(&key)
+                .is_some_and(|entry| entry.slot.resident().is_some())
         };
         let handle = self.get_or_load_traced(&key, parent)?;
         let from = {
@@ -782,54 +797,56 @@ impl ModelRegistry {
     }
 
     /// Lists every cataloged model with its residency state, active flag
-    /// and in-flight count, sorted by key.
+    /// and in-flight count, sorted by key. A resident entry lists from
+    /// its handle even if its file has since gone bad; the catalog's
+    /// error shows once the entry is evicted.
     pub fn list(&self) -> Vec<ModelStatus> {
         let state = self.state.lock().expect("registry state poisoned");
+        let now = Instant::now();
         state
-            .catalog
+            .entries
             .iter()
-            .map(|(key, entry)| match entry {
-                CatalogEntry::Readable {
-                    info, file_bytes, ..
-                } => {
-                    let resident = state.resident.get(key);
-                    let loading = state.loading.contains(key);
-                    let breaker_open = state
-                        .breakers
-                        .get(key)
-                        .and_then(|b| b.open_until)
-                        .is_some_and(|until| Instant::now() < until);
-                    ModelStatus {
-                        name: info.name.clone(),
-                        version: info.version.clone(),
-                        state: if resident.is_some() {
-                            "resident".into()
-                        } else if loading {
-                            "loading".into()
-                        } else if breaker_open {
-                            "breaker-open".into()
-                        } else {
-                            "cold".into()
+            .map(|(key, entry)| {
+                let resident = entry.slot.resident();
+                let (info, file_bytes) = match (&entry.catalog, resident) {
+                    (
+                        CatalogEntry::Readable {
+                            info, file_bytes, ..
                         },
-                        active: state.active.get(&info.name) == Some(&info.version),
-                        backend: info.backend.label(),
-                        input_dims: info.input_dims.clone(),
-                        file_bytes: *file_bytes,
-                        resident_bytes: resident.map_or(0, |h| h.footprint.stored_bytes),
-                        pending: resident.map_or(0, |h| h.server.pending()),
+                        _,
+                    ) => (resident.map_or(info, |h| &h.info), *file_bytes),
+                    (CatalogEntry::Unreadable { .. }, Some(handle)) => (&handle.info, 0),
+                    (CatalogEntry::Unreadable { error }, None) => {
+                        return ModelStatus {
+                            name: key.clone(),
+                            version: String::new(),
+                            state: "unreadable".into(),
+                            active: false,
+                            backend: error.to_string(),
+                            input_dims: Vec::new(),
+                            file_bytes: 0,
+                            resident_bytes: 0,
+                            pending: 0,
+                        }
                     }
+                };
+                let label = match &entry.slot {
+                    Slot::Resident(_) => "resident",
+                    Slot::Loading(_) => "loading",
+                    Slot::Cold if entry.breaker.admit(now).is_err() => "breaker-open",
+                    Slot::Cold => "cold",
+                };
+                ModelStatus {
+                    name: info.name.clone(),
+                    version: info.version.clone(),
+                    state: label.into(),
+                    active: state.active.get(&info.name) == Some(&info.version),
+                    backend: info.backend.label(),
+                    input_dims: info.input_dims.clone(),
+                    file_bytes,
+                    resident_bytes: resident.map_or(0, |h| h.footprint.stored_bytes),
+                    pending: resident.map_or(0, |h| h.server.pending()),
                 }
-                CatalogEntry::Unreadable { error } => ModelStatus {
-                    name: key.clone(),
-                    version: String::new(),
-                    state: "unreadable".into(),
-                    active: false,
-                    backend: error.to_string(),
-                    input_dims: Vec::new(),
-                    file_bytes: 0,
-                    resident_bytes: 0,
-                    pending: 0,
-                },
             })
             .collect()
     }
@@ -837,42 +854,25 @@ impl ModelRegistry {
     /// Aggregated counters and cold-start timings.
     pub fn metrics(&self) -> RegistryMetrics {
         let state = self.state.lock().expect("registry state poisoned");
-        let catalog_models = state.catalog.len();
-        let resident_models = state.resident.len();
-        let resident_bytes = state.resident_bytes;
         let c = &state.counters;
-        let (cold_loads, warm_hits, coalesced_loads, evictions, swaps, load_errors) = (
-            c.cold_loads,
-            c.warm_hits,
-            c.coalesced_loads,
-            c.evictions,
-            c.swaps,
-            c.load_errors,
-        );
-        let (breaker_opens, breaker_recoveries, breaker_rejections) =
-            (c.breaker_opens, c.breaker_recoveries, c.breaker_rejections);
-        let load_ms_mean = state.load_times.mean_us() / 1e3;
-        let load_ms_max = state.load_times.quantile_us(1.0) / 1e3;
-        let compile_ms_mean = state.compile_times.mean_us() / 1e3;
-        let compile_ms_max = state.compile_times.quantile_us(1.0) / 1e3;
         RegistryMetrics {
-            catalog_models,
-            resident_models,
-            resident_bytes,
+            catalog_models: state.entries.len(),
+            resident_models: state.resident().count(),
+            resident_bytes: state.resident().map(|h| h.footprint.stored_bytes).sum(),
             byte_budget: self.config.byte_budget,
-            cold_loads,
-            warm_hits,
-            coalesced_loads,
-            evictions,
-            swaps,
-            load_errors,
-            breaker_opens,
-            breaker_recoveries,
-            breaker_rejections,
-            load_ms_mean,
-            load_ms_max,
-            compile_ms_mean,
-            compile_ms_max,
+            cold_loads: c.cold_loads,
+            warm_hits: c.warm_hits,
+            coalesced_loads: c.coalesced_loads,
+            evictions: c.evictions,
+            swaps: c.swaps,
+            load_errors: c.load_errors,
+            breaker_opens: c.breaker_opens,
+            breaker_recoveries: c.breaker_recoveries,
+            breaker_rejections: c.breaker_rejections,
+            load_ms_mean: state.load_times.mean_us() / 1e3,
+            load_ms_max: state.load_times.quantile_us(1.0) / 1e3,
+            compile_ms_mean: state.compile_times.mean_us() / 1e3,
+            compile_ms_max: state.compile_times.quantile_us(1.0) / 1e3,
         }
     }
 
@@ -886,11 +886,7 @@ impl ModelRegistry {
     /// `model=<name>,version=<version>,backend=<label>`, and every
     /// already-resident entry is retrofitted with the same sink.
     pub fn attach_telemetry(&self, hub: Arc<TelemetryHub>) {
-        let resident: Vec<Arc<ModelHandle>> = {
-            let state = self.state.lock().expect("registry state poisoned");
-            state.resident.values().cloned().collect()
-        };
-        for handle in resident {
+        for handle in self.resident_handles() {
             handle
                 .server
                 .attach_telemetry(Arc::clone(&hub), Self::entry_labels(&handle.info));
@@ -904,14 +900,16 @@ impl ModelRegistry {
     /// incident snapshot, and every entry server — resident now or loaded
     /// later — gets the same sink for its batcher events.
     pub fn attach_logging(&self, sink: LogSink) {
-        let resident: Vec<Arc<ModelHandle>> = {
-            let state = self.state.lock().expect("registry state poisoned");
-            state.resident.values().cloned().collect()
-        };
-        for handle in resident {
+        for handle in self.resident_handles() {
             handle.server.attach_logging(sink.clone());
         }
         *self.log.lock().expect("registry log poisoned") = Some(sink);
+    }
+
+    /// Clones of every resident handle, taken under the state lock.
+    fn resident_handles(&self) -> Vec<Arc<ModelHandle>> {
+        let state = self.state.lock().expect("registry state poisoned");
+        state.resident().cloned().collect()
     }
 
     /// A clone of the attached log sink, if any.
@@ -933,16 +931,18 @@ impl ModelRegistry {
     pub fn shutdown(&self) {
         let drained: Vec<Arc<ModelHandle>> = {
             let mut state = self.state.lock().expect("registry state poisoned");
-            state.resident_bytes = 0;
-            state.lru.clear();
-            std::mem::take(&mut state.resident).into_values().collect()
+            state
+                .entries
+                .values_mut()
+                .filter_map(|entry| entry.slot.take_resident())
+                .collect()
         };
         drop(drained); // servers shut down outside the lock
     }
 
     /// Resolves a request spec to a catalog key. Bare names follow the
     /// active pointer; explicit `name@version` passes through.
-    fn resolve_key(&self, state: &State, spec: &str) -> Result<String, RegistryError> {
+    fn resolve_key(state: &State, spec: &str) -> Result<String, RegistryError> {
         if spec.contains('@') {
             return Ok(spec.to_string());
         }
@@ -952,43 +952,37 @@ impl ModelRegistry {
         }
     }
 
-    /// Moves `key` to the most-recently-used end of the LRU order.
-    fn touch_lru(state: &mut State, key: &str) {
-        state.lru.retain(|k| k != key);
-        state.lru.push(key.to_string());
-    }
-
     /// Evicts least-recently-used entries until under budget, skipping any
     /// entry with in-flight work: an outside handle clone
-    /// (`Arc::strong_count > 1` beyond the map's own reference) or pending
+    /// (`Arc::strong_count > 1` beyond the slot's own reference) or pending
     /// streaming tickets. Both checks happen under the state lock, and
-    /// every new clone is minted under that same lock, so an entry judged
-    /// idle here cannot gain a user before it is removed from the map.
-    /// Returns the evicted handles so the caller can drop them (and shut
-    /// their servers down) outside the lock.
+    /// every new clone is minted under that same lock or from a clone
+    /// that already exists, so an entry judged idle here cannot gain a
+    /// user before it leaves its slot. Returns the evicted handles so the
+    /// caller can drop them (and shut their servers down) outside the lock.
     fn evict_over_budget(state: &mut State, budget: usize) -> Vec<Arc<ModelHandle>> {
         let mut evicted = Vec::new();
         if budget == 0 {
             return evicted;
         }
-        while state.resident_bytes > budget {
-            let victim = state.lru.iter().position(|key| {
-                state.resident.get(key).is_some_and(|handle| {
-                    Arc::strong_count(handle) == 1 && handle.server.pending() == 0
+        let mut resident_bytes: usize = state.resident().map(|h| h.footprint.stored_bytes).sum();
+        while resident_bytes > budget {
+            let victim = state
+                .entries
+                .values_mut()
+                .filter(|entry| {
+                    entry.slot.resident().is_some_and(|handle| {
+                        Arc::strong_count(handle) == 1 && handle.server.pending() == 0
+                    })
                 })
-            });
-            match victim {
-                None => break, // everything busy: stay transiently over budget
-                Some(pos) => {
-                    let key = state.lru.remove(pos);
-                    if let Some(handle) = state.resident.remove(&key) {
-                        state.resident_bytes = state
-                            .resident_bytes
-                            .saturating_sub(handle.footprint.stored_bytes);
-                        state.counters.evictions += 1;
-                        evicted.push(handle);
-                    }
-                }
+                .min_by_key(|entry| entry.last_used);
+            let Some(entry) = victim else {
+                break; // everything busy: stay transiently over budget
+            };
+            if let Some(handle) = entry.slot.take_resident() {
+                resident_bytes -= handle.footprint.stored_bytes;
+                state.counters.evictions += 1;
+                evicted.push(handle);
             }
         }
         evicted
@@ -1076,3 +1070,6 @@ impl std::fmt::Debug for ModelRegistry {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod tests;

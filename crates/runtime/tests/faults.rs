@@ -17,7 +17,7 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
     BackendHint, FaultConfig, FaultInjector, ModelArtifact, ModelRegistry, RegistryConfig,
@@ -351,6 +351,85 @@ fn single_flight_broadcasts_one_failure_to_every_coalesced_waiter() {
 
     // Repair (disarm) and retry: the failure was broadcast, not sticky.
     assert!(registry.get_or_load("alpha").is_ok());
+    registry.shutdown();
+}
+
+/// Every lookup lands in exactly one counter bucket, under concurrency:
+/// seeded random lookups over four loadable models, an unknown name and
+/// an unreadable file, with compile faults armed, a breaker that opens
+/// after two failures for a millisecond, and a byte budget that fits one
+/// model. Each thread holds at most one handle, so with more models than
+/// threads some model is always cold and evictions keep churning. Only
+/// lookups that never reach a load slot (`UnknownModel`, the catalog's
+/// `Artifact` error) stay outside the buckets.
+#[test]
+fn every_lookup_lands_in_exactly_one_counter_bucket() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = TempDir::new("conservation");
+    const MODELS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
+    for (name, seed) in MODELS.iter().zip(31..) {
+        dense_artifact(name, "1", seed)
+            .save(dir.path().join(format!("{name}@1.snna")))
+            .unwrap();
+    }
+    fs::write(dir.path().join("junk@1.snna"), b"not an artifact").unwrap();
+    let config = registry_config(2, Duration::from_millis(1));
+    let sizing = ModelRegistry::open(dir.path(), config.clone()).unwrap();
+    let one_model = sizing
+        .get_or_load("alpha")
+        .unwrap()
+        .footprint()
+        .stored_bytes;
+    sizing.shutdown();
+    let registry = Arc::new(
+        ModelRegistry::open(
+            dir.path(),
+            RegistryConfig {
+                byte_budget: one_model,
+                ..config
+            },
+        )
+        .unwrap(),
+    );
+
+    FaultInjector::global().arm(
+        37,
+        FaultConfig {
+            compile: 0.3,
+            ..FaultConfig::default()
+        },
+    );
+    const SPECS: [&str; 8] = [
+        "alpha", "beta", "gamma", "delta", "alpha@1", "delta@1", "ghost", "junk@1",
+    ];
+    let threads: Vec<_> = (0..3u64)
+        .map(|t| {
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(100 + t);
+                let mut counted = 0u64;
+                for _ in 0..20_000 {
+                    match registry.get_or_load(SPECS[rng.gen_range(0..SPECS.len())]) {
+                        Err(RegistryError::UnknownModel(_) | RegistryError::Artifact(_)) => {}
+                        _ => counted += 1,
+                    }
+                }
+                counted
+            })
+        })
+        .collect();
+    let counted: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
+    FaultInjector::global().disarm();
+    let m = registry.metrics();
+    assert_eq!(
+        counted,
+        m.warm_hits + m.coalesced_loads + m.cold_loads + m.load_errors + m.breaker_rejections,
+        "{m:?}"
+    );
+    assert!(
+        m.evictions > 0 && m.load_errors > 0 && m.breaker_opens > 0,
+        "the churn reached every path: {m:?}"
+    );
     registry.shutdown();
 }
 

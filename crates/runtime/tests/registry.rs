@@ -165,6 +165,59 @@ fn swap_repoints_the_bare_name_and_survives_rescans() {
     registry.shutdown();
 }
 
+/// A resident model whose file goes bad on a rescan keeps serving, and
+/// the listing agrees: its row stays resident with the handle's info and
+/// bytes (summing to what `metrics()` reports) until it is evicted; only
+/// then does the catalog's error show.
+#[test]
+fn a_resident_model_whose_file_goes_bad_still_lists_as_resident() {
+    let dir = TempDir::new("gone_bad");
+    let path = dir.path().join("alpha@1.snna");
+    dense_artifact("alpha", "1", 1).save(&path).unwrap();
+    let registry = ModelRegistry::open(
+        dir.path(),
+        RegistryConfig {
+            streaming: fast_streaming(),
+            ..RegistryConfig::default()
+        },
+    )
+    .unwrap();
+    let handle = registry.get_or_load("alpha@1").unwrap();
+    fs::write(&path, b"not an artifact").unwrap();
+    registry.refresh().unwrap();
+
+    let listed = registry.list();
+    let row = listed
+        .iter()
+        .find(|m| m.name == "alpha" && m.version == "1")
+        .unwrap_or_else(|| panic!("alpha@1 must still list as a model: {listed:?}"));
+    assert_eq!(row.state, "resident");
+    assert!(row.active, "the bare name still routes to it");
+    assert_eq!(row.input_dims, DIMS.to_vec());
+    assert_eq!(row.resident_bytes, handle.footprint().stored_bytes);
+    let metrics = registry.metrics();
+    assert_eq!(metrics.resident_models, 1);
+    assert_eq!(
+        listed.iter().map(|m| m.resident_bytes).sum::<usize>(),
+        metrics.resident_bytes,
+        "the listing and the metrics agree on resident bytes"
+    );
+    assert!(Arc::ptr_eq(
+        &handle,
+        &registry.get_or_load("alpha").unwrap()
+    ));
+
+    drop(handle);
+    registry.shutdown();
+    let listed = registry.list();
+    assert!(
+        listed
+            .iter()
+            .any(|m| m.name == "alpha@1" && m.state == "unreadable"),
+        "evicted, the bad file lists as unreadable: {listed:?}"
+    );
+}
+
 #[test]
 fn hot_swap_under_closed_loop_load_never_mixes_versions() {
     let dir = TempDir::new("hotswap");
