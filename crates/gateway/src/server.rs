@@ -1513,7 +1513,7 @@ fn handle_model_route(
                 None,
             );
         }
-        return handle_swap(name, request, shared);
+        return handle_swap(name, request, shared, received);
     }
     (
         "other",
@@ -1532,7 +1532,9 @@ fn handle_model_route(
 fn registry_error_response(route: &'static str, e: &RegistryError) -> Reply {
     let (status, retry_after) = match e {
         RegistryError::UnknownModel(_) => (404, None),
-        RegistryError::Artifact(_) | RegistryError::Compile(_) => (500, None),
+        RegistryError::Artifact(_) | RegistryError::Compile(_) | RegistryError::LoadPanicked(_) => {
+            (500, None)
+        }
         RegistryError::BreakerOpen { retry_after, .. } => {
             // Ceil to whole seconds so a 300 ms residue does not round
             // down to "retry immediately".
@@ -1603,7 +1605,7 @@ fn handle_model_infer(spec: &str, request: &Request, shared: &Shared, received: 
 /// and atomically repoints the name's active version. In-flight tickets
 /// complete against the old entry; new bare-`name` submissions land on
 /// the new one. Returns the [`snn_runtime::SwapReport`] as JSON.
-fn handle_swap(name: &str, request: &Request, shared: &Shared) -> Reply {
+fn handle_swap(name: &str, request: &Request, shared: &Shared, received: Instant) -> Reply {
     const ROUTE: &str = "swap";
     let json = "application/json";
     let Some(registry) = shared.registry.as_deref() else {
@@ -1615,77 +1617,61 @@ fn handle_swap(name: &str, request: &Request, shared: &Shared) -> Reply {
             None,
         );
     };
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return (
-                ROUTE,
-                400,
-                json,
-                ErrorBody::render("request body is not valid UTF-8"),
-                None,
-            )
-        }
-    };
-    let wire: SwapRequest = match serde_json::from_str(text) {
-        Ok(wire) => wire,
-        Err(e) => {
-            return (
-                ROUTE,
-                400,
-                json,
-                ErrorBody::render(format!("bad JSON: {e}")),
-                None,
-            )
-        }
-    };
-    let trace_ctx = make_trace_ctx(request, shared);
-    let parent = trace_ctx.as_ref().map(|(_, trace, root)| TraceTarget {
-        trace: *trace,
-        parent: *root,
-    });
-    let swap_start = Instant::now();
-    match registry.swap(name, &wire.version, parent) {
-        Ok(report) => {
-            let body = match serde_json::to_string(&report) {
-                Ok(body) => body.into_bytes(),
-                Err(e) => {
-                    return (
-                        ROUTE,
-                        500,
-                        json,
-                        ErrorBody::render(format!("swap report serialization failed: {e}")),
-                        None,
-                    )
-                }
-            };
-            if let Some((collector, trace, root)) = &trace_ctx {
-                collector.record_span_with_id(
-                    *root,
-                    *trace,
-                    0,
-                    "http.request",
-                    swap_start,
-                    Instant::now(),
-                    vec![("status", AttrValue::U64(200))],
-                );
-            }
-            (ROUTE, 200, json, body, None)
-        }
-        Err(e) => {
-            let reply = registry_error_response(ROUTE, &e);
-            if reply.1 >= 500 {
-                log_request_failure(
-                    shared,
+    with_request_root(request, shared, received, |trace_ctx| {
+        let text = match std::str::from_utf8(&request.body) {
+            Ok(text) => text,
+            Err(_) => {
+                return (
                     ROUTE,
-                    reply.1,
-                    &e.to_string(),
-                    parent.map(|t| t.trace),
-                );
+                    400,
+                    json,
+                    ErrorBody::render("request body is not valid UTF-8"),
+                    None,
+                )
             }
-            reply
+        };
+        let wire: SwapRequest = match serde_json::from_str(text) {
+            Ok(wire) => wire,
+            Err(e) => {
+                return (
+                    ROUTE,
+                    400,
+                    json,
+                    ErrorBody::render(format!("bad JSON: {e}")),
+                    None,
+                )
+            }
+        };
+        let parent = trace_ctx.map(|(_, trace, root)| TraceTarget {
+            trace: *trace,
+            parent: *root,
+        });
+        match registry.swap(name, &wire.version, parent) {
+            Ok(report) => match serde_json::to_string(&report) {
+                Ok(body) => (ROUTE, 200, json, body.into_bytes(), None),
+                Err(e) => (
+                    ROUTE,
+                    500,
+                    json,
+                    ErrorBody::render(format!("swap report serialization failed: {e}")),
+                    None,
+                ),
+            },
+            Err(e) => {
+                let reply = registry_error_response(ROUTE, &e);
+                if reply.1 >= 500 {
+                    log_request_failure(
+                        shared,
+                        ROUTE,
+                        reply.1,
+                        &e.to_string(),
+                        parent.map(|t| t.trace),
+                    );
+                }
+                reply
+            }
         }
-    }
+    })
 }
 
 #[cfg(test)]

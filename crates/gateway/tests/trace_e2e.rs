@@ -13,7 +13,10 @@ use rand::SeedableRng;
 use serde::{field, Content};
 use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferRequest, InferResponse};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
+use snn_runtime::{
+    BackendChoice, BackendHint, ModelArtifact, ModelRegistry, RegistryConfig, StreamingConfig,
+    StreamingServer,
+};
 use snn_sim::EventSnn;
 use snn_trace::TraceCollector;
 use ttfs_core::{convert, Base2Kernel, SnnModel};
@@ -292,6 +295,66 @@ fn a_rejected_request_still_gets_its_root_span() {
     assert!(spans.iter().any(|s| s.name == "http.parse"));
     gateway.shutdown();
     server.shutdown();
+}
+
+/// A traced swap that fails — here to a version the catalog lacks — still
+/// gets exactly one `http.request` root carrying its status, and nothing
+/// under it is orphaned.
+#[test]
+fn a_failed_swap_still_gets_its_root_span() {
+    let dir = std::env::temp_dir().join(format!("snn_trace_swap_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    ModelArtifact::build("alpha", "1", dense_model(56), &DIMS, BackendHint::Csr)
+        .unwrap()
+        .save(dir.join("alpha@1.snna"))
+        .unwrap();
+    let registry = Arc::new(ModelRegistry::open(&dir, RegistryConfig::default()).unwrap());
+    let (server, _collector) = traced_stack(56, StreamingConfig::default());
+    let mut gateway = Gateway::start_with_registry(
+        Arc::clone(&server),
+        Arc::clone(&registry),
+        GatewayConfig {
+            workers: 2,
+            ..GatewayConfig::for_dims(&DIMS)
+        },
+    )
+    .unwrap();
+    let body = r#"{"version":"9"}"#;
+    let chosen = "00000000005a9f00";
+    let mut client = HttpClient::connect(gateway.local_addr()).unwrap();
+    client
+        .send_raw(
+            format!(
+                "POST /v1/models/alpha/swap HTTP/1.1\r\nHost: gateway\r\n\
+                 x-snn-trace-id: {chosen}\r\n\
+                 Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    assert_eq!(client.read_response().unwrap().status, 404);
+
+    let spans = fetch_tree(&mut client, chosen);
+    let roots: Vec<&WireSpan> = spans.iter().filter(|s| s.parent_id == 0).collect();
+    assert_eq!(roots.len(), 1, "one root: {spans:#?}");
+    assert_eq!(roots[0].name, "http.request");
+    assert_eq!(
+        roots[0].attr("status").and_then(Content::as_u64),
+        Some(404),
+        "the root carries the status: {spans:#?}"
+    );
+    for span in &spans {
+        assert!(
+            span.parent_id == 0 || spans.iter().any(|p| p.span_id == span.parent_id),
+            "orphan span: {span:?}"
+        );
+    }
+    gateway.shutdown();
+    server.shutdown();
+    registry.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Unknown and malformed trace ids answer 404/400 without disturbing the

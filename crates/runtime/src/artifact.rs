@@ -1,33 +1,56 @@
 //! Versioned on-disk model artifacts — the unit the
 //! [`ModelRegistry`](crate::ModelRegistry) loads, caches and swaps.
 //!
-//! An artifact carries everything a serving box needs to stand up one
-//! model: the converted [`SnnModel`] (fused weights, biases, kernel,
-//! window), the per-layer [`LogQuantizer`] calibration of the quantized
-//! path, the per-sample input geometry, and a backend hint selecting the
-//! engine ([`BackendHint`]). The wire format is defensive by construction:
+//! An artifact carries exactly what a serving box serves: the converted
+//! model's layer geometry, kernel and window, its biases, and its weights
+//! in the form the engine runs them — raw f32 for the CSR engine, or one
+//! packed log code per weight plus the per-layer [`LogQuantizer`]
+//! parameters for the quantized engine (which then ships **no** f32
+//! weights) — along with the per-sample input geometry and a backend hint
+//! selecting the engine ([`BackendHint`]). The framing is defensive by
+//! construction:
 //!
 //! ```text
 //! offset 0   magic            b"SNNARTF\0"            (8 bytes)
-//! offset 8   format version   u32 little-endian       (currently 1)
+//! offset 8   format version   u32 little-endian       (currently 2)
 //! offset 12  header length    u32 little-endian
 //! offset 16  header JSON      ArtifactInfo            (name, version, dims, backend)
 //! ...        payload length   u64 little-endian
-//! ...        payload JSON     model + quantizers
+//! ...        payload          layout + raw sections   (below)
 //! ...        checksum         u64 little-endian       FNV-1a over bytes [8, checksum)
 //! ```
 //!
-//! Every failure mode maps to a typed [`ArtifactError`]: wrong magic,
-//! a future format version, declared lengths larger than the sanity cap
-//! ([`MAX_SECTION_BYTES`]) or the file itself (truncation), checksum
-//! mismatches from bit flips, and malformed JSON. Loading never panics.
+//! The payload is a small JSON layout followed by raw little-endian
+//! sections:
 //!
-//! Floats round-trip **bit-exactly**: the vendored serde stores every
-//! `f32` widened to `f64` (exact) and the JSON writer prints
-//! shortest-round-trip decimals, so a loaded model's weights — and
-//! therefore its compiled engines' logits — are bit-identical to the
-//! in-memory original (property-tested in
-//! `crates/runtime/tests/artifact_roundtrip.rs`).
+//! ```text
+//! u32 little-endian   layout length
+//! layout JSON         per layer: kind + geometry; kernel τ/θ₀ and
+//!                     quantizer fsr_log2 as f32 bit patterns; window;
+//!                     quantizer base + bits; every section's byte length
+//! per weighted layer, in layer order:
+//!   weights           f32 LE per weight (Csr), or one packed u8 code per
+//!                     weight (Quant), in the weight tensor's order
+//!   bias              f32 LE per output
+//! ```
+//!
+//! No float travels as decimal text, so loading is a checksum pass plus
+//! copies, and every value round-trips **bit-exactly**. A loaded
+//! quantized artifact's [`model`](ModelArtifact::model) holds the decoded
+//! weights (`lut[code]`), which equal
+//! [`quantize_model`](crate::quantize_model) of the original bit for bit,
+//! and it compiles from the shipped codes — nothing is re-fitted or
+//! re-encoded (property-tested in
+//! `crates/runtime/tests/artifact_roundtrip.rs` and
+//! `crates/runtime/tests/artifact_v2.rs`).
+//!
+//! Every failure mode maps to a typed [`ArtifactError`]: wrong magic,
+//! a format version other than [`ARTIFACT_FORMAT_VERSION`], declared
+//! lengths larger than the sanity cap ([`MAX_SECTION_BYTES`]) or the file
+//! itself (truncation), checksum mismatches from bit flips, and malformed
+//! content — a bad layout, a section length that disagrees with its
+//! layer's shape, a non-finite weight or bias, a code outside the packed
+//! range, quantizers that disagree with the header. Loading never panics.
 
 use std::fmt;
 use std::path::Path;
@@ -35,17 +58,20 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use snn_logquant::{LogBase, LogQuantizer};
-use ttfs_core::{ConvertError, SnnModel};
+use snn_tensor::{Conv2dSpec, Pool2dSpec, Tensor};
+use ttfs_core::{Base2Kernel, ConvertError, SnnLayer, SnnModel, TtfsKernel};
 
 use crate::csr::CsrFootprint;
-use crate::quant::{fit_layer_quantizers, DecodeMode, QuantConfig, QuantEngine};
+use crate::quant::{
+    encode_layer_codes, fit_layer_quantizers, DecodeMode, QuantConfig, QuantEngine,
+};
 use crate::{CsrEngine, InferenceBackend};
 
 /// The artifact file magic (8 bytes at offset 0).
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"SNNARTF\0";
 
-/// The format version this build writes and the highest it reads.
-pub const ARTIFACT_FORMAT_VERSION: u32 = 1;
+/// The format version this build writes and the only one it reads.
+pub const ARTIFACT_FORMAT_VERSION: u32 = 2;
 
 /// Sanity cap on any declared section length: a header or payload
 /// claiming more than this is rejected as hostile before any allocation.
@@ -65,11 +91,11 @@ pub enum ArtifactError {
         /// What the file started with instead.
         found: Vec<u8>,
     },
-    /// The format version is newer than this build understands.
+    /// The format version is not the one this build reads.
     UnsupportedVersion {
         /// Version stamped in the file.
         found: u32,
-        /// Highest version this build reads.
+        /// The version this build reads.
         supported: u32,
     },
     /// A declared section length exceeds [`MAX_SECTION_BYTES`].
@@ -94,8 +120,10 @@ pub enum ArtifactError {
         computed: u64,
     },
     /// Structurally valid framing around semantically broken content
-    /// (bad JSON, geometry that does not fit the model, calibration that
-    /// does not match the weights, trailing garbage).
+    /// (bad header or layout JSON, section lengths that disagree with the
+    /// layout, non-finite values, out-of-range codes, geometry that does
+    /// not fit the model, quantizers that do not match the backend hint,
+    /// trailing garbage).
     Malformed(String),
 }
 
@@ -108,7 +136,7 @@ impl fmt::Display for ArtifactError {
             }
             Self::UnsupportedVersion { found, supported } => write!(
                 f,
-                "artifact format version {found} is newer than the supported {supported}"
+                "artifact format version {found} is not readable by this build (it reads {supported})"
             ),
             Self::OversizedLength { field, declared } => write!(
                 f,
@@ -234,25 +262,26 @@ impl ArtifactInfo {
     }
 }
 
-/// Payload body: the converted model plus the quantized path's per-layer
-/// calibration, serialized through the vendored serde (bit-exact floats).
-#[derive(Serialize, Deserialize)]
-struct ArtifactPayload {
-    model: SnnModel,
-    quantizers: Vec<LogQuantizer>,
-}
-
-/// A deserialized model artifact: header info plus the model and its
-/// calibration, ready to compile into a serving backend.
+/// A deserialized model artifact: header info plus the model and, for a
+/// quantized artifact, its packed codes and calibration — ready to
+/// compile into a serving backend.
 #[derive(Debug, Clone)]
 pub struct ModelArtifact {
     /// Header fields (name, version, geometry, backend hint).
     pub info: ArtifactInfo,
-    /// The converted model.
+    /// The converted model. For a quantized artifact this is the model
+    /// [`build`](Self::build) was given, or — once loaded — the model
+    /// with the decoded weights (`lut[code]`, the only weights the file
+    /// carries). Either way its weight values are not what is served or
+    /// saved: [`codes`](Self::codes) are.
     pub model: SnnModel,
     /// Per-weighted-layer quantizer calibration, in stage order; empty for
     /// a pure-f32 artifact.
     pub quantizers: Vec<LogQuantizer>,
+    /// Per-weighted-layer packed log codes, one byte per weight in the
+    /// weight tensor's order — what a quantized artifact ships and
+    /// compiles in place of f32 weights; empty for a pure-f32 artifact.
+    pub codes: Vec<Vec<u8>>,
 }
 
 /// Rejects names/versions that would break `name@version` keys, URLs or
@@ -272,8 +301,9 @@ fn validate_label(field: &str, value: &str) -> Result<(), ArtifactError> {
 impl ModelArtifact {
     /// Packages `model` as a named, versioned artifact, validating the
     /// geometry and (for quantized hints) calibrating one quantizer per
-    /// weighted layer — the calibration ships inside the artifact so a
-    /// serving box never re-derives it from anything but these weights.
+    /// weighted layer and encoding every weight once to its packed code —
+    /// the codes and calibration ship inside the artifact, so a serving
+    /// box never re-derives them.
     ///
     /// # Errors
     ///
@@ -297,6 +327,7 @@ impl ModelArtifact {
             BackendHint::Quant { base, bits, .. } => fit_layer_quantizers(&model, *base, *bits)
                 .map_err(|e| ArtifactError::Malformed(e.to_string()))?,
         };
+        let codes = encode_layer_codes(&model, &quantizers);
         Ok(Self {
             info: ArtifactInfo {
                 name: name.into(),
@@ -306,6 +337,7 @@ impl ModelArtifact {
             },
             model,
             quantizers,
+            codes,
         })
     }
 
@@ -313,31 +345,91 @@ impl ModelArtifact {
     ///
     /// # Errors
     ///
-    /// [`ArtifactError::Malformed`] if JSON serialization fails (should
-    /// not happen for well-formed models).
+    /// [`ArtifactError::Malformed`] if the header fails to serialize, or
+    /// the quantizers and codes do not match the model and backend hint
+    /// (possible only after editing the public fields).
     pub fn to_bytes(&self) -> Result<Vec<u8>, ArtifactError> {
         let header = serde_json::to_string(&self.info)
             .map_err(|e| ArtifactError::Malformed(format!("serialize header: {e}")))?;
-        let payload = serde_json::to_string(&ArtifactPayload {
-            model: self.model.clone(),
-            quantizers: self.quantizers.clone(),
-        })
-        .map_err(|e| ArtifactError::Malformed(format!("serialize payload: {e}")))?;
+        let payload = self.encode_payload()?;
         let mut out = Vec::with_capacity(32 + header.len() + payload.len());
         out.extend_from_slice(&ARTIFACT_MAGIC);
         out.extend_from_slice(&ARTIFACT_FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(header.len() as u32).to_le_bytes());
         out.extend_from_slice(header.as_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload.as_bytes());
+        out.extend_from_slice(&payload);
         let checksum = fnv1a64(&out[ARTIFACT_MAGIC.len()..]);
         out.extend_from_slice(&checksum.to_le_bytes());
         Ok(out)
     }
 
+    /// The v2 payload: layout length, layout JSON, raw sections.
+    fn encode_payload(&self) -> Result<Vec<u8>, ArtifactError> {
+        let weighted = self.model.weighted_layers();
+        let quantized = self.info.backend.quant_config().is_some();
+        let expect = if quantized { weighted } else { 0 };
+        if self.quantizers.len() != expect || self.codes.len() != expect {
+            return Err(ArtifactError::Malformed(format!(
+                "{} quantizers and {} code layers for {expect} expected by the backend hint",
+                self.quantizers.len(),
+                self.codes.len()
+            )));
+        }
+        let mut raw = Vec::new();
+        let mut sections = Vec::with_capacity(2 * weighted);
+        let mut codes = self.codes.iter();
+        for layer in self.model.layers() {
+            let (Some(weight), Some(bias)) = (layer.weight(), layer.bias()) else {
+                continue;
+            };
+            let start = raw.len();
+            match codes.next() {
+                Some(codes) if codes.len() == weight.len() => raw.extend_from_slice(codes),
+                Some(codes) => {
+                    return Err(ArtifactError::Malformed(format!(
+                        "{} codes for {} weights",
+                        codes.len(),
+                        weight.len()
+                    )))
+                }
+                None => put_f32s(&mut raw, weight.as_slice()),
+            }
+            sections.push((raw.len() - start) as u64);
+            put_f32s(&mut raw, bias.as_slice());
+            sections.push(4 * bias.len() as u64);
+        }
+        let kernel = self.model.kernel();
+        let layout = PayloadLayout {
+            layers: self.model.layers().iter().map(LayerShape::of).collect(),
+            tau_bits: kernel.tau().to_bits(),
+            theta0_bits: kernel.theta0().to_bits(),
+            window: self.model.window(),
+            quantizers: self
+                .quantizers
+                .iter()
+                .map(|q| QuantizerParams {
+                    base: q.base(),
+                    bits: q.bits(),
+                    fsr_log2_bits: q.fsr_log2().to_bits(),
+                })
+                .collect(),
+            sections,
+        };
+        let layout = serde_json::to_string(&layout)
+            .map_err(|e| ArtifactError::Malformed(format!("serialize layout: {e}")))?;
+        let mut out = Vec::with_capacity(4 + layout.len() + raw.len());
+        out.extend_from_slice(&(layout.len() as u32).to_le_bytes());
+        out.extend_from_slice(layout.as_bytes());
+        out.extend_from_slice(&raw);
+        Ok(out)
+    }
+
     /// Decodes an artifact from bytes, verifying magic, format version,
-    /// declared lengths, the checksum, and the semantic invariants
-    /// (parseable JSON, geometry fits, calibration matches the weights).
+    /// declared lengths, the checksum, and the semantic invariants (the
+    /// layout parses, every section matches its layer's shape, values are
+    /// finite, codes are in range, quantizers match the backend hint,
+    /// geometry fits).
     ///
     /// # Errors
     ///
@@ -351,46 +443,9 @@ impl ModelArtifact {
                 bytes.len() - consumed
             )));
         }
-        let payload: ArtifactPayload = serde_json::from_str(payload)
-            .map_err(|e| ArtifactError::Malformed(format!("payload JSON: {e}")))?;
         validate_label("artifact name", &info.name)?;
         validate_label("artifact version", &info.version)?;
-        payload
-            .model
-            .shape_trace(&info.input_dims)
-            .map_err(|e| ArtifactError::Malformed(format!("input dims: {e}")))?;
-        // Cross-check the shipped calibration against the shipped weights:
-        // refitting is deterministic, so any disagreement means the two
-        // sections came from different models.
-        match info.backend.quant_config() {
-            None => {
-                if !payload.quantizers.is_empty() {
-                    return Err(ArtifactError::Malformed(
-                        "f32 artifact carries quantizer calibration".into(),
-                    ));
-                }
-            }
-            Some(config) => {
-                let refit = fit_layer_quantizers(&payload.model, config.base, config.bits)
-                    .map_err(|e| ArtifactError::Malformed(e.to_string()))?;
-                let matches = refit.len() == payload.quantizers.len()
-                    && refit.iter().zip(&payload.quantizers).all(|(a, b)| {
-                        a.base() == b.base()
-                            && a.bits() == b.bits()
-                            && a.fsr_log2().to_bits() == b.fsr_log2().to_bits()
-                    });
-                if !matches {
-                    return Err(ArtifactError::Malformed(
-                        "quantizer calibration does not match the shipped weights".into(),
-                    ));
-                }
-            }
-        }
-        Ok(Self {
-            info,
-            model: payload.model,
-            quantizers: payload.quantizers,
-        })
+        decode_payload(info, payload)
     }
 
     /// Writes the artifact to `path` **crash-safely**: the bytes go to a
@@ -452,8 +507,8 @@ impl ModelArtifact {
     }
 
     /// Reads only the framing and header of `path` — magic, version,
-    /// lengths, checksum and [`ArtifactInfo`] — without deserializing the
-    /// weights. The registry uses this to catalog a model directory
+    /// lengths, checksum and [`ArtifactInfo`] — without decoding the
+    /// payload. The registry uses this to catalog a model directory
     /// cheaply. Returns the info and the file's total size in bytes.
     ///
     /// # Errors
@@ -477,7 +532,9 @@ impl ModelArtifact {
 
     /// Compiles the serving backend this artifact asks for, returning the
     /// engine and its compiled-table memory footprint (the byte accounting
-    /// the registry's LRU budget charges).
+    /// the registry's LRU budget charges). A quantized artifact compiles
+    /// from its shipped codes and quantizers
+    /// ([`QuantEngine::from_codes`]).
     ///
     /// # Errors
     ///
@@ -492,7 +549,13 @@ impl ModelArtifact {
                 Ok((Arc::new(engine), footprint))
             }
             Some(config) => {
-                let engine = QuantEngine::compile_shared(model, &self.info.input_dims, config)?;
+                let engine = QuantEngine::from_codes(
+                    model,
+                    &self.info.input_dims,
+                    config,
+                    self.quantizers.clone(),
+                    &self.codes,
+                )?;
                 let footprint = engine.compiled().footprint();
                 Ok((Arc::new(engine), footprint))
             }
@@ -501,8 +564,8 @@ impl ModelArtifact {
 }
 
 /// Shared framing decoder: checks magic, version, lengths and checksum,
-/// parses the header, and returns `(info, payload_json, bytes_consumed)`.
-fn decode_framing(bytes: &[u8]) -> Result<(ArtifactInfo, &str, usize), ArtifactError> {
+/// parses the header, and returns `(info, payload, bytes_consumed)`.
+fn decode_framing(bytes: &[u8]) -> Result<(ArtifactInfo, &[u8], usize), ArtifactError> {
     let need = |cursor: usize, n: usize| -> Result<(), ArtifactError> {
         if bytes.len() < cursor + n {
             Err(ArtifactError::Truncated {
@@ -522,7 +585,10 @@ fn decode_framing(bytes: &[u8]) -> Result<(ArtifactInfo, &str, usize), ArtifactE
     let mut cursor = ARTIFACT_MAGIC.len();
     let version = u32::from_le_bytes(bytes[cursor..cursor + 4].try_into().expect("4 bytes"));
     cursor += 4;
-    if version > ARTIFACT_FORMAT_VERSION {
+    // Exactly one version is readable: there is no decoder for any other
+    // payload, so older and newer files alike are refused here, before
+    // the checksum pass.
+    if version != ARTIFACT_FORMAT_VERSION {
         return Err(ArtifactError::UnsupportedVersion {
             found: version,
             supported: ARTIFACT_FORMAT_VERSION,
@@ -560,140 +626,339 @@ fn decode_framing(bytes: &[u8]) -> Result<(ArtifactInfo, &str, usize), ArtifactE
     }
     let header = std::str::from_utf8(header)
         .map_err(|_| ArtifactError::Malformed("header is not UTF-8".into()))?;
-    let payload = std::str::from_utf8(payload)
-        .map_err(|_| ArtifactError::Malformed("payload is not UTF-8".into()))?;
     let info: ArtifactInfo = serde_json::from_str(header)
         .map_err(|e| ArtifactError::Malformed(format!("header JSON: {e}")))?;
     Ok((info, payload, cursor))
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-    use ttfs_core::{convert, Base2Kernel};
+/// The payload's layout section: everything but the weight and bias
+/// values, as integers (floats travel as their IEEE-754 bit patterns).
+#[derive(Debug, Serialize, Deserialize)]
+struct PayloadLayout {
+    /// Every layer's kind and geometry, in execution order.
+    layers: Vec<LayerShape>,
+    /// Kernel τ as `f32::to_bits`.
+    tau_bits: u32,
+    /// Kernel θ₀ as `f32::to_bits`.
+    theta0_bits: u32,
+    /// TTFS window.
+    window: u32,
+    /// One per weighted layer for a quantized artifact, else none.
+    quantizers: Vec<QuantizerParams>,
+    /// Byte length of every raw section: weights, then bias, of each
+    /// weighted layer in layer order.
+    sections: Vec<u64>,
+}
 
-    fn model() -> SnnModel {
-        let mut rng = StdRng::seed_from_u64(11);
-        let net = Sequential::new(vec![
-            Layer::Flatten(Flatten::new()),
-            Layer::Dense(DenseLayer::new(12, 8, &mut rng)),
-            Layer::Activation(ActivationLayer::new(Box::new(Relu))),
-            Layer::Dense(DenseLayer::new(8, 3, &mut rng)),
-        ]);
-        convert(&net, Base2Kernel::paper_default(), 24).unwrap()
-    }
+/// One layer's kind and geometry (its tensor shapes follow from it).
+#[derive(Debug, Serialize, Deserialize)]
+enum LayerShape {
+    /// Weights `[out_channels, in_channels, kernel, kernel]`, bias
+    /// `[out_channels]`.
+    Conv(Conv2dSpec),
+    /// Weights `[outputs, inputs]`, bias `[outputs]`.
+    Dense {
+        outputs: usize,
+        inputs: usize,
+    },
+    MaxPool(Pool2dSpec),
+    AvgPool(Pool2dSpec),
+    Flatten,
+}
 
-    #[test]
-    fn roundtrip_preserves_weights_bit_exactly() {
-        let m = model();
-        let artifact =
-            ModelArtifact::build("demo", "v1", m.clone(), &[1, 3, 4], BackendHint::Csr).unwrap();
-        let bytes = artifact.to_bytes().unwrap();
-        let back = ModelArtifact::from_bytes(&bytes).unwrap();
-        assert_eq!(back.info, artifact.info);
-        for (a, b) in m.layers().iter().zip(back.model.layers()) {
-            if let (Some(wa), Some(wb)) = (a.weight(), b.weight()) {
-                let bits_a: Vec<u32> = wa.as_slice().iter().map(|f| f.to_bits()).collect();
-                let bits_b: Vec<u32> = wb.as_slice().iter().map(|f| f.to_bits()).collect();
-                assert_eq!(bits_a, bits_b, "weights must round-trip bit-exactly");
-            }
+/// A layer quantizer's parameters; `fsr_log2` as `f32::to_bits`.
+#[derive(Debug, Serialize, Deserialize)]
+struct QuantizerParams {
+    base: LogBase,
+    bits: u8,
+    fsr_log2_bits: u32,
+}
+
+impl LayerShape {
+    fn of(layer: &SnnLayer) -> Self {
+        match layer {
+            SnnLayer::Conv { spec, .. } => Self::Conv(*spec),
+            SnnLayer::Dense { weight, .. } => Self::Dense {
+                outputs: weight.dims()[0],
+                inputs: weight.dims()[1],
+            },
+            SnnLayer::MaxPool { spec } => Self::MaxPool(*spec),
+            SnnLayer::AvgPool { spec } => Self::AvgPool(*spec),
+            SnnLayer::Flatten => Self::Flatten,
         }
     }
 
-    #[test]
-    fn quant_artifact_ships_matching_calibration() {
-        let artifact = ModelArtifact::build(
-            "demo",
-            "v1",
-            model(),
-            &[1, 3, 4],
-            BackendHint::quant_default(),
-        )
-        .unwrap();
-        assert_eq!(artifact.quantizers.len(), 2);
-        let back = ModelArtifact::from_bytes(&artifact.to_bytes().unwrap()).unwrap();
-        assert_eq!(back.quantizers.len(), 2);
-        for (a, b) in artifact.quantizers.iter().zip(&back.quantizers) {
-            assert_eq!(a.fsr_log2().to_bits(), b.fsr_log2().to_bits());
+    /// The weight tensor dims of a weighted layer (its bias has
+    /// `dims[0]` entries), `None` for a structural one.
+    fn weight_dims(&self) -> Option<Vec<usize>> {
+        match *self {
+            Self::Conv(spec) => Some(vec![
+                spec.out_channels,
+                spec.in_channels,
+                spec.kernel,
+                spec.kernel,
+            ]),
+            Self::Dense { outputs, inputs } => Some(vec![outputs, inputs]),
+            _ => None,
         }
     }
 
-    #[test]
-    fn every_corruption_is_a_typed_error() {
-        let artifact =
-            ModelArtifact::build("demo", "v1", model(), &[1, 3, 4], BackendHint::Csr).unwrap();
-        let good = artifact.to_bytes().unwrap();
-
-        // Wrong magic.
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            ModelArtifact::from_bytes(&bad),
-            Err(ArtifactError::BadMagic { .. })
-        ));
-
-        // Future format version.
-        let mut bad = good.clone();
-        bad[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            ModelArtifact::from_bytes(&bad),
-            Err(ArtifactError::UnsupportedVersion { found: 99, .. })
-        ));
-
-        // Truncation (any prefix must fail cleanly).
-        for cut in [0, 7, 12, 20, good.len() / 2, good.len() - 1] {
-            let err = ModelArtifact::from_bytes(&good[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    ArtifactError::Truncated { .. } | ArtifactError::ChecksumMismatch { .. }
-                ),
-                "cut at {cut}: {err}"
-            );
+    /// Every geometry field that sizes something or divides must be ≥ 1,
+    /// and all of them fit `u32`, so shape propagation cannot overflow.
+    fn check(&self) -> Result<(), ArtifactError> {
+        let (positive, other) = match *self {
+            Self::Conv(s) => (
+                vec![s.in_channels, s.out_channels, s.kernel, s.stride],
+                s.padding,
+            ),
+            Self::Dense { outputs, inputs } => (vec![outputs, inputs], 0),
+            Self::MaxPool(s) | Self::AvgPool(s) => (vec![s.window, s.stride], 0),
+            Self::Flatten => (Vec::new(), 0),
+        };
+        let limit = u32::MAX as usize;
+        if positive.iter().all(|&v| (1..=limit).contains(&v)) && other <= limit {
+            Ok(())
+        } else {
+            Err(ArtifactError::Malformed(format!(
+                "layer geometry {self:?} out of range"
+            )))
         }
-
-        // Single bit flip in the payload.
-        let mut bad = good.clone();
-        let mid = good.len() / 2;
-        bad[mid] ^= 0x01;
-        assert!(matches!(
-            ModelArtifact::from_bytes(&bad),
-            Err(ArtifactError::ChecksumMismatch { .. })
-        ));
-
-        // Oversized declared header length.
-        let mut bad = good.clone();
-        bad[12..16].copy_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(matches!(
-            ModelArtifact::from_bytes(&bad),
-            Err(ArtifactError::OversizedLength {
-                field: "header",
-                ..
-            })
-        ));
-
-        // Trailing garbage.
-        let mut bad = good.clone();
-        bad.extend_from_slice(b"junk");
-        assert!(matches!(
-            ModelArtifact::from_bytes(&bad),
-            Err(ArtifactError::Malformed(_))
-        ));
-
-        // The original still loads (corruption tests must not mutate it).
-        assert!(ModelArtifact::from_bytes(&good).is_ok());
     }
 
-    #[test]
-    fn hostile_labels_rejected() {
-        for bad in ["", "a@b", "a/b", "a b"] {
-            assert!(
-                ModelArtifact::build(bad, "v1", model(), &[1, 3, 4], BackendHint::Csr).is_err(),
-                "name {bad:?} must be rejected"
-            );
+    /// The layer itself; `params` (weight, bias) is `Some` exactly for
+    /// a weighted shape.
+    fn into_layer(self, params: Option<(Tensor, Tensor)>) -> SnnLayer {
+        match (self, params) {
+            (Self::Conv(spec), Some((weight, bias))) => SnnLayer::Conv { spec, weight, bias },
+            (Self::Dense { .. }, Some((weight, bias))) => SnnLayer::Dense { weight, bias },
+            (Self::MaxPool(spec), _) => SnnLayer::MaxPool { spec },
+            (Self::AvgPool(spec), _) => SnnLayer::AvgPool { spec },
+            _ => SnnLayer::Flatten,
         }
     }
 }
+
+/// Appends `values` as little-endian f32s.
+fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    out.reserve(4 * values.len());
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Reads little-endian f32s, refusing any NaN or infinity.
+fn read_f32s(bytes: &[u8], what: &str) -> Result<Vec<f32>, ArtifactError> {
+    let values: Vec<f32> = bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    match values.iter().position(|v| !v.is_finite()) {
+        None => Ok(values),
+        Some(i) => Err(ArtifactError::Malformed(format!(
+            "{what} value {i} is {}",
+            values[i]
+        ))),
+    }
+}
+
+/// Decodes and validates a v2 payload into the artifact `info` heads.
+fn decode_payload(info: ArtifactInfo, payload: &[u8]) -> Result<ModelArtifact, ArtifactError> {
+    let malformed = ArtifactError::Malformed;
+    let Some((len, rest)) = payload.split_first_chunk::<4>() else {
+        return Err(malformed("payload too short for its layout length".into()));
+    };
+    let len = u32::from_le_bytes(*len) as usize;
+    if len > rest.len() {
+        return Err(malformed(format!(
+            "layout length {len} exceeds the {} payload bytes after it",
+            rest.len()
+        )));
+    }
+    let (layout, mut raw) = rest.split_at(len);
+    let layout =
+        std::str::from_utf8(layout).map_err(|_| malformed("payload layout is not UTF-8".into()))?;
+    let layout: PayloadLayout =
+        serde_json::from_str(layout).map_err(|e| malformed(format!("payload layout JSON: {e}")))?;
+
+    let (tau, theta0) = (
+        f32::from_bits(layout.tau_bits),
+        f32::from_bits(layout.theta0_bits),
+    );
+    if !(tau.is_finite() && tau > 0.0 && theta0.is_finite() && theta0 > 0.0) {
+        return Err(malformed(format!(
+            "kernel tau {tau} / theta0 {theta0} must be finite and positive"
+        )));
+    }
+    for shape in &layout.layers {
+        shape.check()?;
+    }
+    let weighted = layout
+        .layers
+        .iter()
+        .filter(|l| l.weight_dims().is_some())
+        .count();
+    let config = info.backend.quant_config();
+    let quantizers = match config {
+        None if layout.quantizers.is_empty() => Vec::new(),
+        None => {
+            return Err(malformed(
+                "f32 artifact carries quantizer parameters".into(),
+            ))
+        }
+        Some(config) => {
+            if layout.quantizers.len() != weighted {
+                return Err(malformed(format!(
+                    "{} quantizers for {weighted} weighted layers",
+                    layout.quantizers.len()
+                )));
+            }
+            layout
+                .quantizers
+                .iter()
+                .map(|p| decode_quantizer(p, config))
+                .collect::<Result<Vec<_>, _>>()?
+        }
+    };
+    if layout.sections.len() != 2 * weighted {
+        return Err(malformed(format!(
+            "{} sections for {weighted} weighted layers (want weights + bias each)",
+            layout.sections.len()
+        )));
+    }
+    let declared = layout
+        .sections
+        .iter()
+        .try_fold(0u64, |sum, &n| sum.checked_add(n));
+    if declared != Some(raw.len() as u64) {
+        return Err(malformed(format!(
+            "sections declare {declared:?} bytes, the payload holds {}",
+            raw.len()
+        )));
+    }
+
+    let weight_width = if config.is_some() { 1 } else { 4 };
+    let mut sections = layout.sections.iter().copied();
+    let mut quantizer = quantizers.iter();
+    let mut codes = Vec::with_capacity(quantizers.len());
+    let mut layers = Vec::with_capacity(layout.layers.len());
+    for (i, shape) in layout.layers.into_iter().enumerate() {
+        let Some(dims) = shape.weight_dims() else {
+            layers.push(shape.into_layer(None));
+            continue;
+        };
+        let count = dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .unwrap_or(usize::MAX);
+        let mut take = |want: usize, what: &str| {
+            let declared = sections.next().expect("two sections per weighted layer");
+            if declared != want as u64 {
+                return Err(malformed(format!(
+                    "layer {i} {what} section declares {declared} bytes, its shape needs {want}"
+                )));
+            }
+            let (section, rest) = raw.split_at(want);
+            raw = rest;
+            Ok(section)
+        };
+        let weight_bytes = take(count.saturating_mul(weight_width), "weight")?;
+        let bias = read_f32s(take(4 * dims[0], "bias")?, "bias")?;
+        let weight = match quantizer.next() {
+            None => read_f32s(weight_bytes, "weight")?,
+            Some(q) => {
+                let lut = q.decode_lut();
+                if let Some(at) = weight_bytes.iter().position(|&c| c as usize >= lut.len()) {
+                    return Err(malformed(format!(
+                        "layer {i} code {} at {at} is outside the {}-bit packed range 0..{}",
+                        weight_bytes[at],
+                        q.bits(),
+                        lut.len()
+                    )));
+                }
+                codes.push(weight_bytes.to_vec());
+                weight_bytes.iter().map(|&c| lut[c as usize]).collect()
+            }
+        };
+        let tensor = |data, dims: &[usize]| {
+            Tensor::from_vec(data, dims).map_err(|e| malformed(format!("layer {i}: {e}")))
+        };
+        let params = (tensor(weight, &dims)?, tensor(bias, &dims[..1])?);
+        layers.push(shape.into_layer(Some(params)));
+    }
+    let model = SnnModel::from_parts(layers, Base2Kernel::new(tau, theta0), layout.window);
+    check_geometry(&model, &info.input_dims)?;
+    Ok(ModelArtifact {
+        info,
+        model,
+        quantizers,
+        codes,
+    })
+}
+
+/// A quantizer from its shipped parameters, which must agree with the
+/// header's backend hint and decode to finite values only.
+fn decode_quantizer(
+    p: &QuantizerParams,
+    config: QuantConfig,
+) -> Result<LogQuantizer, ArtifactError> {
+    if p.base != config.base || p.bits != config.bits {
+        return Err(ArtifactError::Malformed(format!(
+            "quantizer {}-bit {} disagrees with the header's {}-bit {}",
+            p.bits,
+            p.base.label(),
+            config.bits,
+            config.base.label()
+        )));
+    }
+    // Eq. 16 bases the hardware uses have z ≤ 2; z > 8 would only size
+    // absurd shift-add grids.
+    if p.base.z() > 8 {
+        return Err(ArtifactError::Malformed(format!(
+            "quantizer base exponent z = {} is out of range",
+            p.base.z()
+        )));
+    }
+    let fsr_log2 = f32::from_bits(p.fsr_log2_bits);
+    let q = LogQuantizer::with_fsr(p.base, p.bits, fsr_log2)
+        .ok()
+        .filter(|q| (2..=8).contains(&q.bits()) && q.decode_lut().iter().all(|v| v.is_finite()))
+        .ok_or_else(|| {
+            ArtifactError::Malformed(format!(
+                "quantizer {}-bit fsr_log2 {fsr_log2} does not decode to finite weights",
+                p.bits
+            ))
+        })?;
+    Ok(q)
+}
+
+/// Propagates `input_dims` through `model`, requiring every boundary's
+/// neuron grid to be non-empty and to fit `u32` — checked before each
+/// layer reads it, so no shape arithmetic can overflow on hostile
+/// geometry.
+fn check_geometry(model: &SnnModel, input_dims: &[usize]) -> Result<(), ArtifactError> {
+    let fits = |dims: &[usize]| {
+        dims.iter()
+            .try_fold(1u64, |n, &d| n.checked_mul(d as u64))
+            .is_some_and(|n| (1..=u64::from(u32::MAX)).contains(&n))
+            && dims.iter().all(|&d| d > 0)
+    };
+    let mut dims = input_dims.to_vec();
+    for layer in model.layers() {
+        if !fits(&dims) {
+            break;
+        }
+        dims = layer
+            .out_dims(&dims)
+            .map_err(|e| ArtifactError::Malformed(format!("input dims: {e}")))?;
+    }
+    if fits(&dims) {
+        Ok(())
+    } else {
+        Err(ArtifactError::Malformed(format!(
+            "neuron grid {dims:?} is empty or exceeds u32 indexing"
+        )))
+    }
+}
+
+#[cfg(test)]
+mod tests;

@@ -136,18 +136,6 @@ impl<W: Copy> CsrSynapses<W> {
         self.full_rows
     }
 
-    /// Re-stores every edge payload through `f`, preserving the structure
-    /// (row pointers, targets, edge order) exactly — the bridge from the
-    /// compiled f32 table to its packed-code twin.
-    pub fn map_weights<V: Copy>(&self, f: impl FnMut(W) -> V) -> CsrSynapses<V> {
-        CsrSynapses {
-            row_ptr: self.row_ptr.clone(),
-            col: self.col.clone(),
-            weight: self.weight.iter().copied().map(f).collect(),
-            full_rows: self.full_rows,
-        }
-    }
-
     fn from_rows(rows: Vec<Vec<(u32, W)>>) -> Self {
         let mut row_ptr = Vec::with_capacity(rows.len() + 1);
         let total: usize = rows.iter().map(Vec::len).sum();
@@ -332,26 +320,6 @@ impl<W: Copy> ConvPatterns<W> {
     pub fn flat_bytes(&self) -> usize {
         (self.in_neurons() + 1) * 4 + self.logical_edges * 8
     }
-
-    /// Re-stores the repacked weight copy through `f`, preserving the
-    /// pattern table, per-pixel map and weight-array layout exactly.
-    pub fn map_weights<V: Copy>(&self, f: impl FnMut(W) -> V) -> ConvPatterns<V> {
-        ConvPatterns {
-            pat_ptr: self.pat_ptr.clone(),
-            t_start: self.t_start.clone(),
-            w_start: self.w_start.clone(),
-            run_len: self.run_len.clone(),
-            oc: self.oc,
-            plane: self.plane,
-            weight: self.weight.iter().copied().map(f).collect(),
-            ch_stride: self.ch_stride,
-            row_pattern: self.row_pattern.clone(),
-            row_tbase: self.row_tbase.clone(),
-            row_wbase: self.row_wbase.clone(),
-            pat_degree: self.pat_degree.clone(),
-            logical_edges: self.logical_edges,
-        }
-    }
 }
 
 /// One input pixel's view into a [`ConvPatterns`] table: the shared runs
@@ -504,15 +472,6 @@ impl<W: Copy> SynapseTable<W> {
             Self::Patterned(p) => p.degree(j),
         }
     }
-
-    /// Re-stores every edge payload through `f`, preserving structure and
-    /// traversal order exactly (see [`CsrSynapses::map_weights`]).
-    pub fn map_weights<V: Copy>(&self, f: impl FnMut(W) -> V) -> SynapseTable<V> {
-        match self {
-            Self::Flat(s) => SynapseTable::Flat(s.map_weights(f)),
-            Self::Patterned(p) => SynapseTable::Patterned(p.map_weights(f)),
-        }
-    }
 }
 
 /// One compiled stage of the CSR pipeline.
@@ -555,40 +514,6 @@ pub enum CsrStage<W = f32> {
     },
     /// Flatten: identity on flat neuron indices.
     Flatten,
-}
-
-impl<W: Copy> CsrStage<W> {
-    /// Re-stores a weighted stage's edge payloads through `f` (structural
-    /// stages are cloned unchanged) — how the quantized compiler turns the
-    /// f32 stage list into its packed-code twin without recompiling the
-    /// pattern tables.
-    pub fn map_weights<V: Copy>(&self, f: impl FnMut(W) -> V) -> CsrStage<V> {
-        match self {
-            Self::Weighted { syn, bias } => CsrStage::Weighted {
-                syn: syn.map_weights(f),
-                bias: bias.clone(),
-            },
-            Self::MaxPool {
-                win,
-                stride,
-                in_dims,
-            } => CsrStage::MaxPool {
-                win: *win,
-                stride: *stride,
-                in_dims: in_dims.clone(),
-            },
-            Self::AvgPool {
-                win,
-                stride,
-                in_dims,
-            } => CsrStage::AvgPool {
-                win: *win,
-                stride: *stride,
-                in_dims: in_dims.clone(),
-            },
-            Self::Flatten => CsrStage::Flatten,
-        }
-    }
 }
 
 /// Memory accounting of a compiled [`CsrModel`]: what the deduplicated
@@ -645,11 +570,10 @@ pub struct CsrModel {
     pub(crate) fire: FireTable,
 }
 
-fn compile_dense(weight: &Tensor) -> CsrSynapses {
-    let out_f = weight.dims()[0];
-    let in_f = weight.dims()[1];
-    let wd = weight.as_slice();
-    let mut rows: Vec<Vec<(u32, f32)>> = vec![Vec::new(); in_f];
+/// Flat CSR of a dense layer whose `[out_f, in_f]` row-major weights (or
+/// packed codes) are `wd`.
+fn compile_dense<W: Copy>(wd: &[W], out_f: usize, in_f: usize) -> CsrSynapses<W> {
+    let mut rows: Vec<Vec<(u32, W)>> = vec![Vec::new(); in_f];
     // Row-major [out, in]: walk outputs outer so each row's edge list ends
     // up sorted by target. Exact-zero weights are kept, like the conv
     // compiler: the reference backend charges `out_f` synaptic ops per
@@ -689,17 +613,18 @@ pub(crate) fn axis_class(
     ((a - stride * hi) as u32, (hi - lo + 1) as u32, lo as u32)
 }
 
-fn compile_conv(
+/// Pattern table of a conv layer whose `[oc][ci][ki][kj]` weights (or
+/// packed codes) are `wd`, on an `h`×`w` input.
+fn compile_conv<W: Copy + Default>(
     spec: &snn_tensor::Conv2dSpec,
-    weight: &Tensor,
+    wd: &[W],
     h: usize,
     w: usize,
-) -> ConvPatterns {
+) -> ConvPatterns<W> {
     let (oh, ow) = spec.output_hw(h, w);
     let k = spec.kernel;
     let s = spec.stride;
     let oc_n = spec.out_channels;
-    let wd = weight.as_slice();
 
     let y_class: Vec<(u32, u32, u32)> = (0..h)
         .map(|iy| axis_class(iy, k, s, spec.padding, oh))
@@ -713,7 +638,7 @@ fn compile_conv(
     // channel-last cells) downward — a run's weights then ascend with its
     // cells.
     let ch_stride = k * k * oc_n;
-    let mut rw = vec![0.0f32; spec.in_channels * ch_stride];
+    let mut rw = vec![W::default(); spec.in_channels * ch_stride];
     for oc in 0..oc_n {
         for ci in 0..spec.in_channels {
             for ki in 0..k {
@@ -863,6 +788,107 @@ fn check_u32_bound(edge_bound: usize, kind: &str) -> Result<(), ConvertError> {
     Ok(())
 }
 
+/// Compiles `model`'s stage list for per-sample `input_dims`, taking the
+/// `i`-th weighted layer's per-edge payloads from `payloads[i]`: an
+/// index-for-index image of that layer's weight tensor (the f32 weights
+/// themselves, or one packed log code per weight). Geometry and biases
+/// come from `model`. Returns the stages and the total traversed edges.
+///
+/// # Errors
+///
+/// Returns [`ConvertError::Structure`] if `input_dims` does not fit the
+/// model geometry, the window does not fit the engine's step planes, a
+/// layer outgrows `u32` indexing, or `payloads` does not hold one
+/// weight-sized slice per weighted layer.
+pub(crate) fn compile_stages<W: Copy + Default>(
+    model: &SnnModel,
+    input_dims: &[usize],
+    payloads: &[&[W]],
+) -> Result<(Vec<CsrStage<W>>, usize), ConvertError> {
+    // Validates geometry up front and gives the dims at each boundary.
+    let trace = model.shape_trace(input_dims)?;
+    // The engine holds a fire step per neuron in a u16, `window + 1`
+    // standing for "never".
+    if model.window() >= u32::from(u16::MAX) {
+        return Err(ConvertError::Structure(format!(
+            "fire window {} does not fit the engine's u16 step planes",
+            model.window()
+        )));
+    }
+    let weights: Vec<&Tensor> = model.layers().iter().filter_map(SnnLayer::weight).collect();
+    if payloads.len() != weights.len()
+        || payloads
+            .iter()
+            .zip(&weights)
+            .any(|(p, w)| p.len() != w.len())
+    {
+        return Err(ConvertError::Structure(
+            "weight payloads do not match the model's weight tensors".into(),
+        ));
+    }
+    let mut payloads = payloads.iter();
+    let mut stages = Vec::with_capacity(model.layers().len());
+    let mut total_edges = 0usize;
+    for (i, layer) in model.layers().iter().enumerate() {
+        let in_dims = &trace[i];
+        let out_dims = &trace[i + 1];
+        match layer {
+            SnnLayer::Conv { spec, weight, bias } => {
+                // Targets, weight offsets and row indices are u32.
+                // Deduplication keeps the *stored* pattern table tiny —
+                // worst case (every pixel its own border class) it is the
+                // flat table of ONE channel — so the old
+                // per-pixel-times-channels MAC bound that rejected
+                // full-width VGG-16 no longer applies.
+                check_u32_bound(in_dims.iter().product::<usize>(), "conv input of")?;
+                check_u32_bound(out_dims.iter().product::<usize>(), "conv output of")?;
+                check_u32_bound(weight.len(), "conv weights of")?;
+                check_u32_bound(
+                    in_dims[1] * in_dims[2] * spec.kernel * spec.kernel * spec.out_channels,
+                    "conv pattern table of",
+                )?;
+                let wd = payloads.next().expect("one payload per weighted layer");
+                let syn = compile_conv(spec, wd, in_dims[1], in_dims[2]);
+                total_edges += syn.logical_edges();
+                let spatial = out_dims[1] * out_dims[2];
+                // Broadcast per-channel bias over spatial positions.
+                let mut full_bias = vec![0.0f32; out_dims.iter().product()];
+                for (oc, &b) in bias.as_slice().iter().enumerate() {
+                    for v in &mut full_bias[oc * spatial..(oc + 1) * spatial] {
+                        *v = b;
+                    }
+                }
+                stages.push(CsrStage::Weighted {
+                    syn: SynapseTable::Patterned(syn),
+                    bias: full_bias,
+                });
+            }
+            SnnLayer::Dense { weight, bias } => {
+                check_u32_bound(weight.len(), "dense")?;
+                let wd = payloads.next().expect("one payload per weighted layer");
+                let syn = compile_dense(wd, weight.dims()[0], weight.dims()[1]);
+                total_edges += syn.edges();
+                stages.push(CsrStage::Weighted {
+                    syn: SynapseTable::Flat(syn),
+                    bias: bias.as_slice().to_vec(),
+                });
+            }
+            SnnLayer::MaxPool { spec } => stages.push(CsrStage::MaxPool {
+                win: spec.window,
+                stride: spec.stride,
+                in_dims: in_dims.clone(),
+            }),
+            SnnLayer::AvgPool { spec } => stages.push(CsrStage::AvgPool {
+                win: spec.window,
+                stride: spec.stride,
+                in_dims: in_dims.clone(),
+            }),
+            SnnLayer::Flatten => stages.push(CsrStage::Flatten),
+        }
+    }
+    Ok((stages, total_edges))
+}
+
 impl CsrModel {
     /// Compiles `model` for per-sample input dims (`[C, H, W]`).
     ///
@@ -871,73 +897,13 @@ impl CsrModel {
     /// Returns [`ConvertError::Structure`] if `input_dims` does not fit the
     /// model geometry.
     pub fn compile(model: &SnnModel, input_dims: &[usize]) -> Result<Self, ConvertError> {
-        // Validates geometry up front and gives the dims at each boundary.
-        let trace = model.shape_trace(input_dims)?;
-        // The engine holds a fire step per neuron in a u16, `window + 1`
-        // standing for "never".
-        if model.window() >= u32::from(u16::MAX) {
-            return Err(ConvertError::Structure(format!(
-                "fire window {} does not fit the engine's u16 step planes",
-                model.window()
-            )));
-        }
-        let mut stages = Vec::with_capacity(model.layers().len());
-        let mut total_edges = 0usize;
-        for (i, layer) in model.layers().iter().enumerate() {
-            let in_dims = &trace[i];
-            let out_dims = &trace[i + 1];
-            match layer {
-                SnnLayer::Conv { spec, weight, bias } => {
-                    // Targets, weight offsets and row indices are u32.
-                    // Deduplication keeps the *stored* pattern table tiny
-                    // — worst case (every pixel its own border class) it
-                    // is the flat table of ONE channel — so the old
-                    // per-pixel-times-channels MAC bound that rejected
-                    // full-width VGG-16 no longer applies.
-                    check_u32_bound(in_dims.iter().product::<usize>(), "conv input of")?;
-                    check_u32_bound(out_dims.iter().product::<usize>(), "conv output of")?;
-                    check_u32_bound(weight.len(), "conv weights of")?;
-                    check_u32_bound(
-                        in_dims[1] * in_dims[2] * spec.kernel * spec.kernel * spec.out_channels,
-                        "conv pattern table of",
-                    )?;
-                    let syn = compile_conv(spec, weight, in_dims[1], in_dims[2]);
-                    total_edges += syn.logical_edges();
-                    let spatial = out_dims[1] * out_dims[2];
-                    // Broadcast per-channel bias over spatial positions.
-                    let mut full_bias = vec![0.0f32; out_dims.iter().product()];
-                    for (oc, &b) in bias.as_slice().iter().enumerate() {
-                        for v in &mut full_bias[oc * spatial..(oc + 1) * spatial] {
-                            *v = b;
-                        }
-                    }
-                    stages.push(CsrStage::Weighted {
-                        syn: SynapseTable::Patterned(syn),
-                        bias: full_bias,
-                    });
-                }
-                SnnLayer::Dense { weight, bias } => {
-                    check_u32_bound(weight.len(), "dense")?;
-                    let syn = compile_dense(weight);
-                    total_edges += syn.edges();
-                    stages.push(CsrStage::Weighted {
-                        syn: SynapseTable::Flat(syn),
-                        bias: bias.as_slice().to_vec(),
-                    });
-                }
-                SnnLayer::MaxPool { spec } => stages.push(CsrStage::MaxPool {
-                    win: spec.window,
-                    stride: spec.stride,
-                    in_dims: in_dims.clone(),
-                }),
-                SnnLayer::AvgPool { spec } => stages.push(CsrStage::AvgPool {
-                    win: spec.window,
-                    stride: spec.stride,
-                    in_dims: in_dims.clone(),
-                }),
-                SnnLayer::Flatten => stages.push(CsrStage::Flatten),
-            }
-        }
+        let weights: Vec<&[f32]> = model
+            .layers()
+            .iter()
+            .filter_map(SnnLayer::weight)
+            .map(Tensor::as_slice)
+            .collect();
+        let (stages, total_edges) = compile_stages(model, input_dims, &weights)?;
         Ok(Self {
             stages,
             input_dims: input_dims.to_vec(),
@@ -1121,7 +1087,7 @@ mod tests {
             assert!(oh > 0 && ow > 0, "degenerate case {spec:?} {h}x{w}");
             let weight = snn_tensor::uniform(&[co, ci, k, k], -1.0, 1.0, &mut rng);
             let flat = compile_conv_flat(&spec, &weight, h, w);
-            let pat = compile_conv(&spec, &weight, h, w);
+            let pat = compile_conv(&spec, weight.as_slice(), h, w);
             assert_eq!(pat.in_neurons(), flat.in_neurons(), "{spec:?}");
             assert_eq!(pat.logical_edges(), flat.edges(), "{spec:?}");
             for j in 0..flat.in_neurons() as u32 {
@@ -1150,7 +1116,7 @@ mod tests {
             *v = 0.0;
         }
         let flat = compile_conv_flat(&spec, &weight, 6, 6);
-        let pat = compile_conv(&spec, &weight, 6, 6);
+        let pat = compile_conv(&spec, weight.as_slice(), 6, 6);
         assert_eq!(pat.logical_edges(), flat.edges());
         let mut zeros = 0usize;
         for j in 0..flat.in_neurons() as u32 {
@@ -1169,7 +1135,7 @@ mod tests {
         let spec = Conv2dSpec::new(2, 4, 3, 1, 1);
         let mut rng = StdRng::seed_from_u64(79);
         let weight = snn_tensor::uniform(&[4, 2, 3, 3], -1.0, 1.0, &mut rng);
-        let pat = compile_conv(&spec, &weight, 16, 16);
+        let pat = compile_conv(&spec, weight.as_slice(), 16, 16);
         // 3 border classes per axis, shared by both channels -> at most 9
         // patterns.
         assert!(pat.patterns() <= 9, "{} patterns", pat.patterns());

@@ -55,9 +55,10 @@
 //!   path; the `snn-gateway` crate fronts it with a dependency-free
 //!   HTTP/1.1 edge (whose connection jobs run on a [`WorkerPool`]).
 //! * [`ModelArtifact`] / [`ModelRegistry`] — the many-models layer: a
-//!   versioned on-disk artifact format (magic + format version + checksum,
-//!   bit-exact f32 round-trip of weights **and** per-layer quantizer
-//!   calibration) and a registry that resolves `name@version` to lazily
+//!   versioned on-disk artifact format (magic + format version + checksum
+//!   around a binary payload that carries what is served — raw f32
+//!   weights, or packed log codes plus per-layer quantizer calibration —
+//!   bit-exactly) and a registry that resolves `name@version` to lazily
 //!   loaded, single-flight-compiled serving entries with LRU eviction
 //!   under a byte budget ([`CsrFootprint`] accounting) and atomic version
 //!   swap under live traffic.
@@ -135,8 +136,8 @@ pub use metrics::{
     StreamingRecorder,
 };
 pub use quant::{
-    fit_layer_quantizers, quantize_model, DecodeMode, QuantConfig, QuantCsrModel, QuantEngine,
-    QuantLayer,
+    encode_layer_codes, fit_layer_quantizers, quantize_model, DecodeMode, QuantConfig,
+    QuantCsrModel, QuantEngine, QuantLayer,
 };
 pub use registry::{
     ModelHandle, ModelRegistry, ModelStatus, RegistryConfig, RegistryError, RegistryMetrics,

@@ -12,11 +12,14 @@
 //! * [`QuantCsrModel`] — the quantized twin of [`CsrModel`]: one
 //!   [`LogQuantizer`] is **calibrated per weighted layer** (FSR anchored at
 //!   the layer's largest magnitude, the deployment-time calibration of the
-//!   paper), and the compiled synapse tables store one **packed code byte**
-//!   per edge in place of the repacked f32 weight copy. The pattern
-//!   deduplication, per-pixel maps and traversal order of the f32 compiler
-//!   are reused verbatim ([`SynapseTable::map_weights`]) — only the
-//!   per-edge payload shrinks, 4× for the stored weight array.
+//!   paper), every weight is encoded **once** to its packed code byte
+//!   ([`encode_layer_codes`] — or the codes arrive ready-made in a
+//!   quantized [`crate::ModelArtifact`]), and the compiled synapse tables
+//!   gather those codes where the f32 compiler gathers weights. The
+//!   pattern deduplication, per-pixel maps and traversal order of the f32
+//!   compiler are the same code, generic over the payload
+//!   ([`SynapseTable`]) — only the per-edge payload shrinks, 4× for the
+//!   stored weight array.
 //! * [`QuantEngine`] — an [`InferenceBackend`] whose integration loop is
 //!   the *same* batched edge-major walk as [`crate::CsrEngine`]'s
 //!   ([`run_chunk_stages`] is shared), down to the vectorised `cells +=
@@ -51,14 +54,14 @@ use snn_sim::RunStats;
 use snn_tensor::Tensor;
 use ttfs_core::{ConvertError, SnnLayer, SnnModel};
 
-use crate::csr::{footprint_of, CsrFootprint, CsrModel, CsrStage};
+use crate::csr::{compile_stages, footprint_of, CsrFootprint, CsrStage};
 use crate::engine::{
     run_batch_chunked, run_chunk_stages, EdgeWeight, FireTable, ScratchPool, DEFAULT_MAX_LANES,
 };
 use crate::InferenceBackend;
 
 #[cfg(doc)]
-use crate::csr::SynapseTable;
+use crate::csr::{CsrModel, SynapseTable};
 #[cfg(doc)]
 use crate::engine::CsrEngine;
 
@@ -175,6 +178,17 @@ fn quant_err(e: QuantError) -> ConvertError {
     ConvertError::Structure(format!("quantized compile: {e}"))
 }
 
+/// Packed codes are one byte each: `2 <= bits <= 8`.
+fn check_bits(bits: u8) -> Result<(), ConvertError> {
+    if (2..=8).contains(&bits) {
+        Ok(())
+    } else {
+        Err(ConvertError::Structure(format!(
+            "quantized compile: packed codes need 2 <= bits <= 8, got {bits}"
+        )))
+    }
+}
+
 /// Calibrates one [`LogQuantizer`] per weighted layer of `model`, in stage
 /// order — the per-layer calibration both [`QuantCsrModel::compile`] and
 /// [`quantize_model`] share, so the serving tables and the reference
@@ -189,11 +203,7 @@ pub fn fit_layer_quantizers(
     base: LogBase,
     bits: u8,
 ) -> Result<Vec<LogQuantizer>, ConvertError> {
-    if !(2..=8).contains(&bits) {
-        return Err(ConvertError::Structure(format!(
-            "quantized compile: packed codes need 2 <= bits <= 8, got {bits}"
-        )));
-    }
+    check_bits(bits)?;
     model
         .layers()
         .iter()
@@ -270,11 +280,31 @@ fn build_layer(model: &SnnModel, base: LogBase, quantizer: LogQuantizer) -> Quan
     }
 }
 
+/// Encodes every weight of `model` to its packed code through its layer's
+/// quantizer (`quantizers[i]` for the `i`-th weighted layer, as
+/// [`fit_layer_quantizers`] returns them): one code byte per weight, in
+/// the weight tensor's order. This is the payload a quantized artifact
+/// ships and [`QuantCsrModel::from_codes`] compiles.
+///
+/// # Panics
+///
+/// Panics if a quantizer is wider than 8 bits ([`LogQuantizer::pack`]);
+/// [`fit_layer_quantizers`] never returns one.
+pub fn encode_layer_codes(model: &SnnModel, quantizers: &[LogQuantizer]) -> Vec<Vec<u8>> {
+    model
+        .layers()
+        .iter()
+        .filter_map(SnnLayer::weight)
+        .zip(quantizers)
+        .map(|(w, q)| w.as_slice().iter().map(|&w| q.encode_packed(w)).collect())
+        .collect()
+}
+
 impl QuantCsrModel {
     /// Compiles the quantized serving tables for `model` at per-sample
-    /// `input_dims`: compile the f32 [`CsrModel`] (pattern dedup included),
-    /// calibrate one quantizer per weighted layer, then re-store every
-    /// edge payload as its packed code.
+    /// `input_dims`: calibrate one quantizer per weighted layer, encode
+    /// every weight once ([`encode_layer_codes`]), then compile those
+    /// codes ([`from_codes`](Self::from_codes)).
     ///
     /// # Errors
     ///
@@ -286,32 +316,53 @@ impl QuantCsrModel {
         input_dims: &[usize],
         config: QuantConfig,
     ) -> Result<Self, ConvertError> {
-        let csr = CsrModel::compile(model, input_dims)?;
         let quantizers = fit_layer_quantizers(model, config.base, config.bits)?;
-        let layers: Vec<QuantLayer> = quantizers
+        let codes = encode_layer_codes(model, &quantizers);
+        Self::from_codes(model, input_dims, config, quantizers, &codes)
+    }
+
+    /// Compiles the serving tables from shipped packed codes: the CSR
+    /// stages gather `codes[i]` (one code per weight of the `i`-th weighted
+    /// layer, in the weight tensor's order) where the f32 compiler gathers
+    /// weights, and each layer decodes through `quantizers[i]`. Geometry,
+    /// kernel, window and biases come from `model`; its weight values are
+    /// never read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConvertError::Structure`] if `input_dims` does not fit the
+    /// model geometry, for an unpackable bit width, or when `quantizers`
+    /// or `codes` do not match the model's weighted layers and `config`.
+    pub fn from_codes(
+        model: &SnnModel,
+        input_dims: &[usize],
+        config: QuantConfig,
+        quantizers: Vec<LogQuantizer>,
+        codes: &[Vec<u8>],
+    ) -> Result<Self, ConvertError> {
+        check_bits(config.bits)?;
+        if quantizers.len() != model.weighted_layers()
+            || quantizers
+                .iter()
+                .any(|q| q.base() != config.base || q.bits() != config.bits)
+        {
+            return Err(ConvertError::Structure(
+                "quantized compile: quantizers do not match the model and config".into(),
+            ));
+        }
+        let payloads: Vec<&[u8]> = codes.iter().map(Vec::as_slice).collect();
+        let (stages, total_edges) = compile_stages(model, input_dims, &payloads)?;
+        let layers = quantizers
             .into_iter()
             .map(|q| build_layer(model, config.base, q))
-            .collect();
-        let mut wi = 0usize;
-        let stages: Vec<CsrStage<u8>> = csr
-            .stages
-            .iter()
-            .map(|stage| match stage {
-                CsrStage::Weighted { .. } => {
-                    let q = &layers[wi].quantizer;
-                    wi += 1;
-                    stage.map_weights(|w| q.encode_packed(w))
-                }
-                other => other.map_weights(|_| 0u8), // no weighted payload
-            })
             .collect();
         Ok(Self {
             stages,
             layers,
             config,
             input_dims: input_dims.to_vec(),
-            total_edges: csr.total_edges,
-            fire: csr.fire,
+            total_edges,
+            fire: FireTable::new(model.kernel(), model.window()),
         })
     }
 
@@ -458,15 +509,41 @@ impl QuantEngine {
         input_dims: &[usize],
         config: QuantConfig,
     ) -> Result<Self, ConvertError> {
-        let compiled = Arc::new(QuantCsrModel::compile(&model, input_dims, config)?);
+        let compiled = QuantCsrModel::compile(&model, input_dims, config)?;
+        Self::from_compiled(model, compiled)
+    }
+
+    /// Compiles an engine from shipped packed codes and their quantizers
+    /// ([`QuantCsrModel::from_codes`]) — how a quantized
+    /// [`crate::ModelArtifact`] is served, with no calibration and no
+    /// re-encoding.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`QuantCsrModel::from_codes`], plus the
+    /// [`DecodeMode::ShiftAdd`] kernel check of
+    /// [`compile`](Self::compile).
+    pub fn from_codes(
+        model: Arc<SnnModel>,
+        input_dims: &[usize],
+        config: QuantConfig,
+        quantizers: Vec<LogQuantizer>,
+        codes: &[Vec<u8>],
+    ) -> Result<Self, ConvertError> {
+        let compiled = QuantCsrModel::from_codes(&model, input_dims, config, quantizers, codes)?;
+        Self::from_compiled(model, compiled)
+    }
+
+    fn from_compiled(model: Arc<SnnModel>, compiled: QuantCsrModel) -> Result<Self, ConvertError> {
+        let mode = compiled.config.mode;
         let engine = Self {
             model,
-            compiled,
+            compiled: Arc::new(compiled),
             mode: DecodeMode::Lut,
             max_lanes: DEFAULT_MAX_LANES,
             scratch: ScratchPool::default(),
         };
-        engine.with_mode(config.mode)
+        engine.with_mode(mode)
     }
 
     /// Selects the weight-resolution datapath.
@@ -578,6 +655,7 @@ impl InferenceBackend for QuantEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snn_nn::{

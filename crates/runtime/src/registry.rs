@@ -21,7 +21,9 @@
 //!   cold model trigger exactly one load + compile. The loader parks a
 //!   once-cell in the entry; the rest wait on that cell and receive the
 //!   load's own result — the shared handle, or its typed error — so N
-//!   racers on a bad artifact cost one disk read, not N.
+//!   racers on a bad artifact cost one disk read, not N. A load that
+//!   panics is completed by its guard: the slot goes cold and the waiters
+//!   get [`RegistryError::LoadPanicked`], so no key is left loading.
 //! * **Circuit breaking** — [`RegistryConfig::breaker_threshold`]
 //!   consecutive load failures open a per-key breaker: further lookups
 //!   fail immediately with [`RegistryError::BreakerOpen`] (carrying the
@@ -100,6 +102,9 @@ pub enum RegistryError {
     Artifact(ArtifactError),
     /// The artifact loaded but its backend failed to compile.
     Compile(String),
+    /// The load of the named `name@version` key panicked; its slot is
+    /// cold again and the next lookup retries.
+    LoadPanicked(String),
     /// The key's circuit breaker is open after repeated load failures:
     /// the registry refuses to retry the load until `retry_after` has
     /// elapsed (negative caching with exponential backoff).
@@ -117,6 +122,7 @@ impl std::fmt::Display for RegistryError {
             Self::UnknownModel(spec) => write!(f, "unknown model {spec:?}"),
             Self::Artifact(e) => write!(f, "artifact: {e}"),
             Self::Compile(e) => write!(f, "compile: {e}"),
+            Self::LoadPanicked(key) => write!(f, "load of {key} panicked"),
             Self::BreakerOpen { key, retry_after } => write!(
                 f,
                 "circuit breaker open for {key:?} after repeated load failures; retry in {:.1}s",
@@ -342,6 +348,39 @@ impl Slot {
                 None
             }
         }
+    }
+}
+
+/// Held by the one caller running a key's load, across the unlocked
+/// load and compile. It is forgotten once the load returns; dropping it —
+/// only an unwinding panic does — completes the load as a failure: the
+/// slot goes back to cold (the next lookup retries, subject to the
+/// breaker) and every waiter gets [`RegistryError::LoadPanicked`].
+struct LoadGuard<'a> {
+    registry: &'a ModelRegistry,
+    key: &'a str,
+    cell: &'a Arc<LoadCell>,
+}
+
+impl Drop for LoadGuard<'_> {
+    fn drop(&mut self) {
+        // A panic must not follow a panic: take the state even if poisoned.
+        let mut locked = self
+            .registry
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let state = &mut *locked;
+        if let Some(entry) = state.entries.get_mut(self.key) {
+            entry.slot = Slot::Cold;
+            let opened = entry.breaker.fail(Instant::now(), &self.registry.config);
+            state.counters.load_errors += 1;
+            state.counters.breaker_opens += u64::from(opened.is_some());
+        }
+        drop(locked);
+        let _ = self
+            .cell
+            .set(Err(RegistryError::LoadPanicked(self.key.to_string())));
     }
 }
 
@@ -627,10 +666,17 @@ impl ModelRegistry {
         drop(guard);
 
         // Load + compile outside the lock: other models stay serviceable
-        // and lookups for this key wait on `cell`.
+        // and lookups for this key wait on `cell`. Should the load panic,
+        // the armed guard completes it on the way out.
+        let loading = LoadGuard {
+            registry: self,
+            key: &key,
+            cell: &cell,
+        };
         let result = self
             .load_and_compile(&key, &path, &info, parent)
             .map(Arc::new);
+        std::mem::forget(loading);
         let mut guard = self.state.lock().expect("registry state poisoned");
         let state = &mut *guard;
         let entry = state

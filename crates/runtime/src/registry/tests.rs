@@ -1,5 +1,6 @@
 //! Unit tests for the per-key circuit breaker, stepped with hand-advanced
-//! `Instant`s: no sleeps, so every window and remaining time is exact.
+//! `Instant`s: no sleeps, so every window and remaining time is exact —
+//! and for the guard that completes a load whose loader panicked.
 
 use super::*;
 
@@ -98,4 +99,52 @@ fn threshold_zero_never_opens() {
         assert_eq!(breaker.fail(t0, &config), None);
     }
     assert_eq!(breaker.admit(t0), Ok(()));
+}
+
+#[test]
+fn a_dropped_load_guard_fails_the_waiters_and_leaves_the_slot_cold() {
+    let dir = std::env::temp_dir().join(format!("snn_load_guard_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let registry = ModelRegistry::open(&dir, config(1)).unwrap();
+    let cell = Arc::new(LoadCell::new());
+    registry.state.lock().unwrap().entries.insert(
+        "m@1".into(),
+        Entry {
+            catalog: CatalogEntry::Unreadable {
+                error: ArtifactError::Malformed("never read".into()),
+            },
+            slot: Slot::Loading(Arc::clone(&cell)),
+            breaker: Breaker::default(),
+            last_used: 0,
+        },
+    );
+    let guard = LoadGuard {
+        registry: &registry,
+        key: "m@1",
+        cell: &cell,
+    };
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| registry.get_or_load("m@1"));
+        // The waiter counts itself coalesced under the lock, then waits
+        // on the cell; only the guard can complete it.
+        while registry.state.lock().unwrap().counters.coalesced_loads == 0 {
+            std::thread::yield_now();
+        }
+        drop(guard);
+        assert_eq!(
+            waiter.join().unwrap().unwrap_err(),
+            RegistryError::LoadPanicked("m@1".into())
+        );
+    });
+    let state = registry.state.lock().unwrap();
+    let entry = &state.entries["m@1"];
+    assert!(matches!(entry.slot, Slot::Cold), "the slot is cold again");
+    assert_eq!(state.counters.load_errors, 1);
+    assert!(
+        entry.breaker.admit(Instant::now()).is_err(),
+        "threshold 1 opened"
+    );
+    drop(state);
+    registry.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

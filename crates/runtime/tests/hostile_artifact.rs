@@ -227,3 +227,27 @@ fn poisoned_entries_are_cataloged_as_unreadable_not_hidden() {
     assert!(registry.list().iter().any(|r| r.state == "resident"));
     registry.shutdown();
 }
+
+#[test]
+fn a_version_one_file_is_refused_not_decoded_as_v2() {
+    let (_dir, registry) = hostile_registry("v1", |bytes| {
+        // An older format's file: the gate must refuse it by version,
+        // before the checksum pass, rather than hand its payload to the
+        // v2 decoder.
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    });
+    match artifact_error(&registry, "bad@1") {
+        ArtifactError::UnsupportedVersion { found, supported } => {
+            assert_eq!((found, supported), (1, 2));
+        }
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+    let rows = registry.list();
+    let bad = rows
+        .iter()
+        .find(|r| r.name == "bad" || r.name == "bad@1")
+        .unwrap();
+    assert_eq!(bad.state, "unreadable");
+    assert_serviceable(&registry);
+    registry.shutdown();
+}
