@@ -6,8 +6,11 @@
 //! complete request plus the number of bytes it consumed, asks for more
 //! ([`None`]), or rejects the connection with a structured error the
 //! server maps to `400`/`413`. Because consumption is explicit, pipelined
-//! keep-alive requests fall out naturally — the connection loop re-parses
-//! the remainder of its buffer before reading again.
+//! keep-alive requests fall out naturally — the connection loop parses
+//! the remainder of its buffer before reading again. `parse_head` is the
+//! same parser stopped at the blank line: the gateway's connection loop
+//! parses each head once and then reads the body straight into a buffer
+//! of the declared length.
 //!
 //! Supported surface (everything the inference wire format needs):
 //! `Content-Length` bodies, keep-alive (HTTP/1.1 default, `Connection:
@@ -101,10 +104,9 @@ impl std::error::Error for ParseError {}
 ///
 /// Single left-to-right pass that stops at the FIRST blank line (a `\n`
 /// followed by `\n` or `\r\n`), whichever line-ending style produced it.
-/// `parse_request` re-runs on every socket read while a body streams in,
-/// so this must exit at the (early, small) head end instead of rescanning
-/// the accumulated body — separate whole-buffer searches per terminator
-/// style would be quadratic in the body size.
+/// A caller that re-parses a growing buffer must not pay for the body
+/// behind the head — separate whole-buffer searches per terminator style
+/// would be quadratic in the body size.
 pub fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut i = 0usize;
     while i < buf.len() {
@@ -148,6 +150,43 @@ pub fn parse_content_length(value: &str) -> Option<usize> {
 /// declared `Content-Length` exceeds [`Limits::max_body_bytes`] (detected
 /// from the head alone, before the body is buffered).
 pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usize)>, ParseError> {
+    let Some(Head {
+        mut request,
+        head_len,
+        content_length,
+    }) = parse_head(buf, limits)?
+    else {
+        return Ok(None);
+    };
+    let total = head_len.saturating_add(content_length);
+    let Some(body) = buf.get(head_len..total) else {
+        return Ok(None); // body still in flight
+    };
+    request.body = body.to_vec();
+    Ok(Some((request, total)))
+}
+
+/// A parsed request head: the request with an empty body, and how the
+/// body that follows is framed.
+#[derive(Debug, Clone)]
+pub(crate) struct Head {
+    /// The request line and headers; [`Request::body`] is empty.
+    pub(crate) request: Request,
+    /// Bytes the head occupies, blank line included.
+    pub(crate) head_len: usize,
+    /// The declared body length (0 without a `Content-Length`), already
+    /// checked against [`Limits::max_body_bytes`].
+    pub(crate) content_length: usize,
+}
+
+/// Tries to parse one request head from the front of `buf` — everything
+/// [`parse_request`] checks except that the body has arrived.
+///
+/// # Errors
+///
+/// The same as [`parse_request`]; a too-large `Content-Length` is
+/// reported here, before any of the body is read.
+pub(crate) fn parse_head(buf: &[u8], limits: &Limits) -> Result<Option<Head>, ParseError> {
     let Some(head_end) = find_head_end(buf) else {
         if buf.len() > limits.max_head_bytes {
             return Err(ParseError::BadRequest(format!(
@@ -240,12 +279,6 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
         });
     }
 
-    let total = head_end.saturating_add(content_length);
-    if buf.len() < total {
-        return Ok(None); // body still in flight
-    }
-    let body = buf.get(head_end..total).unwrap_or_default().to_vec();
-
     let connection = headers
         .iter()
         .find(|(n, _)| n == "connection")
@@ -256,16 +289,17 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usi
         _ => version_11,
     };
 
-    Ok(Some((
-        Request {
+    Ok(Some(Head {
+        request: Request {
             method: method.to_string(),
             target: target.to_string(),
             headers,
-            body,
+            body: Vec::new(),
             keep_alive,
         },
-        total,
-    )))
+        head_len: head_end,
+        content_length,
+    }))
 }
 
 /// Canonical reason phrase for the status codes the gateway emits.

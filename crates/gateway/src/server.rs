@@ -3,21 +3,31 @@
 //!
 //! ```text
 //! accept loop ──► WorkerPool (connection jobs)
-//!                    │  read → parse_request (incremental, pipelining)
-//!                    │  POST /v1/infer: JSON → Tensor → submit_with
-//!                    │       SubmitOptions { deadline_ms, priority,
-//!                    │                       trace (when collecting) }
-//!                    │       Ticket::wait_timeout → 200 / 504
+//!                    │  read → parse_head once (pipelining), then the
+//!                    │       body straight into a Content-Length buffer
+//!                    │  POST /v1/infer: one-pass JSON → Tensor →
+//!                    │       infer_blocking(image, SubmitOptions {
+//!                    │         deadline_ms, priority, trace }, handler_timeout)
+//!                    │       permit free → this thread runs the EDF batch
+//!                    │       every permit held → a worker runs it; 200 / 504
 //!                    │       SubmitError::QueueFull → 429
 //!                    │       SubmitError::Brownout → 429 (load shed)
 //!                    │       breaker open → 503 + Retry-After
 //!                    │       drain → 503
 //!                    │       (every 429/503 carries Retry-After)
+//!                    │  one-pass JSON response
 //!                    │  GET /metrics: Prometheus text (+ histograms)
 //!                    │  GET /v1/trace/<id>: span tree of a traced request
 //!                    ▼
-//!           StreamingServer (EDF pending window → worker → engine)
+//!           StreamingServer (EDF pending window → caller or worker → engine)
 //! ```
+//!
+//! A lone request on an idle server therefore never leaves the
+//! connection thread that read it: it is decoded, executed and answered
+//! there. Only when `threads` batches are already executing does it queue
+//! for a worker, and then the handler timeout bounds the wait. A handler
+//! never executes more than one batch: if more urgent requests filled the
+//! one it took, it hands back and waits like a queued one.
 //!
 //! When the wrapped server was built with a
 //! [`TraceCollector`](snn_trace::TraceCollector)
@@ -25,8 +35,9 @@
 //! each inference request gets a trace: the handler mints a
 //! [`TraceId`](snn_trace::TraceId) (or honors the request's
 //! `x-snn-trace-id` header), records the gateway-side spans
-//! (`http.request` root, `http.parse`, `request.decode`, `infer.submit`,
-//! `ticket.wait`, `http.respond`), and threads the id through
+//! (`http.request` root, `http.parse`, `request.decode`, `infer.submit` —
+//! the admission instant — `ticket.wait` — the rest of the blocking call,
+//! executing or waiting — and `http.respond`), and threads the id through
 //! [`SubmitOptions`](snn_runtime::SubmitOptions) so the worker and engine
 //! spans land in the same tree. The response echoes the id,
 //! and `GET /v1/trace/<id>` serves the finished tree.
@@ -56,7 +67,7 @@ use snn_tensor::Tensor;
 use snn_trace::{AttrValue, TraceCollector, TraceId, TraceTarget};
 
 use crate::http::{
-    parse_request, write_response, write_response_with_retry_after, Limits, ParseError, Request,
+    parse_head, write_response, write_response_with_retry_after, Head, Limits, ParseError, Request,
 };
 use crate::json::{
     render_trace, ErrorBody, InferRequest, InferResponse, ModelListBody, SwapRequest,
@@ -85,9 +96,12 @@ pub struct GatewayConfig {
     pub max_body_bytes: usize,
     /// Most bytes a request head may occupy (`400` beyond).
     pub max_head_bytes: usize,
-    /// Longest a handler waits on its [`Ticket`](snn_runtime::Ticket)
-    /// before answering `504` (the batch still executes; the reply is
-    /// discarded). Client-supplied `deadline_ms` values are clamped to
+    /// Longest a handler waits for a worker to answer before answering
+    /// `504` (the batch still executes; the reply is discarded), counted
+    /// from the handoff to the streaming server. A handler that executes
+    /// its own request's batch (an executor permit was free) is not cut
+    /// short; one whose batch was more urgent work instead runs that one
+    /// batch, then waits out the rest of this bound. Client-supplied `deadline_ms` values are clamped to
     /// half this bound — an untrusted request must not park in the EDF
     /// window longer than the gateway is willing to wait for it, and the
     /// remaining half of the budget covers queueing and execution.
@@ -497,15 +511,32 @@ fn acceptor_loop(listener: TcpListener, shared: Arc<Shared>, pool: Arc<WorkerPoo
     }
 }
 
+/// The first slice of a declared body the gateway reserves and zero-fills
+/// ahead of the reads; each later step doubles what is there.
+const BODY_STEP: usize = 64 * 1024;
+
 /// Serves one connection until it closes, errors, stops keeping alive, or
 /// the gateway drains. Panic-free by construction: all parsing is
-/// [`parse_request`], all indexing bounded.
+/// [`parse_head`], all indexing bounded.
+///
+/// Each head is parsed once. Its body is then read straight into a
+/// buffer that becomes [`Request::body`] as is; only the body bytes that
+/// arrived in the same read as the head are copied over. The buffer grows
+/// toward the declared length in steps ([`BODY_STEP`], then doubling)
+/// ahead of the reads, never all at once, so a client that declares a
+/// large body and sends none of it holds at most one step of memory. Bytes
+/// past the body stay buffered for the next pipelined request.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.poll_interval));
     let mut stream = stream;
+    // Bytes read but not yet part of a request: a head arriving, or what
+    // a client pipelined behind the current request.
     let mut buf: Vec<u8> = Vec::new();
     let mut scratch = [0u8; 8192];
+    // The request whose head is parsed, how much of its body has landed
+    // in `request.body`, and its declared length.
+    let mut pending: Option<(Request, usize, usize)> = None;
     // Reset after every completed response (not at parse time — a slow
     // handler must not eat into its connection's idle allowance); a
     // connection that then goes `keep_alive_idle` without completing a
@@ -518,64 +549,58 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut recv_start: Option<Instant> = None;
     loop {
         // Serve everything already buffered first (pipelining).
-        match parse_request(&buf, &shared.limits) {
-            Ok(Some((request, consumed))) => {
-                buf.drain(..consumed);
-                if FaultInjector::global().should(FaultPoint::ConnReset) {
-                    // Injected mid-exchange connection loss: the request
-                    // parsed but its response never leaves. The client
-                    // must surface a typed transport error, not hang.
-                    if let Some(sink) = &shared.log {
-                        snn_log::warn!(
-                            sink.collector(),
-                            "gateway.conn",
-                            { "target": request.target.as_str() },
-                            "dropping connection: injected reset after parsing {}",
-                            request.target
-                        );
-                    }
-                    let _ = stream.shutdown(NetShutdown::Both);
+        if pending.is_none() {
+            match parse_head(&buf, &shared.limits) {
+                Ok(Some(head)) => {
+                    let Head {
+                        mut request,
+                        head_len,
+                        content_length,
+                    } = head;
+                    let body_end = head_len.saturating_add(content_length).min(buf.len());
+                    let mut body = Vec::with_capacity(content_length.min(BODY_STEP));
+                    body.extend_from_slice(buf.get(head_len..body_end).unwrap_or_default());
+                    buf.drain(..body_end);
+                    let filled = body.len();
+                    request.body = body;
+                    pending = Some((request, filled, content_length));
+                }
+                Ok(None) => {}
+                Err(e) => {
+                    answer_parse_error(&mut stream, shared, &e);
                     return;
                 }
-                let received = recv_start.take().unwrap_or_else(Instant::now);
-                let keep_alive = respond(&mut stream, &request, shared, received);
-                last_activity = Instant::now();
-                if !buf.is_empty() {
-                    // A pipelined follow-up is already buffered.
-                    recv_start = Some(last_activity);
-                }
-                if !keep_alive {
-                    let _ = stream.shutdown(NetShutdown::Both);
-                    return;
-                }
-                continue;
             }
-            Ok(None) => {}
-            Err(e) => {
-                let (status, message) = match &e {
-                    ParseError::BadRequest(msg) => (400u16, msg.clone()),
-                    ParseError::PayloadTooLarge { limit } => {
-                        (413u16, format!("body exceeds the {limit}-byte limit"))
-                    }
-                };
-                let start = Instant::now();
+        }
+        if let Some((request, ..)) = pending.take_if(|(_, filled, len)| filled == len) {
+            if FaultInjector::global().should(FaultPoint::ConnReset) {
+                // Injected mid-exchange connection loss: the request
+                // parsed but its response never leaves. The client
+                // must surface a typed transport error, not hang.
                 if let Some(sink) = &shared.log {
                     snn_log::warn!(
                         sink.collector(),
                         "gateway.conn",
-                        { "status": u64::from(status) },
-                        "connection closed on parse error: {message}"
+                        { "target": request.target.as_str() },
+                        "dropping connection: injected reset after parsing {}",
+                        request.target
                     );
                 }
-                let body = ErrorBody::render(message);
-                let bytes = write_response(status, "application/json", &body, false);
-                let _ = stream.write_all(&bytes);
-                let mut rec = shared.recorder.lock().unwrap_or_else(|e| e.into_inner());
-                rec.record_parse_error();
-                rec.record_response("parse", status, start.elapsed());
                 let _ = stream.shutdown(NetShutdown::Both);
                 return;
             }
+            let received = recv_start.take().unwrap_or_else(Instant::now);
+            let keep_alive = respond(&mut stream, &request, shared, received);
+            last_activity = Instant::now();
+            if !buf.is_empty() {
+                // A pipelined follow-up is already buffered.
+                recv_start = Some(last_activity);
+            }
+            if !keep_alive {
+                let _ = stream.shutdown(NetShutdown::Both);
+                return;
+            }
+            continue;
         }
         if shared.stopping.load(Ordering::Acquire) {
             // Mid-request bytes can never complete once we stop reading;
@@ -588,13 +613,34 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             let _ = stream.shutdown(NetShutdown::Both);
             return;
         }
-        match stream.read(&mut scratch) {
+        // A body reads into place; anything else into the head buffer.
+        let read = match &mut pending {
+            Some((request, filled, len)) => {
+                let body = &mut request.body;
+                if *filled == body.len() {
+                    let step = body.len().max(BODY_STEP);
+                    body.resize(body.len().saturating_add(step).min(*len), 0);
+                }
+                let read = stream.read(body.get_mut(*filled..).unwrap_or_default());
+                if let Ok(n) = read {
+                    *filled += n;
+                }
+                read
+            }
+            None => {
+                let read = stream.read(&mut scratch);
+                if let Ok(n) = read {
+                    buf.extend_from_slice(scratch.get(..n).unwrap_or_default());
+                }
+                read
+            }
+        };
+        match read {
             Ok(0) => return, // peer closed
-            Ok(n) => {
+            Ok(_) => {
                 if recv_start.is_none() {
                     recv_start = Some(Instant::now());
                 }
-                buf.extend_from_slice(scratch.get(..n).unwrap_or_default());
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -605,6 +651,34 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Err(_) => return,
         }
     }
+}
+
+/// Answers a request the parser refused (`400`/`413`) and closes the
+/// connection: the byte stream can no longer be trusted to frame the
+/// next request.
+fn answer_parse_error(stream: &mut TcpStream, shared: &Shared, e: &ParseError) {
+    let (status, message) = match e {
+        ParseError::BadRequest(msg) => (400u16, msg.clone()),
+        ParseError::PayloadTooLarge { limit } => {
+            (413u16, format!("body exceeds the {limit}-byte limit"))
+        }
+    };
+    let start = Instant::now();
+    if let Some(sink) = &shared.log {
+        snn_log::warn!(
+            sink.collector(),
+            "gateway.conn",
+            { "status": u64::from(status) },
+            "connection closed on parse error: {message}"
+        );
+    }
+    let body = ErrorBody::render(message);
+    let bytes = write_response(status, "application/json", &body, false);
+    let _ = stream.write_all(&bytes);
+    let mut rec = shared.recorder.lock().unwrap_or_else(|e| e.into_inner());
+    rec.record_parse_error();
+    rec.record_response("parse", status, start.elapsed());
+    let _ = stream.shutdown(NetShutdown::Both);
 }
 
 /// A routed answer: `(route label, status, content type, body, explicit
@@ -1124,7 +1198,7 @@ fn log_request_failure(
 }
 
 /// The `POST /v1/infer` handler: JSON body → geometry validation →
-/// `submit_with` → bounded ticket wait → JSON response. Backpressure and
+/// `infer_blocking` → JSON response. Backpressure and
 /// lifecycle map onto the wire: `QueueFull` → 429, drain/shutdown → 503,
 /// handler timeout → 504.
 ///
@@ -1198,9 +1272,12 @@ fn make_trace_ctx(request: &Request, shared: &Shared) -> Option<TraceCtx> {
 }
 
 /// The shared inference body behind `POST /v1/infer` and
-/// `POST /v1/models/<spec>/infer`: JSON body → geometry validation against
-/// `expected_dims` (the routed entry's geometry, not the process's) →
-/// `submit_with` on `server` → bounded ticket wait → JSON response.
+/// `POST /v1/models/<spec>/infer`: one-pass JSON decode → geometry
+/// validation against `expected_dims` (the routed entry's geometry, not
+/// the process's) → [`StreamingServer::infer_blocking`] on `server`, which
+/// runs the batch on this connection thread when an executor permit is
+/// free and otherwise waits on a worker for at most the handler timeout →
+/// one-pass JSON response.
 #[allow(clippy::too_many_arguments)]
 fn run_infer(
     route: &'static str,
@@ -1224,27 +1301,9 @@ fn run_infer(
             vec![("body_bytes", request.body.len().into())],
         );
     }
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            return (
-                route,
-                400,
-                json,
-                ErrorBody::render("request body is not valid UTF-8"),
-            )
-        }
-    };
-    let wire: InferRequest = match serde_json::from_str(text) {
+    let wire = match InferRequest::decode(&request.body) {
         Ok(wire) => wire,
-        Err(e) => {
-            return (
-                route,
-                400,
-                json,
-                ErrorBody::render(format!("bad JSON: {e}")),
-            )
-        }
+        Err(msg) => return (route, 400, json, ErrorBody::render(msg)),
     };
     if let Err(msg) = wire.validate(expected_dims) {
         return (route, 400, json, ErrorBody::render(msg));
@@ -1281,8 +1340,45 @@ fn run_infer(
         });
     }
     let submitted = Instant::now();
-    let mut ticket = match server.submit_with(&image, options) {
-        Ok(ticket) => ticket,
+    let outcome = server.infer_blocking(image, options, shared.handler_timeout);
+    let answered = Instant::now();
+    if let (Some((collector, trace, root)), Ok(waited)) = (trace_ctx, &outcome) {
+        // Admission is an instant inside the blocking call; the wait spans
+        // the rest of it — the batch executing on this thread, or the wait
+        // for a worker's answer.
+        collector.record_span(*trace, *root, "infer.submit", submitted, submitted, vec![]);
+        if let Ok(response) = waited {
+            let attrs = match response {
+                Some(response) => vec![("batch_size", response.batch_size.into())],
+                None => vec![],
+            };
+            collector.record_span(*trace, *root, "ticket.wait", submitted, answered, attrs);
+        }
+    }
+    let response = match outcome {
+        Ok(Ok(Some(response))) => response,
+        Ok(Ok(None)) => {
+            log_request_failure(
+                shared,
+                route,
+                504,
+                &format!("ticket wait exceeded {:?}", shared.handler_timeout),
+                trace_id,
+            );
+            return (
+                route,
+                504,
+                json,
+                ErrorBody::render(format!(
+                    "inference did not complete within {:?}",
+                    shared.handler_timeout
+                )),
+            );
+        }
+        Ok(Err(e)) => {
+            log_request_failure(shared, route, 500, &e.to_string(), trace_id);
+            return (route, 500, json, ErrorBody::render(e.to_string()));
+        }
         Err(SubmitError::QueueFull { max_pending }) => {
             log_request_failure(
                 shared,
@@ -1334,104 +1430,52 @@ fn run_infer(
             return (route, status, json, ErrorBody::render(e.to_string()));
         }
     };
+    let logits = response.logits.into_vec();
+    let top1 = logits
+        .iter()
+        .enumerate()
+        .max_by(|(_, a), (_, b)| a.total_cmp(b))
+        .map(|(i, _)| i)
+        .unwrap_or(0);
+    let wire = InferResponse {
+        logits,
+        top1,
+        batch_size: response.batch_size,
+        queue_wait_us: response.queue_wait.as_secs_f64() * 1e6,
+        exec_us: response.exec_time.as_secs_f64() * 1e6,
+        e2e_us: submitted.elapsed().as_secs_f64() * 1e6,
+        energy_uj: response.energy_uj,
+        trace_id: trace_id.map(|trace| trace.to_string()).unwrap_or_default(),
+    };
+    let body = match wire.encode() {
+        Ok(body) => body,
+        Err(e) => {
+            log_request_failure(
+                shared,
+                route,
+                500,
+                &format!("response serialization failed: {e}"),
+                trace_id,
+            );
+            return (
+                route,
+                500,
+                json,
+                ErrorBody::render(format!("response serialization failed: {e}")),
+            );
+        }
+    };
     if let Some((collector, trace, root)) = trace_ctx {
         collector.record_span(
             *trace,
             *root,
-            "infer.submit",
-            submitted,
+            "http.respond",
+            answered,
             Instant::now(),
-            vec![],
+            vec![("body_bytes", body.len().into())],
         );
     }
-    let wait_start = Instant::now();
-    match ticket.wait_timeout(shared.handler_timeout) {
-        Ok(Some(response)) => {
-            let wait_end = Instant::now();
-            let logits = response.logits.as_slice().to_vec();
-            let top1 = logits
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| a.total_cmp(b))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            let wire = InferResponse {
-                logits,
-                top1,
-                batch_size: response.batch_size,
-                queue_wait_us: response.queue_wait.as_secs_f64() * 1e6,
-                exec_us: response.exec_time.as_secs_f64() * 1e6,
-                e2e_us: submitted.elapsed().as_secs_f64() * 1e6,
-                energy_uj: response.energy_uj,
-                trace_id: trace_ctx
-                    .map(|(_, trace, _)| trace.to_string())
-                    .unwrap_or_default(),
-            };
-            let body = match serde_json::to_string(&wire) {
-                Ok(body) => body.into_bytes(),
-                Err(e) => {
-                    log_request_failure(
-                        shared,
-                        route,
-                        500,
-                        &format!("response serialization failed: {e}"),
-                        trace_id,
-                    );
-                    return (
-                        route,
-                        500,
-                        json,
-                        ErrorBody::render(format!("response serialization failed: {e}")),
-                    );
-                }
-            };
-            if let Some((collector, trace, root)) = trace_ctx {
-                collector.record_span(
-                    *trace,
-                    *root,
-                    "ticket.wait",
-                    wait_start,
-                    wait_end,
-                    vec![("batch_size", response.batch_size.into())],
-                );
-                collector.record_span(
-                    *trace,
-                    *root,
-                    "http.respond",
-                    wait_end,
-                    Instant::now(),
-                    vec![("body_bytes", body.len().into())],
-                );
-            }
-            (route, 200, json, body)
-        }
-        Ok(None) => {
-            if let Some((collector, trace, root)) = trace_ctx {
-                let now = Instant::now();
-                collector.record_span(*trace, *root, "ticket.wait", wait_start, now, vec![]);
-            }
-            log_request_failure(
-                shared,
-                route,
-                504,
-                &format!("ticket wait exceeded {:?}", shared.handler_timeout),
-                trace_id,
-            );
-            (
-                route,
-                504,
-                json,
-                ErrorBody::render(format!(
-                    "inference did not complete within {:?}",
-                    shared.handler_timeout
-                )),
-            )
-        }
-        Err(e) => {
-            log_request_failure(shared, route, 500, &e.to_string(), trace_id);
-            (route, 500, json, ErrorBody::render(e.to_string()))
-        }
-    }
+    (route, 200, json, body)
 }
 
 /// The `GET /v1/models` handler: the registry catalog with residency

@@ -358,3 +358,72 @@ fn tight_deadline_jumps_a_relaxed_backlog() {
     gateway.shutdown();
     server.shutdown();
 }
+
+/// The `504` path: with the only executor busy, a request waits on a
+/// worker for at most `handler_timeout`, answers `504` with its error
+/// body, and counts once in `/v1/stats`'s `wait_timeouts`. The abandoned
+/// request still executes once the executor frees up — its reply is
+/// discarded, and every admission is answered server-side.
+#[test]
+fn a_request_refused_an_executor_times_out_with_504() {
+    let backend = GatedBackend::closed(CsrEngine::compile(&dense_model(22), &DIMS).unwrap());
+    let server = Arc::new(StreamingServer::new(
+        backend.clone(),
+        StreamingConfig {
+            threads: 1,
+            max_batch: 2,
+            max_delay: Duration::from_secs(30),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
+    let mut gateway = Gateway::start(
+        Arc::clone(&server),
+        GatewayConfig {
+            workers: 2,
+            handler_timeout: Duration::from_millis(50),
+            ..GatewayConfig::for_dims(&DIMS)
+        },
+    )
+    .unwrap();
+    // Park the only executor in-process, outside any handler timeout.
+    let parked = server
+        .submit(&snn_tensor::Tensor::full(&DIMS, 0.1))
+        .unwrap();
+    backend.wait_entered(1);
+
+    let body =
+        serde_json::to_string(&InferRequest::new(DIMS.to_vec(), vec![0.2; SAMPLE_LEN])).unwrap();
+    let mut client = HttpClient::connect(gateway.local_addr()).unwrap();
+    let response = client.post_json("/v1/infer", &body).unwrap();
+    assert_eq!(response.status, 504);
+    let error: snn_gateway::ErrorBody =
+        serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
+    assert!(
+        error.error.starts_with("inference did not complete within"),
+        "{error:?}"
+    );
+    let stats = client.get("/v1/stats").unwrap();
+    assert_eq!(stats.status, 200);
+    let stats: serde::Content =
+        serde_json::from_str(std::str::from_utf8(&stats.body).unwrap()).unwrap();
+    let degradation = serde::field(stats.as_map().unwrap(), "degradation").unwrap();
+    let count = |key: &str| {
+        serde::field(degradation.as_map().unwrap(), key)
+            .unwrap()
+            .as_u64()
+    };
+    assert_eq!(count("wait_timeouts"), Some(1));
+    assert_eq!(count("gateway_timeout_504"), Some(1));
+
+    backend.open();
+    parked.wait().expect("the parked request is answered");
+    // The abandoned request still resolves server-side: its slot is
+    // released only after its batch is booked.
+    common::wait_until(|| server.pending() == 0);
+    assert_eq!(server.metrics().requests, 2, "every admission answered");
+    assert_eq!(backend.batches(), vec![vec![0.1], vec![0.2]]);
+    gateway.shutdown();
+    let metrics = server.shutdown();
+    assert_eq!((metrics.requests, metrics.wait_timeouts), (2, 1));
+}

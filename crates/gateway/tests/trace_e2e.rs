@@ -4,9 +4,13 @@
 //! parse, decode, EDF queue wait, flush (with its reason), per-CSR-stage
 //! execution, and response write — and tracing never perturbs logits.
 
+#[path = "../../runtime/tests/common/mod.rs"]
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::GatedBackend;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,8 +18,8 @@ use serde::{field, Content};
 use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferRequest, InferResponse};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
-    BackendChoice, BackendHint, ModelArtifact, ModelRegistry, RegistryConfig, StreamingConfig,
-    StreamingServer,
+    BackendChoice, BackendHint, CsrEngine, ModelArtifact, ModelRegistry, RegistryConfig,
+    StreamingConfig, StreamingServer,
 };
 use snn_sim::EventSnn;
 use snn_trace::TraceCollector;
@@ -581,6 +585,97 @@ fn disabling_tracing_preserves_logits_and_records_nothing() {
     for (a, b) in untraced.logits.iter().zip(expected.as_slice()) {
         assert_eq!(a.to_bits(), b.to_bits(), "served logits match EventSnn");
     }
+    gateway.shutdown();
+    server.shutdown();
+}
+
+/// The executor of the request's batch, as its `batch.flush` span records
+/// it.
+fn executor_of(client: &mut HttpClient, response_body: Vec<u8>) -> String {
+    let wire: InferResponse =
+        serde_json::from_str(&String::from_utf8(response_body).unwrap()).unwrap();
+    let spans = fetch_tree(client, &wire.trace_id);
+    assert_tree_complete(&spans, &wire.trace_id);
+    let flush = spans.iter().find(|s| s.name == "batch.flush").unwrap();
+    flush
+        .attr("executor")
+        .and_then(Content::as_str)
+        .unwrap_or_else(|| panic!("flush span names no executor: {flush:?}"))
+        .to_string()
+}
+
+/// On an idle server a lone request runs on the connection thread that
+/// read it: its flush span says `caller`.
+#[test]
+fn a_lone_request_on_an_idle_server_is_executed_by_its_caller() {
+    let (server, _collector) = traced_stack(55, StreamingConfig::default());
+    let mut gateway = Gateway::start(
+        Arc::clone(&server),
+        GatewayConfig {
+            workers: 2,
+            ..GatewayConfig::for_dims(&DIMS)
+        },
+    )
+    .unwrap();
+    let body =
+        serde_json::to_string(&InferRequest::new(DIMS.to_vec(), vec![0.3; SAMPLE_LEN])).unwrap();
+    let mut client = HttpClient::connect(gateway.local_addr()).unwrap();
+    let response = client.post_json("/v1/infer", &body).unwrap();
+    assert_eq!(response.status, 200);
+    assert_eq!(executor_of(&mut client, response.body), "caller");
+    gateway.shutdown();
+    server.shutdown();
+}
+
+/// A request that finds the only executor busy queues, and the worker
+/// that frees up runs it: its flush span says `worker`.
+#[test]
+fn a_request_queued_behind_a_busy_executor_is_executed_by_a_worker() {
+    let collector = Arc::new(TraceCollector::new(0));
+    let backend = GatedBackend::closed(CsrEngine::compile(&dense_model(56), &DIMS).unwrap());
+    let server = Arc::new(StreamingServer::new_traced(
+        backend.clone(),
+        StreamingConfig {
+            threads: 1,
+            ..StreamingConfig::default()
+        },
+        Arc::clone(&collector),
+    ));
+    let mut gateway = Gateway::start(
+        Arc::clone(&server),
+        GatewayConfig {
+            workers: 2,
+            ..GatewayConfig::for_dims(&DIMS)
+        },
+    )
+    .unwrap();
+    // Park the single worker in-process and queue one more behind it.
+    let sample = snn_tensor::Tensor::full(&DIMS, 0.1);
+    let parked = server.submit(&sample).unwrap();
+    backend.wait_entered(1);
+    let queued_in_process = server.submit(&sample).unwrap();
+    let addr = gateway.local_addr();
+    let body =
+        serde_json::to_string(&InferRequest::new(DIMS.to_vec(), vec![0.3; SAMPLE_LEN])).unwrap();
+    let queued = std::thread::spawn(move || {
+        let mut client = HttpClient::connect(addr).unwrap();
+        client.post_json("/v1/infer", &body).unwrap()
+    });
+    // The HTTP request is in the window, refused the only permit.
+    common::wait_until(|| server.queued() == 2);
+    backend.open();
+    parked.wait().unwrap();
+    queued_in_process.wait().unwrap();
+    let response = queued.join().unwrap();
+    assert_eq!(response.status, 200);
+    let wire: InferResponse =
+        serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
+    assert_eq!(
+        wire.batch_size, 2,
+        "it rode with the request queued before it"
+    );
+    let mut client = HttpClient::connect(addr).unwrap();
+    assert_eq!(executor_of(&mut client, response.body), "worker");
     gateway.shutdown();
     server.shutdown();
 }

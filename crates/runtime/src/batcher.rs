@@ -20,9 +20,9 @@
 //!
 //! The policy never reads a clock and owns no thread, so its behaviour is
 //! a function of the (admit, take) sequence alone and is unit and property
-//! tested as such. The worker threads that drive it — and the [`Ticket`]
-//! handed to each submitter — live with [`crate::StreamingServer`] in the
-//! server module.
+//! tested as such. The executors that drive it — worker threads and
+//! blocking callers — and the [`Ticket`] handed to each submitter live
+//! with [`crate::StreamingServer`] in the server module.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -83,7 +83,8 @@ impl std::fmt::Display for FlushReason {
 #[derive(Debug, Clone)]
 pub struct StreamingConfig {
     /// Worker threads, each taking batches from the pending window and
-    /// executing them (0 = one per core).
+    /// executing them (0 = one per core) — and the most batches that
+    /// execute at once, blocking callers included.
     pub threads: usize,
     /// The most requests a worker takes from the backlog at once
     /// (0 = clamp to 1).
@@ -356,8 +357,9 @@ pub struct StreamedResponse {
     /// Event statistics of the whole formed batch this request rode in
     /// (per-request attribution is not separable after integration).
     pub batch_stats: RunStats,
-    /// Time from `submit` until a worker took the batch and began
-    /// executing it.
+    /// Time from admission until an executor took the batch and began
+    /// executing it — a worker, or on the blocking path possibly the
+    /// caller itself, in which case this is the admit-and-take step alone.
     pub queue_wait: Duration,
     /// Backend execution time of the formed batch.
     pub exec_time: Duration,

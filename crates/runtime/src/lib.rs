@@ -41,7 +41,9 @@
 //!   requests arrive one at a time (`submit(image) -> Ticket`, or
 //!   `submit_with` carrying per-request [`SubmitOptions`]) into a pending
 //!   window kept in EDF order, and the server's workers take batches
-//!   straight from it whenever they are free. Batching is
+//!   straight from it whenever they are free; `infer_blocking` lets a
+//!   caller that would block anyway take and execute its batch on its own
+//!   thread when an executor permit is free. Batching is
 //!   work-conserving: a request that finds a worker idle runs at once,
 //!   and only what piles up while every worker is busy rides together
 //!   (up to `max_batch`, earliest deadline first; plain submissions

@@ -1,15 +1,26 @@
 //! The serving front-end, [`StreamingServer`]: requests arrive one at a
-//! time via [`StreamingServer::submit`] into a pending window kept in EDF
-//! order ([`DeadlineBatcher`]); the server's own worker threads take
-//! batches straight from that window whenever they are free — one request
-//! if one is pending, up to `max_batch` if a backlog built up while they
-//! were busy — and results come back through per-request [`Ticket`]s. No
-//! thread sits between submitter and worker, and nothing sleeps on a
-//! timer. A closed batch needs no server: it is one
-//! [`InferenceBackend::run_batch`] call.
+//! time into a pending window kept in EDF order ([`DeadlineBatcher`]), and
+//! whoever executes takes batches straight from that window — one request
+//! if one is pending, up to `max_batch` if a backlog built up while every
+//! executor was busy. Who executes depends on how the request came in:
+//!
+//! * [`StreamingServer::submit`] / [`submit_with`](StreamingServer::submit_with)
+//!   return a [`Ticket`] at once and wake one of the server's worker
+//!   threads, which takes and executes the batch.
+//! * [`StreamingServer::infer_blocking`] is for a caller that would only
+//!   block on the ticket anyway (the gateway's connection thread). When an
+//!   executor permit is free, the caller takes the batch and executes it
+//!   on its own thread, with no hand-off to a worker and none back; when
+//!   none is free, it wakes a worker and waits on its ticket.
+//!
+//! Either way at most `threads` batches execute at once: workers and
+//! blocking callers share one set of permits. No thread sits between a
+//! request and its executor, and nothing sleeps on a timer. A closed batch
+//! needs no server: it is one [`InferenceBackend::run_batch`] call.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,6 +58,10 @@ fn resolve_threads(threads: usize) -> usize {
 /// Nothing in the server waits for a deadline, so what separates a
 /// request's arrival from its `exec_start` is either one condvar hand-off
 /// to an idle worker or genuine backlog, and only the second is a miss.
+/// The hand-off is the non-blocking path's
+/// ([`submit`](StreamingServer::submit)); a
+/// [`infer_blocking`](StreamingServer::infer_blocking) caller that finds a
+/// permit free starts its batch on its own thread with no hand-off at all.
 /// The hand-off was measured on the 2-vCPU box this repo is developed on,
 /// with a `max_delay: ZERO` server (every deadline is the arrival instant,
 /// so a grace below the hand-off would count every request), 50 000
@@ -75,11 +90,15 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Requests admitted by [`submit`](Self::submit) enter the
 /// [`DeadlineBatcher`]'s pending window and wake one worker. Each of the
 /// server's [`threads`](Self::threads) workers loops *take a batch,
-/// execute it*, sleeping only while the window is empty: a request that
-/// arrives while a worker is idle executes at once, and what arrives while
-/// all of them are busy is taken together — up to
+/// execute it*, sleeping only while there is nothing it may take: a
+/// request that arrives while an executor is idle executes at once, and
+/// what arrives while all of them are busy is taken together — up to
 /// [`max_batch`](StreamingConfig::max_batch), earliest deadline first —
-/// by the first worker to free up. A request's deadline (plain `submit`
+/// by the first executor to free up. A caller of
+/// [`infer_blocking`](Self::infer_blocking) is an executor too: with a
+/// permit free it takes the batch on its own thread instead of waking a
+/// worker, and `threads` caps the batches executing at once, whoever runs
+/// them. A request's deadline (plain `submit`
 /// inherits [`max_delay`](StreamingConfig::max_delay);
 /// [`submit_with`](Self::submit_with) carries a per-request
 /// [`SubmitOptions`]) orders the backlog and draws the deadline-miss
@@ -90,8 +109,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// test in `tests/runtime_equivalence.rs`).
 ///
 /// [`shutdown`](Self::shutdown) (also run on drop) is graceful: it closes
-/// admission, lets the workers drain the window, and joins them — no
-/// admitted ticket is left unresolved.
+/// admission, lets the workers drain the window, joins them and waits for
+/// blocking callers to finish the batches they hold — no admitted ticket
+/// is left unresolved.
 ///
 /// # Example
 ///
@@ -152,17 +172,28 @@ pub struct StreamingServer {
     brownout_engaged: AtomicBool,
 }
 
-/// What submitters and workers share.
+/// What submitters, callers and workers share.
 struct Stream {
     backend: Arc<dyn InferenceBackend>,
-    /// The pending window. Submitters admit under this lock, workers take
-    /// under it, and its closed flag is what makes a submit unable to race
-    /// a shutdown.
-    window: Mutex<DeadlineBatcher<PendingRequest>>,
-    /// Signalled once per admission and on close. Workers wait on it only
-    /// while the window is empty, so a wake-up is never lost: whoever
-    /// finds the window empty is holding the lock an admission needs.
+    /// The pending window and the executor permits. Submitters admit under
+    /// this lock, executors take under it, and its closed flag is what
+    /// makes a submit unable to race a shutdown.
+    window: Mutex<Window>,
+    /// Signalled once per non-blocking admission, once by a blocking
+    /// caller refused a permit, by a caller that returns its permit with
+    /// work still pending, and — to everyone — on close and on every
+    /// permit returned after it. Workers wait on it only while they cannot
+    /// take (window empty, or every permit held), so a wake-up is never
+    /// lost: whoever finds nothing to take is holding the lock that
+    /// admitting work or returning a permit needs. Once closed, every
+    /// permit returned wakes every waiter, because any one of them — a
+    /// worker that may now take or exit, or
+    /// [`StreamingServer::shutdown`] waiting out caller-held permits — may
+    /// be the one that was waiting for it.
     work: Condvar,
+    /// Executor permits: at most this many batches execute at once,
+    /// whoever runs them.
+    threads: usize,
     recorder: Arc<Mutex<StreamingRecorder>>,
     /// For backends without compiled dims: pinned by the first
     /// submission; later submissions must match so any taken batch is
@@ -171,10 +202,54 @@ struct Stream {
     /// Admitted-but-unresolved requests (pending + executing); bounded by
     /// `max_pending` when nonzero.
     in_flight: AtomicUsize,
-    /// Span sink the workers record into; `None` on an untraced server
+    /// Span sink the executors record into; `None` on an untraced server
     /// ([`StreamingServer::new`]), where the runtime records nothing
     /// regardless of [`SubmitOptions::trace`].
     trace: Option<Arc<TraceCollector>>,
+}
+
+/// Where a submission's reply arrives.
+type ReplyReceiver = Receiver<Result<StreamedResponse, ConvertError>>;
+
+/// The pending window plus the count of batches executing right now —
+/// one lock, so taking a batch and claiming the permit to run it are one
+/// step.
+struct Window {
+    batcher: DeadlineBatcher<PendingRequest>,
+    /// Batches executing, by workers and blocking callers together; never
+    /// above [`Stream::threads`].
+    executing: usize,
+}
+
+/// Who executed a batch: recorded as the `executor` attribute of its
+/// `batch.flush` span.
+#[derive(Debug, Clone, Copy)]
+enum Executor {
+    /// A [`StreamingServer::infer_blocking`] caller, on its own thread.
+    Caller,
+    /// One of the server's worker threads.
+    Worker,
+}
+
+impl Executor {
+    fn as_str(self) -> &'static str {
+        match self {
+            Self::Caller => "caller",
+            Self::Worker => "worker",
+        }
+    }
+}
+
+/// A blocking caller's executor permit. Returned on drop — so also when
+/// the caller's batch unwinds — and a caller returning it with work still
+/// pending wakes a worker, so an admitted request is never stranded
+/// behind a permit nobody is using.
+struct CallerPermit<'a>(&'a Stream);
+
+impl Drop for CallerPermit<'_> {
+    fn drop(&mut self) {
+        self.0.release_permit();
+    }
 }
 
 impl StreamingServer {
@@ -184,9 +259,10 @@ impl StreamingServer {
         Self::build(backend, config, None)
     }
 
-    /// Like [`new`](Self::new), but with a [`TraceCollector`] the workers
-    /// record runtime spans into (`queue.wait`, `batch.flush` with its
-    /// reason, `batch.exec` and the per-stage engine spans underneath) for
+    /// Like [`new`](Self::new), but with a [`TraceCollector`] the
+    /// executors record runtime spans into (`queue.wait`, `batch.flush`
+    /// with its reason and executor, `batch.exec` and the per-stage engine
+    /// spans underneath) for
     /// every submission carrying a [`SubmitOptions::trace`] target. A
     /// disabled collector costs one relaxed atomic load per recording
     /// site; logits are bit-identical either way (tracing never touches
@@ -208,8 +284,12 @@ impl StreamingServer {
         let max_batch = config.max_batch.max(1);
         let stream = Arc::new(Stream {
             backend,
-            window: Mutex::new(DeadlineBatcher::new(max_batch)),
+            window: Mutex::new(Window {
+                batcher: DeadlineBatcher::new(max_batch),
+                executing: 0,
+            }),
             work: Condvar::new(),
+            threads,
             recorder: Arc::new(Mutex::new(StreamingRecorder::new())),
             sample_dims: Mutex::new(None),
             in_flight: AtomicUsize::new(0),
@@ -261,7 +341,9 @@ impl StreamingServer {
         self.stream.backend.input_dims()
     }
 
-    /// Worker thread count — every thread the server owns.
+    /// Worker thread count — every thread the server owns, and the most
+    /// batches that execute at once (workers and blocking callers
+    /// together).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -282,12 +364,18 @@ impl StreamingServer {
         self.stream.in_flight.load(Ordering::Relaxed)
     }
 
+    /// Requests in the pending window right now: admitted, not yet taken
+    /// by an executor.
+    pub fn queued(&self) -> usize {
+        lock(&self.stream.window).batcher.len()
+    }
+
     /// Whether [`shutdown`](Self::shutdown) has begun: submissions are
     /// closed and every future `submit` returns
     /// [`SubmitError::Rejected`]. A front-end uses this to tell
     /// unavailability (503) apart from a malformed request (400).
     pub fn is_shut_down(&self) -> bool {
-        lock(&self.stream.window).is_closed()
+        lock(&self.stream.window).batcher.is_closed()
     }
 
     /// Whether priority brownout is currently engaged (admitted count
@@ -327,6 +415,91 @@ impl StreamingServer {
         image: &Tensor,
         options: SubmitOptions,
     ) -> Result<Ticket, SubmitError> {
+        let (window, rx) = self.admit(Cow::Borrowed(image), options)?;
+        drop(window);
+        // Outside the lock, so the woken worker does not immediately block
+        // on it. If every worker is busy nobody hears this — and nobody
+        // needs to: each looks at the window again before it sleeps.
+        self.stream.work.notify_one();
+        Ok(self.ticket(rx))
+    }
+
+    /// Runs one image to completion for a caller that is going to block on
+    /// the answer anyway — the gateway's connection thread. Admission is
+    /// exactly [`submit_with`](Self::submit_with)'s. When an executor
+    /// permit is free (fewer than [`threads`](Self::threads) batches
+    /// executing), the calling thread takes the EDF batch itself and
+    /// executes it — no worker is woken, nothing crosses threads. It takes
+    /// one batch, never more: if an earlier deadline kept its own request
+    /// out of that batch, it returns the permit (waking a worker, since
+    /// work is pending) and waits like a refused caller, so a stream of
+    /// more urgent requests cannot keep it executing other clients'
+    /// batches. When every permit is held, it wakes a worker and waits on
+    /// its ticket. Either way `timeout`, counted from the call, bounds the
+    /// wait as [`Ticket::wait_timeout`] does.
+    ///
+    /// The outer result is admission; the inner one is what
+    /// [`Ticket::wait_timeout`] would have returned: the response, `None`
+    /// if `timeout` passed first (the request still executes; its reply is
+    /// discarded), or the batch's error.
+    ///
+    /// # Errors
+    ///
+    /// Same admission conditions as [`submit_with`](Self::submit_with).
+    pub fn infer_blocking(
+        &self,
+        image: Tensor,
+        options: SubmitOptions,
+        timeout: Duration,
+    ) -> Result<Result<Option<StreamedResponse>, ConvertError>, SubmitError> {
+        let called = Instant::now();
+        let stream = &*self.stream;
+        let (mut window, rx) = self.admit(Cow::Owned(image), options)?;
+        let mut ticket = self.ticket(rx);
+        if window.executing < stream.threads {
+            window.executing += 1;
+            let permit = CallerPermit(stream);
+            // Admitted under this same lock, so there is a batch to take.
+            let taken = window.batcher.take(Instant::now());
+            drop(window);
+            if let Some((batch, reason)) = taken {
+                // Same isolation as a worker: a panic outside the guarded
+                // backend call fails this batch's tickets, not the caller.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    stream.execute(batch, reason, Executor::Caller)
+                }));
+            }
+            drop(permit);
+            if let Some(answer) = ticket.try_wait().transpose() {
+                return Ok(answer.map(Some));
+            }
+        } else {
+            drop(window);
+            stream.work.notify_one();
+        }
+        Ok(ticket.wait_timeout(timeout.saturating_sub(called.elapsed())))
+    }
+
+    /// The ticket a submission's reply arrives on.
+    fn ticket(&self, rx: ReplyReceiver) -> Ticket {
+        Ticket::new(
+            self.next_id.fetch_add(1, Ordering::Relaxed),
+            rx,
+            Some(Arc::clone(&self.stream.recorder)),
+        )
+    }
+
+    /// Admission, shared by [`submit_with`](Self::submit_with) and
+    /// [`infer_blocking`](Self::infer_blocking): sheds, brownout, the dims
+    /// check, then the request joins the pending window. Returns the
+    /// window still locked (the blocking path takes from it under the
+    /// same lock) and the receiver the reply will arrive on. A borrowed
+    /// image is copied only once it is admitted; an owned one moves.
+    fn admit(
+        &self,
+        image: Cow<'_, Tensor>,
+        options: SubmitOptions,
+    ) -> Result<(MutexGuard<'_, Window>, ReplyReceiver), SubmitError> {
         let stream = &*self.stream;
         if image.dims().is_empty() || image.as_slice().is_empty() {
             return Err(SubmitError::Rejected(ConvertError::Structure(
@@ -406,31 +579,29 @@ impl StreamingServer {
         let enqueued = Instant::now();
         let deadline = enqueued + options.deadline.unwrap_or(self.max_delay);
         let request = PendingRequest {
-            image: image.as_slice().to_vec(),
+            image: match image {
+                Cow::Borrowed(image) => image.as_slice().to_vec(),
+                Cow::Owned(image) => image.into_vec(),
+            },
             enqueued,
             deadline,
             // A trace target without a collector records nothing.
             trace: stream.trace.as_ref().and(options.trace),
             reply,
         };
-        if lock(&stream.window)
+        let mut window = lock(&stream.window);
+        if window
+            .batcher
             .admit(request, deadline, options.priority)
             .is_err()
         {
+            drop(window);
             release_slot();
             return Err(SubmitError::Rejected(ConvertError::Structure(
                 "streaming server is shut down; submissions are closed".into(),
             )));
         }
-        // Outside the lock, so the woken worker does not immediately block
-        // on it. If every worker is busy nobody hears this — and nobody
-        // needs to: each looks at the window again before it sleeps.
-        stream.work.notify_one();
-        Ok(Ticket::new(
-            self.next_id.fetch_add(1, Ordering::Relaxed),
-            rx,
-            Some(Arc::clone(&stream.recorder)),
-        ))
+        Ok((window, rx))
     }
 
     /// Attaches windowed telemetry: lists the recorder's own cells in
@@ -503,15 +674,26 @@ impl StreamingServer {
 
     /// Gracefully shuts down: closes submissions, wakes every worker to
     /// drain the pending window in `max_batch`-sized EDF batches
-    /// (resolving all outstanding tickets), joins them, and returns the
-    /// final metrics. Idempotent; also invoked by [`Drop`].
+    /// (resolving all outstanding tickets), joins them, waits for blocking
+    /// callers still executing a batch to return their permits, and
+    /// returns the final metrics — which therefore count every batch.
+    /// Idempotent; also invoked by [`Drop`].
     pub fn shutdown(&self) -> StreamingMetrics {
-        lock(&self.stream.window).close();
+        lock(&self.stream.window).batcher.close();
         self.stream.work.notify_all();
         let workers = std::mem::take(&mut *lock(&self.workers));
         for worker in workers {
             let _ = worker.join();
         }
+        let mut window = lock(&self.stream.window);
+        while window.executing > 0 {
+            window = self
+                .stream
+                .work
+                .wait(window)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        drop(window);
         self.metrics()
     }
 }
@@ -537,26 +719,61 @@ impl Drop for SlotRelease<'_> {
 }
 
 impl Stream {
+    /// Returns a blocking caller's permit. With work still pending one
+    /// worker is woken to take it; once the window is closed every waiter
+    /// is (see [`work`](Self::work)).
+    fn release_permit(&self) {
+        let mut window = lock(&self.window);
+        window.executing -= 1;
+        let pending = !window.batcher.is_empty();
+        let closed = window.batcher.is_closed();
+        drop(window);
+        if closed {
+            self.work.notify_all();
+        } else if pending {
+            self.work.notify_one();
+        }
+    }
+
     /// One worker thread: take a batch, execute it, repeat; sleep only
-    /// while the window is empty; exit once it is closed and drained.
+    /// while there is nothing it may take; exit once the window is closed
+    /// and drained. A worker keeps its permit from batch to batch and
+    /// returns it only when it finds the window empty, so a busy worker
+    /// costs the permit count nothing.
     fn work_until_closed(&self) {
+        let mut window = lock(&self.window);
+        let mut holding = false;
         loop {
-            let mut window = lock(&self.window);
-            let (batch, reason) = loop {
-                match window.take(Instant::now()) {
-                    Some(taken) => break taken,
-                    None if window.is_closed() => return,
-                    None => window = self.work.wait(window).unwrap_or_else(|e| e.into_inner()),
+            if holding || window.executing < self.threads {
+                if let Some((batch, reason)) = window.batcher.take(Instant::now()) {
+                    if !holding {
+                        window.executing += 1;
+                        holding = true;
+                    }
+                    drop(window);
+                    // The backend call is guarded on its own (see
+                    // `run_batch_guarded`); this catches a panic anywhere
+                    // else in the batch — its tickets then see a dropped
+                    // channel — so the worker outlives it and later
+                    // submissions are not stranded.
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        self.execute(batch, reason, Executor::Worker)
+                    }));
+                    window = lock(&self.window);
+                    continue;
                 }
-            };
-            drop(window);
-            // The backend call is guarded on its own (see
-            // `run_batch_guarded`); this catches a panic anywhere else in
-            // the batch — its tickets then see a dropped channel — so the
-            // worker outlives it and later submissions are not stranded.
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.execute(batch, reason)
-            }));
+            }
+            if holding {
+                window.executing -= 1;
+                holding = false;
+                if window.batcher.is_closed() {
+                    self.work.notify_all();
+                }
+            }
+            if window.batcher.is_closed() && window.batcher.is_empty() {
+                return;
+            }
+            window = self.work.wait(window).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -574,7 +791,7 @@ impl Stream {
     /// Runs one taken batch as a single `[k, …]` tensor and fans the
     /// per-row logits back out to each rider's ticket, recording the
     /// flush, queue-wait and execution spans and metrics.
-    fn execute(&self, mut batch: Vec<PendingRequest>, reason: FlushReason) {
+    fn execute(&self, mut batch: Vec<PendingRequest>, reason: FlushReason, executor: Executor) {
         let k = batch.len();
         let _slot_release = SlotRelease {
             in_flight: &self.in_flight,
@@ -601,7 +818,11 @@ impl Stream {
                     "batch.flush",
                     exec_start,
                     exec_start,
-                    vec![("reason", reason.as_str().into()), ("batch_size", k.into())],
+                    vec![
+                        ("reason", reason.as_str().into()),
+                        ("batch_size", k.into()),
+                        ("executor", executor.as_str().into()),
+                    ],
                 );
             }
         }
@@ -846,6 +1067,130 @@ mod tests {
             Layer::Dense(DenseLayer::new(8, 3, &mut rng)),
         ]);
         convert(&net, Base2Kernel::paper_default(), 24).unwrap()
+    }
+
+    /// Answers each row with its own first pixel, logs which thread ran
+    /// every batch and what rode in it, and holds a batch carrying
+    /// [`HELD`] until [`release`](Self::release).
+    struct HeldEcho {
+        model: SnnModel,
+        held: Mutex<bool>,
+        changed: Condvar,
+        ran: Mutex<Vec<(std::thread::ThreadId, Vec<f32>)>>,
+    }
+
+    const HELD: f32 = 0.0;
+
+    impl HeldEcho {
+        fn release(&self) {
+            *self.held.lock().unwrap() = false;
+            self.changed.notify_all();
+        }
+
+        fn ran(&self) -> Vec<(std::thread::ThreadId, Vec<f32>)> {
+            self.ran.lock().unwrap().clone()
+        }
+    }
+
+    impl InferenceBackend for HeldEcho {
+        fn name(&self) -> &'static str {
+            "held-echo"
+        }
+        fn model(&self) -> &SnnModel {
+            &self.model
+        }
+        fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
+            let k = images.dims()[0];
+            let sample_len = images.len() / k;
+            let firsts: Vec<f32> = (0..k).map(|i| images.as_slice()[i * sample_len]).collect();
+            if firsts.contains(&HELD) {
+                let held = self.held.lock().unwrap();
+                drop(self.changed.wait_while(held, |held| *held).unwrap());
+            }
+            self.ran
+                .lock()
+                .unwrap()
+                .push((std::thread::current().id(), firsts.clone()));
+            Ok((
+                Tensor::from_vec(firsts, &[k, 1]).unwrap(),
+                RunStats::default(),
+            ))
+        }
+    }
+
+    /// A blocking caller that finds a permit free while more urgent work
+    /// is pending executes one batch of that work, then hands back and
+    /// waits: it does not keep executing other clients' batches while its
+    /// own request keeps losing in EDF order.
+    #[test]
+    fn a_caller_executes_at_most_one_batch_that_is_not_its_own() {
+        let backend = Arc::new(HeldEcho {
+            model: dense_model(),
+            held: Mutex::new(true),
+            changed: Condvar::new(),
+            ran: Mutex::new(Vec::new()),
+        });
+        let server = StreamingServer::new(
+            backend.clone(),
+            StreamingConfig {
+                threads: 1,
+                max_batch: 1,
+                max_delay: Duration::from_secs(30),
+                ..StreamingConfig::default()
+            },
+        );
+        let sample = |v: f32| Tensor::full(&[1, 3, 4], v);
+        // The only worker parks inside a batch, holding the only permit.
+        let parked = server.submit(&sample(HELD)).unwrap();
+        while server.queued() > 0 {
+            std::thread::yield_now();
+        }
+        let urgent = SubmitOptions {
+            deadline: Some(Duration::ZERO),
+            priority: u8::MAX,
+            trace: None,
+        };
+        let backlog: Vec<_> = [1.0, 2.0, 3.0]
+            .map(|v| server.submit_with(&sample(v), urgent).unwrap())
+            .into();
+        // Hand out a permit the parked worker cannot use: the state a
+        // blocking caller meets when it wins the lock between a submit's
+        // wake-up and the woken worker's take.
+        lock(&server.stream.window).executing -= 1;
+        let caller = std::thread::scope(|scope| {
+            let relaxed = scope.spawn(|| {
+                let answer = server.infer_blocking(
+                    sample(9.0),
+                    SubmitOptions::default(),
+                    Duration::from_secs(30),
+                );
+                (std::thread::current().id(), answer)
+            });
+            // The caller ran the most urgent batch and returned the permit.
+            while backend.ran().is_empty() || lock(&server.stream.window).executing > 0 {
+                std::thread::yield_now();
+            }
+            lock(&server.stream.window).executing += 1;
+            backend.release();
+            relaxed.join().unwrap()
+        });
+        let (caller, answer) = caller;
+        let answer = answer.unwrap().unwrap().expect("answered by the worker");
+        assert_eq!(answer.logits.as_slice(), &[9.0]);
+        parked.wait().unwrap();
+        for ticket in backlog {
+            ticket.wait().unwrap();
+        }
+        let ran = backend.ran();
+        let by_caller: Vec<_> = ran.iter().filter(|(t, _)| *t == caller).collect();
+        assert_eq!(
+            by_caller,
+            vec![&(caller, vec![1.0])],
+            "the caller ran exactly one batch, the most urgent one; all: {ran:?}"
+        );
+        let metrics = server.shutdown();
+        assert_eq!(metrics.requests, 5);
+        assert_eq!(server.pending(), 0);
     }
 
     #[test]
