@@ -19,6 +19,8 @@
 //! clients never produce it and accepting it would complicate the
 //! denial-of-service story for no serving benefit.
 
+use std::io::Write;
+
 /// Byte-size limits the parser enforces before buffering further input.
 #[derive(Debug, Clone)]
 pub struct Limits {
@@ -322,36 +324,38 @@ pub fn status_reason(status: u16) -> &'static str {
 /// `Connection` header (the gateway always frames by length, never by
 /// connection close).
 pub fn write_response(status: u16, content_type: &str, body: &[u8], keep_alive: bool) -> Vec<u8> {
-    write_response_with_retry_after(status, content_type, body, keep_alive, None)
+    write_response_with_headers(status, content_type, body, keep_alive, None, None)
 }
 
-/// [`write_response`] with an optional `Retry-After: <seconds>` header —
-/// the gateway attaches one to every backpressure/unavailability answer
-/// (`429`/`503`) so well-behaved clients can pace their retries instead
-/// of hammering a breaker that is known to stay open.
-pub fn write_response_with_retry_after(
+/// [`write_response`] with the two optional headers the gateway sends:
+/// `Retry-After: <seconds>` on every backpressure/unavailability answer
+/// (`429`/`503`), so well-behaved clients can pace their retries instead
+/// of hammering a breaker that is known to stay open, and
+/// `Allow: <methods>` on every `405` (RFC 9110 §15.5.6).
+pub fn write_response_with_headers(
     status: u16,
     content_type: &str,
     body: &[u8],
     keep_alive: bool,
     retry_after_secs: Option<u64>,
+    allow: Option<&str>,
 ) -> Vec<u8> {
-    let retry_after = retry_after_secs
-        .map(|secs| format!("Retry-After: {secs}\r\n"))
-        .unwrap_or_default();
     let mut out = Vec::with_capacity(body.len() + 160);
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: {}\r\n\r\n",
-            status,
-            status_reason(status),
-            content_type,
-            body.len(),
-            retry_after,
-            if keep_alive { "keep-alive" } else { "close" },
-        )
-        .as_bytes(),
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
+        status_reason(status),
+        body.len(),
     );
+    if let Some(secs) = retry_after_secs {
+        let _ = write!(out, "Retry-After: {secs}\r\n");
+    }
+    if let Some(allow) = allow {
+        let _ = write!(out, "Allow: {allow}\r\n");
+    }
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let _ = write!(out, "Connection: {connection}\r\n\r\n");
     out.extend_from_slice(body);
     out
 }
@@ -498,7 +502,8 @@ mod tests {
 
     #[test]
     fn response_writer_emits_retry_after_when_asked() {
-        let bytes = write_response_with_retry_after(503, "application/json", b"{}", false, Some(7));
+        let bytes =
+            write_response_with_headers(503, "application/json", b"{}", false, Some(7), None);
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 7\r\n"));

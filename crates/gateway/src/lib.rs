@@ -15,31 +15,38 @@
 //!   map onto [`SubmitOptions`](snn_runtime::SubmitOptions). Float
 //!   round-trips are bit-exact, so HTTP serving preserves the workspace's
 //!   logit-equivalence guarantees.
-//! * [`Gateway`] — acceptor + connection worker pool with graceful drain;
-//!   routes `POST /v1/infer`, `GET /metrics` (Prometheus text: gateway
-//!   counters, [`StreamingMetrics`](snn_runtime::StreamingMetrics) and
-//!   power-of-two `le` latency histograms), `GET /v1/trace/<id>` (a traced
+//! * [`Gateway`] — acceptor + connection worker pool with graceful drain.
+//!   One static route table in `server.rs` (`ROUTES`) is the only list of
+//!   what it serves: each row's method, path pattern, `route` label (the
+//!   one `/metrics` and `/v1/stats` report), handler, trace root and drain
+//!   rule. A wrong method answers `405` with `Allow`, an unknown path
+//!   `404`. The rows: `POST /v1/infer`; `GET /metrics` (Prometheus text:
+//!   gateway counters, [`StreamingMetrics`](snn_runtime::StreamingMetrics)
+//!   and latency histograms whose `le` buckets are octave sums of
+//!   `snn_telemetry`'s log-linear bins); `GET /v1/trace/<id>` (a traced
 //!   request's span tree — when the wrapped server carries a
-//!   [`TraceCollector`](snn_trace::TraceCollector), each `/v1/infer`
+//!   [`TraceCollector`](snn_trace::TraceCollector), each inference
 //!   response echoes its `trace_id`, honoring a client-supplied
-//!   `x-snn-trace-id` header), `GET /healthz` (liveness: always `200`
-//!   while the process runs, even mid-drain) and `GET /readyz` (readiness:
+//!   `x-snn-trace-id` header); `GET /healthz` (liveness: always `200`
+//!   while the process runs, even mid-drain); `GET /readyz` (readiness:
 //!   `503` with a JSON body once [`Gateway::begin_drain`] flips the drain
-//!   flag, reporting brownout and breaker state alongside). With telemetry
-//!   on (the [`GatewayConfig::telemetry`] default) a windowed
-//!   [`TelemetryHub`](snn_telemetry::TelemetryHub) collects labeled
-//!   per-model / per-route sliding-window series — served as JSON by
-//!   `GET /v1/stats` ([`stats`] documents the schema) and rendered live by
-//!   `GET /dashboard`, a single dependency-free HTML page. Backpressure
-//!   maps onto the wire:
+//!   flag, reporting brownout and breaker state alongside); `GET /v1/logs`
+//!   and `GET /v1/incidents[/<id>]` (the flight recorder and incident
+//!   reports). With telemetry on (the [`GatewayConfig::telemetry`]
+//!   default) a windowed [`TelemetryHub`](snn_telemetry::TelemetryHub)
+//!   collects labeled per-model / per-route sliding-window series —
+//!   served as JSON by `GET /v1/stats` ([`stats`] documents the schema)
+//!   and rendered live by `GET /dashboard`, a single dependency-free HTML
+//!   page. Backpressure maps onto the wire:
 //!   [`QueueFull`](snn_runtime::SubmitError::QueueFull) → `429`, drain →
 //!   `503`, handler timeout → `504`. With a
 //!   [`ModelRegistry`](snn_runtime::ModelRegistry) attached
 //!   ([`Gateway::start_with_registry`]) the gateway also serves
 //!   `GET /v1/models` (catalog + residency), `POST
 //!   /v1/models/<name[@version]>/infer` (per-model routing with lazy
-//!   load + compile) and `POST /v1/models/<name>/swap` (atomic version
-//!   swap under live traffic).
+//!   load + compile, through the same inference handler as `/v1/infer`)
+//!   and `POST /v1/models/<name>/swap` (atomic version swap under live
+//!   traffic); without one those rows answer `404`.
 //! * [`client`] — a std-only keep-alive HTTP client and closed-loop load
 //!   generator ([`run_closed_loop`]), reused by the benchmark harness and
 //!   the end-to-end tests.

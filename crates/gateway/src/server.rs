@@ -5,42 +5,41 @@
 //! accept loop ──► WorkerPool (connection jobs)
 //!                    │  read → parse_head once (pipelining), then the
 //!                    │       body straight into a Content-Length buffer
-//!                    │  POST /v1/infer: one-pass JSON → Tensor →
-//!                    │       infer_blocking(image, SubmitOptions {
-//!                    │         deadline_ms, priority, trace }, handler_timeout)
+//!                    │  ROUTES: (method, path) → row → handler → Reply
+//!                    │       404 / 405 + Allow / drain 503 from the table
+//!                    │  POST /v1/infer, /v1/models/<spec>/infer: one-pass
+//!                    │       JSON → Tensor → infer_blocking(image,
+//!                    │       SubmitOptions { deadline_ms, priority, trace })
 //!                    │       permit free → this thread runs the EDF batch
 //!                    │       every permit held → a worker runs it; 200 / 504
-//!                    │       SubmitError::QueueFull → 429
-//!                    │       SubmitError::Brownout → 429 (load shed)
-//!                    │       breaker open → 503 + Retry-After
-//!                    │       drain → 503
-//!                    │       (every 429/503 carries Retry-After)
-//!                    │  one-pass JSON response
-//!                    │  GET /metrics: Prometheus text (+ histograms)
-//!                    │  GET /v1/trace/<id>: span tree of a traced request
+//!                    │       queue full or brownout → 429, breaker open or
+//!                    │       drain → 503 (every 429/503 carries Retry-After)
 //!                    ▼
 //!           StreamingServer (EDF pending window → caller or worker → engine)
 //! ```
 //!
-//! A lone request on an idle server therefore never leaves the
-//! connection thread that read it: it is decoded, executed and answered
-//! there. Only when `threads` batches are already executing does it queue
-//! for a worker, and then the handler timeout bounds the wait. A handler
-//! never executes more than one batch: if more urgent requests filled the
-//! one it took, it hands back and waits like a queued one.
+//! [`ROUTES`] is the one source of the gateway's routes: each row names a
+//! method, a path pattern, the `route` label `/metrics` and `/v1/stats`
+//! report, its handler, whether it gets a trace root and whether it
+//! answers while draining.
 //!
-//! When the wrapped server was built with a
-//! [`TraceCollector`](snn_trace::TraceCollector)
-//! ([`StreamingServer::new_traced`](snn_runtime::StreamingServer::new_traced)),
-//! each inference request gets a trace: the handler mints a
-//! [`TraceId`](snn_trace::TraceId) (or honors the request's
-//! `x-snn-trace-id` header), records the gateway-side spans
-//! (`http.request` root, `http.parse`, `request.decode`, `infer.submit` —
-//! the admission instant — `ticket.wait` — the rest of the blocking call,
-//! executing or waiting — and `http.respond`), and threads the id through
-//! [`SubmitOptions`](snn_runtime::SubmitOptions) so the worker and engine
-//! spans land in the same tree. The response echoes the id,
-//! and `GET /v1/trace/<id>` serves the finished tree.
+//! A lone request on an idle server never leaves the connection thread
+//! that read it: it is decoded, executed and answered there. Only when
+//! `threads` batches are already executing does it queue for a worker, and
+//! then the handler timeout bounds the wait. A handler never executes more
+//! than one batch: if more urgent requests filled the one it took, it
+//! hands back and waits like a queued one.
+//!
+//! On a traced gateway (the wrapped server was built with a
+//! [`TraceCollector`](snn_trace::TraceCollector)) every traced row — the
+//! two inference routes and swap — gets a trace: an `http.request` root
+//! carrying the status, whatever it is, under an id minted or taken from
+//! the request's `x-snn-trace-id` header. The inference handler adds
+//! `http.parse`, `request.decode`, `infer.submit`, `ticket.wait` and
+//! `http.respond` spans and threads the id through
+//! [`SubmitOptions`](snn_runtime::SubmitOptions), so the worker and engine
+//! spans land in the same tree. The response echoes the id, and
+//! `GET /v1/trace/<id>` serves the finished tree.
 //!
 //! Shutdown is a graceful drain: the acceptor stops, connection workers
 //! answer anything already parsed with `503` and exit at their next poll
@@ -53,7 +52,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,7 +66,7 @@ use snn_tensor::Tensor;
 use snn_trace::{AttrValue, TraceCollector, TraceId, TraceTarget};
 
 use crate::http::{
-    parse_head, write_response, write_response_with_retry_after, Head, Limits, ParseError, Request,
+    parse_head, write_response, write_response_with_headers, Head, Limits, ParseError, Request,
 };
 use crate::json::{
     render_trace, ErrorBody, InferRequest, InferResponse, ModelListBody, SwapRequest,
@@ -201,6 +200,16 @@ struct Shared {
     handler_timeout: Duration,
     poll_interval: Duration,
     keep_alive_idle: Duration,
+}
+
+impl Shared {
+    /// The route recorder. A poisoned lock is recovered, not propagated:
+    /// it holds plain counters with no multi-step invariants, and losing
+    /// `/metrics` because one handler thread panicked would blind the
+    /// operator exactly when they need the numbers.
+    fn recorder(&self) -> MutexGuard<'_, GatewayRecorder> {
+        self.recorder.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// The HTTP serving front-end: acceptor + connection worker pool over a
@@ -425,15 +434,7 @@ impl Gateway {
 
     /// Snapshot of the gateway-level metrics accumulated so far.
     pub fn metrics(&self) -> GatewayMetrics {
-        // Recover, don't propagate, a poisoned recorder: it holds plain
-        // counters with no multi-step invariants, and losing /metrics
-        // because one handler thread panicked would blind the operator
-        // exactly when they need the numbers.
-        self.shared
-            .recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .summarize()
+        self.shared.recorder().summarize()
     }
 
     /// Gracefully drains and stops the gateway: no new connections are
@@ -481,11 +482,7 @@ fn acceptor_loop(listener: TcpListener, shared: Arc<Shared>, pool: Arc<WorkerPoo
                     let _ = stream.shutdown(NetShutdown::Both);
                     break;
                 }
-                shared
-                    .recorder
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record_connection();
+                shared.recorder().record_connection();
                 let shared = Arc::clone(&shared);
                 // A closed pool can only mean shutdown raced us; drop the
                 // stream and exit on the next accept.
@@ -675,151 +672,267 @@ fn answer_parse_error(stream: &mut TcpStream, shared: &Shared, e: &ParseError) {
     let body = ErrorBody::render(message);
     let bytes = write_response(status, "application/json", &body, false);
     let _ = stream.write_all(&bytes);
-    let mut rec = shared.recorder.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rec = shared.recorder();
     rec.record_parse_error();
     rec.record_response("parse", status, start.elapsed());
     let _ = stream.shutdown(NetShutdown::Both);
 }
 
-/// A routed answer: `(route label, status, content type, body, explicit
-/// Retry-After seconds)`. The final element is `None` almost everywhere —
+/// A handler's answer. `retry_after` is `None` almost everywhere —
 /// [`respond`] derives a default `Retry-After: 1` for every `429`/`503` —
 /// and carries an explicit value only where the server knows better (the
 /// registry's circuit breaker knows exactly how long it will stay open).
-type Reply = (&'static str, u16, &'static str, Vec<u8>, Option<u64>);
-
-/// Widens a plain 4-field answer into a [`Reply`] with no explicit
-/// Retry-After override.
-fn widen(reply: (&'static str, u16, &'static str, Vec<u8>)) -> Reply {
-    let (route, status, content_type, body) = reply;
-    (route, status, content_type, body, None)
+struct Reply {
+    status: u16,
+    content_type: &'static str,
+    body: Vec<u8>,
+    retry_after: Option<u64>,
 }
 
-/// Routes and answers one request; returns whether the connection may
-/// serve another. `received` is when the request's first bytes arrived —
-/// the root instant of its trace, when tracing is on.
+impl Reply {
+    fn new(status: u16, content_type: &'static str, body: Vec<u8>) -> Self {
+        Self {
+            status,
+            content_type,
+            body,
+            retry_after: None,
+        }
+    }
+
+    fn json(status: u16, body: Vec<u8>) -> Self {
+        Self::new(status, "application/json", body)
+    }
+
+    /// A JSON error body: `{"error": message}`.
+    fn error(status: u16, message: impl Into<String>) -> Self {
+        Self::json(status, ErrorBody::render(message))
+    }
+}
+
+/// How a [`Route`] matches a path. Matching borrows the path and never
+/// allocates; what the pattern leaves over is the handler's `tail`.
+#[derive(Clone, Copy)]
+enum Pattern {
+    /// Exactly this path; the tail is empty.
+    Exact(&'static str),
+    /// Any path under this prefix; the tail (possibly empty) is the rest.
+    Under(&'static str),
+    /// `prefix tail suffix` with a non-empty tail.
+    Around(&'static str, &'static str),
+}
+
+impl Pattern {
+    fn tail(self, path: &str) -> Option<&str> {
+        match self {
+            Self::Exact(exact) => (path == exact).then_some(""),
+            Self::Under(prefix) => path.strip_prefix(prefix),
+            Self::Around(prefix, suffix) => path
+                .strip_prefix(prefix)?
+                .strip_suffix(suffix)
+                .filter(|tail| !tail.is_empty()),
+        }
+    }
+}
+
+/// A route's handler, typed by the optional subsystem it reads: dispatch
+/// ([`serve`]) hands the subsystem over, or answers `404` with that
+/// subsystem's one message when the gateway runs without it.
+#[derive(Clone, Copy)]
+enum Handler {
+    Plain(fn(&Call) -> Reply),
+    Registry(fn(&Call, &ModelRegistry) -> Reply),
+    Telemetry(fn(&Call, &TelemetryHub) -> Reply),
+    Tracing(fn(&Call, &TraceCollector) -> Reply),
+    Logging(fn(&Call, &LogCollector) -> Reply),
+    Incidents(fn(&Call, &IncidentRecorder) -> Reply),
+}
+
+/// One row of [`ROUTES`].
+struct Route {
+    method: &'static str,
+    pattern: Pattern,
+    /// The `route` label of `/metrics`, `/v1/stats` and the access log.
+    label: &'static str,
+    gate: Gate,
+    handler: Handler,
+}
+
+/// What a row gets besides its handler.
+#[derive(Clone, Copy, PartialEq)]
+enum Gate {
+    /// Refused with `503` while the gateway drains.
+    Serve,
+    /// As `Serve`, and an `http.request` root span carrying the status,
+    /// whatever it is (on a traced gateway).
+    Traced,
+    /// Still answered while the gateway drains.
+    Probe,
+}
+
+/// Every route the gateway serves: the one source of its paths, methods,
+/// `route` labels, trace roots and drain rule. A path some row matches
+/// under other methods only answers `405` with `Allow`, a path no row
+/// matches `404`, both labelled `other`. While the gateway drains, only
+/// the probe rows answer and everything else gets `503` (label `drain`):
+/// liveness stays `200` and readiness reports `503` with a JSON body
+/// saying why, so a load balancer sees "alive but do not route here".
+#[rustfmt::skip]
+static ROUTES: &[Route] = {
+    use Gate::{Probe, Serve, Traced};
+    use Handler::{Incidents, Logging, Plain, Registry, Telemetry, Tracing};
+    use Pattern::{Around, Exact, Under};
+    &[
+        Route { method: "GET",  pattern: Exact("/healthz"),               label: "health",      gate: Probe,  handler: Plain(health) },
+        Route { method: "GET",  pattern: Exact("/readyz"),                label: "health",      gate: Probe,  handler: Plain(readyz) },
+        Route { method: "POST", pattern: Exact("/v1/infer"),              label: "infer",       gate: Traced, handler: Plain(|c| infer(c, None)) },
+        Route { method: "POST", pattern: Around("/v1/models/", "/infer"), label: "model_infer", gate: Traced, handler: Registry(|c, r| infer(c, Some(r))) },
+        Route { method: "POST", pattern: Around("/v1/models/", "/swap"),  label: "swap",        gate: Traced, handler: Registry(swap) },
+        Route { method: "GET",  pattern: Exact("/v1/models"),             label: "models",      gate: Serve,  handler: Registry(models) },
+        Route { method: "GET",  pattern: Exact("/metrics"),               label: "metrics",     gate: Serve,  handler: Plain(metrics) },
+        Route { method: "GET",  pattern: Exact("/v1/stats"),              label: "stats",       gate: Serve,  handler: Telemetry(stats) },
+        Route { method: "GET",  pattern: Exact("/dashboard"),             label: "dashboard",   gate: Serve,  handler: Telemetry(dashboard) },
+        Route { method: "GET",  pattern: Under("/v1/trace/"),             label: "trace",       gate: Serve,  handler: Tracing(trace) },
+        Route { method: "GET",  pattern: Exact("/v1/logs"),               label: "logs",        gate: Serve,  handler: Logging(logs) },
+        Route { method: "GET",  pattern: Exact("/v1/incidents"),          label: "incidents",   gate: Serve,  handler: Incidents(incidents) },
+        Route { method: "GET",  pattern: Under("/v1/incidents/"),         label: "incidents",   gate: Serve,  handler: Incidents(incident) },
+    ]
+};
+
+/// The row serving `(method, path)` and the path's tail. `Err` carries the
+/// `Allow` value when rows serve `path` under other methods only, and is
+/// `Err(None)` when no row serves it.
+fn route<'p>(method: &str, path: &'p str) -> Result<(&'static Route, &'p str), Option<String>> {
+    let rows = ROUTES
+        .iter()
+        .filter_map(|row| Some((row, row.pattern.tail(path)?)));
+    if let Some(hit) = rows.clone().find(|(row, _)| row.method == method) {
+        return Ok(hit);
+    }
+    let allow: Vec<&str> = rows.map(|(row, _)| row.method).collect();
+    Err((!allow.is_empty()).then(|| allow.join(", ")))
+}
+
+/// One routed request, as its handler sees it.
+struct Call<'a> {
+    request: &'a Request,
+    shared: &'a Shared,
+    route: &'static Route,
+    /// What the row's [`Pattern`] left of the path.
+    tail: &'a str,
+    /// When the request's first bytes arrived: its root span's start.
+    received: Instant,
+    /// The request's trace context, on traced rows of a traced gateway.
+    trace: Option<TraceCtx>,
+}
+
+impl Call<'_> {
+    /// Where this request's runtime and registry spans hang: its root.
+    fn parent(&self) -> Option<TraceTarget> {
+        self.trace.as_ref().map(|(_, trace, root)| TraceTarget {
+            trace: *trace,
+            parent: *root,
+        })
+    }
+
+    /// Records a child span of the request's root, when traced; `attrs`
+    /// is only built then.
+    fn span(
+        &self,
+        name: &'static str,
+        start: Instant,
+        end: Instant,
+        attrs: impl FnOnce() -> Vec<(&'static str, AttrValue)>,
+    ) {
+        if let Some((collector, trace, root)) = &self.trace {
+            collector.record_span(*trace, *root, name, start, end, attrs());
+        }
+    }
+
+    /// Answers `status` with `message`, logging `detail` first (see
+    /// [`log_failure`](Self::log_failure)).
+    fn fail(&self, status: u16, detail: &str, message: String) -> Reply {
+        self.log_failure(status, detail);
+        Reply::error(status, message)
+    }
+
+    /// Records a request-failure event in the flight recorder, stamped
+    /// with the request's (possibly internally minted) trace id — every 5xx
+    /// answer leaves at least one correlated event behind.
+    fn log_failure(&self, status: u16, detail: &str) {
+        let Some(sink) = &self.shared.log else { return };
+        let collector = sink.collector();
+        let level = if status >= 500 {
+            Level::Error
+        } else {
+            Level::Warn
+        };
+        if collector.level_enabled(level) {
+            let route = self.route.label;
+            collector.record_traced(
+                level,
+                "gateway.http",
+                format!("{route} failed with {status}: {detail}"),
+                vec![
+                    ("route", route.into()),
+                    ("status", u64::from(status).into()),
+                ],
+                self.trace.as_ref().map(|&(_, trace, _)| trace),
+            );
+        }
+    }
+}
+
+/// Answers one request; returns whether the connection may serve another.
+/// `received` is when the request's first bytes arrived — the root instant
+/// of its trace, when tracing is on.
 fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received: Instant) -> bool {
     let start = Instant::now();
     let draining = shared.draining.load(Ordering::Acquire);
-    // Health probes are answered even while draining: liveness must stay
-    // `200` (the process is alive, winding down is not a crash) and
-    // readiness must keep *reporting* — it answers `503` with a JSON body
-    // saying why, so a load balancer sees "alive but do not route here".
-    let probe = match (request.method.as_str(), request.path()) {
-        ("GET", "/healthz") => Some(("health", 200u16, "text/plain", b"ok\n".to_vec(), None)),
-        ("GET", "/readyz") => Some(widen(handle_readyz(shared, draining))),
-        _ => None,
-    };
-    let (route, status, content_type, body, retry_override) = if let Some(reply) = probe {
-        reply
-    } else if draining {
-        (
-            "drain",
-            503u16,
-            "application/json",
-            ErrorBody::render("gateway is draining; retry against another replica"),
-            None,
-        )
-    } else {
-        match (request.method.as_str(), request.path()) {
-            ("POST", "/v1/infer") => handle_infer(request, shared, received),
-            ("GET", "/v1/models") => widen(handle_models_list(shared)),
-            (method, path) if path.starts_with("/v1/models/") => {
-                handle_model_route(method, path, request, shared, received)
-            }
-            ("GET", path) if path.starts_with("/v1/trace/") => widen(handle_trace(path, shared)),
-            (_, path) if path.starts_with("/v1/trace/") => (
-                "other",
-                405,
-                "application/json",
-                ErrorBody::render(format!("method {} not allowed on {path}", request.method)),
-                None,
-            ),
-            ("GET", "/v1/logs") => widen(handle_logs(request, shared)),
-            ("GET", "/v1/incidents") => widen(handle_incidents_list(shared)),
-            ("GET", path) if path.starts_with("/v1/incidents/") => {
-                widen(handle_incident_get(path, shared))
-            }
-            (_, path) if path == "/v1/incidents" || path.starts_with("/v1/incidents/") => (
-                "other",
-                405,
-                "application/json",
-                ErrorBody::render(format!("method {} not allowed on {path}", request.method)),
-                None,
-            ),
-            ("GET", "/metrics") => {
-                let streaming = shared.server.metrics();
-                let gateway = shared
-                    .recorder
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .summarize();
-                let registry = shared.registry.as_deref().map(|r| r.metrics());
-                let trace = live_trace_stats(shared);
-                let log = live_log_stats(shared);
-                (
-                    "metrics",
-                    200,
-                    "text/plain; version=0.0.4",
-                    prometheus_text(&gateway, &streaming, registry.as_ref(), trace, log.as_ref())
-                        .into_bytes(),
-                    None,
-                )
-            }
-            ("GET", "/v1/stats") => widen(handle_stats(shared)),
-            ("GET", "/dashboard") => widen(handle_dashboard(shared)),
-            (_, "/v1/infer")
-            | (_, "/v1/models")
-            | (_, "/metrics")
-            | (_, "/healthz")
-            | (_, "/readyz")
-            | (_, "/v1/stats")
-            | (_, "/v1/logs")
-            | (_, "/dashboard") => (
-                "other",
-                405,
-                "application/json",
-                ErrorBody::render(format!(
-                    "method {} not allowed on {}",
-                    request.method,
-                    request.path()
-                )),
-                None,
-            ),
-            (_, path) => (
-                "other",
-                404,
-                "application/json",
-                ErrorBody::render(format!("no route for {path}")),
-                None,
-            ),
+    let path = request.path();
+    let mut allow = None;
+    let (label, reply) = match route(&request.method, path) {
+        Ok((row, tail)) if row.gate == Gate::Probe || !draining => {
+            (row.label, serve(row, tail, request, shared, received))
         }
+        _ if draining => (
+            "drain",
+            Reply::error(503, "gateway is draining; retry against another replica"),
+        ),
+        Err(Some(methods)) => {
+            allow = Some(methods);
+            let message = format!("method {} not allowed on {path}", request.method);
+            ("other", Reply::error(405, message))
+        }
+        _ => ("other", Reply::error(404, format!("no route for {path}"))),
     };
+    let status = reply.status;
     // Every backpressure/unavailability answer carries a Retry-After so
     // clients pace their retries: an explicit value when the server knows
     // the outage's horizon (breaker backoff), else "1" (brownout, queue
     // full and drain all clear on the order of a second or a re-route).
-    let retry_after = retry_override.or(match status {
+    let retry_after = reply.retry_after.or(match status {
         429 | 503 => Some(1),
         _ => None,
     });
     // During drain the connection stops keeping alive so workers wind down.
     let keep_alive = request.keep_alive && !draining;
-    let bytes =
-        write_response_with_retry_after(status, content_type, &body, keep_alive, retry_after);
+    let bytes = write_response_with_headers(
+        status,
+        reply.content_type,
+        &reply.body,
+        keep_alive,
+        retry_after,
+        allow.as_deref(),
+    );
     let wrote = stream.write_all(&bytes).is_ok();
     // One clock read, so the route's cells and the access log agree
     // about this request.
     let latency = start.elapsed();
-    shared
-        .recorder
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .record_response(route, status, latency);
+    shared.recorder().record_response(label, status, latency);
     // Per-request access log: one event per answered request, error-level
     // for 5xx, warn for backpressure, stamped with the caller's trace id
     // when the request carried one (inference failures additionally log
-    // with their internally minted id — see `log_request_failure`).
+    // with their internally minted id — see `Call::log_failure`).
     if let Some(sink) = &shared.log {
         let collector = sink.collector();
         let level = match status {
@@ -834,9 +947,9 @@ fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received:
             collector.record_traced(
                 level,
                 "gateway.http",
-                format!("{} {} -> {status}", request.method, request.path()),
+                format!("{} {path} -> {status}", request.method),
                 vec![
-                    ("route", route.into()),
+                    ("route", label.into()),
                     ("status", u64::from(status).into()),
                     ("latency_us", (latency.as_micros() as u64).into()),
                 ],
@@ -847,15 +960,96 @@ fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received:
     keep_alive && wrote
 }
 
-/// The `GET /readyz` handler — readiness as distinct from liveness. A
-/// ready gateway answers `200`; a draining one answers `503` so load
-/// balancers stop routing here while `/healthz` keeps reporting the
-/// process alive. The body always carries the degradation signals an
-/// operator triages first: the drain flag, whether the streaming server's
-/// priority brownout is engaged, and how many registry models sit behind
-/// an open circuit breaker.
-fn handle_readyz(shared: &Shared, draining: bool) -> (&'static str, u16, &'static str, Vec<u8>) {
-    const ROUTE: &str = "health";
+/// Runs `route`'s handler, or answers `404` when the subsystem it reads is
+/// off. A traced row's `http.request` root is recorded with the reply's
+/// status for every outcome, not only a `200`; it closes after every child
+/// span and before [`respond`] writes a byte, so a follow-up
+/// `GET /v1/trace/<id>` always sees a complete tree with one root and no
+/// orphans.
+fn serve(
+    route: &'static Route,
+    tail: &str,
+    request: &Request,
+    shared: &Shared,
+    received: Instant,
+) -> Reply {
+    let call = Call {
+        request,
+        shared,
+        route,
+        tail,
+        received,
+        // A traced row mints its trace, or adopts the `x-snn-trace-id` one.
+        trace: (route.gate == Gate::Traced)
+            .then(|| shared.trace.as_ref().filter(|c| c.is_enabled()))
+            .flatten()
+            .map(|collector| {
+                let trace = request
+                    .header("x-snn-trace-id")
+                    .and_then(TraceId::parse_hex)
+                    .unwrap_or_else(|| collector.mint_trace());
+                (Arc::clone(collector), trace, collector.next_span_id())
+            }),
+    };
+    let off = |message| Reply::error(404, message);
+    let reply = match route.handler {
+        Handler::Plain(handler) => handler(&call),
+        Handler::Registry(handler) => match shared.registry.as_deref() {
+            Some(registry) => handler(&call, registry),
+            None => off("no model registry attached to this gateway"),
+        },
+        Handler::Telemetry(handler) => match shared.telemetry.as_deref() {
+            Some(hub) => handler(&call, hub),
+            None => off("telemetry is not enabled on this gateway"),
+        },
+        Handler::Tracing(handler) => match shared.trace.as_deref() {
+            Some(collector) => handler(&call, collector),
+            None => off("tracing is not enabled on this gateway"),
+        },
+        Handler::Logging(handler) => match &shared.log {
+            Some(sink) => handler(&call, sink.collector()),
+            None => off("logging is not enabled on this gateway"),
+        },
+        Handler::Incidents(handler) => match shared.log.as_ref().and_then(|s| s.incidents()) {
+            Some(recorder) => handler(&call, recorder),
+            None => off("incident capture is not enabled on this gateway"),
+        },
+    };
+    if let Some((collector, trace, root)) = &call.trace {
+        collector.record_span_with_id(
+            *root,
+            *trace,
+            0,
+            "http.request",
+            received,
+            Instant::now(),
+            vec![("status", AttrValue::U64(u64::from(reply.status)))],
+        );
+    }
+    reply
+}
+
+/// `(collector, trace id, pre-allocated root span id)` for one request —
+/// `None` when the gateway is untraced or the collector is disabled, in
+/// which case the only cost downstream is one check per instrumentation
+/// point.
+type TraceCtx = (Arc<TraceCollector>, TraceId, u64);
+
+/// `GET /healthz` — liveness: `200` while the process runs, even mid-drain.
+fn health(_: &Call) -> Reply {
+    Reply::new(200, "text/plain", b"ok\n".to_vec())
+}
+
+/// `GET /readyz` — readiness as distinct from liveness. A ready gateway
+/// answers `200`; a draining one answers `503` so load balancers stop
+/// routing here while `/healthz` keeps reporting the process alive. The
+/// body always carries the degradation signals an operator triages first:
+/// the drain flag, whether the streaming server's priority brownout is
+/// engaged, and how many registry models sit behind an open circuit
+/// breaker.
+fn readyz(call: &Call) -> Reply {
+    let shared = call.shared;
+    let draining = shared.draining.load(Ordering::Acquire);
     let breaker_open_models = shared
         .registry
         .as_deref()
@@ -866,44 +1060,31 @@ fn handle_readyz(shared: &Shared, draining: bool) -> (&'static str, u16, &'stati
                 .count()
         })
         .unwrap_or(0);
-    let body = serde::Content::Map(vec![
-        ("ready".to_string(), serde::Content::Bool(!draining)),
-        ("draining".to_string(), serde::Content::Bool(draining)),
-        (
-            "brownout_engaged".to_string(),
-            serde::Content::Bool(shared.server.brownout_engaged()),
-        ),
-        (
-            "breaker_open_models".to_string(),
-            serde::Content::U64(breaker_open_models as u64),
-        ),
-    ]);
-    let body = serde_json::to_string(&body)
-        .unwrap_or_else(|_| "{\"ready\":false}".to_string())
-        .into_bytes();
-    let status = if draining { 503 } else { 200 };
-    (ROUTE, status, "application/json", body)
+    let body = format!(
+        "{{\"ready\":{},\"draining\":{draining},\"brownout_engaged\":{},\"breaker_open_models\":{breaker_open_models}}}",
+        !draining,
+        shared.server.brownout_engaged(),
+    );
+    Reply::json(if draining { 503 } else { 200 }, body.into_bytes())
 }
 
-/// The `GET /v1/stats` handler: the full windowed telemetry snapshot as
-/// JSON (see [`crate::stats`] for the schema). `404` when the gateway was
-/// configured with [`GatewayConfig::telemetry`] off.
-fn handle_stats(shared: &Shared) -> (&'static str, u16, &'static str, Vec<u8>) {
-    const ROUTE: &str = "stats";
-    let Some(hub) = shared.telemetry.as_deref() else {
-        return (
-            ROUTE,
-            404,
-            "application/json",
-            ErrorBody::render("telemetry is not enabled on this gateway"),
-        );
-    };
-    (
-        ROUTE,
-        200,
-        "application/json",
-        render_live_stats(shared, hub),
-    )
+/// `GET /metrics` — Prometheus text: gateway, streaming, registry, trace
+/// and log families.
+fn metrics(call: &Call) -> Reply {
+    let shared = call.shared;
+    let streaming = shared.server.metrics();
+    let gateway = shared.recorder().summarize();
+    let registry = shared.registry.as_deref().map(|r| r.metrics());
+    let trace = live_trace_stats(shared);
+    let log = live_log_stats(shared);
+    let text = prometheus_text(&gateway, &streaming, registry.as_ref(), trace, log.as_ref());
+    Reply::new(200, "text/plain; version=0.0.4", text.into_bytes())
+}
+
+/// `GET /v1/stats` — the full windowed telemetry snapshot as JSON (see
+/// [`crate::stats`] for the schema).
+fn stats(call: &Call, hub: &TelemetryHub) -> Reply {
+    Reply::json(200, render_live_stats(call.shared, hub))
 }
 
 /// Renders the full `/v1/stats` snapshot body — shared between the route
@@ -911,11 +1092,7 @@ fn handle_stats(shared: &Shared) -> (&'static str, u16, &'static str, Vec<u8>) {
 /// snapshot always matches the live schema.
 fn render_live_stats(shared: &Shared, hub: &TelemetryHub) -> Vec<u8> {
     let streaming = shared.server.metrics();
-    let gateway = shared
-        .recorder
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .summarize();
+    let gateway = shared.recorder().summarize();
     let registry = shared.registry.as_deref().map(|r| r.metrics());
     let trace = live_trace_stats(shared);
     let log = live_log_stats(shared);
@@ -985,100 +1162,49 @@ fn snapshot_sections(shared: &Shared, trace: Option<TraceId>) -> Vec<(String, St
     sections
 }
 
-/// The `GET /dashboard` handler: one self-contained HTML page (no external
-/// scripts, styles or fonts — it must render on an air-gapped box) that
-/// polls `/v1/stats` and draws per-model tiles, sparklines, SLO state and
-/// the degradation ladder. `404` when telemetry is off.
-fn handle_dashboard(shared: &Shared) -> (&'static str, u16, &'static str, Vec<u8>) {
-    const ROUTE: &str = "dashboard";
-    if shared.telemetry.is_none() {
-        return (
-            ROUTE,
-            404,
-            "application/json",
-            ErrorBody::render("telemetry is not enabled on this gateway"),
-        );
-    }
-    (
-        ROUTE,
-        200,
-        "text/html; charset=utf-8",
-        include_str!("dashboard.html").as_bytes().to_vec(),
-    )
+/// `GET /dashboard` — one self-contained HTML page (no external scripts,
+/// styles or fonts — it must render on an air-gapped box) that polls
+/// `/v1/stats` and draws per-model tiles, sparklines, SLO state and the
+/// degradation ladder.
+fn dashboard(_: &Call, _: &TelemetryHub) -> Reply {
+    let page = include_str!("dashboard.html").as_bytes().to_vec();
+    Reply::new(200, "text/html; charset=utf-8", page)
 }
 
-/// The `GET /v1/trace/<id>` handler: parses the hex trace id from the
-/// path and returns the recorded span tree as JSON. `404` when tracing is
-/// off, the id is unknown, or the trace was evicted from the bounded
-/// collector; `400` for a malformed id.
-fn handle_trace(path: &str, shared: &Shared) -> (&'static str, u16, &'static str, Vec<u8>) {
-    const ROUTE: &str = "trace";
-    let json = "application/json";
-    let Some(collector) = shared.trace.as_deref() else {
-        return (
-            ROUTE,
-            404,
-            json,
-            ErrorBody::render("tracing is not enabled on this gateway"),
-        );
-    };
-    let id_text = path.strip_prefix("/v1/trace/").unwrap_or_default();
-    let Some(trace) = TraceId::parse_hex(id_text) else {
-        return (
-            ROUTE,
-            400,
-            json,
-            ErrorBody::render(format!(
-                "{id_text:?} is not a trace id (up to 16 hex digits)"
-            )),
-        );
+/// `GET /v1/trace/<id>` — parses the hex trace id from the path and
+/// returns the recorded span tree as JSON. `404` when the id is unknown
+/// or the trace was evicted from the bounded collector; `400` for a
+/// malformed id.
+fn trace(call: &Call, collector: &TraceCollector) -> Reply {
+    let Some(trace) = TraceId::parse_hex(call.tail) else {
+        let message = format!("{:?} is not a trace id (up to 16 hex digits)", call.tail);
+        return Reply::error(400, message);
     };
     let spans = collector.trace(trace);
     if spans.is_empty() {
-        return (
-            ROUTE,
-            404,
-            json,
-            ErrorBody::render(format!(
-                "no spans recorded for trace {trace}; it may have been evicted"
-            )),
-        );
+        let message = format!("no spans recorded for trace {trace}; it may have been evicted");
+        return Reply::error(404, message);
     }
-    (ROUTE, 200, json, render_trace(trace, &spans))
+    Reply::json(200, render_trace(trace, &spans))
 }
 
-/// The `GET /v1/logs` handler: the flight recorder's retained events as
-/// JSON, optionally filtered by `?level=<debug|info|warn|error>`
-/// (at-least) and `?target=<prefix>`. Each event uses the same schema as
-/// the JSON-lines sink. `404` when logging is off; `400` for an unknown
-/// level.
-fn handle_logs(request: &Request, shared: &Shared) -> (&'static str, u16, &'static str, Vec<u8>) {
-    const ROUTE: &str = "logs";
-    let json = "application/json";
-    let Some(sink) = &shared.log else {
-        return (
-            ROUTE,
-            404,
-            json,
-            ErrorBody::render("logging is not enabled on this gateway"),
-        );
-    };
+/// `GET /v1/logs` — the flight recorder's retained events as JSON,
+/// optionally filtered by `?level=<debug|info|warn|error>` (at-least) and
+/// `?target=<prefix>`. Each event uses the same schema as the JSON-lines
+/// sink. `400` for an unknown level.
+fn logs(call: &Call, collector: &LogCollector) -> Reply {
     let mut level = None;
     let mut target = None;
-    if let Some((_, query)) = request.target.split_once('?') {
+    if let Some((_, query)) = call.request.target.split_once('?') {
         for pair in query.split('&') {
             let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
             match key {
                 "level" => match Level::parse(value) {
                     Some(parsed) => level = Some(parsed),
                     None => {
-                        return (
-                            ROUTE,
+                        return Reply::error(
                             400,
-                            json,
-                            ErrorBody::render(format!(
-                                "{value:?} is not a log level (debug|info|warn|error)"
-                            )),
+                            format!("{value:?} is not a log level (debug|info|warn|error)"),
                         )
                     }
                 },
@@ -1087,230 +1213,91 @@ fn handle_logs(request: &Request, shared: &Shared) -> (&'static str, u16, &'stat
             }
         }
     }
-    let collector = sink.collector();
+    // `render_line` emits one self-contained JSON object per event — the
+    // exact sink schema — so the array embeds them verbatim.
     let events = collector.recent_filtered(level, target.as_deref());
-    let mut body = String::with_capacity(events.len() * 160 + 64);
-    body.push_str("{\"events\":[");
-    for (i, event) in events.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        // `render_line` emits one self-contained JSON object per event —
-        // the exact sink schema — so the array embeds them verbatim.
-        body.push_str(snn_log::render_line(event).trim_end());
-    }
-    body.push_str(&format!(
-        "],\"recorded\":{},\"dropped\":{}}}",
+    let events: Vec<String> = events
+        .iter()
+        .map(|event| snn_log::render_line(event).trim_end().to_owned())
+        .collect();
+    let body = format!(
+        "{{\"events\":[{}],\"recorded\":{},\"dropped\":{}}}",
+        events.join(","),
         collector.events_recorded_total(),
         collector.events_dropped()
-    ));
-    (ROUTE, 200, json, body.into_bytes())
+    );
+    Reply::json(200, body.into_bytes())
 }
 
-/// The `GET /v1/incidents` handler: every incident report id on disk
-/// (oldest first — ids sort chronologically) plus cumulative counters.
-/// `404` when incident capture is off.
-fn handle_incidents_list(shared: &Shared) -> (&'static str, u16, &'static str, Vec<u8>) {
-    const ROUTE: &str = "incidents";
-    let json = "application/json";
-    let Some(recorder) = shared.log.as_ref().and_then(|s| s.incidents()) else {
-        return (
-            ROUTE,
-            404,
-            json,
-            ErrorBody::render("incident capture is not enabled on this gateway"),
-        );
-    };
-    let ids = recorder.list();
-    let mut body = String::with_capacity(ids.len() * 48 + 64);
-    body.push_str("{\"incidents\":[");
-    for (i, id) in ids.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push('"');
-        body.push_str(&snn_log::json_escape(id));
-        body.push('"');
-    }
-    body.push_str(&format!(
-        "],\"written\":{},\"coalesced\":{}}}",
+/// `GET /v1/incidents` — every incident report id on disk (oldest first —
+/// ids sort chronologically) plus cumulative counters.
+fn incidents(_: &Call, recorder: &IncidentRecorder) -> Reply {
+    let ids: Vec<String> = recorder
+        .list()
+        .iter()
+        .map(|id| format!("\"{}\"", snn_log::json_escape(id)))
+        .collect();
+    let body = format!(
+        "{{\"incidents\":[{}],\"written\":{},\"coalesced\":{}}}",
+        ids.join(","),
         recorder.written(),
         recorder.coalesced()
-    ));
-    (ROUTE, 200, json, body.into_bytes())
+    );
+    Reply::json(200, body.into_bytes())
 }
 
-/// The `GET /v1/incidents/<id>` handler: one incident report, verbatim.
-/// `404` for an unknown (or malformed — ids never contain separators) id,
-/// or when incident capture is off.
-fn handle_incident_get(path: &str, shared: &Shared) -> (&'static str, u16, &'static str, Vec<u8>) {
-    const ROUTE: &str = "incidents";
-    let json = "application/json";
-    let Some(recorder) = shared.log.as_ref().and_then(|s| s.incidents()) else {
-        return (
-            ROUTE,
-            404,
-            json,
-            ErrorBody::render("incident capture is not enabled on this gateway"),
-        );
-    };
-    let id = path.strip_prefix("/v1/incidents/").unwrap_or_default();
-    match recorder.read(id) {
-        Some(bytes) => (ROUTE, 200, json, bytes),
-        None => (
-            ROUTE,
-            404,
-            json,
-            ErrorBody::render(format!("no incident report named {id:?}")),
-        ),
+/// `GET /v1/incidents/<id>` — one incident report, verbatim. `404` for an
+/// unknown (or malformed — ids never contain separators) id.
+fn incident(call: &Call, recorder: &IncidentRecorder) -> Reply {
+    match recorder.read(call.tail) {
+        Some(bytes) => Reply::json(200, bytes),
+        None => Reply::error(404, format!("no incident report named {:?}", call.tail)),
     }
 }
 
-/// Records a request-failure event in the flight recorder, stamped with
-/// the request's (possibly internally minted) trace id — every 5xx answer
-/// leaves at least one correlated event behind.
-fn log_request_failure(
-    shared: &Shared,
-    route: &'static str,
-    status: u16,
-    detail: &str,
-    trace: Option<TraceId>,
-) {
-    let Some(sink) = &shared.log else { return };
-    let collector = sink.collector();
-    let level = if status >= 500 {
-        Level::Error
-    } else {
-        Level::Warn
-    };
-    if collector.level_enabled(level) {
-        collector.record_traced(
-            level,
-            "gateway.http",
-            format!("{route} failed with {status}: {detail}"),
-            vec![
-                ("route", route.into()),
-                ("status", u64::from(status).into()),
-            ],
-            trace,
-        );
-    }
-}
-
-/// The `POST /v1/infer` handler: JSON body → geometry validation →
-/// `infer_blocking` → JSON response. Backpressure and
-/// lifecycle map onto the wire: `QueueFull` → 429, drain/shutdown → 503,
-/// handler timeout → 504.
+/// The one inference handler. It resolves its target first: the gateway's
+/// own server and [`GatewayConfig::input_dims`] for `POST /v1/infer`
+/// (`registry` is `None`), or the registry entry the tail names for
+/// `POST /v1/models/<name[@version]>/infer`, lazily loaded and compiled
+/// (`registry.load` / `registry.compile` spans under the root when
+/// traced). The handle is held across the whole request, so LRU eviction
+/// can never tear down an entry with this request in flight.
 ///
-/// When the wrapped server is traced, the handler accepts the caller's
-/// `x-snn-trace-id` header (or mints an id), hangs `http.parse`,
-/// `request.decode`, `infer.submit`, `ticket.wait` and `http.respond`
-/// spans under one `http.request` root, and rides the
-/// [`TraceTarget`] into the runtime so queue/flush/execution spans land in
-/// the same tree (see [`with_request_root`]).
-fn handle_infer(request: &Request, shared: &Shared, received: Instant) -> Reply {
-    with_request_root(request, shared, received, |trace_ctx| {
-        widen(run_infer(
-            "infer",
-            &shared.server,
-            &shared.input_dims,
-            request,
-            shared,
-            received,
-            trace_ctx,
-        ))
-    })
-}
-
-/// Runs an inference handler under the request's trace context and then
-/// records its `http.request` root with the reply's status — for every
-/// outcome, not only a `200`. The root closes after every child span and
-/// before [`respond`] writes a byte, so a follow-up
-/// `GET /v1/trace/<id>` always sees a complete tree with one root and no
-/// orphans.
-fn with_request_root(
-    request: &Request,
-    shared: &Shared,
-    received: Instant,
-    handler: impl FnOnce(Option<&TraceCtx>) -> Reply,
-) -> Reply {
-    let trace_ctx = make_trace_ctx(request, shared);
-    let reply = handler(trace_ctx.as_ref());
-    if let Some((collector, trace, root)) = &trace_ctx {
-        collector.record_span_with_id(
-            *root,
-            *trace,
-            0,
-            "http.request",
-            received,
-            Instant::now(),
-            vec![("status", AttrValue::U64(u64::from(reply.1)))],
-        );
-    }
-    reply
-}
-
-/// `(collector, trace id, pre-allocated root span id)` for one request —
-/// `None` when the gateway is untraced or the collector is disabled, in
-/// which case the only cost downstream is one check per instrumentation
-/// point.
-type TraceCtx = (Arc<TraceCollector>, TraceId, u64);
-
-/// Mints (or adopts from `x-snn-trace-id`) the request's trace context.
-fn make_trace_ctx(request: &Request, shared: &Shared) -> Option<TraceCtx> {
-    shared
-        .trace
-        .as_ref()
-        .filter(|c| c.is_enabled())
-        .map(|collector| {
-            let trace = request
-                .header("x-snn-trace-id")
-                .and_then(TraceId::parse_hex)
-                .unwrap_or_else(|| collector.mint_trace());
-            (Arc::clone(collector), trace, collector.next_span_id())
-        })
-}
-
-/// The shared inference body behind `POST /v1/infer` and
-/// `POST /v1/models/<spec>/infer`: one-pass JSON decode → geometry
-/// validation against `expected_dims` (the routed entry's geometry, not
-/// the process's) → [`StreamingServer::infer_blocking`] on `server`, which
-/// runs the batch on this connection thread when an executor permit is
-/// free and otherwise waits on a worker for at most the handler timeout →
-/// one-pass JSON response.
-#[allow(clippy::too_many_arguments)]
-fn run_infer(
-    route: &'static str,
-    server: &StreamingServer,
-    expected_dims: &[usize],
-    request: &Request,
-    shared: &Shared,
-    received: Instant,
-    trace_ctx: Option<&TraceCtx>,
-) -> (&'static str, u16, &'static str, Vec<u8>) {
-    let json = "application/json";
-    let handler_start = Instant::now();
-    let trace_id = trace_ctx.map(|&(_, trace, _)| trace);
-    if let Some((collector, trace, root)) = trace_ctx {
-        collector.record_span(
-            *trace,
-            *root,
-            "http.parse",
-            received,
-            handler_start,
-            vec![("body_bytes", request.body.len().into())],
-        );
-    }
-    let wire = match InferRequest::decode(&request.body) {
-        Ok(wire) => wire,
-        Err(msg) => return (route, 400, json, ErrorBody::render(msg)),
+/// Then one body: one-pass JSON decode → geometry check against the
+/// target's dims → [`StreamingServer::infer_blocking`] (this thread runs
+/// the batch when an executor permit is free, else a worker does within
+/// the handler timeout) → one-pass JSON response. Queue full and brownout
+/// → 429, shutdown → 503, handler timeout → 504. When traced, the
+/// request's spans hang under its root and its [`TraceTarget`] rides into
+/// the runtime, so queue, flush and execution spans join the same tree.
+fn infer(call: &Call, registry: Option<&ModelRegistry>) -> Reply {
+    let shared = call.shared;
+    let handle = registry.map(|r| r.get_or_load_traced(call.tail, call.parent()));
+    let handle = match handle.transpose() {
+        Ok(handle) => handle,
+        Err(e) => return registry_error(call, &e),
     };
-    if let Err(msg) = wire.validate(expected_dims) {
-        return (route, 400, json, ErrorBody::render(msg));
-    }
-    let mut options = match wire.submit_options() {
-        Ok(options) => options,
-        Err(msg) => return (route, 400, json, ErrorBody::render(msg)),
+    let (server, expected_dims) = match &handle {
+        Some(handle) => (&**handle.server(), handle.input_dims()),
+        None => (&*shared.server, &shared.input_dims[..]),
+    };
+    let request = call.request;
+    let handler_start = Instant::now();
+    let trace_id = call.trace.as_ref().map(|&(_, trace, _)| trace);
+    call.span("http.parse", call.received, handler_start, || {
+        vec![("body_bytes", request.body.len().into())]
+    });
+    let decoded = (|| {
+        let wire = InferRequest::decode(&request.body)?;
+        wire.validate(expected_dims)?;
+        let options = wire.submit_options()?;
+        let pixels = wire.pixels.len();
+        let image = Tensor::from_vec(wire.pixels, &wire.dims).map_err(|e| e.to_string())?;
+        Ok::<_, String>((image, options, pixels))
+    })();
+    let (image, mut options, pixels) = match decoded {
+        Ok(decoded) => decoded,
+        Err(msg) => return Reply::error(400, msg),
     };
     // Clamp untrusted deadlines to HALF the handler timeout: the handler
     // gives up (504) at handler_timeout, so batching may consume at most
@@ -1319,82 +1306,45 @@ fn run_infer(
     // duration, stalling every request sharing it (and, under tight
     // max_pending, wedging admission) — and a clamp at the full timeout
     // would race the 504 by design.
-    options.deadline = options.deadline.map(|d| d.min(shared.handler_timeout / 2));
-    let pixels = wire.pixels.len();
-    let image = match Tensor::from_vec(wire.pixels, &wire.dims) {
-        Ok(image) => image,
-        Err(e) => return (route, 400, json, ErrorBody::render(e.to_string())),
-    };
-    if let Some((collector, trace, root)) = trace_ctx {
-        collector.record_span(
-            *trace,
-            *root,
-            "request.decode",
-            handler_start,
-            Instant::now(),
-            vec![("pixels", pixels.into())],
-        );
-        options = options.traced(TraceTarget {
-            trace: *trace,
-            parent: *root,
-        });
+    let timeout = shared.handler_timeout;
+    options.deadline = options.deadline.map(|d| d.min(timeout / 2));
+    call.span("request.decode", handler_start, Instant::now(), || {
+        vec![("pixels", pixels.into())]
+    });
+    if let Some(target) = call.parent() {
+        options = options.traced(target);
     }
     let submitted = Instant::now();
-    let outcome = server.infer_blocking(image, options, shared.handler_timeout);
+    let outcome = server.infer_blocking(image, options, timeout);
     let answered = Instant::now();
-    if let (Some((collector, trace, root)), Ok(waited)) = (trace_ctx, &outcome) {
+    if let Ok(waited) = &outcome {
         // Admission is an instant inside the blocking call; the wait spans
         // the rest of it — the batch executing on this thread, or the wait
         // for a worker's answer.
-        collector.record_span(*trace, *root, "infer.submit", submitted, submitted, vec![]);
+        call.span("infer.submit", submitted, submitted, Vec::new);
         if let Ok(response) = waited {
-            let attrs = match response {
+            call.span("ticket.wait", submitted, answered, || match response {
                 Some(response) => vec![("batch_size", response.batch_size.into())],
                 None => vec![],
-            };
-            collector.record_span(*trace, *root, "ticket.wait", submitted, answered, attrs);
+            });
         }
     }
     let response = match outcome {
         Ok(Ok(Some(response))) => response,
         Ok(Ok(None)) => {
-            log_request_failure(
-                shared,
-                route,
+            let detail = format!("ticket wait exceeded {timeout:?}");
+            return call.fail(
                 504,
-                &format!("ticket wait exceeded {:?}", shared.handler_timeout),
-                trace_id,
-            );
-            return (
-                route,
-                504,
-                json,
-                ErrorBody::render(format!(
-                    "inference did not complete within {:?}",
-                    shared.handler_timeout
-                )),
+                &detail,
+                format!("inference did not complete within {timeout:?}"),
             );
         }
-        Ok(Err(e)) => {
-            log_request_failure(shared, route, 500, &e.to_string(), trace_id);
-            return (route, 500, json, ErrorBody::render(e.to_string()));
-        }
+        Ok(Err(e)) => return call.fail(500, &e.to_string(), e.to_string()),
         Err(SubmitError::QueueFull { max_pending }) => {
-            log_request_failure(
-                shared,
-                route,
-                429,
-                &format!("queue full at {max_pending} admitted"),
-                trace_id,
-            );
-            return (
-                route,
-                429,
-                json,
-                ErrorBody::render(format!(
-                    "queue full: {max_pending} requests already admitted; retry with backoff"
-                )),
-            );
+            let detail = format!("queue full at {max_pending} admitted");
+            let message =
+                format!("queue full: {max_pending} requests already admitted; retry with backoff");
+            return call.fail(429, &detail, message);
         }
         Err(SubmitError::Brownout {
             priority,
@@ -1403,32 +1353,19 @@ fn run_infer(
             // Load shedding is backpressure, same wire shape as a full
             // queue: the client should back off and retry (or escalate
             // its priority if it genuinely is latency-critical).
-            log_request_failure(
-                shared,
-                route,
-                429,
-                &format!("brownout shed priority {priority} (below {shed_below_priority})"),
-                trace_id,
+            let detail = format!("brownout shed priority {priority} (below {shed_below_priority})");
+            let message = format!(
+                "brownout: shedding priority {priority} (below {shed_below_priority}) \
+                 while the pending queue is above its high-water mark; retry with backoff"
             );
-            return (
-                route,
-                429,
-                json,
-                ErrorBody::render(format!(
-                    "brownout: shedding priority {priority} (below {shed_below_priority}) \
-                     while the pending queue is above its high-water mark; retry with backoff"
-                )),
-            );
+            return call.fail(429, &detail, message);
         }
-        Err(SubmitError::Rejected(e)) => {
-            // A rejected submit during server teardown is unavailability,
-            // not a client error.
-            let status = if server.is_shut_down() { 503 } else { 400 };
-            if status >= 500 {
-                log_request_failure(shared, route, status, &e.to_string(), trace_id);
-            }
-            return (route, status, json, ErrorBody::render(e.to_string()));
+        // A rejected submit during server teardown is unavailability, not
+        // a client error.
+        Err(SubmitError::Rejected(e)) if server.is_shut_down() => {
+            return call.fail(503, &e.to_string(), e.to_string())
         }
+        Err(SubmitError::Rejected(e)) => return Reply::error(400, e.to_string()),
     };
     let logits = response.logits.into_vec();
     let top1 = logits
@@ -1450,130 +1387,22 @@ fn run_infer(
     let body = match wire.encode() {
         Ok(body) => body,
         Err(e) => {
-            log_request_failure(
-                shared,
-                route,
-                500,
-                &format!("response serialization failed: {e}"),
-                trace_id,
-            );
-            return (
-                route,
-                500,
-                json,
-                ErrorBody::render(format!("response serialization failed: {e}")),
-            );
+            let message = format!("response serialization failed: {e}");
+            return call.fail(500, &message, message.clone());
         }
     };
-    if let Some((collector, trace, root)) = trace_ctx {
-        collector.record_span(
-            *trace,
-            *root,
-            "http.respond",
-            answered,
-            Instant::now(),
-            vec![("body_bytes", body.len().into())],
-        );
-    }
-    (route, 200, json, body)
+    call.span("http.respond", answered, Instant::now(), || {
+        vec![("body_bytes", body.len().into())]
+    });
+    Reply::json(200, body)
 }
 
-/// The `GET /v1/models` handler: the registry catalog with residency
-/// state. `404` when no registry is attached.
-fn handle_models_list(shared: &Shared) -> (&'static str, u16, &'static str, Vec<u8>) {
-    const ROUTE: &str = "models";
-    let json = "application/json";
-    let Some(registry) = shared.registry.as_deref() else {
-        return (
-            ROUTE,
-            404,
-            json,
-            ErrorBody::render("no model registry attached to this gateway"),
-        );
-    };
-    let body = ModelListBody {
-        models: registry.list(),
-    };
-    match serde_json::to_string(&body) {
-        Ok(body) => (ROUTE, 200, json, body.into_bytes()),
-        Err(e) => (
-            ROUTE,
-            500,
-            json,
-            ErrorBody::render(format!("model list serialization failed: {e}")),
-        ),
-    }
-}
-
-/// Dispatches `/v1/models/<...>` sub-routes:
-/// `POST /v1/models/<name[@version]>/infer` and
-/// `POST /v1/models/<name>/swap`.
-fn handle_model_route(
-    method: &str,
-    path: &str,
-    request: &Request,
-    shared: &Shared,
-    received: Instant,
-) -> Reply {
-    let json = "application/json";
-    let rest = path.strip_prefix("/v1/models/").unwrap_or_default();
-    if let Some(spec) = rest.strip_suffix("/infer") {
-        if spec.is_empty() {
-            return (
-                "model_infer",
-                404,
-                json,
-                ErrorBody::render("missing model name in /v1/models/<name>/infer"),
-                None,
-            );
-        }
-        if method != "POST" {
-            return (
-                "model_infer",
-                405,
-                json,
-                ErrorBody::render(format!("method {method} not allowed on {path}")),
-                None,
-            );
-        }
-        return handle_model_infer(spec, request, shared, received);
-    }
-    if let Some(name) = rest.strip_suffix("/swap") {
-        if name.is_empty() {
-            return (
-                "swap",
-                404,
-                json,
-                ErrorBody::render("missing model name in /v1/models/<name>/swap"),
-                None,
-            );
-        }
-        if method != "POST" {
-            return (
-                "swap",
-                405,
-                json,
-                ErrorBody::render(format!("method {method} not allowed on {path}")),
-                None,
-            );
-        }
-        return handle_swap(name, request, shared, received);
-    }
-    (
-        "other",
-        404,
-        json,
-        ErrorBody::render(format!("no route for {path}")),
-        None,
-    )
-}
-
-/// Maps a registry failure onto the wire: a model the catalog has never
-/// heard of is the client's mistake (`404`); an artifact or compile
-/// failure is the server's (`500`); an open circuit breaker is temporary
-/// unavailability (`503`) with a `Retry-After` telling the client exactly
-/// how long the breaker will keep rejecting.
-fn registry_error_response(route: &'static str, e: &RegistryError) -> Reply {
+/// Maps a registry failure onto the wire, logging the server's own: a
+/// model the catalog has never heard of is the client's mistake (`404`);
+/// an artifact or compile failure is the server's (`500`); an open circuit
+/// breaker is temporary unavailability (`503`) with a `Retry-After` telling
+/// the client exactly how long the breaker will keep rejecting.
+fn registry_error(call: &Call, e: &RegistryError) -> Reply {
     let (status, retry_after) = match e {
         RegistryError::UnknownModel(_) => (404, None),
         RegistryError::Artifact(_) | RegistryError::Compile(_) | RegistryError::LoadPanicked(_) => {
@@ -1585,137 +1414,46 @@ fn registry_error_response(route: &'static str, e: &RegistryError) -> Reply {
             (503, Some(retry_after.as_secs_f64().ceil().max(1.0) as u64))
         }
     };
-    (
-        route,
-        status,
-        "application/json",
-        ErrorBody::render(e.to_string()),
+    if status >= 500 {
+        call.log_failure(status, &e.to_string());
+    }
+    Reply {
         retry_after,
-    )
+        ..Reply::error(status, e.to_string())
+    }
 }
 
-/// The `POST /v1/models/<name[@version]>/infer` handler: resolves `spec`
-/// through the registry (lazily loading + compiling a cold entry —
-/// recorded as `registry.load` / `registry.compile` spans under this
-/// request's root when traced) and runs the shared inference body against
-/// that entry's server and geometry. The resolved handle is held across
-/// the whole request, so LRU eviction can never tear down an entry with
-/// this request in flight.
-fn handle_model_infer(spec: &str, request: &Request, shared: &Shared, received: Instant) -> Reply {
-    const ROUTE: &str = "model_infer";
-    let json = "application/json";
-    let Some(registry) = shared.registry.as_deref() else {
-        return (
-            ROUTE,
-            404,
-            json,
-            ErrorBody::render("no model registry attached to this gateway"),
-            None,
-        );
+/// `GET /v1/models` — the registry catalog with residency state.
+fn models(_: &Call, registry: &ModelRegistry) -> Reply {
+    let body = ModelListBody {
+        models: registry.list(),
     };
-    with_request_root(request, shared, received, |trace_ctx| {
-        let parent = trace_ctx.map(|(_, trace, root)| TraceTarget {
-            trace: *trace,
-            parent: *root,
-        });
-        match registry.get_or_load_traced(spec, parent) {
-            Ok(handle) => widen(run_infer(
-                ROUTE,
-                handle.server(),
-                handle.input_dims(),
-                request,
-                shared,
-                received,
-                trace_ctx,
-            )),
-            Err(e) => {
-                let reply = registry_error_response(ROUTE, &e);
-                if reply.1 >= 500 {
-                    log_request_failure(
-                        shared,
-                        ROUTE,
-                        reply.1,
-                        &e.to_string(),
-                        parent.map(|t| t.trace),
-                    );
-                }
-                reply
-            }
-        }
-    })
+    match serde_json::to_string(&body) {
+        Ok(body) => Reply::json(200, body.into_bytes()),
+        Err(e) => Reply::error(500, format!("model list serialization failed: {e}")),
+    }
 }
 
-/// The `POST /v1/models/<name>/swap` handler: parses `{"version": ...}`
-/// and atomically repoints the name's active version. In-flight tickets
-/// complete against the old entry; new bare-`name` submissions land on
-/// the new one. Returns the [`snn_runtime::SwapReport`] as JSON.
-fn handle_swap(name: &str, request: &Request, shared: &Shared, received: Instant) -> Reply {
-    const ROUTE: &str = "swap";
-    let json = "application/json";
-    let Some(registry) = shared.registry.as_deref() else {
-        return (
-            ROUTE,
-            404,
-            json,
-            ErrorBody::render("no model registry attached to this gateway"),
-            None,
-        );
+/// `POST /v1/models/<name>/swap` — parses `{"version": ...}` and
+/// atomically repoints the name's active version (a `registry.swap` span
+/// under the request's root when traced). In-flight tickets complete
+/// against the old entry; new bare-`name` submissions land on the new one.
+/// Returns the [`snn_runtime::SwapReport`] as JSON.
+fn swap(call: &Call, registry: &ModelRegistry) -> Reply {
+    let Ok(text) = std::str::from_utf8(&call.request.body) else {
+        return Reply::error(400, "request body is not valid UTF-8");
     };
-    with_request_root(request, shared, received, |trace_ctx| {
-        let text = match std::str::from_utf8(&request.body) {
-            Ok(text) => text,
-            Err(_) => {
-                return (
-                    ROUTE,
-                    400,
-                    json,
-                    ErrorBody::render("request body is not valid UTF-8"),
-                    None,
-                )
-            }
-        };
-        let wire: SwapRequest = match serde_json::from_str(text) {
-            Ok(wire) => wire,
-            Err(e) => {
-                return (
-                    ROUTE,
-                    400,
-                    json,
-                    ErrorBody::render(format!("bad JSON: {e}")),
-                    None,
-                )
-            }
-        };
-        let parent = trace_ctx.map(|(_, trace, root)| TraceTarget {
-            trace: *trace,
-            parent: *root,
-        });
-        match registry.swap(name, &wire.version, parent) {
-            Ok(report) => match serde_json::to_string(&report) {
-                Ok(body) => (ROUTE, 200, json, body.into_bytes(), None),
-                Err(e) => (
-                    ROUTE,
-                    500,
-                    json,
-                    ErrorBody::render(format!("swap report serialization failed: {e}")),
-                    None,
-                ),
-            },
-            Err(e) => {
-                let reply = registry_error_response(ROUTE, &e);
-                if reply.1 >= 500 {
-                    log_request_failure(
-                        shared,
-                        ROUTE,
-                        reply.1,
-                        &e.to_string(),
-                        parent.map(|t| t.trace),
-                    );
-                }
-                reply
-            }
-        }
-    })
+    let wire: SwapRequest = match serde_json::from_str(text) {
+        Ok(wire) => wire,
+        Err(e) => return Reply::error(400, format!("bad JSON: {e}")),
+    };
+    match registry.swap(call.tail, &wire.version, call.parent()) {
+        Ok(report) => match serde_json::to_string(&report) {
+            Ok(body) => Reply::json(200, body.into_bytes()),
+            Err(e) => Reply::error(500, format!("swap report serialization failed: {e}")),
+        },
+        Err(e) => registry_error(call, &e),
+    }
 }
 
 #[cfg(test)]
@@ -1844,5 +1582,183 @@ mod tests {
         assert_eq!(row("models", "model", "default"), streamed);
         gateway.shutdown();
         server.shutdown();
+    }
+
+    /// A dense 8 → 4 → 3 model over `[1, 2, 4]` samples.
+    fn dense_model(seed: u64) -> ttfs_core::SnnModel {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = Sequential::new(vec![
+            Layer::Flatten(Flatten::new()),
+            Layer::Dense(DenseLayer::new(8, 4, &mut rng)),
+            Layer::Activation(ActivationLayer::new(Box::new(Relu))),
+            Layer::Dense(DenseLayer::new(4, 3, &mut rng)),
+        ]);
+        convert(&net, Base2Kernel::paper_default(), 24).unwrap()
+    }
+
+    /// A gateway with every subsystem on: a traced default server, a
+    /// registry serving `alpha@1` from `dir`, telemetry, logging and
+    /// incident capture under `dir/incidents`.
+    fn full_gateway(dir: &std::path::Path) -> (Gateway, Arc<StreamingServer>, Arc<ModelRegistry>) {
+        let dims = [1usize, 2, 4];
+        let artifact = snn_runtime::ModelArtifact::build(
+            "alpha",
+            "1",
+            dense_model(5),
+            &dims,
+            snn_runtime::BackendHint::Csr,
+        )
+        .unwrap();
+        artifact.save(dir.join("alpha@1.snna")).unwrap();
+        let registry =
+            Arc::new(ModelRegistry::open(dir, snn_runtime::RegistryConfig::default()).unwrap());
+        let server = Arc::new(
+            BackendChoice::Csr
+                .serve_streaming_traced(
+                    Arc::new(dense_model(3)),
+                    &dims,
+                    snn_runtime::StreamingConfig::default(),
+                    Arc::new(TraceCollector::new(0)),
+                )
+                .unwrap(),
+        );
+        let gateway = Gateway::start_with_registry(
+            Arc::clone(&server),
+            Arc::clone(&registry),
+            GatewayConfig {
+                workers: 2,
+                incidents_dir: Some(dir.join("incidents")),
+                ..GatewayConfig::for_dims(&dims)
+            },
+        )
+        .unwrap();
+        (gateway, server, registry)
+    }
+
+    /// One exchange on a raw keep-alive socket: the response's status, its
+    /// head (status line and headers, verbatim) and its body.
+    fn exchange(
+        stream: &mut TcpStream,
+        method: &str,
+        path: &str,
+        body: &str,
+    ) -> (u16, String, Vec<u8>) {
+        let request = format!(
+            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") {
+            stream.read_exact(&mut byte).unwrap();
+            head.push(byte[0]);
+        }
+        let head = String::from_utf8(head).unwrap();
+        let status = head.get(9..12).and_then(|s| s.parse().ok()).unwrap();
+        let length = head
+            .lines()
+            .find_map(|line| line.strip_prefix("Content-Length: "))
+            .and_then(|n| n.parse().ok())
+            .unwrap();
+        let mut body = vec![0; length];
+        stream.read_exact(&mut body).unwrap();
+        (status, head, body)
+    }
+
+    /// RFC 9110 §15.5.6: a `405` lists the methods the path does allow.
+    #[test]
+    fn a_wrong_method_gets_405_with_the_allowed_methods() {
+        let (mut gateway, server) = small_gateway();
+        let mut stream = TcpStream::connect(gateway.local_addr()).unwrap();
+        let (status, head, _) = exchange(&mut stream, "GET", "/v1/infer", "");
+        assert_eq!(status, 405, "{head}");
+        assert!(head.contains("\r\nAllow: POST\r\n"), "{head}");
+        let (status, head, _) = exchange(&mut stream, "POST", "/metrics", "{}");
+        assert_eq!(status, 405, "{head}");
+        assert!(head.contains("\r\nAllow: GET\r\n"), "{head}");
+        let (status, head, _) = exchange(&mut stream, "GET", "/nope", "");
+        assert_eq!(status, 404, "{head}");
+        assert!(!head.contains("Allow"), "only a 405 lists methods: {head}");
+        gateway.shutdown();
+        server.shutdown();
+    }
+
+    /// Walks [`ROUTES`]: every row answers its own method with neither `404`
+    /// nor `405`, every other method with `405` and the row's `Allow`, and
+    /// its label shows in `/metrics` once hit. Then the edge cases the
+    /// patterns draw, and the drain rule row by row.
+    #[test]
+    fn every_route_row_answers_its_method_and_405s_the_others() {
+        let dir = std::env::temp_dir().join(format!("snn_gateway_routes_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut gateway, server, registry) = full_gateway(&dir);
+        let incident = gateway
+            .incidents()
+            .unwrap()
+            .record("walk", "a report to fetch", None)
+            .unwrap();
+        let example = |row: &Route| match row.pattern {
+            Pattern::Exact(path) => path.to_string(),
+            Pattern::Under("/v1/trace/") => "/v1/trace/not-hex".to_string(),
+            Pattern::Under("/v1/incidents/") => format!("/v1/incidents/{incident}"),
+            Pattern::Under(prefix) => panic!("no example tail for {prefix}"),
+            Pattern::Around(prefix, suffix) => format!("{prefix}alpha{suffix}"),
+        };
+        let mut stream = TcpStream::connect(gateway.local_addr()).unwrap();
+        for row in ROUTES {
+            let path = example(row);
+            for method in ["GET", "POST", "PUT", "DELETE"] {
+                let (status, head, _) = exchange(&mut stream, method, &path, "");
+                if method == row.method {
+                    assert!(!matches!(status, 404 | 405), "{method} {path}: {head}");
+                } else {
+                    assert_eq!(status, 405, "{method} {path}: {head}");
+                    let allow = format!("\r\nAllow: {}\r\n", row.method);
+                    assert!(head.contains(&allow), "{method} {path}: {head}");
+                }
+            }
+            let (_, _, scrape) = exchange(&mut stream, "GET", "/metrics", "");
+            let series = format!(
+                "snn_gateway_route_requests_total{{route=\"{}\"}}",
+                row.label
+            );
+            let scrape = String::from_utf8(scrape).unwrap();
+            assert!(scrape.contains(&series), "{path}: no {series}");
+        }
+
+        let pixels = r#"{"dims":[1,2,4],"pixels":[0.1,0.9,0.4,0.3,0.7,0.2,0.6,0.5]}"#;
+        for (method, path, body, expected) in [
+            // The empty id is parsed (and refused), not unrouted.
+            ("GET", "/v1/trace/", "", 400),
+            ("POST", "/v1/models//infer", pixels, 404),
+            ("POST", "/v1/models//swap", r#"{"version":"1"}"#, 404),
+            ("POST", "/v1/models/x/other", "", 404),
+            ("POST", "/v1/infer?x=1", pixels, 200),
+            ("GET", "/v1/infer?x=1", "", 405),
+        ] {
+            let (status, head, _) = exchange(&mut stream, method, path, body);
+            assert_eq!(status, expected, "{method} {path}: {head}");
+        }
+
+        gateway.begin_drain();
+        for row in ROUTES {
+            let path = example(row);
+            let mut stream = TcpStream::connect(gateway.local_addr()).unwrap();
+            let (status, head, _) = exchange(&mut stream, row.method, &path, "");
+            match path.as_str() {
+                "/healthz" => assert_eq!(status, 200, "{head}"),
+                "/readyz" => assert_eq!(status, 503, "{head}"),
+                _ => {
+                    assert_eq!(status, 503, "{path}: {head}");
+                    assert!(head.contains("\r\nRetry-After: 1\r\n"), "{path}: {head}");
+                }
+            }
+        }
+        gateway.shutdown();
+        server.shutdown();
+        registry.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -361,6 +361,49 @@ fn a_failed_swap_still_gets_its_root_span() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// On a gateway without a registry the per-model routes answer 404, and
+/// each such request still gets its one `http.request` root carrying
+/// that status: trace roots come from the route, not from the handler.
+#[test]
+fn a_model_route_without_a_registry_still_gets_its_root_span() {
+    let (server, _collector) = traced_stack(57, StreamingConfig::default());
+    let mut gateway = Gateway::start(
+        Arc::clone(&server),
+        GatewayConfig {
+            workers: 2,
+            ..GatewayConfig::for_dims(&DIMS)
+        },
+    )
+    .unwrap();
+    let mut client = HttpClient::connect(gateway.local_addr()).unwrap();
+    for (path, chosen) in [
+        ("/v1/models/alpha/infer", "00000000005a9f01"),
+        ("/v1/models/alpha/swap", "00000000005a9f02"),
+    ] {
+        client
+            .send_raw(
+                format!(
+                    "POST {path} HTTP/1.1\r\nHost: gateway\r\n\
+                     x-snn-trace-id: {chosen}\r\nContent-Length: 2\r\n\r\n{{}}"
+                )
+                .as_bytes(),
+            )
+            .unwrap();
+        assert_eq!(client.read_response().unwrap().status, 404, "{path}");
+        let spans = fetch_tree(&mut client, chosen);
+        assert_eq!(spans.len(), 1, "only the root: {spans:#?}");
+        assert_eq!(spans[0].name, "http.request");
+        assert_eq!(spans[0].parent_id, 0);
+        assert_eq!(
+            spans[0].attr("status").and_then(Content::as_u64),
+            Some(404),
+            "the root carries the status: {spans:#?}"
+        );
+    }
+    gateway.shutdown();
+    server.shutdown();
+}
+
 /// Unknown and malformed trace ids answer 404/400 without disturbing the
 /// stack; an untraced gateway answers 404 for every id.
 #[test]
