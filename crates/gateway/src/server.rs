@@ -916,7 +916,7 @@ fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received:
     });
     // During drain the connection stops keeping alive so workers wind down.
     let keep_alive = request.keep_alive && !draining;
-    let bytes = write_response_with_headers(
+    let mut bytes = write_response_with_headers(
         status,
         reply.content_type,
         &reply.body,
@@ -924,6 +924,11 @@ fn respond(stream: &mut TcpStream, request: &Request, shared: &Shared, received:
         retry_after,
         allow.as_deref(),
     );
+    // A HEAD response is the head alone (RFC 9110 §9.3.2), whatever its
+    // status; Content-Length still gives the length the body would have.
+    if request.method == "HEAD" {
+        bytes.truncate(bytes.len() - reply.body.len());
+    }
     let wrote = stream.write_all(&bytes).is_ok();
     // One clock read, so the route's cells and the access log agree
     // about this request.

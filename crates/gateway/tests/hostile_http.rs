@@ -4,7 +4,7 @@
 //! test everywhere: **no panic, no hung acceptor** — after every attack
 //! the gateway still answers a clean request.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -275,6 +275,44 @@ fn unknown_routes_and_methods_get_404_405() {
     assert_eq!(client.post_json("/metrics", "{}").unwrap().status, 405);
     assert_eq!(client.get("/healthz").unwrap().status, 200);
     assert_still_serving(&gateway);
+    gateway.shutdown();
+    server.shutdown();
+}
+
+/// Reads one response head, byte by byte so nothing past its blank line
+/// is consumed.
+fn read_head(stream: &mut TcpStream) -> String {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("head byte");
+        head.push(byte[0]);
+    }
+    String::from_utf8(head).expect("ASCII head")
+}
+
+/// RFC 9110 §9.3.2: a HEAD response carries no content. A compliant
+/// client reads the head alone and sends its next request on the same
+/// connection; any body bytes would be read as the next response.
+#[test]
+fn head_gets_the_head_alone_and_the_connection_stays_in_step() {
+    let (server, mut gateway) = serving_stack(12);
+    let mut raw = TcpStream::connect(gateway.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(b"HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let head = read_head(&mut raw);
+    assert!(head.starts_with("HTTP/1.1 405 "), "{head}");
+    assert!(head.contains("\r\nAllow: GET\r\n"), "{head}");
+    assert!(head.contains("\r\nContent-Length: "), "{head}");
+    raw.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    let head = read_head(&mut raw);
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    assert!(head.contains("\r\nContent-Length: 3\r\n"), "{head}");
+    let mut body = [0u8; 3];
+    raw.read_exact(&mut body).unwrap();
+    assert_eq!(&body, b"ok\n");
     gateway.shutdown();
     server.shutdown();
 }

@@ -173,7 +173,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// describe deployments; nobody deploys the reference backend).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BackendHint {
-    /// The f32 edge-major CSR engine.
+    /// The f32 batched CSR engine.
     Csr,
     /// The packed-log-code engine.
     Quant {

@@ -101,7 +101,7 @@ impl InferenceBackend for EventSnn {
 pub enum BackendChoice {
     /// The reference event simulator (no compilation, slowest).
     Event,
-    /// The batched edge-major f32 CSR engine.
+    /// The batched f32 CSR engine.
     #[default]
     Csr,
     /// The quantized engine: packed log codes + LUT decode.

@@ -18,12 +18,14 @@
 //! channel; only the targets shift by a per-pixel base and the weights by
 //! a per-channel base. The compiler therefore emits one canonical tap
 //! pattern per border class plus one repacked copy of the layer's weights
-//! ([`ConvPatterns`]) and a per-pixel `(pattern_id, target_base,
-//! weight_base)` map, cutting conv CSR storage roughly `C·H·W`-fold (the
-//! shared weight-buffer idea of the paper's PE clusters: one resident
-//! copy of the kernel weights serves every spatial position). Dense layers
-//! keep the flat per-neuron CSR ([`CsrSynapses`]); [`SynapseTable`]
-//! unifies the two behind one row-oriented API.
+//! ([`ConvPatterns`]), in three packed tables — a `(t_base, w_base,
+//! pattern)` record per input row, a `(first_run, end_run, degree)`
+//! record per pattern, a `(t0, w0, len)` record per run — cutting conv
+//! CSR storage roughly `C·H·W`-fold (the shared weight-buffer idea of the
+//! paper's PE clusters: one resident copy of the kernel weights serves
+//! every spatial position). Dense layers keep the flat per-neuron CSR
+//! ([`CsrSynapses`]); [`SynapseTable`] unifies the two behind one
+//! row-oriented API.
 //!
 //! A conv stage's membranes are **channel-last**: cell `(oy·ow + ox)·OC +
 //! oc` instead of the neuron index `(oc·oh + oy)·ow + ox`. One kernel tap
@@ -32,7 +34,9 @@
 //! them into **one run per kernel row** of `countx·OC` contiguous cells,
 //! with the weights repacked `[ci][ki][k−1−kj][oc]` to ascend in the same
 //! direction (other strides keep one run per tap in the same table). The
-//! integration loop is `cells[..n] += w[..n] · psp` over two slices. Only
+//! integration loop is `cells[..n] += w[..n] · psp` over two slices, and
+//! the layer's full (unclipped) pattern, marked at compile time, lets the
+//! engine add an interior pixel with fixed-width blocks instead. Only
 //! a cell's *address* moves: every edge of an input row still hits a
 //! distinct cell, so reordering edges inside a row swaps no two additions
 //! to one cell, and [`ConvPatterns::edges_of`] still yields the reference
@@ -162,19 +166,31 @@ impl<W: Copy> CsrSynapses<W> {
 
 /// Pattern-deduplicated conv adjacency: one canonical tap pattern per
 /// spatial **border class** — shared by every input channel — plus one
-/// repacked copy of the layer's weights and a per-pixel `(pattern_id,
-/// target_base, weight_base)` map.
+/// repacked copy of the layer's weights, held in three packed tables:
 ///
-/// A pattern is a list of **runs** of contiguous channel-last cells: at
-/// stride 1 one run per surviving kernel row (`countx·OC` cells, x-taps
-/// descending as cells ascend), otherwise one per surviving tap (`OC`
-/// cells). Run `r` adds `weight[row_wbase + w_start[r] + i]` to cell
-/// `row_tbase + t_start[r] + i` for `i < run_len[r]`, the weights being
-/// repacked `[ci][ki][k−1−kj][oc]` (`row_wbase = ci·k²·OC`). Nothing in a
-/// run depends on the pixel or the channel, so a layer needs only ≈
-/// (per-axis border classes)² patterns of ≤ `k²` runs each, and the
-/// weights are stored exactly once — while the integration loop walks
-/// each run without loading any per-edge index.
+/// * one `(t_base, w_base, pattern)` record per input row (pixel ×
+///   channel): where the row's cells start, where its channel slice of
+///   the weights starts, and which pattern it follows;
+/// * one `(first_run, end_run, degree)` record per pattern: its slice of
+///   the run table and its edge count;
+/// * one [`ConvRun`] `(t0, w0, len)` per run: `len` contiguous
+///   channel-last cells from `t_base + t0`, multiplied by the weights from
+///   `w_base + w0`.
+///
+/// At stride 1 a pattern has one run per surviving kernel row (`countx·OC`
+/// cells, x-taps descending as cells ascend), otherwise one per surviving
+/// tap (`OC` cells); the weights are repacked `[ci][ki][k−1−kj][oc]` (so
+/// `w_base = ci·k²·OC`). Nothing in a run depends on the pixel or the
+/// channel, so a layer needs only ≈ (per-axis border classes)² patterns of
+/// ≤ `k²` runs each, and the weights are stored exactly once — while the
+/// integration loop walks each run without loading any per-edge index.
+///
+/// At stride 1 the compiler also marks the layer's **full** pattern, the
+/// one no border clips: `k` runs
+/// of `k·OC` cells, run `r` reading weights `[r·k·OC, (r + 1)·k·OC)` of
+/// the channel slice into output row `k − 1 − r`. Every interior pixel
+/// follows it, so the engine adds it with fixed-width blocks and no run
+/// table at all.
 ///
 /// [`edges_of`](Self::edges_of) expands runs in the flat per-pixel
 /// compiler's and the reference integration loop's order (ascending
@@ -187,51 +203,80 @@ impl<W: Copy> CsrSynapses<W> {
 /// models with exact-zero weights.
 #[derive(Debug, Clone)]
 pub struct ConvPatterns<W = f32> {
-    /// `pat_ptr[p]..pat_ptr[p + 1]` indexes the runs of pattern `p`.
-    pat_ptr: Vec<u32>,
-    /// Relative first cell of each run: `(dy·ow + dx)·OC`.
-    t_start: Vec<u32>,
-    /// First weight index of each run: `(ki·k + k−1−kj)·OC`.
-    w_start: Vec<u32>,
-    /// Cells per run (`taps·OC`).
-    run_len: Vec<u32>,
+    /// One record per input row.
+    rows: Vec<ConvRow>,
+    /// One record per border-class pattern.
+    patterns: Vec<ConvPattern>,
+    /// Every pattern's runs, pattern after pattern.
+    runs: Vec<ConvRun>,
     /// Output channels `OC` (cells per tap).
     oc: u32,
     /// Output plane `oh·ow` (neuron-index stride between channels).
     plane: u32,
+    /// Kernel side `k`.
+    kernel: u32,
+    /// Cells per output row (`ow·OC`).
+    row_cells: u32,
+    /// The unclipped pattern at stride 1, if any pixel follows it.
+    full: Option<u32>,
     /// Repacked weights (or packed codes) `[ci][ki][k−1−kj][oc]` — one
     /// copy per layer, read contiguously run by run within each channel
     /// slice.
     weight: Vec<W>,
     /// Weights per channel slice (`k²·OC`).
     ch_stride: usize,
-    /// Pattern id of each input pixel row.
-    row_pattern: Vec<u32>,
-    /// Base cell (`(oy₀·ow + ox₀)·OC`) of each input pixel row.
-    row_tbase: Vec<u32>,
-    /// Base weight index (`ci·k²·OC`) of each input pixel row.
-    row_wbase: Vec<u32>,
-    /// Edges per pattern (`Σ run_len` over the pattern's runs).
-    pat_degree: Vec<u32>,
     /// Total traversed (logical) edges: `Σ_rows degree(row)`.
     logical_edges: usize,
+}
+
+/// One input row of a [`ConvPatterns`] table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConvRow {
+    /// Base cell (`(oy₀·ow + ox₀)·OC`) the row's runs are relative to.
+    pub(crate) t_base: u32,
+    /// Base weight index (`ci·k²·OC`) of the row's channel slice.
+    pub(crate) w_base: u32,
+    /// The row's border-class pattern.
+    pub(crate) pattern: u32,
+}
+
+/// One border-class pattern of a [`ConvPatterns`] table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConvPattern {
+    /// `first_run..end_run` indexes the pattern's runs.
+    pub(crate) first_run: u32,
+    pub(crate) end_run: u32,
+    /// Edges per row (`Σ len` over the runs).
+    pub(crate) degree: u32,
+}
+
+/// One run of a [`ConvPatterns`] pattern: cells `t_base + t0 + i` take
+/// weights `w_base + w0 + i` for `i < len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvRun {
+    /// First cell, relative to the row's `t_base`: `(dy·ow + dx)·OC`.
+    pub t0: u32,
+    /// First weight, relative to the row's `w_base`: `(ki·k + k−1−kj)·OC`.
+    pub w0: u32,
+    /// Cells in the run (`taps·OC`).
+    pub len: u32,
 }
 
 impl<W: Copy> ConvPatterns<W> {
     /// Number of input neurons (rows).
     pub fn in_neurons(&self) -> usize {
-        self.row_pattern.len()
+        self.rows.len()
     }
 
     /// Number of canonical border-class patterns (channel-independent).
     pub fn patterns(&self) -> usize {
-        self.pat_ptr.len() - 1
+        self.patterns.len()
     }
 
     /// Physically stored edge-metadata records (runs, after
     /// deduplication).
     pub fn stored_edges(&self) -> usize {
-        self.t_start.len()
+        self.runs.len()
     }
 
     /// Logical edges: what a flat per-pixel CSR would store, and what the
@@ -252,10 +297,19 @@ impl<W: Copy> ConvPatterns<W> {
         }
     }
 
-    /// The raw run view of input neuron `j` for the batched scatter loop.
+    /// The run view of input neuron `j`.
     #[inline]
     pub fn row_slices(&self, j: u32) -> PatternRow<'_, W> {
-        self.row_slices_in(j, &self.weight)
+        let row = self.rows[j as usize];
+        let wbase = row.w_base as usize;
+        PatternRow {
+            runs: self.runs_of(row.pattern),
+            oc: self.oc,
+            plane: self.plane,
+            t_base: row.t_base,
+            channel_weights: &self.weight[wbase..wbase + self.ch_stride],
+            degree: self.patterns[row.pattern as usize].degree as usize,
+        }
     }
 
     /// The whole repacked weight (or packed code) array.
@@ -263,31 +317,38 @@ impl<W: Copy> ConvPatterns<W> {
         &self.weight
     }
 
-    /// [`row_slices`](Self::row_slices) with the channel slice taken from
-    /// `weights`, an index-for-index image of [`weights`](Self::weights)
-    /// (the decoded copy of a packed-code table).
+    /// One record per input row.
     #[inline]
-    pub(crate) fn row_slices_in<'a, V>(&'a self, j: u32, weights: &'a [V]) -> PatternRow<'a, V> {
-        let p = self.row_pattern[j as usize] as usize;
-        let lo = self.pat_ptr[p] as usize;
-        let hi = self.pat_ptr[p + 1] as usize;
-        let wbase = self.row_wbase[j as usize] as usize;
-        PatternRow {
-            t_start: &self.t_start[lo..hi],
-            w_start: &self.w_start[lo..hi],
-            run_len: &self.run_len[lo..hi],
-            oc: self.oc,
-            plane: self.plane,
-            t_base: self.row_tbase[j as usize],
-            channel_weights: &weights[wbase..wbase + self.ch_stride],
-            degree: self.pat_degree[p] as usize,
-        }
+    pub(crate) fn rows(&self) -> &[ConvRow] {
+        &self.rows
+    }
+
+    /// Pattern `p`'s record.
+    #[inline]
+    pub(crate) fn pattern(&self, p: u32) -> ConvPattern {
+        self.patterns[p as usize]
+    }
+
+    /// Pattern `p`'s runs.
+    #[inline]
+    pub(crate) fn runs_of(&self, p: u32) -> &[ConvRun] {
+        let pat = self.pattern(p);
+        &self.runs[pat.first_run as usize..pat.end_run as usize]
+    }
+
+    /// The unclipped stride-1 pattern's id, with the kernel side `k` and
+    /// the cells per output row (`ow·OC`): run `r` of that pattern adds
+    /// weights `[r·k·OC, (r + 1)·k·OC)` of a row's channel slice to the
+    /// `k·OC` cells from `t_base + (k − 1 − r)·ow·OC`.
+    pub(crate) fn full_pattern(&self) -> Option<(u32, usize, usize)> {
+        let full = self.full?;
+        Some((full, self.kernel as usize, self.row_cells as usize))
     }
 
     /// Edge count of input neuron `j`.
     #[inline]
     pub fn degree(&self, j: u32) -> usize {
-        self.pat_degree[self.row_pattern[j as usize] as usize] as usize
+        self.patterns[self.rows[j as usize].pattern as usize].degree as usize
     }
 
     /// `(OC, oh·ow)`: output neuron `oc·oh·ow + pos` lives in membrane
@@ -296,18 +357,12 @@ impl<W: Copy> ConvPatterns<W> {
         (self.oc as usize, self.plane as usize)
     }
 
-    /// Bytes of backing storage (pattern table, repacked weights, per-pixel
-    /// map).
+    /// Bytes of backing storage (row, pattern and run tables, repacked
+    /// weights).
     pub fn stored_bytes(&self) -> usize {
-        (self.pat_ptr.len()
-            + self.t_start.len()
-            + self.w_start.len()
-            + self.run_len.len()
-            + self.row_pattern.len()
-            + self.row_tbase.len()
-            + self.row_wbase.len()
-            + self.pat_degree.len())
-            * 4
+        self.rows.len() * std::mem::size_of::<ConvRow>()
+            + self.patterns.len() * std::mem::size_of::<ConvPattern>()
+            + self.runs.len() * std::mem::size_of::<ConvRun>()
             + self.weight_bytes()
     }
 
@@ -326,12 +381,8 @@ impl<W: Copy> ConvPatterns<W> {
 /// plus the pixel's cell base and channel weight slice.
 #[derive(Debug, Clone, Copy)]
 pub struct PatternRow<'a, W = f32> {
-    /// Relative first channel-last cell per run.
-    pub t_start: &'a [u32],
-    /// First weight index per run, into `channel_weights`.
-    pub w_start: &'a [u32],
-    /// Cells per run.
-    pub run_len: &'a [u32],
+    /// The pattern's runs.
+    pub runs: &'a [ConvRun],
     /// Output channels (cells per tap).
     pub oc: u32,
     /// Output plane `oh·ow`.
@@ -340,7 +391,7 @@ pub struct PatternRow<'a, W = f32> {
     pub t_base: u32,
     /// The row's channel slice of the repacked weight array.
     pub channel_weights: &'a [W],
-    /// Total edges of the row (`Σ run_len`).
+    /// Total edges of the row (`Σ len`).
     pub degree: usize,
 }
 
@@ -375,15 +426,12 @@ impl<W: Copy> Iterator for EdgeIter<'_, W> {
         match self {
             Self::Flat { col, weight } => Some((*col.next()?, *weight.next()?)),
             Self::Runs { row, run, i } => loop {
-                if *run >= row.run_len.len() {
-                    return None;
-                }
-                let len = row.run_len[*run];
-                if *i < len {
-                    let at = len - row.oc - *i / row.oc * row.oc + *i % row.oc;
-                    let cell = row.t_start[*run] + row.t_base + at;
+                let r = *row.runs.get(*run)?;
+                if *i < r.len {
+                    let at = r.len - row.oc - *i / row.oc * row.oc + *i % row.oc;
+                    let cell = r.t0 + row.t_base + at;
                     let t = cell % row.oc * row.plane + cell / row.oc;
-                    let w = row.channel_weights[(row.w_start[*run] + at) as usize];
+                    let w = row.channel_weights[(r.w0 + at) as usize];
                     *i += 1;
                     return Some((t, w));
                 }
@@ -655,26 +703,17 @@ fn compile_conv<W: Copy + Default>(
     // output) pair, so equal keys guarantee identical run lists.
     let mut ids: std::collections::HashMap<(u32, u32, u32, u32), u32> =
         std::collections::HashMap::new();
-    let mut pat_ptr: Vec<u32> = vec![0];
-    let mut t_start: Vec<u32> = Vec::new();
-    let mut w_start: Vec<u32> = Vec::new();
-    let mut run_len: Vec<u32> = Vec::new();
-    let mut pat_degree: Vec<u32> = Vec::new();
-    let rows = spec.in_channels * h * w;
-    let mut row_pattern: Vec<u32> = Vec::with_capacity(rows);
-    let mut row_tbase: Vec<u32> = Vec::with_capacity(rows);
-    let mut row_wbase: Vec<u32> = Vec::with_capacity(rows);
-    let mut logical_edges = 0usize;
+    let mut patterns: Vec<ConvPattern> = Vec::new();
+    let mut runs: Vec<ConvRun> = Vec::new();
 
     // One pass over the spatial grid resolves all patterns and the
-    // per-pixel map of channel 0; other channels reuse it with a shifted
-    // weight base.
-    let mut grid_pattern: Vec<u32> = Vec::with_capacity(h * w);
-    let mut grid_tbase: Vec<u32> = Vec::with_capacity(h * w);
+    // per-pixel rows of channel 0; other channels reuse them with a
+    // shifted weight base.
+    let mut grid: Vec<ConvRow> = Vec::with_capacity(h * w);
     for &(ky_min, county, oy_lo) in &y_class {
         for &(kx_min, countx, ox_lo) in &x_class {
             let key = (ky_min, county, kx_min, countx);
-            let pid = *ids.entry(key).or_insert_with(|| {
+            let pattern = *ids.entry(key).or_insert_with(|| {
                 // Materialize the canonical pattern, kernel rows
                 // ascending. A row's taps hit adjacent output columns;
                 // at stride 1 their weights are adjacent too, so the row
@@ -682,47 +721,60 @@ fn compile_conv<W: Copy + Default>(
                 // ascending). A run starts at its highest kernel column.
                 let countx = countx as usize;
                 let taps = if s == 1 { countx.max(1) } else { 1 };
+                let first_run = runs.len() as u32;
                 for ai in 0..county as usize {
                     let ki = ky_min as usize + ai * s;
                     let dy = county as usize - 1 - ai;
                     for end in (taps..=countx).step_by(taps) {
                         let kj = kx_min as usize + (end - 1) * s;
-                        t_start.push(((dy * ow + countx - end) * oc_n) as u32);
-                        w_start.push(((ki * k + k - 1 - kj) * oc_n) as u32);
-                        run_len.push((taps * oc_n) as u32);
+                        runs.push(ConvRun {
+                            t0: ((dy * ow + countx - end) * oc_n) as u32,
+                            w0: ((ki * k + k - 1 - kj) * oc_n) as u32,
+                            len: (taps * oc_n) as u32,
+                        });
                     }
                 }
-                pat_ptr.push(t_start.len() as u32);
-                pat_degree.push(county * (countx * oc_n) as u32);
-                (pat_ptr.len() - 2) as u32
+                patterns.push(ConvPattern {
+                    first_run,
+                    end_run: runs.len() as u32,
+                    degree: county * (countx * oc_n) as u32,
+                });
+                (patterns.len() - 1) as u32
             });
-            grid_pattern.push(pid);
-            grid_tbase.push((oy_lo * ow as u32 + ox_lo) * oc_n as u32);
+            grid.push(ConvRow {
+                t_base: (oy_lo * ow as u32 + ox_lo) * oc_n as u32,
+                w_base: 0,
+                pattern,
+            });
         }
     }
-    for ci in 0..spec.in_channels {
-        for px in 0..h * w {
-            let pid = grid_pattern[px];
-            row_pattern.push(pid);
-            row_tbase.push(grid_tbase[px]);
-            row_wbase.push((ci * ch_stride) as u32);
-            logical_edges += pat_degree[pid as usize] as usize;
-        }
-    }
+    let rows: Vec<ConvRow> = (0..spec.in_channels)
+        .flat_map(|ci| {
+            let w_base = (ci * ch_stride) as u32;
+            grid.iter().map(move |&row| ConvRow { w_base, ..row })
+        })
+        .collect();
+    let logical_edges = rows
+        .iter()
+        .map(|row| patterns[row.pattern as usize].degree as usize)
+        .sum();
+    // All k taps survive on both axes from tap 0: the unclipped pattern.
+    let full = ids
+        .get(&(0, k as u32, 0, k as u32))
+        .copied()
+        .filter(|_| s == 1);
 
     ConvPatterns {
-        pat_ptr,
-        t_start,
-        w_start,
-        run_len,
+        rows,
+        patterns,
+        runs,
         oc: oc_n as u32,
         plane: (oh * ow) as u32,
+        kernel: k as u32,
+        row_cells: (ow * oc_n) as u32,
+        full,
         weight: rw,
         ch_stride,
-        row_pattern,
-        row_tbase,
-        row_wbase,
-        pat_degree,
         logical_edges,
     }
 }
@@ -1096,6 +1148,47 @@ mod tests {
                 assert_eq!(f, d, "row {j} of {spec:?} on {h}x{w}");
                 assert_eq!(pat.degree(j), f.len());
             }
+        }
+    }
+
+    /// The marked full pattern is what the engine's fixed-width kernel
+    /// assumes: `k` runs of `k·OC` cells, run `r` reading weights from
+    /// `r·k·OC` into output row `k − 1 − r`, followed by every interior
+    /// pixel — and it is marked only at stride 1, and only where some pixel
+    /// is interior.
+    #[test]
+    fn full_pattern_is_marked_with_its_fixed_layout() {
+        let mut rng = StdRng::seed_from_u64(80);
+        // (in_c, out_c, k, stride, padding, h, w, interior pixels per channel)
+        for (ci, co, k, s, p, h, w, interior) in [
+            (2, 4, 3, 1, 1, 6, 5, 4 * 3),
+            (1, 8, 5, 1, 2, 7, 7, 3 * 3),
+            (2, 3, 3, 1, 0, 5, 6, 2),
+            (1, 4, 3, 1, 1, 2, 2, 0),
+            (1, 4, 3, 2, 1, 7, 7, 0),
+        ] {
+            let spec = Conv2dSpec::new(ci, co, k, s, p);
+            let (_, ow) = spec.output_hw(h, w);
+            let weight = snn_tensor::uniform(&[co, ci, k, k], -1.0, 1.0, &mut rng);
+            let pat = compile_conv(&spec, weight.as_slice(), h, w);
+            let full = pat.full_pattern();
+            let on_full = full.map_or(0, |(id, _, _)| {
+                pat.rows().iter().filter(|row| row.pattern == id).count()
+            });
+            assert_eq!(on_full, interior * ci, "{spec:?} on {h}x{w}");
+            let Some((id, kernel, row_cells)) = full else {
+                continue;
+            };
+            assert_eq!((kernel, row_cells), (k, ow * co), "{spec:?}");
+            let expect: Vec<ConvRun> = (0..k)
+                .map(|r| ConvRun {
+                    t0: ((k - 1 - r) * ow * co) as u32,
+                    w0: (r * k * co) as u32,
+                    len: (k * co) as u32,
+                })
+                .collect();
+            assert_eq!(pat.runs_of(id), &expect[..], "{spec:?}");
+            assert_eq!(pat.pattern(id).degree as usize, k * k * co);
         }
     }
 

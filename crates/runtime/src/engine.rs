@@ -1,16 +1,18 @@
 //! The CSR fast-path inference engine.
 //!
 //! [`CsrEngine`] executes the same integrate/fire physics as
-//! [`snn_sim::EventSnn`] but over the compiled [`CsrModel`], and it does so
-//! **edge-major over a chunk of samples**: instead of walking one sample's
-//! spikes at a time (which streams every CSR row from memory once per
-//! sample), the engine lines the chunk's samples up as lanes of a
-//! [`BatchWheel`], walks time slots in ascending order, groups equal
-//! neurons across lanes within a slot, and streams each synapse row **once
-//! per group** while scattering into a `[lanes, out_neurons]` f64 membrane
-//! matrix (each lane owns a contiguous membrane slice). Weight traffic is
-//! amortized across the whole chunk — the software analogue of the paper's
-//! weight-buffered PE clusters.
+//! [`snn_sim::EventSnn`] but over the compiled [`CsrModel`], a chunk of
+//! samples at a time: the chunk's samples are the lanes of a
+//! [`BatchWheel`], whose time slots are walked in ascending order, and
+//! each stage's membranes are one `[lanes, out_neurons]` f64 matrix (each
+//! lane owns a contiguous slice, padded to whole cache lines, the matrix
+//! starting on a 64-byte boundary). Integration walks a sealed slot's
+//! spikes **one at a time, in their stored order**, in one small
+//! `#[inline(never)]` function per synapse kind: a dense spike streams its
+//! CSR row into its lane's slice; a conv spike reads one packed row record
+//! `(t_base, w_base, pattern)` and adds its pattern there. Lanes share
+//! the compiled tables and the fire/pool/wheel passes; they do not share
+//! row fetches.
 //!
 //! Under TTFS coding a neuron fires at most once, so a layer's whole
 //! output is one time step per neuron, and that is how the engine holds
@@ -29,27 +31,32 @@
 //! Every inner loop is a contiguous sweep. A conv stage's lane slice is
 //! **channel-last** (`[oy·ow + ox][oc]`, see [`crate::csr`]), so a row is a
 //! handful of runs `cells[..n] += w[..n] · psp` over two slices — one run
-//! per kernel row at stride 1 — which rustc vectorises. The workspace
-//! builds for x86-64-v3 (`.cargo/config.toml`), so one AVX2 op widens,
-//! multiplies and adds four f64 cells; rustc never fuses the multiply and
-//! add into an FMA, so a baseline (SSE2, two cells per op) build computes
-//! the same bits. A quantised stage stores packed log codes and decodes
-//! them through its layer's LUT once per chunk into a scratch f32 array,
-//! then integrates through the very same run loop.
+//! per kernel row at stride 1. An interior pixel of a 3×3 stride-1 conv
+//! with `OC ∈ {4, 8, 16, 32, 64}` follows the layer's full pattern, and
+//! the stage's const-generic kernel adds it as three fixed-width
+//! `[f64; 3·OC] += [f32; 3·OC] · psp` blocks with no loop over a
+//! remainder and no run table; border pixels, other widths and other
+//! kernels take the run loop. The workspace builds for x86-64-v3
+//! (`.cargo/config.toml`), so one AVX2 op widens, multiplies and adds four
+//! f64 cells; rustc never fuses the multiply and add into an FMA, so a
+//! baseline (SSE2, two cells per op) build computes the same bits. A
+//! quantised stage stores packed log codes and decodes them through its
+//! layer's LUT once per chunk into a scratch f32 array, then integrates
+//! through the very same code.
 //!
 //! Bit-exactness is preserved by construction. Per accumulator cell
 //! `(lane, target)`, additions land in exactly the reference backend's
-//! order: the outer loop is ascending `(t, neuron)` — the order the
-//! counting sort emits per lane, because it walks neurons in ascending
-//! index and is stable (and [`BatchWheel::seal`]'s stable sort keeps
-//! per-lane duplicates in emission order) — and within one row every edge
-//! hits a distinct cell, so neither the edge-major interchange nor the
-//! channel-last layout (which moves a cell's *address*, and reorders edges
-//! only inside a row) ever swaps two additions to the same cell; a decoded
-//! code is the f32 the reference multiplies by. The readout walks neurons
-//! in ascending index order through the `[pos][oc]` map. Logits therefore
-//! match [`snn_sim::EventSnn`] bit-for-bit for every chunk size, and the
-//! shared event statistics are identical.
+//! order: the walk is ascending `(t, neuron)` per lane — the order the
+//! counting sort emits, because it walks neurons in ascending index and is
+//! stable (and [`BatchWheel::seal`]'s stable sort keeps per-lane
+//! duplicates in emission order) — and within one row every edge hits a
+//! distinct cell, so neither the channel-last layout (which moves a cell's
+//! *address*, and reorders edges only inside a row) nor the fixed-width
+//! blocks ever swap two additions to the same cell; a decoded code is the
+//! f32 the reference multiplies by. The readout walks neurons in ascending
+//! index order through the `[pos][oc]` map. Logits therefore match
+//! [`snn_sim::EventSnn`] bit-for-bit for every chunk size, and the shared
+//! event statistics are identical.
 //!
 //! The engine holds the converted [`SnnModel`] and compiled [`CsrModel`]
 //! behind [`Arc`], so clones (one per worker, per shard, per server) share
@@ -63,17 +70,19 @@ use snn_sim::{phase, RunStats};
 use snn_tensor::Tensor;
 use ttfs_core::{Base2Kernel, ConvertError, SnnModel, TtfsKernel};
 
-use crate::csr::{axis_class, CsrModel, CsrStage, SynapseTable};
+use crate::csr::{axis_class, ConvPatterns, CsrModel, CsrStage, CsrSynapses, SynapseTable};
 use crate::wheel::{BatchWheel, LaneSpike};
 use crate::InferenceBackend;
 
 /// Default number of sample lanes integrated together per chunk — the
 /// batcher's default `max_batch`, so a formed batch runs as one chunk (and
-/// a quantised stage is decoded once per batch). Lanes buy little beyond
-/// that: the benchmark's `engine.f32.lane_speedup` (8 lanes vs 1,
-/// VGG-16/w16) reads ≈ 1.0 (0.99–1.03 at the x86-64-v3 build target, as
-/// at the SSE2 baseline). Explicit [`CsrEngine::with_max_lanes`] may set
-/// any width; every width is bit-identical.
+/// a quantised stage is decoded once per batch). Lanes share the compiled
+/// tables, that decode and the per-stage passes, but each spike fetches
+/// its own row: the benchmark's `engine.f32.lane_speedup` (8 lanes vs 1,
+/// VGG-16/w16, x86-64-v3 build on a 2-vCPU guest) read 0.94, 0.80, 0.90
+/// and 1.00 on four 2 s trace runs — no gain from lanes. Explicit
+/// [`CsrEngine::with_max_lanes`] may set any width; every width is
+/// bit-identical.
 pub const DEFAULT_MAX_LANES: usize = 8;
 
 /// One stored edge payload: `f32` weights are integrated as they are
@@ -324,7 +333,7 @@ enum Spikes {
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// `[lanes, out_neurons]` f64 membrane accumulator.
-    acc: Vec<f64>,
+    acc: Membranes,
     /// The current stage's packed codes, decoded (quantized stages only).
     weights: Vec<f32>,
     /// The current stage's bias per output channel.
@@ -361,7 +370,7 @@ impl ScratchPool {
     }
 }
 
-/// Batched edge-major CSR + time-wheel executor for a converted
+/// Batched CSR + time-wheel executor for a converted
 /// [`SnnModel`].
 pub struct CsrEngine {
     model: Arc<SnnModel>,
@@ -398,8 +407,8 @@ impl CsrEngine {
     ///
     /// Compilation walks the model once and materializes every weighted
     /// layer's synapses (pattern-deduplicated for conv, flat CSR for
-    /// dense), so each later inference is a contiguous edge scan per spike
-    /// group. The model is cloned once into a shared [`Arc`]; use
+    /// dense), so each later inference is a contiguous edge scan per
+    /// spike. The model is cloned once into a shared [`Arc`]; use
     /// [`compile_shared`](Self::compile_shared) to avoid even that copy.
     ///
     /// # Example
@@ -516,7 +525,7 @@ impl CsrEngine {
     }
 
     /// Integrates `lanes` samples (`data` is their concatenated flat
-    /// pixels) as one edge-major chunk, appending one logits row per lane.
+    /// pixels) as one chunk, appending one logits row per lane.
     fn run_chunk(
         &self,
         data: &[f32],
@@ -556,11 +565,11 @@ fn chw(in_dims: &[usize]) -> Result<(usize, usize, usize), ConvertError> {
     }
 }
 
-/// Integrates one chunk of `lanes` samples edge-major over a compiled
+/// Integrates one chunk of `lanes` samples over a compiled
 /// stage list — the shared inner loop of [`CsrEngine`] and
 /// [`crate::QuantEngine`]. `ctx_of(i)` is the [`EdgeWeight`] decode
 /// context of weighted stage `i` (unit for f32 weights, the layer's code
-/// LUT for packed log codes); everything else — encode, slot grouping,
+/// LUT for packed log codes); everything else — encode, wheels,
 /// fire phases, pooling, statistics — is identical between the two
 /// serving modes, which is what keeps them bit-comparable. Appends one
 /// logits row per lane to `rows`.
@@ -635,59 +644,14 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                 }
                 let out_len = bias.len();
                 let resolved = W::resolve(syn.weights(), ctx_of(seen), weights);
-                refill(acc, out_len * lanes, 0.0);
-                let mut ops = 0usize;
-                // Edge-major integration: ascending time slots, equal
-                // neurons grouped across lanes, one row fetch per
-                // group. f64 accumulate -> one f32 rounding -> f32
-                // bias add: identical to the reference GEMM
-                // discipline, so the fire-phase quantizer sees the
-                // same f32 membranes.
-                for t in 0..=window {
-                    let slot = wheel_in.slot(t);
-                    let psp_t = fire.decode(t);
-                    let mut i = 0usize;
-                    while i < slot.len() {
-                        let neuron = slot[i].neuron;
-                        let mut end = i + 1;
-                        while end < slot.len() && slot[end].neuron == neuron {
-                            end += 1;
-                        }
-                        let group = &slot[i..end];
-                        let degree = match syn {
-                            SynapseTable::Flat(cs) => {
-                                let (cols, row) = cs.row_slices_in(neuron, resolved);
-                                for s in group {
-                                    let (psp, cells) = lane_cells(s, psp_t, acc, out_len);
-                                    if cs.full_rows() {
-                                        add_run(&mut cells[..row.len()], row, psp);
-                                    } else {
-                                        for (c, w) in cols.iter().zip(row) {
-                                            cells[*c as usize] += *w as f64 * psp;
-                                        }
-                                    }
-                                }
-                                cols.len()
-                            }
-                            SynapseTable::Patterned(p) => {
-                                let row = p.row_slices_in(neuron, resolved);
-                                let runs = row.t_start.iter().zip(row.w_start).zip(row.run_len);
-                                for s in group {
-                                    let (psp, cells) = lane_cells(s, psp_t, acc, out_len);
-                                    let cells = &mut cells[row.t_base as usize..];
-                                    for ((&t0, &w0), &n) in runs.clone() {
-                                        let (t0, w0, n) = (t0 as usize, w0 as usize, n as usize);
-                                        let run = &row.channel_weights[w0..w0 + n];
-                                        add_run(&mut cells[t0..t0 + n], run, psp);
-                                    }
-                                }
-                                row.degree
-                            }
-                        };
-                        ops += degree * group.len();
-                        i = end;
-                    }
-                }
+                acc.reset(lanes, out_len);
+                // f64 accumulate -> one f32 rounding -> f32 bias add:
+                // identical to the reference GEMM discipline, so the
+                // fire-phase quantizer sees the same f32 membranes.
+                let ops = match syn {
+                    SynapseTable::Flat(cs) => integrate_dense(cs, resolved, wheel_in, fire, acc),
+                    SynapseTable::Patterned(p) => integrate_conv(p, resolved, wheel_in, fire, acc),
+                };
 
                 let layer_stats = &mut stats.layers[seen];
                 layer_stats.input_spikes += wheel_in.len();
@@ -716,9 +680,7 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                     plane_in.reset(lanes, channels, plane, fire);
                     let lane_steps = plane_in.steps.chunks_exact_mut(out_len);
                     let lane_hist = plane_in.hist.chunks_exact_mut(fire.slots());
-                    for ((cells, steps), hist) in
-                        acc.chunks_exact(out_len).zip(lane_steps).zip(lane_hist)
-                    {
+                    for ((cells, steps), hist) in acc.lanes().zip(lane_steps).zip(lane_hist) {
                         let bias = channel_bias.iter().cycle();
                         let membranes = cells.iter().zip(bias).map(|(&u, &b)| u as f32 + b);
                         fire.fire_row(membranes, steps, hist);
@@ -737,7 +699,7 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                     spikes = Spikes::Plane;
                 } else {
                     // Readout: decode every lane's logits row.
-                    for cells in acc.chunks_exact(out_len) {
+                    for cells in acc.lanes() {
                         rows.extend(
                             (0..out_len)
                                 .map(|o| cells[o % plane * channels + o / plane] as f32 + bias[o]),
@@ -879,25 +841,182 @@ fn max_pool(
     }
 }
 
-/// One spike's view of the integration: its f64 post-synaptic potential
-/// (computed in f32 as `decode(t) · scale` then widened, like the
-/// reference) and its lane's membrane slice.
-#[inline]
-fn lane_cells<'m>(
-    s: &LaneSpike,
-    psp_t: f32,
-    acc: &'m mut [f64],
-    out_len: usize,
-) -> (f64, &'m mut [f64]) {
-    let psp = psp_t * s.scale;
-    (psp as f64, &mut acc[s.lane as usize * out_len..][..out_len])
+/// f64 cells per 64-byte cache line.
+const LINE: usize = 8;
+
+/// The `[lanes, out_len]` f64 membrane matrix of a weighted stage. It
+/// starts on a 64-byte boundary and every lane's slice is padded to whole
+/// cache lines, so every lane starts on a line and, where `OC` is a
+/// multiple of 8, so does every tap's block of cells. The alignment is an
+/// offset into a padded `Vec`, found without `unsafe`.
+#[derive(Debug, Default)]
+struct Membranes {
+    buf: Vec<f64>,
+    /// Index of lane 0's first cell: on a 64-byte boundary.
+    start: usize,
+    /// Cells from one lane's first cell to the next one's.
+    stride: usize,
+    /// Cells per lane.
+    len: usize,
+    lanes: usize,
 }
 
-/// `cells[i] += weights[i] · psp` over one contiguous run — the whole
-/// inner loop of integration, for stored f32 weights and decoded codes
-/// alike. Lanes own disjoint slices and a row's edges hit distinct cells,
-/// so per-cell accumulation order equals the spike order, matching the
-/// reference backend.
+impl Membranes {
+    /// Zeroes `lanes` slices of `len` cells.
+    fn reset(&mut self, lanes: usize, len: usize) {
+        self.stride = len.next_multiple_of(LINE);
+        refill(&mut self.buf, lanes * self.stride + LINE - 1, 0.0);
+        // Vec<f64> is 8-byte aligned, so the line starts within 7 cells.
+        self.start = self.buf.as_ptr().align_offset(LINE * 8).min(LINE - 1);
+        self.len = len;
+        self.lanes = lanes;
+    }
+
+    /// Every lane's cells, lane by lane.
+    fn lanes(&self) -> impl Iterator<Item = &[f64]> {
+        let all = &self.buf[self.start..self.start + self.lanes * self.stride];
+        all.chunks_exact(self.stride).map(|lane| &lane[..self.len])
+    }
+
+    /// One spike's view of the integration: its f64 post-synaptic
+    /// potential (computed in f32 as `decode(t) · scale` then widened,
+    /// like the reference) and its lane's cells.
+    #[inline]
+    fn spike_cells(&mut self, s: &LaneSpike, psp_t: f32) -> (f64, &mut [f64]) {
+        let psp = psp_t * s.scale;
+        let at = self.start + s.lane as usize * self.stride;
+        (psp as f64, &mut self.buf[at..at + self.len])
+    }
+}
+
+/// Integrates a dense stage: every sealed spike, slot after slot in stored
+/// order, streams its row of `weights` into its lane's cells. Returns the
+/// synaptic ops.
+#[inline(never)]
+fn integrate_dense<W: Copy>(
+    cs: &CsrSynapses<W>,
+    weights: &[f32],
+    wheel: &BatchWheel,
+    fire: &FireTable,
+    acc: &mut Membranes,
+) -> usize {
+    let mut ops = 0usize;
+    for t in 0..=fire.window() {
+        let psp_t = fire.decode(t);
+        for s in wheel.slot(t) {
+            let (cols, row) = cs.row_slices_in(s.neuron, weights);
+            let (psp, cells) = acc.spike_cells(s, psp_t);
+            if cs.full_rows() {
+                add_run(&mut cells[..row.len()], row, psp);
+            } else {
+                for (c, w) in cols.iter().zip(row) {
+                    cells[*c as usize] += *w as f64 * psp;
+                }
+            }
+            ops += cols.len();
+        }
+    }
+    ops
+}
+
+/// Integrates a conv stage. A 3×3 stride-1 kernel over `OC ∈ {4, 8, 16,
+/// 32, 64}` output channels adds its full pattern with the fixed-width
+/// kernel for `N = 3·OC`; everything else takes the run loop alone.
+fn integrate_conv<W: Copy>(
+    p: &ConvPatterns<W>,
+    weights: &[f32],
+    wheel: &BatchWheel,
+    fire: &FireTable,
+    acc: &mut Membranes,
+) -> usize {
+    let full = p.full_pattern().filter(|&(_, k, _)| k == 3);
+    match full.map(|_| p.layout().0) {
+        Some(4) => conv_spikes::<W, 12>(p, weights, wheel, fire, acc),
+        Some(8) => conv_spikes::<W, 24>(p, weights, wheel, fire, acc),
+        Some(16) => conv_spikes::<W, 48>(p, weights, wheel, fire, acc),
+        Some(32) => conv_spikes::<W, 96>(p, weights, wheel, fire, acc),
+        Some(64) => conv_spikes::<W, 192>(p, weights, wheel, fire, acc),
+        _ => conv_spikes::<W, 0>(p, weights, wheel, fire, acc),
+    }
+}
+
+/// Every sealed spike of a conv stage, slot after slot in stored order,
+/// one at a time: its row record gives its cells and channel slice; a row
+/// on the full 3×3 pattern adds three `N`-wide blocks (`N = 3·OC`, `0`
+/// when the stage has no such kernel), any other walks its pattern's runs.
+/// Returns the synaptic ops.
+#[inline(never)]
+fn conv_spikes<W: Copy, const N: usize>(
+    p: &ConvPatterns<W>,
+    weights: &[f32],
+    wheel: &BatchWheel,
+    fire: &FireTable,
+    acc: &mut Membranes,
+) -> usize {
+    let (full, row_cells) = match p.full_pattern() {
+        Some((full, _, row_cells)) if N > 0 => (full, row_cells),
+        _ => (u32::MAX, 0),
+    };
+    let rows = p.rows();
+    let mut ops = 0usize;
+    for t in 0..=fire.window() {
+        let psp_t = fire.decode(t);
+        for s in wheel.slot(t) {
+            let row = rows[s.neuron as usize];
+            let (psp, cells) = acc.spike_cells(s, psp_t);
+            let cells = &mut cells[row.t_base as usize..];
+            let weights = &weights[row.w_base as usize..];
+            if N > 0 && row.pattern == full {
+                // Kernel row r feeds output row 2 − r.
+                add_block::<N>(&mut cells[2 * row_cells..], weights, psp);
+                add_block::<N>(&mut cells[row_cells..], &weights[N..], psp);
+                add_block::<N>(cells, &weights[2 * N..], psp);
+                ops += 3 * N;
+            } else {
+                for run in p.runs_of(row.pattern) {
+                    let (t0, w0, n) = (run.t0 as usize, run.w0 as usize, run.len as usize);
+                    add_run(&mut cells[t0..t0 + n], &weights[w0..w0 + n], psp);
+                }
+                ops += p.pattern(row.pattern).degree as usize;
+            }
+        }
+    }
+    ops
+}
+
+/// `cells[i] += weights[i] · psp` for the first `N = 3·OC` cells, with
+/// no loop over a remainder. LLVM vectorises a plain loop sixteen cells
+/// per iteration (four AVX2 ops), so a block that is a multiple of 16
+/// (OC ≥ 16) takes the plain loop; a smaller one (OC 4 and 8) is written
+/// as four-cell adds, which LLVM unrolls into straight-line code.
+#[inline(always)]
+fn add_block<const N: usize>(cells: &mut [f64], weights: &[f32], psp: f64) {
+    let cells = cells.first_chunk_mut::<N>().expect("block within the lane");
+    let weights = weights.first_chunk::<N>().expect("block within the slice");
+    if N.is_multiple_of(16) {
+        for (c, &w) in cells.iter_mut().zip(weights) {
+            *c += w as f64 * psp;
+        }
+    } else {
+        let (cells, _) = cells.as_chunks_mut::<4>();
+        let (weights, _) = weights.as_chunks::<4>();
+        for (c, w) in cells.iter_mut().zip(weights) {
+            *c = [
+                c[0] + w[0] as f64 * psp,
+                c[1] + w[1] as f64 * psp,
+                c[2] + w[2] as f64 * psp,
+                c[3] + w[3] as f64 * psp,
+            ];
+        }
+    }
+}
+
+/// `cells[i] += weights[i] · psp` over one contiguous run — the inner
+/// loop of integration for every run the fixed-width kernel does not
+/// take, for stored f32 weights and decoded codes alike. Lanes own
+/// disjoint slices and a row's edges hit distinct cells, so per-cell
+/// accumulation order equals the spike order, matching the reference
+/// backend.
 #[inline]
 fn add_run(cells: &mut [f64], weights: &[f32], psp: f64) {
     for (c, &w) in cells.iter_mut().zip(weights) {

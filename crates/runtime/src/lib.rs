@@ -13,12 +13,13 @@
 //!   converted [`ttfs_core::SnnModel`] into synapse tables (conv layers
 //!   pattern-deduplicated per `(channel, border-class)` — roughly
 //!   `H·W`-fold less edge storage; dense layers flat CSR) plus the
-//!   [`BatchWheel`] multi-lane spike queue. Integration is **batched
-//!   and edge-major**: a chunk of samples is walked together in ascending
-//!   `(t, neuron)` order and each synapse row is streamed once per spike
-//!   group into a `[lanes, out]` membrane matrix whose conv slices are
-//!   channel-last, so a row is a few contiguous `cells += w · psp` runs
-//!   (one per kernel row at stride 1). A neuron fires at most once, so a
+//!   [`BatchWheel`] multi-lane spike queue. Integration is **batched**: a
+//!   chunk of samples is walked together in ascending `(t, neuron)` order,
+//!   spike by spike, each spike's synapse row added into its lane of a
+//!   cache-line-aligned `[lanes, out]` membrane matrix whose conv slices
+//!   are channel-last, so a row is a few contiguous `cells += w · psp`
+//!   runs (one per kernel row at stride 1), and an interior pixel of a
+//!   3×3 conv three fixed-width blocks. A neuron fires at most once, so a
 //!   fire phase writes one time step per cell — a dense step plane, each
 //!   step looked up in a table built at compile time — max-pooling is an
 //!   element-wise `min` over that plane, and the wheel a weighted stage
@@ -31,7 +32,7 @@
 //! * [`QuantCsrModel`] / [`QuantEngine`] — the quantized serving
 //!   subsystem: one [`snn_logquant::LogQuantizer`] calibrated per weighted
 //!   layer, packed 5-bit log codes stored in place of the repacked f32
-//!   weight copy (4× smaller stored weights), and the same edge-major
+//!   weight copy (4× smaller stored weights), and the same batched
 //!   inner loop over a stage's codes decoded once per chunk through the
 //!   per-layer decode LUT — or through the `LogPe`-style shift-add
 //!   datapath's table, with reported mantissa-error bounds. In LUT mode,
@@ -129,7 +130,8 @@ pub use batcher::{
     SubmitOptions, Ticket,
 };
 pub use csr::{
-    ConvPatterns, CsrFootprint, CsrModel, CsrStage, CsrSynapses, EdgeIter, PatternRow, SynapseTable,
+    ConvPatterns, ConvRun, CsrFootprint, CsrModel, CsrStage, CsrSynapses, EdgeIter, PatternRow,
+    SynapseTable,
 };
 pub use engine::{CsrEngine, DEFAULT_MAX_LANES};
 pub use faults::{FaultConfig, FaultCounts, FaultInjector, FaultPoint};

@@ -1,6 +1,5 @@
 //! The quantized serving subsystem: 5-bit log-code CSR storage with LUT
-//! (or shift-add) weight resolution ahead of the batched edge-major inner
-//! loop.
+//! (or shift-add) weight resolution ahead of the batched inner loop.
 //!
 //! The paper's processor never multiplies: weights are stored as 5-bit
 //! logarithmic codes (sign + magnitude exponent, eq. 15) and each synaptic
@@ -21,7 +20,7 @@
 //!   ([`SynapseTable`]) — only the per-edge payload shrinks, 4× for the
 //!   stored weight array.
 //! * [`QuantEngine`] — an [`InferenceBackend`] whose integration loop is
-//!   the *same* batched edge-major walk as [`crate::CsrEngine`]'s
+//!   the *same* batched walk as [`crate::CsrEngine`]'s
 //!   ([`run_chunk_stages`] is shared), down to the vectorised `cells +=
 //!   w · psp` run (four f64 cells per AVX2 op at the workspace's
 //!   x86-64-v3 target, the same bits as a baseline build): a weighted
@@ -415,7 +414,7 @@ impl QuantCsrModel {
     }
 }
 
-/// Batched edge-major inference over packed log codes: the
+/// Batched inference over packed log codes: the
 /// [`crate::CsrEngine`] walk with each stage's weights resolved through
 /// the layer's decode LUT once per chunk.
 ///

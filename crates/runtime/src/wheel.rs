@@ -14,7 +14,7 @@
 //! public building block for custom backends): a `Vec` per slot, O(1)
 //! insertion. [`BatchWheel`] is what [`crate::CsrEngine`] executes on —
 //! the multi-lane variant whose slots merge a whole chunk of samples for
-//! edge-major integration. It never inserts into a slot: its spikes sit
+//! batched integration. It never inserts into a slot: its spikes sit
 //! in one flat array, put there by a counting sort over the time steps —
 //! over a fire phase's dense step plane (a neuron fires at most once, so
 //! a layer's output *is* one step per neuron), or over the list of
@@ -120,9 +120,9 @@ pub struct LaneSpike {
 }
 
 /// A time wheel over a whole chunk of samples: every lane's spikes share
-/// one set of time slots, so the integration loop can walk a slot once,
-/// group equal neurons across lanes, and stream each CSR row a single time
-/// for the whole group (edge-major batched integration).
+/// one set of time slots, so the integration loop walks each slot once
+/// for the whole chunk, spike by spike, each spike adding into its own
+/// lane's membranes.
 ///
 /// Storage is flat: one `Vec<LaneSpike>` holding slot after slot, plus
 /// `window + 2` offsets (`spikes[offsets[t]..offsets[t + 1]]` is slot `t`).
@@ -137,8 +137,8 @@ pub struct LaneSpike {
 /// the counting sort is stable, and [`seal`](Self::seal) then stable-sorts
 /// every slot by neuron. Stability keeps each lane's duplicates in emission
 /// order, so restricting a sealed slot to one lane reproduces that lane's
-/// canonical sequence — which is why the merged edge-major traversal
-/// accumulates every `(lane, target)` cell in exactly the reference
+/// canonical sequence — which is why walking the merged slots in stored
+/// order accumulates every `(lane, target)` cell in exactly the reference
 /// backend's f64 order.
 #[derive(Debug, Clone, Default)]
 pub struct BatchWheel {
@@ -223,11 +223,11 @@ impl BatchWheel {
 
     /// Moves the pending pushes into their slots by a stable counting sort
     /// on the time step (behind whatever an earlier seal already put
-    /// there), then stable-sorts every slot by neuron so equal neurons
-    /// across lanes sit adjacent (one CSR row fetch serves the whole group)
-    /// while each lane's duplicate order is preserved. Slots that are
-    /// already non-descending by neuron — pushes made neuron-major arrive
-    /// pre-grouped — are skipped in one O(n) scan.
+    /// there), then stable-sorts every slot by neuron, so each lane's
+    /// spikes in a slot ascend by neuron — its canonical order, whatever
+    /// order the pushes came in — with its duplicates kept in emission
+    /// order. Slots that are already non-descending by neuron — pushes
+    /// made neuron-major arrive sorted — are skipped in one O(n) scan.
     pub fn seal(&mut self) {
         if self.pending.is_empty() {
             return;

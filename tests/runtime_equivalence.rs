@@ -378,8 +378,10 @@ fn assert_equals_event<B: InferenceBackend>(
 /// fire window.
 type OffPathCase = (&'static str, [usize; 3], Vec<Layer>, usize, u32);
 
-/// The channel-last membrane layout, the merged kernel-row runs, the step
-/// planes and the pooling on them, exercised where VGG never goes:
+/// The channel-last membrane layout, the merged kernel-row runs, the
+/// fixed-width full-pattern kernel at every width it is built for (OC 8 to
+/// 64, and OC 6, which it is not), the step planes and the pooling on
+/// them, exercised where VGG never goes:
 /// stride-2 conv, padding 0, k = 5, non-square inputs, odd `OC`, a conv
 /// **readout** (channel-last cells → neuron-order logits), `AvgPool →
 /// Conv`, overlapping `AvgPool → MaxPool` (scaled, duplicated spikes
@@ -503,6 +505,29 @@ fn layouts_and_pooling_chains_off_the_vgg_path_agree() {
             41,
         ),
     ];
+    // Each width through a 3×3 same conv (interior pixels take the full
+    // pattern) and a 5×5 one (the run loop alone).
+    let widths: [(&'static str, usize, usize); 10] = [
+        ("3x3 conv, OC 6", 6, 3),
+        ("3x3 conv, OC 8", 8, 3),
+        ("3x3 conv, OC 16", 16, 3),
+        ("3x3 conv, OC 32", 32, 3),
+        ("3x3 conv, OC 64", 64, 3),
+        ("5x5 conv, OC 6", 6, 5),
+        ("5x5 conv, OC 8", 8, 5),
+        ("5x5 conv, OC 16", 16, 5),
+        ("5x5 conv, OC 32", 32, 5),
+        ("5x5 conv, OC 64", 64, 5),
+    ];
+    let cases = cases.into_iter().chain(widths.map(|(name, oc, k)| {
+        let layers = vec![
+            conv(2, oc, k, 1, k / 2, r),
+            relu(),
+            Layer::Flatten(Flatten::new()),
+            Layer::Dense(DenseLayer::new(oc * 6 * 6, 3, r)),
+        ];
+        (name, [2, 6, 6], layers, usize::MAX, 24)
+    }));
     for (name, dims, layers, keep, window) in cases {
         let kernel = Base2Kernel::paper_default();
         let model = convert(&Sequential::new(layers), kernel, window).expect(name);
@@ -552,4 +577,74 @@ fn layouts_and_pooling_chains_off_the_vgg_path_agree() {
             |lanes| shift_add.clone().with_max_lanes(lanes),
         );
     }
+}
+
+/// FNV-1a over the bit patterns of `logits`, in order.
+fn fnv1a(logits: &[f32]) -> u64 {
+    logits
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The benchmark's VGG-16 at `1/width_div` width: weights from seed 7,
+/// 3×32×32 input, T = 24, readout normalised on a seeded calibration
+/// batch.
+fn bench_vgg(width_div: usize) -> SnnModel {
+    let mut rng = StdRng::seed_from_u64(7);
+    let net = ttfs_snn::nn::models::vgg16_scaled(32, 10, width_div, &mut rng);
+    let mut model = convert(&net, Base2Kernel::paper_default(), 24).expect("vgg conversion");
+    let calib = ttfs_snn::tensor::uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
+    ttfs_snn::ttfs::normalize_output_layer(&mut model, &calib).expect("normalisation");
+    model
+}
+
+/// The served geometry end to end, at whatever ISA level this test is
+/// built for: VGG-16/w16 through `CsrEngine` at 1 and 8 lanes and its w8
+/// twin through `QuantEngine` (LUT) must equal `EventSnn` over the same
+/// weights, and their logits must hash to the values every earlier build
+/// produced — so a baseline (SSE2) build and an x86-64-v3 build are held
+/// to the same bits, not only to their own `EventSnn`.
+#[test]
+fn vgg16_logits_are_pinned_at_every_isa_level() {
+    let dims = [3usize, 32, 32];
+    let mut rng = StdRng::seed_from_u64(0x7E57);
+    let x = ttfs_snn::tensor::uniform(&[3, 3, 32, 32], 0.0, 1.0, &mut rng);
+
+    let w16 = bench_vgg(16);
+    let (want, want_stats) = EventSnn::new(&w16).run(&x).expect("event w16");
+    let csr = CsrEngine::compile(&w16, &dims).expect("csr w16");
+    for lanes in [1usize, 8] {
+        let (logits, stats) = csr
+            .clone()
+            .with_max_lanes(lanes)
+            .run_batch(&x)
+            .expect("csr");
+        assert_eq!(logits.as_slice(), want.as_slice(), "w16 at {lanes} lanes");
+        assert_eq!(stats, want_stats, "w16 at {lanes} lanes");
+    }
+
+    let w8 = bench_vgg(8);
+    let config = QuantConfig::default();
+    let (quantised, _) = quantize_model(&w8, config.base, config.bits).expect("quantise");
+    let (want_q, want_q_stats) = EventSnn::new(&quantised).run(&x).expect("event w8");
+    let quant = QuantEngine::compile(&w8, &dims, config).expect("quant w8");
+    let (logits, stats) = quant.run_batch(&x).expect("quant");
+    assert_eq!(logits.as_slice(), want_q.as_slice(), "w8 quant");
+    assert_eq!(stats, want_q_stats, "w8 quant");
+
+    assert!(want_stats.layers.last().expect("readout").input_spikes > 0);
+    assert!(want_q_stats.layers.last().expect("readout").input_spikes > 0);
+    assert_eq!(
+        fnv1a(want.as_slice()),
+        0x7182_2c75_6490_4086,
+        "w16 logits moved"
+    );
+    assert_eq!(
+        fnv1a(want_q.as_slice()),
+        0xc19f_869e_ea7b_3890,
+        "w8 quant logits moved"
+    );
 }
