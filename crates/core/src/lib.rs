@@ -38,7 +38,6 @@ mod cat;
 mod convert;
 mod error;
 mod kernel;
-mod serialize;
 pub mod t2fsnn;
 
 pub use activation::{PhiClip, PhiTtfs};

@@ -19,8 +19,8 @@
 //!   One static route table in `server.rs` (`ROUTES`) is the only list of
 //!   what it serves: each row's method, path pattern, `route` label (the
 //!   one `/metrics` and `/v1/stats` report), handler, trace root and drain
-//!   rule. A wrong method answers `405` with `Allow`, an unknown path
-//!   `404`. The rows: `POST /v1/infer`; `GET /metrics` (Prometheus text:
+//!   rule. A `GET` row also answers `HEAD` (the head alone), a wrong
+//!   method answers `405` with `Allow`, an unknown path `404`. The rows: `POST /v1/infer`; `GET /metrics` (Prometheus text:
 //!   gateway counters, [`StreamingMetrics`](snn_runtime::StreamingMetrics)
 //!   and latency histograms whose `le` buckets are octave sums of
 //!   `snn_telemetry`'s log-linear bins); `GET /v1/trace/<id>` (a traced

@@ -1,16 +1,19 @@
 //! Gateway-level observability: wire counters, per-route latency
-//! percentiles, and the Prometheus text rendering served by
-//! `GET /metrics`.
+//! percentiles, and the one table of instruments that both `GET /metrics`
+//! (Prometheus text, rendered here) and `GET /v1/stats` ([`crate::stats`])
+//! are rendered from.
 //!
 //! The gateway's own counters (connections, parse errors, sheds, status
 //! classes) compose with the runtime's
 //! [`StreamingMetrics`](snn_runtime::StreamingMetrics) — one scrape shows
-//! the whole path from accepted socket to executed batch.
+//! the whole path from accepted socket to executed batch. Each scalar is
+//! one [`INSTRUMENTS`] row: its family, HELP, kind, label, `/v1/stats`
+//! key and the snapshot field it reads.
 
-use serde::{Deserialize, Serialize};
 use snn_runtime::{HistogramSnapshot, RegistryMetrics, StreamingMetrics};
 use snn_telemetry::{families, Labels, TelemetryHub, WindowCounter, WindowHistogram};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,7 +54,7 @@ pub struct LogStats {
 }
 
 /// Latency summary for one route (`infer`, `metrics`, `health`, `other`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteMetrics {
     /// Route label.
     pub route: String,
@@ -69,8 +72,8 @@ pub struct RouteMetrics {
     pub latency_p99_us: f64,
 }
 
-/// Serializable snapshot of the gateway's wire-level counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Snapshot of the gateway's wire-level counters.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatewayMetrics {
     /// TCP connections accepted.
     pub connections: u64,
@@ -214,16 +217,231 @@ impl GatewayRecorder {
     }
 }
 
-fn counter_family(out: &mut String, name: &str, help: &str, value: u64) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-    ));
+/// A sample's value as its snapshot holds it. `/v1/stats` prints `U` as
+/// an integer and `F` as a float; `/metrics` prints a counter as read and
+/// a gauge as the `f64` it is.
+#[derive(Clone, Copy)]
+pub(crate) enum Num {
+    U(u64),
+    F(f64),
 }
 
-fn gauge_family(out: &mut String, name: &str, help: &str, value: f64) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-    ));
+/// A Prometheus family's metric type.
+#[derive(Clone, Copy)]
+pub(crate) enum Kind {
+    Counter,
+    Gauge,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Self::Counter => "counter",
+            Self::Gauge => "gauge",
+        }
+    }
+}
+
+/// The snapshots one scrape reads: `/metrics` and `/v1/stats` take the
+/// same five.
+pub(crate) struct Sources<'a> {
+    pub gateway: &'a GatewayMetrics,
+    pub streaming: &'a StreamingMetrics,
+    pub registry: Option<&'a RegistryMetrics>,
+    pub trace: Option<&'a TraceStats>,
+    pub log: Option<&'a LogStats>,
+}
+
+/// Which snapshot an [`Instrument`] reads, and how.
+#[derive(Clone, Copy)]
+pub(crate) enum Read {
+    Gateway(fn(&GatewayMetrics) -> Num),
+    Streaming(fn(&StreamingMetrics) -> Num),
+    Registry(fn(&RegistryMetrics) -> Num),
+    Trace(fn(&TraceStats) -> Num),
+    Log(fn(&LogStats) -> Num),
+}
+
+/// One scalar instrument, or one sample of a labelled family: a row of
+/// [`INSTRUMENTS`].
+pub(crate) struct Instrument {
+    /// The Prometheus family.
+    pub family: &'static str,
+    /// The family's `# HELP` text.
+    pub help: &'static str,
+    pub kind: Kind,
+    /// The `(name, value)` label of this sample of a labelled family.
+    pub label: Option<(&'static str, &'static str)>,
+    /// The `(section, key)` this value sits at in `/v1/stats` (`""`: the
+    /// top level); rows sharing one key form an object keyed by their
+    /// label values.
+    pub stats: Option<(&'static str, &'static str)>,
+    read: Read,
+}
+
+impl Instrument {
+    const fn new(
+        kind: Kind,
+        (family, help): (&'static str, &'static str),
+        stats: Option<(&'static str, &'static str)>,
+        read: Read,
+    ) -> Self {
+        Self {
+            family,
+            help,
+            kind,
+            label: None,
+            stats,
+            read,
+        }
+    }
+
+    const fn label(mut self, name: &'static str, value: &'static str) -> Self {
+        self.label = Some((name, value));
+        self
+    }
+
+    /// The value, or `None` when its snapshot is absent.
+    pub fn read(&self, s: &Sources) -> Option<Num> {
+        Some(match self.read {
+            Read::Gateway(read) => read(s.gateway),
+            Read::Streaming(read) => read(s.streaming),
+            Read::Registry(read) => read(s.registry?),
+            Read::Trace(read) => read(s.trace?),
+            Read::Log(read) => read(s.log?),
+        })
+    }
+}
+
+/// Every scalar instrument `/metrics` and `/v1/stats` show, in the order
+/// both list them: adding one is a snapshot field and a row here. Rows of
+/// one family, and of one `/v1/stats` section, are adjacent; a section
+/// whose snapshot is absent is `null` in `/v1/stats` and missing from
+/// `/metrics`. The per-route families and the latency histograms are not
+/// scalars and are rendered by hand.
+#[rustfmt::skip]
+pub(crate) static INSTRUMENTS: &[Instrument] = {
+    use Kind::{Counter, Gauge};
+    use Num::{F, U};
+    use Read::{Gateway, Log, Registry, Streaming, Trace};
+    type I = Instrument;
+    const RESPONSES: (&str, &str) = ("snn_gateway_responses_total", "Responses by status class");
+    const FLUSHES: (&str, &str) = ("snn_streaming_flushes_total", "Batch flushes by trigger");
+    const LOG_EVENTS: (&str, &str) = ("snn_log_events_total", "Structured log events recorded, by level");
+    const fn at(section: &'static str, key: &'static str) -> Option<(&'static str, &'static str)> {
+        Some((section, key))
+    }
+    &[
+        I::new(Counter, ("snn_gateway_connections_total", "TCP connections accepted"), None, Gateway(|g| U(g.connections))),
+        I::new(Counter, ("snn_gateway_requests_total", "HTTP requests answered"), None, Gateway(|g| U(g.requests))),
+        I::new(Counter, ("snn_gateway_parse_errors_total", "Requests rejected by the HTTP parser (400/413)"), None, Gateway(|g| U(g.parse_errors))),
+        I::new(Counter, RESPONSES, None, Gateway(|g| U(g.responses_2xx))).label("class", "2xx"),
+        I::new(Counter, RESPONSES, None, Gateway(|g| U(g.responses_4xx))).label("class", "4xx"),
+        I::new(Counter, RESPONSES, None, Gateway(|g| U(g.responses_5xx))).label("class", "5xx"),
+        // The degradation ladder, mildest to harshest.
+        I::new(Counter, ("snn_streaming_deadline_misses_total", "Requests whose batch began executing more than the grace period past their EDF deadline"),
+               at("degradation", "deadline_misses"), Streaming(|s| U(s.deadline_misses))),
+        I::new(Counter, ("snn_streaming_wait_timeouts_total", "Ticket waits that expired before the result landed"),
+               at("degradation", "wait_timeouts"), Streaming(|s| U(s.wait_timeouts))),
+        I::new(Counter, ("snn_streaming_brownout_shed_requests_total", "Low-priority submissions shed by the priority brownout"),
+               at("degradation", "brownout_sheds"), Streaming(|s| U(s.brownout_shed_requests))),
+        I::new(Counter, ("snn_streaming_shed_requests_total", "Submissions shed by backpressure (QueueFull)"),
+               at("degradation", "queue_sheds"), Streaming(|s| U(s.shed_requests))),
+        I::new(Counter, ("snn_streaming_batch_retries_total", "Batches whose innocents were retried solo after a backend panic"),
+               at("degradation", "batch_retries"), Streaming(|s| U(s.batch_retries))),
+        I::new(Counter, ("snn_streaming_quarantined_total", "Requests quarantined as poison after panicking solo"),
+               at("degradation", "quarantined"), Streaming(|s| U(s.quarantined))),
+        I::new(Counter, ("snn_gateway_sheds_total", "Requests shed with 429 (streaming backpressure)"),
+               at("degradation", "gateway_shed_429"), Gateway(|g| U(g.shed_429))),
+        I::new(Counter, ("snn_gateway_drained_total", "Requests refused with 503 during drain"),
+               at("degradation", "gateway_drained_503"), Gateway(|g| U(g.drained_503))),
+        I::new(Counter, ("snn_gateway_timeouts_total", "Requests that hit the handler timeout (504)"),
+               at("degradation", "gateway_timeout_504"), Gateway(|g| U(g.timeout_504))),
+        // The default server's cumulative readings.
+        I::new(Counter, ("snn_streaming_requests_total", "Streamed requests completed"),
+               at("cumulative", "requests"), Streaming(|s| U(s.requests))),
+        I::new(Gauge, ("snn_streaming_images_per_sec", "Completed requests per second of wall clock"),
+               at("cumulative", "images_per_sec"), Streaming(|s| F(s.images_per_sec))),
+        I::new(Gauge, ("snn_streaming_e2e_p50_us", "Median submit-to-result latency"),
+               at("cumulative", "e2e_p50_us"), Streaming(|s| F(s.e2e_p50_us))),
+        I::new(Gauge, ("snn_streaming_e2e_p99_us", "99th-percentile submit-to-result latency"),
+               at("cumulative", "e2e_p99_us"), Streaming(|s| F(s.e2e_p99_us))),
+        I::new(Gauge, ("snn_streaming_queue_wait_share", "Fraction of e2e time spent queue-waiting"),
+               at("cumulative", "queue_wait_share"), Streaming(|s| F(s.queue_wait_share))),
+        I::new(Gauge, ("snn_streaming_mean_batch_occupancy", "Mean images per formed batch"),
+               at("cumulative", "mean_batch_occupancy"), Streaming(|s| F(s.mean_batch_occupancy))),
+        I::new(Counter, ("snn_streaming_batches_total", "Batches the deadline batcher formed"),
+               at("cumulative", "batches"), Streaming(|s| U(s.batches))),
+        I::new(Counter, FLUSHES, at("cumulative", "flushes_edf_deadline"), Streaming(|s| U(s.flushes_edf_deadline))).label("reason", "edf_deadline"),
+        I::new(Counter, FLUSHES, at("cumulative", "flushes_max_batch"), Streaming(|s| U(s.flushes_max_batch))).label("reason", "max_batch"),
+        I::new(Counter, FLUSHES, at("cumulative", "flushes_drain"), Streaming(|s| U(s.flushes_drain))).label("reason", "drain"),
+        I::new(Counter, FLUSHES, at("cumulative", "flushes_idle"), Streaming(|s| U(s.flushes_idle))).label("reason", "idle"),
+        // The registry, when one fronts the gateway.
+        I::new(Gauge, ("snn_registry_catalog_models", "Artifacts in the catalog (readable headers)"),
+               at("registry", "catalog_models"), Registry(|r| U(r.catalog_models as u64))),
+        I::new(Gauge, ("snn_registry_resident_models", "Currently resident compiled entries"),
+               at("registry", "resident_models"), Registry(|r| U(r.resident_models as u64))),
+        I::new(Gauge, ("snn_registry_resident_bytes", "Sum of resident compiled bytes"),
+               at("registry", "resident_bytes"), Registry(|r| U(r.resident_bytes as u64))),
+        I::new(Gauge, ("snn_registry_byte_budget", "Configured LRU byte budget (0 = unbounded)"),
+               at("registry", "byte_budget"), Registry(|r| U(r.byte_budget as u64))),
+        I::new(Counter, ("snn_registry_cold_loads_total", "Artifact loads performed (cold starts)"),
+               at("registry", "cold_loads"), Registry(|r| U(r.cold_loads))),
+        I::new(Counter, ("snn_registry_warm_hits_total", "Lookups served immediately from a resident entry"),
+               at("registry", "warm_hits"), Registry(|r| U(r.warm_hits))),
+        I::new(Counter, ("snn_registry_coalesced_loads_total", "Lookups that waited on another thread's in-progress load"),
+               at("registry", "coalesced_loads"), Registry(|r| U(r.coalesced_loads))),
+        I::new(Counter, ("snn_registry_evictions_total", "Entries evicted by the LRU byte budget"),
+               at("registry", "evictions"), Registry(|r| U(r.evictions))),
+        I::new(Counter, ("snn_registry_swaps_total", "Successful atomic version swaps"),
+               at("registry", "swaps"), Registry(|r| U(r.swaps))),
+        I::new(Counter, ("snn_registry_load_errors_total", "Loads that failed (artifact or compile error)"),
+               at("registry", "load_errors"), Registry(|r| U(r.load_errors))),
+        I::new(Counter, ("snn_registry_breaker_opens_total", "Times a model's circuit breaker opened"),
+               at("registry", "breaker_opens"), Registry(|r| U(r.breaker_opens))),
+        I::new(Counter, ("snn_registry_breaker_recoveries_total", "Half-open probes that restored a model to service"),
+               at("registry", "breaker_recoveries"), Registry(|r| U(r.breaker_recoveries))),
+        I::new(Counter, ("snn_registry_breaker_rejections_total", "Lookups rejected immediately by an open breaker"),
+               at("registry", "breaker_rejections"), Registry(|r| U(r.breaker_rejections))),
+        I::new(Gauge, ("snn_registry_load_ms_mean", "Mean artifact load wall time"),
+               at("registry", "load_ms_mean"), Registry(|r| F(r.load_ms_mean))),
+        I::new(Gauge, ("snn_registry_load_ms_max", "Max artifact load wall time"),
+               at("registry", "load_ms_max"), Registry(|r| F(r.load_ms_max))),
+        I::new(Gauge, ("snn_registry_compile_ms_mean", "Mean backend compile wall time"),
+               at("registry", "compile_ms_mean"), Registry(|r| F(r.compile_ms_mean))),
+        I::new(Gauge, ("snn_registry_compile_ms_max", "Max backend compile wall time"),
+               at("registry", "compile_ms_max"), Registry(|r| F(r.compile_ms_max))),
+        // The span collector, when the wrapped server is traced.
+        I::new(Gauge, ("snn_trace_ring_spans", "Spans currently retained in the bounded trace ring"),
+               at("trace", "ring_spans"), Trace(|t| U(t.ring_spans as u64))),
+        I::new(Gauge, ("snn_trace_ring_capacity", "Retention bound of the trace ring"),
+               at("trace", "ring_capacity"), Trace(|t| U(t.ring_capacity as u64))),
+        I::new(Counter, ("snn_trace_spans_recorded_total", "Spans recorded into the trace collector"),
+               at("trace", "spans_recorded"), Trace(|t| U(t.spans_recorded))),
+        I::new(Counter, ("snn_trace_spans_dropped_total", "Spans evicted from the bounded trace ring"),
+               at("trace", "spans_dropped"), Trace(|t| U(t.spans_dropped))),
+        // The flight recorder, when logging is on.
+        I::new(Counter, LOG_EVENTS, at("log", "events"), Log(|l| U(l.events[0]))).label("level", "debug"),
+        I::new(Counter, LOG_EVENTS, at("log", "events"), Log(|l| U(l.events[1]))).label("level", "info"),
+        I::new(Counter, LOG_EVENTS, at("log", "events"), Log(|l| U(l.events[2]))).label("level", "warn"),
+        I::new(Counter, LOG_EVENTS, at("log", "events"), Log(|l| U(l.events[3]))).label("level", "error"),
+        I::new(Counter, ("snn_log_events_dropped_total", "Events evicted from the bounded flight-recorder ring"),
+               at("log", "dropped"), Log(|l| U(l.dropped))),
+        I::new(Gauge, ("snn_log_ring_events", "Events currently retained in the flight-recorder ring"),
+               at("log", "ring_events"), Log(|l| U(l.ring_len as u64))),
+        I::new(Gauge, ("snn_log_ring_capacity", "Retention bound of the flight-recorder ring"),
+               at("log", "ring_capacity"), Log(|l| U(l.ring_capacity as u64))),
+        I::new(Counter, ("snn_log_sink_suppressed_total", "JSON sink lines suppressed by per-target rate limiting"),
+               at("log", "sink_suppressed"), Log(|l| U(l.suppressed))),
+        // A top-level key, 0 when logging is off.
+        I::new(Counter, ("snn_incidents_written_total", "Incident post-mortem reports written to disk"),
+               at("", "incidents"), Log(|l| U(l.incidents_written))),
+    ]
+};
+
+/// Appends one family's `# HELP` and `# TYPE` lines.
+fn family_head(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
 }
 
 /// Renders one [`HistogramSnapshot`] as a Prometheus histogram family:
@@ -231,29 +449,28 @@ fn gauge_family(out: &mut String, name: &str, help: &str, value: f64) {
 /// seconds, Prometheus' base unit), the implicit `+Inf` bucket, `_sum`
 /// (seconds) and `_count`.
 fn histogram_family(out: &mut String, name: &str, help: &str, hist: &HistogramSnapshot) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
+    family_head(out, name, help, "histogram");
     for bucket in &hist.buckets {
-        out.push_str(&format!(
-            "{name}_bucket{{le=\"{}\"}} {}\n",
-            bucket.le_us as f64 / 1e6,
-            bucket.count
-        ));
+        let le = bucket.le_us as f64 / 1e6;
+        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {}", bucket.count);
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "{name}_bucket{{le=\"+Inf\"}} {}\n{name}_sum {}\n{name}_count {}\n",
         hist.count,
         hist.sum_us / 1e6,
         hist.count
-    ));
+    );
 }
 
 /// Renders the gateway and streaming snapshots in Prometheus text
-/// exposition format (`text/plain; version=0.0.4`). `registry` adds the
-/// `snn_registry_*` families when a [`ModelRegistry`](snn_runtime::ModelRegistry)
-/// fronts this gateway; `trace` carries the span collector's totals and
-/// ring occupancy when the wrapped server is traced; `log` adds the
-/// `snn_log_*` + `snn_incidents_*` families when the structured-log
-/// flight recorder is on.
+/// exposition format (`text/plain; version=0.0.4`): every `INSTRUMENTS`
+/// row whose snapshot is present, then the per-route families and the
+/// streaming latency histograms. `registry` adds the `snn_registry_*`
+/// families when a [`ModelRegistry`](snn_runtime::ModelRegistry) fronts
+/// this gateway; `trace` the span collector's totals and ring occupancy
+/// when the wrapped server is traced; `log` the `snn_log_*` and
+/// `snn_incidents_*` families when the flight recorder is on.
 pub fn prometheus_text(
     gateway: &GatewayMetrics,
     streaming: &StreamingMetrics,
@@ -261,162 +478,63 @@ pub fn prometheus_text(
     trace: Option<TraceStats>,
     log: Option<&LogStats>,
 ) -> String {
-    let mut out = String::with_capacity(2048);
-    for (name, help, value) in [
-        (
-            "snn_gateway_connections_total",
-            "TCP connections accepted",
-            gateway.connections,
-        ),
-        (
-            "snn_gateway_requests_total",
-            "HTTP requests answered",
-            gateway.requests,
-        ),
-        (
-            "snn_gateway_parse_errors_total",
-            "Requests rejected by the HTTP parser (400/413)",
-            gateway.parse_errors,
-        ),
-        (
-            "snn_gateway_sheds_total",
-            "Requests shed with 429 (streaming backpressure)",
-            gateway.shed_429,
-        ),
-        (
-            "snn_gateway_drained_total",
-            "Requests refused with 503 during drain",
-            gateway.drained_503,
-        ),
-        (
-            "snn_gateway_timeouts_total",
-            "Requests that hit the handler timeout (504)",
-            gateway.timeout_504,
-        ),
-    ] {
-        counter_family(&mut out, name, help, value);
+    let sources = Sources {
+        gateway,
+        streaming,
+        registry,
+        trace: trace.as_ref(),
+        log,
+    };
+    let mut out = String::with_capacity(8192);
+    let mut family = "";
+    for row in INSTRUMENTS {
+        let Some(value) = row.read(&sources) else {
+            continue;
+        };
+        if row.family != family {
+            family = row.family;
+            family_head(&mut out, family, row.help, row.kind.name());
+        }
+        out.push_str(family);
+        if let Some((name, value)) = row.label {
+            let _ = write!(out, "{{{name}=\"{value}\"}}");
+        }
+        let _ = match (row.kind, value) {
+            (Kind::Counter, Num::U(v)) => writeln!(out, " {v}"),
+            (_, Num::U(v)) => writeln!(out, " {}", v as f64),
+            (_, Num::F(v)) => writeln!(out, " {v}"),
+        };
     }
-    out.push_str(
-        "# HELP snn_gateway_responses_total Responses by status class\n# TYPE snn_gateway_responses_total counter\n",
-    );
-    for (class, value) in [
-        ("2xx", gateway.responses_2xx),
-        ("4xx", gateway.responses_4xx),
-        ("5xx", gateway.responses_5xx),
-    ] {
-        out.push_str(&format!(
-            "snn_gateway_responses_total{{class=\"{class}\"}} {value}\n"
-        ));
-    }
-    out.push_str(
-        "# HELP snn_gateway_route_requests_total Requests per route\n# TYPE snn_gateway_route_requests_total counter\n",
+    family_head(
+        &mut out,
+        "snn_gateway_route_requests_total",
+        "Requests per route",
+        "counter",
     );
     for route in &gateway.routes {
-        out.push_str(&format!(
-            "snn_gateway_route_requests_total{{route=\"{}\"}} {}\n",
+        let _ = writeln!(
+            out,
+            "snn_gateway_route_requests_total{{route=\"{}\"}} {}",
             route.route, route.requests
-        ));
+        );
     }
-    out.push_str(
-        "# HELP snn_gateway_route_latency_us Handler latency percentiles per route\n# TYPE snn_gateway_route_latency_us gauge\n",
+    family_head(
+        &mut out,
+        "snn_gateway_route_latency_us",
+        "Handler latency percentiles per route",
+        "gauge",
     );
     for route in &gateway.routes {
         for (q, v) in [
             ("0.5", route.latency_p50_us),
             ("0.99", route.latency_p99_us),
         ] {
-            out.push_str(&format!(
-                "snn_gateway_route_latency_us{{route=\"{}\",quantile=\"{q}\"}} {v}\n",
+            let _ = writeln!(
+                out,
+                "snn_gateway_route_latency_us{{route=\"{}\",quantile=\"{q}\"}} {v}",
                 route.route
-            ));
+            );
         }
-    }
-
-    for (name, help, value) in [
-        (
-            "snn_streaming_requests_total",
-            "Streamed requests completed",
-            streaming.requests,
-        ),
-        (
-            "snn_streaming_shed_requests_total",
-            "Submissions shed by backpressure (QueueFull)",
-            streaming.shed_requests,
-        ),
-        (
-            "snn_streaming_brownout_shed_requests_total",
-            "Low-priority submissions shed by the priority brownout",
-            streaming.brownout_shed_requests,
-        ),
-        (
-            "snn_streaming_batches_total",
-            "Batches the deadline batcher formed",
-            streaming.batches,
-        ),
-        (
-            "snn_streaming_batch_retries_total",
-            "Batches whose innocents were retried solo after a backend panic",
-            streaming.batch_retries,
-        ),
-        (
-            "snn_streaming_quarantined_total",
-            "Requests quarantined as poison after panicking solo",
-            streaming.quarantined,
-        ),
-        (
-            "snn_streaming_wait_timeouts_total",
-            "Ticket waits that expired before the result landed",
-            streaming.wait_timeouts,
-        ),
-        (
-            "snn_streaming_deadline_misses_total",
-            "Requests whose batch began executing more than the grace period past their EDF deadline",
-            streaming.deadline_misses,
-        ),
-    ] {
-        counter_family(&mut out, name, help, value);
-    }
-    out.push_str(
-        "# HELP snn_streaming_flushes_total Batch flushes by trigger\n# TYPE snn_streaming_flushes_total counter\n",
-    );
-    for (reason, value) in [
-        ("edf_deadline", streaming.flushes_edf_deadline),
-        ("max_batch", streaming.flushes_max_batch),
-        ("drain", streaming.flushes_drain),
-        ("idle", streaming.flushes_idle),
-    ] {
-        out.push_str(&format!(
-            "snn_streaming_flushes_total{{reason=\"{reason}\"}} {value}\n"
-        ));
-    }
-    for (name, help, value) in [
-        (
-            "snn_streaming_images_per_sec",
-            "Completed requests per second of wall clock",
-            streaming.images_per_sec,
-        ),
-        (
-            "snn_streaming_e2e_p50_us",
-            "Median submit-to-result latency",
-            streaming.e2e_p50_us,
-        ),
-        (
-            "snn_streaming_e2e_p99_us",
-            "99th-percentile submit-to-result latency",
-            streaming.e2e_p99_us,
-        ),
-        (
-            "snn_streaming_queue_wait_share",
-            "Fraction of e2e time spent queue-waiting",
-            streaming.queue_wait_share,
-        ),
-        (
-            "snn_streaming_mean_batch_occupancy",
-            "Mean images per formed batch",
-            streaming.mean_batch_occupancy,
-        ),
-    ] {
-        gauge_family(&mut out, name, help, value);
     }
     for (name, help, hist) in [
         (
@@ -436,168 +554,6 @@ pub fn prometheus_text(
         ),
     ] {
         histogram_family(&mut out, name, help, hist);
-    }
-    if let Some(registry) = registry {
-        for (name, help, value) in [
-            (
-                "snn_registry_cold_loads_total",
-                "Artifact loads performed (cold starts)",
-                registry.cold_loads,
-            ),
-            (
-                "snn_registry_warm_hits_total",
-                "Lookups served immediately from a resident entry",
-                registry.warm_hits,
-            ),
-            (
-                "snn_registry_coalesced_loads_total",
-                "Lookups that waited on another thread's in-progress load",
-                registry.coalesced_loads,
-            ),
-            (
-                "snn_registry_evictions_total",
-                "Entries evicted by the LRU byte budget",
-                registry.evictions,
-            ),
-            (
-                "snn_registry_swaps_total",
-                "Successful atomic version swaps",
-                registry.swaps,
-            ),
-            (
-                "snn_registry_load_errors_total",
-                "Loads that failed (artifact or compile error)",
-                registry.load_errors,
-            ),
-            (
-                "snn_registry_breaker_opens_total",
-                "Times a model's circuit breaker opened",
-                registry.breaker_opens,
-            ),
-            (
-                "snn_registry_breaker_recoveries_total",
-                "Half-open probes that restored a model to service",
-                registry.breaker_recoveries,
-            ),
-            (
-                "snn_registry_breaker_rejections_total",
-                "Lookups rejected immediately by an open breaker",
-                registry.breaker_rejections,
-            ),
-        ] {
-            counter_family(&mut out, name, help, value);
-        }
-        for (name, help, value) in [
-            (
-                "snn_registry_catalog_models",
-                "Artifacts in the catalog (readable headers)",
-                registry.catalog_models as f64,
-            ),
-            (
-                "snn_registry_resident_models",
-                "Currently resident compiled entries",
-                registry.resident_models as f64,
-            ),
-            (
-                "snn_registry_resident_bytes",
-                "Sum of resident compiled bytes",
-                registry.resident_bytes as f64,
-            ),
-            (
-                "snn_registry_byte_budget",
-                "Configured LRU byte budget (0 = unbounded)",
-                registry.byte_budget as f64,
-            ),
-            (
-                "snn_registry_load_ms_mean",
-                "Mean artifact load wall time",
-                registry.load_ms_mean,
-            ),
-            (
-                "snn_registry_load_ms_max",
-                "Max artifact load wall time",
-                registry.load_ms_max,
-            ),
-            (
-                "snn_registry_compile_ms_mean",
-                "Mean backend compile wall time",
-                registry.compile_ms_mean,
-            ),
-            (
-                "snn_registry_compile_ms_max",
-                "Max backend compile wall time",
-                registry.compile_ms_max,
-            ),
-        ] {
-            gauge_family(&mut out, name, help, value);
-        }
-    }
-    if let Some(trace) = trace {
-        counter_family(
-            &mut out,
-            "snn_trace_spans_recorded_total",
-            "Spans recorded into the trace collector",
-            trace.spans_recorded,
-        );
-        counter_family(
-            &mut out,
-            "snn_trace_spans_dropped_total",
-            "Spans evicted from the bounded trace ring",
-            trace.spans_dropped,
-        );
-        gauge_family(
-            &mut out,
-            "snn_trace_ring_spans",
-            "Spans currently retained in the bounded trace ring",
-            trace.ring_spans as f64,
-        );
-        gauge_family(
-            &mut out,
-            "snn_trace_ring_capacity",
-            "Retention bound of the trace ring",
-            trace.ring_capacity as f64,
-        );
-    }
-    if let Some(log) = log {
-        out.push_str(
-            "# HELP snn_log_events_total Structured log events recorded, by level\n# TYPE snn_log_events_total counter\n",
-        );
-        for (i, level) in ["debug", "info", "warn", "error"].iter().enumerate() {
-            out.push_str(&format!(
-                "snn_log_events_total{{level=\"{level}\"}} {}\n",
-                log.events[i]
-            ));
-        }
-        counter_family(
-            &mut out,
-            "snn_log_events_dropped_total",
-            "Events evicted from the bounded flight-recorder ring",
-            log.dropped,
-        );
-        counter_family(
-            &mut out,
-            "snn_log_sink_suppressed_total",
-            "JSON sink lines suppressed by per-target rate limiting",
-            log.suppressed,
-        );
-        gauge_family(
-            &mut out,
-            "snn_log_ring_events",
-            "Events currently retained in the flight-recorder ring",
-            log.ring_len as f64,
-        );
-        gauge_family(
-            &mut out,
-            "snn_log_ring_capacity",
-            "Retention bound of the flight-recorder ring",
-            log.ring_capacity as f64,
-        );
-        counter_family(
-            &mut out,
-            "snn_incidents_written_total",
-            "Incident post-mortem reports written to disk",
-            log.incidents_written,
-        );
     }
     out
 }
@@ -632,16 +588,6 @@ mod tests {
         let infer = m.routes.iter().find(|r| r.route == "infer").unwrap();
         assert_eq!(infer.requests, 4);
         assert!(infer.latency_p99_us >= infer.latency_p50_us);
-    }
-
-    #[test]
-    fn metrics_roundtrip_json() {
-        let mut r = GatewayRecorder::new();
-        r.record_response("infer", 200, Duration::from_millis(1));
-        let m = r.summarize();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: GatewayMetrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
     }
 
     #[test]
@@ -733,6 +679,45 @@ mod tests {
         // Every non-comment line is "name[{labels}] value".
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert_eq!(line.split_whitespace().count(), 2, "bad line {line:?}");
+        }
+    }
+
+    /// Both renderers group by adjacency: a family split in two would be
+    /// announced twice, a section split in two written twice.
+    #[test]
+    fn rows_of_a_family_and_of_a_section_are_adjacent() {
+        let family: fn(&Instrument) -> Option<&'static str> = |r| Some(r.family);
+        let section: fn(&Instrument) -> Option<&'static str> = |r| r.stats.map(|(s, _)| s);
+        for group in [family, section] {
+            let mut runs: Vec<&str> = Vec::new();
+            for name in INSTRUMENTS.iter().filter_map(group) {
+                if runs.last() != Some(&name) {
+                    assert!(!runs.contains(&name), "{name:?} is split");
+                    runs.push(name);
+                }
+            }
+        }
+    }
+
+    /// `docs/OBSERVABILITY.md` lists every row as `| sample | kind | key |`,
+    /// so the reference and the table cannot drift apart.
+    #[test]
+    fn every_instrument_row_is_in_the_observability_reference() {
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        for row in INSTRUMENTS {
+            let (sample, label) = match row.label {
+                Some((name, value)) => (format!("{}{{{name}=\"{value}\"}}", row.family), value),
+                None => (row.family.to_string(), ""),
+            };
+            let shared = INSTRUMENTS.iter().filter(|r| r.stats == row.stats).count() > 1;
+            let key = match row.stats {
+                None => "—".to_string(),
+                Some(("", key)) => format!("`{key}`"),
+                Some((section, key)) if shared => format!("`{section}.{key}.{label}`"),
+                Some((section, key)) => format!("`{section}.{key}`"),
+            };
+            let line = format!("| `{sample}` | {} | {key} |", row.kind.name());
+            assert!(doc.contains(&line), "docs/OBSERVABILITY.md lacks {line:?}");
         }
     }
 

@@ -798,17 +798,24 @@ static ROUTES: &[Route] = {
     ]
 };
 
-/// The row serving `(method, path)` and the path's tail. `Err` carries the
-/// `Allow` value when rows serve `path` under other methods only, and is
-/// `Err(None)` when no row serves it.
+/// The row serving `(method, path)` and the path's tail; a `GET` row also
+/// serves `HEAD` (RFC 9110 §9.1), whose answer [`respond`] sends without
+/// its body. `Err` carries the `Allow` value when rows serve `path` under
+/// other methods only, and is `Err(None)` when no row serves it.
 fn route<'p>(method: &str, path: &'p str) -> Result<(&'static Route, &'p str), Option<String>> {
     let rows = ROUTES
         .iter()
         .filter_map(|row| Some((row, row.pattern.tail(path)?)));
-    if let Some(hit) = rows.clone().find(|(row, _)| row.method == method) {
+    let serves = |row: &Route| row.method == method || (row.method == "GET" && method == "HEAD");
+    if let Some(hit) = rows.clone().find(|(row, _)| serves(row)) {
         return Ok(hit);
     }
-    let allow: Vec<&str> = rows.map(|(row, _)| row.method).collect();
+    let allow: Vec<&str> = rows
+        .map(|(row, _)| match row.method {
+            "GET" => "GET, HEAD",
+            other => other,
+        })
+        .collect();
     Err((!allow.is_empty()).then(|| allow.join(", ")))
 }
 
@@ -1641,7 +1648,8 @@ mod tests {
     }
 
     /// One exchange on a raw keep-alive socket: the response's status, its
-    /// head (status line and headers, verbatim) and its body.
+    /// head (status line and headers, verbatim) and its body (none for
+    /// `HEAD`: were any sent, the next exchange would read it as its head).
     fn exchange(
         stream: &mut TcpStream,
         method: &str,
@@ -1666,7 +1674,7 @@ mod tests {
             .find_map(|line| line.strip_prefix("Content-Length: "))
             .and_then(|n| n.parse().ok())
             .unwrap();
-        let mut body = vec![0; length];
+        let mut body = vec![0; if method == "HEAD" { 0 } else { length }];
         stream.read_exact(&mut body).unwrap();
         (status, head, body)
     }
@@ -1681,7 +1689,7 @@ mod tests {
         assert!(head.contains("\r\nAllow: POST\r\n"), "{head}");
         let (status, head, _) = exchange(&mut stream, "POST", "/metrics", "{}");
         assert_eq!(status, 405, "{head}");
-        assert!(head.contains("\r\nAllow: GET\r\n"), "{head}");
+        assert!(head.contains("\r\nAllow: GET, HEAD\r\n"), "{head}");
         let (status, head, _) = exchange(&mut stream, "GET", "/nope", "");
         assert_eq!(status, 404, "{head}");
         assert!(!head.contains("Allow"), "only a 405 lists methods: {head}");
@@ -1689,10 +1697,11 @@ mod tests {
         server.shutdown();
     }
 
-    /// Walks [`ROUTES`]: every row answers its own method with neither `404`
-    /// nor `405`, every other method with `405` and the row's `Allow`, and
-    /// its label shows in `/metrics` once hit. Then the edge cases the
-    /// patterns draw, and the drain rule row by row.
+    /// Walks [`ROUTES`]: every row answers its own method (and a `GET` row
+    /// `HEAD` too) with neither `404` nor `405`, every other method with
+    /// `405` and the row's `Allow`, and its label shows in `/metrics` once
+    /// hit. Then the edge cases the patterns draw, and the drain rule row
+    /// by row.
     #[test]
     fn every_route_row_answers_its_method_and_405s_the_others() {
         let dir = std::env::temp_dir().join(format!("snn_gateway_routes_{}", std::process::id()));
@@ -1714,13 +1723,17 @@ mod tests {
         let mut stream = TcpStream::connect(gateway.local_addr()).unwrap();
         for row in ROUTES {
             let path = example(row);
-            for method in ["GET", "POST", "PUT", "DELETE"] {
+            let allowed = match row.method {
+                "GET" => "GET, HEAD",
+                other => other,
+            };
+            for method in ["GET", "HEAD", "POST", "PUT", "DELETE"] {
                 let (status, head, _) = exchange(&mut stream, method, &path, "");
-                if method == row.method {
+                if allowed.split(", ").any(|m| m == method) {
                     assert!(!matches!(status, 404 | 405), "{method} {path}: {head}");
                 } else {
                     assert_eq!(status, 405, "{method} {path}: {head}");
-                    let allow = format!("\r\nAllow: {}\r\n", row.method);
+                    let allow = format!("\r\nAllow: {allowed}\r\n");
                     assert!(head.contains(&allow), "{method} {path}: {head}");
                 }
             }

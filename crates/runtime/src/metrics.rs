@@ -4,7 +4,6 @@
 //! The [`StreamingRecorder`] behind it records each fact once, into
 //! telemetry cells that a [`TelemetryHub`] can list as they are.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,7 +16,7 @@ use crate::batcher::FlushReason;
 use crate::energy::EnergyPricer;
 
 /// One cumulative bucket of a [`HistogramSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramBucket {
     /// Inclusive upper bound of the bucket, microseconds (a power of 2).
     pub le_us: u64,
@@ -25,11 +24,10 @@ pub struct HistogramBucket {
     pub count: u64,
 }
 
-/// Serializable `le` view of a [`Histogram`] (see
-/// [`Histogram::le_buckets`]); renders directly as a Prometheus
-/// histogram: one `_bucket{le=...}` series per entry plus `+Inf`,
-/// `_sum`, `_count`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The `le` view of a [`Histogram`] (see [`Histogram::le_buckets`]);
+/// renders directly as a Prometheus histogram: one `_bucket{le=...}`
+/// series per entry plus `+Inf`, `_sum`, `_count`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Cumulative finite buckets, ascending by bound (may be empty).
     pub buckets: Vec<HistogramBucket>,
@@ -55,7 +53,7 @@ impl From<&Histogram> for HistogramSnapshot {
 
 /// One bucket of the batch-occupancy histogram: how many formed batches
 /// flushed holding exactly `size` requests.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccupancyBucket {
     /// Images in the formed batch.
     pub size: u64,
@@ -63,16 +61,16 @@ pub struct OccupancyBucket {
     pub batches: u64,
 }
 
-/// Serializable summary of a streaming-serving window: per-request
-/// end-to-end latency percentiles, the queue-wait versus execution-time
-/// split, and the occupancy distribution of the batches the workers took.
+/// Summary of a streaming-serving window: per-request end-to-end latency
+/// percentiles, the queue-wait versus execution-time split, and the
+/// occupancy distribution of the batches the workers took.
 ///
 /// Counts, means, `queue_wait_share` and the histograms' `count`/`sum_us`
 /// are exact. The `*_p50_us`/`*_p99_us` quantiles come from
 /// [`Histogram::quantile_us`]: a log-linear bin's upper edge, clamped to
 /// the exact maximum — never below the exact nearest-rank value (over
 /// whole µs), at most 25 % + 1 µs above it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingMetrics {
     /// Streamed requests completed (one image each).
     pub requests: u64,
@@ -857,17 +855,5 @@ mod tests {
         assert_eq!(m.queue_wait_share, 0.0);
         assert_eq!(m.mean_batch_occupancy, 0.0);
         assert!(m.occupancy_histogram.is_empty());
-    }
-
-    #[test]
-    fn streaming_metrics_roundtrip_json() {
-        let mut r = StreamingRecorder::new();
-        r.record_batch(2, Duration::from_millis(1), FlushReason::MaxBatch);
-        r.record_request(Duration::from_millis(2), Duration::from_millis(1), false);
-        r.record_request(Duration::from_millis(2), Duration::from_millis(1), false);
-        let m = r.summarize();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: StreamingMetrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
     }
 }

@@ -230,7 +230,7 @@ pub struct ModelStatus {
 }
 
 /// Aggregated registry counters and cold-start timings.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RegistryMetrics {
     /// Artifacts in the catalog (readable headers).
     pub catalog_models: usize,
