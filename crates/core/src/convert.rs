@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use snn_nn::{ActivationFn, Layer, Sequential};
 use snn_tensor::{avg_pool2d, conv2d, gemm, max_pool2d, Conv2dSpec, Pool2dSpec, Tensor, Transpose};
 
@@ -9,7 +8,7 @@ use crate::{Base2Kernel, ConvertError, PhiTtfs};
 /// Batch-normalization layers do not appear here: conversion fuses them into
 /// the preceding weighted layer (the paper fuses BN into convolution weights
 /// during conversion).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum SnnLayer {
     /// Convolution with fused weights; followed by a fire (encode) phase.
     Conv {
@@ -136,7 +135,7 @@ impl SnnLayer {
 /// Produced by [`convert`]; executed event-by-event by `snn-sim`, or exactly
 /// via [`SnnModel::reference_forward`] (the activation-domain equivalent the
 /// event simulation must reproduce bit-for-bit on decoded values).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SnnModel {
     layers: Vec<SnnLayer>,
     kernel: Base2Kernel,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A monotonically decreasing TTFS threshold/dendrite kernel.
 ///
 /// Encoding maps a membrane voltage to the first timestep at which it
@@ -40,7 +38,7 @@ pub trait TtfsKernel {
 /// assert_eq!(t, 4); // 2^(−4/4) = 0.5
 /// assert!((k.decode(t) - 0.5).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Base2Kernel {
     tau: f32,
     theta0: f32,
@@ -118,7 +116,7 @@ impl TtfsKernel for Base2Kernel {
 /// The T2FSNN baseline kernel (eq. 5): `ε(t) = θ₀ · e^(−(t−t_d)/τ)` with
 /// per-layer delay `t_d` and time constant `τ` — the reconfigurability that
 /// costs hardware (per-layer kernel SRAM) and that CAT removes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpKernel {
     tau: f32,
     t_d: f32,

@@ -47,9 +47,8 @@
 //!   load + compile, through the same inference handler as `/v1/infer`)
 //!   and `POST /v1/models/<name>/swap` (atomic version swap under live
 //!   traffic); without one those rows answer `404`.
-//! * [`client`] — a std-only keep-alive HTTP client and closed-loop load
-//!   generator ([`run_closed_loop`]), reused by the benchmark harness and
-//!   the end-to-end tests.
+//! * [`client`] — a std-only keep-alive HTTP client ([`HttpClient`]) for
+//!   tests and examples. The benchmark harness has its own.
 //!
 //! # Example
 //!
@@ -58,7 +57,7 @@
 //! use rand::SeedableRng;
 //! use snn_gateway::{client::HttpClient, Gateway, GatewayConfig};
 //! use snn_nn::{DenseLayer, Flatten, Layer, Sequential};
-//! use snn_runtime::{BackendChoice, StreamingConfig};
+//! use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
 //! use ttfs_core::{convert, Base2Kernel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,11 +68,8 @@
 //! ]);
 //! let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 16)?);
 //! let dims = [1usize, 3, 3];
-//! let server = Arc::new(BackendChoice::Csr.serve_streaming(
-//!     Arc::clone(&model),
-//!     &dims,
-//!     StreamingConfig::default(),
-//! )?);
+//! let backend = BackendChoice::Csr.build(Arc::clone(&model), &dims)?;
+//! let server = Arc::new(StreamingServer::new(backend, StreamingConfig::default()));
 //! let mut gateway = Gateway::start(Arc::clone(&server), GatewayConfig::for_dims(&dims))?;
 //!
 //! let mut client = HttpClient::connect(gateway.local_addr())?;
@@ -98,9 +94,7 @@ mod metrics;
 mod server;
 pub mod stats;
 
-pub use client::{
-    run_closed_loop, run_closed_loop_any, HttpClient, LoadGenConfig, LoadReport, WireResponse,
-};
+pub use client::{HttpClient, WireResponse};
 pub use http::{Limits, ParseError, Request};
 pub use json::{ErrorBody, InferRequest, InferResponse, ModelListBody, SwapRequest};
 pub use metrics::{

@@ -221,12 +221,12 @@ impl Shared {
 /// ```no_run
 /// use std::sync::Arc;
 /// use snn_gateway::{Gateway, GatewayConfig};
-/// use snn_runtime::{BackendChoice, StreamingConfig};
+/// use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// # let model: Arc<ttfs_core::SnnModel> = unimplemented!();
 /// let dims = [3usize, 32, 32];
-/// let server = Arc::new(BackendChoice::Csr.serve_streaming(
-///     Arc::clone(&model), &dims, StreamingConfig::default())?);
+/// let backend = BackendChoice::Csr.build(Arc::clone(&model), &dims)?;
+/// let server = Arc::new(StreamingServer::new(backend, StreamingConfig::default()));
 /// let mut gateway = Gateway::start(server, GatewayConfig::for_dims(&dims))?;
 /// println!("serving on http://{}", gateway.local_addr());
 /// // ... traffic ...
@@ -399,11 +399,6 @@ impl Gateway {
         self.addr
     }
 
-    /// Whether the gateway is draining (shutdown has begun).
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Acquire)
-    }
-
     /// Marks the gateway as draining **without** stopping it: readiness
     /// (`GET /readyz`) flips to `503` so load balancers stop routing here,
     /// new non-health requests are refused with `503`, and liveness
@@ -418,12 +413,6 @@ impl Gateway {
     /// [`GatewayConfig::telemetry`] (the default).
     pub fn telemetry(&self) -> Option<&Arc<TelemetryHub>> {
         self.shared.telemetry.as_ref()
-    }
-
-    /// The structured-log flight recorder, when the gateway was
-    /// configured with [`GatewayConfig::logging`] (the default).
-    pub fn log_collector(&self) -> Option<&Arc<LogCollector>> {
-        self.shared.log.as_ref().map(|s| s.collector())
     }
 
     /// The incident recorder, when [`GatewayConfig::incidents_dir`] was
@@ -1487,21 +1476,16 @@ mod tests {
         ]);
         let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 24).unwrap());
         let dims = [1usize, 2, 4];
-        let server = Arc::new(
-            BackendChoice::Csr
-                .serve_streaming(
-                    Arc::clone(&model),
-                    &dims,
-                    snn_runtime::StreamingConfig {
-                        threads: 1,
-                        max_batch: 2,
-                        max_delay: Duration::from_millis(1),
-                        max_pending: 0,
-                        brownout: None,
-                    },
-                )
-                .unwrap(),
-        );
+        let server = Arc::new(StreamingServer::new(
+            BackendChoice::Csr.build(Arc::clone(&model), &dims).unwrap(),
+            snn_runtime::StreamingConfig {
+                threads: 1,
+                max_batch: 2,
+                max_delay: Duration::from_millis(1),
+                max_pending: 0,
+                brownout: None,
+            },
+        ));
         let gateway = Gateway::start(
             Arc::clone(&server),
             GatewayConfig {
@@ -1624,16 +1608,13 @@ mod tests {
         artifact.save(dir.join("alpha@1.snna")).unwrap();
         let registry =
             Arc::new(ModelRegistry::open(dir, snn_runtime::RegistryConfig::default()).unwrap());
-        let server = Arc::new(
+        let server = Arc::new(StreamingServer::new_traced(
             BackendChoice::Csr
-                .serve_streaming_traced(
-                    Arc::new(dense_model(3)),
-                    &dims,
-                    snn_runtime::StreamingConfig::default(),
-                    Arc::new(TraceCollector::new(0)),
-                )
+                .build(Arc::new(dense_model(3)), &dims)
                 .unwrap(),
-        );
+            snn_runtime::StreamingConfig::default(),
+            Arc::new(TraceCollector::new(0)),
+        ));
         let gateway = Gateway::start_with_registry(
             Arc::clone(&server),
             Arc::clone(&registry),

@@ -188,7 +188,8 @@ fn model_family_sum(snap: &HubSnapshot, family: &str, model: &str, window_s: u64
         .flat_map(|f| &f.series)
         .filter(|s| s.labels.get("model") == Some(model))
         .map(|s| wsum(Some(&s.value), window_s))
-        .sum()
+        // Not `sum()`: an empty `f64` sum is `-0.0`, which prints as such.
+        .fold(0.0, |total, v| total + v)
 }
 
 /// `"ok"` < `"warn"` < `"burning"`.
@@ -463,6 +464,16 @@ mod tests {
         // 2000 µJ over 5 inferences in the fast window.
         assert!(
             text.contains("\"energy_uj_per_inference\":400.0,"),
+            "{text}"
+        );
+        // A model with no shed series never shed: `0.0`, not the `-0.0`
+        // of an empty `f64` sum.
+        assert!(
+            text.contains("\"shed_ratio\":{\"fast\":0.0,\"slow\":0.0}"),
+            "{text}"
+        );
+        assert!(
+            text.contains("\"shed_fast\":0.0,\"shed_slow\":0.0}"),
             "{text}"
         );
         assert!(text.contains(

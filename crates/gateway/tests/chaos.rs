@@ -12,18 +12,19 @@
 
 #[path = "../../runtime/tests/common/mod.rs"]
 mod common;
+#[path = "common/loadgen.rs"]
+mod loadgen;
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use common::GatedBackend;
+use loadgen::{run_closed_loop, LoadGenConfig};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{field, Content};
-use snn_gateway::{
-    client::HttpClient, run_closed_loop, Gateway, GatewayConfig, InferResponse, LoadGenConfig,
-};
+use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferResponse};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
     BackendChoice, BrownoutConfig, CsrEngine, FaultConfig, FaultInjector, StreamingConfig,
@@ -99,21 +100,18 @@ fn seeded_chaos_storms_resolve_every_request_and_the_stack_survives() {
     // One stack for every storm: its workers must absorb each seed's
     // panics and still serve the clean pass at the end.
     let clients = 4usize;
-    let server = Arc::new(
+    let server = Arc::new(StreamingServer::new(
         BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 2,
-                    max_batch: 4,
-                    max_delay: Duration::from_micros(500),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
+            .build(Arc::clone(&model), &DIMS)
             .expect("streaming stack"),
-    );
+        StreamingConfig {
+            threads: 2,
+            max_batch: 4,
+            max_delay: Duration::from_micros(500),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -384,22 +382,19 @@ fn chaos_storm_writes_trace_correlated_incident_snapshots() {
     let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
 
     let collector = Arc::new(TraceCollector::new(0));
-    let server = Arc::new(
+    let server = Arc::new(StreamingServer::new_traced(
         BackendChoice::Csr
-            .serve_streaming_traced(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 2,
-                    max_batch: 4,
-                    max_delay: Duration::from_micros(500),
-                    max_pending: 0,
-                    brownout: None,
-                },
-                Arc::clone(&collector),
-            )
+            .build(Arc::clone(&model), &DIMS)
             .expect("traced streaming stack"),
-    );
+        StreamingConfig {
+            threads: 2,
+            max_batch: 4,
+            max_delay: Duration::from_micros(500),
+            max_pending: 0,
+            brownout: None,
+        },
+        Arc::clone(&collector),
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {

@@ -12,17 +12,18 @@
 
 #[path = "../../runtime/tests/common/mod.rs"]
 mod common;
+#[path = "common/loadgen.rs"]
+mod loadgen;
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use common::GatedBackend;
+use loadgen::{run_closed_loop, LoadGenConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snn_gateway::{
-    client::HttpClient, run_closed_loop, Gateway, GatewayConfig, InferRequest, LoadGenConfig,
-};
+use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferRequest};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{BackendChoice, CsrEngine, StreamingConfig, StreamingServer};
 use snn_sim::EventSnn;
@@ -67,19 +68,13 @@ proptest! {
         let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
 
         let server = Arc::new(
-            BackendChoice::Csr
-                .serve_streaming(
-                    Arc::clone(&model),
-                    &DIMS,
-                    StreamingConfig {
+            StreamingServer::new(BackendChoice::Csr.build(Arc::clone(&model), &DIMS).expect("streaming stack"), StreamingConfig {
                         threads: 2,
                         max_batch,
                         max_delay: Duration::from_micros(delay_us),
                         max_pending: 0,
                         brownout: None,
-                    },
-                )
-                .expect("streaming stack"),
+                    }),
         );
         let mut gateway = Gateway::start(
             Arc::clone(&server),
@@ -202,21 +197,16 @@ fn forced_backpressure_yields_429_without_corrupting_responses() {
 #[test]
 fn metrics_endpoint_reports_traffic_and_sheds() {
     let model = Arc::new(dense_model(7));
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 2,
-                    max_delay: Duration::from_millis(1),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        StreamingConfig {
+            threads: 1,
+            max_batch: 2,
+            max_delay: Duration::from_millis(1),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -255,21 +245,16 @@ fn metrics_endpoint_reports_traffic_and_sheds() {
 #[test]
 fn huge_client_deadline_is_clamped_to_handler_timeout() {
     let model = Arc::new(dense_model(33));
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 64,
-                    max_delay: Duration::from_secs(30),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        StreamingConfig {
+            threads: 1,
+            max_batch: 64,
+            max_delay: Duration::from_secs(30),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {

@@ -27,21 +27,16 @@ fn serving_stack(seed: u64) -> (Arc<StreamingServer>, Gateway) {
         Layer::Dense(DenseLayer::new(8, 3, &mut rng)),
     ]);
     let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 24).unwrap());
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(
-                model,
-                &DIMS,
-                StreamingConfig {
-                    threads: 2,
-                    max_batch: 4,
-                    max_delay: Duration::from_millis(1),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(model, &DIMS).unwrap(),
+        StreamingConfig {
+            threads: 2,
+            max_batch: 4,
+            max_delay: Duration::from_millis(1),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -235,11 +230,10 @@ fn idle_keep_alive_connections_cannot_starve_the_worker_pool() {
         Layer::Dense(DenseLayer::new(12, 3, &mut rng)),
     ]);
     let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 16).unwrap());
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(model, &DIMS, StreamingConfig::default())
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(model, &DIMS).unwrap(),
+        StreamingConfig::default(),
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {

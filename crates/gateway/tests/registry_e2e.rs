@@ -7,20 +7,22 @@
 
 #[path = "../../runtime/tests/common/mod.rs"]
 mod common;
+#[path = "common/loadgen.rs"]
+mod loadgen;
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use loadgen::{run_closed_loop_any, LoadGenConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snn_gateway::{
-    client::HttpClient, run_closed_loop_any, Gateway, GatewayConfig, InferRequest, LoadGenConfig,
-};
+use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferRequest};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
     BackendChoice, BackendHint, ModelArtifact, ModelRegistry, RegistryConfig, StreamingConfig,
+    StreamingServer,
 };
 use snn_tensor::Tensor;
 use ttfs_core::{convert, Base2Kernel};
@@ -104,11 +106,10 @@ fn registry_gateway(dir: &Path) -> (Arc<ModelRegistry>, Gateway) {
         Layer::Dense(DenseLayer::new(12, 3, &mut rng)),
     ]);
     let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 24).unwrap());
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(model, &DIMS_A, fast_streaming())
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(model, &DIMS_A).unwrap(),
+        fast_streaming(),
+    ));
     let gateway = Gateway::start_with_registry(
         server,
         Arc::clone(&registry),
@@ -369,11 +370,10 @@ fn model_routes_are_404_without_a_registry() {
         Layer::Dense(DenseLayer::new(12, 3, &mut rng)),
     ]);
     let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 24).unwrap());
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(model, &DIMS_A, fast_streaming())
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(model, &DIMS_A).unwrap(),
+        fast_streaming(),
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {

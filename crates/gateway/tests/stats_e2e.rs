@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use serde::{field, Content};
 use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferResponse};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, StreamingConfig};
+use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
 use ttfs_core::{convert, Base2Kernel, SnnModel};
 
 const DIMS: [usize; 3] = [1, 2, 4];
@@ -39,24 +39,21 @@ fn dense_model(seed: u64) -> SnnModel {
 
 fn start_gateway(seed: u64) -> (Gateway, Arc<snn_runtime::StreamingServer>) {
     let model = Arc::new(dense_model(seed));
-    let server = Arc::new(
+    let server = Arc::new(StreamingServer::new(
         BackendChoice::Csr
-            .serve_streaming(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig {
-                    threads: 1,
-                    max_batch: 4,
-                    // A deadline nothing here can miss: these tests read
-                    // the SLO state of a healthy server, and on a busy box a
-                    // tight one turns a scheduler stall into a burn.
-                    max_delay: Duration::from_millis(100),
-                    max_pending: 0,
-                    brownout: None,
-                },
-            )
+            .build(Arc::clone(&model), &DIMS)
             .expect("streaming stack"),
-    );
+        StreamingConfig {
+            threads: 1,
+            max_batch: 4,
+            // A deadline nothing here can miss: these tests read
+            // the SLO state of a healthy server, and on a busy box a
+            // tight one turns a scheduler stall into a burn.
+            max_delay: Duration::from_millis(100),
+            max_pending: 0,
+            brownout: None,
+        },
+    ));
     let gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
@@ -181,11 +178,10 @@ fn dashboard_serves_self_contained_html() {
 #[test]
 fn telemetry_off_disables_stats_routes_but_not_inference() {
     let model = Arc::new(dense_model(9));
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(Arc::clone(&model), &DIMS, StreamingConfig::default())
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        StreamingConfig::default(),
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {

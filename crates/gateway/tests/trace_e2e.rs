@@ -43,11 +43,13 @@ fn dense_model(seed: u64) -> SnnModel {
 fn traced_stack(seed: u64, config: StreamingConfig) -> (Arc<StreamingServer>, Arc<TraceCollector>) {
     let model = Arc::new(dense_model(seed));
     let collector = Arc::new(TraceCollector::new(0));
-    let server = Arc::new(
+    let server = Arc::new(StreamingServer::new_traced(
         BackendChoice::Csr
-            .serve_streaming_traced(model, &DIMS, config, Arc::clone(&collector))
+            .build(model, &DIMS)
             .expect("traced streaming stack"),
-    );
+        config,
+        Arc::clone(&collector),
+    ));
     (server, collector)
 }
 
@@ -430,11 +432,10 @@ fn trace_route_rejects_unknown_and_malformed_ids() {
     server.shutdown();
 
     let model = Arc::new(dense_model(53));
-    let untraced = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming(model, &DIMS, StreamingConfig::default())
-            .unwrap(),
-    );
+    let untraced = Arc::new(StreamingServer::new(
+        BackendChoice::Csr.build(model, &DIMS).unwrap(),
+        StreamingConfig::default(),
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&untraced),
         GatewayConfig {
@@ -484,20 +485,13 @@ proptest! {
 
         let collector = Arc::new(TraceCollector::new(0));
         let server = Arc::new(
-            BackendChoice::Csr
-                .serve_streaming_traced(
-                    Arc::clone(&model),
-                    &DIMS,
-                    StreamingConfig {
+            StreamingServer::new_traced(BackendChoice::Csr.build(Arc::clone(&model), &DIMS).expect("traced streaming stack"), StreamingConfig {
                         threads: 2,
                         max_batch,
                         max_delay: Duration::from_micros(delay_us),
                         max_pending: 0,
                         brownout: None,
-                    },
-                    Arc::clone(&collector),
-                )
-                .expect("traced streaming stack"),
+                    }, Arc::clone(&collector)),
         );
         let mut gateway = Gateway::start(
             Arc::clone(&server),
@@ -580,16 +574,11 @@ fn disabling_tracing_preserves_logits_and_records_nothing() {
     let body = serde_json::to_string(&InferRequest::new(DIMS.to_vec(), pixels)).unwrap();
 
     let collector = Arc::new(TraceCollector::new(0));
-    let server = Arc::new(
-        BackendChoice::Csr
-            .serve_streaming_traced(
-                Arc::clone(&model),
-                &DIMS,
-                StreamingConfig::default(),
-                Arc::clone(&collector),
-            )
-            .unwrap(),
-    );
+    let server = Arc::new(StreamingServer::new_traced(
+        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        StreamingConfig::default(),
+        Arc::clone(&collector),
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {

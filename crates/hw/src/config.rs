@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// PE datapath flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeKind {
     /// Multiplier datapath (decoded spike value × weight).
     Linear,
@@ -10,7 +8,7 @@ pub enum PeKind {
 }
 
 /// Spike-decoder (kernel) storage flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecoderKind {
     /// Per-layer reconfigurable kernels in SRAM (T2FSNN needs a different
     /// `(τ, t_d)` per layer).
@@ -31,7 +29,7 @@ pub enum DecoderKind {
 /// assert_eq!(c.pe_count, 128);
 /// assert_eq!(c.frequency_mhz, 250);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorConfig {
     /// Number of processing elements (128 = 4 clusters × 32).
     pub pe_count: usize,

@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{DecoderKind, PeKind, ProcessorConfig};
 
 /// Relative area/power of one processor configuration's PE array, split the
 /// way Fig. 6 plots it (PE datapath vs spike decoder), normalized so the
 /// baseline configuration totals 1.0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentCosts {
     /// PE-array datapath share (multipliers/shifters + accumulators + ctrl).
     pub pe: f32,
@@ -31,7 +29,7 @@ impl ComponentCosts {
 ///   −12.7 % area / −14.7 % power of the baseline array.
 /// * Log PE (config "I+II"): `PeKind::Linear → Log` swaps the multiplier
 ///   for a 4-entry LUT + barrel shifter — a further −8.1 % / −8.6 %.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaPowerModel {
     /// Per-PE multiplier area (normalized units).
     pub area_pe_mult: f32,
@@ -148,7 +146,7 @@ impl Default for AreaPowerModel {
 }
 
 /// Per-event energy constants (pJ), 28 nm-class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Off-chip DRAM access energy per bit (the paper's HBM-like 4 pJ/bit).
     pub dram_pj_per_bit: f32,

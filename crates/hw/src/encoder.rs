@@ -1,8 +1,6 @@
-use serde::{Deserialize, Serialize};
-
 /// The threshold LUT of the spike encoder: precomputed falling threshold
 /// `θ₀·2^(−t/τ)` for every encoding timestep (§4's "threshold LUT").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdLut {
     values: Vec<f32>,
 }
@@ -46,13 +44,13 @@ impl ThresholdLut {
 /// the timestep advances only when no remaining membrane exceeds the
 /// current threshold; encoding ends when the buffer is all-zero or the last
 /// timestep T has run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpikeEncoder {
     lut: ThresholdLut,
 }
 
 /// Result of encoding one Vmem batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodeResult {
     /// Emitted spikes as `(neuron, timestep)`, in emission order.
     pub spikes: Vec<(usize, u32)>,

@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// Kind of a workload layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Convolution (`k×k`, stride 1, same padding in VGG).
     Conv,
@@ -11,7 +9,7 @@ pub enum LayerKind {
 
 /// Geometry of one weighted layer of the workload network — everything the
 /// cycle/energy model needs to know (no weights, just shapes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerGeometry {
     /// Display name (e.g. `"conv3_2"`).
     pub name: String,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Functional model of the input generator's **minfind unit**: merge-sorts
 /// the spike streams of the input buffer so the PE array receives events in
 /// nondecreasing time order (the SpinalFlow dataflow requirement).
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(sorted.iter().map(|s| s.1).collect::<Vec<_>>(), vec![1, 3, 5, 7]);
 /// assert_eq!(cycles, 4 + 3); // 4 pops + log2(8) fill
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MinFindUnit {
     ways: usize,
 }

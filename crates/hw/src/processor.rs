@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{AreaPowerModel, EnergyModel, LayerGeometry, MinFindUnit, ProcessorConfig};
 
 /// Event-rate profile of a workload: what fraction of neurons spike at each
 /// layer boundary. TTFS coding caps this at 1 spike/neuron; the paper's
 /// trained VGG-16 models see roughly a third of neurons firing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Input-image spike density (fraction of pixels that fire).
     pub input_sparsity: f32,
@@ -54,7 +52,7 @@ impl WorkloadProfile {
 }
 
 /// Cycle/energy report for one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Layer name.
     pub name: String,
@@ -82,7 +80,7 @@ impl LayerReport {
 }
 
 /// Whole-network report (one image).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkReport {
     /// Per-layer reports.
     pub layers: Vec<LayerReport>,

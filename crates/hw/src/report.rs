@@ -1,8 +1,7 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One column of the Table 4 processor comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     /// Design name ("This work", "Tianjic", "TPU (redesigned)").
     pub design: String,
@@ -31,7 +30,7 @@ pub struct ComparisonRow {
 pub type DatasetRow = (String, Option<f32>, Option<f64>, Option<f64>);
 
 /// A renderable Table 4.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComparisonTable {
     /// Table columns.
     pub rows: Vec<ComparisonRow>,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::LayerGeometry;
 
 /// Analytical model of the comparison ANN accelerator: the paper's
@@ -19,7 +17,7 @@ use crate::LayerGeometry;
 /// let r = tpu.run_network(&vgg16_geometry(32, 32, 10));
 /// assert!(r.fps > 100.0 && r.fps < 400.0); // paper: 204 fps
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TpuModel {
     /// MAC units (16 × 16 = 256).
     pub macs: usize,
@@ -36,7 +34,7 @@ pub struct TpuModel {
 }
 
 /// TPU run summary (one image).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TpuReport {
     /// Cycles per image.
     pub cycles: u64,

@@ -403,12 +403,6 @@ impl LogCollector {
         self.has_sink.store(true, Ordering::Relaxed);
     }
 
-    /// Detaches the sink, if any.
-    pub fn clear_sink(&self) {
-        *self.sink.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        self.has_sink.store(false, Ordering::Relaxed);
-    }
-
     /// Lines the attached sink suppressed by rate limiting (0 when no
     /// sink is attached).
     pub fn sink_suppressed(&self) -> u64 {

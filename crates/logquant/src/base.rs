@@ -19,6 +19,8 @@ use serde::{Deserialize, Serialize};
 /// assert!((b.value() - 0.70710677).abs() < 1e-6);
 /// assert!((b.log2_step() - 0.5).abs() < 1e-9);
 /// ```
+// Serde: the `.snna` header's backend hint and the layout's quantizers carry
+// it; the field name `z` is an on-disk key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LogBase {
     z: u8,

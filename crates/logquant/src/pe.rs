@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{LogBase, LogCode, QuantError};
 
 /// Fixed-point fraction bits used by the LUT datapath.
@@ -25,7 +23,7 @@ const LUT_FRAC_BITS: u32 = 16;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogPe {
     tau: f32,
     base: LogBase,
@@ -136,7 +134,7 @@ impl LogPe {
 /// Baseline multiplier datapath (the "linear PE" of Fig. 6's Base/I
 /// configurations): an ordinary fixed-point multiply of the decoded weight
 /// and kernel value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinearPe;
 
 impl LinearPe {

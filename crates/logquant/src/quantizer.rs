@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use snn_tensor::Tensor;
 
 use crate::{LogBase, QuantError};
@@ -7,7 +6,7 @@ use crate::{LogBase, QuantError};
 /// flag, and an exponent *code* counting `log2_step`s below the full-scale
 /// range (eq. 15). With `b` bits: 1 sign bit and `b−1` exponent bits giving
 /// `2^(b−1) − 1` magnitude levels plus a dedicated zero code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LogCode {
     /// True for negative weights.
     pub negative: bool,
@@ -47,7 +46,7 @@ impl LogCode {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogQuantizer {
     base: LogBase,
     bits: u8,

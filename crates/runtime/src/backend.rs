@@ -18,9 +18,7 @@ use snn_sim::{EventSnn, RunStats};
 use snn_tensor::Tensor;
 use ttfs_core::{ConvertError, SnnModel};
 
-use crate::batcher::StreamingConfig;
 use crate::quant::{QuantConfig, QuantEngine};
-use crate::server::StreamingServer;
 use crate::CsrEngine;
 
 /// A batch-capable inference engine over a converted SNN.
@@ -64,9 +62,10 @@ impl InferenceBackend for EventSnn {
     }
 }
 
-/// Which engine to execute — the factory [`crate::StreamingServer`]
-/// backends are built through, so f32 and quantized serving are a
-/// one-line switch over the same `Arc`'d model.
+/// Which engine to execute — the factory every serving backend is built
+/// through, so f32 and quantized serving are a one-line switch over the
+/// same `Arc`'d model. A streaming stack is
+/// `StreamingServer::new(choice.build(model, dims)?, config)`.
 ///
 /// # Example
 ///
@@ -134,43 +133,5 @@ impl BackendChoice {
                 Arc::new(QuantEngine::compile_shared(model, input_dims, *config)?)
             }
         })
-    }
-
-    /// Builds the chosen backend and wraps it in a [`StreamingServer`] in
-    /// one call — the construction path a network front-end (the
-    /// `snn-gateway` crate) uses to stand up a serving stack from one
-    /// shared model.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`](Self::build).
-    pub fn serve_streaming(
-        &self,
-        model: Arc<SnnModel>,
-        input_dims: &[usize],
-        config: StreamingConfig,
-    ) -> Result<StreamingServer, ConvertError> {
-        Ok(StreamingServer::new(self.build(model, input_dims)?, config))
-    }
-
-    /// [`serve_streaming`](Self::serve_streaming) with a span sink: the
-    /// server records runtime spans (queue wait, flush reason, batch and
-    /// per-stage execution) into `collector` for every traced submission.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`](Self::build).
-    pub fn serve_streaming_traced(
-        &self,
-        model: Arc<SnnModel>,
-        input_dims: &[usize],
-        config: StreamingConfig,
-        collector: Arc<snn_trace::TraceCollector>,
-    ) -> Result<StreamingServer, ConvertError> {
-        Ok(StreamingServer::new_traced(
-            self.build(model, input_dims)?,
-            config,
-            collector,
-        ))
     }
 }

@@ -6,8 +6,8 @@
 //! The quantized serving path rides the same bridge: a
 //! [`crate::QuantEngine`] run emits the shared counters (its synaptic-op
 //! accounting matches the reference exactly, zero codes included), so
-//! [`quant_energy_report`] prices the measured quantized workload on the
-//! processor model — pair it with [`crate::QuantCsrModel::footprint`]'s
+//! [`energy_report`] over the engine's model and input dims prices the
+//! measured quantized workload on the processor model — pair it with [`crate::QuantCsrModel::footprint`]'s
 //! packed-code bytes and the bench's top-1 agreement for the full
 //! accuracy/energy/bytes trade-off.
 
@@ -16,8 +16,6 @@ use snn_hw::{
 };
 use snn_sim::RunStats;
 use ttfs_core::{ConvertError, SnnLayer, SnnModel};
-
-use crate::{InferenceBackend, QuantEngine};
 
 /// Derives the hardware layer geometry (neuron/weight/MAC counts) of every
 /// weighted layer of `model` for per-sample input dims.
@@ -155,25 +153,6 @@ impl EnergyPricer {
     }
 }
 
-/// [`energy_report`] for the quantized serving path: geometry and input
-/// dims come from the compiled [`QuantEngine`], spike densities from its
-/// measured `stats` — typically priced on the *proposed* (log-PE)
-/// processor configuration, since packed 5-bit codes are exactly the
-/// weight memory that processor buffers.
-///
-/// # Errors
-///
-/// Returns [`ConvertError::Structure`] if the engine's compiled dims do
-/// not fit its model (cannot happen for an engine built by
-/// [`QuantEngine::compile`]).
-pub fn quant_energy_report(
-    processor: &Processor,
-    engine: &QuantEngine,
-    stats: &RunStats,
-) -> Result<NetworkReport, ConvertError> {
-    energy_report(processor, engine.model(), stats, engine.input_dims())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +235,8 @@ mod tests {
         let engine = crate::QuantEngine::compile(&m, &[1, 8, 8], config).unwrap();
         let (_, q_stats) = crate::InferenceBackend::run_batch(&engine, &x).unwrap();
         let processor = Processor::new(ProcessorConfig::proposed());
-        let a = quant_energy_report(&processor, &engine, &q_stats).unwrap();
+        let model = crate::InferenceBackend::model(&engine);
+        let a = energy_report(&processor, model, &q_stats, engine.input_dims()).unwrap();
         let b = energy_report(&processor, &qm, &ref_stats, &[1, 8, 8]).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert!((a.energy_per_image_uj - b.energy_per_image_uj).abs() < 1e-9);

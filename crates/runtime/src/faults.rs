@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use snn_log::LogCollector;
 
 /// Every place the stack can be made to fail on purpose.
@@ -143,7 +143,7 @@ impl FaultConfig {
 
 /// Snapshot of how often each fault point was consulted and fired since
 /// the injector was last armed.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultCounts {
     /// Injected backend panics.
     pub backend_panics: u64,

@@ -803,14 +803,13 @@ fn traced_server_records_runtime_spans_with_identical_logits() {
     plain.shutdown();
 
     let collector = Arc::new(TraceCollector::new(0));
-    let server = BackendChoice::Csr
-        .serve_streaming_traced(
-            Arc::clone(&model),
-            &[1, 3, 4],
-            StreamingConfig::default(),
-            Arc::clone(&collector),
-        )
-        .unwrap();
+    let server = StreamingServer::new_traced(
+        BackendChoice::Csr
+            .build(Arc::clone(&model), &[1, 3, 4])
+            .unwrap(),
+        StreamingConfig::default(),
+        Arc::clone(&collector),
+    );
     let trace = collector.mint_trace();
     let target = TraceTarget { trace, parent: 0 };
     let response = server

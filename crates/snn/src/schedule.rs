@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::SpikeTrain;
 
 /// The layer-pipelined execution schedule of kernel-based TTFS coding
@@ -16,7 +14,7 @@ use crate::SpikeTrain;
 /// assert_eq!(s.latency(), 408);          // Table 2
 /// assert_eq!(s.fire_window(0), (24, 48));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineSchedule {
     weighted_layers: u32,
     window: u32,

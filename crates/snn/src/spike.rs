@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A spike raster over layer boundaries: for each boundary, the
 /// `(neuron, global_timestep)` events (input coding first, then one entry
 /// per hidden weighted layer).
@@ -10,7 +8,7 @@ pub type SpikeRaster = Vec<Vec<(usize, u32)>>;
 /// TTFS coding emits at most one spike per neuron; `scale` carries the
 /// linear weight a preceding average-pooling stage attached to the event
 /// (1.0 for ordinary spikes), so pooling stays exact in the event domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spike {
     /// Flat index of the emitting neuron within its layer.
     pub neuron: usize,
@@ -46,7 +44,7 @@ impl Spike {
 /// assert_eq!(train.spikes()[0].t, 2);
 /// assert!((train.sparsity() - 0.5).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpikeTrain {
     dims: Vec<usize>,
     window: u32,

@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// Event statistics of one weighted layer's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LayerStats {
     /// Input spikes integrated.
     pub input_spikes: usize,
@@ -35,7 +33,7 @@ impl LayerStats {
 }
 
 /// Event statistics of a full inference run (one batch).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunStats {
     /// Samples in the batch.
     pub batch: usize,

@@ -10,6 +10,7 @@ use crate::{gemm, ShapeError, Tensor, Transpose};
 /// let spec = Conv2dSpec::new(3, 16, 3, 1, 1);
 /// assert_eq!(spec.output_hw(32, 32), (32, 32));
 /// ```
+// Serde: a conv layer's `.snna` layout entry; the field names are on-disk keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Conv2dSpec {
     /// Input channel count.

@@ -1,6 +1,7 @@
 use crate::{ShapeError, Tensor};
 
 /// Geometry of a 2-D pooling window (NCHW layout, no padding).
+// Serde: a pooling layer's `.snna` layout entry; the field names are on-disk keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Pool2dSpec {
     /// Square window extent.

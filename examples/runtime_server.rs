@@ -48,9 +48,8 @@ fn serve_gateway(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     // streaming server (EDF pending window) → HTTP gateway. The trace
     // collector makes every request queryable at GET /v1/trace/<id>.
     let collector = Arc::new(TraceCollector::new(0));
-    let server = Arc::new(BackendChoice::Csr.serve_streaming_traced(
-        Arc::clone(&model),
-        &input_dims,
+    let server = Arc::new(StreamingServer::new_traced(
+        BackendChoice::Csr.build(Arc::clone(&model), &input_dims)?,
         StreamingConfig {
             threads: 0,
             max_batch: 8,
@@ -59,7 +58,7 @@ fn serve_gateway(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
             brownout: None,
         },
         collector,
-    )?);
+    ));
     let mut gateway = Gateway::start(
         Arc::clone(&server),
         GatewayConfig {
