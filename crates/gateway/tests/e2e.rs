@@ -67,15 +67,19 @@ proptest! {
         let x = snn_tensor::uniform(&[n, 1, 2, 4], 0.0, 1.0, &mut rng);
         let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
 
-        let server = Arc::new(
-            StreamingServer::new(BackendChoice::Csr.build(Arc::clone(&model), &DIMS).expect("streaming stack"), StreamingConfig {
-                        threads: 2,
-                        max_batch,
-                        max_delay: Duration::from_micros(delay_us),
-                        max_pending: 0,
-                        brownout: None,
-                    }),
-        );
+        let backend = BackendChoice::Csr
+            .build(Arc::clone(&model), &DIMS)
+            .expect("streaming stack");
+        let server = Arc::new(StreamingServer::new(
+            backend,
+            StreamingConfig {
+                threads: 2,
+                max_batch,
+                max_delay: Duration::from_micros(delay_us),
+                max_pending: 0,
+                brownout: None,
+            },
+        ));
         let mut gateway = Gateway::start(
             Arc::clone(&server),
             GatewayConfig {

@@ -484,15 +484,20 @@ proptest! {
         let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
 
         let collector = Arc::new(TraceCollector::new(0));
-        let server = Arc::new(
-            StreamingServer::new_traced(BackendChoice::Csr.build(Arc::clone(&model), &DIMS).expect("traced streaming stack"), StreamingConfig {
-                        threads: 2,
-                        max_batch,
-                        max_delay: Duration::from_micros(delay_us),
-                        max_pending: 0,
-                        brownout: None,
-                    }, Arc::clone(&collector)),
-        );
+        let backend = BackendChoice::Csr
+            .build(Arc::clone(&model), &DIMS)
+            .expect("traced streaming stack");
+        let server = Arc::new(StreamingServer::new_traced(
+            backend,
+            StreamingConfig {
+                threads: 2,
+                max_batch,
+                max_delay: Duration::from_micros(delay_us),
+                max_pending: 0,
+                brownout: None,
+            },
+            Arc::clone(&collector),
+        ));
         let mut gateway = Gateway::start(
             Arc::clone(&server),
             GatewayConfig {
