@@ -57,7 +57,7 @@
 //! use rand::SeedableRng;
 //! use snn_gateway::{client::HttpClient, Gateway, GatewayConfig};
 //! use snn_nn::{DenseLayer, Flatten, Layer, Sequential};
-//! use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
+//! use snn_runtime::{CsrEngine, StreamingConfig, StreamingServer};
 //! use ttfs_core::{convert, Base2Kernel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -68,7 +68,7 @@
 //! ]);
 //! let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 16)?);
 //! let dims = [1usize, 3, 3];
-//! let backend = BackendChoice::Csr.build(Arc::clone(&model), &dims)?;
+//! let backend = Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &dims)?);
 //! let server = Arc::new(StreamingServer::new(backend, StreamingConfig::default()));
 //! let mut gateway = Gateway::start(Arc::clone(&server), GatewayConfig::for_dims(&dims))?;
 //!

@@ -221,11 +221,11 @@ impl Shared {
 /// ```no_run
 /// use std::sync::Arc;
 /// use snn_gateway::{Gateway, GatewayConfig};
-/// use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
+/// use snn_runtime::{CsrEngine, StreamingConfig, StreamingServer};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// # let model: Arc<ttfs_core::SnnModel> = unimplemented!();
 /// let dims = [3usize, 32, 32];
-/// let backend = BackendChoice::Csr.build(Arc::clone(&model), &dims)?;
+/// let backend = Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &dims)?);
 /// let server = Arc::new(StreamingServer::new(backend, StreamingConfig::default()));
 /// let mut gateway = Gateway::start(server, GatewayConfig::for_dims(&dims))?;
 /// println!("serving on http://{}", gateway.local_addr());
@@ -1463,7 +1463,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-    use snn_runtime::BackendChoice;
+    use snn_runtime::CsrEngine;
     use ttfs_core::{convert, Base2Kernel};
 
     fn small_gateway() -> (Gateway, Arc<StreamingServer>) {
@@ -1477,7 +1477,7 @@ mod tests {
         let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 24).unwrap());
         let dims = [1usize, 2, 4];
         let server = Arc::new(StreamingServer::new(
-            BackendChoice::Csr.build(Arc::clone(&model), &dims).unwrap(),
+            Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &dims).unwrap()),
             snn_runtime::StreamingConfig {
                 threads: 1,
                 max_batch: 2,
@@ -1609,9 +1609,7 @@ mod tests {
         let registry =
             Arc::new(ModelRegistry::open(dir, snn_runtime::RegistryConfig::default()).unwrap());
         let server = Arc::new(StreamingServer::new_traced(
-            BackendChoice::Csr
-                .build(Arc::new(dense_model(3)), &dims)
-                .unwrap(),
+            Arc::new(CsrEngine::compile_shared(Arc::new(dense_model(3)), &dims).unwrap()),
             snn_runtime::StreamingConfig::default(),
             Arc::new(TraceCollector::new(0)),
         ));

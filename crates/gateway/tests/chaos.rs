@@ -27,8 +27,7 @@ use serde::{field, Content};
 use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferResponse};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
-    BackendChoice, BrownoutConfig, CsrEngine, FaultConfig, FaultInjector, StreamingConfig,
-    StreamingServer,
+    BrownoutConfig, CsrEngine, FaultConfig, FaultInjector, StreamingConfig, StreamingServer,
 };
 use snn_sim::EventSnn;
 use snn_trace::{TraceCollector, TraceId};
@@ -101,9 +100,7 @@ fn seeded_chaos_storms_resolve_every_request_and_the_stack_survives() {
     // panics and still serve the clean pass at the end.
     let clients = 4usize;
     let server = Arc::new(StreamingServer::new(
-        BackendChoice::Csr
-            .build(Arc::clone(&model), &DIMS)
-            .expect("streaming stack"),
+        Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &DIMS).expect("streaming stack")),
         StreamingConfig {
             threads: 2,
             max_batch: 4,
@@ -383,9 +380,9 @@ fn chaos_storm_writes_trace_correlated_incident_snapshots() {
 
     let collector = Arc::new(TraceCollector::new(0));
     let server = Arc::new(StreamingServer::new_traced(
-        BackendChoice::Csr
-            .build(Arc::clone(&model), &DIMS)
-            .expect("traced streaming stack"),
+        Arc::new(
+            CsrEngine::compile_shared(Arc::clone(&model), &DIMS).expect("traced streaming stack"),
+        ),
         StreamingConfig {
             threads: 2,
             max_batch: 4,

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferRequest};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, CsrEngine, StreamingConfig, StreamingServer};
+use snn_runtime::{CsrEngine, StreamingConfig, StreamingServer};
 use snn_sim::EventSnn;
 use ttfs_core::{convert, Base2Kernel, SnnModel};
 
@@ -67,9 +67,9 @@ proptest! {
         let x = snn_tensor::uniform(&[n, 1, 2, 4], 0.0, 1.0, &mut rng);
         let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
 
-        let backend = BackendChoice::Csr
-            .build(Arc::clone(&model), &DIMS)
-            .expect("streaming stack");
+        let backend = Arc::new(
+            CsrEngine::compile_shared(Arc::clone(&model), &DIMS).expect("streaming stack"),
+        );
         let server = Arc::new(StreamingServer::new(
             backend,
             StreamingConfig {
@@ -202,7 +202,7 @@ fn forced_backpressure_yields_429_without_corrupting_responses() {
 fn metrics_endpoint_reports_traffic_and_sheds() {
     let model = Arc::new(dense_model(7));
     let server = Arc::new(StreamingServer::new(
-        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &DIMS).unwrap()),
         StreamingConfig {
             threads: 1,
             max_batch: 2,
@@ -250,7 +250,7 @@ fn metrics_endpoint_reports_traffic_and_sheds() {
 fn huge_client_deadline_is_clamped_to_handler_timeout() {
     let model = Arc::new(dense_model(33));
     let server = Arc::new(StreamingServer::new(
-        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &DIMS).unwrap()),
         StreamingConfig {
             threads: 1,
             max_batch: 64,

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferRequest};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
+use snn_runtime::{CsrEngine, StreamingConfig, StreamingServer};
 use ttfs_core::{convert, Base2Kernel};
 
 const DIMS: [usize; 3] = [1, 3, 4];
@@ -28,7 +28,7 @@ fn serving_stack(seed: u64) -> (Arc<StreamingServer>, Gateway) {
     ]);
     let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 24).unwrap());
     let server = Arc::new(StreamingServer::new(
-        BackendChoice::Csr.build(model, &DIMS).unwrap(),
+        Arc::new(CsrEngine::compile_shared(model, &DIMS).unwrap()),
         StreamingConfig {
             threads: 2,
             max_batch: 4,
@@ -231,7 +231,7 @@ fn idle_keep_alive_connections_cannot_starve_the_worker_pool() {
     ]);
     let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 16).unwrap());
     let server = Arc::new(StreamingServer::new(
-        BackendChoice::Csr.build(model, &DIMS).unwrap(),
+        Arc::new(CsrEngine::compile_shared(model, &DIMS).unwrap()),
         StreamingConfig::default(),
     ));
     let mut gateway = Gateway::start(

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferRequest};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
-    BackendChoice, BackendHint, ModelArtifact, ModelRegistry, RegistryConfig, StreamingConfig,
+    BackendHint, CsrEngine, ModelArtifact, ModelRegistry, RegistryConfig, StreamingConfig,
     StreamingServer,
 };
 use snn_tensor::Tensor;
@@ -107,7 +107,7 @@ fn registry_gateway(dir: &Path) -> (Arc<ModelRegistry>, Gateway) {
     ]);
     let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 24).unwrap());
     let server = Arc::new(StreamingServer::new(
-        BackendChoice::Csr.build(model, &DIMS_A).unwrap(),
+        Arc::new(CsrEngine::compile_shared(model, &DIMS_A).unwrap()),
         fast_streaming(),
     ));
     let gateway = Gateway::start_with_registry(
@@ -371,7 +371,7 @@ fn model_routes_are_404_without_a_registry() {
     ]);
     let model = Arc::new(convert(&net, Base2Kernel::paper_default(), 24).unwrap());
     let server = Arc::new(StreamingServer::new(
-        BackendChoice::Csr.build(model, &DIMS_A).unwrap(),
+        Arc::new(CsrEngine::compile_shared(model, &DIMS_A).unwrap()),
         fast_streaming(),
     ));
     let mut gateway = Gateway::start(

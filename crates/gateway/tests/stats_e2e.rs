@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use serde::{field, Content};
 use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferResponse};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-use snn_runtime::{BackendChoice, StreamingConfig, StreamingServer};
+use snn_runtime::{CsrEngine, StreamingConfig, StreamingServer};
 use ttfs_core::{convert, Base2Kernel, SnnModel};
 
 const DIMS: [usize; 3] = [1, 2, 4];
@@ -40,9 +40,7 @@ fn dense_model(seed: u64) -> SnnModel {
 fn start_gateway(seed: u64) -> (Gateway, Arc<snn_runtime::StreamingServer>) {
     let model = Arc::new(dense_model(seed));
     let server = Arc::new(StreamingServer::new(
-        BackendChoice::Csr
-            .build(Arc::clone(&model), &DIMS)
-            .expect("streaming stack"),
+        Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &DIMS).expect("streaming stack")),
         StreamingConfig {
             threads: 1,
             max_batch: 4,
@@ -179,7 +177,7 @@ fn dashboard_serves_self_contained_html() {
 fn telemetry_off_disables_stats_routes_but_not_inference() {
     let model = Arc::new(dense_model(9));
     let server = Arc::new(StreamingServer::new(
-        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &DIMS).unwrap()),
         StreamingConfig::default(),
     ));
     let mut gateway = Gateway::start(

@@ -18,8 +18,8 @@ use serde::{field, Content};
 use snn_gateway::{client::HttpClient, Gateway, GatewayConfig, InferRequest, InferResponse};
 use snn_nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use snn_runtime::{
-    BackendChoice, BackendHint, CsrEngine, ModelArtifact, ModelRegistry, RegistryConfig,
-    StreamingConfig, StreamingServer,
+    BackendHint, CsrEngine, ModelArtifact, ModelRegistry, RegistryConfig, StreamingConfig,
+    StreamingServer,
 };
 use snn_sim::EventSnn;
 use snn_trace::TraceCollector;
@@ -44,9 +44,7 @@ fn traced_stack(seed: u64, config: StreamingConfig) -> (Arc<StreamingServer>, Ar
     let model = Arc::new(dense_model(seed));
     let collector = Arc::new(TraceCollector::new(0));
     let server = Arc::new(StreamingServer::new_traced(
-        BackendChoice::Csr
-            .build(model, &DIMS)
-            .expect("traced streaming stack"),
+        Arc::new(CsrEngine::compile_shared(model, &DIMS).expect("traced streaming stack")),
         config,
         Arc::clone(&collector),
     ));
@@ -425,6 +423,7 @@ fn trace_route_rejects_unknown_and_malformed_ids() {
         404
     );
     assert_eq!(client.get("/v1/trace/not-hex").unwrap().status, 400);
+    assert_eq!(client.get("/v1/trace/+1").unwrap().status, 400);
     assert_eq!(client.get("/v1/trace/").unwrap().status, 400);
     let response = client.post_json("/v1/trace/abc", "{}").unwrap();
     assert_eq!(response.status, 405);
@@ -433,7 +432,7 @@ fn trace_route_rejects_unknown_and_malformed_ids() {
 
     let model = Arc::new(dense_model(53));
     let untraced = Arc::new(StreamingServer::new(
-        BackendChoice::Csr.build(model, &DIMS).unwrap(),
+        Arc::new(CsrEngine::compile_shared(model, &DIMS).unwrap()),
         StreamingConfig::default(),
     ));
     let mut gateway = Gateway::start(
@@ -484,9 +483,9 @@ proptest! {
         let (expected, _) = EventSnn::new(&model).run(&x).expect("reference run");
 
         let collector = Arc::new(TraceCollector::new(0));
-        let backend = BackendChoice::Csr
-            .build(Arc::clone(&model), &DIMS)
-            .expect("traced streaming stack");
+        let backend = Arc::new(
+            CsrEngine::compile_shared(Arc::clone(&model), &DIMS).expect("traced streaming stack"),
+        );
         let server = Arc::new(StreamingServer::new_traced(
             backend,
             StreamingConfig {
@@ -580,7 +579,7 @@ fn disabling_tracing_preserves_logits_and_records_nothing() {
 
     let collector = Arc::new(TraceCollector::new(0));
     let server = Arc::new(StreamingServer::new_traced(
-        BackendChoice::Csr.build(Arc::clone(&model), &DIMS).unwrap(),
+        Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &DIMS).unwrap()),
         StreamingConfig::default(),
         Arc::clone(&collector),
     ));

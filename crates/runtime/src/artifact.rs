@@ -168,9 +168,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Which engine an artifact asks to be served on — the serializable twin
-/// of [`crate::BackendChoice`] minus the reference simulator (artifacts
-/// describe deployments; nobody deploys the reference backend).
+/// Which engine an artifact asks to be served on: [`crate::CsrEngine`]
+/// or [`crate::QuantEngine`] — the one serialized choice of engine
+/// (artifacts describe deployments; nobody deploys the reference
+/// simulator).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BackendHint {
     /// The f32 batched CSR engine.

@@ -236,7 +236,13 @@ mod tests {
         let (_, q_stats) = crate::InferenceBackend::run_batch(&engine, &x).unwrap();
         let processor = Processor::new(ProcessorConfig::proposed());
         let model = crate::InferenceBackend::model(&engine);
-        let a = energy_report(&processor, model, &q_stats, engine.input_dims()).unwrap();
+        let a = energy_report(
+            &processor,
+            model,
+            &q_stats,
+            crate::InferenceBackend::input_dims(&engine),
+        )
+        .unwrap();
         let b = energy_report(&processor, &qm, &ref_stats, &[1, 8, 8]).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert!((a.energy_per_image_uj - b.energy_per_image_uj).abs() < 1e-9);

@@ -1,8 +1,9 @@
 //! The CSR fast-path inference engine.
 //!
-//! [`CsrEngine`] executes the same integrate/fire physics as
-//! [`snn_sim::EventSnn`] but over the compiled [`CsrModel`], a chunk of
-//! samples at a time: the chunk's samples are the lanes of a
+//! [`Engine`] executes the same integrate/fire physics as
+//! [`snn_sim::EventSnn`] but over compiled tables — [`CsrModel`] for
+//! [`CsrEngine`], packed log codes for [`crate::QuantEngine`] — a chunk
+//! of samples at a time: the chunk's samples are the lanes of a
 //! [`BatchWheel`], whose time slots are walked in ascending order, and
 //! each stage's membranes are one `[lanes, out_neurons]` f64 matrix (each
 //! lane owns a contiguous slice, padded to whole cache lines, the matrix
@@ -58,7 +59,7 @@
 //! [`snn_sim::EventSnn`] bit-for-bit for every chunk size, and the shared
 //! event statistics are identical.
 //!
-//! The engine holds the converted [`SnnModel`] and compiled [`CsrModel`]
+//! The engine holds the converted [`SnnModel`] and its compiled tables
 //! behind [`Arc`], so clones (one per worker, per shard, per server) share
 //! one read-only copy of the weights. Per-run scratch (membrane matrix,
 //! step planes, wheels, decoded weights) lives in an internal pool and is
@@ -87,8 +88,8 @@ pub const DEFAULT_MAX_LANES: usize = 8;
 
 /// One stored edge payload: `f32` weights are integrated as they are
 /// stored, packed log codes (`u8`) are decoded through the layer's LUT —
-/// the decode context — once per chunk.
-pub(crate) trait EdgeWeight: Copy + Send + Sync + 'static {
+/// the decode context — once per chunk. Not exported, like [`Compiled`].
+pub trait EdgeWeight: Copy + Send + Sync + 'static {
     /// Per-weighted-stage decode context (e.g. the layer's code LUT).
     type Ctx<'a>: Copy;
 
@@ -123,7 +124,7 @@ const BUCKET_SHIFT: u32 = f32::MANTISSA_DIGITS - 1 - BUCKET_BITS;
 /// sign (half of all membranes are negative, in no pattern). It returns
 /// exactly what `encode` does, for every f32.
 #[derive(Debug, Clone)]
-pub(crate) struct FireTable {
+pub struct FireTable {
     /// `th[k + 1] = min{u : encode(u) ≤ k}`; `th[0]` is NaN, which no
     /// membrane reaches, so a walk down the thresholds stops by itself.
     th: Vec<f32>,
@@ -331,7 +332,7 @@ enum Spikes {
 /// batch wheels. Pooled on the engine so repeat calls skip every per-layer
 /// allocation.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     /// `[lanes, out_neurons]` f64 membrane accumulator.
     acc: Membranes,
     /// The current stage's packed codes, decoded (quantized stages only).
@@ -348,54 +349,114 @@ pub(crate) struct Scratch {
     wheel_out: BatchWheel,
 }
 
-/// A mutex-guarded stack of [`Scratch`] buffers, shared by every engine
-/// kind: a run pops a buffer (or starts fresh), and returns it when done,
-/// so back-to-back calls skip the per-layer allocations.
+/// A mutex-guarded stack of [`Scratch`] buffers: a run pops a buffer (or
+/// starts fresh), and returns it when done, so back-to-back calls skip
+/// the per-layer allocations.
 #[derive(Debug, Default)]
-pub(crate) struct ScratchPool(Mutex<Vec<Scratch>>);
+struct ScratchPool(Mutex<Vec<Scratch>>);
 
 impl ScratchPool {
     /// Pops a pooled buffer, or starts fresh. The flag says which — a
     /// fresh take on a warm server means the pool ran dry and this run
     /// pays the allocations (surfaced as the `scratch` trace attribute).
-    pub(crate) fn take(&self) -> (Scratch, bool) {
+    fn take(&self) -> (Scratch, bool) {
         match self.0.lock().expect("scratch pool poisoned").pop() {
             Some(scratch) => (scratch, true),
             None => (Scratch::default(), false),
         }
     }
 
-    pub(crate) fn put(&self, scratch: Scratch) {
+    fn put(&self, scratch: Scratch) {
         self.0.lock().expect("scratch pool poisoned").push(scratch);
     }
 }
 
-/// Batched CSR + time-wheel executor for a converted
-/// [`SnnModel`].
-pub struct CsrEngine {
-    model: Arc<SnnModel>,
-    compiled: Arc<CsrModel>,
+/// The compiled tables an [`Engine`] runs: the f32 [`CsrModel`] or the
+/// packed-code [`crate::QuantCsrModel`]. Both are one stage list over the
+/// same synapse structures; they differ only in the stored edge payload
+/// and in the decode context a weighted stage resolves it through.
+/// Sealed: the trait is not exported, so the two payloads are the only
+/// implementations.
+pub trait Compiled: Send + Sync + 'static {
+    /// The stored edge payload.
+    type Weight: EdgeWeight;
+    /// Engine-side choice of decode datapath (`()` when there is none).
+    type Mode: Copy + std::fmt::Debug + Send + Sync;
+    /// [`InferenceBackend::name`] of an engine over these tables.
+    const NAME: &'static str;
+
+    /// The compiled stages, in execution order.
+    fn stages(&self) -> &[CsrStage<Self::Weight>];
+    /// The model kernel's fire table.
+    fn fire(&self) -> &FireTable;
+    /// Per-sample input dims the tables were compiled for.
+    fn input_dims(&self) -> &[usize];
+    /// Total traversed synapses across weighted stages (flat-equivalent).
+    fn total_edges(&self) -> usize;
+    /// The decode context of weighted stage `layer` under `mode`.
+    fn decode_ctx(&self, layer: usize, mode: Self::Mode) -> <Self::Weight as EdgeWeight>::Ctx<'_>;
+}
+
+impl Compiled for CsrModel {
+    type Weight = f32;
+    type Mode = ();
+    const NAME: &'static str = "csr";
+
+    fn stages(&self) -> &[CsrStage] {
+        &self.stages
+    }
+
+    fn fire(&self) -> &FireTable {
+        &self.fire
+    }
+
+    fn input_dims(&self) -> &[usize] {
+        &self.input_dims
+    }
+
+    fn total_edges(&self) -> usize {
+        self.total_edges
+    }
+
+    /// The f32 path multiplies in place: unit decode contexts.
+    fn decode_ctx(&self, _layer: usize, _mode: ()) {}
+}
+
+/// Batched CSR + time-wheel executor for a converted [`SnnModel`], over
+/// either payload: [`CsrEngine`] (f32 weights) or [`crate::QuantEngine`]
+/// (packed log codes). Both run one integrate-and-fire walk; only a
+/// weighted stage's decode context differs.
+pub struct Engine<C: Compiled> {
+    pub(crate) model: Arc<SnnModel>,
+    pub(crate) compiled: Arc<C>,
+    pub(crate) mode: C::Mode,
     max_lanes: usize,
     scratch: ScratchPool,
 }
 
-impl std::fmt::Debug for CsrEngine {
+/// The f32 engine: stored weights are multiplied as they are.
+pub type CsrEngine = Engine<CsrModel>;
+
+impl<C: Compiled> std::fmt::Debug for Engine<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CsrEngine")
-            .field("input_dims", &self.compiled.input_dims)
-            .field("total_edges", &self.compiled.total_edges)
+        f.debug_struct("Engine")
+            .field("backend", &C::NAME)
+            .field("input_dims", &self.compiled.input_dims())
+            .field("total_edges", &self.compiled.total_edges())
+            .field("mode", &self.mode)
             .field("max_lanes", &self.max_lanes)
             .finish()
     }
 }
 
-impl Clone for CsrEngine {
-    /// Cheap clone: the model and compiled CSR are shared (`Arc`), only the
-    /// scratch pool starts empty.
+impl<C: Compiled> Clone for Engine<C> {
+    /// Cheap clone: the model and compiled tables are shared (`Arc`), only
+    /// the scratch pool starts empty.
     fn clone(&self) -> Self {
         Self {
             model: Arc::clone(&self.model),
             compiled: Arc::clone(&self.compiled),
+            mode: self.mode,
             max_lanes: self.max_lanes,
             scratch: ScratchPool::default(),
         }
@@ -480,13 +541,21 @@ impl CsrEngine {
         model: Arc<SnnModel>,
         input_dims: &[usize],
     ) -> Result<Self, ConvertError> {
-        let compiled = Arc::new(CsrModel::compile(&model, input_dims)?);
-        Ok(Self {
+        let compiled = CsrModel::compile(&model, input_dims)?;
+        Ok(Self::new(model, compiled, ()))
+    }
+}
+
+impl<C: Compiled> Engine<C> {
+    /// An engine over freshly compiled tables, at the default chunk width.
+    pub(crate) fn new(model: Arc<SnnModel>, compiled: C, mode: C::Mode) -> Self {
+        Self {
             model,
-            compiled,
+            compiled: Arc::new(compiled),
+            mode,
             max_lanes: DEFAULT_MAX_LANES,
             scratch: ScratchPool::default(),
-        })
+        }
     }
 
     /// Sets the chunk width: how many samples are integrated together as
@@ -504,13 +573,13 @@ impl CsrEngine {
         self.max_lanes
     }
 
-    /// The compiled CSR representation.
-    pub fn compiled(&self) -> &CsrModel {
+    /// The compiled tables.
+    pub fn compiled(&self) -> &C {
         &self.compiled
     }
 
-    /// The shared handle to the compiled CSR representation.
-    pub fn compiled_shared(&self) -> Arc<CsrModel> {
+    /// The shared handle to the compiled tables.
+    pub fn compiled_shared(&self) -> Arc<C> {
         Arc::clone(&self.compiled)
     }
 
@@ -521,37 +590,7 @@ impl CsrEngine {
 
     /// Total traversed synapses across weighted layers (flat-equivalent).
     pub fn total_edges(&self) -> usize {
-        self.compiled.total_edges
-    }
-
-    /// Integrates `lanes` samples (`data` is their concatenated flat
-    /// pixels) as one chunk, appending one logits row per lane.
-    fn run_chunk(
-        &self,
-        data: &[f32],
-        lanes: usize,
-        sample_len: usize,
-        stats: &mut RunStats,
-        rows: &mut Vec<f32>,
-    ) -> Result<(), ConvertError> {
-        let (mut scratch, reused) = self.scratch.take();
-        let mut span = snn_trace::ctx_span("csr.chunk");
-        span.attr("lanes", lanes);
-        span.attr("scratch", if reused { "reused" } else { "fresh" });
-        let result = run_chunk_stages(
-            &self.model,
-            &self.compiled.stages,
-            &self.compiled.fire,
-            |_| (), // the f32 path multiplies in place: unit decode contexts
-            &mut scratch,
-            data,
-            lanes,
-            sample_len,
-            stats,
-            rows,
-        );
-        self.scratch.put(scratch);
-        result
+        self.compiled.total_edges()
     }
 }
 
@@ -565,27 +604,25 @@ fn chw(in_dims: &[usize]) -> Result<(usize, usize, usize), ConvertError> {
     }
 }
 
-/// Integrates one chunk of `lanes` samples over a compiled
-/// stage list — the shared inner loop of [`CsrEngine`] and
-/// [`crate::QuantEngine`]. `ctx_of(i)` is the [`EdgeWeight`] decode
-/// context of weighted stage `i` (unit for f32 weights, the layer's code
-/// LUT for packed log codes); everything else — encode, wheels,
-/// fire phases, pooling, statistics — is identical between the two
-/// serving modes, which is what keeps them bit-comparable. Appends one
-/// logits row per lane to `rows`.
-#[allow(clippy::too_many_arguments)] // one call site per engine, flat by design
-pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
-    model: &SnnModel,
-    stages: &'a [CsrStage<W>],
-    fire: &FireTable,
-    ctx_of: impl Fn(usize) -> W::Ctx<'a>,
+/// Integrates one chunk of `lanes` samples (`data` is their
+/// concatenated flat pixels) over the compiled stage list, appending
+/// one logits row per lane to `rows`. A weighted stage's payload is
+/// resolved through its [`EdgeWeight`] decode context (unit for f32
+/// weights, the layer's code LUT for packed log codes); everything
+/// else — encode, wheels, fire phases, pooling, statistics — is one
+/// code path for both payloads, which is what keeps them
+/// bit-comparable.
+fn run_chunk<C: Compiled>(
+    engine: &Engine<C>,
     scratch: &mut Scratch,
     data: &[f32],
     lanes: usize,
-    sample_len: usize,
     stats: &mut RunStats,
     rows: &mut Vec<f32>,
 ) -> Result<(), ConvertError> {
+    let sample_len = data.len() / lanes;
+    let (model, tables) = (&*engine.model, &*engine.compiled);
+    let (stages, fire) = (tables.stages(), tables.fire());
     let window = fire.window();
     let weighted = model.weighted_layers();
     let Scratch {
@@ -643,7 +680,8 @@ pub(crate) fn run_chunk_stages<'a, W: EdgeWeight>(
                     plane_in.to_wheel(wheel_in, lanes, fire);
                 }
                 let out_len = bias.len();
-                let resolved = W::resolve(syn.weights(), ctx_of(seen), weights);
+                let ctx = tables.decode_ctx(seen, engine.mode);
+                let resolved = C::Weight::resolve(syn.weights(), ctx, weights);
                 acc.reset(lanes, out_len);
                 // f64 accumulate -> one f32 rounding -> f32 bias add:
                 // identical to the reference GEMM discipline, so the
@@ -1024,77 +1062,59 @@ fn add_run(cells: &mut [f64], weights: &[f32], psp: f64) {
     }
 }
 
-/// Splits a `[N, …]` batch into `max_lanes`-wide chunks and drives `chunk`
-/// over each — the shared [`crate::InferenceBackend::run_batch`] shell of
-/// [`CsrEngine`] and [`crate::QuantEngine`] (dims validation, stats
-/// allocation, logits reassembly).
-pub(crate) fn run_batch_chunked(
-    model: &SnnModel,
-    input_dims: &[usize],
-    max_lanes: usize,
-    images: &Tensor,
-    mut chunk: impl FnMut(
-        &[f32],
-        usize,
-        usize,
-        &mut RunStats,
-        &mut Vec<f32>,
-    ) -> Result<(), ConvertError>,
-) -> Result<(Tensor, RunStats), ConvertError> {
-    let dims = images.dims();
-    if dims.len() < 2 {
-        return Err(ConvertError::Structure(format!(
-            "expected batched input, got {:?}",
-            dims
-        )));
-    }
-    if dims[1..] != input_dims[..] {
-        return Err(ConvertError::Structure(format!(
-            "batch sample dims {:?} do not match compiled dims {:?}",
-            &dims[1..],
-            input_dims
-        )));
-    }
-    let n = dims[0];
-    let sample_len: usize = input_dims.iter().product();
-    let mut stats = phase::new_run_stats(model, n);
-    let mut rows = Vec::new();
-    let mut begin = 0usize;
-    while begin < n {
-        let lanes = max_lanes.min(n - begin);
-        let data = &images.as_slice()[begin * sample_len..(begin + lanes) * sample_len];
-        chunk(data, lanes, sample_len, &mut stats, &mut rows)?;
-        begin += lanes;
-    }
-    let classes = rows.len() / n.max(1);
-    let logits = Tensor::from_vec(rows, &[n, classes])
-        .map_err(|e| ConvertError::Structure(e.to_string()))?;
-    Ok((logits, stats))
-}
-
-impl InferenceBackend for CsrEngine {
+impl<C: Compiled> InferenceBackend for Engine<C> {
     fn name(&self) -> &'static str {
-        "csr"
+        C::NAME
     }
 
     fn model(&self) -> &SnnModel {
         &self.model
     }
 
-    fn input_dims(&self) -> Option<&[usize]> {
-        Some(&self.compiled.input_dims)
+    fn input_dims(&self) -> &[usize] {
+        self.compiled.input_dims()
     }
 
+    /// Splits the batch into `max_lanes`-wide chunks, each integrated as
+    /// one batched walk on a pooled scratch buffer.
     fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
-        run_batch_chunked(
-            &self.model,
-            &self.compiled.input_dims,
-            self.max_lanes,
-            images,
-            |data, lanes, sample_len, stats, rows| {
-                self.run_chunk(data, lanes, sample_len, stats, rows)
-            },
-        )
+        let input_dims = self.compiled.input_dims();
+        let dims = images.dims();
+        if dims.len() < 2 {
+            return Err(ConvertError::Structure(format!(
+                "expected batched input, got {:?}",
+                dims
+            )));
+        }
+        if dims[1..] != input_dims[..] {
+            return Err(ConvertError::Structure(format!(
+                "batch sample dims {:?} do not match compiled dims {:?}",
+                &dims[1..],
+                input_dims
+            )));
+        }
+        let n = dims[0];
+        let sample_len: usize = input_dims.iter().product();
+        let mut stats = phase::new_run_stats(&self.model, n);
+        let mut rows = Vec::new();
+        let mut begin = 0usize;
+        while begin < n {
+            let lanes = self.max_lanes.min(n - begin);
+            let data = &images.as_slice()[begin * sample_len..(begin + lanes) * sample_len];
+            let (mut scratch, reused) = self.scratch.take();
+            let mut span = snn_trace::ctx_span("csr.chunk");
+            span.attr("lanes", lanes);
+            span.attr("scratch", if reused { "reused" } else { "fresh" });
+            let result = run_chunk(self, &mut scratch, data, lanes, &mut stats, &mut rows);
+            self.scratch.put(scratch);
+            drop(span);
+            result?;
+            begin += lanes;
+        }
+        let classes = rows.len() / n.max(1);
+        let logits = Tensor::from_vec(rows, &[n, classes])
+            .map_err(|e| ConvertError::Structure(e.to_string()))?;
+        Ok((logits, stats))
     }
 }
 
@@ -1198,7 +1218,7 @@ mod tests {
         let x = snn_tensor::uniform(&[3, 1, 8, 8], 0.0, 1.0, &mut rng);
         let event = EventSnn::new(&model);
         let csr = CsrEngine::compile(&model, &[1, 8, 8]).unwrap();
-        let (a, sa) = event.run_batch(&x).unwrap();
+        let (a, sa) = event.run(&x).unwrap();
         let (b, sb) = csr.run_batch(&x).unwrap();
         assert_eq!(a.as_slice(), b.as_slice(), "same accumulation order");
         assert_eq!(sa, sb, "identical event statistics");
@@ -1211,7 +1231,7 @@ mod tests {
         let model = cnn_model(17);
         let mut rng = StdRng::seed_from_u64(101);
         let x = snn_tensor::uniform(&[7, 1, 8, 8], 0.0, 1.0, &mut rng);
-        let (expect_logits, expect_stats) = EventSnn::new(&model).run_batch(&x).unwrap();
+        let (expect_logits, expect_stats) = EventSnn::new(&model).run(&x).unwrap();
         for lanes in [1usize, 2, 3, 5, 7, 16] {
             let csr = CsrEngine::compile(&model, &[1, 8, 8])
                 .unwrap()
@@ -1246,6 +1266,8 @@ mod tests {
     fn clone_shares_model_and_compiled() {
         let model = Arc::new(cnn_model(19));
         let csr = CsrEngine::compile_shared(Arc::clone(&model), &[1, 8, 8]).unwrap();
+        // Wire-visible: `/v1/stats` reports it as a server's `backend` label.
+        assert_eq!(csr.name(), "csr");
         let dup = csr.clone();
         assert!(Arc::ptr_eq(&csr.model_shared(), &dup.model_shared()));
         assert!(Arc::ptr_eq(&csr.compiled_shared(), &dup.compiled_shared()));
@@ -1280,7 +1302,7 @@ mod tests {
         wd[40] = 0.0;
         let mut rng = StdRng::seed_from_u64(104);
         let x = snn_tensor::uniform(&[3, 1, 8, 8], 0.0, 1.0, &mut rng);
-        let (a, sa) = EventSnn::new(&model).run_batch(&x).unwrap();
+        let (a, sa) = EventSnn::new(&model).run(&x).unwrap();
         let csr = CsrEngine::compile(&model, &[1, 8, 8]).unwrap();
         let (b, sb) = csr.run_batch(&x).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
@@ -1312,7 +1334,7 @@ mod tests {
         let x = snn_tensor::uniform(&[2, 2, 6, 6], 0.0, 1.0, &mut rng);
         let event = EventSnn::new(&model);
         let csr = CsrEngine::compile(&model, &[2, 6, 6]).unwrap();
-        let (a, _) = event.run_batch(&x).unwrap();
+        let (a, _) = event.run(&x).unwrap();
         let (b, _) = csr.run_batch(&x).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
     }
@@ -1332,7 +1354,7 @@ mod tests {
         ]);
         let model = convert(&net, Base2Kernel::new(1.0, 1.0), 160).unwrap();
         let x = snn_tensor::uniform(&[5, 1, 8, 8], 0.0, 1.0, &mut rng);
-        let (want, want_stats) = EventSnn::new(&model).run_batch(&x).unwrap();
+        let (want, want_stats) = EventSnn::new(&model).run(&x).unwrap();
         assert!(
             want_stats.layers[1].input_spikes > 0,
             "spikes reach the readout"

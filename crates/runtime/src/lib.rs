@@ -4,11 +4,12 @@
 //! and energy*; this crate turns the workspace's reproduction into a
 //! serving-shaped runtime:
 //!
-//! * [`InferenceBackend`] — the pluggable engine abstraction. Three
-//!   implementations ship: the reference event simulator
-//!   ([`snn_sim::EventSnn`]), the [`CsrEngine`] f32 fast path, and the
-//!   [`QuantEngine`] packed-log-code path; [`BackendChoice`] is the
-//!   factory that builds any of them from one shared `Arc`'d model.
+//! * [`InferenceBackend`] — the serving engine abstraction, implemented
+//!   by the one [`Engine`] over either weight payload: [`CsrEngine`]
+//!   (f32) and [`QuantEngine`] (packed log codes) are its two
+//!   instantiations, each built from one shared `Arc`'d model by its own
+//!   constructors. The reference event simulator
+//!   ([`snn_sim::EventSnn`]) is the oracle both reproduce bit for bit.
 //! * [`CsrModel`] / [`CsrEngine`] — ahead-of-time compilation of a
 //!   converted [`ttfs_core::SnnModel`] into synapse tables (conv layers
 //!   pattern-deduplicated per `(channel, border-class)` — roughly
@@ -124,7 +125,7 @@ pub use artifact::{
     fnv1a64, ArtifactError, ArtifactInfo, BackendHint, ModelArtifact, ARTIFACT_EXTENSION,
     ARTIFACT_FORMAT_VERSION, ARTIFACT_MAGIC, MAX_SECTION_BYTES,
 };
-pub use backend::{BackendChoice, InferenceBackend};
+pub use backend::InferenceBackend;
 pub use batcher::{
     BrownoutConfig, DeadlineBatcher, FlushReason, StreamedResponse, StreamingConfig, SubmitError,
     SubmitOptions, Ticket,
@@ -133,7 +134,7 @@ pub use csr::{
     ConvPatterns, ConvRun, CsrFootprint, CsrModel, CsrStage, CsrSynapses, EdgeIter, PatternRow,
     SynapseTable,
 };
-pub use engine::{CsrEngine, DEFAULT_MAX_LANES};
+pub use engine::{CsrEngine, Engine, DEFAULT_MAX_LANES};
 pub use faults::{FaultConfig, FaultCounts, FaultInjector, FaultPoint};
 pub use metrics::{
     HistogramBucket, HistogramSnapshot, LogSink, OccupancyBucket, StreamingMetrics,

@@ -19,9 +19,9 @@
 //!   compiler are the same code, generic over the payload
 //!   ([`SynapseTable`]) — only the per-edge payload shrinks, 4× for the
 //!   stored weight array.
-//! * [`QuantEngine`] — an [`InferenceBackend`] whose integration loop is
-//!   the *same* batched walk as [`crate::CsrEngine`]'s
-//!   ([`run_chunk_stages`] is shared), down to the vectorised `cells +=
+//! * [`QuantEngine`] — the [`Engine`] over these tables: its integration
+//!   loop is the *same* batched walk as [`crate::CsrEngine`]'s (one
+//!   engine type, one code path), down to the vectorised `cells +=
 //!   w · psp` run (four f64 cells per AVX2 op at the workspace's
 //!   x86-64-v3 target, the same bits as a baseline build): a weighted
 //!   stage's packed codes are decoded through the layer's LUT **once per
@@ -49,20 +49,15 @@
 use std::sync::Arc;
 
 use snn_logquant::{LogBase, LogPe, LogQuantizer, QuantError};
-use snn_sim::RunStats;
-use snn_tensor::Tensor;
 use ttfs_core::{ConvertError, SnnLayer, SnnModel};
 
 use crate::csr::{compile_stages, footprint_of, CsrFootprint, CsrStage};
-use crate::engine::{
-    run_batch_chunked, run_chunk_stages, EdgeWeight, FireTable, ScratchPool, DEFAULT_MAX_LANES,
-};
-use crate::InferenceBackend;
+use crate::engine::{Compiled, EdgeWeight, Engine, FireTable};
 
 #[cfg(doc)]
 use crate::csr::{CsrModel, SynapseTable};
 #[cfg(doc)]
-use crate::engine::CsrEngine;
+use snn_sim::RunStats;
 
 /// Packed log codes are decoded through the layer's LUT once per chunk;
 /// the integration loop then runs over the decoded f32s exactly as it does
@@ -414,9 +409,35 @@ impl QuantCsrModel {
     }
 }
 
-/// Batched inference over packed log codes: the
-/// [`crate::CsrEngine`] walk with each stage's weights resolved through
-/// the layer's decode LUT once per chunk.
+impl Compiled for QuantCsrModel {
+    type Weight = u8;
+    type Mode = DecodeMode;
+    const NAME: &'static str = "quant";
+
+    fn stages(&self) -> &[CsrStage<u8>] {
+        &self.stages
+    }
+
+    fn fire(&self) -> &FireTable {
+        &self.fire
+    }
+
+    fn input_dims(&self) -> &[usize] {
+        &self.input_dims
+    }
+
+    fn total_edges(&self) -> usize {
+        self.total_edges
+    }
+
+    fn decode_ctx(&self, layer: usize, mode: DecodeMode) -> &[f32] {
+        self.layers[layer].table(mode)
+    }
+}
+
+/// Batched inference over packed log codes: the [`Engine`] walk with each
+/// stage's weights resolved through the layer's decode LUT once per
+/// chunk.
 ///
 /// # Example
 ///
@@ -443,39 +464,7 @@ impl QuantCsrModel {
 /// # Ok(())
 /// # }
 /// ```
-pub struct QuantEngine {
-    model: Arc<SnnModel>,
-    compiled: Arc<QuantCsrModel>,
-    mode: DecodeMode,
-    max_lanes: usize,
-    scratch: ScratchPool,
-}
-
-impl std::fmt::Debug for QuantEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QuantEngine")
-            .field("input_dims", &self.compiled.input_dims)
-            .field("total_edges", &self.compiled.total_edges)
-            .field("bits", &self.compiled.config.bits)
-            .field("mode", &self.mode)
-            .field("max_lanes", &self.max_lanes)
-            .finish()
-    }
-}
-
-impl Clone for QuantEngine {
-    /// Cheap clone: the model and compiled code tables are shared
-    /// (`Arc`), only the scratch pool starts empty.
-    fn clone(&self) -> Self {
-        Self {
-            model: Arc::clone(&self.model),
-            compiled: Arc::clone(&self.compiled),
-            mode: self.mode,
-            max_lanes: self.max_lanes,
-            scratch: ScratchPool::default(),
-        }
-    }
-}
+pub type QuantEngine = Engine<QuantCsrModel>;
 
 impl QuantEngine {
     /// Compiles the quantized serving tables for `model` (cloned once into
@@ -509,7 +498,7 @@ impl QuantEngine {
         config: QuantConfig,
     ) -> Result<Self, ConvertError> {
         let compiled = QuantCsrModel::compile(&model, input_dims, config)?;
-        Self::from_compiled(model, compiled)
+        Self::new(model, compiled, DecodeMode::Lut).with_mode(config.mode)
     }
 
     /// Compiles an engine from shipped packed codes and their quantizers
@@ -530,19 +519,7 @@ impl QuantEngine {
         codes: &[Vec<u8>],
     ) -> Result<Self, ConvertError> {
         let compiled = QuantCsrModel::from_codes(&model, input_dims, config, quantizers, codes)?;
-        Self::from_compiled(model, compiled)
-    }
-
-    fn from_compiled(model: Arc<SnnModel>, compiled: QuantCsrModel) -> Result<Self, ConvertError> {
-        let mode = compiled.config.mode;
-        let engine = Self {
-            model,
-            compiled: Arc::new(compiled),
-            mode: DecodeMode::Lut,
-            max_lanes: DEFAULT_MAX_LANES,
-            scratch: ScratchPool::default(),
-        };
-        engine.with_mode(mode)
+        Self::new(model, compiled, DecodeMode::Lut).with_mode(config.mode)
     }
 
     /// Selects the weight-resolution datapath.
@@ -564,90 +541,9 @@ impl QuantEngine {
         Ok(self)
     }
 
-    /// Sets the chunk width (see [`crate::CsrEngine::with_max_lanes`]);
-    /// results are bit-identical for every setting.
-    #[must_use]
-    pub fn with_max_lanes(mut self, lanes: usize) -> Self {
-        self.max_lanes = lanes.max(1);
-        self
-    }
-
-    /// The chunk width (samples integrated together).
-    pub fn max_lanes(&self) -> usize {
-        self.max_lanes
-    }
-
     /// The active weight-resolution datapath.
     pub fn mode(&self) -> DecodeMode {
         self.mode
-    }
-
-    /// The compiled quantized tables.
-    pub fn compiled(&self) -> &QuantCsrModel {
-        &self.compiled
-    }
-
-    /// The shared handle to the compiled quantized tables.
-    pub fn compiled_shared(&self) -> Arc<QuantCsrModel> {
-        Arc::clone(&self.compiled)
-    }
-
-    /// The shared handle to the converted model.
-    pub fn model_shared(&self) -> Arc<SnnModel> {
-        Arc::clone(&self.model)
-    }
-
-    /// Per-sample input dims the engine was compiled for.
-    pub fn input_dims(&self) -> &[usize] {
-        &self.compiled.input_dims
-    }
-
-    /// Total traversed synapses across weighted layers (flat-equivalent).
-    pub fn total_edges(&self) -> usize {
-        self.compiled.total_edges
-    }
-}
-
-impl InferenceBackend for QuantEngine {
-    fn name(&self) -> &'static str {
-        "quant"
-    }
-
-    fn model(&self) -> &SnnModel {
-        &self.model
-    }
-
-    fn input_dims(&self) -> Option<&[usize]> {
-        Some(&self.compiled.input_dims)
-    }
-
-    fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
-        run_batch_chunked(
-            &self.model,
-            &self.compiled.input_dims,
-            self.max_lanes,
-            images,
-            |data, lanes, sample_len, stats, rows| {
-                let (mut scratch, reused) = self.scratch.take();
-                let mut span = snn_trace::ctx_span("csr.chunk");
-                span.attr("lanes", lanes);
-                span.attr("scratch", if reused { "reused" } else { "fresh" });
-                let result = run_chunk_stages(
-                    &self.model,
-                    &self.compiled.stages,
-                    &self.compiled.fire,
-                    |i| self.compiled.layers[i].table(self.mode),
-                    &mut scratch,
-                    data,
-                    lanes,
-                    sample_len,
-                    stats,
-                    rows,
-                );
-                self.scratch.put(scratch);
-                result
-            },
-        )
     }
 }
 
@@ -655,6 +551,7 @@ impl InferenceBackend for QuantEngine {
 mod tests {
     use super::*;
     use crate::csr::CsrModel;
+    use crate::InferenceBackend;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snn_nn::{
@@ -875,6 +772,8 @@ mod tests {
         let engine =
             QuantEngine::compile_shared(Arc::clone(&model), &[1, 8, 8], QuantConfig::default())
                 .unwrap();
+        // Wire-visible: `/v1/stats` reports it as a server's `backend` label.
+        assert_eq!(engine.name(), "quant");
         let dup = engine.clone();
         assert!(Arc::ptr_eq(&engine.model_shared(), &dup.model_shared()));
         assert!(Arc::ptr_eq(

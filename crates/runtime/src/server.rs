@@ -195,10 +195,6 @@ struct Stream {
     /// whoever runs them.
     threads: usize,
     recorder: Arc<Mutex<StreamingRecorder>>,
-    /// For backends without compiled dims: pinned by the first
-    /// submission; later submissions must match so any taken batch is
-    /// rectangular.
-    sample_dims: Mutex<Option<Vec<usize>>>,
     /// Admitted-but-unresolved requests (pending + executing); bounded by
     /// `max_pending` when nonzero.
     in_flight: AtomicUsize,
@@ -291,7 +287,6 @@ impl StreamingServer {
             work: Condvar::new(),
             threads,
             recorder: Arc::new(Mutex::new(StreamingRecorder::new())),
-            sample_dims: Mutex::new(None),
             in_flight: AtomicUsize::new(0),
             trace,
         });
@@ -335,9 +330,9 @@ impl StreamingServer {
         self.stream.backend.model()
     }
 
-    /// The per-sample dims this server's backend was compiled for, when
-    /// fixed ([`InferenceBackend::input_dims`]).
-    pub fn input_dims(&self) -> Option<&[usize]> {
+    /// The per-sample dims this server's backend was compiled for
+    /// ([`InferenceBackend::input_dims`]).
+    pub fn input_dims(&self) -> &[usize] {
         self.stream.backend.input_dims()
     }
 
@@ -408,8 +403,7 @@ impl StreamingServer {
     /// into unbounded latency; the shed is counted in
     /// [`StreamingMetrics::shed_requests`]), or [`SubmitError::Rejected`]
     /// if the server has shut down, `image` is empty, or its dims differ
-    /// from the backend's compiled geometry (for shape-agnostic backends:
-    /// from the first submission's dims).
+    /// from the backend's compiled geometry.
     pub fn submit_with(
         &self,
         image: &Tensor,
@@ -509,8 +503,7 @@ impl StreamingServer {
         // Backpressure admission: optimistically claim a slot, back out if
         // that overshot the bound (atomic, so concurrent submitters can
         // never jointly exceed it). Unbounded servers still count, so
-        // `pending()` stays observable. This runs BEFORE the stream's
-        // sample dims are pinned: a shed request must be side-effect free.
+        // `pending()` stays observable. A shed request is side-effect free.
         let admitted = stream.in_flight.fetch_add(1, Ordering::AcqRel);
         let release_slot = || {
             stream.in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -549,31 +542,17 @@ impl StreamingServer {
                 });
             }
         }
-        // Validate geometry against the backend's compiled dims when it
-        // has them — per entry, not per process, so two servers fronting
-        // models of different dims coexist and a bad first submission
-        // can't pin the stream to the wrong geometry. Shape-agnostic
-        // backends fall back to first-submission pinning.
-        if let Some(expected) = stream.backend.input_dims() {
-            if expected != image.dims() {
-                release_slot();
-                return Err(SubmitError::Rejected(ConvertError::Structure(format!(
-                    "streamed sample dims {:?} do not match the backend's compiled geometry {:?}",
-                    image.dims(),
-                    expected
-                ))));
-            }
-        } else {
-            let mut dims = lock(&stream.sample_dims);
-            let expected = dims.get_or_insert_with(|| image.dims().to_vec());
-            if expected != image.dims() {
-                release_slot();
-                return Err(SubmitError::Rejected(ConvertError::Structure(format!(
-                    "streamed sample dims {:?} do not match the stream's dims {:?}",
-                    image.dims(),
-                    expected
-                ))));
-            }
+        // Validate geometry against the backend's compiled dims — per
+        // entry, not per process, so two servers fronting models of
+        // different dims coexist, and every taken batch is rectangular.
+        let expected = stream.backend.input_dims();
+        if expected != image.dims() {
+            release_slot();
+            return Err(SubmitError::Rejected(ConvertError::Structure(format!(
+                "streamed sample dims {:?} do not match the backend's compiled geometry {:?}",
+                image.dims(),
+                expected
+            ))));
         }
         let (reply, rx) = channel();
         let enqueued = Instant::now();
@@ -608,20 +587,17 @@ impl StreamingServer {
     /// `hub` under `labels` (conventionally `model`, `version`,
     /// `backend`), so the hub's series and [`metrics`](Self::metrics)
     /// read the same cells (see
-    /// [`StreamingRecorder::attach_telemetry`]). When the backend
-    /// exposes fixed compiled geometry
-    /// ([`InferenceBackend::input_dims`]), an [`EnergyPricer`] is built
-    /// so every executed batch is priced on the `snn-hw` processor
-    /// model: responses carry per-image
+    /// [`StreamingRecorder::attach_telemetry`]). An [`EnergyPricer`] is
+    /// built for the backend's compiled geometry
+    /// ([`InferenceBackend::input_dims`]), so every executed batch is
+    /// priced on the `snn-hw` processor model: responses carry per-image
     /// [`energy_uj`](StreamedResponse::energy_uj), the per-model
     /// windowed `energy_uj` series fills in, and traced requests gain an
     /// `energy.price` span. Telemetry only ever reads timings and event
     /// counters, so logits stay bit-identical with or without it.
     pub fn attach_telemetry(&self, hub: Arc<TelemetryHub>, labels: Labels) {
         let backend = &self.stream.backend;
-        let pricer = backend
-            .input_dims()
-            .and_then(|dims| EnergyPricer::new(backend.model(), dims).ok());
+        let pricer = EnergyPricer::new(backend.model(), backend.input_dims()).ok();
         lock(&self.stream.recorder).attach_telemetry(hub, labels, pricer);
     }
 
@@ -777,17 +753,6 @@ impl Stream {
         }
     }
 
-    /// `[k, …sample dims]` for a batch of `k`: the backend's compiled
-    /// dims, or the dims the first submission pinned.
-    fn batch_dims(&self, k: usize) -> Vec<usize> {
-        let mut dims = vec![k];
-        match self.backend.input_dims() {
-            Some(sample) => dims.extend_from_slice(sample),
-            None => dims.extend_from_slice(lock(&self.sample_dims).as_deref().unwrap_or_default()),
-        }
-        dims
-    }
-
     /// Runs one taken batch as a single `[k, …]` tensor and fans the
     /// per-row logits back out to each rider's ticket, recording the
     /// flush, queue-wait and execution spans and metrics.
@@ -836,7 +801,7 @@ impl Stream {
             }
             data
         };
-        let batch_dims = self.batch_dims(k);
+        let batch_dims = [&[k], self.backend.input_dims()].concat();
         let images = match Tensor::from_vec(data, &batch_dims) {
             Ok(images) => images,
             Err(e) => {
@@ -1098,6 +1063,9 @@ mod tests {
         }
         fn model(&self) -> &SnnModel {
             &self.model
+        }
+        fn input_dims(&self) -> &[usize] {
+            &[1, 3, 4]
         }
         fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
             let k = images.dims()[0];

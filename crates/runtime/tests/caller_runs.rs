@@ -87,7 +87,7 @@ impl InferenceBackend for ThreadLog {
     fn model(&self) -> &SnnModel {
         InferenceBackend::model(&self.inner)
     }
-    fn input_dims(&self) -> Option<&[usize]> {
+    fn input_dims(&self) -> &[usize] {
         self.inner.input_dims()
     }
     fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
@@ -141,7 +141,7 @@ impl InferenceBackend for Overlap {
     fn model(&self) -> &SnnModel {
         InferenceBackend::model(&self.inner)
     }
-    fn input_dims(&self) -> Option<&[usize]> {
+    fn input_dims(&self) -> &[usize] {
         self.inner.input_dims()
     }
     fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
@@ -242,7 +242,7 @@ impl InferenceBackend for Faulty {
     fn model(&self) -> &SnnModel {
         InferenceBackend::model(&self.0)
     }
-    fn input_dims(&self) -> Option<&[usize]> {
+    fn input_dims(&self) -> &[usize] {
         self.0.input_dims()
     }
     fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
@@ -354,7 +354,7 @@ impl InferenceBackend for Held {
     fn model(&self) -> &SnnModel {
         InferenceBackend::model(&self.inner)
     }
-    fn input_dims(&self) -> Option<&[usize]> {
+    fn input_dims(&self) -> &[usize] {
         self.inner.input_dims()
     }
     fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
@@ -425,6 +425,9 @@ impl InferenceBackend for Echo {
     }
     fn model(&self) -> &SnnModel {
         &self.0
+    }
+    fn input_dims(&self) -> &[usize] {
+        &DIMS
     }
     fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
         let k = images.dims()[0];

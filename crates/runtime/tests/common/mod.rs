@@ -82,7 +82,7 @@ impl InferenceBackend for GatedBackend {
         self.inner.model()
     }
 
-    fn input_dims(&self) -> Option<&[usize]> {
+    fn input_dims(&self) -> &[usize] {
         self.inner.input_dims()
     }
 

@@ -22,6 +22,8 @@ use snn_sim::RunStats;
 use snn_tensor::Tensor;
 use ttfs_core::{convert, Base2Kernel, ConvertError, SnnModel};
 
+const DIMS: [usize; 3] = [1, 3, 4];
+
 fn dense_model(seed: u64) -> SnnModel {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = Sequential::new(vec![
@@ -463,6 +465,9 @@ impl InferenceBackend for PanickingBackend {
     fn model(&self) -> &SnnModel {
         &self.0
     }
+    fn input_dims(&self) -> &[usize] {
+        &DIMS
+    }
     fn run_batch(&self, _images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
         panic!("backend exploded mid-batch");
     }
@@ -575,6 +580,9 @@ impl InferenceBackend for EchoBackend {
     fn model(&self) -> &SnnModel {
         &self.0
     }
+    fn input_dims(&self) -> &[usize] {
+        &DIMS
+    }
     fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
         let k = images.dims()[0];
         let sample_len = images.len() / k;
@@ -674,7 +682,7 @@ impl InferenceBackend for PoisonValueBackend {
     fn model(&self) -> &SnnModel {
         InferenceBackend::model(&self.0)
     }
-    fn input_dims(&self) -> Option<&[usize]> {
+    fn input_dims(&self) -> &[usize] {
         self.0.input_dims()
     }
     fn run_batch(&self, images: &Tensor) -> Result<(Tensor, RunStats), ConvertError> {
@@ -788,7 +796,6 @@ fn brownout_sheds_low_priority_and_recovers_after_drain() {
 
 #[test]
 fn traced_server_records_runtime_spans_with_identical_logits() {
-    use snn_runtime::BackendChoice;
     use snn_trace::{AttrValue, TraceCollector, TraceTarget};
 
     let model = Arc::new(dense_model(24));
@@ -804,9 +811,7 @@ fn traced_server_records_runtime_spans_with_identical_logits() {
 
     let collector = Arc::new(TraceCollector::new(0));
     let server = StreamingServer::new_traced(
-        BackendChoice::Csr
-            .build(Arc::clone(&model), &[1, 3, 4])
-            .unwrap(),
+        Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &[1, 3, 4]).unwrap()),
         StreamingConfig::default(),
         Arc::clone(&collector),
     );

@@ -2,7 +2,7 @@
 //!
 //! Per-request, per-stage timelines for the TTFS serving path: a
 //! [`TraceId`] is minted per request (or accepted from a client header),
-//! every layer records [`Span`]s against it, and the whole lifecycle —
+//! every layer records spans against it, and the whole lifecycle —
 //! socket parse, JSON decode, batcher queue wait, EDF flush (with its
 //! *reason*), per-CSR-stage execution, response write — becomes one
 //! queryable tree.
@@ -22,9 +22,11 @@
 //!
 //! Two recording APIs:
 //!
-//! * **Direct**: [`TraceCollector::span`] / the [`span!`] macro, for code
-//!   that holds the collector and the request's [`TraceId`] — the gateway
-//!   and the batcher.
+//! * **Direct**: [`TraceCollector::record_span`] (and
+//!   [`record_span_with_id`](TraceCollector::record_span_with_id) for a
+//!   pre-named parent), for code that holds the collector and the
+//!   request's [`TraceId`] and knows a span's bounds once it has finished
+//!   — the gateway and the streaming server's executors.
 //! * **Ambient context**: [`push_context`] + [`ctx_span`], for code deep
 //!   inside the engine that must not thread trace arguments through its
 //!   hot signatures. A worker pushes the batch's targets (one per traced
@@ -76,10 +78,11 @@ impl TraceId {
     }
 
     /// Parses the 16-hex-digit wire form (shorter strings are accepted as
-    /// the low digits); `None` for non-hex, overlong, or zero input.
+    /// the low digits); `None` for non-hex (a sign included), overlong, or
+    /// zero input.
     pub fn parse_hex(text: &str) -> Option<Self> {
         let text = text.trim();
-        if text.is_empty() || text.len() > 16 {
+        if text.is_empty() || text.len() > 16 || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         u64::from_str_radix(text, 16).ok().and_then(Self::from_raw)
@@ -194,22 +197,20 @@ thread_local! {
 /// # Example
 ///
 /// ```
-/// use std::sync::Arc;
-/// use snn_trace::{span, TraceCollector};
+/// use std::time::Instant;
+/// use snn_trace::{AttrValue, TraceCollector};
 ///
-/// let collector = Arc::new(TraceCollector::new(1024));
+/// let collector = TraceCollector::new(1024);
 /// let trace = collector.mint_trace();
-/// {
-///     let mut root = span!(collector, trace, 0, "http.request");
-///     let child = span!(collector, trace, root.id(), "request.decode", {
-///         bytes: 512usize,
-///     });
-///     drop(child);
-///     root.attr("status", 200u64);
-/// }
+/// let root = collector.next_span_id();
+/// let start = Instant::now();
+/// let bytes = vec![("bytes", AttrValue::U64(512))];
+/// collector.record_span(trace, root, "request.decode", start, Instant::now(), bytes);
+/// let status = vec![("status", AttrValue::U64(200))];
+/// collector.record_span_with_id(root, trace, 0, "http.request", start, Instant::now(), status);
 /// let spans = collector.trace(trace);
 /// assert_eq!(spans.len(), 2);
-/// assert!(spans.iter().any(|s| s.name == "request.decode"));
+/// assert!(spans.iter().any(|s| s.name == "request.decode" && s.parent_id == root));
 /// ```
 #[derive(Debug)]
 pub struct TraceCollector {
@@ -272,26 +273,6 @@ impl TraceCollector {
     /// the epoch).
     pub fn us_since_epoch(&self, at: Instant) -> u64 {
         at.saturating_duration_since(self.epoch).as_micros() as u64
-    }
-
-    /// Opens a live span; it records when dropped (or
-    /// [`finish`](Span::finish)ed). Disabled collectors return an inert
-    /// guard whose [`id`](Span::id) is 0.
-    pub fn span(self: &Arc<Self>, trace: TraceId, parent_id: u64, name: &'static str) -> Span {
-        if !self.is_enabled() {
-            return Span { state: None };
-        }
-        Span {
-            state: Some(SpanState {
-                collector: Arc::clone(self),
-                trace,
-                parent_id,
-                span_id: self.next_span_id(),
-                name,
-                start: Instant::now(),
-                attrs: Vec::new(),
-            }),
-        }
     }
 
     /// Records one finished span from explicit instants, returning its
@@ -373,86 +354,6 @@ impl TraceCollector {
     }
 }
 
-/// A live span that records itself into its collector when dropped.
-/// Inert (all methods no-ops, [`id`](Self::id) = 0) when the collector
-/// was disabled at open time.
-#[derive(Debug)]
-pub struct Span {
-    state: Option<SpanState>,
-}
-
-#[derive(Debug)]
-struct SpanState {
-    collector: Arc<TraceCollector>,
-    trace: TraceId,
-    parent_id: u64,
-    span_id: u64,
-    name: &'static str,
-    start: Instant,
-    attrs: Vec<(&'static str, AttrValue)>,
-}
-
-impl Span {
-    /// This span's id, for parenting children; 0 when inert.
-    pub fn id(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.span_id)
-    }
-
-    /// Whether the span will actually record.
-    pub fn is_recording(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// Attaches an attribute (no-op when inert).
-    pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
-        if let Some(state) = self.state.as_mut() {
-            state.attrs.push((key, value.into()));
-        }
-    }
-
-    /// Ends the span now (equivalent to dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(state) = self.state.take() {
-            state.collector.record_span_with_id(
-                state.span_id,
-                state.trace,
-                state.parent_id,
-                state.name,
-                state.start,
-                Instant::now(),
-                state.attrs,
-            );
-        }
-    }
-}
-
-/// Opens a span on a collector, optionally with inline attributes:
-///
-/// ```
-/// # use std::sync::Arc;
-/// # use snn_trace::{span, TraceCollector};
-/// # let collector = Arc::new(TraceCollector::new(64));
-/// # let trace = collector.mint_trace();
-/// let s = span!(collector, trace, 0, "batch.flush", { reason: "edf_deadline", batch_size: 4usize });
-/// drop(s);
-/// # assert_eq!(collector.trace(trace).len(), 1);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($collector:expr, $trace:expr, $parent:expr, $name:expr) => {
-        $collector.span($trace, $parent, $name)
-    };
-    ($collector:expr, $trace:expr, $parent:expr, $name:expr, { $($key:ident : $value:expr),* $(,)? }) => {{
-        let mut __span = $collector.span($trace, $parent, $name);
-        $( __span.attr(stringify!($key), $value); )*
-        __span
-    }};
-}
-
 /// One `(trace, parent span)` attachment point for ambient-context spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceTarget {
@@ -483,11 +384,6 @@ pub fn push_context(collector: Arc<TraceCollector>, targets: Vec<TraceTarget>) -
         prev,
         _not_send: std::marker::PhantomData,
     }
-}
-
-/// Whether an ambient context is installed on this thread.
-pub fn context_active() -> bool {
-    CONTEXT.with(|cell| cell.borrow().is_some())
 }
 
 /// The trace id of the ambient context's first target (`None` when no
@@ -626,26 +522,28 @@ mod tests {
         assert_eq!(TraceId::parse_hex("0"), None, "zero is reserved");
         assert_eq!(TraceId::parse_hex(""), None);
         assert_eq!(TraceId::parse_hex("not-hex"), None);
+        assert_eq!(TraceId::parse_hex("+1"), None, "a sign is not a hex digit");
+        assert_eq!(TraceId::parse_hex("+deadbeef"), None);
         assert_eq!(TraceId::parse_hex("11112222333344445"), None, "overlong");
     }
 
     #[test]
     fn spans_record_and_query_by_trace() {
-        let c = Arc::new(TraceCollector::new(64));
+        let c = TraceCollector::new(64);
         let t1 = c.mint_trace();
         let t2 = c.mint_trace();
         assert_ne!(t1, t2);
-        let root = {
-            let mut root = c.span(t1, 0, "root");
-            let mut child = span!(c, t1, root.id(), "child", { edges: 42usize });
-            child.attr("kind", "weighted");
-            drop(child);
-            root.attr("status", 200u64);
-            let id = root.id();
-            drop(root);
-            id
-        };
-        drop(span!(c, t2, 0, "other"));
+        // The child finishes first, under a parent id named in advance.
+        let root = c.next_span_id();
+        let start = Instant::now();
+        let attrs = vec![
+            ("edges", AttrValue::U64(42)),
+            ("kind", AttrValue::Str("weighted")),
+        ];
+        c.record_span(t1, root, "child", start, Instant::now(), attrs);
+        let status = vec![("status", AttrValue::U64(200))];
+        c.record_span_with_id(root, t1, 0, "root", start, Instant::now(), status);
+        c.record_span(t2, 0, "other", start, start, Vec::new());
 
         let spans = c.trace(t1);
         assert_eq!(spans.len(), 2);
@@ -665,18 +563,12 @@ mod tests {
 
     #[test]
     fn disabled_collector_records_nothing() {
-        let c = Arc::new(TraceCollector::new(64));
+        let c = TraceCollector::new(64);
         c.set_enabled(false);
         let t = c.mint_trace();
-        let mut s = c.span(t, 0, "noop");
-        assert!(!s.is_recording());
-        assert_eq!(s.id(), 0);
-        s.attr("k", 1u64);
-        drop(s);
-        assert_eq!(
-            c.record_span(t, 0, "direct", Instant::now(), Instant::now(), Vec::new()),
-            0
-        );
+        let now = Instant::now();
+        assert_eq!(c.record_span(t, 0, "direct", now, now, Vec::new()), 0);
+        c.record_span_with_id(c.next_span_id(), t, 0, "named", now, now, Vec::new());
         assert_eq!(c.spans_recorded(), 0);
         assert!(c.trace(t).is_empty());
     }
@@ -711,7 +603,7 @@ mod tests {
         let tb = c.mint_trace();
         let pa = c.next_span_id();
         let pb = c.next_span_id();
-        assert!(!context_active());
+        assert_eq!(current_trace_id(), None);
         {
             let _guard = push_context(
                 Arc::clone(&c),
@@ -726,7 +618,7 @@ mod tests {
                     },
                 ],
             );
-            assert!(context_active());
+            assert_eq!(current_trace_id(), Some(ta));
             let mut outer = ctx_span("chunk");
             assert!(outer.is_recording());
             outer.attr("lanes", 2usize);
@@ -737,7 +629,7 @@ mod tests {
             // original parents.
             drop(ctx_span("tail"));
         }
-        assert!(!context_active());
+        assert_eq!(current_trace_id(), None);
         let inert = ctx_span("no-context");
         assert!(!inert.is_recording());
 
@@ -765,7 +657,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let t = c.mint_trace();
                     for _ in 0..50 {
-                        drop(c.span(t, 0, "work"));
+                        let at = Instant::now();
+                        c.record_span(t, 0, "work", at, at, Vec::new());
                     }
                     t
                 })
@@ -797,7 +690,8 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..5_000 {
                         let t = c.mint_trace();
-                        drop(c.span(t, 0, "work"));
+                        let at = Instant::now();
+                        c.record_span(t, 0, "work", at, at, Vec::new());
                         assert_eq!(c.trace(t).len(), 1, "own span lost to a concurrent drain");
                     }
                 })

@@ -28,8 +28,8 @@ use ttfs_snn::hw::{Processor, ProcessorConfig};
 use ttfs_snn::nn::models::vgg16_scaled;
 use ttfs_snn::nn::{ActivationLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
 use ttfs_snn::runtime::{
-    energy, quantize_model, BackendChoice, BackendHint, CsrEngine, InferenceBackend, ModelArtifact,
-    ModelRegistry, QuantConfig, RegistryConfig, StreamingConfig, StreamingServer,
+    energy, quantize_model, BackendHint, CsrEngine, InferenceBackend, ModelArtifact, ModelRegistry,
+    QuantConfig, QuantEngine, RegistryConfig, StreamingConfig, StreamingServer,
 };
 use ttfs_snn::sim::EventSnn;
 use ttfs_snn::tensor::Tensor;
@@ -49,7 +49,7 @@ fn serve_gateway(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     // collector makes every request queryable at GET /v1/trace/<id>.
     let collector = Arc::new(TraceCollector::new(0));
     let server = Arc::new(StreamingServer::new_traced(
-        BackendChoice::Csr.build(Arc::clone(&model), &input_dims)?,
+        Arc::new(CsrEngine::compile_shared(Arc::clone(&model), &input_dims)?),
         StreamingConfig {
             threads: 0,
             max_batch: 8,
@@ -356,7 +356,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // logits are bit-identical to the event simulator over per-layer
     // quantize_tensor'd weights.
     let qconfig = QuantConfig::default(); // 5-bit, aw = 2^-1/2, exact LUT
-    let quant_backend = BackendChoice::Quant(qconfig).build(Arc::clone(&model), &input_dims)?;
+    let quant_backend = QuantEngine::compile_shared(Arc::clone(&model), &input_dims, qconfig)?;
     let start = Instant::now();
     let (quant_logits, quant_stats) = quant_backend.run_batch(&x)?;
     let quant_ms = start.elapsed().as_secs_f64() * 1e3;
