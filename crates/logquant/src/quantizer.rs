@@ -244,16 +244,6 @@ impl LogQuantizer {
         t.map(|w| self.quantize(w))
     }
 
-    /// log₂ of the magnitude a code represents — the operand the log-domain
-    /// PE adds to the spike exponent (eq. 17).
-    pub fn code_log2(&self, code: LogCode) -> Option<f32> {
-        if code.zero {
-            None
-        } else {
-            Some(self.fsr_log2 - code.steps as f32 * self.base.log2_step())
-        }
-    }
-
     /// Mean relative quantization error over a population (diagnostic used
     /// by the Fig. 4 harness).
     pub fn mean_relative_error(&self, weights: &[f32]) -> f32 {

@@ -4,20 +4,26 @@
 //! geometry on each integration step — branchy index arithmetic in the
 //! innermost loop. Compilation walks the model once per deployment and
 //! materializes, for every weighted layer, the **outgoing synapse list of
-//! each input neuron** (`row_ptr` / `col` / `weight`): the integration
-//! phase then reduces to one contiguous edge scan per spike. Exact-zero
-//! weights are kept in both layer kinds — the reference backend charges
-//! synaptic ops for every surviving tap regardless of weight value, so
-//! dropping them would skew `RunStats` (and the energy model) for pruned
-//! models, and a `+= 0·psp` is bit-neutral on the accumulator.
+//! each input neuron** (`row_ptr` / `col`): the integration phase then
+//! reduces to one contiguous edge scan per spike. Exact-zero weights are
+//! kept in both layer kinds — the reference backend charges synaptic ops
+//! for every surviving tap regardless of weight value, so dropping them
+//! would skew `RunStats` (and the energy model) for pruned models, and a
+//! `+= 0·psp` is bit-neutral on the accumulator.
+//!
+//! The tables hold **no payload**. Each edge names a *slot* of its layer's
+//! payload array, and the compiler returns, per layer, the weight-tensor
+//! index each slot takes; [`CsrModel`] gathers its f32 weights through
+//! that order and [`crate::QuantCsrModel`] its packed log codes, so one
+//! index structure serves both.
 //!
 //! Conv layers do **not** store one edge list per input pixel. A pixel's
 //! outgoing synapse *structure* is fully determined by its spatial
 //! *border class* — which kernel taps survive clipping against the padded
 //! input boundary and the stride grid — and is the same for every input
-//! channel; only the targets shift by a per-pixel base and the weights by
+//! channel; only the targets shift by a per-pixel base and the slots by
 //! a per-channel base. The compiler therefore emits one canonical tap
-//! pattern per border class plus one repacked copy of the layer's weights
+//! pattern per border class over one repacked copy of the layer's weights
 //! ([`ConvPatterns`]), in three packed tables — a `(t_base, w_base,
 //! pattern)` record per input row, a `(first_run, end_run, degree)`
 //! record per pattern, a `(t0, w0, len)` record per run — cutting conv
@@ -40,7 +46,7 @@
 //! a cell's *address* moves: every edge of an input row still hits a
 //! distinct cell, so reordering edges inside a row swaps no two additions
 //! to one cell, and [`ConvPatterns::edges_of`] still yields the reference
-//! `(neuron, weight)` sequence.
+//! `(neuron, weight)` sequence, as `(neuron, slot)`.
 //!
 //! Pooling and flatten layers stay event-domain operations (max pooling is
 //! not linear, so it cannot be folded into synapse weights); the engine
@@ -49,137 +55,73 @@
 //! `snn_sim::phase` primitives, which remain the oracle the equivalence
 //! tests compare with.
 
-use snn_tensor::Tensor;
+use std::ops::Range;
+
 use ttfs_core::{ConvertError, SnnLayer, SnnModel};
 
 use crate::engine::FireTable;
 
-/// Per-input-neuron adjacency of one weighted layer, in compressed sparse
-/// row form (used for dense layers, where every row is genuinely unique).
-///
-/// Generic over the stored edge scalar `W`: `f32` for the full-precision
-/// serving path, `u8` packed log codes for the quantized path
-/// ([`crate::QuantCsrModel`]) — the structure (row pointers, targets,
-/// traversal order) is identical either way, only the per-edge payload
-/// width changes.
-#[derive(Debug, Clone)]
-pub struct CsrSynapses<W = f32> {
+/// Per-input-neuron adjacency of one dense layer, in compressed sparse row
+/// form: row pointers and targets. Edge `e`, counted row after row, reads
+/// slot `e` of the layer's payload array. A dense layer keeps its zero
+/// weights, so every row holds every output in order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CsrSynapses {
     /// `row_ptr[j]..row_ptr[j + 1]` indexes the edges of input neuron `j`.
     row_ptr: Vec<u32>,
     /// Target (output-neuron) index per edge.
     col: Vec<u32>,
-    /// Synapse weight (or packed code) per edge.
-    weight: Vec<W>,
-    /// Every row's targets are exactly `0..degree` in order (true for a
-    /// dense layer with no structural zeros): the integration loop can
-    /// walk the weight slice directly and skip the per-edge target loads.
-    full_rows: bool,
 }
 
-impl<W: Copy> CsrSynapses<W> {
+impl CsrSynapses {
     /// Number of input neurons (rows).
     pub fn in_neurons(&self) -> usize {
         self.row_ptr.len() - 1
     }
 
-    /// Number of stored (non-zero) synapses.
+    /// Number of stored synapses.
     pub fn edges(&self) -> usize {
         self.col.len()
     }
 
-    /// The `(target, weight)` edge list of input neuron `j`.
+    /// The `(target, slot)` edge list of input neuron `j`.
     #[inline]
-    pub fn edges_of(&self, j: u32) -> EdgeIter<'_, W> {
-        let (col, weight) = self.row_slices(j);
-        EdgeIter::Flat {
-            col: col.iter(),
-            weight: weight.iter(),
-        }
+    pub fn edges_of(&self, j: u32) -> EdgeIter<'_> {
+        let slots = self.slots(j);
+        EdgeIter(Edges::Flat(
+            self.col[slots.clone()].iter().copied().zip(slots),
+        ))
     }
 
-    /// Raw `(targets, weights)` slices of input neuron `j` for the batched
-    /// scatter loop.
+    /// The payload slots of input neuron `j`'s edges, whose targets are
+    /// `0..len` in order.
     #[inline]
-    pub fn row_slices(&self, j: u32) -> (&[u32], &[W]) {
-        self.row_slices_in(j, &self.weight)
+    pub(crate) fn slots(&self, j: u32) -> Range<usize> {
+        self.row_ptr[j as usize] as usize..self.row_ptr[j as usize + 1] as usize
     }
 
-    /// [`row_slices`](Self::row_slices) with the weights taken from
-    /// `weights`, an index-for-index image of [`weights`](Self::weights)
-    /// (the decoded copy of a packed-code table).
-    #[inline]
-    pub(crate) fn row_slices_in<'a, V>(&'a self, j: u32, weights: &'a [V]) -> (&'a [u32], &'a [V]) {
-        let lo = self.row_ptr[j as usize] as usize;
-        let hi = self.row_ptr[j as usize + 1] as usize;
-        (&self.col[lo..hi], &weights[lo..hi])
-    }
-
-    /// The whole per-edge weight (or packed code) array, row after row.
-    pub(crate) fn weights(&self) -> &[W] {
-        &self.weight
-    }
-
-    /// Edge count of input neuron `j`.
-    #[inline]
-    pub fn degree(&self, j: u32) -> usize {
-        (self.row_ptr[j as usize + 1] - self.row_ptr[j as usize]) as usize
-    }
-
-    /// Bytes of backing storage.
-    pub fn stored_bytes(&self) -> usize {
-        self.row_ptr.len() * 4 + self.col.len() * 4 + self.weight_bytes()
-    }
-
-    /// Bytes of the per-edge weight (or packed code) array alone.
-    pub fn weight_bytes(&self) -> usize {
-        self.weight.len() * std::mem::size_of::<W>()
-    }
-
-    /// Whether every row's targets are exactly `0..degree` in order.
-    pub fn full_rows(&self) -> bool {
-        self.full_rows
-    }
-
-    fn from_rows(rows: Vec<Vec<(u32, W)>>) -> Self {
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        let total: usize = rows.iter().map(Vec::len).sum();
-        let mut col = Vec::with_capacity(total);
-        let mut weight = Vec::with_capacity(total);
-        let mut full_rows = true;
-        row_ptr.push(0u32);
-        for row in rows {
-            for (i, (c, w)) in row.into_iter().enumerate() {
-                full_rows &= c as usize == i;
-                col.push(c);
-                weight.push(w);
-            }
-            row_ptr.push(col.len() as u32);
-        }
-        Self {
-            row_ptr,
-            col,
-            weight,
-            full_rows,
-        }
+    /// Bytes of the row pointers and targets.
+    pub(crate) fn index_bytes(&self) -> usize {
+        (self.row_ptr.len() + self.col.len()) * 4
     }
 }
 
 /// Pattern-deduplicated conv adjacency: one canonical tap pattern per
-/// spatial **border class** — shared by every input channel — plus one
-/// repacked copy of the layer's weights, held in three packed tables:
+/// spatial **border class** — shared by every input channel — over one
+/// repacked payload array per layer, held in three packed tables:
 ///
 /// * one `(t_base, w_base, pattern)` record per input row (pixel ×
 ///   channel): where the row's cells start, where its channel slice of
-///   the weights starts, and which pattern it follows;
+///   the payload starts, and which pattern it follows;
 /// * one `(first_run, end_run, degree)` record per pattern: its slice of
 ///   the run table and its edge count;
-/// * one [`ConvRun`] `(t0, w0, len)` per run: `len` contiguous
-///   channel-last cells from `t_base + t0`, multiplied by the weights from
-///   `w_base + w0`.
+/// * one `(t0, w0, len)` record per run: `len` contiguous
+///   channel-last cells from `t_base + t0`, multiplied by the payload
+///   slots from `w_base + w0`.
 ///
 /// At stride 1 a pattern has one run per surviving kernel row (`countx·OC`
 /// cells, x-taps descending as cells ascend), otherwise one per surviving
-/// tap (`OC` cells); the weights are repacked `[ci][ki][k−1−kj][oc]` (so
+/// tap (`OC` cells); the payload is repacked `[ci][ki][k−1−kj][oc]` (so
 /// `w_base = ci·k²·OC`). Nothing in a run depends on the pixel or the
 /// channel, so a layer needs only ≈ (per-axis border classes)² patterns of
 /// ≤ `k²` runs each, and the weights are stored exactly once — while the
@@ -187,7 +129,7 @@ impl<W: Copy> CsrSynapses<W> {
 ///
 /// At stride 1 the compiler also marks the layer's **full** pattern, the
 /// one no border clips: `k` runs
-/// of `k·OC` cells, run `r` reading weights `[r·k·OC, (r + 1)·k·OC)` of
+/// of `k·OC` cells, run `r` reading slots `[r·k·OC, (r + 1)·k·OC)` of
 /// the channel slice into output row `k − 1 − r`. Every interior pixel
 /// follows it, so the engine adds it with fixed-width blocks and no run
 /// table at all.
@@ -201,8 +143,8 @@ impl<W: Copy> CsrSynapses<W> {
 /// synaptic ops for every surviving tap regardless of weight value — so
 /// retaining them keeps `RunStats` identical to `EventSnn` even for
 /// models with exact-zero weights.
-#[derive(Debug, Clone)]
-pub struct ConvPatterns<W = f32> {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConvPatterns {
     /// One record per input row.
     rows: Vec<ConvRow>,
     /// One record per border-class pattern.
@@ -219,12 +161,6 @@ pub struct ConvPatterns<W = f32> {
     row_cells: u32,
     /// The unclipped pattern at stride 1, if any pixel follows it.
     full: Option<u32>,
-    /// Repacked weights (or packed codes) `[ci][ki][k−1−kj][oc]` — one
-    /// copy per layer, read contiguously run by run within each channel
-    /// slice.
-    weight: Vec<W>,
-    /// Weights per channel slice (`k²·OC`).
-    ch_stride: usize,
     /// Total traversed (logical) edges: `Σ_rows degree(row)`.
     logical_edges: usize,
 }
@@ -234,7 +170,7 @@ pub struct ConvPatterns<W = f32> {
 pub(crate) struct ConvRow {
     /// Base cell (`(oy₀·ow + ox₀)·OC`) the row's runs are relative to.
     pub(crate) t_base: u32,
-    /// Base weight index (`ci·k²·OC`) of the row's channel slice.
+    /// Base payload slot (`ci·k²·OC`) of the row's channel slice.
     pub(crate) w_base: u32,
     /// The row's border-class pattern.
     pub(crate) pattern: u32,
@@ -251,18 +187,18 @@ pub(crate) struct ConvPattern {
 }
 
 /// One run of a [`ConvPatterns`] pattern: cells `t_base + t0 + i` take
-/// weights `w_base + w0 + i` for `i < len`.
+/// payload slots `w_base + w0 + i` for `i < len`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvRun {
+pub(crate) struct ConvRun {
     /// First cell, relative to the row's `t_base`: `(dy·ow + dx)·OC`.
-    pub t0: u32,
-    /// First weight, relative to the row's `w_base`: `(ki·k + k−1−kj)·OC`.
-    pub w0: u32,
+    pub(crate) t0: u32,
+    /// First slot, relative to the row's `w_base`: `(ki·k + k−1−kj)·OC`.
+    pub(crate) w0: u32,
     /// Cells in the run (`taps·OC`).
-    pub len: u32,
+    pub(crate) len: u32,
 }
 
-impl<W: Copy> ConvPatterns<W> {
+impl ConvPatterns {
     /// Number of input neurons (rows).
     pub fn in_neurons(&self) -> usize {
         self.rows.len()
@@ -285,36 +221,17 @@ impl<W: Copy> ConvPatterns<W> {
         self.logical_edges
     }
 
-    /// The `(target, weight)` edge list of input neuron `j` (absolute
+    /// The `(target, slot)` edge list of input neuron `j` (absolute
     /// neuron-index targets; identical to the flat CSR row, with
     /// structural zeros retained).
     #[inline]
-    pub fn edges_of(&self, j: u32) -> EdgeIter<'_, W> {
-        EdgeIter::Runs {
-            row: self.row_slices(j),
+    pub fn edges_of(&self, j: u32) -> EdgeIter<'_> {
+        EdgeIter(Edges::Runs {
+            table: self,
+            row: self.rows[j as usize],
             run: 0,
             i: 0,
-        }
-    }
-
-    /// The run view of input neuron `j`.
-    #[inline]
-    pub fn row_slices(&self, j: u32) -> PatternRow<'_, W> {
-        let row = self.rows[j as usize];
-        let wbase = row.w_base as usize;
-        PatternRow {
-            runs: self.runs_of(row.pattern),
-            oc: self.oc,
-            plane: self.plane,
-            t_base: row.t_base,
-            channel_weights: &self.weight[wbase..wbase + self.ch_stride],
-            degree: self.patterns[row.pattern as usize].degree as usize,
-        }
-    }
-
-    /// The whole repacked weight (or packed code) array.
-    pub(crate) fn weights(&self) -> &[W] {
-        &self.weight
+        })
     }
 
     /// One record per input row.
@@ -338,17 +255,11 @@ impl<W: Copy> ConvPatterns<W> {
 
     /// The unclipped stride-1 pattern's id, with the kernel side `k` and
     /// the cells per output row (`ow·OC`): run `r` of that pattern adds
-    /// weights `[r·k·OC, (r + 1)·k·OC)` of a row's channel slice to the
+    /// slots `[r·k·OC, (r + 1)·k·OC)` of a row's channel slice to the
     /// `k·OC` cells from `t_base + (k − 1 − r)·ow·OC`.
     pub(crate) fn full_pattern(&self) -> Option<(u32, usize, usize)> {
         let full = self.full?;
         Some((full, self.kernel as usize, self.row_cells as usize))
-    }
-
-    /// Edge count of input neuron `j`.
-    #[inline]
-    pub fn degree(&self, j: u32) -> usize {
-        self.patterns[self.rows[j as usize].pattern as usize].degree as usize
     }
 
     /// `(OC, oh·ow)`: output neuron `oc·oh·ow + pos` lives in membrane
@@ -357,18 +268,11 @@ impl<W: Copy> ConvPatterns<W> {
         (self.oc as usize, self.plane as usize)
     }
 
-    /// Bytes of backing storage (row, pattern and run tables, repacked
-    /// weights).
-    pub fn stored_bytes(&self) -> usize {
+    /// Bytes of the row, pattern and run tables.
+    pub(crate) fn index_bytes(&self) -> usize {
         self.rows.len() * std::mem::size_of::<ConvRow>()
             + self.patterns.len() * std::mem::size_of::<ConvPattern>()
             + self.runs.len() * std::mem::size_of::<ConvRun>()
-            + self.weight_bytes()
-    }
-
-    /// Bytes of the repacked weight (or packed code) array alone.
-    pub fn weight_bytes(&self) -> usize {
-        self.weight.len() * std::mem::size_of::<W>()
     }
 
     /// Bytes a flat per-pixel CSR of the same layer would occupy.
@@ -377,40 +281,20 @@ impl<W: Copy> ConvPatterns<W> {
     }
 }
 
-/// One input pixel's view into a [`ConvPatterns`] table: the shared runs
-/// plus the pixel's cell base and channel weight slice.
-#[derive(Debug, Clone, Copy)]
-pub struct PatternRow<'a, W = f32> {
-    /// The pattern's runs.
-    pub runs: &'a [ConvRun],
-    /// Output channels (cells per tap).
-    pub oc: u32,
-    /// Output plane `oh·ow`.
-    pub plane: u32,
-    /// Added to every relative cell.
-    pub t_base: u32,
-    /// The row's channel slice of the repacked weight array.
-    pub channel_weights: &'a [W],
-    /// Total edges of the row (`Σ len`).
-    pub degree: usize,
-}
-
-/// Iterator over the `(absolute_target, weight)` edges of one row of a
-/// [`SynapseTable`].
+/// Iterator over the `(absolute_target, slot)` edges of one row of a
+/// [`SynapseTable`]; `slot` indexes the layer's payload array.
 #[derive(Debug)]
-pub enum EdgeIter<'a, W = f32> {
-    /// Flat CSR row: explicit target + weight per edge.
-    Flat {
-        /// Remaining targets.
-        col: std::slice::Iter<'a, u32>,
-        /// Remaining weights.
-        weight: std::slice::Iter<'a, W>,
-    },
+pub struct EdgeIter<'a>(Edges<'a>);
+
+#[derive(Debug)]
+enum Edges<'a> {
+    /// Flat CSR row: an explicit target per edge, consecutive slots.
+    Flat(std::iter::Zip<std::iter::Copied<std::slice::Iter<'a, u32>>, Range<usize>>),
     /// Pattern row: expand the runs on the fly, taps of a merged run
     /// from the last (lowest kernel column) to the first.
     Runs {
-        /// The run view being expanded.
-        row: PatternRow<'a, W>,
+        table: &'a ConvPatterns,
+        row: ConvRow,
         /// Current run index.
         run: usize,
         /// Edges of the current run already yielded.
@@ -418,22 +302,22 @@ pub enum EdgeIter<'a, W = f32> {
     },
 }
 
-impl<W: Copy> Iterator for EdgeIter<'_, W> {
-    type Item = (u32, W);
+impl Iterator for EdgeIter<'_> {
+    type Item = (u32, usize);
 
     #[inline]
-    fn next(&mut self) -> Option<(u32, W)> {
-        match self {
-            Self::Flat { col, weight } => Some((*col.next()?, *weight.next()?)),
-            Self::Runs { row, run, i } => loop {
-                let r = *row.runs.get(*run)?;
+    fn next(&mut self) -> Option<(u32, usize)> {
+        match &mut self.0 {
+            Edges::Flat(edges) => edges.next(),
+            Edges::Runs { table, row, run, i } => loop {
+                let r = *table.runs_of(row.pattern).get(*run)?;
                 if *i < r.len {
-                    let at = r.len - row.oc - *i / row.oc * row.oc + *i % row.oc;
+                    let oc = table.oc;
+                    let at = r.len - oc - *i / oc * oc + *i % oc;
                     let cell = r.t0 + row.t_base + at;
-                    let t = cell % row.oc * row.plane + cell / row.oc;
-                    let w = row.channel_weights[(r.w0 + at) as usize];
                     *i += 1;
-                    return Some((t, w));
+                    let target = cell % oc * table.plane + cell / oc;
+                    return Some((target, (row.w_base + r.w0 + at) as usize));
                 }
                 *run += 1;
                 *i = 0;
@@ -444,17 +328,17 @@ impl<W: Copy> Iterator for EdgeIter<'_, W> {
 
 /// The synapse storage of one weighted stage: flat CSR for dense layers,
 /// pattern-deduplicated for conv layers. Both expose the same row-oriented
-/// view — `edges_of(j)` yields identical `(target, weight)` sequences either
+/// view — `edges_of(j)` yields identical `(target, slot)` sequences either
 /// way; only the memory footprint differs.
-#[derive(Debug, Clone)]
-pub enum SynapseTable<W = f32> {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SynapseTable {
     /// One explicit edge list per input neuron.
-    Flat(CsrSynapses<W>),
+    Flat(CsrSynapses),
     /// Shared per-(channel, border-class) patterns + per-pixel offsets.
-    Patterned(ConvPatterns<W>),
+    Patterned(ConvPatterns),
 }
 
-impl<W: Copy> SynapseTable<W> {
+impl SynapseTable {
     /// Number of input neurons (rows).
     pub fn in_neurons(&self) -> usize {
         match self {
@@ -479,45 +363,20 @@ impl<W: Copy> SynapseTable<W> {
         }
     }
 
-    /// Bytes of backing storage.
-    pub fn stored_bytes(&self) -> usize {
+    /// Bytes of the index tables (the payload array is the model's).
+    pub(crate) fn index_bytes(&self) -> usize {
         match self {
-            Self::Flat(s) => s.stored_bytes(),
-            Self::Patterned(p) => p.stored_bytes(),
+            Self::Flat(s) => s.index_bytes(),
+            Self::Patterned(p) => p.index_bytes(),
         }
     }
 
-    /// Bytes of the stored weight (or packed code) array alone.
-    pub fn weight_bytes(&self) -> usize {
-        match self {
-            Self::Flat(s) => s.weight_bytes(),
-            Self::Patterned(p) => p.weight_bytes(),
-        }
-    }
-
-    /// The stored weight (or packed code) array the rows index into.
-    pub(crate) fn weights(&self) -> &[W] {
-        match self {
-            Self::Flat(s) => s.weights(),
-            Self::Patterned(p) => p.weights(),
-        }
-    }
-
-    /// The `(target, weight)` edge list of input neuron `j`.
+    /// The `(target, slot)` edge list of input neuron `j`.
     #[inline]
-    pub fn edges_of(&self, j: u32) -> EdgeIter<'_, W> {
+    pub fn edges_of(&self, j: u32) -> EdgeIter<'_> {
         match self {
             Self::Flat(s) => s.edges_of(j),
             Self::Patterned(p) => p.edges_of(j),
-        }
-    }
-
-    /// Edge count of input neuron `j`.
-    #[inline]
-    pub fn degree(&self, j: u32) -> usize {
-        match self {
-            Self::Flat(s) => s.degree(j),
-            Self::Patterned(p) => p.degree(j),
         }
     }
 }
@@ -527,8 +386,8 @@ impl<W: Copy> SynapseTable<W> {
 // and always heap-backed — boxing would only add an indirection to the
 // hot path.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum CsrStage<W = f32> {
+#[derive(Debug, Clone, PartialEq)]
+pub enum CsrStage {
     /// A weighted layer: synapse table + per-output bias, followed by a
     /// fire phase unless it is the readout. Integration accumulates in
     /// `f64` and rounds once to `f32` before the f32 bias add — the exact
@@ -536,7 +395,7 @@ pub enum CsrStage<W = f32> {
     /// (and therefore spike times) match `reference_forward` bit-for-bit.
     Weighted {
         /// Synapse adjacency (flat or pattern-deduplicated).
-        syn: SynapseTable<W>,
+        syn: SynapseTable,
         /// Per-output-neuron bias (broadcast over spatial positions for
         /// conv). Biases stay f32 in every serving mode: the hardware
         /// accumulates them post-LUT, outside the log-coded datapath.
@@ -566,13 +425,13 @@ pub enum CsrStage<W = f32> {
 
 /// Memory accounting of a compiled [`CsrModel`]: what the deduplicated
 /// representation stores versus what a flat per-pixel CSR would.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CsrFootprint {
     /// Edges the integration loop traverses (== flat CSR edge count).
     pub logical_edges: usize,
     /// Edges physically materialized after pattern deduplication.
     pub stored_edges: usize,
-    /// Bytes of all synapse storage (patterns, offsets, row maps).
+    /// Bytes of all synapse storage: index tables and payloads.
     pub stored_bytes: usize,
     /// Bytes of the stored weight payloads alone — f32 weights on the
     /// full-precision path, packed log codes on the quantized path. This
@@ -608,6 +467,8 @@ impl CsrFootprint {
 pub struct CsrModel {
     /// Compiled stages.
     pub stages: Vec<CsrStage>,
+    /// Each weighted layer's f32 weights, in its table's slot order.
+    pub(crate) weights: Vec<Vec<f32>>,
     /// Per-sample input dims the model was compiled for.
     pub input_dims: Vec<usize>,
     /// Total traversed synapses across weighted stages (flat-equivalent
@@ -618,22 +479,23 @@ pub struct CsrModel {
     pub(crate) fire: FireTable,
 }
 
-/// Flat CSR of a dense layer whose `[out_f, in_f]` row-major weights (or
-/// packed codes) are `wd`.
-fn compile_dense<W: Copy>(wd: &[W], out_f: usize, in_f: usize) -> CsrSynapses<W> {
-    let mut rows: Vec<Vec<(u32, W)>> = vec![Vec::new(); in_f];
-    // Row-major [out, in]: walk outputs outer so each row's edge list ends
-    // up sorted by target. Exact-zero weights are kept, like the conv
-    // compiler: the reference backend charges `out_f` synaptic ops per
-    // spike regardless of weight value, so dropping them would skew
-    // RunStats (and thus the energy model) for pruned models — and
-    // retention makes every row full, enabling the index-free scatter.
-    for o in 0..out_f {
-        for (j, row) in rows.iter_mut().enumerate() {
-            row.push((o as u32, wd[o * in_f + j]));
-        }
-    }
-    CsrSynapses::from_rows(rows)
+/// Flat CSR of a dense `[out_f, in_f]` layer, with the row-major tensor
+/// index of each slot's weight. Walking outputs inner keeps each row's
+/// edge list sorted by target. Exact-zero weights are kept, like the conv
+/// compiler: the reference backend charges `out_f` synaptic ops per spike
+/// regardless of weight value, so dropping them would skew RunStats (and
+/// thus the energy model) for pruned models — and retention makes every
+/// row full, enabling the index-free scatter.
+fn compile_dense(out_f: usize, in_f: usize) -> (CsrSynapses, SlotOrder) {
+    let syn = CsrSynapses {
+        row_ptr: (0..=in_f).map(|j| (j * out_f) as u32).collect(),
+        col: (0..in_f * out_f).map(|e| (e % out_f) as u32).collect(),
+    };
+    // Slot `j·out_f + o` holds weight `[o][j]`.
+    let slots = (0..in_f * out_f)
+        .map(|e| (e % out_f * in_f + e / out_f) as u32)
+        .collect();
+    (syn, slots)
 }
 
 /// Per-coordinate border class along one spatial axis: which kernel taps
@@ -661,14 +523,9 @@ pub(crate) fn axis_class(
     ((a - stride * hi) as u32, (hi - lo + 1) as u32, lo as u32)
 }
 
-/// Pattern table of a conv layer whose `[oc][ci][ki][kj]` weights (or
-/// packed codes) are `wd`, on an `h`×`w` input.
-fn compile_conv<W: Copy + Default>(
-    spec: &snn_tensor::Conv2dSpec,
-    wd: &[W],
-    h: usize,
-    w: usize,
-) -> ConvPatterns<W> {
+/// Pattern table of a conv layer on an `h`×`w` input, with the
+/// `[oc][ci][ki][kj]` tensor index of each slot's weight.
+fn compile_conv(spec: &snn_tensor::Conv2dSpec, h: usize, w: usize) -> (ConvPatterns, SlotOrder) {
     let (oh, ow) = spec.output_hw(h, w);
     let k = spec.kernel;
     let s = spec.stride;
@@ -681,18 +538,18 @@ fn compile_conv<W: Copy + Default>(
         .map(|ix| axis_class(ix, k, s, spec.padding, ow))
         .collect();
 
-    // Repack weights `[oc][ci][ki][kj]` -> `[ci][ki][k-1-kj][oc]`: kernel
-    // columns reversed because ascending kj walks output columns (and so
+    // Repack `[oc][ci][ki][kj]` -> `[ci][ki][k-1-kj][oc]`: kernel columns
+    // reversed because ascending kj walks output columns (and so
     // channel-last cells) downward — a run's weights then ascend with its
     // cells.
     let ch_stride = k * k * oc_n;
-    let mut rw = vec![W::default(); spec.in_channels * ch_stride];
+    let mut slots = vec![0u32; spec.in_channels * ch_stride];
     for oc in 0..oc_n {
         for ci in 0..spec.in_channels {
             for ki in 0..k {
                 for kj in 0..k {
-                    rw[(ci * k * k + ki * k + (k - 1 - kj)) * oc_n + oc] =
-                        wd[((oc * spec.in_channels + ci) * k + ki) * k + kj];
+                    slots[(ci * k * k + ki * k + (k - 1 - kj)) * oc_n + oc] =
+                        (((oc * spec.in_channels + ci) * k + ki) * k + kj) as u32;
                 }
             }
         }
@@ -708,7 +565,7 @@ fn compile_conv<W: Copy + Default>(
 
     // One pass over the spatial grid resolves all patterns and the
     // per-pixel rows of channel 0; other channels reuse them with a
-    // shifted weight base.
+    // shifted slot base.
     let mut grid: Vec<ConvRow> = Vec::with_capacity(h * w);
     for &(ky_min, county, oy_lo) in &y_class {
         for &(kx_min, countx, ox_lo) in &x_class {
@@ -764,7 +621,7 @@ fn compile_conv<W: Copy + Default>(
         .copied()
         .filter(|_| s == 1);
 
-    ConvPatterns {
+    let table = ConvPatterns {
         rows,
         patterns,
         runs,
@@ -773,23 +630,28 @@ fn compile_conv<W: Copy + Default>(
         kernel: k as u32,
         row_cells: (ow * oc_n) as u32,
         full,
-        weight: rw,
-        ch_stride,
         logical_edges,
-    }
+    };
+    (table, slots)
+}
+
+/// A layer's payload in slot order: `values[slots[s]]` for every slot `s`.
+pub(crate) fn gather<W: Copy>(values: &[W], slots: &[u32]) -> Vec<W> {
+    slots.iter().map(|&i| values[i as usize]).collect()
 }
 
 /// The flat per-pixel conv compiler the pattern table replaces — kept as
-/// the ground truth for the deduplication tests. Like the pattern
-/// compiler (and the reference integration loop, which charges synaptic
-/// ops for every surviving tap), it keeps structurally zero weights.
+/// the ground truth for the deduplication tests: each input row's
+/// `(target, weight)` edges. Like the pattern compiler (and the reference
+/// integration loop, which charges synaptic ops for every surviving tap),
+/// it keeps structurally zero weights.
 #[cfg(test)]
 fn compile_conv_flat(
     spec: &snn_tensor::Conv2dSpec,
-    weight: &Tensor,
+    weight: &snn_tensor::Tensor,
     h: usize,
     w: usize,
-) -> CsrSynapses {
+) -> Vec<Vec<(u32, f32)>> {
     let (oh, ow) = spec.output_hw(h, w);
     let k = spec.kernel;
     let wd = weight.as_slice();
@@ -827,7 +689,7 @@ fn compile_conv_flat(
             }
         }
     }
-    CsrSynapses::from_rows(rows)
+    rows
 }
 
 fn check_u32_bound(edge_bound: usize, kind: &str) -> Result<(), ConvertError> {
@@ -840,23 +702,23 @@ fn check_u32_bound(edge_bound: usize, kind: &str) -> Result<(), ConvertError> {
     Ok(())
 }
 
-/// Compiles `model`'s stage list for per-sample `input_dims`, taking the
-/// `i`-th weighted layer's per-edge payloads from `payloads[i]`: an
-/// index-for-index image of that layer's weight tensor (the f32 weights
-/// themselves, or one packed log code per weight). Geometry and biases
-/// come from `model`. Returns the stages and the total traversed edges.
+/// One weighted layer's slot order: entry `s` is the index, in the layer's
+/// weight tensor, of the payload its tables read at slot `s`.
+pub(crate) type SlotOrder = Vec<u32>;
+
+/// Compiles `model`'s stage list for per-sample `input_dims`. Returns the
+/// stages, each weighted layer's [`SlotOrder`] (a model [`gather`]s its
+/// weights or codes through it) and the total traversed edges.
 ///
 /// # Errors
 ///
 /// Returns [`ConvertError::Structure`] if `input_dims` does not fit the
-/// model geometry, the window does not fit the engine's step planes, a
-/// layer outgrows `u32` indexing, or `payloads` does not hold one
-/// weight-sized slice per weighted layer.
-pub(crate) fn compile_stages<W: Copy + Default>(
+/// model geometry, the window does not fit the engine's step planes, or a
+/// layer outgrows `u32` indexing.
+pub(crate) fn compile_stages(
     model: &SnnModel,
     input_dims: &[usize],
-    payloads: &[&[W]],
-) -> Result<(Vec<CsrStage<W>>, usize), ConvertError> {
+) -> Result<(Vec<CsrStage>, Vec<SlotOrder>, usize), ConvertError> {
     // Validates geometry up front and gives the dims at each boundary.
     let trace = model.shape_trace(input_dims)?;
     // The engine holds a fire step per neuron in a u16, `window + 1`
@@ -867,19 +729,8 @@ pub(crate) fn compile_stages<W: Copy + Default>(
             model.window()
         )));
     }
-    let weights: Vec<&Tensor> = model.layers().iter().filter_map(SnnLayer::weight).collect();
-    if payloads.len() != weights.len()
-        || payloads
-            .iter()
-            .zip(&weights)
-            .any(|(p, w)| p.len() != w.len())
-    {
-        return Err(ConvertError::Structure(
-            "weight payloads do not match the model's weight tensors".into(),
-        ));
-    }
-    let mut payloads = payloads.iter();
     let mut stages = Vec::with_capacity(model.layers().len());
+    let mut slots = Vec::with_capacity(model.weighted_layers());
     let mut total_edges = 0usize;
     for (i, layer) in model.layers().iter().enumerate() {
         let in_dims = &trace[i];
@@ -899,9 +750,9 @@ pub(crate) fn compile_stages<W: Copy + Default>(
                     in_dims[1] * in_dims[2] * spec.kernel * spec.kernel * spec.out_channels,
                     "conv pattern table of",
                 )?;
-                let wd = payloads.next().expect("one payload per weighted layer");
-                let syn = compile_conv(spec, wd, in_dims[1], in_dims[2]);
+                let (syn, order) = compile_conv(spec, in_dims[1], in_dims[2]);
                 total_edges += syn.logical_edges();
+                slots.push(order);
                 let spatial = out_dims[1] * out_dims[2];
                 // Broadcast per-channel bias over spatial positions.
                 let mut full_bias = vec![0.0f32; out_dims.iter().product()];
@@ -917,9 +768,9 @@ pub(crate) fn compile_stages<W: Copy + Default>(
             }
             SnnLayer::Dense { weight, bias } => {
                 check_u32_bound(weight.len(), "dense")?;
-                let wd = payloads.next().expect("one payload per weighted layer");
-                let syn = compile_dense(wd, weight.dims()[0], weight.dims()[1]);
+                let (syn, order) = compile_dense(weight.dims()[0], weight.dims()[1]);
                 total_edges += syn.edges();
+                slots.push(order);
                 stages.push(CsrStage::Weighted {
                     syn: SynapseTable::Flat(syn),
                     bias: bias.as_slice().to_vec(),
@@ -938,7 +789,7 @@ pub(crate) fn compile_stages<W: Copy + Default>(
             SnnLayer::Flatten => stages.push(CsrStage::Flatten),
         }
     }
-    Ok((stages, total_edges))
+    Ok((stages, slots, total_edges))
 }
 
 impl CsrModel {
@@ -949,15 +800,17 @@ impl CsrModel {
     /// Returns [`ConvertError::Structure`] if `input_dims` does not fit the
     /// model geometry.
     pub fn compile(model: &SnnModel, input_dims: &[usize]) -> Result<Self, ConvertError> {
-        let weights: Vec<&[f32]> = model
+        let (stages, slots, total_edges) = compile_stages(model, input_dims)?;
+        let weights = model
             .layers()
             .iter()
             .filter_map(SnnLayer::weight)
-            .map(Tensor::as_slice)
+            .zip(&slots)
+            .map(|(w, slots)| gather(w.as_slice(), slots))
             .collect();
-        let (stages, total_edges) = compile_stages(model, input_dims, &weights)?;
         Ok(Self {
             stages,
+            weights,
             input_dims: input_dims.to_vec(),
             total_edges,
             fire: FireTable::new(model.kernel(), model.window()),
@@ -966,23 +819,28 @@ impl CsrModel {
 
     /// Memory accounting: stored versus flat-equivalent synapse storage.
     pub fn footprint(&self) -> CsrFootprint {
-        footprint_of(&self.stages)
+        let weights: usize = self.weights.iter().map(Vec::len).sum();
+        footprint_of(&self.stages, weights * std::mem::size_of::<f32>())
     }
 }
 
-/// Aggregates the [`CsrFootprint`] of a compiled stage list — shared by the
-/// f32 [`CsrModel`] and the packed-code [`crate::QuantCsrModel`], whose only
-/// accounting difference is the per-edge payload width (`weight_bytes`).
-pub(crate) fn footprint_of<W: Copy>(stages: &[CsrStage<W>]) -> CsrFootprint {
-    let mut fp = CsrFootprint::default();
+/// Aggregates the [`CsrFootprint`] of a compiled stage list whose payload
+/// arrays hold `weight_bytes` — shared by the f32 [`CsrModel`] and the
+/// packed-code [`crate::QuantCsrModel`], whose only accounting difference
+/// is the payload width.
+pub(crate) fn footprint_of(stages: &[CsrStage], weight_bytes: usize) -> CsrFootprint {
+    let mut fp = CsrFootprint {
+        stored_bytes: weight_bytes,
+        weight_bytes,
+        ..CsrFootprint::default()
+    };
     for stage in stages {
         let CsrStage::Weighted { syn, .. } = stage else {
             continue;
         };
         fp.logical_edges += syn.logical_edges();
         fp.stored_edges += syn.stored_edges();
-        fp.stored_bytes += syn.stored_bytes();
-        fp.weight_bytes += syn.weight_bytes();
+        fp.stored_bytes += syn.index_bytes();
         match syn {
             SynapseTable::Flat(s) => {
                 fp.flat_bytes += (s.in_neurons() + 1) * 4 + s.edges() * 8;
@@ -1004,7 +862,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snn_nn::{ActivationLayer, Conv2dLayer, DenseLayer, Flatten, Layer, Relu, Sequential};
-    use snn_tensor::Conv2dSpec;
+    use snn_tensor::{Conv2dSpec, Tensor};
     use ttfs_core::{convert, Base2Kernel, TtfsKernel};
 
     fn model() -> SnnModel {
@@ -1018,6 +876,11 @@ mod tests {
         convert(&net, Base2Kernel::paper_default(), 24).unwrap()
     }
 
+    /// A row's `(target, weight)` edges, each slot read from `weights`.
+    fn weighted(edges: EdgeIter<'_>, weights: &[f32]) -> Vec<(u32, f32)> {
+        edges.map(|(t, s)| (t, weights[s])).collect()
+    }
+
     #[test]
     fn dense_csr_matches_weight_matrix() {
         let m = model();
@@ -1029,7 +892,7 @@ mod tests {
         let in_f = dense_w.dims()[1];
         assert_eq!(syn.in_neurons(), in_f);
         for j in 0..in_f as u32 {
-            for (o, w) in syn.edges_of(j) {
+            for (o, w) in weighted(syn.edges_of(j), &csr.weights[1]) {
                 let expect = dense_w.as_slice()[o as usize * in_f + j as usize];
                 assert_eq!(w, expect);
             }
@@ -1056,7 +919,7 @@ mod tests {
         let psp = kernel.decode(3);
         for j in [0u32, 5, 17, 31] {
             let mut via_csr = [0.0f32; 3 * 4 * 4];
-            for (o, w) in syn.edges_of(j) {
+            for (o, w) in weighted(syn.edges_of(j), &csr.weights[0]) {
                 via_csr[o as usize] += w * psp;
             }
             for (v, b) in via_csr.iter_mut().zip(bias.iter()) {
@@ -1139,26 +1002,26 @@ mod tests {
             assert!(oh > 0 && ow > 0, "degenerate case {spec:?} {h}x{w}");
             let weight = snn_tensor::uniform(&[co, ci, k, k], -1.0, 1.0, &mut rng);
             let flat = compile_conv_flat(&spec, &weight, h, w);
-            let pat = compile_conv(&spec, weight.as_slice(), h, w);
-            assert_eq!(pat.in_neurons(), flat.in_neurons(), "{spec:?}");
-            assert_eq!(pat.logical_edges(), flat.edges(), "{spec:?}");
-            for j in 0..flat.in_neurons() as u32 {
-                let f: Vec<(u32, f32)> = flat.edges_of(j).collect();
-                let d: Vec<(u32, f32)> = pat.edges_of(j).collect();
-                assert_eq!(f, d, "row {j} of {spec:?} on {h}x{w}");
-                assert_eq!(pat.degree(j), f.len());
+            let (pat, slots) = compile_conv(&spec, h, w);
+            let weights = gather(weight.as_slice(), &slots);
+            assert_eq!(pat.in_neurons(), flat.len(), "{spec:?}");
+            let flat_edges: usize = flat.iter().map(Vec::len).sum();
+            assert_eq!(pat.logical_edges(), flat_edges, "{spec:?}");
+            for (j, f) in flat.iter().enumerate() {
+                let d = weighted(pat.edges_of(j as u32), &weights);
+                assert_eq!(f, &d, "row {j} of {spec:?} on {h}x{w}");
+                assert_eq!(pat.pattern(pat.rows()[j].pattern).degree as usize, f.len());
             }
         }
     }
 
     /// The marked full pattern is what the engine's fixed-width kernel
-    /// assumes: `k` runs of `k·OC` cells, run `r` reading weights from
+    /// assumes: `k` runs of `k·OC` cells, run `r` reading slots from
     /// `r·k·OC` into output row `k − 1 − r`, followed by every interior
     /// pixel — and it is marked only at stride 1, and only where some pixel
     /// is interior.
     #[test]
     fn full_pattern_is_marked_with_its_fixed_layout() {
-        let mut rng = StdRng::seed_from_u64(80);
         // (in_c, out_c, k, stride, padding, h, w, interior pixels per channel)
         for (ci, co, k, s, p, h, w, interior) in [
             (2, 4, 3, 1, 1, 6, 5, 4 * 3),
@@ -1169,8 +1032,7 @@ mod tests {
         ] {
             let spec = Conv2dSpec::new(ci, co, k, s, p);
             let (_, ow) = spec.output_hw(h, w);
-            let weight = snn_tensor::uniform(&[co, ci, k, k], -1.0, 1.0, &mut rng);
-            let pat = compile_conv(&spec, weight.as_slice(), h, w);
+            let (pat, _) = compile_conv(&spec, h, w);
             let full = pat.full_pattern();
             let on_full = full.map_or(0, |(id, _, _)| {
                 pat.rows().iter().filter(|row| row.pattern == id).count()
@@ -1209,13 +1071,13 @@ mod tests {
             *v = 0.0;
         }
         let flat = compile_conv_flat(&spec, &weight, 6, 6);
-        let pat = compile_conv(&spec, weight.as_slice(), 6, 6);
-        assert_eq!(pat.logical_edges(), flat.edges());
+        let (pat, slots) = compile_conv(&spec, 6, 6);
+        let weights = gather(weight.as_slice(), &slots);
+        assert_eq!(pat.logical_edges(), flat.iter().map(Vec::len).sum());
         let mut zeros = 0usize;
-        for j in 0..flat.in_neurons() as u32 {
-            let f: Vec<(u32, f32)> = flat.edges_of(j).collect();
-            let d: Vec<(u32, f32)> = pat.edges_of(j).collect();
-            assert_eq!(f, d, "row {j}");
+        for (j, f) in flat.iter().enumerate() {
+            let d = weighted(pat.edges_of(j as u32), &weights);
+            assert_eq!(f, &d, "row {j}");
             zeros += d.iter().filter(|(_, w)| *w == 0.0).count();
         }
         assert!(zeros > 0, "the zeroed taps must appear as explicit edges");
@@ -1226,9 +1088,7 @@ mod tests {
     #[test]
     fn dedup_cuts_conv_storage() {
         let spec = Conv2dSpec::new(2, 4, 3, 1, 1);
-        let mut rng = StdRng::seed_from_u64(79);
-        let weight = snn_tensor::uniform(&[4, 2, 3, 3], -1.0, 1.0, &mut rng);
-        let pat = compile_conv(&spec, weight.as_slice(), 16, 16);
+        let (pat, slots) = compile_conv(&spec, 16, 16);
         // 3 border classes per axis, shared by both channels -> at most 9
         // patterns.
         assert!(pat.patterns() <= 9, "{} patterns", pat.patterns());
@@ -1238,7 +1098,8 @@ mod tests {
             pat.stored_edges(),
             pat.logical_edges()
         );
-        assert!(pat.stored_bytes() < pat.flat_bytes() / 4);
+        // The tables plus one f32 per weight.
+        assert!(pat.index_bytes() + slots.len() * 4 < pat.flat_bytes() / 4);
     }
 
     /// The served geometry — VGG-16 at 1/16 width on 32 × 32 inputs —

@@ -86,27 +86,6 @@ use crate::InferenceBackend;
 /// bit-identical.
 pub const DEFAULT_MAX_LANES: usize = 8;
 
-/// One stored edge payload: `f32` weights are integrated as they are
-/// stored, packed log codes (`u8`) are decoded through the layer's LUT —
-/// the decode context — once per chunk. Not exported, like [`Compiled`].
-pub trait EdgeWeight: Copy + Send + Sync + 'static {
-    /// Per-weighted-stage decode context (e.g. the layer's code LUT).
-    type Ctx<'a>: Copy;
-
-    /// A stage's stored payloads as the f32 weights the integration loop
-    /// multiplies by, index for index (`buf` is reusable backing storage).
-    fn resolve<'w>(stored: &'w [Self], ctx: Self::Ctx<'_>, buf: &'w mut Vec<f32>) -> &'w [f32];
-}
-
-impl EdgeWeight for f32 {
-    type Ctx<'a> = ();
-
-    #[inline]
-    fn resolve<'w>(stored: &'w [f32], _ctx: (), _buf: &'w mut Vec<f32>) -> &'w [f32] {
-        stored
-    }
-}
-
 /// Mantissa bits that, with the exponent, pick a [`FireTable`] bucket: 32
 /// buckets per binade.
 const BUCKET_BITS: u32 = 5;
@@ -373,32 +352,35 @@ impl ScratchPool {
 
 /// The compiled tables an [`Engine`] runs: the f32 [`CsrModel`] or the
 /// packed-code [`crate::QuantCsrModel`]. Both are one stage list over the
-/// same synapse structures; they differ only in the stored edge payload
-/// and in the decode context a weighted stage resolves it through.
-/// Sealed: the trait is not exported, so the two payloads are the only
-/// implementations.
+/// same payload-free synapse tables; they differ only in the payload array
+/// beside each table and in how a weighted stage turns it into f32
+/// weights. Sealed: the trait is not exported, so the two payloads are the
+/// only implementations.
 pub trait Compiled: Send + Sync + 'static {
-    /// The stored edge payload.
-    type Weight: EdgeWeight;
     /// Engine-side choice of decode datapath (`()` when there is none).
     type Mode: Copy + std::fmt::Debug + Send + Sync;
     /// [`InferenceBackend::name`] of an engine over these tables.
     const NAME: &'static str;
 
     /// The compiled stages, in execution order.
-    fn stages(&self) -> &[CsrStage<Self::Weight>];
+    fn stages(&self) -> &[CsrStage];
     /// The model kernel's fire table.
     fn fire(&self) -> &FireTable;
     /// Per-sample input dims the tables were compiled for.
     fn input_dims(&self) -> &[usize];
     /// Total traversed synapses across weighted stages (flat-equivalent).
     fn total_edges(&self) -> usize;
-    /// The decode context of weighted stage `layer` under `mode`.
-    fn decode_ctx(&self, layer: usize, mode: Self::Mode) -> <Self::Weight as EdgeWeight>::Ctx<'_>;
+    /// Weighted stage `layer`'s f32 weights under `mode`, slot for slot:
+    /// the stored array, or the stored codes decoded into `buf`.
+    fn layer_weights<'a>(
+        &'a self,
+        layer: usize,
+        mode: Self::Mode,
+        buf: &'a mut Vec<f32>,
+    ) -> &'a [f32];
 }
 
 impl Compiled for CsrModel {
-    type Weight = f32;
     type Mode = ();
     const NAME: &'static str = "csr";
 
@@ -418,14 +400,16 @@ impl Compiled for CsrModel {
         self.total_edges
     }
 
-    /// The f32 path multiplies in place: unit decode contexts.
-    fn decode_ctx(&self, _layer: usize, _mode: ()) {}
+    /// The f32 path multiplies the stored weights as they are.
+    fn layer_weights<'a>(&'a self, layer: usize, _mode: (), _buf: &'a mut Vec<f32>) -> &'a [f32] {
+        &self.weights[layer]
+    }
 }
 
 /// Batched CSR + time-wheel executor for a converted [`SnnModel`], over
 /// either payload: [`CsrEngine`] (f32 weights) or [`crate::QuantEngine`]
-/// (packed log codes). Both run one integrate-and-fire walk; only a
-/// weighted stage's decode context differs.
+/// (packed log codes). Both run one integrate-and-fire walk; only how a
+/// weighted stage resolves its payload to f32 weights differs.
 pub struct Engine<C: Compiled> {
     pub(crate) model: Arc<SnnModel>,
     pub(crate) compiled: Arc<C>,
@@ -607,11 +591,10 @@ fn chw(in_dims: &[usize]) -> Result<(usize, usize, usize), ConvertError> {
 /// Integrates one chunk of `lanes` samples (`data` is their
 /// concatenated flat pixels) over the compiled stage list, appending
 /// one logits row per lane to `rows`. A weighted stage's payload is
-/// resolved through its [`EdgeWeight`] decode context (unit for f32
-/// weights, the layer's code LUT for packed log codes); everything
-/// else — encode, wheels, fire phases, pooling, statistics — is one
-/// code path for both payloads, which is what keeps them
-/// bit-comparable.
+/// resolved by [`Compiled::layer_weights`] (the stored f32 weights, or the
+/// packed codes through the layer's LUT); everything else — encode,
+/// wheels, fire phases, pooling, statistics — is one code path for both
+/// payloads, which is what keeps them bit-comparable.
 fn run_chunk<C: Compiled>(
     engine: &Engine<C>,
     scratch: &mut Scratch,
@@ -680,8 +663,7 @@ fn run_chunk<C: Compiled>(
                     plane_in.to_wheel(wheel_in, lanes, fire);
                 }
                 let out_len = bias.len();
-                let ctx = tables.decode_ctx(seen, engine.mode);
-                let resolved = C::Weight::resolve(syn.weights(), ctx, weights);
+                let resolved = tables.layer_weights(seen, engine.mode, weights);
                 acc.reset(lanes, out_len);
                 // f64 accumulate -> one f32 rounding -> f32 bias add:
                 // identical to the reference GEMM discipline, so the
@@ -931,8 +913,8 @@ impl Membranes {
 /// order, streams its row of `weights` into its lane's cells. Returns the
 /// synaptic ops.
 #[inline(never)]
-fn integrate_dense<W: Copy>(
-    cs: &CsrSynapses<W>,
+fn integrate_dense(
+    cs: &CsrSynapses,
     weights: &[f32],
     wheel: &BatchWheel,
     fire: &FireTable,
@@ -942,16 +924,11 @@ fn integrate_dense<W: Copy>(
     for t in 0..=fire.window() {
         let psp_t = fire.decode(t);
         for s in wheel.slot(t) {
-            let (cols, row) = cs.row_slices_in(s.neuron, weights);
+            // A dense row's targets are `0..len` in order.
+            let row = &weights[cs.slots(s.neuron)];
             let (psp, cells) = acc.spike_cells(s, psp_t);
-            if cs.full_rows() {
-                add_run(&mut cells[..row.len()], row, psp);
-            } else {
-                for (c, w) in cols.iter().zip(row) {
-                    cells[*c as usize] += *w as f64 * psp;
-                }
-            }
-            ops += cols.len();
+            add_run(&mut cells[..row.len()], row, psp);
+            ops += row.len();
         }
     }
     ops
@@ -960,8 +937,8 @@ fn integrate_dense<W: Copy>(
 /// Integrates a conv stage. A 3×3 stride-1 kernel over `OC ∈ {4, 8, 16,
 /// 32, 64}` output channels adds its full pattern with the fixed-width
 /// kernel for `N = 3·OC`; everything else takes the run loop alone.
-fn integrate_conv<W: Copy>(
-    p: &ConvPatterns<W>,
+fn integrate_conv(
+    p: &ConvPatterns,
     weights: &[f32],
     wheel: &BatchWheel,
     fire: &FireTable,
@@ -969,12 +946,12 @@ fn integrate_conv<W: Copy>(
 ) -> usize {
     let full = p.full_pattern().filter(|&(_, k, _)| k == 3);
     match full.map(|_| p.layout().0) {
-        Some(4) => conv_spikes::<W, 12>(p, weights, wheel, fire, acc),
-        Some(8) => conv_spikes::<W, 24>(p, weights, wheel, fire, acc),
-        Some(16) => conv_spikes::<W, 48>(p, weights, wheel, fire, acc),
-        Some(32) => conv_spikes::<W, 96>(p, weights, wheel, fire, acc),
-        Some(64) => conv_spikes::<W, 192>(p, weights, wheel, fire, acc),
-        _ => conv_spikes::<W, 0>(p, weights, wheel, fire, acc),
+        Some(4) => conv_spikes::<12>(p, weights, wheel, fire, acc),
+        Some(8) => conv_spikes::<24>(p, weights, wheel, fire, acc),
+        Some(16) => conv_spikes::<48>(p, weights, wheel, fire, acc),
+        Some(32) => conv_spikes::<96>(p, weights, wheel, fire, acc),
+        Some(64) => conv_spikes::<192>(p, weights, wheel, fire, acc),
+        _ => conv_spikes::<0>(p, weights, wheel, fire, acc),
     }
 }
 
@@ -984,8 +961,8 @@ fn integrate_conv<W: Copy>(
 /// when the stage has no such kernel), any other walks its pattern's runs.
 /// Returns the synaptic ops.
 #[inline(never)]
-fn conv_spikes<W: Copy, const N: usize>(
-    p: &ConvPatterns<W>,
+fn conv_spikes<const N: usize>(
+    p: &ConvPatterns,
     weights: &[f32],
     wheel: &BatchWheel,
     fire: &FireTable,

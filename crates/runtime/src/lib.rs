@@ -131,8 +131,7 @@ pub use batcher::{
     SubmitOptions, Ticket,
 };
 pub use csr::{
-    ConvPatterns, ConvRun, CsrFootprint, CsrModel, CsrStage, CsrSynapses, EdgeIter, PatternRow,
-    SynapseTable,
+    ConvPatterns, CsrFootprint, CsrModel, CsrStage, CsrSynapses, EdgeIter, SynapseTable,
 };
 pub use engine::{CsrEngine, Engine, DEFAULT_MAX_LANES};
 pub use faults::{FaultConfig, FaultCounts, FaultInjector, FaultPoint};

@@ -13,12 +13,12 @@
 //!   the layer's largest magnitude, the deployment-time calibration of the
 //!   paper), every weight is encoded **once** to its packed code byte
 //!   ([`encode_layer_codes`] — or the codes arrive ready-made in a
-//!   quantized [`crate::ModelArtifact`]), and the compiled synapse tables
-//!   gather those codes where the f32 compiler gathers weights. The
-//!   pattern deduplication, per-pixel maps and traversal order of the f32
-//!   compiler are the same code, generic over the payload
-//!   ([`SynapseTable`]) — only the per-edge payload shrinks, 4× for the
-//!   stored weight array.
+//!   quantized [`crate::ModelArtifact`]), and the codes are gathered into
+//!   the slot order of the compiled synapse tables as the f32 model
+//!   gathers its weights. The tables themselves ([`SynapseTable`]) hold no
+//!   payload: pattern deduplication, per-pixel maps and traversal order
+//!   are the f32 model's, equal table for table — only the payload array
+//!   beside them shrinks, 4× for the stored weights.
 //! * [`QuantEngine`] — the [`Engine`] over these tables: its integration
 //!   loop is the *same* batched walk as [`crate::CsrEngine`]'s (one
 //!   engine type, one code path), down to the vectorised `cells +=
@@ -51,30 +51,13 @@ use std::sync::Arc;
 use snn_logquant::{LogBase, LogPe, LogQuantizer, QuantError};
 use ttfs_core::{ConvertError, SnnLayer, SnnModel};
 
-use crate::csr::{compile_stages, footprint_of, CsrFootprint, CsrStage};
-use crate::engine::{Compiled, EdgeWeight, Engine, FireTable};
+use crate::csr::{compile_stages, footprint_of, gather, CsrFootprint, CsrStage};
+use crate::engine::{Compiled, Engine, FireTable};
 
 #[cfg(doc)]
 use crate::csr::{CsrModel, SynapseTable};
 #[cfg(doc)]
 use snn_sim::RunStats;
-
-/// Packed log codes are decoded through the layer's LUT once per chunk;
-/// the integration loop then runs over the decoded f32s exactly as it does
-/// over stored f32 weights, and computes the f64 products a per-edge
-/// `lut[code] · psp` would.
-impl EdgeWeight for u8 {
-    type Ctx<'a> = &'a [f32];
-
-    fn resolve<'w>(codes: &'w [u8], lut: &[f32], buf: &'w mut Vec<f32>) -> &'w [f32] {
-        // Padded to 256 entries so a `u8` indexes it unchecked.
-        let mut table = [0.0f32; 256];
-        table[..lut.len()].copy_from_slice(lut);
-        buf.clear();
-        buf.extend(codes.iter().map(|&code| table[code as usize]));
-        buf
-    }
-}
 
 /// How [`QuantEngine`] resolves packed codes to synaptic weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,13 +138,14 @@ impl QuantLayer {
 }
 
 /// The quantized twin of [`CsrModel`]: identical pattern-deduplicated
-/// structure, packed log codes as the per-edge payload, plus each layer's
-/// quantizer and decode tables.
+/// tables, packed log codes as the payload, plus each layer's quantizer
+/// and decode tables.
 #[derive(Debug, Clone)]
 pub struct QuantCsrModel {
-    stages: Vec<CsrStage<u8>>,
+    stages: Vec<CsrStage>,
+    /// Each weighted layer's packed codes, in its table's slot order.
+    codes: Vec<Vec<u8>>,
     layers: Vec<QuantLayer>,
-    config: QuantConfig,
     input_dims: Vec<usize>,
     total_edges: usize,
     fire: FireTable,
@@ -315,12 +299,12 @@ impl QuantCsrModel {
         Self::from_codes(model, input_dims, config, quantizers, &codes)
     }
 
-    /// Compiles the serving tables from shipped packed codes: the CSR
-    /// stages gather `codes[i]` (one code per weight of the `i`-th weighted
-    /// layer, in the weight tensor's order) where the f32 compiler gathers
-    /// weights, and each layer decodes through `quantizers[i]`. Geometry,
-    /// kernel, window and biases come from `model`; its weight values are
-    /// never read.
+    /// Compiles the serving tables from shipped packed codes: `codes[i]`
+    /// (one code per weight of the `i`-th weighted layer, in the weight
+    /// tensor's order) is gathered into the slot order of its table as the
+    /// f32 model gathers weights, and each layer decodes through
+    /// `quantizers[i]`. Geometry, kernel, window and biases come from
+    /// `model`; its weight values are never read.
     ///
     /// # Errors
     ///
@@ -344,45 +328,45 @@ impl QuantCsrModel {
                 "quantized compile: quantizers do not match the model and config".into(),
             ));
         }
-        let payloads: Vec<&[u8]> = codes.iter().map(Vec::as_slice).collect();
-        let (stages, total_edges) = compile_stages(model, input_dims, &payloads)?;
+        let (stages, slots, total_edges) = compile_stages(model, input_dims)?;
+        if codes.len() != slots.len() || codes.iter().zip(&slots).any(|(c, s)| c.len() != s.len()) {
+            return Err(ConvertError::Structure(
+                "quantized compile: codes do not match the model's weight tensors".into(),
+            ));
+        }
+        let codes = codes
+            .iter()
+            .zip(&slots)
+            .map(|(c, s)| gather(c, s))
+            .collect();
         let layers = quantizers
             .into_iter()
             .map(|q| build_layer(model, config.base, q))
             .collect();
         Ok(Self {
             stages,
+            codes,
             layers,
-            config,
             input_dims: input_dims.to_vec(),
             total_edges,
             fire: FireTable::new(model.kernel(), model.window()),
         })
     }
 
-    /// The compiled stages (packed-code payloads).
-    pub fn stages(&self) -> &[CsrStage<u8>] {
+    /// The compiled stages.
+    pub fn stages(&self) -> &[CsrStage] {
         &self.stages
+    }
+
+    /// Each weighted layer's packed codes, slot for slot as its stage's
+    /// [`SynapseTable::edges_of`] names them.
+    pub fn codes(&self) -> &[Vec<u8>] {
+        &self.codes
     }
 
     /// Per-weighted-layer quantization artifacts, in stage order.
     pub fn layers(&self) -> &[QuantLayer] {
         &self.layers
-    }
-
-    /// The configuration the model was compiled with.
-    pub fn config(&self) -> QuantConfig {
-        self.config
-    }
-
-    /// Per-sample input dims the model was compiled for.
-    pub fn input_dims(&self) -> &[usize] {
-        &self.input_dims
-    }
-
-    /// Total traversed synapses across weighted stages (flat-equivalent).
-    pub fn total_edges(&self) -> usize {
-        self.total_edges
     }
 
     /// Whether every layer has a shift-add table (the model kernel
@@ -405,16 +389,15 @@ impl QuantCsrModel {
     /// with the f32 [`CsrModel::footprint`]'s `weight_bytes` for the
     /// quantization byte saving; the index structure is identical in both.
     pub fn footprint(&self) -> CsrFootprint {
-        footprint_of(&self.stages)
+        footprint_of(&self.stages, self.codes.iter().map(Vec::len).sum())
     }
 }
 
 impl Compiled for QuantCsrModel {
-    type Weight = u8;
     type Mode = DecodeMode;
     const NAME: &'static str = "quant";
 
-    fn stages(&self) -> &[CsrStage<u8>] {
+    fn stages(&self) -> &[CsrStage] {
         &self.stages
     }
 
@@ -430,8 +413,23 @@ impl Compiled for QuantCsrModel {
         self.total_edges
     }
 
-    fn decode_ctx(&self, layer: usize, mode: DecodeMode) -> &[f32] {
-        self.layers[layer].table(mode)
+    /// Decoded through the layer's LUT once per chunk; the integration
+    /// loop then runs over the decoded f32s exactly as it does over stored
+    /// f32 weights, and computes the f64 products a per-edge `lut[code] ·
+    /// psp` would.
+    fn layer_weights<'a>(
+        &'a self,
+        layer: usize,
+        mode: DecodeMode,
+        buf: &'a mut Vec<f32>,
+    ) -> &'a [f32] {
+        let lut = self.layers[layer].table(mode);
+        // Padded to 256 entries so a `u8` indexes it unchecked.
+        let mut table = [0.0f32; 256];
+        table[..lut.len()].copy_from_slice(lut);
+        buf.clear();
+        buf.extend(self.codes[layer].iter().map(|&code| table[code as usize]));
+        buf
     }
 }
 
@@ -594,36 +592,26 @@ mod tests {
 
     #[test]
     fn packed_codes_round_trip_through_the_tables() {
-        // Every edge payload of the quantized tables must decode (via the
-        // LUT) to exactly the quantized value of the f32 table's payload
-        // at the same position.
+        // One index structure serves both payloads: the f32 and quantized
+        // compiles yield equal stage lists, and the code at every slot
+        // decodes (via the LUT) to exactly the quantized f32 weight at the
+        // same slot.
         let model = cnn_model(22);
         let csr = CsrModel::compile(&model, &[1, 8, 8]).unwrap();
         let quant = QuantCsrModel::compile(&model, &[1, 8, 8], QuantConfig::default()).unwrap();
-        let mut wi = 0usize;
-        for (fs, qs) in csr.stages.iter().zip(quant.stages().iter()) {
-            let (CsrStage::Weighted { syn: f, .. }, CsrStage::Weighted { syn: q, .. }) = (fs, qs)
-            else {
-                continue;
-            };
-            let layer = &quant.layers()[wi];
-            wi += 1;
-            assert_eq!(f.in_neurons(), q.in_neurons());
-            for j in 0..f.in_neurons() as u32 {
-                let fw: Vec<(u32, f32)> = f.edges_of(j).collect();
-                let qw: Vec<(u32, u8)> = q.edges_of(j).collect();
-                assert_eq!(fw.len(), qw.len(), "row {j}");
-                for ((ft, w), (qt, code)) in fw.iter().zip(qw.iter()) {
-                    assert_eq!(ft, qt, "targets must be structurally identical");
-                    assert_eq!(
-                        layer.lut[*code as usize].to_bits(),
-                        layer.quantizer.quantize(*w).to_bits(),
-                        "row {j}"
-                    );
-                }
+        assert_eq!(csr.stages, quant.stages());
+        assert_eq!(csr.weights.len(), 2, "both weighted stages checked");
+        assert_eq!(quant.codes().len(), csr.weights.len());
+        for ((weights, codes), layer) in csr.weights.iter().zip(quant.codes()).zip(quant.layers()) {
+            assert_eq!(weights.len(), codes.len());
+            for (s, (&w, &code)) in weights.iter().zip(codes).enumerate() {
+                assert_eq!(
+                    layer.lut[code as usize].to_bits(),
+                    layer.quantizer.quantize(w).to_bits(),
+                    "slot {s}"
+                );
             }
         }
-        assert_eq!(wi, 2, "both weighted stages checked");
     }
 
     #[test]

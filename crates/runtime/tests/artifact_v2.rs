@@ -79,18 +79,19 @@ fn weight_bits(t: Option<&Tensor>) -> Vec<u32> {
     })
 }
 
-/// Every weighted stage's rows as `(target, code)` edge lists.
+/// Every weighted stage's rows as `(target, code)` edge lists: each
+/// `(target, slot)` edge reads its code from the layer's payload.
 fn stage_codes(compiled: &QuantCsrModel) -> Vec<Vec<Vec<(u32, u8)>>> {
-    compiled
-        .stages()
-        .iter()
-        .filter_map(|stage| match stage {
-            CsrStage::Weighted { syn, .. } => Some(
-                (0..syn.in_neurons() as u32)
-                    .map(|j| syn.edges_of(j).collect())
-                    .collect(),
-            ),
-            _ => None,
+    let weighted = compiled.stages().iter().filter_map(|stage| match stage {
+        CsrStage::Weighted { syn, .. } => Some(syn),
+        _ => None,
+    });
+    weighted
+        .zip(compiled.codes())
+        .map(|(syn, codes)| {
+            (0..syn.in_neurons() as u32)
+                .map(|j| syn.edges_of(j).map(|(t, s)| (t, codes[s])).collect())
+                .collect()
         })
         .collect()
 }
