@@ -640,58 +640,6 @@ pub(crate) fn gather<W: Copy>(values: &[W], slots: &[u32]) -> Vec<W> {
     slots.iter().map(|&i| values[i as usize]).collect()
 }
 
-/// The flat per-pixel conv compiler the pattern table replaces — kept as
-/// the ground truth for the deduplication tests: each input row's
-/// `(target, weight)` edges. Like the pattern compiler (and the reference
-/// integration loop, which charges synaptic ops for every surviving tap),
-/// it keeps structurally zero weights.
-#[cfg(test)]
-fn compile_conv_flat(
-    spec: &snn_tensor::Conv2dSpec,
-    weight: &snn_tensor::Tensor,
-    h: usize,
-    w: usize,
-) -> Vec<Vec<(u32, f32)>> {
-    let (oh, ow) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let wd = weight.as_slice();
-    let mut rows: Vec<Vec<(u32, f32)>> = vec![Vec::new(); spec.in_channels * h * w];
-    for ci in 0..spec.in_channels {
-        for iy in 0..h {
-            for ix in 0..w {
-                let row = &mut rows[(ci * h + iy) * w + ix];
-                // Same traversal as the reference integration loop, so each
-                // (input, output) pair resolves to the same unique weight.
-                for ki in 0..k {
-                    let oy_num = iy as isize + spec.padding as isize - ki as isize;
-                    if oy_num < 0 || oy_num % spec.stride as isize != 0 {
-                        continue;
-                    }
-                    let oy = (oy_num / spec.stride as isize) as usize;
-                    if oy >= oh {
-                        continue;
-                    }
-                    for kj in 0..k {
-                        let ox_num = ix as isize + spec.padding as isize - kj as isize;
-                        if ox_num < 0 || ox_num % spec.stride as isize != 0 {
-                            continue;
-                        }
-                        let ox = (ox_num / spec.stride as isize) as usize;
-                        if ox >= ow {
-                            continue;
-                        }
-                        for oc in 0..spec.out_channels {
-                            let widx = ((oc * spec.in_channels + ci) * k + ki) * k + kj;
-                            row.push(((oc * oh + oy) as u32 * ow as u32 + ox as u32, wd[widx]));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    rows
-}
-
 fn check_u32_bound(edge_bound: usize, kind: &str) -> Result<(), ConvertError> {
     if edge_bound > u32::MAX as usize {
         return Err(ConvertError::Structure(format!(
@@ -874,6 +822,57 @@ mod tests {
             Layer::Dense(DenseLayer::new(3 * 4 * 4, 5, &mut rng)),
         ]);
         convert(&net, Base2Kernel::paper_default(), 24).unwrap()
+    }
+
+    /// The flat per-pixel conv compiler the pattern table replaces — kept as
+    /// the ground truth for the deduplication tests: each input row's
+    /// `(target, weight)` edges. Like the pattern compiler (and the reference
+    /// integration loop, which charges synaptic ops for every surviving tap),
+    /// it keeps structurally zero weights.
+    fn compile_conv_flat(
+        spec: &snn_tensor::Conv2dSpec,
+        weight: &snn_tensor::Tensor,
+        h: usize,
+        w: usize,
+    ) -> Vec<Vec<(u32, f32)>> {
+        let (oh, ow) = spec.output_hw(h, w);
+        let k = spec.kernel;
+        let wd = weight.as_slice();
+        let mut rows: Vec<Vec<(u32, f32)>> = vec![Vec::new(); spec.in_channels * h * w];
+        for ci in 0..spec.in_channels {
+            for iy in 0..h {
+                for ix in 0..w {
+                    let row = &mut rows[(ci * h + iy) * w + ix];
+                    // Same traversal as the reference integration loop, so each
+                    // (input, output) pair resolves to the same unique weight.
+                    for ki in 0..k {
+                        let oy_num = iy as isize + spec.padding as isize - ki as isize;
+                        if oy_num < 0 || oy_num % spec.stride as isize != 0 {
+                            continue;
+                        }
+                        let oy = (oy_num / spec.stride as isize) as usize;
+                        if oy >= oh {
+                            continue;
+                        }
+                        for kj in 0..k {
+                            let ox_num = ix as isize + spec.padding as isize - kj as isize;
+                            if ox_num < 0 || ox_num % spec.stride as isize != 0 {
+                                continue;
+                            }
+                            let ox = (ox_num / spec.stride as isize) as usize;
+                            if ox >= ow {
+                                continue;
+                            }
+                            for oc in 0..spec.out_channels {
+                                let widx = ((oc * spec.in_channels + ci) * k + ki) * k + kj;
+                                row.push(((oc * oh + oy) as u32 * ow as u32 + ox as u32, wd[widx]));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        rows
     }
 
     /// A row's `(target, weight)` edges, each slot read from `weights`.
