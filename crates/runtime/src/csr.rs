@@ -3,19 +3,24 @@
 //! The reference backend re-derives every spike's receptive field from conv
 //! geometry on each integration step — branchy index arithmetic in the
 //! innermost loop. Compilation walks the model once per deployment and
-//! materializes, for every weighted layer, the **outgoing synapse list of
-//! each input neuron** (`row_ptr` / `col`): the integration phase then
-//! reduces to one contiguous edge scan per spike. Exact-zero weights are
-//! kept in both layer kinds — the reference backend charges synaptic ops
-//! for every surviving tap regardless of weight value, so dropping them
-//! would skew `RunStats` (and the energy model) for pruned models, and a
-//! `+= 0·psp` is bit-neutral on the accumulator.
+//! lays out, for every weighted layer, the **outgoing synapses of each
+//! input neuron** as contiguous payload slots: the integration phase then
+//! reduces to one contiguous scan per spike. Exact-zero weights are kept
+//! in both layer kinds — the reference backend charges synaptic ops for
+//! every surviving tap regardless of weight value, so dropping them would
+//! skew `RunStats` (and the energy model) for pruned models, and a `+=
+//! 0·psp` is bit-neutral on the accumulator.
 //!
 //! The tables hold **no payload**. Each edge names a *slot* of its layer's
-//! payload array, and the compiler returns, per layer, the weight-tensor
-//! index each slot takes; [`CsrModel`] gathers its f32 weights through
-//! that order and [`crate::QuantCsrModel`] its packed log codes, so one
-//! index structure serves both.
+//! payload array, and [`repack`] writes a layer's payload — f32 weights
+//! for [`CsrModel`], packed log codes for [`crate::QuantCsrModel`] —
+//! straight from the weight tensor's order into slot order in one pass, so
+//! one index structure serves both.
+//!
+//! A dense layer needs no index at all ([`SynapseTable::Dense`]): its
+//! payload is the weight matrix transposed to `[j][o]`, and input neuron
+//! `j`'s row is slots `j·out_f..(j + 1)·out_f`, targets `0..out_f` in
+//! order — the plain weight matrix the paper's processor keeps resident.
 //!
 //! Conv layers do **not** store one edge list per input pixel. A pixel's
 //! outgoing synapse *structure* is fully determined by its spatial
@@ -29,9 +34,8 @@
 //! record per pattern, a `(t0, w0, len)` record per run — cutting conv
 //! CSR storage roughly `C·H·W`-fold (the shared weight-buffer idea of the
 //! paper's PE clusters: one resident copy of the kernel weights serves
-//! every spatial position). Dense layers keep the flat per-neuron CSR
-//! ([`CsrSynapses`]); [`SynapseTable`] unifies the two behind one
-//! row-oriented API.
+//! every spatial position). [`SynapseTable`] gives both layer kinds one
+//! row-oriented view.
 //!
 //! A conv stage's membranes are **channel-last**: cell `(oy·ow + ox)·OC +
 //! oc` instead of the neuron index `(oc·oh + oy)·ow + ox`. One kernel tap
@@ -48,6 +52,10 @@
 //! to one cell, and [`ConvPatterns::edges_of`] still yields the reference
 //! `(neuron, weight)` sequence, as `(neuron, slot)`.
 //!
+//! Biases stay the model's own, one per output channel (per output neuron
+//! for a dense layer): the engine adds channel `c`'s bias to every cell of
+//! that channel.
+//!
 //! Pooling and flatten layers stay event-domain operations (max pooling is
 //! not linear, so it cannot be folded into synapse weights); the engine
 //! runs max pooling on the dense step planes its fire phases write and
@@ -60,51 +68,6 @@ use std::ops::Range;
 use ttfs_core::{ConvertError, SnnLayer, SnnModel};
 
 use crate::engine::FireTable;
-
-/// Per-input-neuron adjacency of one dense layer, in compressed sparse row
-/// form: row pointers and targets. Edge `e`, counted row after row, reads
-/// slot `e` of the layer's payload array. A dense layer keeps its zero
-/// weights, so every row holds every output in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrSynapses {
-    /// `row_ptr[j]..row_ptr[j + 1]` indexes the edges of input neuron `j`.
-    row_ptr: Vec<u32>,
-    /// Target (output-neuron) index per edge.
-    col: Vec<u32>,
-}
-
-impl CsrSynapses {
-    /// Number of input neurons (rows).
-    pub fn in_neurons(&self) -> usize {
-        self.row_ptr.len() - 1
-    }
-
-    /// Number of stored synapses.
-    pub fn edges(&self) -> usize {
-        self.col.len()
-    }
-
-    /// The `(target, slot)` edge list of input neuron `j`.
-    #[inline]
-    pub fn edges_of(&self, j: u32) -> EdgeIter<'_> {
-        let slots = self.slots(j);
-        EdgeIter(Edges::Flat(
-            self.col[slots.clone()].iter().copied().zip(slots),
-        ))
-    }
-
-    /// The payload slots of input neuron `j`'s edges, whose targets are
-    /// `0..len` in order.
-    #[inline]
-    pub(crate) fn slots(&self, j: u32) -> Range<usize> {
-        self.row_ptr[j as usize] as usize..self.row_ptr[j as usize + 1] as usize
-    }
-
-    /// Bytes of the row pointers and targets.
-    pub(crate) fn index_bytes(&self) -> usize {
-        (self.row_ptr.len() + self.col.len()) * 4
-    }
-}
 
 /// Pattern-deduplicated conv adjacency: one canonical tap pattern per
 /// spatial **border class** — shared by every input channel — over one
@@ -274,11 +237,6 @@ impl ConvPatterns {
             + self.patterns.len() * std::mem::size_of::<ConvPattern>()
             + self.runs.len() * std::mem::size_of::<ConvRun>()
     }
-
-    /// Bytes a flat per-pixel CSR of the same layer would occupy.
-    pub fn flat_bytes(&self) -> usize {
-        (self.in_neurons() + 1) * 4 + self.logical_edges * 8
-    }
 }
 
 /// Iterator over the `(absolute_target, slot)` edges of one row of a
@@ -288,8 +246,8 @@ pub struct EdgeIter<'a>(Edges<'a>);
 
 #[derive(Debug)]
 enum Edges<'a> {
-    /// Flat CSR row: an explicit target per edge, consecutive slots.
-    Flat(std::iter::Zip<std::iter::Copied<std::slice::Iter<'a, u32>>, Range<usize>>),
+    /// Dense row: consecutive slots from `first`, target `slot − first`.
+    Dense { slots: Range<usize>, first: usize },
     /// Pattern row: expand the runs on the fly, taps of a merged run
     /// from the last (lowest kernel column) to the first.
     Runs {
@@ -308,7 +266,7 @@ impl Iterator for EdgeIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<(u32, usize)> {
         match &mut self.0 {
-            Edges::Flat(edges) => edges.next(),
+            Edges::Dense { slots, first } => slots.next().map(|s| ((s - *first) as u32, s)),
             Edges::Runs { table, row, run, i } => loop {
                 let r = *table.runs_of(row.pattern).get(*run)?;
                 if *i < r.len {
@@ -326,14 +284,20 @@ impl Iterator for EdgeIter<'_> {
     }
 }
 
-/// The synapse storage of one weighted stage: flat CSR for dense layers,
+/// The synapse storage of one weighted stage: none for dense layers,
 /// pattern-deduplicated for conv layers. Both expose the same row-oriented
-/// view — `edges_of(j)` yields identical `(target, slot)` sequences either
-/// way; only the memory footprint differs.
+/// view — `edges_of(j)` yields the reference `(target, slot)` sequence
+/// either way; only the memory footprint differs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SynapseTable {
-    /// One explicit edge list per input neuron.
-    Flat(CsrSynapses),
+    /// A full `in_f × out_f` layer: input neuron `j` reaches every output
+    /// `o` through slot `j·out_f + o`, so nothing is stored.
+    Dense {
+        /// Input neurons (rows).
+        in_f: usize,
+        /// Output neurons (edges per row).
+        out_f: usize,
+    },
     /// Shared per-(channel, border-class) patterns + per-pixel offsets.
     Patterned(ConvPatterns),
 }
@@ -342,7 +306,7 @@ impl SynapseTable {
     /// Number of input neurons (rows).
     pub fn in_neurons(&self) -> usize {
         match self {
-            Self::Flat(s) => s.in_neurons(),
+            Self::Dense { in_f, .. } => *in_f,
             Self::Patterned(p) => p.in_neurons(),
         }
     }
@@ -350,23 +314,33 @@ impl SynapseTable {
     /// Logical (traversed) edges across all rows.
     pub fn logical_edges(&self) -> usize {
         match self {
-            Self::Flat(s) => s.edges(),
+            Self::Dense { in_f, out_f } => in_f * out_f,
             Self::Patterned(p) => p.logical_edges(),
         }
     }
 
-    /// Physically stored edges.
+    /// Edges the layer holds a payload slot for: every edge of a dense
+    /// layer, the runs of a conv layer's patterns.
     pub fn stored_edges(&self) -> usize {
         match self {
-            Self::Flat(s) => s.edges(),
+            Self::Dense { .. } => self.logical_edges(),
             Self::Patterned(p) => p.stored_edges(),
+        }
+    }
+
+    /// `(channels, plane)`: output neuron `c·plane + p` lives in membrane
+    /// cell `p·channels + c` (a dense layer is `plane = 1`).
+    pub(crate) fn layout(&self) -> (usize, usize) {
+        match self {
+            Self::Dense { out_f, .. } => (*out_f, 1),
+            Self::Patterned(p) => p.layout(),
         }
     }
 
     /// Bytes of the index tables (the payload array is the model's).
     pub(crate) fn index_bytes(&self) -> usize {
         match self {
-            Self::Flat(s) => s.index_bytes(),
+            Self::Dense { .. } => 0,
             Self::Patterned(p) => p.index_bytes(),
         }
     }
@@ -375,7 +349,13 @@ impl SynapseTable {
     #[inline]
     pub fn edges_of(&self, j: u32) -> EdgeIter<'_> {
         match self {
-            Self::Flat(s) => s.edges_of(j),
+            Self::Dense { out_f, .. } => {
+                let first = j as usize * out_f;
+                EdgeIter(Edges::Dense {
+                    slots: first..first + out_f,
+                    first,
+                })
+            }
             Self::Patterned(p) => p.edges_of(j),
         }
     }
@@ -388,17 +368,18 @@ impl SynapseTable {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum CsrStage {
-    /// A weighted layer: synapse table + per-output bias, followed by a
+    /// A weighted layer: synapse table + per-channel bias, followed by a
     /// fire phase unless it is the readout. Integration accumulates in
     /// `f64` and rounds once to `f32` before the f32 bias add — the exact
     /// summation discipline of the reference GEMM, so membrane voltages
     /// (and therefore spike times) match `reference_forward` bit-for-bit.
     Weighted {
-        /// Synapse adjacency (flat or pattern-deduplicated).
+        /// Synapse adjacency (dense or pattern-deduplicated).
         syn: SynapseTable,
-        /// Per-output-neuron bias (broadcast over spatial positions for
-        /// conv). Biases stay f32 in every serving mode: the hardware
-        /// accumulates them post-LUT, outside the log-coded datapath.
+        /// The model's bias, one per output channel (per output neuron for
+        /// a dense layer). Biases stay f32 in every serving mode: the
+        /// hardware accumulates them post-LUT, outside the log-coded
+        /// datapath.
         bias: Vec<f32>,
     },
     /// Event-domain max pooling (not linear — cannot be CSR-folded).
@@ -479,23 +460,51 @@ pub struct CsrModel {
     pub(crate) fire: FireTable,
 }
 
-/// Flat CSR of a dense `[out_f, in_f]` layer, with the row-major tensor
-/// index of each slot's weight. Walking outputs inner keeps each row's
-/// edge list sorted by target. Exact-zero weights are kept, like the conv
-/// compiler: the reference backend charges `out_f` synaptic ops per spike
-/// regardless of weight value, so dropping them would skew RunStats (and
-/// thus the energy model) for pruned models — and retention makes every
-/// row full, enabling the index-free scatter.
-fn compile_dense(out_f: usize, in_f: usize) -> (CsrSynapses, SlotOrder) {
-    let syn = CsrSynapses {
-        row_ptr: (0..=in_f).map(|j| (j * out_f) as u32).collect(),
-        col: (0..in_f * out_f).map(|e| (e % out_f) as u32).collect(),
-    };
-    // Slot `j·out_f + o` holds weight `[o][j]`.
-    let slots = (0..in_f * out_f)
-        .map(|e| (e % out_f * in_f + e / out_f) as u32)
-        .collect();
-    (syn, slots)
+/// A weighted layer's payload in its table's slot order, written straight
+/// from `values` — one value per weight-tensor entry, in the tensor's
+/// order — in one pass:
+///
+/// * dense `[o][j]` → `[j][o]`, so input neuron `j`'s row is slots
+///   `j·out_f..(j + 1)·out_f`;
+/// * conv `[oc][ci][ki][kj]` → `[ci][ki][k−1−kj][oc]` (see
+///   [`ConvPatterns`]): kernel columns reversed because ascending `kj`
+///   walks output columns, and so channel-last cells, downward — a run's
+///   weights then ascend with its cells.
+///
+/// Exact-zero weights keep their slots, like every edge. An unweighted
+/// layer has no payload.
+///
+/// # Errors
+///
+/// Returns [`ConvertError::Structure`] unless `values` holds exactly one
+/// value per weight: a payload can come from an untrusted artifact.
+pub(crate) fn repack<W: Copy>(layer: &SnnLayer, values: &[W]) -> Result<Vec<W>, ConvertError> {
+    let weights = layer.weight().map_or(0, |w| w.len());
+    if values.len() != weights {
+        return Err(ConvertError::Structure(format!(
+            "a payload of {} values does not match its layer's {weights} weights",
+            values.len()
+        )));
+    }
+    let mut out = Vec::with_capacity(values.len());
+    match layer {
+        SnnLayer::Dense { weight, .. } => {
+            let in_f = weight.dims()[1];
+            for j in 0..in_f {
+                out.extend(values.iter().skip(j).step_by(in_f));
+            }
+        }
+        SnnLayer::Conv { spec, .. } => {
+            let (k, per_oc) = (spec.kernel, spec.in_channels * spec.kernel * spec.kernel);
+            for ci_ki in 0..spec.in_channels * k {
+                for kj in (0..k).rev() {
+                    out.extend(values.iter().skip(ci_ki * k + kj).step_by(per_oc));
+                }
+            }
+        }
+        _ => {}
+    }
+    Ok(out)
 }
 
 /// Per-coordinate border class along one spatial axis: which kernel taps
@@ -523,13 +532,14 @@ pub(crate) fn axis_class(
     ((a - stride * hi) as u32, (hi - lo + 1) as u32, lo as u32)
 }
 
-/// Pattern table of a conv layer on an `h`×`w` input, with the
-/// `[oc][ci][ki][kj]` tensor index of each slot's weight.
-fn compile_conv(spec: &snn_tensor::Conv2dSpec, h: usize, w: usize) -> (ConvPatterns, SlotOrder) {
+/// Pattern table of a conv layer on an `h`×`w` input, over the payload
+/// slots [`repack`] lays out.
+fn compile_conv(spec: &snn_tensor::Conv2dSpec, h: usize, w: usize) -> ConvPatterns {
     let (oh, ow) = spec.output_hw(h, w);
     let k = spec.kernel;
     let s = spec.stride;
     let oc_n = spec.out_channels;
+    let ch_stride = k * k * oc_n;
 
     let y_class: Vec<(u32, u32, u32)> = (0..h)
         .map(|iy| axis_class(iy, k, s, spec.padding, oh))
@@ -537,23 +547,6 @@ fn compile_conv(spec: &snn_tensor::Conv2dSpec, h: usize, w: usize) -> (ConvPatte
     let x_class: Vec<(u32, u32, u32)> = (0..w)
         .map(|ix| axis_class(ix, k, s, spec.padding, ow))
         .collect();
-
-    // Repack `[oc][ci][ki][kj]` -> `[ci][ki][k-1-kj][oc]`: kernel columns
-    // reversed because ascending kj walks output columns (and so
-    // channel-last cells) downward — a run's weights then ascend with its
-    // cells.
-    let ch_stride = k * k * oc_n;
-    let mut slots = vec![0u32; spec.in_channels * ch_stride];
-    for oc in 0..oc_n {
-        for ci in 0..spec.in_channels {
-            for ki in 0..k {
-                for kj in 0..k {
-                    slots[(ci * k * k + ki * k + (k - 1 - kj)) * oc_n + oc] =
-                        (((oc * spec.in_channels + ci) * k + ki) * k + kj) as u32;
-                }
-            }
-        }
-    }
 
     // Pattern key: (y tap class, x tap class) — channels share patterns.
     // The per-axis (k_min, count) pair pins down every (tap, relative
@@ -621,7 +614,7 @@ fn compile_conv(spec: &snn_tensor::Conv2dSpec, h: usize, w: usize) -> (ConvPatte
         .copied()
         .filter(|_| s == 1);
 
-    let table = ConvPatterns {
+    ConvPatterns {
         rows,
         patterns,
         runs,
@@ -631,13 +624,7 @@ fn compile_conv(spec: &snn_tensor::Conv2dSpec, h: usize, w: usize) -> (ConvPatte
         row_cells: (ow * oc_n) as u32,
         full,
         logical_edges,
-    };
-    (table, slots)
-}
-
-/// A layer's payload in slot order: `values[slots[s]]` for every slot `s`.
-pub(crate) fn gather<W: Copy>(values: &[W], slots: &[u32]) -> Vec<W> {
-    slots.iter().map(|&i| values[i as usize]).collect()
+    }
 }
 
 fn check_u32_bound(edge_bound: usize, kind: &str) -> Result<(), ConvertError> {
@@ -650,23 +637,32 @@ fn check_u32_bound(edge_bound: usize, kind: &str) -> Result<(), ConvertError> {
     Ok(())
 }
 
-/// One weighted layer's slot order: entry `s` is the index, in the layer's
-/// weight tensor, of the payload its tables read at slot `s`.
-pub(crate) type SlotOrder = Vec<u32>;
+/// A weighted layer's tensors must fit its geometry: [`repack`] reads the
+/// weights, and the engine the bias, by it.
+fn check_params(fits: bool) -> Result<(), ConvertError> {
+    if fits {
+        Ok(())
+    } else {
+        Err(ConvertError::Structure(
+            "weighted layer's weight or bias does not fit its geometry".into(),
+        ))
+    }
+}
 
 /// Compiles `model`'s stage list for per-sample `input_dims`. Returns the
-/// stages, each weighted layer's [`SlotOrder`] (a model [`gather`]s its
-/// weights or codes through it) and the total traversed edges.
+/// stages and the total traversed edges; each weighted layer's payload is
+/// [`repack`]ed into its table's slot order beside them.
 ///
 /// # Errors
 ///
 /// Returns [`ConvertError::Structure`] if `input_dims` does not fit the
-/// model geometry, the window does not fit the engine's step planes, or a
-/// layer outgrows `u32` indexing.
+/// model geometry, a layer's tensors do not fit its geometry, the window
+/// does not fit the engine's step planes, or a layer outgrows `u32`
+/// indexing.
 pub(crate) fn compile_stages(
     model: &SnnModel,
     input_dims: &[usize],
-) -> Result<(Vec<CsrStage>, Vec<SlotOrder>, usize), ConvertError> {
+) -> Result<(Vec<CsrStage>, usize), ConvertError> {
     // Validates geometry up front and gives the dims at each boundary.
     let trace = model.shape_trace(input_dims)?;
     // The engine holds a fire step per neuron in a u16, `window + 1`
@@ -678,7 +674,6 @@ pub(crate) fn compile_stages(
         )));
     }
     let mut stages = Vec::with_capacity(model.layers().len());
-    let mut slots = Vec::with_capacity(model.weighted_layers());
     let mut total_edges = 0usize;
     for (i, layer) in model.layers().iter().enumerate() {
         let in_dims = &trace[i];
@@ -698,29 +693,22 @@ pub(crate) fn compile_stages(
                     in_dims[1] * in_dims[2] * spec.kernel * spec.kernel * spec.out_channels,
                     "conv pattern table of",
                 )?;
-                let (syn, order) = compile_conv(spec, in_dims[1], in_dims[2]);
+                let (oc, k) = (spec.out_channels, spec.kernel);
+                check_params(weight.dims() == [oc, spec.in_channels, k, k] && bias.len() == oc)?;
+                let syn = compile_conv(spec, in_dims[1], in_dims[2]);
                 total_edges += syn.logical_edges();
-                slots.push(order);
-                let spatial = out_dims[1] * out_dims[2];
-                // Broadcast per-channel bias over spatial positions.
-                let mut full_bias = vec![0.0f32; out_dims.iter().product()];
-                for (oc, &b) in bias.as_slice().iter().enumerate() {
-                    for v in &mut full_bias[oc * spatial..(oc + 1) * spatial] {
-                        *v = b;
-                    }
-                }
                 stages.push(CsrStage::Weighted {
                     syn: SynapseTable::Patterned(syn),
-                    bias: full_bias,
+                    bias: bias.as_slice().to_vec(),
                 });
             }
             SnnLayer::Dense { weight, bias } => {
                 check_u32_bound(weight.len(), "dense")?;
-                let (syn, order) = compile_dense(weight.dims()[0], weight.dims()[1]);
-                total_edges += syn.edges();
-                slots.push(order);
+                let (out_f, in_f) = (bias.len(), in_dims.iter().product());
+                check_params(weight.dims() == [out_f, in_f])?;
+                total_edges += weight.len();
                 stages.push(CsrStage::Weighted {
-                    syn: SynapseTable::Flat(syn),
+                    syn: SynapseTable::Dense { in_f, out_f },
                     bias: bias.as_slice().to_vec(),
                 });
             }
@@ -737,7 +725,7 @@ pub(crate) fn compile_stages(
             SnnLayer::Flatten => stages.push(CsrStage::Flatten),
         }
     }
-    Ok((stages, slots, total_edges))
+    Ok((stages, total_edges))
 }
 
 impl CsrModel {
@@ -748,14 +736,12 @@ impl CsrModel {
     /// Returns [`ConvertError::Structure`] if `input_dims` does not fit the
     /// model geometry.
     pub fn compile(model: &SnnModel, input_dims: &[usize]) -> Result<Self, ConvertError> {
-        let (stages, slots, total_edges) = compile_stages(model, input_dims)?;
+        let (stages, total_edges) = compile_stages(model, input_dims)?;
         let weights = model
             .layers()
             .iter()
-            .filter_map(SnnLayer::weight)
-            .zip(&slots)
-            .map(|(w, slots)| gather(w.as_slice(), slots))
-            .collect();
+            .filter_map(|layer| Some(repack(layer, layer.weight()?.as_slice())))
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             stages,
             weights,
@@ -789,16 +775,13 @@ pub(crate) fn footprint_of(stages: &[CsrStage], weight_bytes: usize) -> CsrFootp
         fp.logical_edges += syn.logical_edges();
         fp.stored_edges += syn.stored_edges();
         fp.stored_bytes += syn.index_bytes();
-        match syn {
-            SynapseTable::Flat(s) => {
-                fp.flat_bytes += (s.in_neurons() + 1) * 4 + s.edges() * 8;
-            }
-            SynapseTable::Patterned(p) => {
-                fp.flat_bytes += p.flat_bytes();
-                fp.conv_logical_edges += p.logical_edges();
-                fp.conv_stored_edges += p.stored_edges();
-                fp.patterns += p.patterns();
-            }
+        // A flat CSR: a u32 row pointer per row (plus one), a u32 target
+        // and an f32 weight per edge.
+        fp.flat_bytes += (syn.in_neurons() + 1) * 4 + syn.logical_edges() * 8;
+        if let SynapseTable::Patterned(p) = syn {
+            fp.conv_logical_edges += p.logical_edges();
+            fp.conv_stored_edges += p.stored_edges();
+            fp.patterns += p.patterns();
         }
     }
     fp
@@ -875,6 +858,17 @@ mod tests {
         rows
     }
 
+    /// A conv layer's f32 weights in its table's slot order.
+    fn repacked(spec: Conv2dSpec, weight: &Tensor) -> Vec<f32> {
+        let bias = Tensor::zeros(&[spec.out_channels]);
+        let layer = SnnLayer::Conv {
+            spec,
+            weight: weight.clone(),
+            bias,
+        };
+        repack(&layer, weight.as_slice()).unwrap()
+    }
+
     /// A row's `(target, weight)` edges, each slot read from `weights`.
     fn weighted(edges: EdgeIter<'_>, weights: &[f32]) -> Vec<(u32, f32)> {
         edges.map(|(t, s)| (t, weights[s])).collect()
@@ -900,7 +894,7 @@ mod tests {
 
     #[test]
     fn conv_csr_reproduces_dense_matvec() {
-        // CSR gather must equal the conv applied to a one-hot input.
+        // A row's edges must equal the conv applied to a one-hot input.
         let m = model();
         let csr = CsrModel::compile(&m, &[2, 4, 4]).unwrap();
         let CsrStage::Weighted { syn, bias, .. } = &csr.stages[0] else {
@@ -921,8 +915,8 @@ mod tests {
             for (o, w) in weighted(syn.edges_of(j), &csr.weights[0]) {
                 via_csr[o as usize] += w * psp;
             }
-            for (v, b) in via_csr.iter_mut().zip(bias.iter()) {
-                *v += b;
+            for (o, v) in via_csr.iter_mut().enumerate() {
+                *v += bias[o / 16];
             }
             let mut one_hot = vec![0.0f32; 2 * 4 * 4];
             one_hot[j as usize] = psp;
@@ -966,6 +960,21 @@ mod tests {
         let m = model();
         assert!(CsrModel::compile(&m, &[3, 4, 4]).is_err());
         assert!(CsrModel::compile(&m, &[2, 9, 9]).is_err());
+        // Tensors that do not fit the layer geometry: a bias one short of
+        // the conv's channels, a dense weight matrix with a row too many.
+        let mut short_bias = m.layers().to_vec();
+        if let SnnLayer::Conv { bias, .. } = &mut short_bias[0] {
+            *bias = Tensor::zeros(&[2]);
+        }
+        let mut tall_weight = m.layers().to_vec();
+        if let SnnLayer::Dense { weight, .. } = &mut tall_weight[2] {
+            *weight = Tensor::zeros(&[6, 48]);
+        }
+        for parts in [short_bias, tall_weight] {
+            let bad = SnnModel::from_parts(parts, *m.kernel(), m.window());
+            let err = CsrModel::compile(&bad, &[2, 4, 4]).unwrap_err();
+            assert!(err.to_string().contains("does not fit"), "got: {err}");
+        }
     }
 
     #[test]
@@ -1001,8 +1010,8 @@ mod tests {
             assert!(oh > 0 && ow > 0, "degenerate case {spec:?} {h}x{w}");
             let weight = snn_tensor::uniform(&[co, ci, k, k], -1.0, 1.0, &mut rng);
             let flat = compile_conv_flat(&spec, &weight, h, w);
-            let (pat, slots) = compile_conv(&spec, h, w);
-            let weights = gather(weight.as_slice(), &slots);
+            let pat = compile_conv(&spec, h, w);
+            let weights = repacked(spec, &weight);
             assert_eq!(pat.in_neurons(), flat.len(), "{spec:?}");
             let flat_edges: usize = flat.iter().map(Vec::len).sum();
             assert_eq!(pat.logical_edges(), flat_edges, "{spec:?}");
@@ -1031,7 +1040,7 @@ mod tests {
         ] {
             let spec = Conv2dSpec::new(ci, co, k, s, p);
             let (_, ow) = spec.output_hw(h, w);
-            let (pat, _) = compile_conv(&spec, h, w);
+            let pat = compile_conv(&spec, h, w);
             let full = pat.full_pattern();
             let on_full = full.map_or(0, |(id, _, _)| {
                 pat.rows().iter().filter(|row| row.pattern == id).count()
@@ -1070,8 +1079,8 @@ mod tests {
             *v = 0.0;
         }
         let flat = compile_conv_flat(&spec, &weight, 6, 6);
-        let (pat, slots) = compile_conv(&spec, 6, 6);
-        let weights = gather(weight.as_slice(), &slots);
+        let pat = compile_conv(&spec, 6, 6);
+        let weights = repacked(spec, &weight);
         assert_eq!(pat.logical_edges(), flat.iter().map(Vec::len).sum());
         let mut zeros = 0usize;
         for (j, f) in flat.iter().enumerate() {
@@ -1087,7 +1096,7 @@ mod tests {
     #[test]
     fn dedup_cuts_conv_storage() {
         let spec = Conv2dSpec::new(2, 4, 3, 1, 1);
-        let (pat, slots) = compile_conv(&spec, 16, 16);
+        let pat = compile_conv(&spec, 16, 16);
         // 3 border classes per axis, shared by both channels -> at most 9
         // patterns.
         assert!(pat.patterns() <= 9, "{} patterns", pat.patterns());
@@ -1097,8 +1106,10 @@ mod tests {
             pat.stored_edges(),
             pat.logical_edges()
         );
-        // The tables plus one f32 per weight.
-        assert!(pat.index_bytes() + slots.len() * 4 < pat.flat_bytes() / 4);
+        // The tables plus one f32 per weight, against a flat CSR's row
+        // pointers, targets and weights.
+        let flat_bytes = (pat.in_neurons() + 1) * 4 + pat.logical_edges() * 8;
+        assert!(pat.index_bytes() + 2 * 4 * 3 * 3 * 4 < flat_bytes / 4);
     }
 
     /// The served geometry — VGG-16 at 1/16 width on 32 × 32 inputs —
@@ -1136,5 +1147,27 @@ mod tests {
             fp.logical_edges - fp.conv_logical_edges,
             fp.stored_edges - fp.conv_stored_edges
         );
+        // Only the conv stage stores an index: 32 rows, 9 patterns and 21
+        // runs (one per surviving kernel row) of 12 bytes each.
+        let CsrStage::Weighted { syn, .. } = &csr.stages[0] else {
+            panic!("stage 0 should be conv");
+        };
+        assert_eq!(syn.index_bytes(), (32 + 9 + 21) * 12);
+        assert_eq!(fp.stored_bytes - fp.weight_bytes, syn.index_bytes());
+
+        // A dense-only model stores its weights and nothing else.
+        let mut rng = StdRng::seed_from_u64(6);
+        let net = Sequential::new(vec![
+            Layer::Flatten(Flatten::new()),
+            Layer::Dense(DenseLayer::new(12, 6, &mut rng)),
+            Layer::Activation(ActivationLayer::new(Box::new(Relu))),
+            Layer::Dense(DenseLayer::new(6, 3, &mut rng)),
+        ]);
+        let m = convert(&net, Base2Kernel::paper_default(), 24).unwrap();
+        let fp = CsrModel::compile(&m, &[1, 3, 4]).unwrap().footprint();
+        assert_eq!(fp.weight_bytes, (12 * 6 + 6 * 3) * 4);
+        assert_eq!(fp.stored_bytes, fp.weight_bytes);
+        assert_eq!(fp.stored_edges, fp.logical_edges);
+        assert_eq!((fp.conv_stored_edges, fp.patterns), (0, 0));
     }
 }

@@ -10,10 +10,10 @@
 //! starting on a 64-byte boundary). Integration walks a sealed slot's
 //! spikes **one at a time, in their stored order**, in one small
 //! `#[inline(never)]` function per synapse kind: a dense spike streams its
-//! CSR row into its lane's slice; a conv spike reads one packed row record
-//! `(t_base, w_base, pattern)` and adds its pattern there. Lanes share
-//! the compiled tables and the fire/pool/wheel passes; they do not share
-//! row fetches.
+//! row of the transposed weight matrix (no index) into its lane's slice; a
+//! conv spike reads one packed row record `(t_base, w_base, pattern)` and
+//! adds its pattern there. Lanes share the compiled tables and the
+//! fire/pool/wheel passes; they do not share row fetches.
 //!
 //! Under TTFS coding a neuron fires at most once, so a layer's whole
 //! output is one time step per neuron, and that is how the engine holds
@@ -54,10 +54,11 @@
 //! distinct cell, so neither the channel-last layout (which moves a cell's
 //! *address*, and reorders edges only inside a row) nor the fixed-width
 //! blocks ever swap two additions to the same cell; a decoded code is the
-//! f32 the reference multiplies by. The readout walks neurons in ascending
-//! index order through the `[pos][oc]` map. Logits therefore match
-//! [`snn_sim::EventSnn`] bit-for-bit for every chunk size, and the shared
-//! event statistics are identical.
+//! f32 the reference multiplies by. Each cell's f32 membrane then takes its
+//! channel's bias, one stored value per channel. The readout walks neurons
+//! in ascending index order through the `[pos][oc]` map. Logits therefore
+//! match [`snn_sim::EventSnn`] bit-for-bit for every chunk size, and the
+//! shared event statistics are identical.
 //!
 //! The engine holds the converted [`SnnModel`] and its compiled tables
 //! behind [`Arc`], so clones (one per worker, per shard, per server) share
@@ -71,7 +72,7 @@ use snn_sim::{phase, RunStats};
 use snn_tensor::Tensor;
 use ttfs_core::{Base2Kernel, ConvertError, SnnModel, TtfsKernel};
 
-use crate::csr::{axis_class, ConvPatterns, CsrModel, CsrStage, CsrSynapses, SynapseTable};
+use crate::csr::{axis_class, ConvPatterns, CsrModel, CsrStage, SynapseTable};
 use crate::wheel::{BatchWheel, LaneSpike};
 use crate::InferenceBackend;
 
@@ -316,8 +317,6 @@ struct Scratch {
     acc: Membranes,
     /// The current stage's packed codes, decoded (quantized stages only).
     weights: Vec<f32>,
-    /// The current stage's bias per output channel.
-    channel_bias: Vec<f32>,
     /// Spikes entering the current stage, when dense.
     plane_in: StepPlane,
     /// Output of the current max-pool stage.
@@ -450,10 +449,12 @@ impl<C: Compiled> Clone for Engine<C> {
 impl CsrEngine {
     /// Compiles `model` for per-sample input dims (`[C, H, W]`).
     ///
-    /// Compilation walks the model once and materializes every weighted
-    /// layer's synapses (pattern-deduplicated for conv, flat CSR for
-    /// dense), so each later inference is a contiguous edge scan per
-    /// spike. The model is cloned once into a shared [`Arc`]; use
+    /// Compilation walks the model once, builds every conv layer's
+    /// pattern-deduplicated synapse table and repacks every weighted
+    /// layer's weights into the order its spikes read them (a dense layer
+    /// needs no table: a spike's row is a contiguous run of the transposed
+    /// matrix), so each later inference is a contiguous scan per spike.
+    /// The model is cloned once into a shared [`Arc`]; use
     /// [`compile_shared`](Self::compile_shared) to avoid even that copy.
     ///
     /// # Example
@@ -611,7 +612,6 @@ fn run_chunk<C: Compiled>(
     let Scratch {
         acc,
         weights,
-        channel_bias,
         plane_in,
         plane_out,
         wheel_in,
@@ -662,14 +662,19 @@ fn run_chunk<C: Compiled>(
                 if spikes == Spikes::Plane {
                     plane_in.to_wheel(wheel_in, lanes, fire);
                 }
-                let out_len = bias.len();
+                // Neuron `c·plane + p` lives in cell `p·channels + c` of
+                // its lane's slice (the identity for dense stages).
+                let (channels, plane) = syn.layout();
+                let out_len = channels * plane;
                 let resolved = tables.layer_weights(seen, engine.mode, weights);
                 acc.reset(lanes, out_len);
                 // f64 accumulate -> one f32 rounding -> f32 bias add:
                 // identical to the reference GEMM discipline, so the
                 // fire-phase quantizer sees the same f32 membranes.
                 let ops = match syn {
-                    SynapseTable::Flat(cs) => integrate_dense(cs, resolved, wheel_in, fire, acc),
+                    SynapseTable::Dense { out_f, .. } => {
+                        integrate_dense(*out_f, resolved, wheel_in, fire, acc)
+                    }
                     SynapseTable::Patterned(p) => integrate_conv(p, resolved, wheel_in, fire, acc),
                 };
 
@@ -683,25 +688,16 @@ fn run_chunk<C: Compiled>(
                     stage_span.attr("neurons", out_len * lanes);
                 }
 
-                // Neuron `c·plane + p` lives in cell `p·channels + c` of
-                // its lane's slice (the identity for dense stages).
-                let (channels, plane) = match syn {
-                    SynapseTable::Flat(_) => (out_len, 1),
-                    SynapseTable::Patterned(p) => p.layout(),
-                };
                 if seen < weighted {
                     // Fire phase straight out of the membrane matrix
                     // (identical semantics to `phase::fire_phase`): one
-                    // pass in cell order. A conv stage's bias is one value
-                    // per channel, so in cell order it repeats every
-                    // `channels` cells.
-                    channel_bias.clear();
-                    channel_bias.extend(bias.iter().step_by(plane));
+                    // pass in cell order, in which the per-channel bias
+                    // repeats every `channels` cells.
                     plane_in.reset(lanes, channels, plane, fire);
                     let lane_steps = plane_in.steps.chunks_exact_mut(out_len);
                     let lane_hist = plane_in.hist.chunks_exact_mut(fire.slots());
                     for ((cells, steps), hist) in acc.lanes().zip(lane_steps).zip(lane_hist) {
-                        let bias = channel_bias.iter().cycle();
+                        let bias = bias.iter().cycle();
                         let membranes = cells.iter().zip(bias).map(|(&u, &b)| u as f32 + b);
                         fire.fire_row(membranes, steps, hist);
                         let silent = hist[window as usize + 1] as usize;
@@ -720,10 +716,9 @@ fn run_chunk<C: Compiled>(
                 } else {
                     // Readout: decode every lane's logits row.
                     for cells in acc.lanes() {
-                        rows.extend(
-                            (0..out_len)
-                                .map(|o| cells[o % plane * channels + o / plane] as f32 + bias[o]),
-                        );
+                        rows.extend((0..out_len).map(|o| {
+                            cells[o % plane * channels + o / plane] as f32 + bias[o / plane]
+                        }));
                     }
                     produced = true;
                 }
@@ -910,11 +905,12 @@ impl Membranes {
 }
 
 /// Integrates a dense stage: every sealed spike, slot after slot in stored
-/// order, streams its row of `weights` into its lane's cells. Returns the
+/// order, streams its row of `weights` — the `out_f` slots from `neuron ·
+/// out_f`, targets `0..out_f` in order — into its lane's cells. Returns the
 /// synaptic ops.
 #[inline(never)]
 fn integrate_dense(
-    cs: &CsrSynapses,
+    out_f: usize,
     weights: &[f32],
     wheel: &BatchWheel,
     fire: &FireTable,
@@ -924,11 +920,10 @@ fn integrate_dense(
     for t in 0..=fire.window() {
         let psp_t = fire.decode(t);
         for s in wheel.slot(t) {
-            // A dense row's targets are `0..len` in order.
-            let row = &weights[cs.slots(s.neuron)];
+            let row = &weights[s.neuron as usize * out_f..][..out_f];
             let (psp, cells) = acc.spike_cells(s, psp_t);
-            add_run(&mut cells[..row.len()], row, psp);
-            ops += row.len();
+            add_run(cells, row, psp);
+            ops += out_f;
         }
     }
     ops
@@ -1284,6 +1279,50 @@ mod tests {
         let (b, sb) = csr.run_batch(&x).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
         assert_eq!(sa, sb, "synaptic ops must count zero-weight taps too");
+    }
+
+    /// Fresh layers carry zero biases; these carry a different one per
+    /// channel, so hidden conv fire phases (channel-last cells) and both
+    /// dense roles each read their channel's value.
+    #[test]
+    fn per_channel_biases_match_event_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(20);
+        let convs = Sequential::new(vec![
+            Layer::Conv2d(Conv2dLayer::new(Conv2dSpec::new(1, 4, 3, 1, 1), &mut rng)),
+            Layer::Activation(ActivationLayer::new(Box::new(Relu))),
+            Layer::Conv2d(Conv2dLayer::new(Conv2dSpec::new(4, 3, 3, 2, 1), &mut rng)),
+            Layer::Activation(ActivationLayer::new(Box::new(Relu))),
+            Layer::Flatten(Flatten::new()),
+            Layer::Dense(DenseLayer::new(3 * 4 * 4, 5, &mut rng)),
+        ]);
+        let dense = Sequential::new(vec![
+            Layer::Flatten(Flatten::new()),
+            Layer::Dense(DenseLayer::new(64, 6, &mut rng)),
+            Layer::Activation(ActivationLayer::new(Box::new(Relu))),
+            Layer::Dense(DenseLayer::new(6, 3, &mut rng)),
+        ]);
+        let x = snn_tensor::uniform(&[3, 1, 8, 8], 0.0, 1.0, &mut rng);
+        for net in [convs, dense] {
+            let mut model = convert(&net, Base2Kernel::paper_default(), 24).unwrap();
+            for bias in model
+                .layers_mut()
+                .iter_mut()
+                .filter_map(|layer| match layer {
+                    ttfs_core::SnnLayer::Conv { bias, .. }
+                    | ttfs_core::SnnLayer::Dense { bias, .. } => Some(bias),
+                    _ => None,
+                })
+            {
+                for b in bias.as_mut_slice() {
+                    *b = rng.gen_range(-0.3..0.3);
+                }
+            }
+            let (want, want_stats) = EventSnn::new(&model).run(&x).unwrap();
+            let csr = CsrEngine::compile(&model, &[1, 8, 8]).unwrap();
+            let (logits, stats) = csr.run_batch(&x).unwrap();
+            assert_eq!(logits.as_slice(), want.as_slice());
+            assert_eq!(stats, want_stats);
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`CsrModel`] / [`CsrEngine`] — ahead-of-time compilation of a
 //!   converted [`ttfs_core::SnnModel`] into synapse tables (conv layers
 //!   pattern-deduplicated per `(channel, border-class)` — roughly
-//!   `H·W`-fold less edge storage; dense layers flat CSR) plus the
+//!   `H·W`-fold less edge storage; dense layers a transposed weight
+//!   matrix with no index) plus the
 //!   [`BatchWheel`] multi-lane spike queue. Integration is **batched**: a
 //!   chunk of samples is walked together in ascending `(t, neuron)` order,
 //!   spike by spike, each spike's synapse row added into its lane of a
@@ -130,9 +131,7 @@ pub use batcher::{
     BrownoutConfig, DeadlineBatcher, FlushReason, StreamedResponse, StreamingConfig, SubmitError,
     SubmitOptions, Ticket,
 };
-pub use csr::{
-    ConvPatterns, CsrFootprint, CsrModel, CsrStage, CsrSynapses, EdgeIter, SynapseTable,
-};
+pub use csr::{ConvPatterns, CsrFootprint, CsrModel, CsrStage, EdgeIter, SynapseTable};
 pub use engine::{CsrEngine, Engine, DEFAULT_MAX_LANES};
 pub use faults::{FaultConfig, FaultCounts, FaultInjector, FaultPoint};
 pub use metrics::{

@@ -13,12 +13,13 @@
 //!   the layer's largest magnitude, the deployment-time calibration of the
 //!   paper), every weight is encoded **once** to its packed code byte
 //!   ([`encode_layer_codes`] — or the codes arrive ready-made in a
-//!   quantized [`crate::ModelArtifact`]), and the codes are gathered into
-//!   the slot order of the compiled synapse tables as the f32 model
-//!   gathers its weights. The tables themselves ([`SynapseTable`]) hold no
-//!   payload: pattern deduplication, per-pixel maps and traversal order
-//!   are the f32 model's, equal table for table — only the payload array
-//!   beside them shrinks, 4× for the stored weights.
+//!   quantized [`crate::ModelArtifact`]), and each layer's codes are
+//!   repacked straight into the slot order of the compiled synapse tables,
+//!   by the same one-pass repack the f32 model uses for its weights. The
+//!   tables themselves ([`SynapseTable`]) hold no payload: pattern
+//!   deduplication, per-pixel maps and traversal order are the f32
+//!   model's, equal table for table — only the payload array beside them
+//!   shrinks, 4× for the stored weights.
 //! * [`QuantEngine`] — the [`Engine`] over these tables: its integration
 //!   loop is the *same* batched walk as [`crate::CsrEngine`]'s (one
 //!   engine type, one code path), down to the vectorised `cells +=
@@ -51,7 +52,7 @@ use std::sync::Arc;
 use snn_logquant::{LogBase, LogPe, LogQuantizer, QuantError};
 use ttfs_core::{ConvertError, SnnLayer, SnnModel};
 
-use crate::csr::{compile_stages, footprint_of, gather, CsrFootprint, CsrStage};
+use crate::csr::{compile_stages, footprint_of, repack, CsrFootprint, CsrStage};
 use crate::engine::{Compiled, Engine, FireTable};
 
 #[cfg(doc)]
@@ -301,8 +302,8 @@ impl QuantCsrModel {
 
     /// Compiles the serving tables from shipped packed codes: `codes[i]`
     /// (one code per weight of the `i`-th weighted layer, in the weight
-    /// tensor's order) is gathered into the slot order of its table as the
-    /// f32 model gathers weights, and each layer decodes through
+    /// tensor's order) is repacked into the slot order of its table as the
+    /// f32 model repacks weights, and each layer decodes through
     /// `quantizers[i]`. Geometry, kernel, window and biases come from
     /// `model`; its weight values are never read.
     ///
@@ -328,17 +329,19 @@ impl QuantCsrModel {
                 "quantized compile: quantizers do not match the model and config".into(),
             ));
         }
-        let (stages, slots, total_edges) = compile_stages(model, input_dims)?;
-        if codes.len() != slots.len() || codes.iter().zip(&slots).any(|(c, s)| c.len() != s.len()) {
+        let (stages, total_edges) = compile_stages(model, input_dims)?;
+        // Codes arrive from untrusted artifacts: `repack` checks each
+        // layer's count against its weight tensor.
+        if codes.len() != model.weighted_layers() {
             return Err(ConvertError::Structure(
-                "quantized compile: codes do not match the model's weight tensors".into(),
+                "quantized compile: codes do not match the model's weighted layers".into(),
             ));
         }
-        let codes = codes
-            .iter()
-            .zip(&slots)
-            .map(|(c, s)| gather(c, s))
-            .collect();
+        let weighted = model.layers().iter().filter(|l| l.weight().is_some());
+        let codes = weighted
+            .zip(codes)
+            .map(|(l, c)| repack(l, c))
+            .collect::<Result<_, _>>()?;
         let layers = quantizers
             .into_iter()
             .map(|q| build_layer(model, config.base, q))
@@ -739,6 +742,34 @@ mod tests {
             assert!(err.to_string().contains("bits"), "bits {bits}: {err}");
         }
         assert!(QuantCsrModel::compile(&model, &[2, 8, 8], QuantConfig::default()).is_err());
+    }
+
+    /// Shipped codes are untrusted: a layer whose code count differs from
+    /// its weight tensor, or a missing layer, is a structure error before
+    /// the repack indexes anything.
+    #[test]
+    fn from_codes_rejects_codes_that_do_not_fit_the_weights() {
+        let model = cnn_model(35);
+        let config = QuantConfig::default();
+        let quantizers = fit_layer_quantizers(&model, config.base, config.bits).unwrap();
+        let codes = encode_layer_codes(&model, &quantizers);
+        let compile = |codes: &[Vec<u8>]| {
+            QuantCsrModel::from_codes(&model, &[1, 8, 8], config, quantizers.clone(), codes)
+        };
+        assert!(compile(&codes).is_ok());
+        let mut short = codes.clone();
+        short[1].pop();
+        let mut long = codes.clone();
+        long[0].push(0);
+        for (case, bad) in [
+            ("short", short),
+            ("long", long),
+            ("missing", codes[..1].to_vec()),
+        ] {
+            let err = compile(&bad).unwrap_err();
+            assert!(matches!(err, ConvertError::Structure(_)), "{case}: {err:?}");
+            assert!(err.to_string().contains("not match"), "{case}: {err}");
+        }
     }
 
     #[test]
